@@ -20,8 +20,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1091,6 +1093,170 @@ TEST(ServeZeroAlloc, QueryPathSteadyState) {
   const AllocationStats after = GetAllocationStats();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
       << "steady-state serve query path allocated";
+}
+
+// Golden responses: the exact status and body of every /v1/query,
+// /v1/topk and /v1/batch shape, minus the timing fields, recorded on a
+// fresh service in a fixed order (the cache stamps depend on it). Any
+// refactor of the request pipeline must leave these bytes unchanged.
+struct GoldenExchange {
+  const char* path;
+  const char* request;
+  int status;
+  const char* body;
+};
+
+constexpr GoldenExchange kGoldenExchanges[] = {
+    // /v1/query: full vector, cached repeat, top_k, with_stats, an ε
+    // override and its cached repeat, an override equal to the tenant ε.
+    {"/v1/query", R"g({"node": 3})g", 200,
+     R"g({"node":3,"graph":"default","generation":1,"epsilon":0.1,"scores":[0,0.11506539366070312,0.4023915120553125,1,0.05878707812718752,0,0,0,0,0]})g"},
+    {"/v1/query", R"g({"node": 3})g", 200,
+     R"g({"node":3,"graph":"default","generation":1,"epsilon":0.1,"cached":true,"scores":[0,0.11506539366070312,0.4023915120553125,1,0.05878707812718752,0,0,0,0,0]})g"},
+    {"/v1/query", R"g({"node": 5, "top_k": 3})g", 200,
+     R"g({"node":5,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":6,"score":0.3415175079178125},{"node":7,"score":0.17848684297888504},{"node":4,"score":0.17054208652754627}]})g"},
+    {"/v1/query", R"g({"node": 6, "with_stats": true})g", 200,
+     R"g({"node":6,"graph":"default","generation":1,"epsilon":0.1,"scores":[0.003356619910312501,0,0,0,0.04183632570234376,0.34172560028437504,1,0.19608816486000005,0.010069859730937504,0],"stats":{"max_level":16,"num_attention":28,"walks_sampled":20000,"reverse_pushes":43,"total_ms":0}})g"},
+    {"/v1/query", R"g({"node": 3, "epsilon": 0.2})g", 200,
+     R"g({"node":3,"graph":"default","generation":1,"epsilon":0.2,"scores":[0,0.115171529625,0.4025857648125001,1,0.05887891777500001,0,0,0,0,0]})g"},
+    {"/v1/query", R"g({"node": 3, "epsilon": 0.2, "top_k": 2})g", 200,
+     R"g({"node":3,"graph":"default","generation":1,"epsilon":0.2,"cached":true,"top":[{"node":2,"score":0.4025857648125001},{"node":1,"score":0.115171529625}]})g"},
+    {"/v1/query", R"g({"node": 8, "top_k": 4, "with_stats": true, "epsilon": 0.1})g", 200,
+     R"g({"node":8,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":0,"score":0.269405439828575},{"node":9,"score":0.13974207557343754},{"node":1,"score":0.011655032565937504},{"node":6,"score":0.010926011737800006}],"stats":{"max_level":15,"num_attention":41,"walks_sampled":20000,"reverse_pushes":57,"total_ms":0}})g"},
+    // /v1/topk: a cache hit (node 5 above) and a computed k.
+    {"/v1/topk", R"g({"node": 5})g", 200,
+     R"g({"node":5,"graph":"default","generation":1,"epsilon":0.1,"cached":true,"k":10,"top":[{"node":6,"score":0.3415175079178125},{"node":7,"score":0.17848684297888504},{"node":4,"score":0.17054208652754627}]})g"},
+    {"/v1/topk", R"g({"node": 7, "k": 2})g", 200,
+     R"g({"node":7,"graph":"default","generation":1,"epsilon":0.1,"k":2,"top":[{"node":6,"score":0.195847577090625},{"node":5,"score":0.178617090978885}]})g"},
+    // /v1/batch with duplicate nodes.
+    {"/v1/batch", R"g({"nodes": [0, 4, 0, 9, 4], "k": 2})g", 200,
+     R"g({"graph":"default","generation":1,"k":2,"wall_ms":0,"nodes":5,"unique_nodes":3,"results":[{"node":0,"top":[{"node":9,"score":0.32672154086750005},{"node":8,"score":0.26891689344949626}]},{"node":4,"top":[{"node":5,"score":0.17209659154278753},{"node":7,"score":0.08142847131952502}]},{"node":0,"top":[{"node":9,"score":0.32672154086750005},{"node":8,"score":0.26891689344949626}]},{"node":9,"top":[{"node":0,"score":0.3267214363015625},{"node":8,"score":0.1393927635480469}]},{"node":4,"top":[{"node":5,"score":0.17209659154278753},{"node":7,"score":0.08142847131952502}]}]})g"},
+    // /v1/query errors, including precedence: a malformed node beats an
+    // unknown graph, an unknown graph beats an out-of-range node, the
+    // range check beats the deadline and the deadline beats ε.
+    {"/v1/query", R"g({not json)g", 400,
+     R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
+    {"/v1/query", R"g([1, 2])g", 400,
+     R"g({"error":"request body must be a JSON object"})g"},
+    {"/v1/query", R"g({})g", 400,
+     R"g({"error":"missing \"node\" field"})g"},
+    {"/v1/query", R"g({"node": -1})g", 400,
+     R"g({"error":"\"node\": expected a non-negative integer"})g"},
+    {"/v1/query", R"g({"node": 4294967301})g", 400,
+     R"g({"error":"node 4294967301 out of range [0, 10)"})g"},
+    {"/v1/query", R"g({"node": 1, "top_k": "x"})g", 400,
+     R"g({"error":"\"top_k\": expected a number"})g"},
+    {"/v1/query", R"g({"node": "x", "top_k": -1})g", 400,
+     R"g({"error":"\"node\": expected a number"})g"},
+    {"/v1/query", R"g({"node": 1, "graph": 7})g", 400,
+     R"g({"error":"\"graph\" must be a string"})g"},
+    {"/v1/query", R"g({"node": 1, "graph": "nope"})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"/v1/query", R"g({"node": 99, "graph": "nope"})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"/v1/query", R"g({"node": -1, "graph": "nope"})g", 400,
+     R"g({"error":"\"node\": expected a non-negative integer"})g"},
+    {"/v1/query", R"g({"node": 10})g", 400,
+     R"g({"error":"node 10 out of range [0, 10)"})g"},
+    {"/v1/query", R"g({"node": 10, "deadline_ms": 0})g", 400,
+     R"g({"error":"node 10 out of range [0, 10)"})g"},
+    {"/v1/query", R"g({"node": 1, "deadline_ms": 0})g", 400,
+     R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
+    {"/v1/query", R"g({"node": 1, "deadline_ms": "x"})g", 400,
+     R"g({"error":"\"deadline_ms\": expected a number"})g"},
+    {"/v1/query", R"g({"node": 1, "deadline_ms": 0, "epsilon": 2})g", 400,
+     R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
+    {"/v1/query", R"g({"node": 1, "epsilon": 2})g", 400,
+     R"g({"error":"\"epsilon\" must be in (0,1)"})g"},
+    {"/v1/query", R"g({"node": 1, "epsilon": 0.0001})g", 400,
+     R"g({"error":"\"epsilon\" below the server's floor (min_request_epsilon=0.001)"})g"},
+    {"/v1/query", R"g({"node": 1, "epsilon": "x"})g", 400,
+     R"g({"error":"\"epsilon\": expected a number"})g"},
+    // /v1/topk errors.
+    {"/v1/topk", R"g({not json)g", 400,
+     R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
+    {"/v1/topk", R"g([1])g", 400,
+     R"g({"error":"request body must be a JSON object"})g"},
+    {"/v1/topk", R"g({})g", 400,
+     R"g({"error":"missing \"node\" field"})g"},
+    {"/v1/topk", R"g({"node": 1, "k": -2})g", 400,
+     R"g({"error":"\"k\": expected a non-negative integer"})g"},
+    {"/v1/topk", R"g({"node": -1, "k": -2})g", 400,
+     R"g({"error":"\"node\": expected a non-negative integer"})g"},
+    {"/v1/topk", R"g({"node": 1, "graph": "nope"})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"/v1/topk", R"g({"node": 99, "graph": "nope"})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"/v1/topk", R"g({"node": 10})g", 400,
+     R"g({"error":"node 10 out of range [0, 10)"})g"},
+    {"/v1/topk", R"g({"node": 1, "deadline_ms": 999999})g", 400,
+     R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
+    {"/v1/topk", R"g({"node": 1, "epsilon": 0})g", 400,
+     R"g({"error":"\"epsilon\" must be in (0,1)"})g"},
+    // /v1/batch errors: the 413 beats a bad k, a bad k beats an unknown
+    // graph, an unknown graph beats bad node entries.
+    {"/v1/batch", R"g({not json)g", 400,
+     R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
+    {"/v1/batch", R"g([])g", 400,
+     R"g({"error":"request body must be a JSON object"})g"},
+    {"/v1/batch", R"g({})g", 400,
+     R"g({"error":"missing \"nodes\" array"})g"},
+    {"/v1/batch", R"g({"nodes": 3})g", 400,
+     R"g({"error":"missing \"nodes\" array"})g"},
+    {"/v1/batch", R"g({"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8]})g", 413,
+     R"g({"error":"batch exceeds max_batch_nodes (8)"})g"},
+    {"/v1/batch", R"g({"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8], "k": -1})g", 413,
+     R"g({"error":"batch exceeds max_batch_nodes (8)"})g"},
+    {"/v1/batch", R"g({"nodes": [0], "k": "x"})g", 400,
+     R"g({"error":"\"k\": expected a number"})g"},
+    {"/v1/batch", R"g({"nodes": [0], "k": -1, "graph": "nope"})g", 400,
+     R"g({"error":"\"k\": expected a non-negative integer"})g"},
+    {"/v1/batch", R"g({"nodes": [0], "graph": 7})g", 400,
+     R"g({"error":"\"graph\" must be a string"})g"},
+    {"/v1/batch", R"g({"nodes": [0], "graph": "nope"})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"/v1/batch", R"g({"nodes": [0, 99], "graph": "nope"})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"/v1/batch", R"g({"nodes": [0, 99]})g", 400,
+     R"g({"error":"\"nodes\" entries must be node ids in [0, 10)"})g"},
+    {"/v1/batch", R"g({"nodes": [0, -1]})g", 400,
+     R"g({"error":"\"nodes\" entries must be node ids in [0, 10)"})g"},
+    {"/v1/batch", R"g({"nodes": [0, 99], "deadline_ms": 0})g", 400,
+     R"g({"error":"\"nodes\" entries must be node ids in [0, 10)"})g"},
+    {"/v1/batch", R"g({"nodes": [0], "deadline_ms": 0})g", 400,
+     R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
+};
+
+TEST(ServeGolden, ResponseBytesArePinned) {
+  Graph graph = testing_util::MakeFixtureGraph();
+  ServiceOptions options;
+  options.query = FastOptions();
+  options.num_threads = 2;
+  options.max_batch_nodes = 8;
+  SimPushService service(graph, options);
+  const std::regex timing("\"(total_ms|wall_ms|elapsed_ms)\":[-+0-9.eE]+");
+  for (const GoldenExchange& exchange : kGoldenExchanges) {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = exchange.path;
+    request.body = exchange.request;
+    const std::string_view path = exchange.path;
+    const HttpResponse response =
+        path == "/v1/query"  ? service.HandleQuery(request)
+        : path == "/v1/topk" ? service.HandleTopK(request)
+                             : service.HandleBatch(request);
+    EXPECT_EQ(response.status, exchange.status)
+        << exchange.path << " " << exchange.request;
+    EXPECT_EQ(std::regex_replace(response.body, timing, "\"$1\":0"),
+              std::string(exchange.body) + "\n")
+        << exchange.path << " " << exchange.request;
+  }
+  // The per-endpoint counters the exchanges above leave behind.
+  const std::string stats = service.HandleStats(HttpRequest{}).body;
+  EXPECT_NE(stats.find(
+                R"("requests":{"query":7,"topk":2,"batch":1,"admin":0,"bad":44,"deadline_expired":0,"client_abandoned":0,"nodes_scored":14})"),
+            std::string::npos)
+      << stats;
 }
 
 // ---------------------------------------------------------------------------
