@@ -100,7 +100,7 @@ void BM_WalkKernelBatched(benchmark::State& state) {
   for (auto _ : state) {
     RunWalkWaves(
         g, u, /*walk_seed=*/42, kKernelWalksPerIter, params.l_star,
-        walker.inv_log_sqrt_c(), UniformInSampler{},
+        walker.inv_log_sqrt_c(),
         [&sink](uint32_t level, NodeId node) { sink += node + level; },
         /*cancel=*/nullptr, wave);
     u = (u + 37) % g.num_nodes();

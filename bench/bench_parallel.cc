@@ -7,7 +7,7 @@
 //   engine/worker — one full SimPushEngine (and its O(n) scratch)
 //                   constructed per worker, the pre-pool design;
 //   pooled        — one shared immutable EngineCore + a WorkspacePool
-//                   capped at the worker count (QueryExecutor);
+//                   capped at the worker count (ParallelQueryBatch);
 //   pooled-half   — same, pool capped at half the workers: the
 //                   memory/parallelism tradeoff only the pool exposes.
 // Reported per row: wall time, aggregate and per-worker queries/second,
@@ -31,6 +31,7 @@
 #include "common/memory.h"
 #include "common/thread_pool.h"
 #include "simpush/parallel.h"
+#include "simpush/simpush.h"
 
 namespace simpush {
 namespace bench {
@@ -87,12 +88,20 @@ RunRow RunPooled(const Graph& graph, const SimPushOptions& options,
                  const std::vector<NodeId>& queries, size_t num_threads,
                  size_t pool_capacity, size_t* sink) {
   RunRow row;
-  QueryExecutor executor(graph, options, num_threads, pool_capacity);
+  const EngineCore core(graph, options);
+  ThreadPool thread_pool(num_threads);
+  WorkspacePool workspaces(pool_capacity != 0 ? pool_capacity
+                                              : thread_pool.num_threads());
+  std::atomic<size_t> local_sink{0};
   row.stats = ParallelQueryBatch(
-      executor, queries, [sink](NodeId, const SimPushResult& result) {
-        *sink += result.scores.size();  // keep results alive to the end
+      core, thread_pool, workspaces, queries,
+      [&local_sink](size_t, const SimPushResult& result) {
+        // Keep results alive to the end.
+        local_sink.fetch_add(result.scores.size());
+        return true;
       });
   row.peak_rss = PeakRssBytes();
+  *sink += local_sink.load();
   return row;
 }
 

@@ -136,10 +136,16 @@ class [[nodiscard]] StatusOr {
   } while (0)
 
 /// Assigns the value of a StatusOr expression or propagates its error.
-#define SIMPUSH_ASSIGN_OR_RETURN(lhs, expr)    \
-  auto _so_##__LINE__ = (expr);                \
-  if (!_so_##__LINE__.ok()) return _so_##__LINE__.status(); \
-  lhs = std::move(_so_##__LINE__).value()
+/// The temporary is named per line, so one scope may use it repeatedly.
+#define SIMPUSH_ASSIGN_OR_RETURN(lhs, expr)                               \
+  SIMPUSH_ASSIGN_OR_RETURN_IMPL(SIMPUSH_STATUS_CONCAT(_so_, __LINE__), lhs, \
+                                expr)
+#define SIMPUSH_ASSIGN_OR_RETURN_IMPL(tmp, lhs, expr) \
+  auto tmp = (expr);                                  \
+  if (!tmp.ok()) return tmp.status();                 \
+  lhs = std::move(tmp).value()
+#define SIMPUSH_STATUS_CONCAT(a, b) SIMPUSH_STATUS_CONCAT_INNER(a, b)
+#define SIMPUSH_STATUS_CONCAT_INNER(a, b) a##b
 
 }  // namespace simpush
 

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "common/memory.h"
-#include "eval/metrics.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "serve/json.h"
+#include "serve/request_fields.h"
 #include "simpush/parallel.h"
+#include "simpush/topk.h"
 #include "simpush/workspace.h"
 
 namespace simpush {
@@ -48,46 +51,15 @@ HttpResponse JsonError(const Status& status) {
   return JsonError(StatusToHttp(status), status.message());
 }
 
-// Reads a required non-negative integer field.
-StatusOr<uint64_t> RequireIndex(const JsonValue& doc, std::string_view key) {
-  const JsonValue* field = doc.Find(key);
-  if (field == nullptr) {
-    return Status::InvalidArgument("missing \"" + std::string(key) +
-                                   "\" field");
-  }
-  auto index = field->AsIndex();
-  if (!index.ok()) {
-    return Status::InvalidArgument("\"" + std::string(key) +
-                                   "\": " + index.status().message());
-  }
-  return index;
-}
-
-// Reads an optional non-negative integer field with a default.
-StatusOr<uint64_t> OptionalIndex(const JsonValue& doc, std::string_view key,
-                                 uint64_t fallback) {
-  const JsonValue* field = doc.Find(key);
-  if (field == nullptr) return fallback;
-  auto index = field->AsIndex();
-  if (!index.ok()) {
-    return Status::InvalidArgument("\"" + std::string(key) +
-                                   "\": " + index.status().message());
-  }
-  return index;
-}
-
-void WriteTopEntries(JsonWriter* writer, const std::vector<double>& scores,
-                     size_t k, NodeId exclude) {
+void WriteTopEntries(JsonWriter* writer,
+                     const std::vector<TopKEntry>& entries) {
   writer->BeginArray();
-  // TopK sorts descending, so the first zero ends the useful prefix —
-  // matching QueryTopK, which never reports zero-score nodes.
-  for (NodeId v : TopK(scores, k, exclude)) {
-    if (scores[v] <= 0.0) break;
+  for (const TopKEntry& entry : entries) {
     writer->BeginObject();
     writer->Key("node");
-    writer->Uint(v);
+    writer->Uint(entry.node);
     writer->Key("score");
-    writer->Double(scores[v]);
+    writer->Double(entry.score);
     writer->EndObject();
   }
   writer->EndArray();
@@ -137,74 +109,6 @@ void WritePoolGauges(JsonWriter* writer, const TenantStats& stats) {
   writer->EndObject();
 }
 
-// Reads [[src,dst],...] into `updates` as `kind` entries. Pair entries
-// must be two-element arrays of valid node indices (range-checked
-// against the registry master later, where n is known).
-Status ReadEdgePairs(const JsonValue& field, EdgeUpdate::Kind kind,
-                     std::vector<EdgeUpdate>* updates) {
-  if (!field.is_array()) {
-    return Status::InvalidArgument("edge list must be an array of [src,dst]");
-  }
-  for (const JsonValue& pair : field.array_items()) {
-    if (!pair.is_array() || pair.array_items().size() != 2) {
-      return Status::InvalidArgument(
-          "edge list entries must be [src,dst] pairs");
-    }
-    auto src = pair.array_items()[0].AsIndex();
-    auto dst = pair.array_items()[1].AsIndex();
-    if (!src.ok() || !dst.ok() || *src > kInvalidNode || *dst > kInvalidNode) {
-      return Status::InvalidArgument("edge endpoints must be node ids");
-    }
-    updates->push_back({kind, static_cast<NodeId>(*src),
-                        static_cast<NodeId>(*dst)});
-  }
-  return Status::OK();
-}
-
-// The ε cost floor shared by the per-request override and the tenant
-// "options" of POST /v1/graphs. Written fail-closed — `!(value >=
-// floor)` — so an embedder that misconfigures min_request_epsilon as
-// NaN rejects every network-supplied ε instead of accepting all of
-// them (NaN makes `value < floor` false for every value).
-Status CheckEpsilonFloor(double value, double min_epsilon,
-                         std::string_view field) {
-  if (!(value >= min_epsilon)) {
-    JsonWriter number;  // Shortest round-trip form for the message.
-    number.Double(min_epsilon);
-    return Status::InvalidArgument(
-        "\"" + std::string(field) +
-        "\" below the server's floor (min_request_epsilon=" +
-        number.Take() + ")");
-  }
-  return Status::OK();
-}
-
-// Reads the optional per-request "deadline_ms" budget for /v1/query,
-// /v1/topk and /v1/batch. Absent → the operator's request_timeout_ms
-// default (0 = no deadline). Present → an integer in
-// [1, max_deadline_ms]; the field is network-controlled, so values
-// above the operator cap are a 400, not a clamp — silent clamping
-// would let a client believe it bought more time than it got.
-StatusOr<int64_t> ReadDeadlineMs(const JsonValue& doc,
-                                 const ServiceOptions& options) {
-  const JsonValue* field = doc.Find("deadline_ms");
-  if (field == nullptr) {
-    return static_cast<int64_t>(options.request_timeout_ms);
-  }
-  auto value = field->AsIndex();
-  if (!value.ok()) {
-    return Status::InvalidArgument("\"deadline_ms\": " +
-                                   value.status().message());
-  }
-  if (*value < 1 ||
-      *value > static_cast<uint64_t>(options.max_deadline_ms)) {
-    return Status::InvalidArgument(
-        "\"deadline_ms\" must be in [1, " +
-        std::to_string(options.max_deadline_ms) + "]");
-  }
-  return static_cast<int64_t>(*value);
-}
-
 // 504/499 body: the error plus partial timing, so a client (or its
 // operator) can see how far past the budget the query got and which
 // generation it ran against.
@@ -229,137 +133,6 @@ HttpResponse TimeoutError(int status, std::string_view message,
   response.body = writer.Take();
   response.body.push_back('\n');
   return response;
-}
-
-// Reads the optional per-request "epsilon" override for /v1/query and
-// /v1/topk. Absent → *has_override stays false. Present → must be a
-// finite number in (0,1) and at least `min_epsilon` (the override is
-// network-controlled, and query cost explodes as ε shrinks); any
-// violation is an error naming the field, so it surfaces as a 400 at
-// the HTTP boundary rather than a per-query engine error.
-Status ReadEpsilonOverride(const JsonValue& doc, double min_epsilon,
-                           bool* has_override, double* epsilon) {
-  *has_override = false;
-  const JsonValue* field = doc.Find("epsilon");
-  if (field == nullptr) return Status::OK();
-  auto value = field->AsDouble();
-  if (!value.ok()) {
-    return Status::InvalidArgument("\"epsilon\": " +
-                                   value.status().message());
-  }
-  if (!(*value > 0.0 && *value < 1.0)) {
-    return Status::InvalidArgument("\"epsilon\" must be in (0,1)");
-  }
-  SIMPUSH_RETURN_NOT_OK(CheckEpsilonFloor(*value, min_epsilon, "epsilon"));
-  *has_override = true;
-  *epsilon = *value;
-  return Status::OK();
-}
-
-// Parses the optional "options" object of POST /v1/graphs into
-// `options` (fields not named keep their process-default values).
-// Unknown keys are rejected — an engine knob typo must not silently
-// fall back to the defaults — and the merged result runs through
-// SimPushOptions::Validate so a bad or non-finite ε/c/δ is a 400
-// naming the field here, not an engine error on every later query.
-// These options arrive FROM THE NETWORK, so every knob that can buy
-// CPU is bounded against the operator configuration: ε is floored at
-// `min_epsilon`; a client-supplied walk_budget_cap may only LOWER the
-// walk budget relative to the operator default — 0 (= the paper's
-// uncapped worst-case formula, billions of walks at small ε) and cap
-// raises are refused; decay may not be RAISED above the operator
-// default, because walk length (~1/(1-√c)) and L* both diverge as
-// c → 1 and the walk cap bounds neither; and delta may not be LOWERED
-// below the operator default, because num_walks grows with log(1/δ)
-// and is unbounded when the operator runs uncapped. Moving any of
-// these in the expensive direction is operator-only (CLI / AddGraph).
-// Tenants that omit a field inherit whatever the operator configured.
-Status ReadTenantOptions(const JsonValue& doc, double min_epsilon,
-                         SimPushOptions* options) {
-  const JsonValue* field = doc.Find("options");
-  if (field == nullptr) return Status::OK();
-  if (!field->is_object()) {
-    return Status::InvalidArgument("\"options\" must be an object");
-  }
-  const uint64_t default_walk_cap = options->walk_budget_cap;
-  const double default_decay = options->decay;
-  const double default_delta = options->delta;
-  bool epsilon_given = false;
-  bool decay_given = false;
-  bool delta_given = false;
-  bool walk_cap_given = false;
-  for (const auto& [key, value] : field->object_members()) {
-    if (key == "epsilon" || key == "decay" || key == "delta") {
-      auto number = value.AsDouble();
-      if (!number.ok()) {
-        return Status::InvalidArgument("\"options." + key +
-                                       "\": " + number.status().message());
-      }
-      if (key == "epsilon") {
-        options->epsilon = *number;
-        epsilon_given = true;
-      } else if (key == "decay") {
-        options->decay = *number;
-        decay_given = true;
-      } else {
-        options->delta = *number;
-        delta_given = true;
-      }
-    } else if (key == "seed" || key == "walk_budget_cap") {
-      auto number = value.AsIndex();
-      if (!number.ok()) {
-        return Status::InvalidArgument("\"options." + key +
-                                       "\": " + number.status().message());
-      }
-      if (key == "seed") {
-        options->seed = *number;
-      } else {
-        options->walk_budget_cap = *number;
-        walk_cap_given = true;
-      }
-    } else {
-      return Status::InvalidArgument(
-          "unknown option \"" + key +
-          "\" (expected epsilon|decay|delta|seed|walk_budget_cap)");
-    }
-  }
-  const Status valid = options->Validate();
-  if (!valid.ok()) {
-    return Status::InvalidArgument("\"options\": " + valid.message());
-  }
-  if (epsilon_given) {
-    SIMPUSH_RETURN_NOT_OK(
-        CheckEpsilonFloor(options->epsilon, min_epsilon, "options.epsilon"));
-  }
-  if (decay_given && options->decay > default_decay) {
-    JsonWriter number;
-    number.Double(default_decay);
-    return Status::InvalidArgument(
-        "\"options.decay\" above the server default (" + number.Take() +
-        "); raising the decay is operator-only");
-  }
-  if (delta_given && options->delta < default_delta) {
-    JsonWriter number;
-    number.Double(default_delta);
-    return Status::InvalidArgument(
-        "\"options.delta\" below the server default (" + number.Take() +
-        "); lowering the delta is operator-only");
-  }
-  if (walk_cap_given) {
-    if (options->walk_budget_cap == 0) {
-      return Status::InvalidArgument(
-          "\"options.walk_budget_cap\" must be positive (0 = uncapped is "
-          "operator-only)");
-    }
-    if (default_walk_cap != 0 &&
-        options->walk_budget_cap > default_walk_cap) {
-      return Status::InvalidArgument(
-          "\"options.walk_budget_cap\" above the server default (" +
-          std::to_string(default_walk_cap) +
-          "); raising the cap is operator-only");
-    }
-  }
-  return Status::OK();
 }
 
 // Writes the epsilon/decay/delta/seed/walk_budget_cap members into the
@@ -398,6 +171,189 @@ RegistryOptions ToRegistryOptions(const ServiceOptions& options) {
   registry_options.cache_bytes = options.cache_bytes;
   return registry_options;
 }
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// The query pipeline. /v1/query, /v1/topk and /v1/batch run one chain —
+// parse → decode → lease → bind nodes → deadline → cancel token → run →
+// error mapping → counters → encode → latency — and differ only in the
+// decode and encode hooks of their kQueryEndpoints row.
+// ---------------------------------------------------------------------------
+
+// One query-endpoint request as it moves through the pipeline.
+struct QueryCall {
+  // Decoded before the lease.
+  uint64_t node = 0;                     // /v1/query, /v1/topk.
+  const JsonValue* node_list = nullptr;  // /v1/batch: the "nodes" array.
+  uint64_t k = 0;  // /v1/query: top_k (0 = full score vector); else k.
+  bool with_stats = false;
+  // Resolved against the leased generation.
+  std::string graph_name;
+  GenerationLease generation;
+  std::vector<NodeId> nodes;  // One per requested position.
+  // Run output of a single query (node_list == nullptr)...
+  const SimPushResult* result = nullptr;
+  double epsilon = 0;  // The ε that produced `result`.
+  bool cached = false;
+  // ...or of a batch: one entry per distinct node, fanned back to the
+  // requested positions through slot.
+  std::vector<BatchTopKResult> batch;
+  std::vector<size_t> slot;
+  double wall_ms = 0;
+};
+
+namespace {
+
+// An endpoint's hooks: decode reads its fields before the lease (a
+// kOutOfRange status answers 413, any other 400); encode writes its
+// response members.
+struct QueryEndpoint {
+  const char* path;
+  Status (*decode)(const JsonValue& doc, const ServiceOptions& options,
+                   QueryCall* call);
+  void (*encode)(const QueryCall& call, JsonWriter* writer);
+};
+
+Status DecodeQuery(const JsonValue& doc, const ServiceOptions&,
+                   QueryCall* call) {
+  SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(doc, "node"));
+  SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(doc, "top_k", 0));
+  if (const JsonValue* field = doc.Find("with_stats")) {
+    call->with_stats = field->is_bool() && field->bool_value();
+  }
+  return Status::OK();
+}
+
+Status DecodeTopK(const JsonValue& doc, const ServiceOptions&,
+                  QueryCall* call) {
+  SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(doc, "node"));
+  SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(doc, "k", 10));
+  return Status::OK();
+}
+
+Status DecodeBatch(const JsonValue& doc, const ServiceOptions& options,
+                   QueryCall* call) {
+  call->node_list = doc.Find("nodes");
+  if (call->node_list == nullptr || !call->node_list->is_array()) {
+    return Status::InvalidArgument("missing \"nodes\" array");
+  }
+  if (call->node_list->array_items().size() > options.max_batch_nodes) {
+    return Status::OutOfRange("batch exceeds max_batch_nodes (" +
+                              std::to_string(options.max_batch_nodes) + ")");
+  }
+  SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(doc, "k", 10));
+  return Status::OK();
+}
+
+// Range-checks the requested ids against the leased graph before
+// narrowing them to NodeId — a 64-bit id must not wrap into a valid node
+// and silently answer for the wrong vertex.
+Status BindNodes(const Graph& graph, QueryCall* call) {
+  const uint64_t n = graph.num_nodes();
+  if (call->node_list == nullptr) {
+    if (call->node >= n) {
+      return Status::InvalidArgument("node " + std::to_string(call->node) +
+                                     " out of range [0, " +
+                                     std::to_string(n) + ")");
+    }
+    call->nodes.push_back(static_cast<NodeId>(call->node));
+    return Status::OK();
+  }
+  call->nodes.reserve(call->node_list->array_items().size());
+  for (const JsonValue& item : call->node_list->array_items()) {
+    auto node = item.AsIndex();
+    if (!node.ok() || *node >= n) {
+      return Status::InvalidArgument(
+          "\"nodes\" entries must be node ids in [0, " + std::to_string(n) +
+          ")");
+    }
+    call->nodes.push_back(static_cast<NodeId>(*node));
+  }
+  return Status::OK();
+}
+
+// The members /v1/query and /v1/topk responses open with.
+void EncodeSingleHead(const QueryCall& call, JsonWriter* writer) {
+  writer->Key("node");
+  writer->Uint(call.node);
+  writer->Key("graph");
+  writer->String(call.graph_name);
+  writer->Key("generation");
+  writer->Uint(call.generation->id());
+  // The ε that actually produced these scores: request override >
+  // tenant options (never the process-wide default).
+  writer->Key("epsilon");
+  writer->Double(call.epsilon);
+  // Stamped only when served from the result cache; the scores are
+  // byte-identical to a computed response either way.
+  if (call.cached) {
+    writer->Key("cached");
+    writer->Bool(true);
+  }
+}
+
+void EncodeQuery(const QueryCall& call, JsonWriter* writer) {
+  EncodeSingleHead(call, writer);
+  const SimPushResult& result = *call.result;
+  if (call.k > 0) {
+    writer->Key("top");
+    WriteTopEntries(writer, SelectTopK(result.scores, call.k, call.nodes[0]));
+  } else {
+    writer->Key("scores");
+    writer->BeginArray();
+    for (const double score : result.scores) writer->Double(score);
+    writer->EndArray();
+  }
+  if (call.with_stats) {
+    writer->Key("stats");
+    WriteQueryStats(writer, result.stats);
+  }
+}
+
+void EncodeTopK(const QueryCall& call, JsonWriter* writer) {
+  EncodeSingleHead(call, writer);
+  writer->Key("k");
+  writer->Uint(call.k);
+  writer->Key("top");
+  WriteTopEntries(writer,
+                  SelectTopK(call.result->scores, call.k, call.nodes[0]));
+}
+
+void EncodeBatch(const QueryCall& call, JsonWriter* writer) {
+  writer->Key("graph");
+  writer->String(call.graph_name);
+  writer->Key("generation");
+  writer->Uint(call.generation->id());
+  writer->Key("k");
+  writer->Uint(call.k);
+  writer->Key("wall_ms");
+  writer->Double(call.wall_ms);
+  // How much the dedup saved is visible per response: M ≤ N distinct
+  // sources were actually scored for the N requested positions.
+  writer->Key("nodes");
+  writer->Uint(call.nodes.size());
+  writer->Key("unique_nodes");
+  writer->Uint(call.batch.size());
+  writer->Key("results");
+  writer->BeginArray();
+  for (const size_t slot : call.slot) {
+    writer->BeginObject();
+    writer->Key("node");
+    writer->Uint(call.batch[slot].query);
+    writer->Key("top");
+    WriteTopEntries(writer, call.batch[slot].topk);
+    writer->EndObject();
+  }
+  writer->EndArray();
+}
+
+// Indexed by SimPushService::Endpoint.
+constexpr QueryEndpoint kQueryEndpoints[] = {
+    {"/v1/query", DecodeQuery, EncodeQuery},
+    {"/v1/topk", DecodeTopK, EncodeTopK},
+    {"/v1/batch", DecodeBatch, EncodeBatch},
+};
 
 }  // namespace
 
@@ -471,12 +427,12 @@ Status SimPushService::RemoveGraph(std::string_view name) {
 
 void SimPushService::RegisterRoutes(HttpServer* server) {
   server_ = server;
-  server->Route("POST", "/v1/query",
-                [this](const HttpRequest& r) { return HandleQuery(r); });
-  server->Route("POST", "/v1/topk",
-                [this](const HttpRequest& r) { return HandleTopK(r); });
-  server->Route("POST", "/v1/batch",
-                [this](const HttpRequest& r) { return HandleBatch(r); });
+  for (const Endpoint endpoint : {kQuery, kTopK, kBatch}) {
+    server->Route("POST", kQueryEndpoints[endpoint].path,
+                  [this, endpoint](const HttpRequest& r) {
+                    return ServeQueryEndpoint(endpoint, r);
+                  });
+  }
   server->Route("GET", "/v1/stats",
                 [this](const HttpRequest& r) { return HandleStats(r); });
   server->Route("GET", "/healthz",
@@ -497,82 +453,6 @@ std::shared_ptr<SimPushService::TenantMetrics> SimPushService::FindMetrics(
   MutexLock lock(&metrics_mu_);
   const auto it = tenant_metrics_.find(name);
   return it == tenant_metrics_.end() ? nullptr : it->second;
-}
-
-Status SimPushService::RunOnGeneration(const GraphGeneration& generation,
-                                       NodeId u, SimPushResult* result,
-                                       const CancelToken* cancel) {
-  // Lease one pooled workspace for this query; construction blocks
-  // while all `pool_capacity` workspaces are in flight, which is the
-  // backpressure that bounds query-scratch memory under load (a fired
-  // `cancel` unblocks the wait). The caller's generation lease is what
-  // a hot swap can never invalidate.
-  QueryRunner runner(generation.core(), generation.workspaces(), cancel);
-  const Status status = runner.QueryInto(u, result);
-  AccumulateEngineTotals(runner.totals());
-  return status;
-}
-
-Status SimPushService::RunWithEpsilonOverride(
-    const GraphGeneration& generation, NodeId u, double epsilon,
-    SimPushResult* result, const CancelToken* cancel) {
-  // The AdaptiveTopK per-round-core pattern: derived parameters are
-  // cheap to recompute, so an override query builds a throwaway core
-  // for its ε over the leased generation's graph. It deliberately does
-  // NOT touch the generation's workspace pool — a private workspace
-  // keeps override traffic from competing for (or resizing) the pooled
-  // scratch that serves the tenant's configured-ε hot path.
-  SimPushOptions round_options = generation.core().options();
-  round_options.epsilon = epsilon;
-  EngineCore core(generation.graph(), round_options);
-  SIMPUSH_RETURN_NOT_OK(core.options_status());
-  QueryWorkspace workspace;
-  QueryRunner runner(core, &workspace);
-  runner.set_cancellation(cancel);
-  const Status status = runner.QueryInto(u, result);
-  AccumulateEngineTotals(runner.totals());
-  return status;
-}
-
-StatusOr<double> SimPushService::RunQueryRequest(
-    const JsonValue& doc, const GraphGeneration& generation, NodeId u,
-    SimPushResult* result, const CancelToken* cancel,
-    bool* served_from_cache) {
-  if (served_from_cache != nullptr) *served_from_cache = false;
-  bool has_override = false;
-  double override_epsilon = 0.0;
-  SIMPUSH_RETURN_NOT_OK(ReadEpsilonOverride(
-      doc, options_.min_request_epsilon, &has_override, &override_epsilon));
-  // Cache key: the fingerprint of the MERGED effective options. With
-  // no override this is the generation's precomputed fingerprint; an
-  // override re-fingerprints the tenant options with the request's ε,
-  // so an override that merely restates the tenant's own ε
-  // canonicalizes onto the same entry, while a different ε keys
-  // separately. Either way a hit is sound: scores are a bit-exact
-  // function of (generation, effective options, node), independent of
-  // which execution path would have computed them.
-  ResultCache* const cache = generation.cache();
-  uint64_t fingerprint = generation.options_fingerprint();
-  if (has_override) {
-    SimPushOptions merged = generation.core().options();
-    merged.epsilon = override_epsilon;
-    fingerprint = OptionsFingerprint(merged);
-  }
-  const double effective_epsilon =
-      has_override ? override_epsilon : generation.core().options().epsilon;
-  if (cache != nullptr && cache->Get(u, fingerprint, result)) {
-    if (served_from_cache != nullptr) *served_from_cache = true;
-    return effective_epsilon;
-  }
-  SIMPUSH_RETURN_NOT_OK(has_override
-                            ? RunWithEpsilonOverride(generation, u,
-                                                     override_epsilon, result,
-                                                     cancel)
-                            : RunOnGeneration(generation, u, result, cancel));
-  // Best-effort: a rejected insert (budget, admission duel, injected
-  // failure) just means this computed answer is served uncached.
-  if (cache != nullptr) cache->Insert(u, fingerprint, *result);
-  return effective_epsilon;
 }
 
 HttpResponse SimPushService::QueryErrorResponse(
@@ -601,17 +481,11 @@ HttpResponse SimPushService::QueryErrorResponse(
 
 Status SimPushService::RunQuery(std::string_view graph_name, NodeId u,
                                 SimPushResult* result) {
-  auto lease = registry_.Lease(graph_name);
-  if (!lease.ok()) return lease.status();
-  const GraphGeneration& generation = **lease;
-  ResultCache* const cache = generation.cache();
-  const uint64_t fingerprint = generation.options_fingerprint();
-  if (cache != nullptr && cache->Get(u, fingerprint, result)) {
-    return Status::OK();
-  }
-  SIMPUSH_RETURN_NOT_OK(RunOnGeneration(generation, u, result));
-  if (cache != nullptr) cache->Insert(u, fingerprint, *result);
-  return Status::OK();
+  SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease lease,
+                           registry_.Lease(graph_name));
+  bool cached = false;
+  return ServeOne(*lease, u, std::nullopt, result, /*cancel=*/nullptr,
+                  &cached);
 }
 
 Status SimPushService::RunQuery(NodeId u, SimPushResult* result) {
@@ -637,341 +511,197 @@ StatusOr<GenerationLease> SimPushService::LeaseFor(const JsonValue& doc,
   return registry_.Lease(name);
 }
 
-HttpResponse SimPushService::HandleQuery(const HttpRequest& request) {
+Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
+                                std::optional<double> epsilon,
+                                SimPushResult* result,
+                                const CancelToken* cancel, bool* cached) {
+  // Cache key: the fingerprint of the MERGED effective options. With no
+  // override this is the generation's precomputed fingerprint; an
+  // override re-fingerprints the tenant options with the request's ε,
+  // so an override that merely restates the tenant's own ε
+  // canonicalizes onto the same entry, while a different ε keys
+  // separately. Either way a hit is sound: scores are a bit-exact
+  // function of (generation, effective options, node), independent of
+  // which execution path would have computed them.
+  ResultCache* const cache = generation.cache();
+  uint64_t fingerprint = generation.options_fingerprint();
+  SimPushOptions merged;
+  if (epsilon.has_value()) {
+    merged = generation.core().options();
+    merged.epsilon = *epsilon;
+    fingerprint = OptionsFingerprint(merged);
+  }
+  *cached = cache != nullptr && cache->Get(u, fingerprint, result);
+  if (*cached) return Status::OK();
+
+  const auto run = [&](QueryRunner& runner) {
+    const Status status = runner.QueryInto(u, result);
+    AccumulateEngineTotals(runner.totals());
+    return status;
+  };
+  if (!epsilon.has_value()) {
+    // Lease one pooled workspace for this query; construction blocks
+    // while all `pool_capacity` workspaces are in flight, which is the
+    // backpressure that bounds query-scratch memory under load (a fired
+    // `cancel` unblocks the wait). The caller's generation lease is what
+    // a hot swap can never invalidate.
+    QueryRunner runner(generation.core(), generation.workspaces(), cancel);
+    SIMPUSH_RETURN_NOT_OK(run(runner));
+  } else {
+    // The AdaptiveTopK per-round-core pattern: derived parameters are
+    // cheap to recompute, so an override query builds a throwaway core
+    // for its ε over the leased generation's graph. It deliberately does
+    // NOT touch the generation's workspace pool — a private workspace
+    // keeps override traffic from competing for (or resizing) the
+    // pooled scratch that serves the tenant's configured-ε hot path.
+    EngineCore core(generation.graph(), merged);
+    SIMPUSH_RETURN_NOT_OK(core.options_status());
+    QueryWorkspace workspace;
+    QueryRunner runner(core, &workspace);
+    runner.set_cancellation(cancel);
+    SIMPUSH_RETURN_NOT_OK(run(runner));
+  }
+  // Best-effort: a rejected insert (budget, admission duel, injected
+  // failure) just means this computed answer is served uncached.
+  if (cache != nullptr) cache->Insert(u, fingerprint, *result);
+  return Status::OK();
+}
+
+Status SimPushService::RunCall(const JsonValue& doc, QueryCall* call,
+                               const CancelToken* cancel) {
+  const GraphGeneration& generation = *call->generation;
+  if (call->node_list == nullptr) {
+    std::optional<double> epsilon;
+    SIMPUSH_RETURN_NOT_OK(
+        ReadEpsilonOverride(doc, options_.min_request_epsilon, &epsilon));
+    call->epsilon = epsilon.value_or(generation.core().options().epsilon);
+    // Reused per HTTP worker thread: after warm-up the pooled path
+    // performs zero heap allocations. Override requests run off this hot
+    // path by design (fresh core + private workspace) and may allocate.
+    static thread_local SimPushResult result;
+    call->result = &result;
+    return ServeOne(generation, call->nodes[0], epsilon, &result, cancel,
+                    &call->cached);
+  }
+
+  // Deduplicate repeated sources: each distinct node is scored once and
+  // its result fanned back to every position that asked for it — sound
+  // for the same reason the cache is (scores are a pure function of
+  // (generation, options, node)). slot[i] maps input position i to its
+  // entry in unique_nodes, which preserves first-occurrence order.
+  std::vector<NodeId> unique_nodes;
+  call->slot.resize(call->nodes.size());
+  {
+    std::unordered_map<NodeId, size_t> first_index;
+    first_index.reserve(call->nodes.size());
+    unique_nodes.reserve(call->nodes.size());
+    for (size_t i = 0; i < call->nodes.size(); ++i) {
+      const auto [it, inserted] =
+          first_index.emplace(call->nodes[i], unique_nodes.size());
+      if (inserted) unique_nodes.push_back(call->nodes[i]);
+      call->slot[i] = it->second;
+    }
+  }
+
+  // Fan out across the registry's shared thread pool, one workspace from
+  // this generation's pool per chunk, results in input order. The lease
+  // pins the generation for the whole fan-out, so every chunk scores the
+  // same graph even if a swap lands mid-batch. A fired token stops
+  // chunks between queries and inside each query's push loops.
+  ParallelBatchStats stats;
+  auto results = ParallelQueryBatchTopK(
+      generation.core(), registry_.thread_pool(), generation.workspaces(),
+      unique_nodes, call->k, &stats, cancel);
+  if (!results.ok()) {
+    // A fired token keeps its 504/499 mapping; any other failure answers
+    // 400 with the full status text.
+    const StatusCode code = results.status().code();
+    if (code == StatusCode::kCancelled ||
+        code == StatusCode::kDeadlineExceeded) {
+      return results.status();
+    }
+    return Status::InvalidArgument(results.status().ToString());
+  }
+  engine_query_nanos_.fetch_add(
+      static_cast<uint64_t>(stats.cpu_query_seconds * 1e9));
+  engine_walks_.fetch_add(stats.walks_sampled);
+  call->wall_ms = stats.wall_seconds * 1e3;
+  call->batch = *std::move(results);
+  return Status::OK();
+}
+
+HttpResponse SimPushService::ServeQueryEndpoint(Endpoint endpoint,
+                                                const HttpRequest& request) {
   Timer wall;
-  auto doc = ParseJson(request.body);
-  if (!doc.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.status().message());
-  }
-  if (!doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "request body must be a JSON object");
-  }
-  auto node = RequireIndex(*doc, "node");
-  auto top_k = OptionalIndex(*doc, "top_k", 0);  // 0 = full score vector.
-  if (!node.ok() || !top_k.ok()) {
+  const QueryEndpoint& hooks = kQueryEndpoints[endpoint];
+  // Rejections before the run: an unknown graph is a 404, an over-limit
+  // request (kOutOfRange) a 413, anything else a 400.
+  const auto reject = [this](const Status& status) {
     bad_requests_.fetch_add(1);
     return JsonError(
-        400, (!node.ok() ? node.status() : top_k.status()).message());
+        status.code() == StatusCode::kOutOfRange ? 413 : StatusToHttp(status),
+        status.message());
+  };
+  auto doc = ParseJson(request.body);
+  if (!doc.ok()) return reject(doc.status());
+  if (!doc->is_object()) {
+    return reject(
+        Status::InvalidArgument("request body must be a JSON object"));
   }
-  std::string graph_name;
-  auto lease = LeaseFor(*doc, &graph_name);
-  if (!lease.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(lease.status());
+  QueryCall call;
+  if (const Status decoded = hooks.decode(*doc, options_, &call);
+      !decoded.ok()) {
+    return reject(decoded);
   }
-  const Graph& graph = (*lease)->graph();
-  // Range-check before narrowing to NodeId — a 64-bit id must not wrap
-  // into a valid node and silently answer for the wrong vertex.
-  if (*node >= graph.num_nodes()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "node " + std::to_string(*node) +
-                              " out of range [0, " +
-                              std::to_string(graph.num_nodes()) + ")");
+  auto lease = LeaseFor(*doc, &call.graph_name);
+  if (!lease.ok()) return reject(lease.status());
+  call.generation = *std::move(lease);
+  if (const Status bound = BindNodes(call.generation->graph(), &call);
+      !bound.ok()) {
+    return reject(bound);
   }
-  bool with_stats = false;
-  if (const JsonValue* field = doc->Find("with_stats")) {
-    with_stats = field->is_bool() && field->bool_value();
-  }
-  const auto deadline_ms = ReadDeadlineMs(*doc, options_);
-  if (!deadline_ms.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, deadline_ms.status().message());
-  }
-  // Token before guard: the guard must die first (it unregisters the
-  // raw token pointer from the watcher's poll set).
+  const auto deadline_ms = ReadDeadlineMs(*doc, options_.request_timeout_ms,
+                                          options_.max_deadline_ms);
+  if (!deadline_ms.ok()) return reject(deadline_ms.status());
+
+  // Token before guard: the guard must die first (it unregisters the raw
+  // token pointer from the watcher's poll set).
   CancelToken token(Deadline::After(*deadline_ms));
   const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(graph_name);
-  // Reused per HTTP worker thread: after warm-up the query path below
-  // performs zero heap allocations (see serve_test's alloc-hook check).
-  // Override requests run off this hot path by design (fresh core +
-  // private workspace) and may allocate.
-  static thread_local SimPushResult result;
-  bool cached = false;
-  const StatusOr<double> effective_epsilon = RunQueryRequest(
-      *doc, **lease, static_cast<NodeId>(*node), &result, &token, &cached);
-  if (!effective_epsilon.ok()) {
-    return QueryErrorResponse(effective_epsilon.status(),
-                              wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                              graph_name, (*lease)->id(), metrics);
+  const auto metrics = FindMetrics(call.graph_name);
+  if (const Status ran = RunCall(*doc, &call, &token); !ran.ok()) {
+    return QueryErrorResponse(ran, wall.ElapsedSeconds() * 1e3, *deadline_ms,
+                              call.graph_name, call.generation->id(),
+                              metrics);
   }
-  query_requests_.fetch_add(1);
-  nodes_scored_.fetch_add(1);
+  endpoint_requests_[endpoint].fetch_add(1);
+  nodes_scored_.fetch_add(call.nodes.size());
   if (metrics != nullptr) {
     metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(1);
+    metrics->nodes_scored.fetch_add(call.nodes.size());
   }
 
   JsonWriter writer;
   writer.BeginObject();
-  writer.Key("node");
-  writer.Uint(*node);
-  writer.Key("graph");
-  writer.String(graph_name);
-  writer.Key("generation");
-  writer.Uint((*lease)->id());
-  // The ε that actually produced these scores: request override >
-  // tenant options (never the process-wide default).
-  writer.Key("epsilon");
-  writer.Double(*effective_epsilon);
-  // Stamped only when served from the result cache; the scores are
-  // byte-identical to a computed response either way.
-  if (cached) {
-    writer.Key("cached");
-    writer.Bool(true);
-  }
-  if (*top_k > 0) {
-    writer.Key("top");
-    WriteTopEntries(&writer, result.scores, *top_k,
-                    static_cast<NodeId>(*node));
-  } else {
-    writer.Key("scores");
-    writer.BeginArray();
-    for (const double score : result.scores) writer.Double(score);
-    writer.EndArray();
-  }
-  if (with_stats) {
-    writer.Key("stats");
-    WriteQueryStats(&writer, result.stats);
-  }
+  hooks.encode(call, &writer);
   writer.EndObject();
-
   HttpResponse response;
   response.body = writer.Take();
   response.body.push_back('\n');
   RecordLatency(metrics, wall.ElapsedSeconds());
   return response;
+}
+
+HttpResponse SimPushService::HandleQuery(const HttpRequest& request) {
+  return ServeQueryEndpoint(kQuery, request);
 }
 
 HttpResponse SimPushService::HandleTopK(const HttpRequest& request) {
-  Timer wall;
-  auto doc = ParseJson(request.body);
-  if (!doc.ok() || !doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                   : doc.status().message());
-  }
-  auto node = RequireIndex(*doc, "node");
-  auto k = OptionalIndex(*doc, "k", 10);
-  if (!node.ok() || !k.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, (!node.ok() ? node.status() : k.status()).message());
-  }
-  std::string graph_name;
-  auto lease = LeaseFor(*doc, &graph_name);
-  if (!lease.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(lease.status());
-  }
-  const Graph& graph = (*lease)->graph();
-  if (*node >= graph.num_nodes()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "node " + std::to_string(*node) +
-                              " out of range [0, " +
-                              std::to_string(graph.num_nodes()) + ")");
-  }
-
-  const auto deadline_ms = ReadDeadlineMs(*doc, options_);
-  if (!deadline_ms.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, deadline_ms.status().message());
-  }
-  CancelToken token(Deadline::After(*deadline_ms));
-  const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(graph_name);
-
-  // Same reused-buffer hot path as /v1/query: QueryTopK would allocate
-  // a fresh O(n) score vector per request, and WriteTopEntries selects
-  // the identical entries (self and zero scores excluded, ties to the
-  // smaller id).
-  static thread_local SimPushResult result;
-  bool cached = false;
-  const StatusOr<double> effective_epsilon = RunQueryRequest(
-      *doc, **lease, static_cast<NodeId>(*node), &result, &token, &cached);
-  if (!effective_epsilon.ok()) {
-    return QueryErrorResponse(effective_epsilon.status(),
-                              wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                              graph_name, (*lease)->id(), metrics);
-  }
-  topk_requests_.fetch_add(1);
-  nodes_scored_.fetch_add(1);
-  if (metrics != nullptr) {
-    metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(1);
-  }
-
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("node");
-  writer.Uint(*node);
-  writer.Key("graph");
-  writer.String(graph_name);
-  writer.Key("generation");
-  writer.Uint((*lease)->id());
-  writer.Key("epsilon");
-  writer.Double(*effective_epsilon);
-  if (cached) {
-    writer.Key("cached");
-    writer.Bool(true);
-  }
-  writer.Key("k");
-  writer.Uint(*k);
-  writer.Key("top");
-  WriteTopEntries(&writer, result.scores, *k, static_cast<NodeId>(*node));
-  writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  RecordLatency(metrics, wall.ElapsedSeconds());
-  return response;
+  return ServeQueryEndpoint(kTopK, request);
 }
 
 HttpResponse SimPushService::HandleBatch(const HttpRequest& request) {
-  Timer wall;
-  auto doc = ParseJson(request.body);
-  if (!doc.ok() || !doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                   : doc.status().message());
-  }
-  const JsonValue* nodes_field = doc->Find("nodes");
-  if (nodes_field == nullptr || !nodes_field->is_array()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "missing \"nodes\" array");
-  }
-  if (nodes_field->array_items().size() > options_.max_batch_nodes) {
-    bad_requests_.fetch_add(1);
-    return JsonError(413, "batch exceeds max_batch_nodes (" +
-                              std::to_string(options_.max_batch_nodes) + ")");
-  }
-  auto k = OptionalIndex(*doc, "k", 10);
-  if (!k.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, k.status().message());
-  }
-  std::string graph_name;
-  auto lease = LeaseFor(*doc, &graph_name);
-  if (!lease.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(lease.status());
-  }
-  const Graph& graph = (*lease)->graph();
-  std::vector<NodeId> nodes;
-  nodes.reserve(nodes_field->array_items().size());
-  for (const JsonValue& item : nodes_field->array_items()) {
-    auto node = item.AsIndex();
-    if (!node.ok() || *node >= graph.num_nodes()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, "\"nodes\" entries must be node ids in [0, " +
-                                std::to_string(graph.num_nodes()) + ")");
-    }
-    nodes.push_back(static_cast<NodeId>(*node));
-  }
-
-  const auto deadline_ms = ReadDeadlineMs(*doc, options_);
-  if (!deadline_ms.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, deadline_ms.status().message());
-  }
-  CancelToken token(Deadline::After(*deadline_ms));
-  const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(graph_name);
-
-  // Deduplicate repeated sources: each distinct node is scored once
-  // and its result fanned back to every position that asked for it —
-  // sound for the same reason the cache is (scores are a pure function
-  // of (generation, options, node)). slot[i] maps input position i to
-  // its entry in unique_nodes, which preserves first-occurrence order.
-  std::vector<NodeId> unique_nodes;
-  std::vector<size_t> slot(nodes.size());
-  {
-    std::unordered_map<NodeId, size_t> first_index;
-    first_index.reserve(nodes.size());
-    unique_nodes.reserve(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const auto [it, inserted] =
-          first_index.emplace(nodes[i], unique_nodes.size());
-      if (inserted) unique_nodes.push_back(nodes[i]);
-      slot[i] = it->second;
-    }
-  }
-
-  // Fan out across the registry's shared thread pool; one workspace
-  // from this generation's pool per chunk (ForEachQueryChunked),
-  // results in input order. The lease pins the generation for the
-  // whole fan-out, so every chunk scores the same graph even if a swap
-  // lands mid-batch. A fired token stops chunks between queries and
-  // inside each query's push loops.
-  ParallelBatchStats batch_stats;
-  auto results = ParallelQueryBatchTopK(
-      (*lease)->core(), registry_.thread_pool(), (*lease)->workspaces(),
-      unique_nodes, *k, &batch_stats, &token);
-  if (!results.ok()) {
-    if (results.status().code() == StatusCode::kCancelled ||
-        results.status().code() == StatusCode::kDeadlineExceeded) {
-      return QueryErrorResponse(results.status(),
-                                wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                                graph_name, (*lease)->id(), metrics);
-    }
-    bad_requests_.fetch_add(1);
-    return JsonError(400, results.status().ToString());
-  }
-  batch_requests_.fetch_add(1);
-  nodes_scored_.fetch_add(nodes.size());
-  if (metrics != nullptr) {
-    metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(nodes.size());
-  }
-  engine_query_nanos_.fetch_add(
-      static_cast<uint64_t>(batch_stats.cpu_query_seconds * 1e9));
-
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("graph");
-  writer.String(graph_name);
-  writer.Key("generation");
-  writer.Uint((*lease)->id());
-  writer.Key("k");
-  writer.Uint(*k);
-  writer.Key("wall_ms");
-  writer.Double(batch_stats.wall_seconds * 1e3);
-  // How much the dedup saved is visible per response: M ≤ N distinct
-  // sources were actually scored for the N requested positions.
-  writer.Key("nodes");
-  writer.Uint(nodes.size());
-  writer.Key("unique_nodes");
-  writer.Uint(unique_nodes.size());
-  writer.Key("results");
-  writer.BeginArray();
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const BatchTopKResult& result = (*results)[slot[i]];
-    writer.BeginObject();
-    writer.Key("node");
-    writer.Uint(result.query);
-    writer.Key("top");
-    writer.BeginArray();
-    for (const auto& [v, score] : result.topk) {
-      writer.BeginObject();
-      writer.Key("node");
-      writer.Uint(v);
-      writer.Key("score");
-      writer.Double(score);
-      writer.EndObject();
-    }
-    writer.EndArray();
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  RecordLatency(metrics, wall.ElapsedSeconds());
-  return response;
+  return ServeQueryEndpoint(kBatch, request);
 }
 
 void SimPushService::WriteTenantSection(JsonWriter* writer,
@@ -1051,9 +781,9 @@ void SimPushService::WriteTenantSection(JsonWriter* writer,
 }
 
 HttpResponse SimPushService::HandleStats(const HttpRequest&) {
-  const uint64_t query = query_requests_.load();
-  const uint64_t topk = topk_requests_.load();
-  const uint64_t batch = batch_requests_.load();
+  const uint64_t query = endpoint_requests_[kQuery].load();
+  const uint64_t topk = endpoint_requests_[kTopK].load();
+  const uint64_t batch = endpoint_requests_[kBatch].load();
   const double uptime = uptime_.ElapsedSeconds();
   const LatencySnapshot latency = Latencies();
 
@@ -1536,12 +1266,6 @@ LatencySnapshot SimPushService::LatencyRing::Snapshot() const {
   snapshot.p99_ms = percentile(0.99);
   snapshot.max_ms = sorted.back() * 1e3;
   return snapshot;
-}
-
-void SimPushService::RecordLatency(
-    const std::shared_ptr<TenantMetrics>& metrics, double seconds) {
-  latency_.Record(seconds);
-  if (metrics != nullptr) metrics->latency.Record(seconds);
 }
 
 LatencySnapshot SimPushService::Latencies() const {

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -131,6 +132,8 @@ struct ServiceOptions {
   size_t latency_ring_size = 2048;
 };
 
+struct QueryCall;  // service.cc: one query-endpoint request in flight.
+
 /// Point-in-time latency percentiles computed from a ring buffer.
 struct LatencySnapshot {
   size_t samples = 0;   ///< Entries currently in the ring (<= ring size).
@@ -193,7 +196,8 @@ class SimPushService {
   Status RunQuery(NodeId u, SimPushResult* result);
 
   /// Endpoint handlers (exposed for tests and the load generator; the
-  /// HTTP router calls these). Each is concurrency-safe.
+  /// HTTP router calls these). Each is concurrency-safe. The three
+  /// query endpoints are thin entries into one request pipeline.
   HttpResponse HandleQuery(const HttpRequest& request);
   HttpResponse HandleTopK(const HttpRequest& request);
   HttpResponse HandleBatch(const HttpRequest& request);
@@ -232,44 +236,39 @@ class SimPushService {
     LatencyRing latency;
   };
 
+  /// The query endpoints, in the order of service.cc's kQueryEndpoints.
+  enum Endpoint : size_t { kQuery, kTopK, kBatch, kNumEndpoints };
+
   /// Records into the global ring and, when `metrics` is non-null, the
   /// tenant ring — the caller looked the tenant up once per request.
   void RecordLatency(const std::shared_ptr<TenantMetrics>& metrics,
-                     double seconds);
+                     double seconds) {
+    latency_.Record(seconds);
+    if (metrics != nullptr) metrics->latency.Record(seconds);
+  }
   /// Folds one runner's lifetime totals into the service-wide engine
   /// counters surfaced by /v1/stats. Allocation-free.
   void AccumulateEngineTotals(const QueryRunnerTotals& totals);
-  /// One query on one generation bundle: the shared body of RunQuery
-  /// and the query/topk handlers (which already hold a lease).
-  /// `cancel` (nullable) is polled cooperatively inside the engine.
-  Status RunOnGeneration(const GraphGeneration& generation, NodeId u,
-                         SimPushResult* result,
-                         const CancelToken* cancel = nullptr);
-  /// One query on `generation`'s graph with the tenant's options but a
-  /// per-request ε. Uses a fresh core + private workspace (the
-  /// AdaptiveTopK per-round-core pattern), so the tenant's pooled
-  /// workspaces — and the bit-reproducibility of its non-override
-  /// traffic — are untouched.
-  Status RunWithEpsilonOverride(const GraphGeneration& generation, NodeId u,
-                                double epsilon, SimPushResult* result,
-                                const CancelToken* cancel = nullptr);
-  /// Shared body of the query/topk handlers: reads the optional
-  /// bounded "epsilon" override from `doc`, consults the generation's
-  /// result cache under the caller's lease (keyed by the fingerprint
-  /// of the MERGED effective options, so an override equal to the
-  /// tenant's own ε shares the no-override entry while a different ε
-  /// keys separately), and on a miss runs the query on the pooled hot
-  /// path (no override) or the fresh-core override path, then inserts
-  /// the computed result best-effort. Returns the ε that actually
-  /// produced `result` (override > tenant); `served_from_cache`
-  /// (nullable) reports whether the scores came from the cache so the
-  /// caller can stamp `"cached": true`. Parse errors map to 400 in the
-  /// caller; kDeadlineExceeded and kCancelled map to 504 and 499.
-  StatusOr<double> RunQueryRequest(const JsonValue& doc,
-                                   const GraphGeneration& generation,
-                                   NodeId u, SimPushResult* result,
-                                   const CancelToken* cancel = nullptr,
-                                   bool* served_from_cache = nullptr);
+  /// The one cache-then-run path for a single query (RunQuery and the
+  /// query/topk endpoints): consults the generation's result cache under
+  /// the caller's lease and on a miss runs the query — on the pooled
+  /// hot path with the tenant's options, or with a per-request ε
+  /// `epsilon` on a fresh core + private workspace (so the tenant's
+  /// pooled workspaces, and the bit-reproducibility of its non-override
+  /// traffic, are untouched) — then inserts the result best-effort.
+  /// `*cached` reports whether the scores came from the cache. `cancel`
+  /// (nullable) is polled cooperatively inside the engine.
+  Status ServeOne(const GraphGeneration& generation, NodeId u,
+                  std::optional<double> epsilon, SimPushResult* result,
+                  const CancelToken* cancel, bool* cached);
+  /// The run step of the query pipeline: one query through ServeOne
+  /// (reading the optional bounded "epsilon" override from `doc`), or
+  /// the deduplicated /v1/batch fan-out through ParallelQueryBatchTopK.
+  Status RunCall(const JsonValue& doc, QueryCall* call,
+                 const CancelToken* cancel);
+  /// The query pipeline every query endpoint runs.
+  HttpResponse ServeQueryEndpoint(Endpoint endpoint,
+                                  const HttpRequest& request);
   /// Maps a failed query status onto the HTTP vocabulary and bumps the
   /// matching counters: kDeadlineExceeded → 504, kCancelled → 499
   /// (both with partial timing in the body), anything else → 400.
@@ -297,17 +296,14 @@ class SimPushService {
   mutable Mutex startup_mu_;
   Status startup_status_ SIMPUSH_GUARDED_BY(startup_mu_) = Status::OK();
 
-  std::atomic<uint64_t> query_requests_{0};
-  std::atomic<uint64_t> topk_requests_{0};
-  std::atomic<uint64_t> batch_requests_{0};
+  std::atomic<uint64_t> endpoint_requests_[kNumEndpoints] = {};
   std::atomic<uint64_t> admin_requests_{0};
   std::atomic<uint64_t> nodes_scored_{0};
   std::atomic<uint64_t> bad_requests_{0};
   std::atomic<uint64_t> deadline_expired_{0};   // 504s, all graphs.
   std::atomic<uint64_t> client_abandoned_{0};   // 499s, all graphs.
   // Engine-side totals aggregated from QueryRunnerTotals: CPU seconds
-  // spent inside queries (all endpoints) and level-detection walks
-  // (query/topk paths; the batch fan-out does not expose walk counts).
+  // spent inside queries and level-detection walks, all endpoints.
   std::atomic<uint64_t> engine_query_nanos_{0};
   std::atomic<uint64_t> engine_walks_{0};
 

@@ -1,7 +1,6 @@
 #include "simpush/join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 
 #include "common/annotations.h"
@@ -18,59 +17,48 @@ bool PairLess(const SimilarPair& a, const SimilarPair& b) {
 }
 
 // Shared scan: runs one query per source, hands qualifying pairs to
-// `emit` under a mutex. `dedupe` keeps only u < v pairs (full join);
-// otherwise all targets are kept (restricted join emits (source, v)
-// pairs canonicalized later).
+// `emit` under a mutex; `emit` returning false aborts the scan.
 //
-// Sources are fanned across a QueryExecutor via ForEachQueryChunked:
-// every worker shares the one immutable EngineCore and leases one
-// pooled workspace per chunk; per-source randomness is pinned to
-// (options.query.seed, source) inside the runner, so results do not
-// depend on the chunking, thread count, or workspace assignment.
+// Sources fan out through ParallelQueryBatch: every worker shares the
+// one immutable EngineCore and leases one pooled workspace per chunk;
+// per-source randomness is pinned to (options.query.seed, source) inside
+// the runner, so results do not depend on the chunking, thread count,
+// or workspace assignment.
 Status ScanSources(const Graph& graph, const std::vector<NodeId>& sources,
                    double floor, const JoinOptions& options,
                    const std::function<bool(NodeId, NodeId, double)>& emit) {
-  std::atomic<bool> aborted{false};
-  std::atomic<bool> invalid{false};
+  // A node with no in-neighbors has s(u, v) = 0 for all v != u: the
+  // √c-walk from u can never move, so no meeting is possible.
+  std::vector<NodeId> live;
+  for (const NodeId u : sources) {
+    if (u >= graph.num_nodes()) {
+      return Status::InvalidArgument("join contained an invalid source node");
+    }
+    if (graph.InDegree(u) > 0) live.push_back(u);
+  }
+  const EngineCore core(graph, options.query);
+  ThreadPool thread_pool(options.num_threads);
+  WorkspacePool workspaces(thread_pool.num_threads());
   Mutex emit_mu;
-  QueryExecutor executor(graph, options.query, options.num_threads);
-  ForEachQueryChunked(
-      executor, sources.size(),
-      [&](QueryRunner& runner, size_t begin, size_t end) {
-        SimPushResult result;  // Buffers reused across the whole chunk.
-        for (size_t i = begin; i < end; ++i) {
-          if (aborted.load(std::memory_order_relaxed)) return;
-          const NodeId u = sources[i];
-          if (u >= graph.num_nodes()) {
-            invalid.store(true);
-            continue;
-          }
-          // A node with no in-neighbors has s(u, v) = 0 for all v != u:
-          // the √c-walk from u can never move, so no meeting is
-          // possible.
-          if (graph.InDegree(u) == 0) continue;
-          if (!runner.QueryInto(u, &result).ok()) {
-            invalid.store(true);
-            continue;
-          }
-          MutexLock lock(&emit_mu);
-          for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-            if (v == u) continue;
-            const double score = result.scores[v];
-            if (score < floor) continue;
-            if (!emit(u, v, score)) {
-              aborted.store(true);
-              return;
-            }
+  bool aborted = false;  // Guarded by emit_mu (locals cannot be annotated).
+  const ParallelBatchStats stats = ParallelQueryBatch(
+      core, thread_pool, workspaces, live,
+      [&](size_t i, const SimPushResult& result) {
+        const NodeId u = live[i];
+        MutexLock lock(&emit_mu);
+        for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+          if (v == u || result.scores[v] < floor) continue;
+          if (!emit(u, v, result.scores[v])) {
+            aborted = true;
+            return false;
           }
         }
+        return true;
       });
-  if (invalid.load()) {
+  if (stats.queries_failed > 0) {
     return Status::InvalidArgument("join contained an invalid source node");
   }
-  if (aborted.load()) {
-    return Status::OutOfRange("join exceeded max_pairs");
-  }
+  if (aborted) return Status::OutOfRange("join exceeded max_pairs");
   return Status::OK();
 }
 

@@ -5,113 +5,72 @@
 
 #include "common/annotations.h"
 #include "common/timer.h"
-#include "simpush/topk.h"
 
 namespace simpush {
 
-QueryExecutor::QueryExecutor(const Graph& graph,
-                             const SimPushOptions& options,
-                             size_t num_threads, size_t pool_capacity)
-    : core_(graph, options),
-      thread_pool_(num_threads),
-      workspaces_(pool_capacity != 0 ? pool_capacity
-                                     : thread_pool_.num_threads()) {}
-
-void ForEachQueryChunked(
-    const EngineCore& core, ThreadPool& thread_pool,
-    WorkspacePool& workspaces, size_t num_items,
-    const std::function<void(QueryRunner&, size_t begin, size_t end)>&
-        run_chunk,
-    const CancelToken* cancel) {
-  const size_t workers = std::max<size_t>(1, thread_pool.num_threads());
-  const size_t chunk = (num_items + workers - 1) / workers;
+ParallelBatchStats ParallelQueryBatch(const EngineCore& core,
+                                      ThreadPool& thread_pool,
+                                      WorkspacePool& workspaces,
+                                      const std::vector<NodeId>& queries,
+                                      const QueryResultFn& on_result,
+                                      const CancelToken* cancel) {
+  Timer wall;
+  ParallelBatchStats stats;
+  stats.num_threads = thread_pool.num_threads();
+  const size_t workers = std::max<size_t>(1, stats.num_threads);
+  const size_t chunk = (queries.size() + workers - 1) / workers;
+  std::atomic<bool> stopped{false};
+  const auto should_stop = [&stopped, cancel] {
+    return stopped.load(std::memory_order_relaxed) || ShouldStop(cancel);
+  };
 
   // Completion is tracked per call, not via ThreadPool::Wait (which
-  // drains the WHOLE pool): concurrent batches on one executor must
-  // only wait for their own chunks.
+  // drains the WHOLE pool): concurrent batches must only wait for their
+  // own chunks. Locals cannot be annotated; both are guarded by done_mu.
   Mutex done_mu;
   CondVar chunk_done;
-  size_t pending = 0;  // Guarded by done_mu (locals cannot be annotated).
+  size_t pending = 0;
+  QueryRunnerTotals totals;
 
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    const size_t end = std::min(num_items, begin + chunk);
-    if (begin >= end) break;
+  for (size_t begin = 0; begin < queries.size(); begin += chunk) {
+    const size_t end = std::min(queries.size(), begin + chunk);
     {
       MutexLock lock(&done_mu);
       ++pending;
     }
-    thread_pool.Submit(
-        [&core, &workspaces, &run_chunk, &done_mu, &chunk_done, &pending,
-         begin, end, cancel] {
-          // One leased workspace serves the whole chunk; the lease
-          // returns to the pool when the runner dies, so a later batch
-          // on the same executor reuses the (warm) workspace. A chunk
-          // whose token already fired never leases at all — an expired
-          // batch must stop fanning out, not drain the pool.
-          if (!ShouldStop(cancel)) {
-            QueryRunner runner(core, workspaces, cancel);
-            run_chunk(runner, begin, end);
+    thread_pool.Submit([&, begin, end] {
+      // One leased workspace serves the whole chunk and returns to the
+      // pool when the runner dies, so a later batch reuses it warm. A
+      // chunk that starts after the batch stopped never leases at all.
+      QueryRunnerTotals chunk_totals;
+      if (!should_stop()) {
+        QueryRunner runner(core, workspaces, cancel);
+        SimPushResult result;  // Buffers reused across the whole chunk.
+        for (size_t i = begin; i < end && !should_stop(); ++i) {
+          if (!runner.QueryInto(queries[i], &result).ok()) continue;
+          if (!on_result(i, result)) {
+            stopped.store(true, std::memory_order_relaxed);
           }
-          MutexLock lock(&done_mu);
-          if (--pending == 0) chunk_done.NotifyAll();
-        });
+        }
+        chunk_totals = runner.totals();
+      }
+      MutexLock lock(&done_mu);
+      totals.queries_ok += chunk_totals.queries_ok;
+      totals.queries_failed += chunk_totals.queries_failed;
+      totals.query_seconds += chunk_totals.query_seconds;
+      totals.walks_sampled += chunk_totals.walks_sampled;
+      if (--pending == 0) chunk_done.NotifyAll();
+    });
   }
   MutexLock lock(&done_mu);
   while (pending != 0) chunk_done.Wait(done_mu);
-}
 
-void ForEachQueryChunked(
-    QueryExecutor& executor, size_t num_items,
-    const std::function<void(QueryRunner&, size_t begin, size_t end)>&
-        run_chunk) {
-  ForEachQueryChunked(executor.core(), executor.thread_pool(),
-                      executor.workspaces(), num_items, run_chunk);
-}
-
-ParallelBatchStats ParallelQueryBatch(
-    QueryExecutor& executor, const std::vector<NodeId>& queries,
-    const std::function<void(NodeId, const SimPushResult&)>& on_result) {
-  ParallelBatchStats stats;
-  Timer wall;
-  stats.num_threads = executor.num_threads();
-
-  Mutex result_mu;
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> failed{0};
-  std::atomic<uint64_t> cpu_nanos{0};
-
-  ForEachQueryChunked(
-      executor, queries.size(),
-      [&](QueryRunner& runner, size_t begin, size_t end) {
-        SimPushResult result;  // Buffers reused across the whole chunk.
-        for (size_t i = begin; i < end; ++i) {
-          const NodeId u = queries[i];
-          if (!runner.QueryInto(u, &result).ok()) {
-            failed.fetch_add(1);
-            continue;
-          }
-          ok.fetch_add(1);
-          cpu_nanos.fetch_add(
-              static_cast<uint64_t>(result.stats.total_seconds * 1e9));
-          MutexLock lock(&result_mu);
-          on_result(u, result);
-        }
-      });
-
-  stats.queries_ok = ok.load();
-  stats.queries_failed = failed.load();
-  stats.cpu_query_seconds = cpu_nanos.load() / 1e9;
+  stats.queries_ok = totals.queries_ok;
+  stats.queries_failed = totals.queries_failed;
+  stats.cpu_query_seconds = totals.query_seconds;
+  stats.walks_sampled = totals.walks_sampled;
   stats.wall_seconds = wall.ElapsedSeconds();
   return stats;
-}
-
-ParallelBatchStats ParallelQueryBatch(
-    const Graph& graph, const SimPushOptions& options,
-    const std::vector<NodeId>& queries, size_t num_threads,
-    const std::function<void(NodeId, const SimPushResult&)>& on_result) {
-  QueryExecutor executor(graph, options, num_threads);
-  return ParallelQueryBatch(executor, queries, on_result);
 }
 
 StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
@@ -119,71 +78,25 @@ StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
     WorkspacePool& workspaces, const std::vector<NodeId>& queries, size_t k,
     ParallelBatchStats* stats, const CancelToken* cancel) {
   std::vector<BatchTopKResult> results(queries.size());
-
-  ParallelBatchStats local_stats;
-  Timer wall;
-  local_stats.num_threads = thread_pool.num_threads();
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> failed{0};
-  std::atomic<uint64_t> cpu_nanos{0};
-
-  ForEachQueryChunked(
-      core, thread_pool, workspaces, queries.size(),
-      [&](QueryRunner& runner, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          // Between queries is the cheapest place to notice a fired
-          // token: skip the rest of the chunk instead of starting
-          // queries whose results would be discarded.
-          if (ShouldStop(cancel)) break;
-          const NodeId u = queries[i];
-          auto topk = QueryTopK(&runner, u, k);
-          if (!topk.ok()) {
-            failed.fetch_add(1);
-            continue;
-          }
-          ok.fetch_add(1);
-          cpu_nanos.fetch_add(
-              static_cast<uint64_t>(topk->stats.total_seconds * 1e9));
-          results[i].query = u;
-          results[i].topk.reserve(topk->entries.size());
-          for (const TopKEntry& entry : topk->entries) {
-            results[i].topk.emplace_back(entry.node, entry.score);
-          }
-        }
+  const ParallelBatchStats batch = ParallelQueryBatch(
+      core, thread_pool, workspaces, queries,
+      [&](size_t i, const SimPushResult& result) {
+        results[i].query = queries[i];
+        results[i].topk = SelectTopK(result.scores, k, queries[i]);
+        return true;
       },
       cancel);
+  if (stats != nullptr) *stats = batch;
 
-  local_stats.queries_ok = ok.load();
-  local_stats.queries_failed = failed.load();
-  local_stats.cpu_query_seconds = cpu_nanos.load() / 1e9;
-  local_stats.wall_seconds = wall.ElapsedSeconds();
-  if (stats != nullptr) *stats = local_stats;
-
-  // A fired token wins over the failure count: skipped chunks report
-  // a deadline/cancel error, not a bogus invalid-node error. The
-  // fired-query failures inside chunks carry the same token status.
+  // A fired token wins over the failure count: skipped chunks report a
+  // deadline/cancel error, not a bogus invalid-node error.
   if (cancel != nullptr) {
     SIMPUSH_RETURN_NOT_OK(cancel->Check());
   }
-  if (local_stats.queries_failed > 0) {
+  if (batch.queries_failed > 0) {
     return Status::InvalidArgument("batch contained invalid query nodes");
   }
   return results;
-}
-
-StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
-    QueryExecutor& executor, const std::vector<NodeId>& queries, size_t k,
-    ParallelBatchStats* stats) {
-  return ParallelQueryBatchTopK(executor.core(), executor.thread_pool(),
-                                executor.workspaces(), queries, k, stats);
-}
-
-StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
-    const Graph& graph, const SimPushOptions& options,
-    const std::vector<NodeId>& queries, size_t k, size_t num_threads,
-    ParallelBatchStats* stats) {
-  QueryExecutor executor(graph, options, num_threads);
-  return ParallelQueryBatchTopK(executor, queries, k, stats);
 }
 
 }  // namespace simpush

@@ -7,20 +7,16 @@
 //   auto result = engine.Query(u);
 //   if (result.ok()) { use result->scores[v] ... }
 //
-// SimPushEngine is a thin single-threaded facade over the real engine
-// split (see docs/architecture.md):
-//   EngineCore     — immutable configuration + derived constants,
-//                    shareable across threads (engine_core.h);
-//   QueryWorkspace — all mutable per-query scratch (workspace.h),
-//                    poolable via WorkspacePool (workspace_pool.h);
-//   QueryRunner    — one core + one workspace, executes queries
-//                    (query_runner.h).
-// The facade owns one core, one workspace, and one runner, so repeated
-// queries perform zero steady-state heap allocations when the caller
-// also reuses the result via QueryInto. Concurrent callers should share
-// one EngineCore and a WorkspacePool instead of one engine per thread.
-// Results depend only on (options.seed, node) — not on engine reuse,
-// workspace identity, thread placement, or query order.
+// SimPushEngine is the single-threaded embedded API: one EngineCore
+// (engine_core.h), one QueryWorkspace (workspace.h) and one QueryRunner
+// (query_runner.h) bundled for a caller that issues queries one at a
+// time. Repeated queries perform zero steady-state heap allocations when
+// the caller also reuses the result via QueryInto; QueryTopK (topk.h)
+// runs on runner(). Concurrent callers share one EngineCore and a
+// WorkspacePool instead, and fan out through ParallelQueryBatch
+// (parallel.h) — see docs/architecture.md. Results depend only on
+// (options.seed, node) — not on engine reuse, workspace identity,
+// thread placement, or query order.
 
 #ifndef SIMPUSH_SIMPUSH_SIMPUSH_H_
 #define SIMPUSH_SIMPUSH_SIMPUSH_H_
@@ -34,12 +30,11 @@
 
 namespace simpush {
 
-/// Index-free single-source SimRank engine: one EngineCore + one
-/// QueryWorkspace + one QueryRunner, for single-threaded callers. No
-/// precomputation touches the graph, so graph updates simply mean
+/// Index-free single-source SimRank engine for single-threaded callers.
+/// No precomputation touches the graph, so graph updates simply mean
 /// constructing a new engine over the new Graph (O(1) cost beyond the
-/// CSR build). Not thread-safe; see EngineCore/WorkspacePool for the
-/// concurrent serving shape.
+/// CSR build). Not thread-safe; see ParallelQueryBatch for the
+/// concurrent shape.
 class SimPushEngine {
  public:
   /// The graph must outlive the engine.
@@ -63,7 +58,8 @@ class SimPushEngine {
 
   /// The immutable core, shareable with concurrent runners.
   const EngineCore& core() const { return core_; }
-  /// The engine's runner (for APIs that operate on runners).
+  /// The engine's runner (for APIs that operate on runners, e.g.
+  /// QueryTopK).
   QueryRunner& runner() { return runner_; }
 
  private:

@@ -48,7 +48,7 @@ uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
   const Walker walker(graph, params.sqrt_c);
   *walks_out = RunWalkWaves(
       graph, u, walk_seed, params.num_walks, params.l_star,
-      walker.inv_log_sqrt_c(), UniformInSampler{},
+      walker.inv_log_sqrt_c(),
       [&](uint32_t level, NodeId node) {
         if (level <= max_level) return;  // Only deeper levels matter.
         const uint64_t key = (static_cast<uint64_t>(level) << 32) | node;

@@ -4,16 +4,11 @@
 
 namespace simpush {
 
-StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
-  SIMPUSH_ASSIGN_OR_RETURN(SimPushResult full, runner->Query(u));
-  TopKResult result;
-  result.stats = full.stats;
-
-  const std::vector<double>& scores = full.scores;
+std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores, size_t k,
+                                  NodeId exclude) {
   std::vector<NodeId> order;
-  order.reserve(scores.size());
   for (NodeId v = 0; v < scores.size(); ++v) {
-    if (v != u && scores[v] > 0.0) order.push_back(v);
+    if (v != exclude && scores[v] > 0.0) order.push_back(v);
   }
   const size_t take = std::min(k, order.size());
   std::partial_sort(order.begin(), order.begin() + take, order.end(),
@@ -23,10 +18,19 @@ StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
                       }
                       return a < b;
                     });
-  result.entries.reserve(take);
+  std::vector<TopKEntry> entries;
+  entries.reserve(take);
   for (size_t i = 0; i < take; ++i) {
-    result.entries.push_back({order[i], scores[order[i]]});
+    entries.push_back({order[i], scores[order[i]]});
   }
+  return entries;
+}
+
+StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
+  SIMPUSH_ASSIGN_OR_RETURN(SimPushResult full, runner->Query(u));
+  TopKResult result;
+  result.entries = SelectTopK(full.scores, k, u);
+  result.stats = full.stats;
   return result;
 }
 

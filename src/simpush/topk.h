@@ -6,10 +6,12 @@
 #ifndef SIMPUSH_SIMPUSH_TOPK_H_
 #define SIMPUSH_SIMPUSH_TOPK_H_
 
-#include <utility>
+#include <cstddef>
 #include <vector>
 
-#include "simpush/simpush.h"
+#include "common/status.h"
+#include "graph/graph.h"
+#include "simpush/query_runner.h"
 
 namespace simpush {
 
@@ -25,17 +27,18 @@ struct TopKResult {
   SimPushQueryStats stats;
 };
 
+/// The top-k selector every top-k path shares (QueryTopK, the parallel
+/// top-k batch, the service's top-k responses): the at most k nodes
+/// other than `exclude` with a positive score, descending by score,
+/// ties to the smaller id. Zero-score nodes are never reported.
+std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores, size_t k,
+                                  NodeId exclude);
+
 /// Answers a top-k single-source query (the query node itself, whose
 /// s = 1 trivially, is excluded). An entry's score carries the same
-/// ±ε guarantee as SimPushEngine::Query; ranking inversions are
-/// therefore possible only between nodes within 2ε of each other.
+/// ±ε guarantee as QueryRunner::Query; ranking inversions are therefore
+/// possible only between nodes within 2ε of each other.
 StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k);
-
-/// Facade convenience: runs on the engine's own runner.
-inline StatusOr<TopKResult> QueryTopK(SimPushEngine* engine, NodeId u,
-                                      size_t k) {
-  return QueryTopK(&engine->runner(), u, k);
-}
 
 }  // namespace simpush
 

@@ -8,7 +8,7 @@
 // retirement) and splits each step into three passes:
 //
 //   1. prefetch the offset-row entries of all W current nodes,
-//   2. pick each walk's next in-edge (degree read + one policy draw)
+//   2. pick each walk's next in-edge (degree read + one uniform draw)
 //      and prefetch the in-CSR entry it lands on,
 //   3. advance every walk to its picked neighbor, fire the visit
 //      callback, and retire finished walks by swapping them behind the
@@ -23,7 +23,7 @@
 // Each walk i draws from its own counter-based stream
 // Rng::ForWalk(walk_seed, start, i) — a pure function of
 // (seed, node, walk_index) — and consumes a fixed draw schedule (one
-// length draw, then the policy's fixed draws-per-pick per step). Walk
+// length draw, then one bounded draw per step). Walk
 // order is therefore a free variable: serial execution, any wave size,
 // any thread count, or a future SIMD/GPU backend produce bit-identical
 // trajectories by construction. tests/determinism_test.cc
@@ -47,7 +47,6 @@
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "graph/graph.h"
-#include "walk/sampling.h"
 #include "walk/walker.h"
 
 namespace simpush {
@@ -79,18 +78,17 @@ inline uint32_t ClampWaveSize(uint32_t wave_size) {
 /// `length_cap` bounds each walk's decay length (pass params.l_star —
 /// deeper levels are discarded anyway). `inv_log_sqrt_c` is
 /// 1/log(√c), precomputed by the caller (Walker::inv_log_sqrt_c()).
-/// `policy` picks the in-neighbor index per step (sampling.h); it is a
-/// template parameter so the per-step draw inlines.
+/// Each step picks an in-neighbor uniformly with one bounded draw.
 ///
 /// Returns the number of walks fully completed. This equals num_walks
 /// unless the cancel token fired, in which case the kernel stopped at a
 /// wave boundary (partial tallies are the caller's to discard — the
 /// caller re-checks the token, same as the serial contract).
-template <typename Policy, typename Visit>
+template <typename Visit>
 uint64_t RunWalkWaves(const Graph& graph, NodeId start, uint64_t walk_seed,
                       uint64_t num_walks, uint32_t length_cap,
-                      double inv_log_sqrt_c, const Policy& policy,
-                      Visit&& visit, const CancelToken* cancel = nullptr,
+                      double inv_log_sqrt_c, Visit&& visit,
+                      const CancelToken* cancel = nullptr,
                       uint32_t wave_size = kDefaultWalkWaveSize) {
   wave_size = ClampWaveSize(wave_size);
   constexpr EdgeId kNoEdge = static_cast<EdgeId>(-1);
@@ -143,7 +141,7 @@ uint64_t RunWalkWaves(const Graph& graph, NodeId start, uint64_t walk_seed,
           edge[j] = kNoEdge;
           continue;
         }
-        const uint32_t k = policy.PickIndex(current[j], deg, &rng[j]);
+        const uint32_t k = static_cast<uint32_t>(rng[j].NextBounded(deg));
         edge[j] = graph.InRowBegin(current[j]) + k;
         graph.PrefetchInSource(edge[j]);
       }

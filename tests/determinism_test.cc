@@ -11,11 +11,12 @@
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
-#include "simpush/batch.h"
 #include "simpush/engine_core.h"
 #include "simpush/parallel.h"
 #include "simpush/query_runner.h"
+#include "simpush/simpush.h"
 #include "simpush/workspace.h"
+#include "test_util.h"
 
 namespace simpush {
 namespace {
@@ -37,12 +38,19 @@ std::vector<NodeId> FirstNodes(size_t count) {
 using ScoreTable = std::map<NodeId, std::vector<double>>;
 
 ScoreTable RunBatch(const Graph& graph, const std::vector<NodeId>& queries,
-                    size_t threads) {
+                    size_t threads,
+                    const SimPushOptions& options = TestOptions()) {
+  testing_util::FanOut fan_out(graph, options, threads);
+  std::vector<std::vector<double>> by_index(queries.size());
+  auto stats =
+      fan_out.Run(queries, [&](size_t i, const SimPushResult& result) {
+        by_index[i] = result.scores;
+        return true;
+      });
   ScoreTable scores;
-  auto stats = ParallelQueryBatch(graph, TestOptions(), queries, threads,
-                                  [&](NodeId u, const SimPushResult& result) {
-                                    scores[u] = result.scores;
-                                  });
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!by_index[i].empty()) scores[queries[i]] = std::move(by_index[i]);
+  }
   // Guard against a vacuous pass: empty-vs-empty tables compare equal.
   EXPECT_EQ(stats.queries_ok, queries.size());
   EXPECT_EQ(scores.size(), queries.size());
@@ -126,9 +134,9 @@ TEST(DeterminismTest, TopKBatchBitIdenticalAcrossThreadCounts) {
   const auto queries = FirstNodes(16);
 
   auto run = [&](size_t threads) {
+    testing_util::FanOut fan_out(*graph, TestOptions(), threads);
     ParallelBatchStats stats;
-    auto results = ParallelQueryBatchTopK(*graph, TestOptions(), queries, 10,
-                                          threads, &stats);
+    auto results = fan_out.TopK(queries, 10, &stats);
     EXPECT_TRUE(results.ok());
     EXPECT_EQ(stats.queries_ok, queries.size());
     return std::move(results).value();
@@ -140,8 +148,8 @@ TEST(DeterminismTest, TopKBatchBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(with_one[i].query, with_eight[i].query);
     ASSERT_EQ(with_one[i].topk.size(), with_eight[i].topk.size());
     for (size_t j = 0; j < with_one[i].topk.size(); ++j) {
-      ASSERT_EQ(with_one[i].topk[j].first, with_eight[i].topk[j].first);
-      ASSERT_EQ(with_one[i].topk[j].second, with_eight[i].topk[j].second);
+      ASSERT_EQ(with_one[i].topk[j].node, with_eight[i].topk[j].node);
+      ASSERT_EQ(with_one[i].topk[j].score, with_eight[i].topk[j].score);
     }
   }
 }
@@ -219,14 +227,7 @@ TEST(DeterminismTest, BatchedEqualsSerialBitIdentical) {
   auto run = [&](uint32_t wave, size_t threads) {
     SimPushOptions options = TestOptions();
     options.walk_wave_size = wave;
-    ScoreTable scores;
-    auto stats = ParallelQueryBatch(*graph, options, queries, threads,
-                                    [&](NodeId u, const SimPushResult& r) {
-                                      scores[u] = r.scores;
-                                    });
-    EXPECT_EQ(stats.queries_ok, queries.size());
-    EXPECT_EQ(scores.size(), queries.size());
-    return scores;
+    return RunBatch(*graph, queries, threads, options);
   };
 
   const ScoreTable serial = run(1, 1);
@@ -268,18 +269,19 @@ TEST(DeterminismTest, UnfiredTokenInvisibleToBatchedKernel) {
 }
 
 TEST(DeterminismTest, SequentialBatchMatchesParallelBatch) {
-  // QueryBatch (one engine, sequential) and ParallelQueryBatch must
-  // agree exactly: engine reuse is invisible to results.
+  // One engine answering the batch sequentially and ParallelQueryBatch
+  // must agree exactly: engine reuse is invisible to results.
   auto graph = GenerateChungLu(200, 1200, 2.3, 89);
   ASSERT_TRUE(graph.ok());
   const auto queries = FirstNodes(10);
 
   SimPushEngine engine(*graph, TestOptions());
   ScoreTable sequential;
-  QueryBatch(&engine, queries, [&](NodeId u, const SimPushResult& result) {
+  SimPushResult result;
+  for (const NodeId u : queries) {
+    ASSERT_TRUE(engine.QueryInto(u, &result).ok());
     sequential[u] = result.scores;
-    return true;
-  });
+  }
   const ScoreTable parallel = RunBatch(*graph, queries, 4);
   ExpectIdentical(sequential, parallel, "sequential-vs-parallel");
 }

@@ -2,14 +2,17 @@
 
 #include "simpush/parallel.h"
 
-#include <map>
+#include <atomic>
 #include <vector>
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simpush {
 namespace {
+
+using testing_util::FanOut;
 
 SimPushOptions TestOptions() {
   SimPushOptions options;
@@ -29,18 +32,23 @@ TEST(ParallelBatchTest, AllQueriesComplete) {
   auto graph = GenerateChungLu(400, 2400, 2.5, 3);
   ASSERT_TRUE(graph.ok());
   const auto queries = FirstNodes(16);
-  std::map<NodeId, double> self_scores;
-  auto stats = ParallelQueryBatch(
-      *graph, TestOptions(), queries, /*num_threads=*/4,
-      [&](NodeId u, const SimPushResult& result) {
-        self_scores[u] = result.scores[u];
-      });
+  std::vector<double> self_scores(queries.size(), -1.0);
+  std::atomic<uint64_t> walks{0};
+  FanOut fan_out(*graph, TestOptions(), /*threads=*/4);
+  auto stats = fan_out.Run(queries, [&](size_t i, const SimPushResult& r) {
+    self_scores[i] = r.scores[queries[i]];
+    walks.fetch_add(r.stats.walks_sampled);
+    return true;
+  });
   EXPECT_EQ(stats.queries_ok, queries.size());
   EXPECT_EQ(stats.queries_failed, 0u);
   EXPECT_EQ(stats.num_threads, 4u);
-  ASSERT_EQ(self_scores.size(), queries.size());
-  for (const auto& [u, score] : self_scores) {
-    EXPECT_DOUBLE_EQ(score, 1.0) << "s(u,u) must be 1 for query " << u;
+  // Walk totals are summed from the chunk runners.
+  EXPECT_GT(stats.walks_sampled, 0u);
+  EXPECT_EQ(stats.walks_sampled, walks.load());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_DOUBLE_EQ(self_scores[i], 1.0)
+        << "s(u,u) must be 1 for query " << queries[i];
   }
 }
 
@@ -48,14 +56,15 @@ TEST(ParallelBatchTest, InvalidQueriesCountedNotFatal) {
   auto graph = GenerateErdosRenyi(50, 250, 3);
   ASSERT_TRUE(graph.ok());
   std::vector<NodeId> queries = {1, 2, 999, 3, 888};
-  size_t callbacks = 0;
-  auto stats = ParallelQueryBatch(*graph, TestOptions(), queries, 2,
-                                  [&](NodeId, const SimPushResult&) {
-                                    ++callbacks;
-                                  });
+  std::atomic<size_t> callbacks{0};
+  FanOut fan_out(*graph, TestOptions(), 2);
+  auto stats = fan_out.Run(queries, [&](size_t, const SimPushResult&) {
+    callbacks.fetch_add(1);
+    return true;
+  });
   EXPECT_EQ(stats.queries_ok, 3u);
   EXPECT_EQ(stats.queries_failed, 2u);
-  EXPECT_EQ(callbacks, 3u);
+  EXPECT_EQ(callbacks.load(), 3u);
 }
 
 TEST(ParallelBatchTest, ResultsIndependentOfThreadCount) {
@@ -66,23 +75,49 @@ TEST(ParallelBatchTest, ResultsIndependentOfThreadCount) {
   const auto queries = FirstNodes(8);
 
   auto run = [&](size_t threads) {
-    std::map<NodeId, std::vector<double>> scores;
-    ParallelQueryBatch(*graph, TestOptions(), queries, threads,
-                       [&](NodeId u, const SimPushResult& result) {
-                         scores[u] = result.scores;
-                       });
+    std::vector<std::vector<double>> scores(queries.size());
+    FanOut fan_out(*graph, TestOptions(), threads);
+    fan_out.Run(queries, [&](size_t i, const SimPushResult& result) {
+      scores[i] = result.scores;
+      return true;
+    });
     return scores;
   };
   const auto with_one = run(1);
   const auto with_four = run(4);
-  ASSERT_EQ(with_one.size(), with_four.size());
-  for (const auto& [u, scores] : with_one) {
-    const auto& other = with_four.at(u);
-    ASSERT_EQ(scores.size(), other.size());
-    for (size_t v = 0; v < scores.size(); ++v) {
-      ASSERT_DOUBLE_EQ(scores[v], other[v]) << "query " << u << " node " << v;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_FALSE(with_one[i].empty()) << "query " << queries[i];
+    ASSERT_EQ(with_one[i].size(), with_four[i].size());
+    for (size_t v = 0; v < with_one[i].size(); ++v) {
+      ASSERT_DOUBLE_EQ(with_one[i][v], with_four[i][v])
+          << "query " << queries[i] << " node " << v;
     }
   }
+}
+
+TEST(ParallelBatchTest, FiredTokenStopsTheFanOut) {
+  // A token that fired before the batch starts: no chunk leases a
+  // workspace, no query runs, and the pool is left untouched.
+  auto graph = GenerateErdosRenyi(60, 300, 5);
+  ASSERT_TRUE(graph.ok());
+  FanOut fan_out(*graph, TestOptions(), 2);
+  CancelToken token;
+  token.Cancel();
+  size_t callbacks = 0;
+  auto stats = ParallelQueryBatch(
+      fan_out.core, fan_out.thread_pool, fan_out.workspaces, FirstNodes(10),
+      [&](size_t, const SimPushResult&) {
+        ++callbacks;
+        return true;
+      },
+      &token);
+  EXPECT_EQ(callbacks, 0u);
+  EXPECT_EQ(stats.queries_ok, 0u);
+  EXPECT_EQ(fan_out.workspaces.created(), 0u);
+  auto topk = ParallelQueryBatchTopK(fan_out.core, fan_out.thread_pool,
+                                     fan_out.workspaces, FirstNodes(10), 3,
+                                     nullptr, &token);
+  EXPECT_EQ(topk.status().code(), StatusCode::kCancelled);
 }
 
 TEST(ParallelBatchTopKTest, OrderedAndComplete) {
@@ -90,8 +125,7 @@ TEST(ParallelBatchTopKTest, OrderedAndComplete) {
   ASSERT_TRUE(graph.ok());
   const auto queries = FirstNodes(10);
   ParallelBatchStats stats;
-  auto results =
-      ParallelQueryBatchTopK(*graph, TestOptions(), queries, 10, 3, &stats);
+  auto results = FanOut(*graph, TestOptions(), 3).TopK(queries, 10, &stats);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), queries.size());
   EXPECT_EQ(stats.queries_ok, queries.size());
@@ -102,11 +136,11 @@ TEST(ParallelBatchTopKTest, OrderedAndComplete) {
     EXPECT_LE(topk.size(), 10u);
     // Descending scores, query node excluded.
     for (size_t j = 1; j < topk.size(); ++j) {
-      EXPECT_LE(topk[j].second, topk[j - 1].second);
+      EXPECT_LE(topk[j].score, topk[j - 1].score);
     }
     for (const auto& [node, score] : topk) {
       EXPECT_NE(node, queries[i]);
-      EXPECT_GE(score, 0.0);
+      EXPECT_GT(score, 0.0);
     }
   }
 }
@@ -115,15 +149,15 @@ TEST(ParallelBatchTopKTest, InvalidQueryFailsBatch) {
   auto graph = GenerateErdosRenyi(30, 120, 3);
   ASSERT_TRUE(graph.ok());
   std::vector<NodeId> queries = {1, 500};
-  auto results = ParallelQueryBatchTopK(*graph, TestOptions(), queries, 5, 2);
+  auto results = FanOut(*graph, TestOptions(), 2).TopK(queries, 5);
   EXPECT_FALSE(results.ok());
 }
 
 TEST(ParallelBatchTest, EmptyQuerySet) {
   auto graph = GenerateErdosRenyi(30, 120, 3);
   ASSERT_TRUE(graph.ok());
-  auto stats = ParallelQueryBatch(*graph, TestOptions(), {}, 2,
-                                  [](NodeId, const SimPushResult&) {});
+  auto stats = FanOut(*graph, TestOptions(), 2)
+                   .Run({}, [](size_t, const SimPushResult&) { return true; });
   EXPECT_EQ(stats.queries_ok, 0u);
   EXPECT_EQ(stats.queries_failed, 0u);
 }

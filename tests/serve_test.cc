@@ -85,6 +85,14 @@ class ServeFixture {
     return result->scores;
   }
 
+  uint64_t DirectWalks(NodeId u) {
+    QueryWorkspace workspace;
+    QueryRunner runner(core_, &workspace);
+    auto result = runner.Query(u);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result->stats.walks_sampled;
+  }
+
   TopKResult DirectTopK(NodeId u, size_t k) {
     QueryWorkspace workspace;
     QueryRunner runner(core_, &workspace);
@@ -253,6 +261,29 @@ TEST(ServeSmoke, BatchBitIdentical) {
           << "query " << nodes[i] << " rank " << j;
     }
   }
+}
+
+// /v1/stats engine.walks_sampled counts the walks of every endpoint,
+// the /v1/batch fan-out included.
+TEST(ServeSmoke, BatchWalksCountInEngineStats) {
+  ServeFixture fixture;
+  HttpClient client("127.0.0.1", fixture.port());
+  const auto engine_walks = [&client] {
+    auto stats = client.Get("/v1/stats");
+    EXPECT_TRUE(stats.ok());
+    auto doc = ParseJson(stats->body);
+    EXPECT_TRUE(doc.ok()) << stats->body;
+    return doc->Find("engine")->Find("walks_sampled")->AsIndex().value();
+  };
+  const uint64_t before = engine_walks();
+  auto response =
+      client.Post("/v1/batch", "{\"nodes\": [0, 3, 5, 7], \"k\": 2}");
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->status, 200) << response->body;
+  uint64_t expected = 0;
+  for (const NodeId u : {0u, 3u, 5u, 7u}) expected += fixture.DirectWalks(u);
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(engine_walks() - before, expected);
 }
 
 TEST(ServeSmoke, ErrorResponses) {

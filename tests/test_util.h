@@ -11,6 +11,7 @@
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "simpush/parallel.h"
 
 namespace simpush {
 namespace testing_util {
@@ -71,6 +72,33 @@ inline Graph RandomGraph(NodeId n, EdgeId m, uint64_t seed) {
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
+
+/// The substrate ParallelQueryBatch fans out over: one engine core, one
+/// thread pool and one workspace pool (capacity 0 = one per thread).
+struct FanOut {
+  FanOut(const Graph& graph, const SimPushOptions& options, size_t threads,
+         size_t pool_capacity = 0)
+      : core(graph, options),
+        thread_pool(threads),
+        workspaces(pool_capacity != 0 ? pool_capacity
+                                      : thread_pool.num_threads()) {}
+
+  ParallelBatchStats Run(const std::vector<NodeId>& queries,
+                         const QueryResultFn& on_result) {
+    return ParallelQueryBatch(core, thread_pool, workspaces, queries,
+                              on_result);
+  }
+  StatusOr<std::vector<BatchTopKResult>> TopK(
+      const std::vector<NodeId>& queries, size_t k,
+      ParallelBatchStats* stats = nullptr) {
+    return ParallelQueryBatchTopK(core, thread_pool, workspaces, queries, k,
+                                  stats);
+  }
+
+  EngineCore core;
+  ThreadPool thread_pool;
+  WorkspacePool workspaces;
+};
 
 }  // namespace testing_util
 }  // namespace simpush

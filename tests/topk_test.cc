@@ -1,6 +1,7 @@
 // Tests for the top-k query layer.
 
 #include "gtest/gtest.h"
+#include "simpush/simpush.h"
 #include "simpush/topk.h"
 #include "test_util.h"
 
@@ -17,7 +18,7 @@ SimPushOptions FastOptions() {
 TEST(TopKQueryTest, EntriesSortedAndExcludeQuery) {
   Graph g = testing_util::RandomGraph(150, 1200, 601);
   SimPushEngine engine(g, FastOptions());
-  auto result = QueryTopK(&engine, 7, 10);
+  auto result = QueryTopK(&engine.runner(), 7, 10);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->entries.size(), 10u);
   for (size_t i = 0; i < result->entries.size(); ++i) {
@@ -37,7 +38,7 @@ TEST(TopKQueryTest, MatchesFullQueryRanking) {
   ASSERT_TRUE(full.ok());
 
   SimPushEngine engine_topk(g, FastOptions());
-  auto topk = QueryTopK(&engine_topk, 3, 5);
+  auto topk = QueryTopK(&engine_topk.runner(), 3, 5);
   ASSERT_TRUE(topk.ok());
   // Scores of the top entries must match the full vector's values
   // (same options + same seed => identical runs).
@@ -53,7 +54,7 @@ TEST(TopKQueryTest, AgreesWithExactTopK) {
   options.epsilon = 0.005;
   options.walk_budget_cap = 50000;
   SimPushEngine engine(g, options);
-  auto topk = QueryTopK(&engine, 11, 10);
+  auto topk = QueryTopK(&engine.runner(), 11, 10);
   ASSERT_TRUE(topk.ok());
   // Every returned entry's exact value is within ε of its estimate.
   for (const TopKEntry& entry : topk->entries) {
@@ -64,7 +65,7 @@ TEST(TopKQueryTest, AgreesWithExactTopK) {
 TEST(TopKQueryTest, KLargerThanPositiveSet) {
   Graph g = testing_util::MakeGraph(4, {{1, 0}, {2, 0}});  // tiny reach
   SimPushEngine engine(g, FastOptions());
-  auto result = QueryTopK(&engine, 1, 100);
+  auto result = QueryTopK(&engine.runner(), 1, 100);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->entries.size(), 3u);
 }
@@ -72,7 +73,21 @@ TEST(TopKQueryTest, KLargerThanPositiveSet) {
 TEST(TopKQueryTest, InvalidQueryPropagatesError) {
   Graph g = testing_util::MakeFixtureGraph();
   SimPushEngine engine(g, FastOptions());
-  EXPECT_FALSE(QueryTopK(&engine, 99, 5).ok());
+  EXPECT_FALSE(QueryTopK(&engine.runner(), 99, 5).ok());
+}
+
+TEST(SelectTopKTest, PositiveScoresDescendingTiesToSmallerId) {
+  const std::vector<double> scores = {0.5, 0.0, 0.2, 1.0, 0.2, 0.7};
+  const std::vector<TopKEntry> top = SelectTopK(scores, 10, /*exclude=*/3);
+  // Node 3 is excluded and zero-score node 1 is never reported.
+  ASSERT_EQ(top.size(), 4u);
+  const NodeId expected[] = {5, 0, 2, 4};
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].node, expected[i]) << "rank " << i;
+    EXPECT_EQ(top[i].score, scores[expected[i]]) << "rank " << i;
+  }
+  EXPECT_EQ(SelectTopK(scores, 2, 3).size(), 2u);
+  EXPECT_TRUE(SelectTopK(scores, 0, 3).empty());
 }
 
 }  // namespace

@@ -4,9 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
-#include "walk/sampling.h"
 #include "walk/walk_batch.h"
 #include "walk/walk_stats.h"
 #include "walk/walker.h"
@@ -178,7 +175,7 @@ LevelCounts KernelCounts(const Graph& g, NodeId start, uint64_t walk_seed,
   LevelCounts counts;
   RunWalkWaves(
       g, start, walk_seed, num_walks, Walker::kMaxWalkLength,
-      walker.inv_log_sqrt_c(), UniformInSampler{},
+      walker.inv_log_sqrt_c(),
       [&](uint32_t level, NodeId node) { ++counts[{level, node}]; },
       cancel, wave_size);
   return counts;
@@ -231,91 +228,25 @@ TEST(WalkBatchTest, FiredTokenStopsAtWaveBoundary) {
   uint64_t visits = 0;
   const uint64_t done = RunWalkWaves(
       *graph, 0, 7, 3000, Walker::kMaxWalkLength, walker.inv_log_sqrt_c(),
-      UniformInSampler{}, [&](uint32_t, NodeId) { ++visits; }, &token, 64);
+      [&](uint32_t, NodeId) { ++visits; }, &token, 64);
   // The pre-fired token is seen at the very first poll: no walk runs.
   EXPECT_EQ(done, 0u);
   EXPECT_EQ(visits, 0u);
   // Without a token the kernel reports every walk completed.
   EXPECT_EQ(RunWalkWaves(*graph, 0, 7, 3000, Walker::kMaxWalkLength,
-                         walker.inv_log_sqrt_c(), UniformInSampler{},
-                         [](uint32_t, NodeId) {}, nullptr, 64),
+                         walker.inv_log_sqrt_c(), [](uint32_t, NodeId) {},
+                         nullptr, 64),
             3000u);
 }
 
-TEST(SamplingTest, BuildAliasRowRejectsBadWeights) {
-  std::vector<double> prob(3);
-  std::vector<uint32_t> alias(3);
-  auto build = [&](std::vector<double> w) {
-    return BuildAliasRow(w, std::span<double>(prob).first(w.size()),
-                         std::span<uint32_t>(alias).first(w.size()));
-  };
-  EXPECT_FALSE(build({1.0, -0.5, 1.0}).ok());
-  EXPECT_FALSE(build({1.0, std::nan(""), 1.0}).ok());
-  EXPECT_FALSE(build({1.0, std::numeric_limits<double>::infinity()}).ok());
-  EXPECT_FALSE(build({0.0, 0.0, 0.0}).ok());
-  EXPECT_FALSE(BuildAliasRow(std::vector<double>{1.0, 2.0},
-                             std::span<double>(prob),  // size 3 != 2
-                             std::span<uint32_t>(alias).first(2))
-                   .ok());
-  EXPECT_TRUE(build({1.0, 2.0, 3.0}).ok());
-}
-
-TEST(SamplingTest, AliasSamplerMatchesWeights) {
-  // Node 0's in-neighbors are 1, 2, 3 (in-CSR flat indices 0, 1, 2);
-  // weight them 1:2:3 and check empirical pick frequencies.
-  Graph g = testing_util::MakeGraph(4, {{1, 0}, {2, 0}, {3, 0}});
-  const std::vector<double> weights = {1.0, 2.0, 3.0};
-  auto sampler = AliasInSampler::Build(g, weights);
-  ASSERT_TRUE(sampler.ok());
-  Rng rng(19);
-  const int draws = 120000;
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < draws; ++i) {
-    ++counts[sampler->PickIndex(0, 3, &rng)];
-  }
-  for (int k = 0; k < 3; ++k) {
-    EXPECT_NEAR(counts[k] / double(draws), weights[k] / 6.0, 0.01);
-  }
-  // Every acceptance threshold is a probability.
-  for (uint32_t k = 0; k < 3; ++k) {
-    EXPECT_GE(sampler->ProbAt(0, k), 0.0);
-    EXPECT_LE(sampler->ProbAt(0, k), 1.0);
-    EXPECT_LT(sampler->AliasAt(0, k), 3u);
-  }
-}
-
-TEST(SamplingTest, UniformAliasTablesAreDegenerate) {
-  // Uniform weights make every slot exactly full: prob 1, alias self —
-  // the alias machinery collapses to a plain bounded draw.
-  auto graph = GenerateChungLu(100, 600, 2.4, 107);
-  ASSERT_TRUE(graph.ok());
-  const AliasInSampler sampler = AliasInSampler::Uniform(*graph);
-  for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-    for (uint32_t k = 0; k < graph->InDegree(v); ++k) {
-      EXPECT_DOUBLE_EQ(sampler.ProbAt(v, k), 1.0);
-      EXPECT_EQ(sampler.AliasAt(v, k), k);
-    }
-  }
-}
-
-TEST(SamplingTest, PoliciesUseFixedDrawsPerPick) {
-  // The determinism contract requires a fixed RNG draw count per pick:
-  // one for uniform, two for alias — regardless of which slot wins.
-  Graph g = testing_util::MakeGraph(4, {{1, 0}, {2, 0}, {3, 0}});
-  const UniformInSampler uniform;
-  const std::vector<double> skew = {0.01, 0.01, 10.0};
-  const auto alias = AliasInSampler::Build(g, skew);
-  ASSERT_TRUE(alias.ok());
+TEST(WalkBatchTest, UniformPickDrawsOncePerStep) {
+  // The determinism contract requires a fixed RNG draw count per step:
+  // the kernel's uniform in-neighbor pick draws exactly once.
   for (uint64_t seed = 0; seed < 50; ++seed) {
     Rng a(seed), b(seed);
-    uniform.PickIndex(0, 3, &a);
+    a.NextBounded(3);
     b.Next();
     EXPECT_EQ(a.Next(), b.Next()) << "uniform must draw exactly once";
-    Rng c(seed), d(seed);
-    alias->PickIndex(0, 3, &c);
-    d.Next();
-    d.NextDouble();
-    EXPECT_EQ(c.Next(), d.Next()) << "alias must draw exactly twice";
   }
 }
 

@@ -173,28 +173,30 @@ TEST(PooledConcurrencyTest, ConcurrentQueriesBitIdenticalToSerial) {
   EXPECT_LE(pool.created(), 3u);
 }
 
-TEST(PooledConcurrencyTest, ExecutorFanOutsReturnEveryLease) {
+TEST(PooledConcurrencyTest, FanOutsReturnEveryLease) {
   // Every fan-out path drains its leases: after batches, top-k batches,
-  // and reuse of the same executor, outstanding() must be zero and the
+  // and reuse of the same pools, outstanding() must be zero and the
   // workspace count bounded by the pool capacity.
   Graph g = testing_util::RandomGraph(200, 1200, 31);
-  QueryExecutor executor(g, TestOptions(), 4);
+  testing_util::FanOut fan_out(g, TestOptions(), 4);
   std::vector<NodeId> queries;
   for (NodeId u = 0; u < 24; ++u) queries.push_back(u);
 
   for (int round = 0; round < 3; ++round) {
-    size_t seen = 0;
-    auto stats = ParallelQueryBatch(
-        executor, queries, [&](NodeId, const SimPushResult&) { ++seen; });
+    std::atomic<size_t> seen{0};
+    auto stats = fan_out.Run(queries, [&](size_t, const SimPushResult&) {
+      seen.fetch_add(1);
+      return true;
+    });
     EXPECT_EQ(stats.queries_ok, queries.size());
-    EXPECT_EQ(seen, queries.size());
-    EXPECT_EQ(executor.workspaces().outstanding(), 0u)
+    EXPECT_EQ(seen.load(), queries.size());
+    EXPECT_EQ(fan_out.workspaces.outstanding(), 0u)
         << "leaked lease in round " << round;
   }
-  auto topk = ParallelQueryBatchTopK(executor, queries, 5);
+  auto topk = fan_out.TopK(queries, 5);
   ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(executor.workspaces().outstanding(), 0u);
-  EXPECT_LE(executor.workspaces().created(), executor.workspaces().capacity());
+  EXPECT_EQ(fan_out.workspaces.outstanding(), 0u);
+  EXPECT_LE(fan_out.workspaces.created(), fan_out.workspaces.capacity());
 }
 
 TEST(PooledConcurrencyTest, CappedPoolBoundsWorkspacesWithoutDeadlock) {
@@ -202,46 +204,50 @@ TEST(PooledConcurrencyTest, CappedPoolBoundsWorkspacesWithoutDeadlock) {
   // Acquire and proceed as leases free up — every query answered, at
   // most pool-capacity workspaces ever built.
   Graph g = testing_util::RandomGraph(200, 1200, 41);
-  QueryExecutor executor(g, TestOptions(), /*num_threads=*/4,
-                         /*pool_capacity=*/2);
-  EXPECT_EQ(executor.workspaces().capacity(), 2u);
+  testing_util::FanOut fan_out(g, TestOptions(), /*threads=*/4,
+                               /*pool_capacity=*/2);
+  EXPECT_EQ(fan_out.workspaces.capacity(), 2u);
   std::vector<NodeId> queries;
   for (NodeId u = 0; u < 20; ++u) queries.push_back(u);
 
-  size_t seen = 0;
-  auto stats = ParallelQueryBatch(
-      executor, queries, [&](NodeId, const SimPushResult&) { ++seen; });
+  std::atomic<size_t> seen{0};
+  auto stats = fan_out.Run(queries, [&](size_t, const SimPushResult&) {
+    seen.fetch_add(1);
+    return true;
+  });
   EXPECT_EQ(stats.queries_ok, queries.size());
-  EXPECT_EQ(seen, queries.size());
-  EXPECT_EQ(executor.workspaces().outstanding(), 0u);
-  EXPECT_LE(executor.workspaces().created(), 2u);
+  EXPECT_EQ(seen.load(), queries.size());
+  EXPECT_EQ(fan_out.workspaces.outstanding(), 0u);
+  EXPECT_LE(fan_out.workspaces.created(), 2u);
 }
 
-TEST(PooledConcurrencyTest, ConcurrentBatchesOnOneExecutorStayIsolated) {
-  // Two batches submitted from different threads to ONE executor: each
-  // ForEachQueryChunked waits only for its own chunks, every query of
-  // both batches completes, and no lease leaks.
+TEST(PooledConcurrencyTest, ConcurrentBatchesOnSharedPoolsStayIsolated) {
+  // Two batches submitted from different threads onto ONE thread pool
+  // and workspace pool: each fan-out waits only for its own chunks,
+  // every query of both batches completes, and no lease leaks.
   Graph g = testing_util::RandomGraph(200, 1200, 47);
-  QueryExecutor executor(g, TestOptions(), 4);
+  testing_util::FanOut fan_out(g, TestOptions(), 4);
   std::vector<NodeId> queries;
   for (NodeId u = 0; u < 16; ++u) queries.push_back(u);
 
   std::atomic<size_t> seen_a{0};
   std::atomic<size_t> seen_b{0};
   std::thread other([&] {
-    auto stats = ParallelQueryBatch(
-        executor, queries,
-        [&](NodeId, const SimPushResult&) { seen_a.fetch_add(1); });
+    auto stats = fan_out.Run(queries, [&](size_t, const SimPushResult&) {
+      seen_a.fetch_add(1);
+      return true;
+    });
     EXPECT_EQ(stats.queries_ok, queries.size());
   });
-  auto stats = ParallelQueryBatch(
-      executor, queries,
-      [&](NodeId, const SimPushResult&) { seen_b.fetch_add(1); });
+  auto stats = fan_out.Run(queries, [&](size_t, const SimPushResult&) {
+    seen_b.fetch_add(1);
+    return true;
+  });
   other.join();
   EXPECT_EQ(stats.queries_ok, queries.size());
   EXPECT_EQ(seen_a.load(), queries.size());
   EXPECT_EQ(seen_b.load(), queries.size());
-  EXPECT_EQ(executor.workspaces().outstanding(), 0u);
+  EXPECT_EQ(fan_out.workspaces.outstanding(), 0u);
 }
 
 #if defined(__SANITIZE_THREAD__)

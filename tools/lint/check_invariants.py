@@ -20,9 +20,9 @@ R2 zero-alloc-hot-path
     Hot-path engine files (the walk kernel and the per-query SimPush
     stages) must stay free of std::unordered_map and std::function:
     both allocate on use and defeat the zero-alloc steady state the
-    bench_micro allocs/query == 0 gauge enforces. The batch/parallel/
-    join fan-out layer is deliberately NOT in this set — std::function
-    is its API.
+    bench_micro allocs/query == 0 gauge enforces. The fan-out layer
+    (ParallelQueryBatch in parallel.*, and join.* on top of it) is
+    deliberately NOT in this set — std::function is its API.
 
 R3 failpoint-coverage
     Every SIMPUSH_FAILPOINT / FailpointRegistry::Register name in src/
@@ -70,7 +70,7 @@ RNG_BANNED = re.compile(
 )
 
 # R2: the hot-path engine set (per-query work; allocation-free once
-# warm). Fan-out layers (batch, parallel, join) are excluded by design.
+# warm). The fan-out layer (parallel, join) is excluded by design.
 HOT_PATH_STEMS = [
     "src/walk/",
     "src/simpush/source_graph",
