@@ -1081,9 +1081,11 @@ TEST(ServeStartup, FailedDefaultGraphSurfaces503) {
 
   EXPECT_FALSE(service.startup_status().ok());
   HttpRequest request;
-  EXPECT_EQ(service.HandleHealth(request).status, 503);
-  EXPECT_NE(service.HandleHealth(request).body.find("epsilon"),
-            std::string::npos);
+  const HttpResponse health = service.HandleHealth(request);
+  EXPECT_EQ(health.status, 503);
+  EXPECT_EQ(health.body,
+            R"g({"status":"unavailable","error":"InvalidArgument: epsilon must be in (0,1)"})g"
+            "\n");
   const HttpResponse stats = service.HandleStats(request);
   EXPECT_NE(stats.body.find("startup_error"), std::string::npos);
   // No default tenant: queries 404 rather than silently serving.
@@ -1126,12 +1128,15 @@ TEST(ServeZeroAlloc, QueryPathSteadyState) {
       << "steady-state serve query path allocated";
 }
 
-// Golden responses: the exact status and body of every /v1/query,
-// /v1/topk and /v1/batch shape, minus the timing fields, recorded on a
-// fresh service in a fixed order (the cache stamps depend on it). Any
-// refactor of the request pipeline must leave these bytes unchanged.
+// Golden responses: the exact status and body of every query and admin
+// endpoint shape, minus the timing fields, recorded on a fresh service
+// in a fixed order (the cache stamps, generations and counters depend
+// on it). Any refactor of the request pipeline must leave these bytes
+// unchanged. A GET /v1/stats row pins only the "requests" counter
+// object, which its body must contain.
 struct GoldenExchange {
-  const char* path;
+  const char* method;
+  const char* target;
   const char* request;
   int status;
   const char* body;
@@ -1140,123 +1145,257 @@ struct GoldenExchange {
 constexpr GoldenExchange kGoldenExchanges[] = {
     // /v1/query: full vector, cached repeat, top_k, with_stats, an ε
     // override and its cached repeat, an override equal to the tenant ε.
-    {"/v1/query", R"g({"node": 3})g", 200,
+    {"POST", "/v1/query", R"g({"node": 3})g", 200,
      R"g({"node":3,"graph":"default","generation":1,"epsilon":0.1,"scores":[0,0.11506539366070312,0.4023915120553125,1,0.05878707812718752,0,0,0,0,0]})g"},
-    {"/v1/query", R"g({"node": 3})g", 200,
+    {"POST", "/v1/query", R"g({"node": 3})g", 200,
      R"g({"node":3,"graph":"default","generation":1,"epsilon":0.1,"cached":true,"scores":[0,0.11506539366070312,0.4023915120553125,1,0.05878707812718752,0,0,0,0,0]})g"},
-    {"/v1/query", R"g({"node": 5, "top_k": 3})g", 200,
+    {"POST", "/v1/query", R"g({"node": 5, "top_k": 3})g", 200,
      R"g({"node":5,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":6,"score":0.3415175079178125},{"node":7,"score":0.17848684297888504},{"node":4,"score":0.17054208652754627}]})g"},
-    {"/v1/query", R"g({"node": 6, "with_stats": true})g", 200,
+    {"POST", "/v1/query", R"g({"node": 6, "with_stats": true})g", 200,
      R"g({"node":6,"graph":"default","generation":1,"epsilon":0.1,"scores":[0.003356619910312501,0,0,0,0.04183632570234376,0.34172560028437504,1,0.19608816486000005,0.010069859730937504,0],"stats":{"max_level":16,"num_attention":28,"walks_sampled":20000,"reverse_pushes":43,"total_ms":0}})g"},
-    {"/v1/query", R"g({"node": 3, "epsilon": 0.2})g", 200,
+    {"POST", "/v1/query", R"g({"node": 3, "epsilon": 0.2})g", 200,
      R"g({"node":3,"graph":"default","generation":1,"epsilon":0.2,"scores":[0,0.115171529625,0.4025857648125001,1,0.05887891777500001,0,0,0,0,0]})g"},
-    {"/v1/query", R"g({"node": 3, "epsilon": 0.2, "top_k": 2})g", 200,
+    {"POST", "/v1/query", R"g({"node": 3, "epsilon": 0.2, "top_k": 2})g", 200,
      R"g({"node":3,"graph":"default","generation":1,"epsilon":0.2,"cached":true,"top":[{"node":2,"score":0.4025857648125001},{"node":1,"score":0.115171529625}]})g"},
-    {"/v1/query", R"g({"node": 8, "top_k": 4, "with_stats": true, "epsilon": 0.1})g", 200,
+    {"POST", "/v1/query", R"g({"node": 8, "top_k": 4, "with_stats": true, "epsilon": 0.1})g", 200,
      R"g({"node":8,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":0,"score":0.269405439828575},{"node":9,"score":0.13974207557343754},{"node":1,"score":0.011655032565937504},{"node":6,"score":0.010926011737800006}],"stats":{"max_level":15,"num_attention":41,"walks_sampled":20000,"reverse_pushes":57,"total_ms":0}})g"},
     // /v1/topk: a cache hit (node 5 above) and a computed k.
-    {"/v1/topk", R"g({"node": 5})g", 200,
+    {"POST", "/v1/topk", R"g({"node": 5})g", 200,
      R"g({"node":5,"graph":"default","generation":1,"epsilon":0.1,"cached":true,"k":10,"top":[{"node":6,"score":0.3415175079178125},{"node":7,"score":0.17848684297888504},{"node":4,"score":0.17054208652754627}]})g"},
-    {"/v1/topk", R"g({"node": 7, "k": 2})g", 200,
+    {"POST", "/v1/topk", R"g({"node": 7, "k": 2})g", 200,
      R"g({"node":7,"graph":"default","generation":1,"epsilon":0.1,"k":2,"top":[{"node":6,"score":0.195847577090625},{"node":5,"score":0.178617090978885}]})g"},
     // /v1/batch with duplicate nodes.
-    {"/v1/batch", R"g({"nodes": [0, 4, 0, 9, 4], "k": 2})g", 200,
+    {"POST", "/v1/batch", R"g({"nodes": [0, 4, 0, 9, 4], "k": 2})g", 200,
      R"g({"graph":"default","generation":1,"k":2,"wall_ms":0,"nodes":5,"unique_nodes":3,"results":[{"node":0,"top":[{"node":9,"score":0.32672154086750005},{"node":8,"score":0.26891689344949626}]},{"node":4,"top":[{"node":5,"score":0.17209659154278753},{"node":7,"score":0.08142847131952502}]},{"node":0,"top":[{"node":9,"score":0.32672154086750005},{"node":8,"score":0.26891689344949626}]},{"node":9,"top":[{"node":0,"score":0.3267214363015625},{"node":8,"score":0.1393927635480469}]},{"node":4,"top":[{"node":5,"score":0.17209659154278753},{"node":7,"score":0.08142847131952502}]}]})g"},
     // /v1/query errors, including precedence: a malformed node beats an
     // unknown graph, an unknown graph beats an out-of-range node, the
     // range check beats the deadline and the deadline beats ε.
-    {"/v1/query", R"g({not json)g", 400,
+    {"POST", "/v1/query", R"g({not json)g", 400,
      R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
-    {"/v1/query", R"g([1, 2])g", 400,
+    {"POST", "/v1/query", R"g([1, 2])g", 400,
      R"g({"error":"request body must be a JSON object"})g"},
-    {"/v1/query", R"g({})g", 400,
+    {"POST", "/v1/query", R"g({})g", 400,
      R"g({"error":"missing \"node\" field"})g"},
-    {"/v1/query", R"g({"node": -1})g", 400,
+    {"POST", "/v1/query", R"g({"node": -1})g", 400,
      R"g({"error":"\"node\": expected a non-negative integer"})g"},
-    {"/v1/query", R"g({"node": 4294967301})g", 400,
+    {"POST", "/v1/query", R"g({"node": 4294967301})g", 400,
      R"g({"error":"node 4294967301 out of range [0, 10)"})g"},
-    {"/v1/query", R"g({"node": 1, "top_k": "x"})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "top_k": "x"})g", 400,
      R"g({"error":"\"top_k\": expected a number"})g"},
-    {"/v1/query", R"g({"node": "x", "top_k": -1})g", 400,
+    {"POST", "/v1/query", R"g({"node": "x", "top_k": -1})g", 400,
      R"g({"error":"\"node\": expected a number"})g"},
-    {"/v1/query", R"g({"node": 1, "graph": 7})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "graph": 7})g", 400,
      R"g({"error":"\"graph\" must be a string"})g"},
-    {"/v1/query", R"g({"node": 1, "graph": "nope"})g", 404,
+    {"POST", "/v1/query", R"g({"node": 1, "graph": "nope"})g", 404,
      R"g({"error":"no graph named \"nope\""})g"},
-    {"/v1/query", R"g({"node": 99, "graph": "nope"})g", 404,
+    {"POST", "/v1/query", R"g({"node": 99, "graph": "nope"})g", 404,
      R"g({"error":"no graph named \"nope\""})g"},
-    {"/v1/query", R"g({"node": -1, "graph": "nope"})g", 400,
+    {"POST", "/v1/query", R"g({"node": -1, "graph": "nope"})g", 400,
      R"g({"error":"\"node\": expected a non-negative integer"})g"},
-    {"/v1/query", R"g({"node": 10})g", 400,
+    {"POST", "/v1/query", R"g({"node": 10})g", 400,
      R"g({"error":"node 10 out of range [0, 10)"})g"},
-    {"/v1/query", R"g({"node": 10, "deadline_ms": 0})g", 400,
+    {"POST", "/v1/query", R"g({"node": 10, "deadline_ms": 0})g", 400,
      R"g({"error":"node 10 out of range [0, 10)"})g"},
-    {"/v1/query", R"g({"node": 1, "deadline_ms": 0})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "deadline_ms": 0})g", 400,
      R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
-    {"/v1/query", R"g({"node": 1, "deadline_ms": "x"})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "deadline_ms": "x"})g", 400,
      R"g({"error":"\"deadline_ms\": expected a number"})g"},
-    {"/v1/query", R"g({"node": 1, "deadline_ms": 0, "epsilon": 2})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "deadline_ms": 0, "epsilon": 2})g", 400,
      R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
-    {"/v1/query", R"g({"node": 1, "epsilon": 2})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "epsilon": 2})g", 400,
      R"g({"error":"\"epsilon\" must be in (0,1)"})g"},
-    {"/v1/query", R"g({"node": 1, "epsilon": 0.0001})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "epsilon": 0.0001})g", 400,
      R"g({"error":"\"epsilon\" below the server's floor (min_request_epsilon=0.001)"})g"},
-    {"/v1/query", R"g({"node": 1, "epsilon": "x"})g", 400,
+    {"POST", "/v1/query", R"g({"node": 1, "epsilon": "x"})g", 400,
      R"g({"error":"\"epsilon\": expected a number"})g"},
     // /v1/topk errors.
-    {"/v1/topk", R"g({not json)g", 400,
+    {"POST", "/v1/topk", R"g({not json)g", 400,
      R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
-    {"/v1/topk", R"g([1])g", 400,
+    {"POST", "/v1/topk", R"g([1])g", 400,
      R"g({"error":"request body must be a JSON object"})g"},
-    {"/v1/topk", R"g({})g", 400,
+    {"POST", "/v1/topk", R"g({})g", 400,
      R"g({"error":"missing \"node\" field"})g"},
-    {"/v1/topk", R"g({"node": 1, "k": -2})g", 400,
+    {"POST", "/v1/topk", R"g({"node": 1, "k": -2})g", 400,
      R"g({"error":"\"k\": expected a non-negative integer"})g"},
-    {"/v1/topk", R"g({"node": -1, "k": -2})g", 400,
+    {"POST", "/v1/topk", R"g({"node": -1, "k": -2})g", 400,
      R"g({"error":"\"node\": expected a non-negative integer"})g"},
-    {"/v1/topk", R"g({"node": 1, "graph": "nope"})g", 404,
+    {"POST", "/v1/topk", R"g({"node": 1, "graph": "nope"})g", 404,
      R"g({"error":"no graph named \"nope\""})g"},
-    {"/v1/topk", R"g({"node": 99, "graph": "nope"})g", 404,
+    {"POST", "/v1/topk", R"g({"node": 99, "graph": "nope"})g", 404,
      R"g({"error":"no graph named \"nope\""})g"},
-    {"/v1/topk", R"g({"node": 10})g", 400,
+    {"POST", "/v1/topk", R"g({"node": 10})g", 400,
      R"g({"error":"node 10 out of range [0, 10)"})g"},
-    {"/v1/topk", R"g({"node": 1, "deadline_ms": 999999})g", 400,
+    {"POST", "/v1/topk", R"g({"node": 1, "deadline_ms": 999999})g", 400,
      R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
-    {"/v1/topk", R"g({"node": 1, "epsilon": 0})g", 400,
+    {"POST", "/v1/topk", R"g({"node": 1, "epsilon": 0})g", 400,
      R"g({"error":"\"epsilon\" must be in (0,1)"})g"},
     // /v1/batch errors: the 413 beats a bad k, a bad k beats an unknown
     // graph, an unknown graph beats bad node entries.
-    {"/v1/batch", R"g({not json)g", 400,
+    {"POST", "/v1/batch", R"g({not json)g", 400,
      R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
-    {"/v1/batch", R"g([])g", 400,
+    {"POST", "/v1/batch", R"g([])g", 400,
      R"g({"error":"request body must be a JSON object"})g"},
-    {"/v1/batch", R"g({})g", 400,
+    {"POST", "/v1/batch", R"g({})g", 400,
      R"g({"error":"missing \"nodes\" array"})g"},
-    {"/v1/batch", R"g({"nodes": 3})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": 3})g", 400,
      R"g({"error":"missing \"nodes\" array"})g"},
-    {"/v1/batch", R"g({"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8]})g", 413,
+    {"POST", "/v1/batch", R"g({"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8]})g", 413,
      R"g({"error":"batch exceeds max_batch_nodes (8)"})g"},
-    {"/v1/batch", R"g({"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8], "k": -1})g", 413,
+    {"POST", "/v1/batch", R"g({"nodes": [0, 1, 2, 3, 4, 5, 6, 7, 8], "k": -1})g", 413,
      R"g({"error":"batch exceeds max_batch_nodes (8)"})g"},
-    {"/v1/batch", R"g({"nodes": [0], "k": "x"})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0], "k": "x"})g", 400,
      R"g({"error":"\"k\": expected a number"})g"},
-    {"/v1/batch", R"g({"nodes": [0], "k": -1, "graph": "nope"})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0], "k": -1, "graph": "nope"})g", 400,
      R"g({"error":"\"k\": expected a non-negative integer"})g"},
-    {"/v1/batch", R"g({"nodes": [0], "graph": 7})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0], "graph": 7})g", 400,
      R"g({"error":"\"graph\" must be a string"})g"},
-    {"/v1/batch", R"g({"nodes": [0], "graph": "nope"})g", 404,
+    {"POST", "/v1/batch", R"g({"nodes": [0], "graph": "nope"})g", 404,
      R"g({"error":"no graph named \"nope\""})g"},
-    {"/v1/batch", R"g({"nodes": [0, 99], "graph": "nope"})g", 404,
+    {"POST", "/v1/batch", R"g({"nodes": [0, 99], "graph": "nope"})g", 404,
      R"g({"error":"no graph named \"nope\""})g"},
-    {"/v1/batch", R"g({"nodes": [0, 99]})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0, 99]})g", 400,
      R"g({"error":"\"nodes\" entries must be node ids in [0, 10)"})g"},
-    {"/v1/batch", R"g({"nodes": [0, -1]})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0, -1]})g", 400,
      R"g({"error":"\"nodes\" entries must be node ids in [0, 10)"})g"},
-    {"/v1/batch", R"g({"nodes": [0, 99], "deadline_ms": 0})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0, 99], "deadline_ms": 0})g", 400,
      R"g({"error":"\"nodes\" entries must be node ids in [0, 10)"})g"},
-    {"/v1/batch", R"g({"nodes": [0], "deadline_ms": 0})g", 400,
+    {"POST", "/v1/batch", R"g({"nodes": [0], "deadline_ms": 0})g", 400,
      R"g({"error":"\"deadline_ms\" must be in [1, 60000]"})g"},
+    // The per-endpoint counters the query exchanges above leave behind.
+    {"GET", "/v1/stats", "", 200,
+     R"g("requests":{"query":7,"topk":2,"batch":1,"admin":0,"bad":44,"deadline_expired":0,"client_abandoned":0,"nodes_scored":14})g"},
+    {"GET", "/healthz", "", 200,
+     R"g({"status":"ok"})g"},
+    // POST /v1/graphs: inline creates (one with tenant options), then every
+    // rejection. The 413 beats bad edges, bad options beat the 403, a taken
+    // name beats the graph limit (max_graphs 3).
+    {"POST", "/v1/graphs", R"g({"name": "ring", "nodes": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})g", 201,
+     R"g({"graph":"ring","generation":2,"nodes":4,"edges":4,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000}})g"},
+    {"POST", "/v1/graphs", R"g({"name": "tiny", "nodes": 3, "edges": [[0, 1], [1, 2]], "options": {"epsilon": 0.2, "seed": 7}})g", 201,
+     R"g({"graph":"tiny","generation":3,"nodes":3,"edges":2,"options":{"epsilon":0.2,"decay":0.6,"delta":1e-04,"seed":7,"walk_budget_cap":20000}})g"},
+    {"POST", "/v1/graphs", R"g({oops)g", 400,
+     R"g({"error":"JSON parse error at byte 1: expected object key string"})g"},
+    {"POST", "/v1/graphs", R"g([])g", 400,
+     R"g({"error":"request body must be a JSON object"})g"},
+    {"POST", "/v1/graphs", R"g({"nodes": 2, "edges": []})g", 400,
+     R"g({"error":"missing \"name\" string field"})g"},
+    {"POST", "/v1/graphs", R"g({"name": 5, "nodes": 2, "edges": []})g", 400,
+     R"g({"error":"missing \"name\" string field"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "bad name", "nodes": 2, "edges": []})g", 400,
+     R"g({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "options": {"walk_cap": 5}})g", 400,
+     R"g({"error":"unknown option \"walk_cap\" (expected epsilon|decay|delta|seed|walk_budget_cap)"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "options": {"epsilon": 0.0001}})g", 400,
+     R"g({"error":"\"options.epsilon\" below the server's floor (min_request_epsilon=0.001)"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x"})g", 400,
+     R"g({"error":"InvalidArgument: provide either \"path\" (edge list or .spg) or \"nodes\"+\"edges\""})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "edges": []})g", 400,
+     R"g({"error":"inline graphs need a \"nodes\" count"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "nodes": 2, "edges": [[0]]})g", 400,
+     R"g({"error":"edge list entries must be [src,dst] pairs"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "nodes": 2, "edges": [[0, 5]]})g", 400,
+     R"g({"error":"InvalidArgument: edge endpoint out of range: 0->5 with n=2"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "path": "graphs/web.txt"})g", 403,
+     R"g({"error":"path-based graph creation is disabled (start with --allow-path-create 1, or send inline edges)"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "path": "graphs/web.txt", "options": {"epsilon": "x"}})g", 400,
+     R"g({"error":"\"options.epsilon\": expected a number"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "nodes": 1048577, "edges": []})g", 413,
+     R"g({"error":"inline graph exceeds max_inline_nodes (1048576); load large graphs via \"path\""})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "nodes": 1048577, "edges": [[0]]})g", 413,
+     R"g({"error":"inline graph exceeds max_inline_nodes (1048576); load large graphs via \"path\""})g"},
+    {"POST", "/v1/graphs", R"g({"name": "ring", "nodes": 2, "edges": []})g", 409,
+     R"g({"error":"graph \"ring\" already exists"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "third", "nodes": 2, "edges": []})g", 409,
+     R"g({"error":"graph limit reached (3)"})g"},
+    // GET /v1/graphs and GET /v1/graphs/{name}; the name check comes first.
+    {"GET", "/v1/graphs", "", 200,
+     R"g({"graphs":[{"name":"default","generation":1,"nodes":10,"edges":16,"pending_updates":0,"swap_count":1},{"name":"ring","generation":2,"nodes":4,"edges":4,"pending_updates":0,"swap_count":1},{"name":"tiny","generation":3,"nodes":3,"edges":2,"pending_updates":0,"swap_count":1}],"default_graph":"default"})g"},
+    {"GET", "/v1/graphs/ring", "", 200,
+     R"g({"graph":"ring","stats":{"generation":2,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":1,"delta_swaps":0,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":0,"nodes":4,"edges":4,"master_edges":4,"pool":{"capacity":2,"created":0,"outstanding":0},"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
+    {"GET", "/v1/graphs/nope", "", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    {"GET", "/v1/graphs/bad!name", "", 400,
+     R"g({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})g"},
+    // /edges: add, remove, an explicit swap, then the rejections
+    // (max_update_edges 4).
+    {"POST", "/v1/graphs/ring/edges", R"g({"add": [[0, 2]]})g", 200,
+     R"g({"graph":"ring","applied":1,"pending":1,"swapped":false,"generation":2})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"remove": [[3, 0]], "trace_id": "t-1"})g", 200,
+     R"g({"graph":"ring","applied":1,"pending":2,"swapped":false,"generation":2})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"add": [[2, 0]], "swap": true})g", 200,
+     R"g({"graph":"ring","applied":1,"pending":0,"swapped":true,"generation":6})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"add": [[1, 3]], "swap": false})g", 200,
+     R"g({"graph":"ring","applied":1,"pending":1,"swapped":false,"generation":6})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({})g", 400,
+     R"g({"error":"provide \"add\" and/or \"remove\" [src,dst] lists"})g"},
+    {"POST", "/v1/graphs/ring/edges", "", 400,
+     R"g({"error":"JSON parse error at byte 0: unexpected end of input"})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"remove": [[0, 3]]})g", 400,
+     R"g({"error":"batch rejected: update 0 rejected (no updates applied): edge not present"})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"add": [[0]]})g", 400,
+     R"g({"error":"edge list entries must be [src,dst] pairs"})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"add": [[0, 1], [0, 2], [0, 3]], "remove": [[1, 2], [2, 3]]})g", 413,
+     R"g({"error":"update exceeds max_update_edges (4)"})g"},
+    {"POST", "/v1/graphs/nope/edges", R"g({"add": [[0, 1]]})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    // /swap publishes a new generation, pending updates or not.
+    {"POST", "/v1/graphs/ring/swap", "", 200,
+     R"g({"graph":"ring","applied":0,"pending":0,"swapped":true,"generation":7})g"},
+    {"POST", "/v1/graphs/ring/swap", "", 200,
+     R"g({"graph":"ring","applied":0,"pending":0,"swapped":true,"generation":8})g"},
+    {"POST", "/v1/graphs/nope/swap", "", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    // PATCH /options replaces the tenant options.
+    {"PATCH", "/v1/graphs/tiny/options", R"g({"options": {"epsilon": 0.3}})g", 200,
+     R"g({"graph":"tiny","options":{"epsilon":0.3,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"swapped":true,"pending":0,"generation":9})g"},
+    {"PATCH", "/v1/graphs/tiny/options", R"g({})g", 400,
+     R"g({"error":"missing \"options\" object"})g"},
+    {"PATCH", "/v1/graphs/tiny/options", R"g({"options": {"decay": 0.9}})g", 400,
+     R"g({"error":"\"options.decay\" above the server default (0.6); raising the decay is operator-only"})g"},
+    {"PATCH", "/v1/graphs/tiny/options", R"g([1])g", 400,
+     R"g({"error":"request body must be a JSON object"})g"},
+    {"PATCH", "/v1/graphs/nope/options", R"g({"options": {"epsilon": 0.3}})g", 404,
+     R"g({"error":"no graph named \"nope\""})g"},
+    // Unknown operations and wrong methods; a bad name beats both.
+    {"POST", "/v1/graphs/ring/frob", R"g({})g", 404,
+     R"g({"error":"unknown graph operation \"frob\" (expected edges|swap|options)"})g"},
+    {"GET", "/v1/graphs/ring/edges", "", 405,
+     R"g({"error":"method not allowed"})g"},
+    {"GET", "/v1/graphs/ring/swap", "", 405,
+     R"g({"error":"method not allowed"})g"},
+    {"POST", "/v1/graphs/ring/options", R"g({})g", 405,
+     R"g({"error":"method not allowed"})g"},
+    {"PATCH", "/v1/graphs/ring", "", 405,
+     R"g({"error":"method not allowed"})g"},
+    {"POST", "/v1/graphs/bad!name/frob", R"g({})g", 400,
+     R"g({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})g"},
+    // DELETE /v1/graphs/{name}: 200, then 404 for the gone tenant.
+    {"DELETE", "/v1/graphs/tiny", "", 200,
+     R"g({"graph":"tiny","deleted":true})g"},
+    {"DELETE", "/v1/graphs/tiny", "", 404,
+     R"g({"error":"no graph named \"tiny\""})g"},
+    {"GET", "/v1/graphs/tiny", "", 404,
+     R"g({"error":"no graph named \"tiny\""})g"},
+    // The counters the admin exchanges above leave behind.
+    {"GET", "/v1/stats", "", 200,
+     R"g("requests":{"query":7,"topk":2,"batch":1,"admin":50,"bad":82,"deadline_expired":0,"client_abandoned":0,"nodes_scored":14})g"},
 };
+
+// Routes a request to the public handler the server's route table
+// sends it to (RegisterRoutes).
+HttpResponse Dispatch(SimPushService& service, const HttpRequest& request) {
+  const std::string_view target = request.target;
+  if (target == "/v1/query") return service.HandleQuery(request);
+  if (target == "/v1/topk") return service.HandleTopK(request);
+  if (target == "/v1/batch") return service.HandleBatch(request);
+  if (target == "/v1/stats") return service.HandleStats(request);
+  if (target == "/healthz") return service.HandleHealth(request);
+  if (target == "/v1/graphs") {
+    return request.method == "GET" ? service.HandleGraphList(request)
+                                   : service.HandleGraphCreate(request);
+  }
+  return service.HandleGraphOp(request);
+}
 
 TEST(ServeGolden, ResponseBytesArePinned) {
   Graph graph = testing_util::MakeFixtureGraph();
@@ -1264,30 +1403,30 @@ TEST(ServeGolden, ResponseBytesArePinned) {
   options.query = FastOptions();
   options.num_threads = 2;
   options.max_batch_nodes = 8;
+  options.max_update_edges = 4;
+  options.max_graphs = 3;
   SimPushService service(graph, options);
-  const std::regex timing("\"(total_ms|wall_ms|elapsed_ms)\":[-+0-9.eE]+");
+  const std::regex timing(
+      "\"(total_ms|wall_ms|elapsed_ms|last_swap_ms)\":[-+0-9.eE]+");
   for (const GoldenExchange& exchange : kGoldenExchanges) {
     HttpRequest request;
-    request.method = "POST";
-    request.target = exchange.path;
+    request.method = exchange.method;
+    request.target = exchange.target;
     request.body = exchange.request;
-    const std::string_view path = exchange.path;
-    const HttpResponse response =
-        path == "/v1/query"  ? service.HandleQuery(request)
-        : path == "/v1/topk" ? service.HandleTopK(request)
-                             : service.HandleBatch(request);
+    const HttpResponse response = Dispatch(service, request);
     EXPECT_EQ(response.status, exchange.status)
-        << exchange.path << " " << exchange.request;
+        << exchange.method << " " << exchange.target << " "
+        << exchange.request;
+    if (request.target == "/v1/stats") {
+      EXPECT_NE(response.body.find(exchange.body), std::string::npos)
+          << response.body;
+      continue;
+    }
     EXPECT_EQ(std::regex_replace(response.body, timing, "\"$1\":0"),
               std::string(exchange.body) + "\n")
-        << exchange.path << " " << exchange.request;
+        << exchange.method << " " << exchange.target << " "
+        << exchange.request;
   }
-  // The per-endpoint counters the exchanges above leave behind.
-  const std::string stats = service.HandleStats(HttpRequest{}).body;
-  EXPECT_NE(stats.find(
-                R"("requests":{"query":7,"topk":2,"batch":1,"admin":0,"bad":44,"deadline_expired":0,"client_abandoned":0,"nodes_scored":14})"),
-            std::string::npos)
-      << stats;
 }
 
 // ---------------------------------------------------------------------------
