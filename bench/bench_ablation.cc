@@ -1,4 +1,4 @@
-// Ablation study of SimPush's design choices (DESIGN.md §4):
+// Ablation study of SimPush's design choices (paper §5.2):
 //   (a) γ last-meeting correction on/off — off overestimates;
 //   (b) adaptive L detection vs always exploring L* — detection saves
 //       push levels with no accuracy loss;

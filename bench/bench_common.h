@@ -1,7 +1,7 @@
 // Shared utilities for the per-figure/table benchmark binaries.
 //
 // Each binary regenerates one table or figure of the paper on the
-// synthetic stand-in datasets (DESIGN.md §4). Output is printed as
+// synthetic stand-in datasets (eval/datasets.h). Output is printed as
 // aligned text tables: one row per (dataset, method, setting), matching
 // the series the paper plots.
 

@@ -37,7 +37,7 @@ int main() {
   options.epsilon = 0.01;
   options.delta = 1e-4;
   // Cap the worst-case level-detection walk formula for interactive
-  // latency (see DESIGN.md §6); accuracy is unaffected on this graph.
+  // latency; accuracy is unaffected on this graph.
   options.walk_budget_cap = 50000;
 
   // 3. Query. No index, no preprocessing. The engine is split into an

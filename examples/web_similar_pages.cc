@@ -27,7 +27,7 @@ int main() {
 
   SimPushOptions options;
   options.epsilon = 0.02;
-  options.walk_budget_cap = 100000;  // See DESIGN.md §6.
+  options.walk_budget_cap = 100000;  // Level-detection walk cap.
   // The serving shape: one immutable EngineCore shared by every request
   // thread, and a bounded pool of per-query workspaces. This stream is
   // single-threaded, so one pooled workspace serves every request; a

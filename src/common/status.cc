@@ -23,6 +23,14 @@ const char* CodeName(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kPermissionDenied:
+      return "PermissionDenied";
+    case StatusCode::kUnimplemented:
+      return "Unimplemented";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -25,6 +25,14 @@ enum class StatusCode {
   kInternal,
   kDeadlineExceeded,
   kCancelled,
+  /// The caller may not do this here (a disabled feature).
+  kPermissionDenied,
+  /// The operation exists but does not support this form of request.
+  kUnimplemented,
+  /// The request exceeds a configured size cap.
+  kResourceExhausted,
+  /// The service cannot serve at all right now.
+  kUnavailable,
 };
 
 /// Lightweight status object: OK carries no allocation.
@@ -65,6 +73,18 @@ class [[nodiscard]] Status {
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
+  }
+  static Status PermissionDenied(std::string msg) {
+    return Status(StatusCode::kPermissionDenied, std::move(msg));
+  }
+  static Status Unimplemented(std::string msg) {
+    return Status(StatusCode::kUnimplemented, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

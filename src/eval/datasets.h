@@ -2,8 +2,7 @@
 // datasets (Table 4). Real LAW/SNAP dumps are multi-GB downloads
 // unavailable offline; each stand-in matches the original's
 // directedness and degree character (power-law web/social structure)
-// at laptop scale. See DESIGN.md §3 for why this preserves the
-// evaluation's shape.
+// at laptop scale.
 
 #ifndef SIMPUSH_EVAL_DATASETS_H_
 #define SIMPUSH_EVAL_DATASETS_H_

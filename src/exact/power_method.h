@@ -2,7 +2,7 @@
 //   S_{k+1} = (c · Pᵀ S_k P) ∨ I,   S_0 = I,
 // where P is the column-normalized reverse transition matrix. Converges
 // geometrically with rate c; used as exact ground truth in tests and for
-// the small/medium benchmark stand-ins (DESIGN.md §3).
+// the small/medium benchmark stand-ins (eval/datasets.h).
 
 #ifndef SIMPUSH_EXACT_POWER_METHOD_H_
 #define SIMPUSH_EXACT_POWER_METHOD_H_

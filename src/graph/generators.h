@@ -1,5 +1,5 @@
 // Deterministic synthetic graph generators used as stand-ins for the
-// paper's web-scale datasets (see DESIGN.md §3) and by property tests.
+// paper's web-scale datasets (eval/datasets.h) and by property tests.
 
 #ifndef SIMPUSH_GRAPH_GENERATORS_H_
 #define SIMPUSH_GRAPH_GENERATORS_H_

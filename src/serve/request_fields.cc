@@ -59,6 +59,16 @@ StatusOr<uint64_t> OptionalIndex(const JsonValue& doc, std::string_view key,
   return index;
 }
 
+StatusOr<bool> OptionalBool(const JsonValue& doc, std::string_view key,
+                            bool fallback) {
+  const JsonValue* field = doc.Find(key);
+  if (field == nullptr) return fallback;
+  if (!field->is_bool()) {
+    return Status::InvalidArgument(Quoted(key) + ": expected a boolean");
+  }
+  return field->bool_value();
+}
+
 Status ReadEdgePairs(const JsonValue& field, EdgeUpdate::Kind kind,
                      std::vector<EdgeUpdate>* updates) {
   if (!field.is_array()) {

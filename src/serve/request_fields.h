@@ -27,6 +27,12 @@ StatusOr<uint64_t> RequireIndex(const JsonValue& doc, std::string_view key);
 StatusOr<uint64_t> OptionalIndex(const JsonValue& doc, std::string_view key,
                                  uint64_t fallback);
 
+/// Reads an optional boolean flag with a default. Any other JSON kind is
+/// an error naming the field: a mistyped flag ("true" as a string) must
+/// not silently read as false.
+StatusOr<bool> OptionalBool(const JsonValue& doc, std::string_view key,
+                            bool fallback);
+
 /// Reads the optional per-request "deadline_ms" budget. Absent →
 /// `default_ms` (0 = no deadline). Present → an integer in [1, max_ms];
 /// the field is network-controlled, so values above the operator cap are

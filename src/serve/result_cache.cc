@@ -33,8 +33,6 @@ uint64_t CanonicalBits(double d) {
 
 uint64_t OptionsFingerprint(const SimPushOptions& options) {
   // Exactly the score-affecting fields, in a fixed order.
-  // walk_wave_size is EXCLUDED: it is a scheduling knob that is
-  // bit-invisible to results (walk/walk_batch.h determinism contract).
   uint64_t h = 0x53696D5075736821ULL;  // "SimPush!"
   h = HashCombine(h, CanonicalBits(options.decay));
   h = HashCombine(h, CanonicalBits(options.epsilon));

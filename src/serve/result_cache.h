@@ -18,10 +18,7 @@
 // fingerprint canonicalizes the *effective* options: the tenant's
 // options merged with any per-request ε override, hashed over exactly
 // the score-affecting fields (ε, c, δ, seed, walk cap, level
-// detection, gamma correction). walk_wave_size is deliberately
-// excluded: it is a scheduling knob that is bit-invisible to results
-// (see walk/walk_batch.h), so two requests differing only in wave
-// size MUST share an entry. A request that explicitly passes the
+// detection, gamma correction). A request that explicitly passes the
 // tenant's own ε fingerprints identically to one that passes none —
 // default-vs-explicit options are the same key by construction.
 //
@@ -68,7 +65,6 @@ namespace serve {
 /// score vectors on the same generation; option sets differing in any
 /// score-affecting field fingerprint differently (up to 64-bit hash
 /// collisions, which the bit-reproducibility tests would surface).
-/// walk_wave_size is excluded on purpose: it is bit-invisible.
 uint64_t OptionsFingerprint(const SimPushOptions& options);
 
 /// Lifetime cache counters, shared across a tenant's generations so

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -23,32 +24,27 @@ namespace serve {
 
 namespace {
 
-// Builds {"error": message} with a trailing newline (curl-friendly).
-HttpResponse JsonError(int status, std::string_view message) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("error");
-  writer.String(message);
-  writer.EndObject();
+// Largest node count an inline POST /v1/graphs create may name: without
+// a cap a 60-byte request naming 2^32 nodes would allocate tens of GB
+// of CSR offsets. Large graphs load via "path".
+constexpr uint64_t kMaxInlineNodes = 1u << 20;
+
+// The {name} operations of the admin API: the route rows whose path
+// starts with this are HandleGraphOp's, served under kGraphsPrefix.
+constexpr std::string_view kNamedGraph = "/v1/graphs/{name}";
+constexpr std::string_view kGraphsPrefix = "/v1/graphs/";
+
+constexpr std::string_view kBadGraphName =
+    "graph name must be 1-64 chars of [A-Za-z0-9._-]";
+
+// The one finisher: every response body is a JsonWriter's document plus
+// a trailing newline (curl-friendly).
+HttpResponse Finish(JsonWriter* writer, int status) {
   HttpResponse response;
   response.status = status;
-  response.body = writer.Take();
+  response.body = writer->Take();
   response.body.push_back('\n');
   return response;
-}
-
-// Maps a registry Status onto the admin API's HTTP vocabulary.
-int StatusToHttp(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kNotFound: return 404;
-    case StatusCode::kFailedPrecondition: return 409;  // name taken
-    case StatusCode::kOutOfRange: return 409;          // graph limit
-    default: return 400;
-  }
-}
-
-HttpResponse JsonError(const Status& status) {
-  return JsonError(StatusToHttp(status), status.message());
 }
 
 void WriteTopEntries(JsonWriter* writer,
@@ -109,32 +105,6 @@ void WritePoolGauges(JsonWriter* writer, const TenantStats& stats) {
   writer->EndObject();
 }
 
-// 504/499 body: the error plus partial timing, so a client (or its
-// operator) can see how far past the budget the query got and which
-// generation it ran against.
-HttpResponse TimeoutError(int status, std::string_view message,
-                          double elapsed_ms, int64_t deadline_ms,
-                          std::string_view graph, uint64_t generation) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("error");
-  writer.String(message);
-  writer.Key("elapsed_ms");
-  writer.Double(elapsed_ms);
-  writer.Key("deadline_ms");
-  writer.Uint(deadline_ms > 0 ? static_cast<uint64_t>(deadline_ms) : 0);
-  writer.Key("graph");
-  writer.String(graph);
-  writer.Key("generation");
-  writer.Uint(generation);
-  writer.EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
-}
-
 // Writes the epsilon/decay/delta/seed/walk_budget_cap members into the
 // writer's currently-open object — the one field list shared by the
 // process-default and per-tenant options sections of /v1/stats, so the
@@ -154,7 +124,7 @@ void WriteEngineOptionFields(JsonWriter* writer,
 }
 
 // The same fields as a complete object (per-tenant sections, the
-// graph-create echo).
+// graph-create and options echoes).
 void WriteEngineOptions(JsonWriter* writer, const SimPushOptions& options) {
   writer->BeginObject();
   WriteEngineOptionFields(writer, options);
@@ -175,192 +145,722 @@ RegistryOptions ToRegistryOptions(const ServiceOptions& options) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// The query pipeline. /v1/query, /v1/topk and /v1/batch run one chain —
-// parse → decode → lease → bind nodes → deadline → cancel token → run →
-// error mapping → counters → encode → latency — and differ only in the
-// decode and encode hooks of their kQueryEndpoints row.
+// The route table. Every route is a row: the request line it answers,
+// the counter it bumps, and its decode (read the request's fields),
+// run (act on them) and encode (write the response members) steps.
+// Serve runs every row the same way; ErrorResponse is the one way out
+// for a failed step.
 // ---------------------------------------------------------------------------
 
-// One query-endpoint request as it moves through the pipeline.
-struct QueryCall {
-  // Decoded before the lease.
+// One request as it moves through the route shell. Each route uses the
+// members its steps name; the rest stay empty.
+struct SimPushService::Call {
+  explicit Call(const HttpRequest& http) : request(http) {}
+
+  const HttpRequest& request;
+  Timer wall;          // Started when the shell took the request.
+  JsonValue doc;       // The parsed body, for routes that take one.
+  std::string graph;   // The tenant addressed.
+  std::string_view op;  // The /v1/graphs/{name}/op operation, if any.
+
+  // Query endpoints, decoded before the lease...
   uint64_t node = 0;                     // /v1/query, /v1/topk.
   const JsonValue* node_list = nullptr;  // /v1/batch: the "nodes" array.
   uint64_t k = 0;  // /v1/query: top_k (0 = full score vector); else k.
   bool with_stats = false;
-  // Resolved against the leased generation.
-  std::string graph_name;
+  // ...resolved against the leased generation...
   GenerationLease generation;
+  std::shared_ptr<TenantMetrics> metrics;
+  int64_t deadline_ms = 0;
   std::vector<NodeId> nodes;  // One per requested position.
-  // Run output of a single query (node_list == nullptr)...
+  // ...and run: a single query's scores...
   const SimPushResult* result = nullptr;
   double epsilon = 0;  // The ε that produced `result`.
   bool cached = false;
-  // ...or of a batch: one entry per distinct node, fanned back to the
+  // ...or a batch: one entry per distinct node, fanned back to the
   // requested positions through slot.
   std::vector<BatchTopKResult> batch;
   std::vector<size_t> slot;
   double wall_ms = 0;
+
+  // Admin endpoints.
+  SimPushOptions options;  // Create and PATCH options: merged options.
+  const JsonValue* path = nullptr;  // Create: a server-local graph file,
+  bool undirected = false;
+  bool inline_graph = false;        // ...or inline "nodes" + "edges".
+  uint64_t num_nodes = 0;
+  std::vector<EdgeUpdate> edges;    // Create's inline edges; /edges.
+  bool force_swap = false;
+  std::optional<TenantStats> stats;  // Create: the new tenant.
+  UpdateOutcome outcome;             // /edges, /swap, PATCH options.
 };
 
-namespace {
-
-// An endpoint's hooks: decode reads its fields before the lease (a
-// kOutOfRange status answers 413, any other 400); encode writes its
-// response members.
-struct QueryEndpoint {
+// One row of the route table: the request line it answers, the counter
+// it bumps, and its steps. A null step is skipped.
+struct SimPushService::Route {
+  const char* method;
   const char* path;
-  Status (*decode)(const JsonValue& doc, const ServiceOptions& options,
-                   QueryCall* call);
-  void (*encode)(const QueryCall& call, JsonWriter* writer);
-};
+  Counter counter;
+  // Decode reads a JSON object body; rows without one take no body.
+  Status (*decode)(const ServiceOptions& options, Call* call);
+  Status (*run)(SimPushService& service, Call* call);
+  void (*encode)(SimPushService& service, const Call& call,
+                 JsonWriter* writer);
+  int ok_status = 200;
 
-Status DecodeQuery(const JsonValue& doc, const ServiceOptions&,
-                   QueryCall* call) {
-  SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(doc, "node"));
-  SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(doc, "top_k", 0));
-  if (const JsonValue* field = doc.Find("with_stats")) {
-    call->with_stats = field->is_bool() && field->bool_value();
+  static const Route kTable[];
+  // HandleGraphOp's rows for a {name} target no table row serves: an
+  // operation the table lacks (404) or lacks for this method (405).
+  static const Route kUnknownOp;
+  static const Route kWrongMethod;
+
+  static const Route& Find(std::string_view method, std::string_view path);
+  bool OnNamedGraph() const {
+    return std::string_view(path).starts_with(kNamedGraph);
   }
-  return Status::OK();
-}
 
-Status DecodeTopK(const JsonValue& doc, const ServiceOptions&,
-                  QueryCall* call) {
-  SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(doc, "node"));
-  SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(doc, "k", 10));
-  return Status::OK();
-}
-
-Status DecodeBatch(const JsonValue& doc, const ServiceOptions& options,
-                   QueryCall* call) {
-  call->node_list = doc.Find("nodes");
-  if (call->node_list == nullptr || !call->node_list->is_array()) {
-    return Status::InvalidArgument("missing \"nodes\" array");
-  }
-  if (call->node_list->array_items().size() > options.max_batch_nodes) {
-    return Status::OutOfRange("batch exceeds max_batch_nodes (" +
-                              std::to_string(options.max_batch_nodes) + ")");
-  }
-  SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(doc, "k", 10));
-  return Status::OK();
-}
-
-// Range-checks the requested ids against the leased graph before
-// narrowing them to NodeId — a 64-bit id must not wrap into a valid node
-// and silently answer for the wrong vertex.
-Status BindNodes(const Graph& graph, QueryCall* call) {
-  const uint64_t n = graph.num_nodes();
-  if (call->node_list == nullptr) {
-    if (call->node >= n) {
-      return Status::InvalidArgument("node " + std::to_string(call->node) +
-                                     " out of range [0, " +
-                                     std::to_string(n) + ")");
+  // Every step before encode, in order; the first failure ends the
+  // request.
+  Status Apply(SimPushService& service, Call* call) const {
+    if (OnNamedGraph() && !IsValidGraphName(call->graph)) {
+      return Status::InvalidArgument(std::string(kBadGraphName));
     }
-    call->nodes.push_back(static_cast<NodeId>(call->node));
+    if (decode != nullptr) {
+      SIMPUSH_ASSIGN_OR_RETURN(call->doc, ParseJson(call->request.body));
+      if (!call->doc.is_object()) {
+        return Status::InvalidArgument("request body must be a JSON object");
+      }
+      SIMPUSH_RETURN_NOT_OK(decode(service.options_, call));
+    }
+    return run == nullptr ? Status::OK() : run(service, call);
+  }
+
+  // -------------------------------------------------------------------------
+  // The query endpoints: /v1/query, /v1/topk and /v1/batch differ only in
+  // decode and encode. Their run is one chain: lease → bind nodes →
+  // deadline → cancel token → score → per-tenant counters.
+  // -------------------------------------------------------------------------
+
+  static Status DecodeQuery(const ServiceOptions&, Call* call) {
+    SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(call->doc, "node"));
+    SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(call->doc, "top_k", 0));
+    SIMPUSH_ASSIGN_OR_RETURN(call->with_stats,
+                             OptionalBool(call->doc, "with_stats", false));
     return Status::OK();
   }
-  call->nodes.reserve(call->node_list->array_items().size());
-  for (const JsonValue& item : call->node_list->array_items()) {
-    auto node = item.AsIndex();
-    if (!node.ok() || *node >= n) {
-      return Status::InvalidArgument(
-          "\"nodes\" entries must be node ids in [0, " + std::to_string(n) +
-          ")");
+
+  static Status DecodeTopK(const ServiceOptions&, Call* call) {
+    SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(call->doc, "node"));
+    SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(call->doc, "k", 10));
+    return Status::OK();
+  }
+
+  static Status DecodeBatch(const ServiceOptions& options, Call* call) {
+    call->node_list = call->doc.Find("nodes");
+    if (call->node_list == nullptr || !call->node_list->is_array()) {
+      return Status::InvalidArgument("missing \"nodes\" array");
     }
-    call->nodes.push_back(static_cast<NodeId>(*node));
+    if (call->node_list->array_items().size() > options.max_batch_nodes) {
+      return Status::ResourceExhausted(
+          "batch exceeds max_batch_nodes (" +
+          std::to_string(options.max_batch_nodes) + ")");
+    }
+    SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(call->doc, "k", 10));
+    return Status::OK();
   }
-  return Status::OK();
-}
 
-// The members /v1/query and /v1/topk responses open with.
-void EncodeSingleHead(const QueryCall& call, JsonWriter* writer) {
-  writer->Key("node");
-  writer->Uint(call.node);
-  writer->Key("graph");
-  writer->String(call.graph_name);
-  writer->Key("generation");
-  writer->Uint(call.generation->id());
-  // The ε that actually produced these scores: request override >
-  // tenant options (never the process-wide default).
-  writer->Key("epsilon");
-  writer->Double(call.epsilon);
-  // Stamped only when served from the result cache; the scores are
-  // byte-identical to a computed response either way.
-  if (call.cached) {
-    writer->Key("cached");
-    writer->Bool(true);
+  // Range-checks the requested ids against the leased graph before
+  // narrowing them to NodeId — a 64-bit id must not wrap into a valid
+  // node and silently answer for the wrong vertex.
+  static Status BindNodes(const Graph& graph, Call* call) {
+    const uint64_t n = graph.num_nodes();
+    if (call->node_list == nullptr) {
+      if (call->node >= n) {
+        return Status::InvalidArgument("node " + std::to_string(call->node) +
+                                       " out of range [0, " +
+                                       std::to_string(n) + ")");
+      }
+      call->nodes.push_back(static_cast<NodeId>(call->node));
+      return Status::OK();
+    }
+    call->nodes.reserve(call->node_list->array_items().size());
+    for (const JsonValue& item : call->node_list->array_items()) {
+      auto node = item.AsIndex();
+      if (!node.ok() || *node >= n) {
+        return Status::InvalidArgument(
+            "\"nodes\" entries must be node ids in [0, " + std::to_string(n) +
+            ")");
+      }
+      call->nodes.push_back(static_cast<NodeId>(*node));
+    }
+    return Status::OK();
   }
-}
 
-void EncodeQuery(const QueryCall& call, JsonWriter* writer) {
-  EncodeSingleHead(call, writer);
-  const SimPushResult& result = *call.result;
-  if (call.k > 0) {
+  static Status RunQuery(SimPushService& service, Call* call) {
+    // The tenant: the "graph" field, or the default.
+    call->graph = service.options_.default_graph;
+    if (const JsonValue* field = call->doc.Find("graph")) {
+      if (!field->is_string()) {
+        return Status::InvalidArgument("\"graph\" must be a string");
+      }
+      call->graph = field->string_value();
+    }
+    SIMPUSH_ASSIGN_OR_RETURN(call->generation,
+                             service.registry_.Lease(call->graph));
+    SIMPUSH_RETURN_NOT_OK(BindNodes(call->generation->graph(), call));
+    SIMPUSH_ASSIGN_OR_RETURN(
+        call->deadline_ms,
+        ReadDeadlineMs(call->doc, service.options_.request_timeout_ms,
+                       service.options_.max_deadline_ms));
+
+    // Token before guard: the guard must die first (it unregisters the
+    // raw token pointer from the watcher's poll set).
+    CancelToken token(Deadline::After(call->deadline_ms));
+    const auto watch = service.watcher_.Watch(call->request.client_fd, &token);
+    call->metrics = service.FindMetrics(call->graph);
+    SIMPUSH_RETURN_NOT_OK(call->node_list == nullptr
+                              ? ScoreOne(service, call, &token)
+                              : ScoreBatch(service, call, &token));
+    service.nodes_scored_.fetch_add(call->nodes.size());
+    if (call->metrics != nullptr) {
+      call->metrics->requests.fetch_add(1);
+      call->metrics->nodes_scored.fetch_add(call->nodes.size());
+    }
+    return Status::OK();
+  }
+
+  // One query through ServeOne, with the optional bounded "epsilon"
+  // override.
+  static Status ScoreOne(SimPushService& service, Call* call,
+                         const CancelToken* cancel) {
+    const GraphGeneration& generation = *call->generation;
+    std::optional<double> epsilon;
+    SIMPUSH_RETURN_NOT_OK(ReadEpsilonOverride(
+        call->doc, service.options_.min_request_epsilon, &epsilon));
+    call->epsilon = epsilon.value_or(generation.core().options().epsilon);
+    // Reused per HTTP worker thread: after warm-up the pooled path
+    // performs zero heap allocations. Override requests run off this hot
+    // path by design (fresh core + private workspace) and may allocate.
+    static thread_local SimPushResult result;
+    call->result = &result;
+    return service.ServeOne(generation, call->nodes[0], epsilon, &result,
+                            cancel, &call->cached);
+  }
+
+  // The deduplicated /v1/batch fan-out through ParallelQueryBatchTopK.
+  static Status ScoreBatch(SimPushService& service, Call* call,
+                           const CancelToken* cancel) {
+    // Deduplicate repeated sources: each distinct node is scored once and
+    // its result fanned back to every position that asked for it — sound
+    // for the same reason the cache is (scores are a pure function of
+    // (generation, options, node)). slot[i] maps input position i to its
+    // entry in unique_nodes, which preserves first-occurrence order.
+    std::vector<NodeId> unique_nodes;
+    call->slot.resize(call->nodes.size());
+    {
+      std::unordered_map<NodeId, size_t> first_index;
+      first_index.reserve(call->nodes.size());
+      unique_nodes.reserve(call->nodes.size());
+      for (size_t i = 0; i < call->nodes.size(); ++i) {
+        const auto [it, inserted] =
+            first_index.emplace(call->nodes[i], unique_nodes.size());
+        if (inserted) unique_nodes.push_back(call->nodes[i]);
+        call->slot[i] = it->second;
+      }
+    }
+
+    // Fan out across the registry's shared thread pool, one workspace
+    // from this generation's pool per chunk, results in input order. The
+    // lease pins the generation for the whole fan-out, so every chunk
+    // scores the same graph even if a swap lands mid-batch. A fired
+    // token stops chunks between queries and inside each query's push
+    // loops.
+    const GraphGeneration& generation = *call->generation;
+    ParallelBatchStats stats;
+    auto results = ParallelQueryBatchTopK(
+        generation.core(), service.registry_.thread_pool(),
+        generation.workspaces(), unique_nodes, call->k, &stats, cancel);
+    if (!results.ok()) {
+      // A fired token keeps its 504/499 mapping; any other failure
+      // answers 400 with the full status text.
+      const StatusCode code = results.status().code();
+      if (code == StatusCode::kCancelled ||
+          code == StatusCode::kDeadlineExceeded) {
+        return results.status();
+      }
+      return Status::InvalidArgument(results.status().ToString());
+    }
+    service.engine_query_nanos_.fetch_add(
+        static_cast<uint64_t>(stats.cpu_query_seconds * 1e9));
+    service.engine_walks_.fetch_add(stats.walks_sampled);
+    call->wall_ms = stats.wall_seconds * 1e3;
+    call->batch = *std::move(results);
+    return Status::OK();
+  }
+
+  // The members /v1/query and /v1/topk responses open with.
+  static void EncodeSingleHead(const Call& call, JsonWriter* writer) {
+    writer->Key("node");
+    writer->Uint(call.node);
+    writer->Key("graph");
+    writer->String(call.graph);
+    writer->Key("generation");
+    writer->Uint(call.generation->id());
+    // The ε that actually produced these scores: request override >
+    // tenant options (never the process-wide default).
+    writer->Key("epsilon");
+    writer->Double(call.epsilon);
+    // Stamped only when served from the result cache; the scores are
+    // byte-identical to a computed response either way.
+    if (call.cached) {
+      writer->Key("cached");
+      writer->Bool(true);
+    }
+  }
+
+  static void EncodeQuery(SimPushService&, const Call& call,
+                          JsonWriter* writer) {
+    EncodeSingleHead(call, writer);
+    const SimPushResult& result = *call.result;
+    if (call.k > 0) {
+      writer->Key("top");
+      WriteTopEntries(writer,
+                      SelectTopK(result.scores, call.k, call.nodes[0]));
+    } else {
+      writer->Key("scores");
+      writer->BeginArray();
+      for (const double score : result.scores) writer->Double(score);
+      writer->EndArray();
+    }
+    if (call.with_stats) {
+      writer->Key("stats");
+      WriteQueryStats(writer, result.stats);
+    }
+  }
+
+  static void EncodeTopK(SimPushService&, const Call& call,
+                         JsonWriter* writer) {
+    EncodeSingleHead(call, writer);
+    writer->Key("k");
+    writer->Uint(call.k);
     writer->Key("top");
-    WriteTopEntries(writer, SelectTopK(result.scores, call.k, call.nodes[0]));
-  } else {
-    writer->Key("scores");
+    WriteTopEntries(writer,
+                    SelectTopK(call.result->scores, call.k, call.nodes[0]));
+  }
+
+  static void EncodeBatch(SimPushService&, const Call& call,
+                          JsonWriter* writer) {
+    writer->Key("graph");
+    writer->String(call.graph);
+    writer->Key("generation");
+    writer->Uint(call.generation->id());
+    writer->Key("k");
+    writer->Uint(call.k);
+    writer->Key("wall_ms");
+    writer->Double(call.wall_ms);
+    // How much the dedup saved is visible per response: M ≤ N distinct
+    // sources were actually scored for the N requested positions.
+    writer->Key("nodes");
+    writer->Uint(call.nodes.size());
+    writer->Key("unique_nodes");
+    writer->Uint(call.batch.size());
+    writer->Key("results");
     writer->BeginArray();
-    for (const double score : result.scores) writer->Double(score);
+    for (const size_t slot : call.slot) {
+      writer->BeginObject();
+      writer->Key("node");
+      writer->Uint(call.batch[slot].query);
+      writer->Key("top");
+      WriteTopEntries(writer, call.batch[slot].topk);
+      writer->EndObject();
+    }
     writer->EndArray();
   }
-  if (call.with_stats) {
+
+  // -------------------------------------------------------------------------
+  // Probes: /v1/stats and /healthz.
+  // -------------------------------------------------------------------------
+
+  static void EncodeStats(SimPushService& service, const Call&,
+                          JsonWriter* writer) {
+    service.WriteStats(writer);
+  }
+
+  // A failed default-graph install must fail the liveness probe: a
+  // server whose configured graph never loaded should be restarted (or
+  // repaired over /v1/graphs), not kept in a load balancer rotation.
+  static Status RunHealth(SimPushService& service, Call*) {
+    const Status startup = service.startup_status();
+    return startup.ok() ? startup : Status::Unavailable(startup.ToString());
+  }
+
+  static void EncodeHealth(SimPushService&, const Call&, JsonWriter* writer) {
+    writer->Key("status");
+    writer->String("ok");
+  }
+
+  // -------------------------------------------------------------------------
+  // The admin endpoints: /v1/graphs and the {name} operations.
+  // -------------------------------------------------------------------------
+
+  static void EncodeGraphList(SimPushService& service, const Call&,
+                              JsonWriter* writer) {
+    writer->Key("graphs");
+    writer->BeginArray();
+    for (const std::string& name : service.registry_.Names()) {
+      auto stats = service.registry_.Stats(name);
+      if (!stats.ok()) continue;  // Raced with a DELETE.
+      writer->BeginObject();
+      writer->Key("name");
+      writer->String(name);
+      writer->Key("generation");
+      writer->Uint(stats->generation);
+      writer->Key("nodes");
+      writer->Uint(stats->num_nodes);
+      writer->Key("edges");
+      writer->Uint(stats->num_edges);
+      writer->Key("pending_updates");
+      writer->Uint(stats->pending_updates);
+      writer->Key("swap_count");
+      writer->Uint(stats->swap_count);
+      writer->EndObject();
+    }
+    writer->EndArray();
+    writer->Key("default_graph");
+    writer->String(service.options_.default_graph);
+  }
+
+  static Status DecodeCreate(const ServiceOptions& options, Call* call) {
+    const JsonValue& doc = call->doc;
+    const JsonValue* name = doc.Find("name");
+    if (name == nullptr || !name->is_string()) {
+      return Status::InvalidArgument("missing \"name\" string field");
+    }
+    call->graph = name->string_value();
+    if (!IsValidGraphName(call->graph)) {
+      return Status::InvalidArgument(std::string(kBadGraphName));
+    }
+    // Per-tenant engine options: unspecified fields inherit the process
+    // defaults; validation failures 400 before any graph is built.
+    call->options = options.query;
+    SIMPUSH_RETURN_NOT_OK(ReadTenantOptions(doc, options.min_request_epsilon,
+                                            &call->options));
+    const JsonValue* path = doc.Find("path");
+    const JsonValue* edges = doc.Find("edges");
+    if (path != nullptr && path->is_string()) {
+      SIMPUSH_ASSIGN_OR_RETURN(call->undirected,
+                               OptionalBool(doc, "undirected", false));
+      if (!options.allow_path_create) {
+        return Status::PermissionDenied(
+            "path-based graph creation is disabled (start with "
+            "--allow-path-create 1, or send inline edges)");
+      }
+      call->path = path;
+      return Status::OK();
+    }
+    if (edges == nullptr) return Status::OK();  // Run names the shapes.
+    auto nodes = RequireIndex(doc, "nodes");
+    if (!nodes.ok() || *nodes >= kInvalidNode) {
+      return Status::InvalidArgument("inline graphs need a \"nodes\" count");
+    }
+    if (*nodes > kMaxInlineNodes) {
+      return Status::ResourceExhausted(
+          "inline graph exceeds max_inline_nodes (" +
+          std::to_string(kMaxInlineNodes) +
+          "); load large graphs via \"path\"");
+    }
+    call->inline_graph = true;
+    call->num_nodes = *nodes;
+    return ReadEdgePairs(*edges, EdgeUpdate::Kind::kInsert, &call->edges);
+  }
+
+  static Status RunCreate(SimPushService& service, Call* call) {
+    StatusOr<Graph> graph = Status::InvalidArgument(
+        "provide either \"path\" (edge list or .spg) or \"nodes\"+\"edges\"");
+    if (call->path != nullptr) {
+      EdgeListOptions load_options;
+      load_options.undirected = call->undirected;
+      graph = LoadGraphAnyFormat(call->path->string_value(), load_options);
+    } else if (call->inline_graph) {
+      GraphBuilder builder(static_cast<NodeId>(call->num_nodes));
+      for (const EdgeUpdate& edge : call->edges) {
+        builder.AddEdge(edge.src, edge.dst);
+      }
+      graph = std::move(builder).Build(/*dedupe=*/false);
+    }
+    if (!graph.ok()) return Status::InvalidArgument(graph.status().ToString());
+    SIMPUSH_RETURN_NOT_OK(
+        service.AddGraph(call->graph, *std::move(graph), call->options));
+    if (auto stats = service.registry_.Stats(call->graph); stats.ok()) {
+      call->stats = *std::move(stats);
+    }
+    return Status::OK();
+  }
+
+  static void EncodeCreate(SimPushService&, const Call& call,
+                           JsonWriter* writer) {
+    writer->Key("graph");
+    writer->String(call.graph);
+    if (call.stats.has_value()) {
+      writer->Key("generation");
+      writer->Uint(call.stats->generation);
+      writer->Key("nodes");
+      writer->Uint(call.stats->num_nodes);
+      writer->Key("edges");
+      writer->Uint(call.stats->num_edges);
+    }
+    // Echo the effective engine options so a client can confirm what the
+    // tenant will actually run with (defaults merged in).
+    writer->Key("options");
+    WriteEngineOptions(writer, call.options);
+  }
+
+  static Status RunGraphGet(SimPushService& service, Call* call) {
+    return service.registry_.Stats(call->graph).status();
+  }
+
+  static void EncodeGraphGet(SimPushService& service, const Call& call,
+                             JsonWriter* writer) {
+    writer->Key("graph");
+    writer->String(call.graph);
     writer->Key("stats");
-    WriteQueryStats(writer, result.stats);
+    service.WriteTenantSection(writer, call.graph);
   }
-}
 
-void EncodeTopK(const QueryCall& call, JsonWriter* writer) {
-  EncodeSingleHead(call, writer);
-  writer->Key("k");
-  writer->Uint(call.k);
-  writer->Key("top");
-  WriteTopEntries(writer,
-                  SelectTopK(call.result->scores, call.k, call.nodes[0]));
-}
-
-void EncodeBatch(const QueryCall& call, JsonWriter* writer) {
-  writer->Key("graph");
-  writer->String(call.graph_name);
-  writer->Key("generation");
-  writer->Uint(call.generation->id());
-  writer->Key("k");
-  writer->Uint(call.k);
-  writer->Key("wall_ms");
-  writer->Double(call.wall_ms);
-  // How much the dedup saved is visible per response: M ≤ N distinct
-  // sources were actually scored for the N requested positions.
-  writer->Key("nodes");
-  writer->Uint(call.nodes.size());
-  writer->Key("unique_nodes");
-  writer->Uint(call.batch.size());
-  writer->Key("results");
-  writer->BeginArray();
-  for (const size_t slot : call.slot) {
-    writer->BeginObject();
-    writer->Key("node");
-    writer->Uint(call.batch[slot].query);
-    writer->Key("top");
-    WriteTopEntries(writer, call.batch[slot].topk);
-    writer->EndObject();
+  static Status RunDelete(SimPushService& service, Call* call) {
+    return service.RemoveGraph(call->graph);
   }
-  writer->EndArray();
-}
 
-// Indexed by SimPushService::Endpoint.
-constexpr QueryEndpoint kQueryEndpoints[] = {
-    {"/v1/query", DecodeQuery, EncodeQuery},
-    {"/v1/topk", DecodeTopK, EncodeTopK},
-    {"/v1/batch", DecodeBatch, EncodeBatch},
+  static void EncodeDeleted(SimPushService&, const Call& call,
+                            JsonWriter* writer) {
+    writer->Key("graph");
+    writer->String(call.graph);
+    writer->Key("deleted");
+    writer->Bool(true);
+  }
+
+  static Status DecodeEdges(const ServiceOptions& options, Call* call) {
+    if (const JsonValue* add = call->doc.Find("add")) {
+      SIMPUSH_RETURN_NOT_OK(
+          ReadEdgePairs(*add, EdgeUpdate::Kind::kInsert, &call->edges));
+    }
+    if (const JsonValue* remove = call->doc.Find("remove")) {
+      SIMPUSH_RETURN_NOT_OK(
+          ReadEdgePairs(*remove, EdgeUpdate::Kind::kDelete, &call->edges));
+    }
+    if (call->edges.empty()) {
+      return Status::InvalidArgument(
+          "provide \"add\" and/or \"remove\" [src,dst] lists");
+    }
+    if (call->edges.size() > options.max_update_edges) {
+      return Status::ResourceExhausted(
+          "update exceeds max_update_edges (" +
+          std::to_string(options.max_update_edges) + ")");
+    }
+    SIMPUSH_ASSIGN_OR_RETURN(call->force_swap,
+                             OptionalBool(call->doc, "swap", false));
+    return Status::OK();
+  }
+
+  static Status RunEdges(SimPushService& service, Call* call) {
+    SIMPUSH_ASSIGN_OR_RETURN(
+        call->outcome,
+        service.registry_.ApplyUpdates(call->graph, call->edges,
+                                       call->force_swap));
+    return Status::OK();
+  }
+
+  static Status RunSwap(SimPushService& service, Call* call) {
+    SIMPUSH_ASSIGN_OR_RETURN(call->outcome,
+                             service.registry_.Swap(call->graph));
+    return Status::OK();
+  }
+
+  static void EncodeOutcome(SimPushService&, const Call& call,
+                            JsonWriter* writer) {
+    writer->Key("graph");
+    writer->String(call.graph);
+    writer->Key("applied");
+    writer->Uint(call.outcome.applied);
+    writer->Key("pending");
+    writer->Uint(call.outcome.pending);
+    writer->Key("swapped");
+    writer->Bool(call.outcome.swapped);
+    writer->Key("generation");
+    writer->Uint(call.outcome.generation);
+  }
+
+  // REPLACE semantics against the process defaults — the same merge and
+  // network bounds as POST /v1/graphs "options", so a field the request
+  // omits reverts to the operator default rather than sticking at
+  // whatever the tenant ran with before. Predictable beats sticky for a
+  // knob any client can set.
+  static Status DecodeOptions(const ServiceOptions& options, Call* call) {
+    call->options = options.query;
+    SIMPUSH_RETURN_NOT_OK(ReadTenantOptions(
+        call->doc, options.min_request_epsilon, &call->options));
+    if (call->doc.Find("options") == nullptr) {
+      return Status::InvalidArgument("missing \"options\" object");
+    }
+    return Status::OK();
+  }
+
+  static Status RunOptions(SimPushService& service, Call* call) {
+    SIMPUSH_ASSIGN_OR_RETURN(
+        call->outcome,
+        service.registry_.UpdateOptions(call->graph, call->options));
+    return Status::OK();
+  }
+
+  static void EncodeOptions(SimPushService&, const Call& call,
+                            JsonWriter* writer) {
+    writer->Key("graph");
+    writer->String(call.graph);
+    // Echo the effective (merged) options, as the create endpoint does.
+    writer->Key("options");
+    WriteEngineOptions(writer, call.options);
+    writer->Key("swapped");
+    writer->Bool(call.outcome.swapped);
+    writer->Key("pending");
+    writer->Uint(call.outcome.pending);
+    writer->Key("generation");
+    writer->Uint(call.outcome.generation);
+  }
+
+  static Status RejectUnknownOp(SimPushService&, Call* call) {
+    return Status::NotFound("unknown graph operation \"" +
+                            std::string(call->op) +
+                            "\" (expected edges|swap|options)");
+  }
+
+  static Status RejectWrongMethod(SimPushService&, Call*) {
+    return Status::Unimplemented("method not allowed");
+  }
 };
 
-}  // namespace
+// clang-format off
+const SimPushService::Route SimPushService::Route::kTable[] = {
+  // method  path                        counter     decode         run          encode
+  {"POST",   "/v1/query",                kQuery,     DecodeQuery,   RunQuery,    EncodeQuery},
+  {"POST",   "/v1/topk",                 kTopK,      DecodeTopK,    RunQuery,    EncodeTopK},
+  {"POST",   "/v1/batch",                kBatch,     DecodeBatch,   RunQuery,    EncodeBatch},
+  {"GET",    "/v1/stats",                kUncounted, nullptr,       nullptr,     EncodeStats},
+  {"GET",    "/healthz",                 kUncounted, nullptr,       RunHealth,   EncodeHealth},
+  {"GET",    "/v1/graphs",               kAdmin,     nullptr,       nullptr,     EncodeGraphList},
+  {"POST",   "/v1/graphs",               kAdmin,     DecodeCreate,  RunCreate,   EncodeCreate, 201},
+  {"GET",    "/v1/graphs/{name}",        kAdmin,     nullptr,       RunGraphGet, EncodeGraphGet},
+  {"DELETE", "/v1/graphs/{name}",        kAdmin,     nullptr,       RunDelete,   EncodeDeleted},
+  {"POST",   "/v1/graphs/{name}/edges",  kAdmin,     DecodeEdges,   RunEdges,    EncodeOutcome},
+  {"POST",   "/v1/graphs/{name}/swap",   kAdmin,     nullptr,       RunSwap,     EncodeOutcome},
+  {"PATCH",  "/v1/graphs/{name}/options", kAdmin,    DecodeOptions, RunOptions,  EncodeOptions},
+};
+const SimPushService::Route SimPushService::Route::kUnknownOp =
+  {"",       "/v1/graphs/{name}/*",      kAdmin,     nullptr,       RejectUnknownOp,   nullptr};
+const SimPushService::Route SimPushService::Route::kWrongMethod =
+  {"",       "/v1/graphs/{name}/*",      kAdmin,     nullptr,       RejectWrongMethod, nullptr};
+// clang-format on
+
+const SimPushService::Route& SimPushService::Route::Find(
+    std::string_view method, std::string_view path) {
+  for (const Route& route : kTable) {
+    if (route.method == method && route.path == path) return route;
+  }
+  std::abort();  // Every caller names a row of kTable.
+}
+
+HttpResponse SimPushService::Serve(const Route& route,
+                                   const HttpRequest& request,
+                                   std::string_view graph,
+                                   std::string_view op) {
+  Call call(request);
+  call.graph = graph;
+  call.op = op;
+  if (route.counter == kAdmin) requests_[kAdmin].fetch_add(1);
+  if (const Status status = route.Apply(*this, &call); !status.ok()) {
+    return ErrorResponse(status, call);
+  }
+  if (route.counter < kAdmin) requests_[route.counter].fetch_add(1);
+  JsonWriter writer;
+  writer.BeginObject();
+  route.encode(*this, call, &writer);
+  writer.EndObject();
+  HttpResponse response = Finish(&writer, route.ok_status);
+  if (route.counter < kAdmin) {
+    RecordLatency(call.metrics, call.wall.ElapsedSeconds());
+  }
+  return response;
+}
+
+HttpResponse SimPushService::ErrorResponse(const Status& status,
+                                           const Call& call) {
+  // The service's whole HTTP error vocabulary. A code the table lacks
+  // (I/O, internal) answers 400. The 499/504 rows carry a fixed reason
+  // and the partial timing of the query they stopped.
+  struct HttpError {
+    StatusCode code;
+    int http;
+    const char* reason;
+  };
+  static constexpr HttpError kHttpErrors[] = {
+      {StatusCode::kInvalidArgument, 400, nullptr},
+      {StatusCode::kPermissionDenied, 403, nullptr},    // Path creates off.
+      {StatusCode::kNotFound, 404, nullptr},            // Graph, operation.
+      {StatusCode::kUnimplemented, 405, nullptr},       // Wrong method.
+      {StatusCode::kFailedPrecondition, 409, nullptr},  // Name taken.
+      {StatusCode::kOutOfRange, 409, nullptr},          // Graph limit.
+      {StatusCode::kResourceExhausted, 413, nullptr},   // A size cap.
+      {StatusCode::kCancelled, 499, "client closed request"},
+      {StatusCode::kUnavailable, 503, nullptr},  // Default graph missing.
+      {StatusCode::kDeadlineExceeded, 504, "deadline exceeded"},
+  };
+  HttpError error = {status.code(), 400, nullptr};
+  for (const HttpError& row : kHttpErrors) {
+    if (row.code == status.code()) error = row;
+  }
+
+  JsonWriter writer;
+  writer.BeginObject();
+  switch (status.code()) {
+    // kCancelled beats kDeadlineExceeded in CancelToken::Check, so a
+    // request that was BOTH late and abandoned counts as abandoned — the
+    // 499 is best-effort (nobody is reading it), but the counter is the
+    // operator's signal that clients are hanging up, not timing out.
+    case StatusCode::kCancelled:
+      client_abandoned_.fetch_add(1);
+      if (call.metrics != nullptr) call.metrics->client_abandoned.fetch_add(1);
+      break;
+    case StatusCode::kDeadlineExceeded:
+      deadline_expired_.fetch_add(1);
+      if (call.metrics != nullptr) call.metrics->deadline_expired.fetch_add(1);
+      break;
+    case StatusCode::kUnavailable:  // The service's state, not the request's.
+      writer.Key("status");
+      writer.String("unavailable");
+      break;
+    default:
+      bad_requests_.fetch_add(1);
+  }
+  writer.Key("error");
+  writer.String(error.reason != nullptr ? error.reason : status.message());
+  if (error.reason != nullptr) {
+    // How far past the budget the query got, and which generation it
+    // ran against.
+    writer.Key("elapsed_ms");
+    writer.Double(call.wall.ElapsedSeconds() * 1e3);
+    writer.Key("deadline_ms");
+    writer.Uint(call.deadline_ms > 0 ? static_cast<uint64_t>(call.deadline_ms)
+                                     : 0);
+    writer.Key("graph");
+    writer.String(call.graph);
+    writer.Key("generation");
+    writer.Uint(call.generation != nullptr ? call.generation->id() : 0);
+  }
+  writer.EndObject();
+  return Finish(&writer, error.http);
+}
 
 SimPushService::SimPushService(const ServiceOptions& options)
-    : options_(options),
-      registry_(ToRegistryOptions(options)),
-      latency_(options.latency_ring_size) {}
+    : options_(options), registry_(ToRegistryOptions(options)) {}
 
 SimPushService::SimPushService(const Graph& graph,
                                const ServiceOptions& options)
@@ -402,8 +902,7 @@ Status SimPushService::AddGraph(const std::string& name, Graph graph,
                                       tenant_options));
   {
     MutexLock lock(&metrics_mu_);
-    tenant_metrics_.insert_or_assign(
-        name, std::make_shared<TenantMetrics>(options_.latency_ring_size));
+    tenant_metrics_.insert_or_assign(name, std::make_shared<TenantMetrics>());
   }
   if (name == options_.default_graph) {
     // The default graph is installed: a startup failure (if any) is no
@@ -427,24 +926,23 @@ Status SimPushService::RemoveGraph(std::string_view name) {
 
 void SimPushService::RegisterRoutes(HttpServer* server) {
   server_ = server;
-  for (const Endpoint endpoint : {kQuery, kTopK, kBatch}) {
-    server->Route("POST", kQueryEndpoints[endpoint].path,
-                  [this, endpoint](const HttpRequest& r) {
-                    return ServeQueryEndpoint(endpoint, r);
-                  });
-  }
-  server->Route("GET", "/v1/stats",
-                [this](const HttpRequest& r) { return HandleStats(r); });
-  server->Route("GET", "/healthz",
-                [this](const HttpRequest& r) { return HandleHealth(r); });
-  server->Route("GET", "/v1/graphs",
-                [this](const HttpRequest& r) { return HandleGraphList(r); });
-  server->Route("POST", "/v1/graphs",
-                [this](const HttpRequest& r) { return HandleGraphCreate(r); });
-  for (const char* method : {"GET", "POST", "DELETE", "PATCH"}) {
-    server->RoutePrefix(method, "/v1/graphs/", [this](const HttpRequest& r) {
-      return HandleGraphOp(r);
-    });
+  std::vector<std::string_view> prefix_methods;
+  for (const Route& route : Route::kTable) {
+    if (!route.OnNamedGraph()) {
+      server->Route(route.method, route.path,
+                    [this, &route](const HttpRequest& r) {
+                      return Serve(route, r);
+                    });
+    } else if (std::find(prefix_methods.begin(), prefix_methods.end(),
+                         route.method) == prefix_methods.end()) {
+      // One prefix route per method the {name} operations use;
+      // HandleGraphOp picks the row.
+      prefix_methods.push_back(route.method);
+      server->RoutePrefix(route.method, std::string(kGraphsPrefix),
+                          [this](const HttpRequest& r) {
+                            return HandleGraphOp(r);
+                          });
+    }
   }
 }
 
@@ -453,30 +951,6 @@ std::shared_ptr<SimPushService::TenantMetrics> SimPushService::FindMetrics(
   MutexLock lock(&metrics_mu_);
   const auto it = tenant_metrics_.find(name);
   return it == tenant_metrics_.end() ? nullptr : it->second;
-}
-
-HttpResponse SimPushService::QueryErrorResponse(
-    const Status& status, double elapsed_ms, int64_t deadline_ms,
-    std::string_view graph_name, uint64_t generation,
-    const std::shared_ptr<TenantMetrics>& metrics) {
-  // kCancelled beats kDeadlineExceeded in CancelToken::Check, so a
-  // request that was BOTH late and abandoned counts as abandoned — the
-  // 499 is best-effort (nobody is reading it), but the counter is the
-  // operator's signal that clients are hanging up, not timing out.
-  if (status.code() == StatusCode::kCancelled) {
-    client_abandoned_.fetch_add(1);
-    if (metrics != nullptr) metrics->client_abandoned.fetch_add(1);
-    return TimeoutError(499, "client closed request", elapsed_ms,
-                        deadline_ms, graph_name, generation);
-  }
-  if (status.code() == StatusCode::kDeadlineExceeded) {
-    deadline_expired_.fetch_add(1);
-    if (metrics != nullptr) metrics->deadline_expired.fetch_add(1);
-    return TimeoutError(504, "deadline exceeded", elapsed_ms, deadline_ms,
-                        graph_name, generation);
-  }
-  bad_requests_.fetch_add(1);
-  return JsonError(400, status.message());
 }
 
 Status SimPushService::RunQuery(std::string_view graph_name, NodeId u,
@@ -496,19 +970,6 @@ void SimPushService::AccumulateEngineTotals(const QueryRunnerTotals& totals) {
   engine_query_nanos_.fetch_add(
       static_cast<uint64_t>(totals.query_seconds * 1e9));
   engine_walks_.fetch_add(totals.walks_sampled);
-}
-
-StatusOr<GenerationLease> SimPushService::LeaseFor(const JsonValue& doc,
-                                                   std::string* name_out) {
-  std::string_view name = options_.default_graph;
-  if (const JsonValue* field = doc.Find("graph")) {
-    if (!field->is_string()) {
-      return Status::InvalidArgument("\"graph\" must be a string");
-    }
-    name = field->string_value();
-  }
-  if (name_out != nullptr) *name_out = name;
-  return registry_.Lease(name);
 }
 
 Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
@@ -567,141 +1028,58 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
   return Status::OK();
 }
 
-Status SimPushService::RunCall(const JsonValue& doc, QueryCall* call,
-                               const CancelToken* cancel) {
-  const GraphGeneration& generation = *call->generation;
-  if (call->node_list == nullptr) {
-    std::optional<double> epsilon;
-    SIMPUSH_RETURN_NOT_OK(
-        ReadEpsilonOverride(doc, options_.min_request_epsilon, &epsilon));
-    call->epsilon = epsilon.value_or(generation.core().options().epsilon);
-    // Reused per HTTP worker thread: after warm-up the pooled path
-    // performs zero heap allocations. Override requests run off this hot
-    // path by design (fresh core + private workspace) and may allocate.
-    static thread_local SimPushResult result;
-    call->result = &result;
-    return ServeOne(generation, call->nodes[0], epsilon, &result, cancel,
-                    &call->cached);
-  }
-
-  // Deduplicate repeated sources: each distinct node is scored once and
-  // its result fanned back to every position that asked for it — sound
-  // for the same reason the cache is (scores are a pure function of
-  // (generation, options, node)). slot[i] maps input position i to its
-  // entry in unique_nodes, which preserves first-occurrence order.
-  std::vector<NodeId> unique_nodes;
-  call->slot.resize(call->nodes.size());
-  {
-    std::unordered_map<NodeId, size_t> first_index;
-    first_index.reserve(call->nodes.size());
-    unique_nodes.reserve(call->nodes.size());
-    for (size_t i = 0; i < call->nodes.size(); ++i) {
-      const auto [it, inserted] =
-          first_index.emplace(call->nodes[i], unique_nodes.size());
-      if (inserted) unique_nodes.push_back(call->nodes[i]);
-      call->slot[i] = it->second;
-    }
-  }
-
-  // Fan out across the registry's shared thread pool, one workspace from
-  // this generation's pool per chunk, results in input order. The lease
-  // pins the generation for the whole fan-out, so every chunk scores the
-  // same graph even if a swap lands mid-batch. A fired token stops
-  // chunks between queries and inside each query's push loops.
-  ParallelBatchStats stats;
-  auto results = ParallelQueryBatchTopK(
-      generation.core(), registry_.thread_pool(), generation.workspaces(),
-      unique_nodes, call->k, &stats, cancel);
-  if (!results.ok()) {
-    // A fired token keeps its 504/499 mapping; any other failure answers
-    // 400 with the full status text.
-    const StatusCode code = results.status().code();
-    if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded) {
-      return results.status();
-    }
-    return Status::InvalidArgument(results.status().ToString());
-  }
-  engine_query_nanos_.fetch_add(
-      static_cast<uint64_t>(stats.cpu_query_seconds * 1e9));
-  engine_walks_.fetch_add(stats.walks_sampled);
-  call->wall_ms = stats.wall_seconds * 1e3;
-  call->batch = *std::move(results);
-  return Status::OK();
-}
-
-HttpResponse SimPushService::ServeQueryEndpoint(Endpoint endpoint,
-                                                const HttpRequest& request) {
-  Timer wall;
-  const QueryEndpoint& hooks = kQueryEndpoints[endpoint];
-  // Rejections before the run: an unknown graph is a 404, an over-limit
-  // request (kOutOfRange) a 413, anything else a 400.
-  const auto reject = [this](const Status& status) {
-    bad_requests_.fetch_add(1);
-    return JsonError(
-        status.code() == StatusCode::kOutOfRange ? 413 : StatusToHttp(status),
-        status.message());
-  };
-  auto doc = ParseJson(request.body);
-  if (!doc.ok()) return reject(doc.status());
-  if (!doc->is_object()) {
-    return reject(
-        Status::InvalidArgument("request body must be a JSON object"));
-  }
-  QueryCall call;
-  if (const Status decoded = hooks.decode(*doc, options_, &call);
-      !decoded.ok()) {
-    return reject(decoded);
-  }
-  auto lease = LeaseFor(*doc, &call.graph_name);
-  if (!lease.ok()) return reject(lease.status());
-  call.generation = *std::move(lease);
-  if (const Status bound = BindNodes(call.generation->graph(), &call);
-      !bound.ok()) {
-    return reject(bound);
-  }
-  const auto deadline_ms = ReadDeadlineMs(*doc, options_.request_timeout_ms,
-                                          options_.max_deadline_ms);
-  if (!deadline_ms.ok()) return reject(deadline_ms.status());
-
-  // Token before guard: the guard must die first (it unregisters the raw
-  // token pointer from the watcher's poll set).
-  CancelToken token(Deadline::After(*deadline_ms));
-  const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(call.graph_name);
-  if (const Status ran = RunCall(*doc, &call, &token); !ran.ok()) {
-    return QueryErrorResponse(ran, wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                              call.graph_name, call.generation->id(),
-                              metrics);
-  }
-  endpoint_requests_[endpoint].fetch_add(1);
-  nodes_scored_.fetch_add(call.nodes.size());
-  if (metrics != nullptr) {
-    metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(call.nodes.size());
-  }
-
-  JsonWriter writer;
-  writer.BeginObject();
-  hooks.encode(call, &writer);
-  writer.EndObject();
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  RecordLatency(metrics, wall.ElapsedSeconds());
-  return response;
-}
-
 HttpResponse SimPushService::HandleQuery(const HttpRequest& request) {
-  return ServeQueryEndpoint(kQuery, request);
+  return Serve(Route::Find("POST", "/v1/query"), request);
 }
 
 HttpResponse SimPushService::HandleTopK(const HttpRequest& request) {
-  return ServeQueryEndpoint(kTopK, request);
+  return Serve(Route::Find("POST", "/v1/topk"), request);
 }
 
 HttpResponse SimPushService::HandleBatch(const HttpRequest& request) {
-  return ServeQueryEndpoint(kBatch, request);
+  return Serve(Route::Find("POST", "/v1/batch"), request);
+}
+
+HttpResponse SimPushService::HandleStats(const HttpRequest& request) {
+  return Serve(Route::Find("GET", "/v1/stats"), request);
+}
+
+HttpResponse SimPushService::HandleHealth(const HttpRequest& request) {
+  return Serve(Route::Find("GET", "/healthz"), request);
+}
+
+HttpResponse SimPushService::HandleGraphList(const HttpRequest& request) {
+  return Serve(Route::Find("GET", "/v1/graphs"), request);
+}
+
+HttpResponse SimPushService::HandleGraphCreate(const HttpRequest& request) {
+  return Serve(Route::Find("POST", "/v1/graphs"), request);
+}
+
+HttpResponse SimPushService::HandleGraphOp(const HttpRequest& request) {
+  // Target shape: /v1/graphs/{name}[/op]. The row is the one whose path
+  // is the target with {name} for the name and whose method matches; a
+  // path with rows for other methods only answers 405, a path with no
+  // row 404.
+  std::string_view rest(request.target);
+  rest.remove_prefix(kGraphsPrefix.size());
+  const size_t slash = rest.find('/');
+  const std::string_view name = rest.substr(0, slash);
+  const std::string_view op = slash == std::string_view::npos
+                                  ? std::string_view()
+                                  : rest.substr(slash + 1);
+  std::string path(kNamedGraph);
+  if (!op.empty()) path.append("/").append(op);
+  const Route* route = &Route::kUnknownOp;
+  for (const Route& row : Route::kTable) {
+    if (row.path != path) continue;
+    if (row.method == request.method) {
+      route = &row;
+      break;
+    }
+    route = &Route::kWrongMethod;
+  }
+  return Serve(*route, request, name, op);
 }
 
 void SimPushService::WriteTenantSection(JsonWriter* writer,
@@ -780,465 +1158,110 @@ void SimPushService::WriteTenantSection(JsonWriter* writer,
   writer->EndObject();
 }
 
-HttpResponse SimPushService::HandleStats(const HttpRequest&) {
-  const uint64_t query = endpoint_requests_[kQuery].load();
-  const uint64_t topk = endpoint_requests_[kTopK].load();
-  const uint64_t batch = endpoint_requests_[kBatch].load();
+void SimPushService::WriteStats(JsonWriter* writer) {
+  const uint64_t query = requests_[kQuery].load();
+  const uint64_t topk = requests_[kTopK].load();
+  const uint64_t batch = requests_[kBatch].load();
   const double uptime = uptime_.ElapsedSeconds();
   const LatencySnapshot latency = Latencies();
 
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("uptime_seconds");
-  writer.Double(uptime);
+  writer->Key("uptime_seconds");
+  writer->Double(uptime);
   // Compatibility sections for the single-graph shape: the default
   // tenant's graph and pool, when it exists.
   if (auto stats = registry_.Stats(options_.default_graph); stats.ok()) {
-    writer.Key("graph");
-    writer.BeginObject();
-    writer.Key("nodes");
-    writer.Uint(stats->num_nodes);
-    writer.Key("edges");
-    writer.Uint(stats->num_edges);
-    writer.EndObject();
-    WritePoolGauges(&writer, *stats);
+    writer->Key("graph");
+    writer->BeginObject();
+    writer->Key("nodes");
+    writer->Uint(stats->num_nodes);
+    writer->Key("edges");
+    writer->Uint(stats->num_edges);
+    writer->EndObject();
+    WritePoolGauges(writer, *stats);
   }
   // Process-wide DEFAULTS for tenants created without "options" — each
   // tenant's effective knobs live in its own section under "graphs".
-  writer.Key("options");
-  writer.BeginObject();
-  WriteEngineOptionFields(&writer, options_.query);
-  writer.Key("min_request_epsilon");
-  writer.Double(options_.min_request_epsilon);
-  writer.Key("swap_threshold");
-  writer.Uint(options_.swap_threshold);
-  writer.Key("default_graph");
-  writer.String(options_.default_graph);
-  writer.EndObject();
+  writer->Key("options");
+  writer->BeginObject();
+  WriteEngineOptionFields(writer, options_.query);
+  writer->Key("min_request_epsilon");
+  writer->Double(options_.min_request_epsilon);
+  writer->Key("swap_threshold");
+  writer->Uint(options_.swap_threshold);
+  writer->Key("default_graph");
+  writer->String(options_.default_graph);
+  writer->EndObject();
   if (const Status startup = startup_status(); !startup.ok()) {
-    writer.Key("startup_error");
-    writer.String(startup.ToString());
+    writer->Key("startup_error");
+    writer->String(startup.ToString());
   }
-  writer.Key("requests");
-  writer.BeginObject();
-  writer.Key("query");
-  writer.Uint(query);
-  writer.Key("topk");
-  writer.Uint(topk);
-  writer.Key("batch");
-  writer.Uint(batch);
-  writer.Key("admin");
-  writer.Uint(admin_requests_.load());
-  writer.Key("bad");
-  writer.Uint(bad_requests_.load());
-  writer.Key("deadline_expired");
-  writer.Uint(deadline_expired_.load());
-  writer.Key("client_abandoned");
-  writer.Uint(client_abandoned_.load());
-  writer.Key("nodes_scored");
-  writer.Uint(nodes_scored_.load());
-  writer.EndObject();
-  writer.Key("qps");
-  writer.Double(uptime > 0 ? (query + topk + batch) / uptime : 0);
-  writer.Key("latency_ms");
-  WriteLatency(&writer, latency);
+  writer->Key("requests");
+  writer->BeginObject();
+  writer->Key("query");
+  writer->Uint(query);
+  writer->Key("topk");
+  writer->Uint(topk);
+  writer->Key("batch");
+  writer->Uint(batch);
+  writer->Key("admin");
+  writer->Uint(requests_[kAdmin].load());
+  writer->Key("bad");
+  writer->Uint(bad_requests_.load());
+  writer->Key("deadline_expired");
+  writer->Uint(deadline_expired_.load());
+  writer->Key("client_abandoned");
+  writer->Uint(client_abandoned_.load());
+  writer->Key("nodes_scored");
+  writer->Uint(nodes_scored_.load());
+  writer->EndObject();
+  writer->Key("qps");
+  writer->Double(uptime > 0 ? (query + topk + batch) / uptime : 0);
+  writer->Key("latency_ms");
+  WriteLatency(writer, latency);
   // Per-tenant sections: generation id, pending updates, swap counts,
   // per-tenant latency rings.
-  writer.Key("graphs");
-  writer.BeginObject();
+  writer->Key("graphs");
+  writer->BeginObject();
   for (const std::string& name : registry_.Names()) {
-    writer.Key(name);
-    WriteTenantSection(&writer, name);
+    writer->Key(name);
+    WriteTenantSection(writer, name);
   }
-  writer.EndObject();
-  writer.Key("live_generations");
-  writer.Uint(static_cast<uint64_t>(
+  writer->EndObject();
+  writer->Key("live_generations");
+  writer->Uint(static_cast<uint64_t>(
       std::max<int64_t>(0, registry_.live_generations())));
-  writer.Key("engine");
-  writer.BeginObject();
-  writer.Key("cpu_query_seconds");
-  writer.Double(engine_query_nanos_.load() / 1e9);
-  writer.Key("walks_sampled");
-  writer.Uint(engine_walks_.load());
-  writer.EndObject();
-  writer.Key("threads");
-  writer.Uint(registry_.num_threads());
+  writer->Key("engine");
+  writer->BeginObject();
+  writer->Key("cpu_query_seconds");
+  writer->Double(engine_query_nanos_.load() / 1e9);
+  writer->Key("walks_sampled");
+  writer->Uint(engine_walks_.load());
+  writer->EndObject();
+  writer->Key("threads");
+  writer->Uint(registry_.num_threads());
   if (server_ != nullptr) {
     const HttpServerCounters counters = server_->counters();
-    writer.Key("http");
-    writer.BeginObject();
-    writer.Key("accepted");
-    writer.Uint(counters.accepted);
-    writer.Key("rejected_503");
-    writer.Uint(counters.rejected_503);
-    writer.Key("requests");
-    writer.Uint(counters.requests);
-    writer.Key("queue_depth");
-    writer.Uint(server_->queue_depth());
-    writer.EndObject();
+    writer->Key("http");
+    writer->BeginObject();
+    writer->Key("accepted");
+    writer->Uint(counters.accepted);
+    writer->Key("rejected_503");
+    writer->Uint(counters.rejected_503);
+    writer->Key("requests");
+    writer->Uint(counters.requests);
+    writer->Key("queue_depth");
+    writer->Uint(server_->queue_depth());
+    writer->EndObject();
   }
-  writer.Key("memory");
-  writer.BeginObject();
-  writer.Key("peak_rss_bytes");
-  writer.Uint(PeakRssBytes());
-  writer.Key("current_rss_bytes");
-  writer.Uint(CurrentRssBytes());
-  writer.EndObject();
-  writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
+  writer->Key("memory");
+  writer->BeginObject();
+  writer->Key("peak_rss_bytes");
+  writer->Uint(PeakRssBytes());
+  writer->Key("current_rss_bytes");
+  writer->Uint(CurrentRssBytes());
+  writer->EndObject();
 }
 
-HttpResponse SimPushService::HandleHealth(const HttpRequest&) {
-  // A failed default-graph install must fail the liveness probe: a
-  // server whose configured graph never loaded should be restarted (or
-  // repaired over /v1/graphs), not kept in a load balancer rotation.
-  if (const Status startup = startup_status(); !startup.ok()) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("status");
-    writer.String("unavailable");
-    writer.Key("error");
-    writer.String(startup.ToString());
-    writer.EndObject();
-    HttpResponse response;
-    response.status = 503;
-    response.body = writer.Take();
-    response.body.push_back('\n');
-    return response;
-  }
-  HttpResponse response;
-  response.body = "{\"status\":\"ok\"}\n";
-  return response;
-}
-
-HttpResponse SimPushService::HandleGraphList(const HttpRequest&) {
-  admin_requests_.fetch_add(1);
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("graphs");
-  writer.BeginArray();
-  for (const std::string& name : registry_.Names()) {
-    auto stats = registry_.Stats(name);
-    if (!stats.ok()) continue;  // Raced with a DELETE.
-    writer.BeginObject();
-    writer.Key("name");
-    writer.String(name);
-    writer.Key("generation");
-    writer.Uint(stats->generation);
-    writer.Key("nodes");
-    writer.Uint(stats->num_nodes);
-    writer.Key("edges");
-    writer.Uint(stats->num_edges);
-    writer.Key("pending_updates");
-    writer.Uint(stats->pending_updates);
-    writer.Key("swap_count");
-    writer.Uint(stats->swap_count);
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.Key("default_graph");
-  writer.String(options_.default_graph);
-  writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
-}
-
-HttpResponse SimPushService::HandleGraphCreate(const HttpRequest& request) {
-  admin_requests_.fetch_add(1);
-  auto doc = ParseJson(request.body);
-  if (!doc.ok() || !doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                   : doc.status().message());
-  }
-  const JsonValue* name_field = doc->Find("name");
-  if (name_field == nullptr || !name_field->is_string()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "missing \"name\" string field");
-  }
-  const std::string& name = name_field->string_value();
-  if (!IsValidGraphName(name)) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "graph name must be 1-64 chars of [A-Za-z0-9._-]");
-  }
-  // Per-tenant engine options: unspecified fields inherit the process
-  // defaults; validation failures 400 before any graph is built.
-  SimPushOptions tenant_options = options_.query;
-  if (const Status parsed = ReadTenantOptions(
-          *doc, options_.min_request_epsilon, &tenant_options);
-      !parsed.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, parsed.message());
-  }
-
-  const JsonValue* path_field = doc->Find("path");
-  const JsonValue* edges_field = doc->Find("edges");
-  StatusOr<Graph> graph = Status::InvalidArgument(
-      "provide either \"path\" (edge list or .spg) or \"nodes\"+\"edges\"");
-  if (path_field != nullptr && path_field->is_string()) {
-    if (!options_.allow_path_create) {
-      bad_requests_.fetch_add(1);
-      return JsonError(403,
-                       "path-based graph creation is disabled (start with "
-                       "--allow-path-create 1, or send inline edges)");
-    }
-    EdgeListOptions load_options;
-    if (const JsonValue* undirected = doc->Find("undirected")) {
-      load_options.undirected =
-          undirected->is_bool() && undirected->bool_value();
-    }
-    graph = LoadGraphAnyFormat(path_field->string_value(), load_options);
-  } else if (edges_field != nullptr) {
-    auto nodes = RequireIndex(*doc, "nodes");
-    if (!nodes.ok() || *nodes >= kInvalidNode) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, "inline graphs need a \"nodes\" count");
-    }
-    if (*nodes > options_.max_inline_nodes) {
-      bad_requests_.fetch_add(1);
-      return JsonError(413, "inline graph exceeds max_inline_nodes (" +
-                                std::to_string(options_.max_inline_nodes) +
-                                "); load large graphs via \"path\"");
-    }
-    std::vector<EdgeUpdate> edges;
-    const Status parsed =
-        ReadEdgePairs(*edges_field, EdgeUpdate::Kind::kInsert, &edges);
-    if (!parsed.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, parsed.message());
-    }
-    GraphBuilder builder(static_cast<NodeId>(*nodes));
-    for (const EdgeUpdate& edge : edges) builder.AddEdge(edge.src, edge.dst);
-    graph = std::move(builder).Build(/*dedupe=*/false);
-  }
-  if (!graph.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, graph.status().ToString());
-  }
-
-  const Status added = AddGraph(name, *std::move(graph), tenant_options);
-  if (!added.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(added);
-  }
-  auto stats = registry_.Stats(name);
-
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("graph");
-  writer.String(name);
-  if (stats.ok()) {
-    writer.Key("generation");
-    writer.Uint(stats->generation);
-    writer.Key("nodes");
-    writer.Uint(stats->num_nodes);
-    writer.Key("edges");
-    writer.Uint(stats->num_edges);
-  }
-  // Echo the effective engine options so a client can confirm what the
-  // tenant will actually run with (defaults merged in).
-  writer.Key("options");
-  WriteEngineOptions(&writer, tenant_options);
-  writer.EndObject();
-
-  HttpResponse response;
-  response.status = 201;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
-}
-
-HttpResponse SimPushService::HandleGraphOp(const HttpRequest& request) {
-  admin_requests_.fetch_add(1);
-  // Target shape: /v1/graphs/{name}[/edges|/swap].
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  std::string_view rest(request.target);
-  rest.remove_prefix(kPrefix.size());
-  const size_t slash = rest.find('/');
-  const std::string_view name = rest.substr(0, slash);
-  const std::string_view op =
-      slash == std::string_view::npos ? std::string_view() : rest.substr(slash + 1);
-  if (!IsValidGraphName(name)) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "graph name must be 1-64 chars of [A-Za-z0-9._-]");
-  }
-
-  if (op.empty()) {
-    if (request.method == "GET") {
-      if (auto stats = registry_.Stats(name); !stats.ok()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(stats.status());
-      }
-      JsonWriter writer;
-      writer.BeginObject();
-      writer.Key("graph");
-      writer.String(name);
-      writer.Key("stats");
-      WriteTenantSection(&writer, std::string(name));
-      writer.EndObject();
-      HttpResponse response;
-      response.body = writer.Take();
-      response.body.push_back('\n');
-      return response;
-    }
-    if (request.method == "DELETE") {
-      const Status removed = RemoveGraph(name);
-      if (!removed.ok()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(removed);
-      }
-      JsonWriter writer;
-      writer.BeginObject();
-      writer.Key("graph");
-      writer.String(name);
-      writer.Key("deleted");
-      writer.Bool(true);
-      writer.EndObject();
-      HttpResponse response;
-      response.body = writer.Take();
-      response.body.push_back('\n');
-      return response;
-    }
-    bad_requests_.fetch_add(1);
-    return JsonError(405, "method not allowed");
-  }
-
-  if (op == "swap" || op == "edges") {
-    if (request.method != "POST") {
-      bad_requests_.fetch_add(1);
-      return JsonError(405, "method not allowed");
-    }
-    StatusOr<UpdateOutcome> outcome =
-        Status::InvalidArgument("unreachable");
-    if (op == "swap") {
-      outcome = registry_.Swap(name);
-    } else {
-      auto doc = ParseJson(request.body);
-      if (!doc.ok() || !doc->is_object()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                       : doc.status().message());
-      }
-      std::vector<EdgeUpdate> updates;
-      if (const JsonValue* add = doc->Find("add")) {
-        const Status parsed =
-            ReadEdgePairs(*add, EdgeUpdate::Kind::kInsert, &updates);
-        if (!parsed.ok()) {
-          bad_requests_.fetch_add(1);
-          return JsonError(400, parsed.message());
-        }
-      }
-      if (const JsonValue* remove = doc->Find("remove")) {
-        const Status parsed =
-            ReadEdgePairs(*remove, EdgeUpdate::Kind::kDelete, &updates);
-        if (!parsed.ok()) {
-          bad_requests_.fetch_add(1);
-          return JsonError(400, parsed.message());
-        }
-      }
-      if (updates.empty()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(400,
-                         "provide \"add\" and/or \"remove\" [src,dst] lists");
-      }
-      if (updates.size() > options_.max_update_edges) {
-        bad_requests_.fetch_add(1);
-        return JsonError(413, "update exceeds max_update_edges (" +
-                                  std::to_string(options_.max_update_edges) +
-                                  ")");
-      }
-      bool force_swap = false;
-      if (const JsonValue* swap = doc->Find("swap")) {
-        force_swap = swap->is_bool() && swap->bool_value();
-      }
-      outcome = registry_.ApplyUpdates(name, updates, force_swap);
-    }
-    if (!outcome.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(outcome.status());
-    }
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("graph");
-    writer.String(name);
-    writer.Key("applied");
-    writer.Uint(outcome->applied);
-    writer.Key("pending");
-    writer.Uint(outcome->pending);
-    writer.Key("swapped");
-    writer.Bool(outcome->swapped);
-    writer.Key("generation");
-    writer.Uint(outcome->generation);
-    writer.EndObject();
-    HttpResponse response;
-    response.body = writer.Take();
-    response.body.push_back('\n');
-    return response;
-  }
-
-  if (op == "options") {
-    if (request.method != "PATCH") {
-      bad_requests_.fetch_add(1);
-      return JsonError(405, "method not allowed");
-    }
-    auto doc = ParseJson(request.body);
-    if (!doc.ok() || !doc->is_object()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                     : doc.status().message());
-    }
-    // REPLACE semantics against the process defaults — the same merge
-    // and network bounds as POST /v1/graphs "options", so a field the
-    // request omits reverts to the operator default rather than
-    // sticking at whatever the tenant ran with before. Predictable
-    // beats sticky for a knob any client can set.
-    SimPushOptions tenant_options = options_.query;
-    if (const Status parsed = ReadTenantOptions(
-            *doc, options_.min_request_epsilon, &tenant_options);
-        !parsed.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, parsed.message());
-    }
-    if (doc->Find("options") == nullptr) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, "missing \"options\" object");
-    }
-    auto outcome = registry_.UpdateOptions(name, tenant_options);
-    if (!outcome.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(outcome.status());
-    }
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("graph");
-    writer.String(name);
-    // Echo the effective (merged) options, as the create endpoint does.
-    writer.Key("options");
-    WriteEngineOptions(&writer, tenant_options);
-    writer.Key("swapped");
-    writer.Bool(outcome->swapped);
-    writer.Key("pending");
-    writer.Uint(outcome->pending);
-    writer.Key("generation");
-    writer.Uint(outcome->generation);
-    writer.EndObject();
-    HttpResponse response;
-    response.body = writer.Take();
-    response.body.push_back('\n');
-    return response;
-  }
-
-  bad_requests_.fetch_add(1);
-  return JsonError(404, "unknown graph operation \"" + std::string(op) +
-                            "\" (expected edges|swap|options)");
-}
 
 void SimPushService::LatencyRing::Record(double seconds) {
   MutexLock lock(&mu);

@@ -31,9 +31,14 @@
 // registry's shared thread pool. Admin endpoints mutate only the
 // registry, whose rebuilds happen outside every query-path lock.
 //
+// Every route is a row of one table (service.cc): its decode, run and
+// encode steps run in one shell, every failure leaves through one
+// Status → HTTP mapping, and every response through one finisher. The
+// table and the mapping are listed in docs/serving.md.
+//
 // Admission control lives in two places: the HttpServer sheds whole
 // connections with 503 when its accept queue is full, and this layer
-// rejects oversized batch/update requests with 413.
+// rejects oversized batch/update/create requests with 413.
 //
 // Thread-safety contract: all Handle* methods (and RunQuery) are safe
 // to call concurrently from any number of threads after construction.
@@ -92,12 +97,9 @@ struct ServiceOptions {
   size_t pool_capacity = 0;
   /// Maximum nodes accepted in one /v1/batch request (larger → 413).
   size_t max_batch_nodes = 4096;
-  /// Maximum edge updates in one /v1/graphs/{name}/edges request.
+  /// Maximum edge updates in one /v1/graphs/{name}/edges request
+  /// (larger → 413).
   size_t max_update_edges = 65536;
-  /// Maximum node count accepted for an inline POST /v1/graphs create —
-  /// without it a 60-byte request naming 2^32 nodes would allocate tens
-  /// of GB of CSR offsets.
-  size_t max_inline_nodes = 1u << 20;
   /// Allow POST /v1/graphs to load from a server-local "path". Off by
   /// default: the path arrives from the network, so enabling it lets
   /// any client make the server read (and probe for) arbitrary local
@@ -127,12 +129,7 @@ struct ServiceOptions {
   size_t cache_bytes = 64u << 20;
   /// Tenant served when a request has no "graph" field.
   std::string default_graph = "default";
-  /// Latency ring-buffer size for the /v1/stats percentiles (global
-  /// and per tenant).
-  size_t latency_ring_size = 2048;
 };
-
-struct QueryCall;  // service.cc: one query-endpoint request in flight.
 
 /// Point-in-time latency percentiles computed from a ring buffer.
 struct LatencySnapshot {
@@ -196,8 +193,8 @@ class SimPushService {
   Status RunQuery(NodeId u, SimPushResult* result);
 
   /// Endpoint handlers (exposed for tests and the load generator; the
-  /// HTTP router calls these). Each is concurrency-safe. The three
-  /// query endpoints are thin entries into one request pipeline.
+  /// HTTP router calls the same rows). Each is concurrency-safe and a
+  /// thin entry into the one route shell.
   HttpResponse HandleQuery(const HttpRequest& request);
   HttpResponse HandleTopK(const HttpRequest& request);
   HttpResponse HandleBatch(const HttpRequest& request);
@@ -205,19 +202,23 @@ class SimPushService {
   HttpResponse HandleHealth(const HttpRequest& request);
   HttpResponse HandleGraphList(const HttpRequest& request);
   HttpResponse HandleGraphCreate(const HttpRequest& request);
-  /// Dispatcher for /v1/graphs/{name}[/edges|/swap] (prefix route).
+  /// Dispatcher for /v1/graphs/{name}[/edges|/swap|/options] (prefix
+  /// route): picks the route-table row by (operation, method).
   HttpResponse HandleGraphOp(const HttpRequest& request);
 
   /// The registry backing this service.
   GraphRegistry& registry() { return registry_; }
-  /// Percentiles over the most recent latency_ring_size requests,
-  /// across all graphs.
+  /// Percentiles over the most recent kLatencyRingSize requests, across
+  /// all graphs.
   LatencySnapshot Latencies() const;
 
  private:
+  /// Requests each latency ring (global and per tenant) remembers.
+  static constexpr size_t kLatencyRingSize = 2048;
+
   // Fixed-size preallocated latency ring; Record never allocates.
   struct LatencyRing {
-    explicit LatencyRing(size_t size) : ring(size > 0 ? size : 1, 0.0) {}
+    LatencyRing() : ring(kLatencyRingSize, 0.0) {}
     mutable Mutex mu;
     std::vector<double> ring SIMPUSH_GUARDED_BY(mu);
     size_t next SIMPUSH_GUARDED_BY(mu) = 0;
@@ -228,7 +229,6 @@ class SimPushService {
   // Per-tenant request-path counters + latency ring. Created when a
   // graph is registered, torn down when it is removed.
   struct TenantMetrics {
-    explicit TenantMetrics(size_t ring_size) : latency(ring_size) {}
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> nodes_scored{0};
     std::atomic<uint64_t> deadline_expired{0};   ///< 504 responses.
@@ -236,8 +236,13 @@ class SimPushService {
     LatencyRing latency;
   };
 
-  /// The query endpoints, in the order of service.cc's kQueryEndpoints.
-  enum Endpoint : size_t { kQuery, kTopK, kBatch, kNumEndpoints };
+  /// The "requests" counters of /v1/stats; every route row names one.
+  /// Query endpoints count the requests they served, admin endpoints
+  /// every request they were handed, kUncounted routes neither.
+  enum Counter : size_t { kQuery, kTopK, kBatch, kAdmin, kUncounted };
+
+  struct Call;   // service.cc: one request moving through the route shell.
+  struct Route;  // service.cc: a row of the route table and its steps.
 
   /// Records into the global ring and, when `metrics` is non-null, the
   /// tenant ring — the caller looked the tenant up once per request.
@@ -261,27 +266,18 @@ class SimPushService {
   Status ServeOne(const GraphGeneration& generation, NodeId u,
                   std::optional<double> epsilon, SimPushResult* result,
                   const CancelToken* cancel, bool* cached);
-  /// The run step of the query pipeline: one query through ServeOne
-  /// (reading the optional bounded "epsilon" override from `doc`), or
-  /// the deduplicated /v1/batch fan-out through ParallelQueryBatchTopK.
-  Status RunCall(const JsonValue& doc, QueryCall* call,
-                 const CancelToken* cancel);
-  /// The query pipeline every query endpoint runs.
-  HttpResponse ServeQueryEndpoint(Endpoint endpoint,
-                                  const HttpRequest& request);
-  /// Maps a failed query status onto the HTTP vocabulary and bumps the
-  /// matching counters: kDeadlineExceeded → 504, kCancelled → 499
-  /// (both with partial timing in the body), anything else → 400.
-  HttpResponse QueryErrorResponse(const Status& status, double elapsed_ms,
-                                  int64_t deadline_ms,
-                                  std::string_view graph_name,
-                                  uint64_t generation,
-                                  const std::shared_ptr<TenantMetrics>& metrics);
+  /// The route shell every row runs: count → [graph name check] →
+  /// [parse body] → decode → run → encode → finish. `graph` and `op` are
+  /// the {name} and operation of a /v1/graphs/{name}[/op] target.
+  HttpResponse Serve(const Route& route, const HttpRequest& request,
+                     std::string_view graph = {}, std::string_view op = {});
+  /// The one way a request fails: maps `status` onto its HTTP code and
+  /// body and bumps the counter the failure belongs to (service.cc
+  /// holds the table; docs/serving.md lists it).
+  HttpResponse ErrorResponse(const Status& status, const Call& call);
   std::shared_ptr<TenantMetrics> FindMetrics(std::string_view name) const;
-  /// Resolves the tenant a request addresses ("graph" field or the
-  /// default) and leases its current generation.
-  StatusOr<GenerationLease> LeaseFor(const JsonValue& doc,
-                                     std::string* name_out);
+  /// The members of the /v1/stats object.
+  void WriteStats(JsonWriter* writer);
   void WriteTenantSection(JsonWriter* writer, const std::string& name);
 
   const ServiceOptions options_;
@@ -296,8 +292,7 @@ class SimPushService {
   mutable Mutex startup_mu_;
   Status startup_status_ SIMPUSH_GUARDED_BY(startup_mu_) = Status::OK();
 
-  std::atomic<uint64_t> endpoint_requests_[kNumEndpoints] = {};
-  std::atomic<uint64_t> admin_requests_{0};
+  std::atomic<uint64_t> requests_[kUncounted] = {};
   std::atomic<uint64_t> nodes_scored_{0};
   std::atomic<uint64_t> bad_requests_{0};
   std::atomic<uint64_t> deadline_expired_{0};   // 504s, all graphs.

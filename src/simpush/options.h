@@ -24,19 +24,10 @@ struct SimPushOptions {
 
   /// Optional cap on the number of level-detection √c-walks. 0 means
   /// "use the paper's worst-case formula". The cap only affects the
-  /// adaptive choice of L (never the pushed probabilities); see
-  /// DESIGN.md §6 — the worst-case constant is ~9M walks at ε = 0.02,
-  /// far beyond what the paper's reported query times could include.
+  /// adaptive choice of L (never the pushed probabilities). The
+  /// worst-case constant is ~9M walks at ε = 0.02, far beyond what the
+  /// paper's reported query times could include.
   uint64_t walk_budget_cap = 0;
-
-  /// Lockstep wave width of the batched walk kernel (walk/walk_batch.h),
-  /// clamped to [1, kMaxWalkWaveSize]. Purely a scheduling knob: the
-  /// counter-based per-walk RNG streams make results bit-identical for
-  /// every value, so this trades prefetch overlap against SoA state
-  /// footprint without affecting output. 64 keeps ~64 in-flight cache
-  /// misses, past the point where the kernel's throughput plateaus
-  /// (BM_WalkKernel sweep in bench_micro).
-  uint32_t walk_wave_size = 64;
 
   /// Ablation: when false, skip walk-based level detection and always
   /// explore L* levels.

@@ -33,7 +33,6 @@ namespace {
 // eventually reached no matter the interleaving, and no level beyond M*
 // can reach it under any order.
 uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
-                        const SimPushOptions& options,
                         const DerivedParams& params, Rng* rng,
                         QueryWorkspace* workspace, uint64_t* walks_out,
                         const CancelToken* cancel) {
@@ -56,7 +55,7 @@ uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
           max_level = level;
         }
       },
-      cancel, options.walk_wave_size);
+      cancel);
   return max_level;  // On cancellation the caller re-checks and aborts.
 }
 
@@ -77,8 +76,8 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   uint32_t max_level = params.l_star;
   uint64_t walks = 0;
   if (options.use_level_detection) {
-    max_level = DetectMaxLevel(graph, u, options, params, rng, workspace,
-                               &walks, cancel);
+    max_level =
+        DetectMaxLevel(graph, u, params, rng, workspace, &walks, cancel);
     max_level = std::min(max_level, params.l_star);
     SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
   }

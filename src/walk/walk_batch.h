@@ -26,8 +26,10 @@
 // length draw, then one bounded draw per step). Walk
 // order is therefore a free variable: serial execution, any wave size,
 // any thread count, or a future SIMD/GPU backend produce bit-identical
-// trajectories by construction. tests/determinism_test.cc
-// (BatchedEqualsSerialBitIdentical) holds this bar.
+// trajectories by construction. tests/walk_test.cc
+// (KernelMatchesSerialWalkerPerStream, across wave widths) and
+// tests/determinism_test.cc (BatchedEqualsSerialBitIdentical, across
+// thread counts) hold this bar.
 //
 // Cancellation contract: the token is polled between waves at the
 // kCancelCheckStride walk cadence, never inside a wave and never in a

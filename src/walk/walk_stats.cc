@@ -1,76 +1,6 @@
 #include "walk/walk_stats.h"
 
-#include <algorithm>
-
 namespace simpush {
-
-namespace {
-const VisitCounts::LevelCounts kEmptyLevel;
-}  // namespace
-
-void VisitCounts::Record(uint32_t level, NodeId node) {
-  if (level == 0) return;
-  if (counts_.size() < level) {
-    counts_.resize(level);
-    dirty_.resize(level, 0);
-  }
-  counts_[level - 1].emplace_back(node, 1);
-  dirty_[level - 1] = 1;
-}
-
-void VisitCounts::Compact(uint32_t index) const {
-  LevelCounts& level = counts_[index];
-  std::sort(level.begin(), level.end());
-  // Merge adjacent duplicates in place, summing counts.
-  size_t out = 0;
-  for (size_t i = 0; i < level.size();) {
-    size_t j = i + 1;
-    uint64_t total = level[i].second;
-    while (j < level.size() && level[j].first == level[i].first) {
-      total += level[j].second;
-      ++j;
-    }
-    level[out++] = {level[i].first, total};
-    i = j;
-  }
-  level.resize(out);
-  dirty_[index] = 0;
-}
-
-void VisitCounts::Finalize() {
-  for (uint32_t index = 0; index < counts_.size(); ++index) {
-    if (dirty_[index]) Compact(index);
-  }
-}
-
-uint64_t VisitCounts::Count(uint32_t level, NodeId node) const {
-  if (level == 0 || level > counts_.size()) return 0;
-  if (dirty_[level - 1]) Compact(level - 1);
-  const LevelCounts& entries = counts_[level - 1];
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), node,
-      [](const auto& entry, NodeId n) { return entry.first < n; });
-  return it == entries.end() || it->first != node ? 0 : it->second;
-}
-
-const VisitCounts::LevelCounts& VisitCounts::Level(uint32_t level) const {
-  if (level == 0 || level > counts_.size()) return kEmptyLevel;
-  if (dirty_[level - 1]) Compact(level - 1);
-  return counts_[level - 1];
-}
-
-VisitCounts CountVisits(const Walker& walker, NodeId source,
-                        uint64_t num_walks, Rng* rng) {
-  VisitCounts counts;
-  for (uint64_t i = 0; i < num_walks; ++i) {
-    walker.SampleWalkVisit(source, rng,
-                           [&counts](uint32_t level, NodeId node) {
-                             counts.Record(level, node);
-                           });
-  }
-  counts.Finalize();  // Const accessors become pure (thread-safe) reads.
-  return counts;
-}
 
 std::vector<std::vector<double>> ExactHittingProbabilities(
     const Graph& graph, NodeId source, uint32_t max_level, double sqrt_c) {

@@ -1,66 +1,16 @@
-// Monte-Carlo estimation of hitting probabilities h^(l)(u, w): the
-// probability a √c-walk from u is at node w at step l. Shared by
-// Source-Push level detection, tests, and the PRSim baseline.
+// Exact hitting probabilities h^(l)(u, w): the probability a √c-walk
+// from u is at node w at step l. The reference the Monte-Carlo walk
+// tests check the walk kernel (walk/walk_batch.h) against.
 
 #ifndef SIMPUSH_WALK_WALK_STATS_H_
 #define SIMPUSH_WALK_WALK_STATS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "walk/walker.h"
+#include "graph/graph.h"
 
 namespace simpush {
-
-/// Per-level visit counts from a batch of √c-walks out of one source.
-///
-/// Counts are stored as flat per-level (node, count) vectors sorted by
-/// node — recording appends, and the first lookup after a batch of
-/// records compacts the level (sort + merge duplicates). That keeps the
-/// record path allocation-light and the read path cache-friendly, versus
-/// one hash map per level.
-class VisitCounts {
- public:
-  /// One (node, visit count) entry of a level.
-  using LevelCounts = std::vector<std::pair<NodeId, uint64_t>>;
-
-  /// Records that a walk visited `node` at step `level` (level >= 1).
-  void Record(uint32_t level, NodeId node);
-
-  /// Compacts every level (sort + merge duplicates). After this, the
-  /// const accessors are pure reads and safe to call concurrently —
-  /// CountVisits finalizes before returning. Only needed explicitly
-  /// when Record is used directly and the counts are then shared
-  /// across threads.
-  void Finalize();
-
-  /// Visit count H^(l)(u, node).
-  uint64_t Count(uint32_t level, NodeId node) const;
-
-  /// Largest level with any visit; 0 when empty.
-  uint32_t MaxLevel() const {
-    return counts_.empty() ? 0 : static_cast<uint32_t>(counts_.size());
-  }
-
-  /// All (node, count) pairs on `level` (1-based), sorted by node.
-  const LevelCounts& Level(uint32_t level) const;
-
- private:
-  void Compact(uint32_t index) const;
-
-  // counts_[l-1] holds (node, count) pairs for step l. A level is
-  // "dirty" after appends until compacted (sorted, duplicates merged) —
-  // lazily, on first read. Lazy compaction mutates under const, so
-  // concurrent first-reads of un-finalized counts are not synchronized;
-  // call Finalize() first when sharing across threads.
-  mutable std::vector<LevelCounts> counts_;
-  mutable std::vector<uint8_t> dirty_;
-};
-
-/// Samples `num_walks` √c-walks from `source` and tallies visits.
-VisitCounts CountVisits(const Walker& walker, NodeId source,
-                        uint64_t num_walks, Rng* rng);
 
 /// Exact hitting probabilities h^(l)(u, ·) for l = 0..max_level computed
 /// by dense dynamic programming over the in-adjacency (O(m) per level).

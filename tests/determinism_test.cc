@@ -217,37 +217,28 @@ TEST(DeterminismTest, ExpiredDeadlineAbortsWithin50ms) {
 TEST(DeterminismTest, BatchedEqualsSerialBitIdentical) {
   // The batched SoA walk kernel's determinism bar: because every walk
   // draws from its own counter stream Rng::ForWalk(seed', u, i), the
-  // wave width W and the thread count are pure scheduling knobs — the
-  // scores must be BIT-identical for serial execution (W = 1), any
-  // batched width, and any thread count, on a serving-sized graph.
+  // thread count is a pure scheduling knob — the scores must be
+  // BIT-identical for one thread and any thread count, on a
+  // serving-sized graph. (The wave width is a kernel constant; walk_test
+  // KernelMatchesSerialWalkerPerStream sweeps it against the serial
+  // Walker.)
   auto graph = GenerateChungLu(20000, 160000, 2.4, 95);
   ASSERT_TRUE(graph.ok());
   const auto queries = FirstNodes(6);
 
-  auto run = [&](uint32_t wave, size_t threads) {
-    SimPushOptions options = TestOptions();
-    options.walk_wave_size = wave;
-    return RunBatch(*graph, queries, threads, options);
-  };
-
-  const ScoreTable serial = run(1, 1);
-  ExpectIdentical(serial, run(8, 1), "W1-vs-W8");
-  ExpectIdentical(serial, run(64, 1), "W1-vs-W64");
-  ExpectIdentical(serial, run(64, 4), "W1-vs-W64 4 threads");
-  ExpectIdentical(serial, run(64, 8), "W1-vs-W64 8 threads");
+  const ScoreTable serial = RunBatch(*graph, queries, 1);
+  ExpectIdentical(serial, RunBatch(*graph, queries, 4), "1-vs-4 threads");
+  ExpectIdentical(serial, RunBatch(*graph, queries, 8), "1-vs-8 threads");
 }
 
 TEST(DeterminismTest, UnfiredTokenInvisibleToBatchedKernel) {
   // Mid-batch cancellation polls happen between walk waves; a token
-  // that never fires must leave batched results bit-identical, at every
-  // wave width. (A fired token's abort path is covered by
-  // ExpiredDeadlineAbortsWithin50ms.)
+  // that never fires must leave batched results bit-identical. (A fired
+  // token's abort path is covered by ExpiredDeadlineAbortsWithin50ms.)
   auto graph = GenerateChungLu(2000, 14000, 2.4, 97);
   ASSERT_TRUE(graph.ok());
-  const auto run = [&](uint32_t wave, const CancelToken* token) {
-    SimPushOptions options = TestOptions();
-    options.walk_wave_size = wave;
-    const EngineCore core(*graph, options);
+  const auto run = [&](const CancelToken* token) {
+    const EngineCore core(*graph, TestOptions());
     EXPECT_TRUE(core.options_status().ok());
     QueryWorkspace scratch;
     QueryRunner runner(core, &scratch);
@@ -257,13 +248,11 @@ TEST(DeterminismTest, UnfiredTokenInvisibleToBatchedKernel) {
     return result.scores;
   };
   const CancelToken token(Deadline::After(600000));  // Never fires here.
-  const auto bare = run(64, nullptr);
-  const auto watched = run(64, &token);
-  const auto serial_watched = run(1, &token);
+  const auto bare = run(nullptr);
+  const auto watched = run(&token);
   ASSERT_EQ(bare.size(), watched.size());
   for (size_t v = 0; v < bare.size(); ++v) {
     ASSERT_EQ(bare[v], watched[v]) << "node " << v;
-    ASSERT_EQ(bare[v], serial_watched[v]) << "node " << v;
   }
   EXPECT_FALSE(token.cancelled());
 }

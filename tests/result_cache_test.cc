@@ -61,15 +61,7 @@ void AccessThenInsert(ResultCache* cache, NodeId node, uint64_t fingerprint,
 
 TEST(OptionsFingerprint, CanonicalizesExactlyTheScoreAffectingFields) {
   const SimPushOptions base = FastOptions();
-  // walk_wave_size is a scheduling knob, bit-invisible to results: it
-  // MUST NOT split the key space.
-  SimPushOptions wave = base;
-  wave.walk_wave_size = 1;
-  EXPECT_EQ(OptionsFingerprint(base), OptionsFingerprint(wave));
-  wave.walk_wave_size = 4096;
-  EXPECT_EQ(OptionsFingerprint(base), OptionsFingerprint(wave));
-
-  // Every score-affecting field must split it.
+  // Every score-affecting field must split the key space.
   SimPushOptions changed = base;
   changed.epsilon = 0.2;
   EXPECT_NE(OptionsFingerprint(base), OptionsFingerprint(changed));

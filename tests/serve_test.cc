@@ -1379,6 +1379,19 @@ constexpr GoldenExchange kGoldenExchanges[] = {
     // The counters the admin exchanges above leave behind.
     {"GET", "/v1/stats", "", 200,
      R"g("requests":{"query":7,"topk":2,"batch":1,"admin":50,"bad":82,"deadline_expired":0,"client_abandoned":0,"nodes_scored":14})g"},
+    // Flags must be JSON booleans: a mistyped flag is a 400 naming it,
+    // never a silent false (the "swap" row's edges are not applied).
+    {"POST", "/v1/query", R"g({"node": 3, "with_stats": "true"})g", 400,
+     R"g({"error":"\"with_stats\": expected a boolean"})g"},
+    {"POST", "/v1/graphs", R"g({"name": "x", "path": "graphs/web.txt", "undirected": "yes"})g", 400,
+     R"g({"error":"\"undirected\": expected a boolean"})g"},
+    {"POST", "/v1/graphs/ring/edges", R"g({"add": [[0, 1]], "swap": "true"})g", 400,
+     R"g({"error":"\"swap\": expected a boolean"})g"},
+    {"GET", "/v1/graphs/ring", "", 200,
+     R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"pool":{"capacity":2,"created":0,"outstanding":0},"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
+    // A trailing slash names the same tenant.
+    {"GET", "/v1/graphs/ring/", "", 200,
+     R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"pool":{"capacity":2,"created":0,"outstanding":0},"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
 };
 
 // Routes a request to the public handler the server's route table

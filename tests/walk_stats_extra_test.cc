@@ -1,12 +1,15 @@
 // Deeper statistical tests for the √c-walk engine: walk-length law,
-// MC-vs-exact hitting probability agreement, and pair-meeting
+// batched-kernel-vs-exact hitting probability agreement, and pair-meeting
 // probability as a SimRank estimator on analytic topologies.
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "walk/walk_batch.h"
 #include "walk/walk_stats.h"
 #include "walk/walker.h"
 
@@ -52,7 +55,7 @@ TEST(WalkLawTest, DanglingNodeAlwaysStops) {
   }
 }
 
-TEST(WalkStatsTest, VisitCountsMatchExactHittingProbabilities) {
+TEST(WalkStatsTest, KernelVisitsMatchExactHittingProbabilities) {
   auto graph = GenerateChungLu(300, 2400, 2.4, 23);
   ASSERT_TRUE(graph.ok());
   const double sqrt_c = std::sqrt(0.6);
@@ -60,10 +63,15 @@ TEST(WalkStatsTest, VisitCountsMatchExactHittingProbabilities) {
   const uint32_t kMaxLevel = 4;
 
   auto exact = ExactHittingProbabilities(*graph, u, kMaxLevel, sqrt_c);
-  Walker walker(*graph, sqrt_c);
-  Rng rng(31);
+  // Tally the batched kernel Source-Push runs, per (level, node).
+  const Walker walker(*graph, sqrt_c);
   const uint64_t kWalks = 200000;
-  VisitCounts counts = CountVisits(walker, u, kWalks, &rng);
+  std::vector<std::vector<uint64_t>> counts(
+      kMaxLevel + 1, std::vector<uint64_t>(graph->num_nodes(), 0));
+  RunWalkWaves(*graph, u, /*walk_seed=*/31, kWalks, Walker::kMaxWalkLength,
+               walker.inv_log_sqrt_c(), [&](uint32_t level, NodeId node) {
+                 if (level <= kMaxLevel) ++counts[level][node];
+               });
 
   // Every node with h >= 0.01 at levels 1..3 must be estimated within
   // 5σ of its exact probability.
@@ -71,7 +79,7 @@ TEST(WalkStatsTest, VisitCountsMatchExactHittingProbabilities) {
     for (NodeId v = 0; v < graph->num_nodes(); ++v) {
       const double h = exact[level][v];
       if (h < 0.01) continue;
-      const double estimate = double(counts.Count(level, v)) / kWalks;
+      const double estimate = double(counts[level][v]) / kWalks;
       const double sigma = std::sqrt(h * (1 - h) / kWalks);
       EXPECT_NEAR(estimate, h, 5 * sigma + 1e-4)
           << "level " << level << " node " << v;
@@ -125,20 +133,6 @@ TEST(PairMeetingTest, DisconnectedComponentsNeverMeet) {
   for (int i = 0; i < 10000; ++i) {
     ASSERT_FALSE(walker.PairWalkMeets(1, 7, &rng));
   }
-}
-
-TEST(VisitCountsTest, LevelAccessorsAreConsistent) {
-  VisitCounts counts;
-  counts.Record(1, 5);
-  counts.Record(1, 5);
-  counts.Record(3, 9);
-  EXPECT_EQ(counts.Count(1, 5), 2u);
-  EXPECT_EQ(counts.Count(1, 9), 0u);
-  EXPECT_EQ(counts.Count(2, 5), 0u);
-  EXPECT_EQ(counts.Count(3, 9), 1u);
-  EXPECT_EQ(counts.MaxLevel(), 3u);
-  EXPECT_EQ(counts.Level(1).size(), 1u);
-  EXPECT_TRUE(counts.Level(2).empty());
 }
 
 }  // namespace

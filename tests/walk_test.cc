@@ -109,37 +109,6 @@ TEST(WalkStatsTest, ExactHittingProbsSumToSqrtCPowers) {
   EXPECT_DOUBLE_EQ(h[0][0], 1.0);
 }
 
-TEST(WalkStatsTest, MonteCarloMatchesExactHitting) {
-  Graph g = testing_util::MakeFixtureGraph();
-  Walker walker(g, kSqrtC);
-  Rng rng(11);
-  const uint64_t walks = 400000;
-  VisitCounts counts = CountVisits(walker, 0, walks, &rng);
-  auto exact = ExactHittingProbabilities(g, 0, 3, kSqrtC);
-  for (uint32_t level = 1; level <= 3; ++level) {
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const double estimated = double(counts.Count(level, v)) / walks;
-      EXPECT_NEAR(estimated, exact[level][v], 0.005)
-          << "level " << level << " node " << v;
-    }
-  }
-}
-
-TEST(WalkStatsTest, VisitCountsAccessors) {
-  VisitCounts counts;
-  counts.Record(1, 5);
-  counts.Record(1, 5);
-  counts.Record(3, 2);
-  EXPECT_EQ(counts.Count(1, 5), 2u);
-  EXPECT_EQ(counts.Count(2, 5), 0u);
-  EXPECT_EQ(counts.Count(3, 2), 1u);
-  EXPECT_EQ(counts.MaxLevel(), 3u);
-  EXPECT_EQ(counts.Level(1).size(), 1u);
-  EXPECT_TRUE(counts.Level(9).empty());
-  counts.Record(0, 1);  // Level 0 records are ignored.
-  EXPECT_EQ(counts.Count(0, 1), 0u);
-}
-
 TEST(WalkerTest, WalkLengthForUniformCapAndInfinityEdge) {
   const double inv = 1.0 / std::log(kSqrtC);
   // u = 0 → survival 1 → log 0 → length 0.
@@ -179,6 +148,25 @@ LevelCounts KernelCounts(const Graph& g, NodeId start, uint64_t walk_seed,
       [&](uint32_t level, NodeId node) { ++counts[{level, node}]; },
       cancel, wave_size);
   return counts;
+}
+
+TEST(WalkStatsTest, MonteCarloMatchesExactHitting) {
+  // The kernel Source-Push runs, tallied per (level, node), estimates
+  // the exact hitting probabilities.
+  Graph g = testing_util::MakeFixtureGraph();
+  const uint64_t walks = 400000;
+  const LevelCounts counts =
+      KernelCounts(g, 0, /*walk_seed=*/11, walks, kDefaultWalkWaveSize);
+  auto exact = ExactHittingProbabilities(g, 0, 3, kSqrtC);
+  for (uint32_t level = 1; level <= 3; ++level) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto it = counts.find({level, v});
+      const uint64_t visits = it == counts.end() ? 0 : it->second;
+      const double estimated = double(visits) / walks;
+      EXPECT_NEAR(estimated, exact[level][v], 0.005)
+          << "level " << level << " node " << v;
+    }
+  }
 }
 
 TEST(WalkBatchTest, KernelMatchesSerialWalkerPerStream) {

@@ -43,6 +43,13 @@ R5 annotated-locks-only
     only the capability-annotated wrappers from common/annotations.h,
     so every lock site is visible to -Wthread-safety. (annotations.h
     itself wraps the std primitives and is exempt.)
+
+R6 one-error-path
+    src/serve/service.cc answers every failed request through one
+    function, SimPushService::ErrorResponse, which holds the service's
+    Status -> HTTP table. HTTP 4xx/5xx status literals and bad_requests_
+    increments may appear only inside it, so a new endpoint cannot bring
+    back an inline status code or a second bad-request counter site.
 """
 
 from __future__ import annotations
@@ -99,6 +106,14 @@ RAW_LOCK = re.compile(
 )
 RAW_LOCK_EXEMPT = {"src/common/annotations.h"}
 
+# R6: the one error path of the request layer.
+ERROR_PATH_FILE = "src/serve/service.cc"
+ERROR_PATH_FUNCTION = re.compile(r"\bSimPushService::ErrorResponse\s*\(")
+HTTP_ERROR_LITERAL = re.compile(r"(?<![\w.])[45]\d\d(?![\w.])")
+BAD_REQUEST_BUMP = re.compile(
+    r"\bbad_requests_\s*(\.\s*fetch_add|\+\+|\+=)|\+\+\s*bad_requests_\b"
+)
+
 
 def strip_comments_and_strings(text: str) -> str:
     """Blanks out comments and string/char literals, preserving line
@@ -126,6 +141,27 @@ def strip_comments_and_strings(text: str) -> str:
             out.append(c)
             i += 1
     return "".join(out)
+
+
+def function_body_lines(code: str, header: re.Pattern) -> range | None:
+    """1-based line range of the body of the first function definition
+    whose declarator matches `header` (comments and strings already
+    stripped), or None when there is no such definition."""
+    for match in header.finditer(code):
+        open_at = code.find("{", match.end())
+        if open_at < 0 or ";" in code[match.end():open_at]:
+            continue  # A declaration or call, not the definition.
+        depth = 0
+        for i in range(open_at, len(code)):
+            if code[i] == "{":
+                depth += 1
+            elif code[i] == "}":
+                depth -= 1
+                if depth == 0:
+                    first = code.count("\n", 0, match.start()) + 1
+                    last = code.count("\n", 0, i) + 1
+                    return range(first, last + 1)
+    return None
 
 
 def iter_source_files(root: Path):
@@ -206,6 +242,31 @@ class Linter:
                         path, lineno, "annotated-locks-only",
                         "use the capability-annotated wrappers from "
                         "common/annotations.h, not raw std locks",
+                    )
+
+        # R6 — the request layer's one error path.
+        if rel == ERROR_PATH_FILE:
+            body = function_body_lines(code, ERROR_PATH_FUNCTION)
+            if body is None:
+                self.report(
+                    path, 1, "one-error-path",
+                    "SimPushService::ErrorResponse definition not found",
+                )
+                body = range(0)
+            for lineno, line in enumerate(code_lines, 1):
+                if lineno in body:
+                    continue
+                if HTTP_ERROR_LITERAL.search(line):
+                    self.report(
+                        path, lineno, "one-error-path",
+                        "HTTP 4xx/5xx literal outside ErrorResponse; map a "
+                        "Status code in its table instead",
+                    )
+                if BAD_REQUEST_BUMP.search(line):
+                    self.report(
+                        path, lineno, "one-error-path",
+                        "bad_requests_ bumped outside ErrorResponse; return "
+                        "a failed Status instead",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
