@@ -96,6 +96,17 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   // list (hash maps per level would dominate query time on dense
   // graphs); each finished level is then compacted into G_u's flat
   // per-level entries in one pass.
+  //
+  // A level whose frontier has more than m/kPullEdgeFraction in-edges
+  // is computed by pulling instead (direction-optimizing traversal,
+  // Beamer et al., SC 2012): every node v' sums the shares of its
+  // out-neighbors, next[v'] = Σ_{v ∈ O(v')} share[v], with share[v] =
+  // √c·h(v)/d_I(v) on the frontier and 0 elsewhere. The two directions
+  // are bit-identical. The push adds v's share to v' once per edge
+  // v'→v, in ascending v (the frontier is sorted); the out-CSR row of
+  // v' is sorted, so the pull adds the same shares in the same order,
+  // and adding +0.0 for a non-frontier v leaves a sum unchanged. Both
+  // emit the next level ascending by node.
   EpochArray<double>& current = workspace->dense_a;
   EpochArray<double>& next = workspace->dense_b;
   std::vector<NodeId>& frontier = workspace->frontier_a;
@@ -106,60 +117,108 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   // frontier comes out ascending by construction, replacing the
   // per-level sort. The accumulation order over in-edges is unchanged
   // (sorted frontier × in-CSR order), so the float sums are bit-for-bit
-  // the same as with the sorted-push scheme.
-  const size_t words = (static_cast<size_t>(graph.num_nodes()) + 63) / 64;
+  // the same as with the sorted-push scheme. A pull level uses the mask
+  // for the frontier instead: v' joins the next level iff one of its
+  // out-neighbors is marked, even should every share it sums underflow.
+  const NodeId n = graph.num_nodes();
+  const size_t words = (static_cast<size_t>(n) + 63) / 64;
   std::vector<uint64_t>& bits = workspace->scratch_bits;
   bits.assign(words, 0);  // Clean even after a cancelled predecessor.
+  const EdgeId pull_edges = graph.num_edges() / kPullEdgeFraction;
   current.BeginEpoch();
   next.BeginEpoch();
   frontier.clear();
   frontier.push_back(u);
   current.Set(u, 1.0);
+  EdgeId frontier_edges = graph.InDegree(u);  // In-edges of the frontier.
   uint32_t since_poll = 0;
   for (uint32_t level = 0; level < max_level; ++level) {
     if (frontier.empty()) break;
-    size_t wlo = words, whi = 0;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      // Per-occurrence cancellation stride (same contract as the walk
-      // loop above: a poll reads state only). A cancelled return leaves
-      // set bits behind; every consumer re-zeroes the mask on entry.
-      if (++since_poll >= kCancelCheckStride) {
-        since_poll = 0;
-        SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
-      }
-      // The frontier is sorted ascending (see below), so the in-CSR
-      // rows stream near-sequentially; hint the next rows' offsets so
-      // their misses overlap with this row's pushes.
-      if (i + 4 < frontier.size()) graph.PrefetchInOffsets(frontier[i + 4]);
-      const NodeId v = frontier[i];
-      const double h = current.RawRef(v);
-      const uint32_t deg = graph.InDegree(v);
-      if (deg == 0) continue;
-      const double share = params.sqrt_c * h / deg;
-      for (NodeId vp : graph.InNeighbors(v)) {
-        next.Accumulate(vp, share);
-        const size_t w = vp >> 6;
-        bits[w] |= uint64_t{1} << (vp & 63);
-        if (w < wlo) wlo = w;
-        if (w > whi) whi = w;
-      }
-    }
-    // Canonical (ascending) frontier order: makes the next level's
-    // traversal sequential over the in-CSR, makes the accumulation
-    // order — and hence the float sums — a function of the graph alone
-    // (never of discovery order), and appends the level's entries
-    // already sorted by node, so no per-level SortLevel pass.
     frontier_next.clear();
-    for (size_t wi = wlo; wi <= whi; ++wi) {
-      uint64_t m = bits[wi];
-      if (m == 0) continue;
-      bits[wi] = 0;
-      do {
-        const NodeId vp = static_cast<NodeId>(wi * 64 + std::countr_zero(m));
-        m &= m - 1;
+    const bool pull = frontier_edges > pull_edges;
+    frontier_edges = 0;  // Re-summed below for the next frontier.
+    if (pull) {
+      // Each frontier value becomes its node's share √c·h/d_I in place
+      // (G_u already holds h) and the frontier is marked in the bitmask.
+      // The sum masks every value to +0.0 unless its bit is set: stale
+      // slots of non-frontier nodes are read but never added. A frontier
+      // node with d_I = 0 is nobody's out-neighbor, so it is skipped.
+      for (const NodeId v : frontier) {
+        const uint32_t deg = graph.InDegree(v);
+        if (deg == 0) continue;
+        double& value = current.RawRef(v);
+        value = params.sqrt_c * value / deg;
+        bits[v >> 6] |= uint64_t{1} << (v & 63);
+      }
+      for (NodeId vp = 0; vp < n; ++vp) {
+        // A cancelled return leaves set bits behind, as in the push.
+        if (++since_poll >= kCancelCheckStride) {
+          since_poll = 0;
+          SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
+        }
+        double h = 0.0;
+        uint64_t member = 0;
+        for (const NodeId v : graph.OutNeighbors(vp)) {
+          const uint64_t marked = (bits[v >> 6] >> (v & 63)) & 1;
+          member |= marked;
+          h += std::bit_cast<double>(
+              std::bit_cast<uint64_t>(current.RawRef(v)) & (0 - marked));
+        }
+        if (member == 0) continue;
+        next.Set(vp, h);
         frontier_next.push_back(vp);
-        gu->AddEntry(level + 1, vp, next.RawRef(vp));
-      } while (m != 0);
+        frontier_edges += graph.InDegree(vp);
+        gu->AddEntry(level + 1, vp, h);
+      }
+      for (const NodeId v : frontier) bits[v >> 6] = 0;
+    } else {
+      size_t wlo = words, whi = 0;
+      for (size_t i = 0; i < frontier.size(); ++i) {
+        // Per-occurrence cancellation stride (same contract as the walk
+        // loop above: a poll reads state only). A cancelled return
+        // leaves set bits behind; every consumer re-zeroes the mask on
+        // entry.
+        if (++since_poll >= kCancelCheckStride) {
+          since_poll = 0;
+          SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
+        }
+        // The frontier is sorted ascending (see below), so the in-CSR
+        // rows stream near-sequentially; hint the next rows' offsets so
+        // their misses overlap with this row's pushes.
+        if (i + 4 < frontier.size()) {
+          graph.PrefetchInOffsets(frontier[i + 4]);
+        }
+        const NodeId v = frontier[i];
+        const double h = current.RawRef(v);
+        const uint32_t deg = graph.InDegree(v);
+        if (deg == 0) continue;
+        const double share = params.sqrt_c * h / deg;
+        for (NodeId vp : graph.InNeighbors(v)) {
+          next.Accumulate(vp, share);
+          const size_t w = vp >> 6;
+          bits[w] |= uint64_t{1} << (vp & 63);
+          if (w < wlo) wlo = w;
+          if (w > whi) whi = w;
+        }
+      }
+      // Canonical (ascending) frontier order: makes the next level's
+      // traversal sequential over the in-CSR, makes the accumulation
+      // order — and hence the float sums — a function of the graph
+      // alone (never of discovery order), and appends the level's
+      // entries already sorted by node, so no per-level SortLevel pass.
+      for (size_t wi = wlo; wi <= whi; ++wi) {
+        uint64_t m = bits[wi];
+        if (m == 0) continue;
+        bits[wi] = 0;
+        do {
+          const NodeId vp =
+              static_cast<NodeId>(wi * 64 + std::countr_zero(m));
+          m &= m - 1;
+          frontier_next.push_back(vp);
+          frontier_edges += graph.InDegree(vp);
+          gu->AddEntry(level + 1, vp, next.RawRef(vp));
+        } while (m != 0);
+      }
     }
     // The consumed level's stamps are wiped in O(1) so the array can be
     // reused as the next level's accumulator after the swap.

@@ -19,6 +19,14 @@ namespace simpush {
 
 class QueryWorkspace;
 
+/// Source-Push computes a level by pulling (each node sums its
+/// out-neighbors' shares) instead of pushing (each frontier node
+/// scatters to its in-neighbors) once the frontier's in-edges exceed
+/// m / kPullEdgeFraction. Both give bit-identical levels. Fractions of
+/// 1/10, 1/4 and 1/2 measured the same on a 200k-node Chung-Lu web
+/// graph, whose frontiers from level 3 on hold 79-98% of the in-edges.
+constexpr EdgeId kPullEdgeFraction = 4;
+
 /// Statistics reported by one Source-Push invocation.
 struct SourcePushStats {
   uint32_t detected_level = 0;   ///< L (after capping by L*).
@@ -34,10 +42,11 @@ struct SourcePushStats {
 /// `gu` are warm.
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride walks
-/// (level detection) and pushed occurrences (propagation); a fired
-/// token aborts with kCancelled/kDeadlineExceeded. The poll only reads
-/// state — a run whose token never fires is bit-identical to a run
-/// with cancel == nullptr (see common/deadline.h).
+/// (level detection), pushed occurrences (push levels) and nodes (pull
+/// levels); a fired token aborts with kCancelled/kDeadlineExceeded. The
+/// poll only reads state — a run whose token never fires is
+/// bit-identical to a run with cancel == nullptr (see
+/// common/deadline.h).
 Status SourcePushInto(const Graph& graph, NodeId u,
                       const SimPushOptions& options,
                       const DerivedParams& params, Rng* rng,

@@ -109,7 +109,8 @@ class QueryWorkspace {
   std::vector<double> attention_accum;    // Zero-restored after each use.
 
   // --- Touched-set bitmask, shared by the Source-Push frontier scatter
-  // (node-indexed) and the hitting pull merge (attention-id-indexed);
+  // and pull-level frontier marks (node-indexed) and the hitting pull
+  // merge (attention-id-indexed);
   // the stages run sequentially and each re-zeroes it on entry
   // (assign() reuses capacity, so steady state stays allocation-free).
   // Scatter loops OR into it unconditionally — no per-write branch —

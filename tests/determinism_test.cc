@@ -15,6 +15,7 @@
 #include "simpush/parallel.h"
 #include "simpush/query_runner.h"
 #include "simpush/simpush.h"
+#include "simpush/source_push.h"
 #include "simpush/workspace.h"
 #include "test_util.h"
 
@@ -172,6 +173,7 @@ TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
   watched.set_cancellation(&token);
 
   SimPushResult expected, observed;
+  size_t pull_levels = 0;
   for (const NodeId u : {0u, 7u, 42u, 123u, 299u}) {
     ASSERT_TRUE(plain.QueryInto(u, &expected).ok());
     ASSERT_TRUE(watched.QueryInto(u, &observed).ok());
@@ -180,7 +182,18 @@ TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
       ASSERT_EQ(expected.scores[v], observed.scores[v])
           << "query " << u << " node " << v;
     }
+    // The dense levels take Source-Push's pull path, whose poll
+    // stride counts nodes rather than pushed occurrences.
+    const SourceGraph& gu = plain_scratch.source_graph;
+    for (uint32_t level = 0; level < gu.max_level(); ++level) {
+      EdgeId in_edges = 0;
+      for (const auto& [node, h] : gu.Level(level)) {
+        in_edges += graph->InDegree(node);
+      }
+      if (in_edges > graph->num_edges() / kPullEdgeFraction) ++pull_levels;
+    }
   }
+  EXPECT_GT(pull_levels, 0u);
   EXPECT_FALSE(token.cancelled());
 }
 

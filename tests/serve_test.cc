@@ -1152,13 +1152,13 @@ constexpr GoldenExchange kGoldenExchanges[] = {
     {"POST", "/v1/query", R"g({"node": 5, "top_k": 3})g", 200,
      R"g({"node":5,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":6,"score":0.3415175079178125},{"node":7,"score":0.17848684297888504},{"node":4,"score":0.17054208652754627}]})g"},
     {"POST", "/v1/query", R"g({"node": 6, "with_stats": true})g", 200,
-     R"g({"node":6,"graph":"default","generation":1,"epsilon":0.1,"scores":[0.003356619910312501,0,0,0,0.04183632570234376,0.34172560028437504,1,0.19608816486000005,0.010069859730937504,0],"stats":{"max_level":16,"num_attention":28,"walks_sampled":20000,"reverse_pushes":43,"total_ms":0}})g"},
+     R"g({"node":6,"graph":"default","generation":1,"epsilon":0.1,"scores":[0.003356619910312501,0,0,0,0.04183632570234376,0.34172560028437504,1,0.19608816486000005,0.010069859730937504,0],"stats":{"max_level":16,"num_attention":28,"walks_sampled":12649,"reverse_pushes":43,"total_ms":0}})g"},
     {"POST", "/v1/query", R"g({"node": 3, "epsilon": 0.2})g", 200,
      R"g({"node":3,"graph":"default","generation":1,"epsilon":0.2,"scores":[0,0.115171529625,0.4025857648125001,1,0.05887891777500001,0,0,0,0,0]})g"},
     {"POST", "/v1/query", R"g({"node": 3, "epsilon": 0.2, "top_k": 2})g", 200,
      R"g({"node":3,"graph":"default","generation":1,"epsilon":0.2,"cached":true,"top":[{"node":2,"score":0.4025857648125001},{"node":1,"score":0.115171529625}]})g"},
     {"POST", "/v1/query", R"g({"node": 8, "top_k": 4, "with_stats": true, "epsilon": 0.1})g", 200,
-     R"g({"node":8,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":0,"score":0.269405439828575},{"node":9,"score":0.13974207557343754},{"node":1,"score":0.011655032565937504},{"node":6,"score":0.010926011737800006}],"stats":{"max_level":15,"num_attention":41,"walks_sampled":20000,"reverse_pushes":57,"total_ms":0}})g"},
+     R"g({"node":8,"graph":"default","generation":1,"epsilon":0.1,"top":[{"node":0,"score":0.269405439828575},{"node":9,"score":0.13974207557343754},{"node":1,"score":0.011655032565937504},{"node":6,"score":0.010926011737800006}],"stats":{"max_level":15,"num_attention":41,"walks_sampled":12649,"reverse_pushes":57,"total_ms":0}})g"},
     // /v1/topk: a cache hit (node 5 above) and a computed k.
     {"POST", "/v1/topk", R"g({"node": 5})g", 200,
      R"g({"node":5,"graph":"default","generation":1,"epsilon":0.1,"cached":true,"k":10,"top":[{"node":6,"score":0.3415175079178125},{"node":7,"score":0.17848684297888504},{"node":4,"score":0.17054208652754627}]})g"},

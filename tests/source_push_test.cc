@@ -1,12 +1,18 @@
 // Tests for Source-Push (Algorithm 2): derived parameters, propagated
-// hitting probabilities vs. the exact DP reference, G_u structure, and
-// attention-node identification.
+// hitting probabilities vs. the exact DP reference, pull levels against
+// a naive push, G_u structure, and attention-node identification.
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "common/deadline.h"
 #include "gtest/gtest.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "test_util.h"
 #include "walk/walk_stats.h"
 
@@ -46,6 +52,51 @@ TEST(DerivedParamsTest, WalkBudgetCapApplies) {
   EXPECT_EQ(capped.num_walks, 1000u);
   // Threshold shrinks proportionally with the walk count.
   EXPECT_LT(capped.level_count_threshold, uncapped.level_count_threshold);
+}
+
+TEST(DerivedParamsTest, ChernoffWalkCountsAndThresholds) {
+  // N = ⌈8·ln(1/((1-√c)·ε_h·δ))/ε_h⌉ at c = 0.6, δ = 1e-4, uncapped.
+  const struct {
+    double epsilon;
+    uint64_t walks;
+    uint64_t threshold;
+  } kPinned[] = {{0.1, 12649, 62}, {0.05, 26441, 65}, {0.02, 69879, 68}};
+  for (const auto& pinned : kPinned) {
+    SimPushOptions options;
+    options.epsilon = pinned.epsilon;
+    const DerivedParams p = ComputeDerivedParams(options);
+    EXPECT_EQ(p.num_walks, pinned.walks) << "epsilon " << pinned.epsilon;
+    EXPECT_EQ(p.level_count_threshold, pinned.threshold)
+        << "epsilon " << pinned.epsilon;
+  }
+}
+
+TEST(DerivedParamsTest, HoeffdingCountWinsForLargeEpsH) {
+  // 2/ε_h² <= 8/ε_h iff ε_h >= 1/4. At c = 0.01 (√c = 0.1),
+  // ε_h = 3·ε, so ε = 0.1 gives ε_h = 0.3.
+  SimPushOptions options;
+  options.decay = 0.01;
+  options.epsilon = 0.1;
+  const DerivedParams p = ComputeDerivedParams(options);
+  ASSERT_GE(p.eps_h, 0.25);
+  const double log_term =
+      std::log(1.0 / ((1.0 - p.sqrt_c) * p.eps_h * options.delta));
+  EXPECT_EQ(p.num_walks, static_cast<uint64_t>(std::ceil(
+                             2.0 * log_term / (p.eps_h * p.eps_h))));
+  EXPECT_LT(p.num_walks, static_cast<uint64_t>(8.0 * log_term / p.eps_h));
+}
+
+TEST(DerivedParamsTest, TinyEpsilonStillRunsWalks) {
+  // The paper's Hoeffding count passes 2^64 near ε = 1e-8; the walk
+  // count must neither wrap to 0 nor skip the cap.
+  SimPushOptions options;
+  options.epsilon = 1e-9;
+  const DerivedParams uncapped = ComputeDerivedParams(options);
+  EXPECT_GT(uncapped.num_walks, 0u);
+  EXPECT_GE(uncapped.level_count_threshold, 1u);
+  options.walk_budget_cap = 100000;
+  const DerivedParams capped = ComputeDerivedParams(options);
+  EXPECT_EQ(capped.num_walks, 100000u);
 }
 
 TEST(DerivedParamsTest, SmallerEpsilonDeeperHorizon) {
@@ -181,6 +232,180 @@ TEST(SourcePushTest, CycleGraphKeepsFullMass) {
     const NodeId expected = (0 + 12 - (level % 12)) % 12;
     EXPECT_NEAR(gu->HittingProb(level, expected),
                 std::pow(params.sqrt_c, level), 1e-12);
+  }
+}
+
+// The propagation as Algorithm 2 states it: level ℓ+1 receives
+// √c·h(v)/d_I(v) at every in-neighbor of v, for the level-ℓ nodes v in
+// ascending order. Returns levels 0..max_level (or until one is empty),
+// each ascending by node.
+using LevelList = std::vector<std::vector<std::pair<NodeId, double>>>;
+LevelList NaivePush(const Graph& graph, NodeId u, uint32_t max_level,
+                    double sqrt_c) {
+  LevelList levels(1, {{u, 1.0}});
+  while (levels.size() <= max_level && !levels.back().empty()) {
+    std::map<NodeId, double> next;
+    for (const auto& [v, h] : levels.back()) {
+      const uint32_t deg = graph.InDegree(v);
+      if (deg == 0) continue;
+      const double share = sqrt_c * h / deg;
+      for (const NodeId vp : graph.InNeighbors(v)) {
+        const auto [it, inserted] = next.try_emplace(vp, share);
+        if (!inserted) it->second += share;
+      }
+    }
+    levels.emplace_back(next.begin(), next.end());
+  }
+  return levels;
+}
+
+// True when Source-Push computes level ℓ+1 from `level` by pulling.
+bool PullsFrom(const Graph& graph,
+               const std::vector<std::pair<NodeId, double>>& level) {
+  EdgeId in_edges = 0;
+  for (const auto& [v, h] : level) in_edges += graph.InDegree(v);
+  return in_edges > graph.num_edges() / kPullEdgeFraction;
+}
+
+// Directions seen between consecutive computed levels.
+struct Crossings {
+  bool pull = false;
+  bool push_to_pull = false;
+  bool pull_to_push = false;
+};
+
+// Runs SourcePushInto from every source in `sources` with one reused
+// workspace and checks every level's (node, h bits) against NaivePush.
+void ExpectPushEqualsNaive(const Graph& graph,
+                           const std::vector<NodeId>& sources,
+                           Crossings* crossings) {
+  SimPushOptions options = FastOptions();
+  options.use_level_detection = false;  // Explore all L* levels.
+  const DerivedParams params = ComputeDerivedParams(options);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  for (const NodeId u : sources) {
+    Rng rng(u);
+    ASSERT_TRUE(SourcePushInto(graph, u, options, params, &rng, &workspace,
+                               &gu, nullptr)
+                    .ok());
+    const LevelList expected =
+        NaivePush(graph, u, gu.max_level(), params.sqrt_c);
+    for (uint32_t level = 0; level <= gu.max_level(); ++level) {
+      const auto& want = level < expected.size()
+                             ? expected[level]
+                             : std::vector<std::pair<NodeId, double>>{};
+      const auto got = gu.Level(level);
+      ASSERT_EQ(got.size(), want.size()) << "u " << u << " level " << level;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].first, want[i].first)
+            << "u " << u << " level " << level;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[i].second),
+                  std::bit_cast<uint64_t>(want[i].second))
+            << "u " << u << " level " << level << " node " << want[i].first;
+      }
+    }
+    for (size_t level = 0; level + 1 < expected.size(); ++level) {
+      if (expected[level + 1].empty()) break;
+      const bool pull = PullsFrom(graph, expected[level]);
+      crossings->pull |= pull;
+      if (level > 0 && pull != PullsFrom(graph, expected[level - 1])) {
+        (pull ? crossings->push_to_pull : crossings->pull_to_push) = true;
+      }
+    }
+  }
+}
+
+std::vector<NodeId> AllNodes(const Graph& graph) {
+  std::vector<NodeId> nodes(graph.num_nodes());
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) nodes[v] = v;
+  return nodes;
+}
+
+TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
+  // A funnel with duplicate edges, a self-loop and nodes without in- or
+  // out-edges: level 1 (nodes 1-8) has 40 in-edges, > m/4, and pulls;
+  // level 2 is node 9 alone and pushes.
+  GraphBuilder funnel(12);
+  for (NodeId i = 1; i <= 8; ++i) {
+    funnel.AddEdge(i, 0);
+    for (int dup = 0; dup < 5; ++dup) funnel.AddEdge(9, i);
+  }
+  funnel.AddEdge(9, 9);    // Self-loop.
+  funnel.AddEdge(10, 9);   // 10 has no in-edges; 11 has no edges.
+  auto funnel_graph = std::move(funnel).Build(/*dedupe=*/false);
+  ASSERT_TRUE(funnel_graph.ok());
+  ASSERT_EQ(funnel_graph->InDegree(1), 5u);
+
+  auto complete = GenerateComplete(40);
+  auto star = GenerateStar(300, /*bidirectional=*/true);
+  auto grid = GenerateGrid(3, 3);
+  auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(complete.ok() && star.ok() && grid.ok() && chung_lu.ok());
+
+  Crossings all;
+  const std::pair<const char*, const Graph*> kZoo[] = {
+      {"funnel", &*funnel_graph}, {"complete", &*complete},
+      {"star", &*star},           {"grid", &*grid},
+      {"chung_lu", &*chung_lu}};
+  for (const auto& [name, graph] : kZoo) {
+    SCOPED_TRACE(name);
+    std::vector<NodeId> sources = AllNodes(*graph);
+    if (sources.size() > 24) sources.resize(24);
+    Crossings crossings;
+    ExpectPushEqualsNaive(*graph, sources, &crossings);
+    EXPECT_TRUE(crossings.pull);
+    all.push_to_pull |= crossings.push_to_pull;
+    all.pull_to_push |= crossings.pull_to_push;
+  }
+  EXPECT_TRUE(all.push_to_pull);
+  EXPECT_TRUE(all.pull_to_push);
+}
+
+TEST(SourcePushTest, CancelDuringPullLevel) {
+  // On K_300 level 0 (one node, 299 in-edges) pushes and level 1 (299
+  // nodes, ~m in-edges) pulls. With detection off nothing polls before
+  // propagation, and the one pushed occurrence is far below the stride,
+  // so the first poll of a cancelled token lands inside the pull.
+  auto graph = GenerateComplete(300);
+  ASSERT_TRUE(graph.ok());
+  SimPushOptions options = FastOptions();
+  options.use_level_detection = false;
+  const DerivedParams params = ComputeDerivedParams(options);
+  const NodeId u = 0;
+  ASSERT_FALSE(PullsFrom(*graph, {{u, 1.0}}));
+  ASSERT_TRUE(PullsFrom(*graph, NaivePush(*graph, u, 1, params.sqrt_c)[1]));
+
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  CancelToken token;
+  token.Cancel();
+  Rng rng(1);
+  const Status status = SourcePushInto(*graph, u, options, params, &rng,
+                                       &workspace, &gu, nullptr, &token);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+
+  // The aborted pull leaves no residue in the reused workspace: a query
+  // from node 1, whose level 1 lacks node 1, matches a fresh workspace.
+  SourceGraph after, fresh;
+  QueryWorkspace fresh_workspace;
+  Rng rng_after(2), rng_fresh(2);
+  ASSERT_TRUE(SourcePushInto(*graph, 1, options, params, &rng_after,
+                             &workspace, &after, nullptr)
+                  .ok());
+  ASSERT_TRUE(SourcePushInto(*graph, 1, options, params, &rng_fresh,
+                             &fresh_workspace, &fresh, nullptr)
+                  .ok());
+  ASSERT_EQ(after.max_level(), fresh.max_level());
+  for (uint32_t level = 0; level <= fresh.max_level(); ++level) {
+    const auto a = after.Level(level);
+    const auto b = fresh.Level(level);
+    ASSERT_EQ(a.size(), b.size()) << "level " << level;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].first, b[i].first);
+      EXPECT_EQ(std::bit_cast<uint64_t>(a[i].second),
+                std::bit_cast<uint64_t>(b[i].second));
+    }
   }
 }
 

@@ -118,7 +118,6 @@ int RunQuery(const Args& args) {
   SimPushOptions options;
   options.epsilon = args.GetDouble("epsilon", 0.01);
   options.decay = args.GetDouble("decay", 0.6);
-  options.walk_budget_cap = args.GetInt("walk-cap", 100000);
   // The serving shape: an immutable core plus a workspace pool. A CLI
   // query needs exactly one workspace; a server would share the same
   // core and a wider pool across its request threads.
@@ -154,7 +153,6 @@ int RunTopK(const Args& args) {
   if (method == "simpush" && args.GetInt("adaptive", 0) != 0) {
     AdaptiveOptions options;
     options.base.epsilon = epsilon > 0.1 ? epsilon : 0.1;  // coarse start
-    options.base.walk_budget_cap = args.GetInt("walk-cap", 100000);
     options.rho = args.GetDouble("rho", 0.5);
     options.epsilon_min = args.GetDouble("epsilon-min", 1e-3);
     auto result = AdaptiveTopK(*graph, u, k, options);
@@ -172,7 +170,6 @@ int RunTopK(const Args& args) {
   if (method == "simpush") {
     SimPushOptions options;
     options.epsilon = epsilon;
-    options.walk_budget_cap = args.GetInt("walk-cap", 100000);
     EngineCore core(*graph, options);
     WorkspacePool pool(1);
     QueryRunner runner(core, pool);
@@ -233,7 +230,6 @@ int RunPair(const Args& args) {
 
   SimPushOptions options;
   options.epsilon = args.GetDouble("epsilon", 0.01);
-  options.walk_budget_cap = args.GetInt("walk-cap", 100000);
   auto session = SinglePairSession::Create(*graph, u, options);
   if (!session.ok()) {
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
@@ -270,7 +266,6 @@ int RunJoin(const Args& args) {
   }
   JoinOptions options;
   options.query.epsilon = args.GetDouble("epsilon", 0.01);
-  options.query.walk_budget_cap = args.GetInt("walk-cap", 50000);
   options.num_threads = args.GetInt("threads", 0);
 
   StatusOr<std::vector<SimilarPair>> pairs =

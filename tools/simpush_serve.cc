@@ -10,7 +10,7 @@
 // Usage:
 //   simpush_serve --graph web.txt [--graph social=social.spg:eps=0.05 ...]
 //       [--port 8080] [--default-epsilon 0.01] [--decay 0.6] [--seed 42]
-//       [--walk-cap 100000] [--threads 0] [--pool 0] [--max-batch 4096]
+//       [--threads 0] [--pool 0] [--max-batch 4096]
 //       [--swap-threshold 0] [--max-graphs 64] [--undirected 1]
 //       [--allow-path-create 1] [--min-request-epsilon 1e-3]
 //       [--request-timeout-ms 0] [--max-deadline-ms 60000]
@@ -99,7 +99,7 @@ int Usage() {
       stderr,
       "usage: simpush_serve --graph [NAME=]F[:eps=E] [--graph ...] [--port P]\n"
       "    [--default-epsilon E] [--decay C] [--delta D] [--seed S]\n"
-      "    [--walk-cap W] [--threads T] [--pool P] [--max-batch B]\n"
+      "    [--threads T] [--pool P] [--max-batch B]\n"
       "    [--swap-threshold U] [--max-graphs G] [--undirected 1]\n"
       "    [--allow-path-create 1] [--min-request-epsilon E]\n"
       "    [--request-timeout-ms T] [--max-deadline-ms M]\n"
@@ -189,7 +189,6 @@ int main(int argc, char** argv) {
   service_options.query.decay = args.GetDouble("decay", 0.6);
   service_options.query.delta = args.GetDouble("delta", 1e-4);
   service_options.query.seed = args.GetInt("seed", 42);
-  service_options.query.walk_budget_cap = args.GetInt("walk-cap", 100000);
   service_options.min_request_epsilon =
       args.GetDouble("min-request-epsilon", 1e-3);
   service_options.num_threads = args.GetInt("threads", 0);
