@@ -23,7 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 
 #include "common/status.h"
 
@@ -70,16 +69,6 @@ class Deadline {
   /// True once the instant has passed. Reads the clock; never blocks.
   bool expired() const {
     return !is_infinite() && Clock::now() >= expiry_;
-  }
-
-  /// Milliseconds until expiry (0 when already expired; meaningless
-  /// for infinite deadlines — check is_infinite() first).
-  int64_t remaining_ms() const {
-    if (is_infinite()) return std::numeric_limits<int64_t>::max();
-    const auto left = expiry_ - Clock::now();
-    const auto ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(left).count();
-    return ms > 0 ? ms : 0;
   }
 
  private:

@@ -24,9 +24,6 @@ class Timer {
   /// Milliseconds elapsed since construction / last Restart().
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  /// Microseconds elapsed since construction / last Restart().
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -51,8 +51,6 @@ class CsvWriter {
   /// Flushes and closes; returns the first error, if any.
   Status Finish();
 
-  size_t num_columns() const { return num_columns_; }
-
  private:
   CsvWriter(FILE* file, size_t num_columns)
       : file_(file), num_columns_(num_columns) {}

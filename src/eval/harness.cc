@@ -239,18 +239,4 @@ std::vector<MethodSetting> PaperParameterSweep(
   return sweep;
 }
 
-void PrintEvalTable(const std::string& caption,
-                    const std::vector<EvalRow>& rows) {
-  std::printf("\n== %s ==\n", caption.c_str());
-  std::printf("%-10s %-16s %12s %14s %12s %12s %12s\n", "method", "setting",
-              "query(ms)", "AvgErr@k", "Prec@k", "prep(s)", "index(MB)");
-  for (const EvalRow& row : rows) {
-    std::printf("%-10s %-16s %12.3f %14.6f %12.4f %12.2f %12.2f\n",
-                row.method.c_str(), row.setting.c_str(),
-                row.avg_query_seconds * 1e3, row.avg_error_at_k,
-                row.avg_precision_at_k, row.prepare_seconds,
-                static_cast<double>(row.index_bytes) / (1024.0 * 1024.0));
-  }
-}
-
 }  // namespace simpush

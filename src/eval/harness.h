@@ -68,10 +68,6 @@ StatusOr<std::vector<GroundTruth>> BuildGroundTruths(
 std::vector<MethodSetting> PaperParameterSweep(
     const std::vector<std::string>& which = {});
 
-/// Prints rows as an aligned table to stdout with a caption.
-void PrintEvalTable(const std::string& caption,
-                    const std::vector<EvalRow>& rows);
-
 }  // namespace simpush
 
 #endif  // SIMPUSH_EVAL_HARNESS_H_

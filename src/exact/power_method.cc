@@ -11,14 +11,6 @@ std::vector<double> SimRankMatrix::Row(NodeId u) const {
                              data_.begin() + size_t(u + 1) * n_);
 }
 
-double SimRankMatrix::MaxAbsDiff(const SimRankMatrix& other) const {
-  double max_diff = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(data_[i] - other.data_[i]));
-  }
-  return max_diff;
-}
-
 StatusOr<SimRankMatrix> ComputeExactSimRank(
     const Graph& graph, const PowerMethodOptions& options) {
   const NodeId n = graph.num_nodes();

@@ -31,9 +31,6 @@ class SimRankMatrix {
   /// Copies row u (single-source result) into a dense vector.
   std::vector<double> Row(NodeId u) const;
 
-  /// Max |this - other| over all entries.
-  double MaxAbsDiff(const SimRankMatrix& other) const;
-
  private:
   NodeId n_ = 0;
   std::vector<double> data_;

@@ -35,9 +35,6 @@ class GraphBuilder {
   /// Marks the finished graph as symmetric (built from undirected input).
   void MarkSymmetric() { symmetric_ = true; }
 
-  /// Number of edges added so far.
-  size_t num_pending_edges() const { return edges_.size(); }
-
   /// Sorts adjacency, optionally removes duplicate edges and self-loops,
   /// and produces the immutable graph. The builder is consumed.
   StatusOr<Graph> Build(bool dedupe = true, bool drop_self_loops = false) &&;

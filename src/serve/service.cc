@@ -17,7 +17,6 @@
 #include "serve/request_fields.h"
 #include "simpush/parallel.h"
 #include "simpush/topk.h"
-#include "simpush/workspace.h"
 
 namespace simpush {
 namespace serve {
@@ -339,8 +338,8 @@ struct SimPushService::Route {
         call->doc, service.options_.min_request_epsilon, &epsilon));
     call->epsilon = epsilon.value_or(generation.core().options().epsilon);
     // Reused per HTTP worker thread: after warm-up the pooled path
-    // performs zero heap allocations. Override requests run off this hot
-    // path by design (fresh core + private workspace) and may allocate.
+    // performs zero heap allocations. An ε override leases the same
+    // pooled workspaces, which grow once to its high-water size.
     static thread_local SimPushResult result;
     call->result = &result;
     return service.ServeOne(generation, call->nodes[0], epsilon, &result,
@@ -966,12 +965,6 @@ Status SimPushService::RunQuery(NodeId u, SimPushResult* result) {
   return RunQuery(options_.default_graph, u, result);
 }
 
-void SimPushService::AccumulateEngineTotals(const QueryRunnerTotals& totals) {
-  engine_query_nanos_.fetch_add(
-      static_cast<uint64_t>(totals.query_seconds * 1e9));
-  engine_walks_.fetch_add(totals.walks_sampled);
-}
-
 Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
                                 std::optional<double> epsilon,
                                 SimPushResult* result,
@@ -995,33 +988,23 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
   *cached = cache != nullptr && cache->Get(u, fingerprint, result);
   if (*cached) return Status::OK();
 
-  const auto run = [&](QueryRunner& runner) {
-    const Status status = runner.QueryInto(u, result);
-    AccumulateEngineTotals(runner.totals());
-    return status;
-  };
-  if (!epsilon.has_value()) {
-    // Lease one pooled workspace for this query; construction blocks
-    // while all `pool_capacity` workspaces are in flight, which is the
-    // backpressure that bounds query-scratch memory under load (a fired
-    // `cancel` unblocks the wait). The caller's generation lease is what
-    // a hot swap can never invalidate.
-    QueryRunner runner(generation.core(), generation.workspaces(), cancel);
-    SIMPUSH_RETURN_NOT_OK(run(runner));
-  } else {
-    // The AdaptiveTopK per-round-core pattern: derived parameters are
-    // cheap to recompute, so an override query builds a throwaway core
-    // for its ε over the leased generation's graph. It deliberately does
-    // NOT touch the generation's workspace pool — a private workspace
-    // keeps override traffic from competing for (or resizing) the
-    // pooled scratch that serves the tenant's configured-ε hot path.
-    EngineCore core(generation.graph(), merged);
-    SIMPUSH_RETURN_NOT_OK(core.options_status());
-    QueryWorkspace workspace;
-    QueryRunner runner(core, &workspace);
-    runner.set_cancellation(cancel);
-    SIMPUSH_RETURN_NOT_OK(run(runner));
-  }
+  // An override only changes which core runs: a throwaway core for the
+  // request's ε over the leased generation's graph (derived parameters
+  // are cheap to recompute — the AdaptiveTopK per-round-core pattern).
+  // Either core leases one pooled workspace; construction blocks while
+  // all `pool_capacity` workspaces are in flight, which is the
+  // backpressure that bounds query-scratch memory under load (a fired
+  // `cancel` unblocks the wait). The caller's generation lease is what
+  // a hot swap can never invalidate.
+  std::optional<EngineCore> override_core;
+  if (epsilon.has_value()) override_core.emplace(generation.graph(), merged);
+  const EngineCore& core =
+      override_core.has_value() ? *override_core : generation.core();
+  QueryRunner runner(core, generation.workspaces(), cancel);
+  SIMPUSH_RETURN_NOT_OK(runner.QueryInto(u, result));
+  engine_query_nanos_.fetch_add(
+      static_cast<uint64_t>(result->stats.total_seconds * 1e9));
+  engine_walks_.fetch_add(result->stats.walks_sampled);
   // Best-effort: a rejected insert (budget, admission duel, injected
   // failure) just means this computed answer is served uncached.
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
@@ -1163,7 +1146,7 @@ void SimPushService::WriteStats(JsonWriter* writer) {
   const uint64_t topk = requests_[kTopK].load();
   const uint64_t batch = requests_[kBatch].load();
   const double uptime = uptime_.ElapsedSeconds();
-  const LatencySnapshot latency = Latencies();
+  const LatencySnapshot latency = latency_.Snapshot();
 
   writer->Key("uptime_seconds");
   writer->Double(uptime);
@@ -1291,10 +1274,6 @@ LatencySnapshot SimPushService::LatencyRing::Snapshot() const {
   return snapshot;
 }
 
-LatencySnapshot SimPushService::Latencies() const {
-  return latency_.Snapshot();
-}
-
 // ---------------------------------------------------------------------------
 // Shutdown signal plumbing (used by tools/simpush_serve.cc).
 // ---------------------------------------------------------------------------
@@ -1302,6 +1281,7 @@ LatencySnapshot SimPushService::Latencies() const {
 namespace {
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 void OnShutdownSignal(int) { g_shutdown_requested = 1; }
+bool ShutdownRequested() { return g_shutdown_requested != 0; }
 }  // namespace
 
 void InstallShutdownSignalHandlers() {
@@ -1311,8 +1291,6 @@ void InstallShutdownSignalHandlers() {
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
 }
-
-bool ShutdownRequested() { return g_shutdown_requested != 0; }
 
 void WaitForShutdownSignal() {
   while (!ShutdownRequested()) {

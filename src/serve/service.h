@@ -208,9 +208,6 @@ class SimPushService {
 
   /// The registry backing this service.
   GraphRegistry& registry() { return registry_; }
-  /// Percentiles over the most recent kLatencyRingSize requests, across
-  /// all graphs.
-  LatencySnapshot Latencies() const;
 
  private:
   /// Requests each latency ring (global and per tenant) remembers.
@@ -251,18 +248,15 @@ class SimPushService {
     latency_.Record(seconds);
     if (metrics != nullptr) metrics->latency.Record(seconds);
   }
-  /// Folds one runner's lifetime totals into the service-wide engine
-  /// counters surfaced by /v1/stats. Allocation-free.
-  void AccumulateEngineTotals(const QueryRunnerTotals& totals);
   /// The one cache-then-run path for a single query (RunQuery and the
   /// query/topk endpoints): consults the generation's result cache under
-  /// the caller's lease and on a miss runs the query — on the pooled
-  /// hot path with the tenant's options, or with a per-request ε
-  /// `epsilon` on a fresh core + private workspace (so the tenant's
-  /// pooled workspaces, and the bit-reproducibility of its non-override
-  /// traffic, are untouched) — then inserts the result best-effort.
-  /// `*cached` reports whether the scores came from the cache. `cancel`
-  /// (nullable) is polled cooperatively inside the engine.
+  /// the caller's lease and on a miss runs the query on a workspace
+  /// leased from the generation's pool — with the tenant's core, or,
+  /// for a per-request ε `epsilon`, with a throwaway core for that ε —
+  /// adds its stats to the /v1/stats engine counters, then inserts the
+  /// result best-effort. `*cached` reports whether the scores came from
+  /// the cache. `cancel` (nullable) is polled in the pool wait and
+  /// cooperatively inside the engine.
   Status ServeOne(const GraphGeneration& generation, NodeId u,
                   std::optional<double> epsilon, SimPushResult* result,
                   const CancelToken* cancel, bool* cached);
@@ -297,8 +291,9 @@ class SimPushService {
   std::atomic<uint64_t> bad_requests_{0};
   std::atomic<uint64_t> deadline_expired_{0};   // 504s, all graphs.
   std::atomic<uint64_t> client_abandoned_{0};   // 499s, all graphs.
-  // Engine-side totals aggregated from QueryRunnerTotals: CPU seconds
-  // spent inside queries and level-detection walks, all endpoints.
+  // Engine-side totals summed from each computed query's
+  // SimPushQueryStats: CPU seconds spent inside queries and
+  // level-detection walks, all endpoints.
   std::atomic<uint64_t> engine_query_nanos_{0};
   std::atomic<uint64_t> engine_walks_{0};
 
@@ -316,9 +311,6 @@ class SimPushService {
 /// Installs SIGTERM/SIGINT handlers that mark shutdown as requested
 /// (async-signal-safe flag only; no work happens in the handler).
 void InstallShutdownSignalHandlers();
-
-/// True once a shutdown signal has arrived.
-bool ShutdownRequested();
 
 /// Blocks the calling thread until a shutdown signal arrives. The
 /// caller then runs HttpServer::Shutdown() to drain gracefully.

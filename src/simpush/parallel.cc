@@ -26,11 +26,11 @@ ParallelBatchStats ParallelQueryBatch(const EngineCore& core,
 
   // Completion is tracked per call, not via ThreadPool::Wait (which
   // drains the WHOLE pool): concurrent batches must only wait for their
-  // own chunks. Locals cannot be annotated; both are guarded by done_mu.
+  // own chunks. Locals cannot be annotated; `pending` and the counters
+  // of `stats` are guarded by done_mu.
   Mutex done_mu;
   CondVar chunk_done;
   size_t pending = 0;
-  QueryRunnerTotals totals;
 
   for (size_t begin = 0; begin < queries.size(); begin += chunk) {
     const size_t end = std::min(queries.size(), begin + chunk);
@@ -42,33 +42,36 @@ ParallelBatchStats ParallelQueryBatch(const EngineCore& core,
       // One leased workspace serves the whole chunk and returns to the
       // pool when the runner dies, so a later batch reuses it warm. A
       // chunk that starts after the batch stopped never leases at all.
-      QueryRunnerTotals chunk_totals;
+      // The chunk sums its queries' stats locally and folds them into
+      // the batch's once, under the lock.
+      ParallelBatchStats chunk_stats;
       if (!should_stop()) {
         QueryRunner runner(core, workspaces, cancel);
         SimPushResult result;  // Buffers reused across the whole chunk.
         for (size_t i = begin; i < end && !should_stop(); ++i) {
-          if (!runner.QueryInto(queries[i], &result).ok()) continue;
+          if (!runner.QueryInto(queries[i], &result).ok()) {
+            ++chunk_stats.queries_failed;
+            continue;
+          }
+          ++chunk_stats.queries_ok;
+          chunk_stats.cpu_query_seconds += result.stats.total_seconds;
+          chunk_stats.walks_sampled += result.stats.walks_sampled;
           if (!on_result(i, result)) {
             stopped.store(true, std::memory_order_relaxed);
           }
         }
-        chunk_totals = runner.totals();
       }
       MutexLock lock(&done_mu);
-      totals.queries_ok += chunk_totals.queries_ok;
-      totals.queries_failed += chunk_totals.queries_failed;
-      totals.query_seconds += chunk_totals.query_seconds;
-      totals.walks_sampled += chunk_totals.walks_sampled;
+      stats.queries_ok += chunk_stats.queries_ok;
+      stats.queries_failed += chunk_stats.queries_failed;
+      stats.cpu_query_seconds += chunk_stats.cpu_query_seconds;
+      stats.walks_sampled += chunk_stats.walks_sampled;
       if (--pending == 0) chunk_done.NotifyAll();
     });
   }
   MutexLock lock(&done_mu);
   while (pending != 0) chunk_done.Wait(done_mu);
 
-  stats.queries_ok = totals.queries_ok;
-  stats.queries_failed = totals.queries_failed;
-  stats.cpu_query_seconds = totals.query_seconds;
-  stats.walks_sampled = totals.walks_sampled;
   stats.wall_seconds = wall.ElapsedSeconds();
   return stats;
 }

@@ -37,7 +37,7 @@
 namespace simpush {
 
 /// Aggregate statistics from a parallel batch run, summed from the
-/// chunk runners' QueryRunnerTotals.
+/// successful queries' SimPushQueryStats.
 struct ParallelBatchStats {
   size_t queries_ok = 0;        ///< Queries that returned scores.
   size_t queries_failed = 0;    ///< Queries that failed (e.g. bad node id).

@@ -11,11 +11,9 @@
 
 namespace simpush {
 
-QueryRunner::QueryRunner(const EngineCore& core, QueryWorkspace* workspace)
-    : core_(&core), workspace_(workspace) {}
-
-QueryRunner::QueryRunner(const EngineCore& core, WorkspacePool& pool)
-    : core_(&core), lease_(pool.Acquire()), workspace_(lease_.get()) {}
+QueryRunner::QueryRunner(const EngineCore& core, QueryWorkspace* workspace,
+                         const CancelToken* cancel)
+    : core_(&core), workspace_(workspace), cancel_(cancel) {}
 
 QueryRunner::QueryRunner(const EngineCore& core, WorkspacePool& pool,
                          const CancelToken* cancel)
@@ -25,18 +23,6 @@ QueryRunner::QueryRunner(const EngineCore& core, WorkspacePool& pool,
       cancel_(cancel) {}
 
 Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
-  Status status = QueryIntoImpl(u, result);
-  if (status.ok()) {
-    ++totals_.queries_ok;
-    totals_.query_seconds += result->stats.total_seconds;
-    totals_.walks_sampled += result->stats.walks_sampled;
-  } else {
-    ++totals_.queries_failed;
-  }
-  return status;
-}
-
-Status QueryRunner::QueryIntoImpl(NodeId u, SimPushResult* result) {
   if (workspace_ == nullptr) {
     // The cancel-aware pool wait gave up before a workspace freed up.
     const Status cancel_status = CheckCancel(cancel_);

@@ -51,38 +51,21 @@ struct SimPushResult {
   SimPushQueryStats stats;
 };
 
-/// Cumulative totals over every query a runner has executed — the
-/// lifetime view a serving or chunked-batch layer aggregates from,
-/// where per-query SimPushQueryStats are too fine-grained to keep.
-struct QueryRunnerTotals {
-  uint64_t queries_ok = 0;
-  uint64_t queries_failed = 0;
-  /// Sum of per-query total_seconds across successful queries.
-  double query_seconds = 0;
-  /// Sum of walks_sampled across successful queries.
-  uint64_t walks_sampled = 0;
-};
-
 /// Executes queries against a shared EngineCore using one workspace.
 class QueryRunner {
  public:
   /// Binds to a caller-owned workspace. The caller guarantees exclusive
   /// use of `workspace` for the runner's lifetime; core and workspace
   /// must outlive the runner.
-  QueryRunner(const EngineCore& core, QueryWorkspace* workspace);
+  QueryRunner(const EngineCore& core, QueryWorkspace* workspace,
+              const CancelToken* cancel = nullptr);
 
-  /// Checks a workspace out of `pool` (blocking while the pool is
-  /// exhausted) and returns it when the runner is destroyed.
-  QueryRunner(const EngineCore& core, WorkspacePool& pool);
-
-  /// Like the pool constructor, but cancellation-aware end to end: the
-  /// pool wait itself honors `cancel` (a token that fires while the
-  /// pool is exhausted leaves the runner without a workspace, and every
-  /// query then fails with the token's status), and queries poll the
-  /// token at a bounded stride. `cancel` may be null; it must outlive
-  /// the runner.
+  /// Checks a workspace out of `pool` and returns it when the runner is
+  /// destroyed. The pool wait blocks while the pool is exhausted; a
+  /// `cancel` that fires during that wait leaves the runner without a
+  /// workspace, and every query then fails with the token's status.
   QueryRunner(const EngineCore& core, WorkspacePool& pool,
-              const CancelToken* cancel);
+              const CancelToken* cancel = nullptr);
 
   // Neither copyable nor movable: a defaulted move would leave the
   // moved-from runner with live pointers to a workspace it no longer
@@ -101,26 +84,17 @@ class QueryRunner {
   /// allocations. Produces bit-identical scores to Query.
   Status QueryInto(NodeId u, SimPushResult* result);
 
-  /// Installs (or clears, with nullptr) the cancellation token polled
-  /// by subsequent queries. The token only ever aborts work — an
-  /// unfired token cannot change any score (see common/deadline.h).
-  void set_cancellation(const CancelToken* cancel) { cancel_ = cancel; }
-
   /// The shared immutable core this runner executes against.
   const EngineCore& core() const { return *core_; }
 
-  /// Lifetime totals across every Query/QueryInto call on this runner.
-  const QueryRunnerTotals& totals() const { return totals_; }
-
  private:
-  // Query pipeline body; QueryInto wraps it to maintain totals_.
-  Status QueryIntoImpl(NodeId u, SimPushResult* result);
-
   const EngineCore* core_;
   WorkspaceLease lease_;  // Empty when bound to a caller-owned workspace.
   QueryWorkspace* workspace_;
-  const CancelToken* cancel_ = nullptr;  // Not owned; may be null.
-  QueryRunnerTotals totals_;
+  // Polled at a bounded stride by every query. Not owned; may be null;
+  // must outlive the runner. An unfired token never changes a score
+  // (see common/deadline.h).
+  const CancelToken* cancel_;
 };
 
 }  // namespace simpush

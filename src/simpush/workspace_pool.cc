@@ -57,16 +57,6 @@ QueryWorkspace* WorkspacePool::TakeLocked() {
   return nullptr;
 }
 
-WorkspaceLease WorkspacePool::Acquire() {
-  MutexLock lock(&mu_);
-  QueryWorkspace* workspace = TakeLocked();
-  while (workspace == nullptr) {
-    workspace_returned_.Wait(mu_);
-    workspace = TakeLocked();
-  }
-  return WorkspaceLease(this, workspace);
-}
-
 WorkspaceLease WorkspacePool::Acquire(const CancelToken* cancel) {
   // Chaos hook: "workspace_pool.acquire" in sleep mode stretches the
   // checkout window so tests can catch a request mid-acquire (e.g. to
@@ -76,24 +66,20 @@ WorkspaceLease WorkspacePool::Acquire(const CancelToken* cancel) {
       FailpointRegistry::Get().Register("workspace_pool.acquire");
   if (acquire_fp->active()) (void)acquire_fp->Fire();
 
-  if (cancel == nullptr) return Acquire();
   MutexLock lock(&mu_);
   QueryWorkspace* workspace = TakeLocked();
   while (workspace == nullptr) {
-    if (cancel->ShouldStop()) return WorkspaceLease();
-    // Bounded wait: a token with no waker (pure deadline) still gets
-    // polled a few hundred times per second.
-    (void)workspace_returned_.WaitFor(mu_, std::chrono::milliseconds(5));
+    if (cancel == nullptr) {
+      workspace_returned_.Wait(mu_);
+    } else {
+      if (cancel->ShouldStop()) return WorkspaceLease();
+      // Bounded wait: a token with no waker (pure deadline) still gets
+      // polled a few hundred times per second.
+      (void)workspace_returned_.WaitFor(mu_, std::chrono::milliseconds(5));
+    }
     workspace = TakeLocked();
   }
   return WorkspaceLease(this, workspace);
-}
-
-WorkspaceLease WorkspacePool::TryAcquire() {
-  MutexLock lock(&mu_);
-  QueryWorkspace* workspace = TakeLocked();
-  return workspace == nullptr ? WorkspaceLease()
-                              : WorkspaceLease(this, workspace);
 }
 
 void WorkspacePool::Return(QueryWorkspace* workspace) {

@@ -8,7 +8,7 @@
 // serves queries with zero steady-state heap allocations no matter
 // which workspace a query lands on.
 //
-// Thread-safety contract: Acquire/TryAcquire/Return and the counters
+// Thread-safety contract: Acquire/Return and the counters
 // are safe to call from any thread. The QueryWorkspace handed out by a
 // lease is exclusively owned by the holder until the lease is released
 // — the pool never touches a leased workspace. The pool must outlive
@@ -75,18 +75,11 @@ class WorkspacePool {
   explicit WorkspacePool(size_t capacity = 0);
 
   /// Checks out a workspace, blocking while `capacity` leases are
-  /// already outstanding.
-  WorkspaceLease Acquire();
-
-  /// Cancellation-aware variant: while the pool is exhausted, the wait
-  /// wakes periodically to poll `cancel`; a fired token returns an
-  /// EMPTY lease instead of a workspace (a request whose deadline
-  /// expired in the queue must not tie up scratch memory). A null
-  /// `cancel` behaves exactly like Acquire().
-  WorkspaceLease Acquire(const CancelToken* cancel);
-
-  /// Non-blocking variant: an empty lease when the pool is exhausted.
-  WorkspaceLease TryAcquire();
+  /// already outstanding. With a non-null `cancel` the wait wakes
+  /// periodically to poll it, and a fired token returns an EMPTY lease
+  /// instead of a workspace (a request whose deadline expired in the
+  /// queue must not tie up scratch memory).
+  WorkspaceLease Acquire(const CancelToken* cancel = nullptr);
 
   /// Maximum number of simultaneously leased workspaces.
   size_t capacity() const { return capacity_; }

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "baselines/eta_estimator.h"
-#include "baselines/monte_carlo_ss.h"
 #include "baselines/probesim.h"
 #include "baselines/prsim.h"
 #include "baselines/reads.h"
@@ -270,18 +269,6 @@ TEST(TsfTest, ContractAndOverestimationFlaw) {
   }
   EXPECT_GT(sum_estimate, sum_exact * 0.8);  // Not an underestimator.
   EXPECT_LE(sum_error / g.num_nodes(), 0.35);  // Coarse but sane.
-}
-
-TEST(MonteCarloSsTest, ContractAndAccuracy) {
-  Graph g = testing_util::MakeFixtureGraph();
-  SimRankMatrix exact = testing_util::ExactSimRank(g);
-  MonteCarloSsOptions options;
-  options.samples_per_pair = 30000;
-  MonteCarloSs algo(g, options);
-  ExpectBasicContract(&algo, g, 7);
-  auto result = algo.Query(1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(testing_util::MaxError(*result, exact, 1), 0.02);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Unit tests for the common substrate: Status/StatusOr, Rng, Timer,
-// memory accounting, logging.
+// memory accounting.
 
 #include <cmath>
 #include <set>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/memory.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -211,14 +210,6 @@ TEST(MemoryTest, HumanBytesUnits) {
   EXPECT_DOUBLE_EQ(v, 2.0);
   v = 3.5 * 1024 * 1024 * 1024;
   EXPECT_STREQ(HumanBytesUnit(&v), "GB");
-}
-
-TEST(LoggingTest, LevelFilterRoundTrips) {
-  const LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  SIMPUSH_LOG(kInfo) << "suppressed message";  // Must not crash.
-  SetLogLevel(original);
 }
 
 }  // namespace

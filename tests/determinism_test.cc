@@ -167,10 +167,9 @@ TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
 
   QueryWorkspace plain_scratch;
   QueryRunner plain(core, &plain_scratch);
-  QueryWorkspace watched_scratch;
-  QueryRunner watched(core, &watched_scratch);
   const CancelToken token(Deadline::After(60000));  // Never fires here.
-  watched.set_cancellation(&token);
+  QueryWorkspace watched_scratch;
+  QueryRunner watched(core, &watched_scratch, &token);
 
   SimPushResult expected, observed;
   size_t pull_levels = 0;
@@ -210,9 +209,8 @@ TEST(DeterminismTest, ExpiredDeadlineAbortsWithin50ms) {
   ASSERT_TRUE(core.options_status().ok());
 
   QueryWorkspace scratch;
-  QueryRunner runner(core, &scratch);
   const CancelToken token(Deadline::Expired());
-  runner.set_cancellation(&token);
+  QueryRunner runner(core, &scratch, &token);
 
   Timer timer;
   SimPushResult result;
@@ -222,9 +220,10 @@ TEST(DeterminismTest, ExpiredDeadlineAbortsWithin50ms) {
       << status.ToString();
   EXPECT_LT(elapsed_ms, 50.0);
 
-  // The same runner recovers completely once the token is cleared.
-  runner.set_cancellation(nullptr);
-  ASSERT_TRUE(runner.QueryInto(0, &result).ok());
+  // The aborted query leaves the workspace fully reusable: a new runner
+  // without a token completes on the same scratch.
+  QueryRunner recovered(core, &scratch);
+  ASSERT_TRUE(recovered.QueryInto(0, &result).ok());
 }
 
 TEST(DeterminismTest, BatchedEqualsSerialBitIdentical) {
@@ -254,8 +253,7 @@ TEST(DeterminismTest, UnfiredTokenInvisibleToBatchedKernel) {
     const EngineCore core(*graph, TestOptions());
     EXPECT_TRUE(core.options_status().ok());
     QueryWorkspace scratch;
-    QueryRunner runner(core, &scratch);
-    runner.set_cancellation(token);
+    QueryRunner runner(core, &scratch, token);
     SimPushResult result;
     EXPECT_TRUE(runner.QueryInto(42, &result).ok());
     return result.scores;

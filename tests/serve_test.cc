@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/memory.h"
+#include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "serve/http_client.h"
 #include "serve/http_server.h"
@@ -888,6 +889,76 @@ TEST(ServeSmoke, EpsilonOverrideValidation) {
   }
   // The service still serves afterwards.
   EXPECT_EQ(client.Post("/v1/query", "{\"node\": 3}")->status, 200);
+}
+
+// ε-override traffic leases the tenant's pooled workspaces like any
+// other query: concurrent overrides never create more than
+// pool_capacity workspaces, every lease comes back, and a warm override
+// request allocates only its request/response bytes, not O(n) scratch.
+TEST(ServeSmoke, EpsilonOverrideLeasesFromBoundedPool) {
+  auto graph = GenerateChungLu(20000, 160000, 2.4, 11);
+  ASSERT_TRUE(graph.ok());
+  ServiceOptions options;
+  options.query = FastOptions();
+  options.num_threads = 2;
+  options.pool_capacity = 2;
+  options.cache_bytes = 0;
+  SimPushService service(*graph, options);
+  ASSERT_TRUE(service.startup_status().ok());
+  SimPushOptions override_options = FastOptions();
+  override_options.epsilon = 0.05;
+
+  const auto override_request = [](NodeId node) {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/query";
+    request.body = "{\"node\": " + std::to_string(node) +
+                   ", \"epsilon\": 0.05, \"top_k\": 10}";
+    return request;
+  };
+
+  // Four clients against a pool of two.
+  std::vector<std::thread> clients;
+  std::atomic<int> ok{0};
+  for (NodeId t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      for (NodeId i = 0; i < 3; ++i) {
+        const HttpResponse response =
+            service.HandleQuery(override_request(t * 5 + i));
+        if (response.status == 200) ok.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(ok.load(), 12);
+  auto stats = service.registry().Stats("default");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GE(stats->pool_created, 1u) << "override bypassed the pool";
+  EXPECT_LE(stats->pool_created, 2u);
+  EXPECT_EQ(stats->pool_outstanding, 0u);
+
+  // Warm override requests allocate request/response bytes only.
+  const HttpRequest request = override_request(17);
+  for (int warm = 0; warm < 3; ++warm) {
+    ASSERT_EQ(service.HandleQuery(request).status, 200);
+  }
+  constexpr int kMeasured = 5;
+  const AllocationStats before = GetAllocationStats();
+  for (int i = 0; i < kMeasured; ++i) {
+    ASSERT_EQ(service.HandleQuery(request).status, 200);
+  }
+  const AllocationStats after = GetAllocationStats();
+  EXPECT_LT((after.bytes_allocated - before.bytes_allocated) / kMeasured,
+            64u * 1024u)
+      << "a warm override request allocated O(n) scratch";
+
+  // The pooled override scores equal a direct runner built with its ε.
+  HttpRequest full = request;
+  full.body = "{\"node\": 17, \"epsilon\": 0.05}";
+  const HttpResponse response = service.HandleQuery(full);
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(ScoresFromBody(response.body),
+            DirectScoresWith(*graph, override_options, 17));
 }
 
 // Per-tenant options end to end: create tenants with an "options"

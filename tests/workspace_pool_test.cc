@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/memory.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -47,14 +48,10 @@ TEST(WorkspacePoolTest, LeaseAccounting) {
   EXPECT_EQ(pool.outstanding(), 2u);
   EXPECT_NE(a.get(), b.get());
 
-  // Cap reached: non-blocking acquire must come back empty.
-  WorkspaceLease c = pool.TryAcquire();
-  EXPECT_FALSE(c);
-
   a.Release();
   EXPECT_FALSE(a);
   EXPECT_EQ(pool.outstanding(), 1u);
-  WorkspaceLease d = pool.TryAcquire();
+  WorkspaceLease d = pool.Acquire();
   EXPECT_TRUE(d);
   // The released workspace is recycled, not rebuilt.
   EXPECT_EQ(pool.created(), 2u);
@@ -79,25 +76,26 @@ TEST(WorkspacePoolTest, AcquireBlocksUntilReturn) {
 
 TEST(WorkspacePoolTest, AnnotatedLocksSurviveAcquireReleaseStorm) {
   // The pool's mutex/condvar are the capability-annotated wrappers from
-  // common/annotations.h. This storm races blocking Acquire, TryAcquire
-  // and Release across more threads than workspaces so every wrapper
-  // path fires under contention — Lock, TryLock, CondVar::Wait's
-  // adopt/release dance, and the timed WaitFor used by the cancel-aware
-  // acquire. The TSan tier proves the wrappers kept std::mutex's
-  // happens-before edges; the accounting below proves no lease was
-  // double-issued or lost.
+  // common/annotations.h. This storm races the untimed Acquire(nullptr)
+  // against Acquire with a never-firing token, plus Release, across
+  // more threads than workspaces so every wrapper path fires under
+  // contention — Lock, CondVar::Wait's adopt/release dance, and the
+  // timed WaitFor the token-holding wait polls with. The TSan tier
+  // proves the wrappers kept std::mutex's happens-before edges; the
+  // accounting below proves no lease was double-issued or lost.
   WorkspacePool pool(3);
   const size_t kThreads = 8;
   const int kRounds = 200;
+  const CancelToken never_firing(Deadline::After(600000));
   std::atomic<size_t> served{0};
   std::atomic<size_t> peak{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        WorkspaceLease lease =
-            ((t + round) % 2 == 0) ? pool.Acquire() : pool.TryAcquire();
-        if (!lease) continue;  // TryAcquire under contention may miss.
+        WorkspaceLease lease = pool.Acquire(
+            ((t + round) % 2 == 0) ? nullptr : &never_firing);
+        if (!lease) continue;
         const size_t now = pool.outstanding();
         size_t seen = peak.load();
         while (now > seen && !peak.compare_exchange_weak(seen, now)) {
@@ -110,8 +108,9 @@ TEST(WorkspacePoolTest, AnnotatedLocksSurviveAcquireReleaseStorm) {
   EXPECT_EQ(pool.outstanding(), 0u);
   EXPECT_LE(pool.created(), 3u);
   EXPECT_LE(peak.load(), 3u) << "capacity cap violated under contention";
-  // Every blocking Acquire (half the attempts) must have been served.
-  EXPECT_GE(served.load(), kThreads * kRounds / 2);
+  // Neither wait gives up without a fired token: every attempt served.
+  EXPECT_EQ(served.load(), kThreads * kRounds);
+  EXPECT_FALSE(never_firing.cancelled());
 }
 
 TEST(WorkspacePoolTest, MoveTransfersOwnership) {

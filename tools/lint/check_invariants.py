@@ -50,6 +50,13 @@ R6 one-error-path
     Status -> HTTP table. HTTP 4xx/5xx status literals and bad_requests_
     increments may appear only inside it, so a new endpoint cannot bring
     back an inline status code or a second bad-request counter site.
+
+R7 pooled-scratch-only
+    Every served query leases its scratch from its generation's
+    WorkspacePool, so pool_capacity bounds the server's query memory.
+    Nothing under src/serve/ may construct a QueryWorkspace (a local,
+    a member, new / make_unique, a container of them); pointers and
+    references to a leased workspace are fine.
 """
 
 from __future__ import annotations
@@ -112,6 +119,12 @@ ERROR_PATH_FUNCTION = re.compile(r"\bSimPushService::ErrorResponse\s*\(")
 HTTP_ERROR_LITERAL = re.compile(r"(?<![\w.])[45]\d\d(?![\w.])")
 BAD_REQUEST_BUMP = re.compile(
     r"\bbad_requests_\s*(\.\s*fetch_add|\+\+|\+=)|\+\+\s*bad_requests_\b"
+)
+
+# R7: the request layer owns no query scratch of its own.
+POOLED_SCRATCH_DIR = "src/serve/"
+WORKSPACE_CONSTRUCTION = re.compile(
+    r"(?<!class )(?<!struct )\bQueryWorkspace\b(?!\s*[*&])"
 )
 
 
@@ -267,6 +280,16 @@ class Linter:
                         path, lineno, "one-error-path",
                         "bad_requests_ bumped outside ErrorResponse; return "
                         "a failed Status instead",
+                    )
+
+        # R7 — served queries lease pooled scratch only.
+        if rel.startswith(POOLED_SCRATCH_DIR):
+            for lineno, line in enumerate(code_lines, 1):
+                if WORKSPACE_CONSTRUCTION.search(line):
+                    self.report(
+                        path, lineno, "pooled-scratch-only",
+                        "QueryWorkspace constructed in the request layer; "
+                        "lease one from the generation's WorkspacePool",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:

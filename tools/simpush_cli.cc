@@ -101,12 +101,9 @@ int Usage() {
 StatusOr<Graph> LoadGraphArg(const Args& args, const std::string& key) {
   const std::string path = args.Get(key, "");
   if (path.empty()) return Status::InvalidArgument("missing --" + key);
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".spg") {
-    return LoadBinaryGraph(path);
-  }
   EdgeListOptions options;
   options.undirected = args.GetInt("undirected", 0) != 0;
-  return LoadEdgeList(path, options);
+  return LoadGraphAnyFormat(path, options);
 }
 
 int RunQuery(const Args& args) {
