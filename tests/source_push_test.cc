@@ -5,12 +5,15 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/deadline.h"
 #include "gtest/gtest.h"
+#include "simpush/engine_core.h"
 #include "simpush/options.h"
+#include "simpush/query_runner.h"
 #include "simpush/source_push.h"
 #include "simpush/workspace.h"
 #include "test_util.h"
@@ -360,6 +363,95 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
   }
   EXPECT_TRUE(all.push_to_pull);
   EXPECT_TRUE(all.pull_to_push);
+}
+
+// Level detection stops Source-Push at the detected L instead of L*.
+// For every source in `sources` at ε = `eps` (derived walk count, no
+// cap): the scores equal those of a query with detection off bit for
+// bit; levels <= L-2 of G_u equal NaivePush's; and levels L-1 and L are
+// bit-equal subsets of NaivePush's that hold every entry >= ε_h.
+void ExpectDetectionKeepsScoreBits(const Graph& graph,
+                                   const std::vector<NodeId>& sources,
+                                   double eps) {
+  SimPushOptions options;
+  options.epsilon = eps;
+  SimPushOptions undetected = options;
+  undetected.use_level_detection = false;
+  const EngineCore core(graph, options);
+  const EngineCore full_core(graph, undetected);
+  QueryWorkspace workspace, full_workspace;
+  QueryRunner runner(core, &workspace);
+  QueryRunner full_runner(full_core, &full_workspace);
+  const DerivedParams& params = core.derived();
+  SimPushResult got, want;
+  for (const NodeId u : sources) {
+    ASSERT_TRUE(runner.QueryInto(u, &got).ok());
+    ASSERT_TRUE(full_runner.QueryInto(u, &want).ok());
+    ASSERT_EQ(got.scores.size(), want.scores.size());
+    for (NodeId v = 0; v < want.scores.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.scores[v]),
+                std::bit_cast<uint64_t>(want.scores[v]))
+          << "u " << u << " v " << v;
+    }
+    const SourceGraph& gu = workspace.source_graph;
+    const uint32_t max_level = gu.max_level();
+    const LevelList naive = NaivePush(graph, u, max_level, params.sqrt_c);
+    for (uint32_t level = 0; level <= max_level; ++level) {
+      const auto& full = level < naive.size()
+                             ? naive[level]
+                             : std::vector<std::pair<NodeId, double>>{};
+      const auto& kept = gu.Level(level);
+      if (level + 2 <= max_level) {
+        ASSERT_EQ(kept.size(), full.size()) << "u " << u << " level " << level;
+      }
+      // Both lists ascend by node: one merge finds every kept entry in
+      // the full level, and every full entry >= ε_h among the kept.
+      size_t k = 0;
+      for (const auto& [node, h] : full) {
+        if (k < kept.size() && kept[k].first == node) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(kept[k].second),
+                    std::bit_cast<uint64_t>(h))
+              << "u " << u << " level " << level << " node " << node;
+          ++k;
+        } else {
+          ASSERT_LT(h, params.eps_h)
+              << "u " << u << " level " << level << " node " << node;
+        }
+      }
+      ASSERT_EQ(k, kept.size()) << "u " << u << " level " << level;
+    }
+  }
+}
+
+TEST(SourcePushTest, DetectedLevelsKeepScoresBitForBit) {
+  GraphBuilder funnel(12);
+  for (NodeId i = 1; i <= 8; ++i) {
+    funnel.AddEdge(i, 0);
+    for (int dup = 0; dup < 5; ++dup) funnel.AddEdge(9, i);
+  }
+  funnel.AddEdge(9, 9);
+  funnel.AddEdge(10, 9);
+  auto funnel_graph = std::move(funnel).Build(/*dedupe=*/false);
+  auto complete = GenerateComplete(40);
+  auto star = GenerateStar(300, /*bidirectional=*/true);
+  auto grid = GenerateGrid(3, 3);
+  auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
+  auto chung_lu_20k = GenerateChungLu(20000, 160000, 2.2, 7);
+  ASSERT_TRUE(funnel_graph.ok() && complete.ok() && star.ok() && grid.ok() &&
+              chung_lu.ok() && chung_lu_20k.ok());
+
+  const std::pair<const char*, const Graph*> kZoo[] = {
+      {"funnel", &*funnel_graph}, {"complete", &*complete},
+      {"star", &*star},           {"grid", &*grid},
+      {"chung_lu", &*chung_lu},   {"chung_lu_20k", &*chung_lu_20k}};
+  for (const double eps : {0.05, 0.1}) {
+    for (const auto& [name, graph] : kZoo) {
+      SCOPED_TRACE(std::string(name) + " eps " + std::to_string(eps));
+      std::vector<NodeId> sources = AllNodes(*graph);
+      if (sources.size() > 24) sources.resize(24);
+      ExpectDetectionKeepsScoreBits(*graph, sources, eps);
+    }
+  }
 }
 
 TEST(SourcePushTest, CancelDuringPullLevel) {
