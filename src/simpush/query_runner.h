@@ -34,7 +34,9 @@ namespace simpush {
 struct SimPushQueryStats {
   uint32_t max_level = 0;          ///< L.
   size_t num_attention = 0;        ///< |A_u|.
-  size_t gu_node_occurrences = 0;  ///< |G_u| node occurrences (levels >= 1).
+  /// |G_u| node occurrences (levels >= 1). Under level detection,
+  /// levels L-1 and L count only their evaluated nodes.
+  size_t gu_node_occurrences = 0;
   uint64_t walks_sampled = 0;      ///< Level-detection walks.
   uint64_t reverse_pushes = 0;
   uint64_t reverse_edges = 0;

@@ -2,8 +2,17 @@
 // structured view of the nodes reached while propagating hitting
 // probabilities from the query node u. Level 0 holds u only; level ℓ
 // holds every node v with h^(ℓ)(u, v) > 0; G_u edges run from level ℓ+1
-// (in-neighbors) to level ℓ, and for any node at level ℓ < L its G_u
-// in-neighborhood equals its full in-neighborhood in G.
+// (in-neighbors) to level ℓ, and for any node at level ℓ < L whose next
+// level is whole, its G_u in-neighborhood equals its full
+// in-neighborhood in G.
+//
+// With level detection on and L >= 2, the two deepest levels are
+// partial: level L holds only the nodes in C_L, and (when L >= 3)
+// level L-1 only those in C_{L-1} ∪ O(C_L), where C_ℓ is the set of
+// nodes whose level-ℓ walk count reached the detection threshold (see
+// source_push.cc). Every entry present carries the exact h of the
+// whole level, and every attention node and every node the hitting
+// table reads is present whenever Lemma 5's event holds.
 //
 // G_u therefore does not store explicit edge lists: the adjacency of G
 // restricted to consecutive level sets *is* the G_u adjacency, which is
@@ -65,7 +74,9 @@ class SourceGraph {
   /// Sorts a level's entries by node id (after bulk appends).
   void SortLevel(uint32_t level);
 
-  /// Entries of one level; empty for levels beyond max_level().
+  /// Entries of one level; empty for levels beyond max_level(). Under
+  /// level detection, levels L-1 and L hold only the nodes Source-Push
+  /// evaluated there (see the file comment), each with its exact h.
   const LevelEntries& Level(uint32_t level) const;
 
   /// h^(ℓ)(u, v); 0 when v is not on level ℓ of G_u.
@@ -92,8 +103,8 @@ class SourceGraph {
   /// Total node occurrences across levels 1..L (|G_u| minus the root).
   size_t TotalNodeOccurrences() const;
 
-  /// Number of G_u edges: for every node v on level ℓ in [0, L-1] with
-  /// in-neighbors, d_I(v) edges arrive from level ℓ+1.
+  /// Σ d_I(v) over the nodes v on levels [0, L-1]: the number of G_u
+  /// edges when every level is whole (level detection off).
   size_t CountEdges(const Graph& graph) const;
 
  private:

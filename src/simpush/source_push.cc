@@ -10,34 +10,43 @@
 
 namespace simpush {
 
-namespace {
-
 // Algorithm 2 lines 1-8: sample N √c-walks from u, tally per-level visit
 // counts H^(l)(u, v), and return the largest level where some node's
 // count reaches the detection threshold (i.e. an empirical hitting
-// probability >= ε_h/2). Capped by L* afterwards by the caller.
+// probability >= ε_h/2). Walks stop at L* steps, so L <= L*.
 //
 // This is the per-query latency floor of SimPush, so the walks run
 // through the batched SoA kernel (walk/walk_batch.h): waves of lockstep
 // walks with prefetched adjacency loads, each walk on its own counter
 // stream Rng::ForWalk(walk_seed, u, i). Counts live in the workspace's
 // epoch-stamped open-addressing tally — no hashing container churn, no
-// O(n) clears between queries.
+// O(n) clears between queries. Every (level, node) key whose count
+// reaches the threshold is appended to workspace->level_candidates as
+// it crosses; Source-Push reads the keys at levels L-1 and L (C_{L-1}
+// and C_L) to evaluate those levels on demand.
 //
-// The final max_level is invariant to the order walks are tallied in,
-// so any wave size gives bit-identical downstream scores: a visit's
-// increment is skipped only when its level is already <= max_level, and
-// max_level can only ever rise to M* = max{l : some node's FULL count
-// T(l, v) reaches the threshold} — visits at levels above the current
-// max_level are never skipped, so the threshold at M* is always
-// eventually reached no matter the interleaving, and no level beyond M*
-// can reach it under any order.
+// L, and the counts and candidates at levels L-1 and L, are invariant
+// to the order walks are tallied in, so any wave size gives
+// bit-identical downstream scores. A visit's increment is skipped only
+// when its level is <= max_level - 2, and max_level only rises, to
+// M* = max{l : some node's FULL count T(l, v) reaches the threshold}:
+// - visits at levels above the current max_level are never skipped,
+//   so the threshold at M* is always eventually reached no matter the
+//   interleaving, and no level beyond M* can reach it under any order;
+//   hence L = M*;
+// - max_level <= L throughout, so a skipped visit has a level <= L-2.
+//   Every visit at L-1 and L is counted, their counts end as the full
+//   T(l, v), and each key there that reaches the threshold is appended
+//   exactly once. Only the list's order depends on the interleaving;
+//   its consumers sort.
 uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
                         const DerivedParams& params, Rng* rng,
                         QueryWorkspace* workspace, uint64_t* walks_out,
-                        const CancelToken* cancel) {
+                        const CancelToken* cancel, uint32_t wave_size) {
   LevelNodeTally& tally = workspace->level_tally;
+  std::vector<uint64_t>& candidates = workspace->level_candidates;
   tally.NewRound();
+  candidates.clear();
   uint32_t max_level = 0;
   // One draw reserves the walk-stream key. `rng` is itself a pure
   // function of (options.seed, u), so every walk stream stays pinned to
@@ -49,14 +58,59 @@ uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
       graph, u, walk_seed, params.num_walks, params.l_star,
       walker.inv_log_sqrt_c(),
       [&](uint32_t level, NodeId node) {
-        if (level <= max_level) return;  // Only deeper levels matter.
+        // Only the two deepest levels' candidates are read.
+        if (level + 1 < max_level) return;
         const uint64_t key = (static_cast<uint64_t>(level) << 32) | node;
-        if (tally.Increment(key) >= params.level_count_threshold) {
-          max_level = level;
-        }
+        if (tally.Increment(key) != params.level_count_threshold) return;
+        candidates.push_back(key);
+        max_level = std::max(max_level, level);
       },
-      cancel);
+      cancel, wave_size);
   return max_level;  // On cancellation the caller re-checks and aborts.
+}
+
+namespace {
+
+// Fills workspace->demand_last with C_L and, when L >= 3,
+// workspace->demand_prev with C_{L-1} ∪ O(C_L), both ascending.
+// `bits` must be all zero on entry and is all zero again on return.
+void CollectDemandNodes(const Graph& graph, uint32_t max_level,
+                        QueryWorkspace* workspace,
+                        std::vector<uint64_t>& bits) {
+  std::vector<NodeId>& last = workspace->demand_last;
+  std::vector<NodeId>& prev = workspace->demand_prev;
+  last.clear();
+  prev.clear();
+  size_t wlo = bits.size(), whi = 0;
+  const auto mark = [&](NodeId v) {
+    const size_t w = v >> 6;
+    bits[w] |= uint64_t{1} << (v & 63);
+    if (w < wlo) wlo = w;
+    if (w > whi) whi = w;
+  };
+  for (const uint64_t key : workspace->level_candidates) {
+    const uint32_t level = static_cast<uint32_t>(key >> 32);
+    const NodeId node = static_cast<NodeId>(key);
+    if (level == max_level) {
+      last.push_back(node);
+    } else if (level + 1 == max_level && max_level >= 3) {
+      mark(node);
+    }
+  }
+  std::sort(last.begin(), last.end());
+  if (max_level < 3) return;
+  for (const NodeId w : last) {
+    for (const NodeId v : graph.OutNeighbors(w)) mark(v);
+  }
+  for (size_t wi = wlo; wi <= whi; ++wi) {
+    uint64_t m = bits[wi];
+    if (m == 0) continue;
+    bits[wi] = 0;
+    do {
+      prev.push_back(static_cast<NodeId>(wi * 64 + std::countr_zero(m)));
+      m &= m - 1;
+    } while (m != 0);
+  }
 }
 
 }  // namespace
@@ -76,11 +130,20 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   uint32_t max_level = params.l_star;
   uint64_t walks = 0;
   if (options.use_level_detection) {
-    max_level =
-        DetectMaxLevel(graph, u, params, rng, workspace, &walks, cancel);
-    max_level = std::min(max_level, params.l_star);
+    max_level = DetectMaxLevel(graph, u, params, rng, workspace, &walks,
+                               cancel, kDefaultWalkWaveSize);
     SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
   }
+  // Demand levels: with L detected, levels L-1 and L are evaluated
+  // only where a score can read them. Lemma 5 puts every attention
+  // occurrence in C (A_u^(ℓ) ⊆ C_ℓ for all ℓ at once, w.p. >= 1-δ), and
+  // the deepest levels are read at three kinds of node only: attention
+  // nodes (A_u^(L) ⊆ C_L, A_u^(L-1) ⊆ C_{L-1}), the level-(L-1) nodes
+  // level L is pulled from (O(C_L)), and the level-(L-1) receivers of
+  // the hitting table (Algorithm 3), which are out-neighbors of level-L
+  // attention nodes, so inside O(C_L) too. Reverse-Push reads only the
+  // attention set. Levels <= L-2 stay whole.
+  const bool demand = options.use_level_detection && max_level >= 2;
   // Even when sampling saw nothing past level 0 (e.g. u has no
   // in-neighbors), level 1 may still hold attention nodes with
   // probability mass below the sampling threshold only by chance; the
@@ -120,10 +183,16 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   // the same as with the sorted-push scheme. A pull level uses the mask
   // for the frontier instead: v' joins the next level iff one of its
   // out-neighbors is marked, even should every share it sums underflow.
+  //
+  // A demand level is pulled at its demand nodes only (ascending), so
+  // each evaluated entry keeps the bits of the whole level's entry:
+  // the pull over a node's out-row is the same sum either way, and a
+  // level-L node's out-neighbors all lie in the evaluated level L-1.
   const NodeId n = graph.num_nodes();
   const size_t words = (static_cast<size_t>(n) + 63) / 64;
   std::vector<uint64_t>& bits = workspace->scratch_bits;
   bits.assign(words, 0);  // Clean even after a cancelled predecessor.
+  if (demand) CollectDemandNodes(graph, max_level, workspace, bits);
   const EdgeId pull_edges = graph.num_edges() / kPullEdgeFraction;
   current.BeginEpoch();
   next.BeginEpoch();
@@ -135,7 +204,13 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   for (uint32_t level = 0; level < max_level; ++level) {
     if (frontier.empty()) break;
     frontier_next.clear();
-    const bool pull = frontier_edges > pull_edges;
+    const std::vector<NodeId>* targets = nullptr;  // Null: whole level.
+    if (demand && level + 1 == max_level) {
+      targets = &workspace->demand_last;
+    } else if (demand && level + 2 == max_level && max_level >= 3) {
+      targets = &workspace->demand_prev;
+    }
+    const bool pull = targets != nullptr || frontier_edges > pull_edges;
     frontier_edges = 0;  // Re-summed below for the next frontier.
     if (pull) {
       // Each frontier value becomes its node's share √c·h/d_I in place
@@ -150,12 +225,15 @@ Status SourcePushInto(const Graph& graph, NodeId u,
         value = params.sqrt_c * value / deg;
         bits[v >> 6] |= uint64_t{1} << (v & 63);
       }
-      for (NodeId vp = 0; vp < n; ++vp) {
+      const size_t count = targets != nullptr ? targets->size() : n;
+      for (size_t i = 0; i < count; ++i) {
         // A cancelled return leaves set bits behind, as in the push.
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
           SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
         }
+        const NodeId vp =
+            targets != nullptr ? (*targets)[i] : static_cast<NodeId>(i);
         double h = 0.0;
         uint64_t member = 0;
         for (const NodeId v : graph.OutNeighbors(vp)) {

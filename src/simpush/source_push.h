@@ -31,9 +31,23 @@ constexpr EdgeId kPullEdgeFraction = 4;
 struct SourcePushStats {
   uint32_t detected_level = 0;   ///< L (after capping by L*).
   uint64_t walks_sampled = 0;    ///< Level-detection walks actually run.
-  size_t gu_node_occurrences = 0;
+  size_t gu_node_occurrences = 0;  ///< Evaluated entries, levels >= 1.
   size_t num_attention = 0;
 };
+
+/// Level detection, Algorithm 2 lines 1-8: runs params.num_walks
+/// √c-walks from u in waves of `wave_size` and returns the deepest level
+/// L at which some node's visit count reached
+/// params.level_count_threshold (0 if none). Leaves the counts in
+/// workspace->level_tally and every (level << 32 | node) key whose count
+/// reached the threshold in workspace->level_candidates. The counts and
+/// candidates at levels L-1 and L are complete; shallower levels are
+/// counted only partly. L and those counts and candidates (as a set) do
+/// not depend on `wave_size`. SourcePushInto runs this first.
+uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
+                        const DerivedParams& params, Rng* rng,
+                        QueryWorkspace* workspace, uint64_t* walks_out,
+                        const CancelToken* cancel, uint32_t wave_size);
 
 /// Runs Algorithm 2 for query node u into `gu` (typically the one owned
 /// by `workspace`, but any SourceGraph works — it is Reset first).

@@ -57,6 +57,16 @@ uint64_t LevelNodeTally::Increment(uint64_t key) {
   }
 }
 
+uint64_t LevelNodeTally::Count(uint64_t key) const {
+  if (slots_.empty()) return 0;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = MixKey(key) & mask; slots_[i].epoch == epoch_;
+       i = (i + 1) & mask) {
+    if (slots_[i].key == key) return slots_[i].count;
+  }
+  return 0;
+}
+
 void QueryWorkspace::Prepare(NodeId num_nodes) {
   dense_a.Resize(num_nodes);
   dense_b.Resize(num_nodes);

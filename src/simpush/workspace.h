@@ -3,8 +3,10 @@
 // queries with zero steady-state heap allocations.
 //
 // Ownership map (stage → scratch):
-//   Source-Push (Alg. 2)   — level_tally (walk level detection),
-//                            dense_a/dense_b + frontier_a/frontier_b
+//   Source-Push (Alg. 2)   — level_tally + level_candidates (walk
+//                            level detection), demand_last/demand_prev
+//                            (the nodes levels L and L-1 are evaluated
+//                            at), dense_a/dense_b + frontier_a/frontier_b
 //                            (level-wise residue propagation),
 //                            source_graph (the G_u being built).
 //   Hitting (Alg. 3)       — holder_span/member_marks/receiver_marks,
@@ -42,6 +44,9 @@ class LevelNodeTally {
   /// Increments the count of `key` and returns the new value.
   /// `key` packs (level << 32 | node).
   uint64_t Increment(uint64_t key);
+
+  /// Count of `key` in the current round; 0 if never incremented.
+  uint64_t Count(uint64_t key) const;
 
   /// Live entries in the current round (for tests).
   size_t size() const { return size_; }
@@ -94,8 +99,15 @@ class QueryWorkspace {
   std::vector<NodeId> frontier_a;
   std::vector<NodeId> frontier_b;
 
-  // --- Source-Push level detection.
+  // --- Source-Push level detection and demand levels.
   LevelNodeTally level_tally;
+  // (level << 32 | node) keys whose walk count reached the detection
+  // threshold, in the order the walks crossed it.
+  std::vector<uint64_t> level_candidates;
+  // The nodes Source-Push evaluates its two deepest levels at, both
+  // ascending: C_L (level L) and C_{L-1} ∪ O(C_L) (level L-1).
+  std::vector<NodeId> demand_last;
+  std::vector<NodeId> demand_prev;
 
   // --- Hitting-table construction. holder_span maps a node of level
   // ℓ+1 holding a nonzero vector to its packed pool-span bounds

@@ -1,6 +1,10 @@
 // Statistical test of Source-Push level detection (Algorithm 2, Lemma 5):
 // with the derived walk count N, the detected level L reaches the
-// deepest exact attention level L_A with probability >= 1 - δ.
+// deepest exact attention level L_A, and every exact attention
+// occurrence at a level <= L is found, with probability >= 1 - δ. The
+// second half is what Source-Push's demand levels rest on: levels L-1
+// and L are evaluated only at nodes whose walk count reached the
+// threshold, so an occurrence there whose count fell short is missed.
 //
 // δ = 1e-4 could not be falsified by any affordable number of trials,
 // so the trials run at δ = 0.2, where N is small enough that a bound
@@ -46,30 +50,52 @@ std::vector<ZooGraph> Zoo() {
   return zoo;
 }
 
-// Deepest level in [1, L*] holding a node with exact h >= ε_h; 0 if none.
-uint32_t DeepestAttentionLevel(const Graph& graph, NodeId u,
-                               const DerivedParams& params) {
+// Exact attention occurrences by level: (level, node) with exact
+// h >= ε_h. The propagated h of an occurrence within float rounding of
+// ε_h may fall on either side, so those count as not required.
+using Occurrences = std::vector<std::vector<NodeId>>;
+Occurrences ExactAttention(const Graph& graph, NodeId u,
+                           const DerivedParams& params) {
   const auto exact =
       ExactHittingProbabilities(graph, u, params.l_star, params.sqrt_c);
-  uint32_t deepest = 0;
+  const double required = params.eps_h * (1.0 + 1e-9);
+  Occurrences occurrences(exact.size());
   for (uint32_t level = 1; level < exact.size(); ++level) {
-    for (const double h : exact[level]) {
-      if (h >= params.eps_h) {
-        deepest = level;
-        break;
-      }
+    for (NodeId v = 0; v < exact[level].size(); ++v) {
+      if (exact[level][v] >= required) occurrences[level].push_back(v);
     }
+  }
+  return occurrences;
+}
+
+// Deepest level holding an occurrence; 0 if none.
+uint32_t DeepestLevel(const Occurrences& occurrences) {
+  uint32_t deepest = 0;
+  for (uint32_t level = 1; level < occurrences.size(); ++level) {
+    if (!occurrences[level].empty()) deepest = level;
   }
   return deepest;
 }
 
+// True when G_u lacks an exact occurrence at a level <= its L.
+bool MissesAttention(const SourceGraph& gu, const Occurrences& occurrences) {
+  for (uint32_t level = 1;
+       level <= gu.max_level() && level < occurrences.size(); ++level) {
+    for (const NodeId v : occurrences[level]) {
+      AttentionId id;
+      if (!gu.LookupAttention(level, v, &id)) return true;
+    }
+  }
+  return false;
+}
+
 struct TrialCounts {
   uint64_t trials = 0;
-  uint64_t failures = 0;  // Detected L < L_A.
+  uint64_t failures = 0;  // Detected L < L_A, or an occurrence missed.
 };
 
-// Every source with L_A >= 2 (L >= 1 always holds, so L_A = 1 cannot
-// fail), kSeedsPerSource fixed seeds each.
+// Every source with L_A >= 2 (L >= 1 always holds and level 1 is always
+// whole, so L_A = 1 cannot fail), kSeedsPerSource fixed seeds each.
 TrialCounts RunTrials(const std::vector<ZooGraph>& zoo,
                       const SimPushOptions& options) {
   const DerivedParams params = ComputeDerivedParams(options);
@@ -78,7 +104,8 @@ TrialCounts RunTrials(const std::vector<ZooGraph>& zoo,
   SourceGraph gu;
   for (const ZooGraph& entry : zoo) {
     for (NodeId u = 0; u < entry.graph.num_nodes(); ++u) {
-      const uint32_t deepest = DeepestAttentionLevel(entry.graph, u, params);
+      const Occurrences occurrences = ExactAttention(entry.graph, u, params);
+      const uint32_t deepest = DeepestLevel(occurrences);
       if (deepest < 2) continue;
       for (uint64_t seed = 0; seed < kSeedsPerSource; ++seed) {
         Rng rng(seed * 1000003 + u);
@@ -87,7 +114,10 @@ TrialCounts RunTrials(const std::vector<ZooGraph>& zoo,
                                              &rng, &workspace, &gu, &stats);
         EXPECT_TRUE(status.ok()) << entry.name << " u=" << u;
         ++counts.trials;
-        if (stats.detected_level < deepest) ++counts.failures;
+        if (stats.detected_level < deepest ||
+            MissesAttention(gu, occurrences)) {
+          ++counts.failures;
+        }
       }
     }
   }

@@ -2,6 +2,7 @@
 // hitting probabilities vs. the exact DP reference, pull levels against
 // a naive push, G_u structure, and attention-node identification.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -17,7 +18,9 @@
 #include "simpush/source_push.h"
 #include "simpush/workspace.h"
 #include "test_util.h"
+#include "walk/walk_batch.h"
 #include "walk/walk_stats.h"
+#include "walk/walker.h"
 
 namespace simpush {
 namespace {
@@ -370,9 +373,11 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
 // cap): the scores equal those of a query with detection off bit for
 // bit; levels <= L-2 of G_u equal NaivePush's; and levels L-1 and L are
 // bit-equal subsets of NaivePush's that hold every entry >= ε_h.
-void ExpectDetectionKeepsScoreBits(const Graph& graph,
-                                   const std::vector<NodeId>& sources,
-                                   double eps) {
+// Returns how many queries (L >= 3) evaluated level L-1 on demand, i.e.
+// kept fewer entries there than NaivePush.
+int ExpectDetectionKeepsScoreBits(const Graph& graph,
+                                  const std::vector<NodeId>& sources,
+                                  double eps) {
   SimPushOptions options;
   options.epsilon = eps;
   SimPushOptions undetected = options;
@@ -384,12 +389,14 @@ void ExpectDetectionKeepsScoreBits(const Graph& graph,
   QueryRunner full_runner(full_core, &full_workspace);
   const DerivedParams& params = core.derived();
   SimPushResult got, want;
+  int demand_queries = 0;
   for (const NodeId u : sources) {
-    ASSERT_TRUE(runner.QueryInto(u, &got).ok());
-    ASSERT_TRUE(full_runner.QueryInto(u, &want).ok());
-    ASSERT_EQ(got.scores.size(), want.scores.size());
+    EXPECT_TRUE(runner.QueryInto(u, &got).ok());
+    EXPECT_TRUE(full_runner.QueryInto(u, &want).ok());
+    EXPECT_EQ(got.scores.size(), want.scores.size());
+    if (got.scores.size() != want.scores.size()) return demand_queries;
     for (NodeId v = 0; v < want.scores.size(); ++v) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(got.scores[v]),
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.scores[v]),
                 std::bit_cast<uint64_t>(want.scores[v]))
           << "u " << u << " v " << v;
     }
@@ -402,25 +409,30 @@ void ExpectDetectionKeepsScoreBits(const Graph& graph,
                              : std::vector<std::pair<NodeId, double>>{};
       const auto& kept = gu.Level(level);
       if (level + 2 <= max_level) {
-        ASSERT_EQ(kept.size(), full.size()) << "u " << u << " level " << level;
+        EXPECT_EQ(kept.size(), full.size()) << "u " << u << " level " << level;
+      }
+      if (max_level >= 3 && level + 1 == max_level &&
+          kept.size() < full.size()) {
+        ++demand_queries;
       }
       // Both lists ascend by node: one merge finds every kept entry in
       // the full level, and every full entry >= ε_h among the kept.
       size_t k = 0;
       for (const auto& [node, h] : full) {
         if (k < kept.size() && kept[k].first == node) {
-          ASSERT_EQ(std::bit_cast<uint64_t>(kept[k].second),
+          EXPECT_EQ(std::bit_cast<uint64_t>(kept[k].second),
                     std::bit_cast<uint64_t>(h))
               << "u " << u << " level " << level << " node " << node;
           ++k;
         } else {
-          ASSERT_LT(h, params.eps_h)
+          EXPECT_LT(h, params.eps_h)
               << "u " << u << " level " << level << " node " << node;
         }
       }
-      ASSERT_EQ(k, kept.size()) << "u " << u << " level " << level;
+      EXPECT_EQ(k, kept.size()) << "u " << u << " level " << level;
     }
   }
+  return demand_queries;
 }
 
 TEST(SourcePushTest, DetectedLevelsKeepScoresBitForBit) {
@@ -444,14 +456,77 @@ TEST(SourcePushTest, DetectedLevelsKeepScoresBitForBit) {
       {"funnel", &*funnel_graph}, {"complete", &*complete},
       {"star", &*star},           {"grid", &*grid},
       {"chung_lu", &*chung_lu},   {"chung_lu_20k", &*chung_lu_20k}};
+  int demand_queries = 0;
   for (const double eps : {0.05, 0.1}) {
     for (const auto& [name, graph] : kZoo) {
       SCOPED_TRACE(std::string(name) + " eps " + std::to_string(eps));
       std::vector<NodeId> sources = AllNodes(*graph);
       if (sources.size() > 24) sources.resize(24);
-      ExpectDetectionKeepsScoreBits(*graph, sources, eps);
+      demand_queries += ExpectDetectionKeepsScoreBits(*graph, sources, eps);
     }
   }
+  EXPECT_GT(demand_queries, 0);
+}
+
+// Level detection's counts at levels L-1 and L, and the candidates
+// there (the keys whose count reached the threshold), equal those of a
+// tally that counts every visit, for any wave width; so does L.
+TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(graph.ok());
+  SimPushOptions options;
+  options.epsilon = 0.05;
+  const DerivedParams params = ComputeDerivedParams(options);
+  const Walker walker(*graph, params.sqrt_c);
+  QueryWorkspace workspace;
+  uint32_t deepest = 0;
+  for (NodeId u = 0; u < 16; ++u) {
+    // DetectMaxLevel keys its walk streams with the RNG's first draw.
+    const uint64_t walk_seed = Rng(u).Next();
+    std::map<uint64_t, uint64_t> counts;
+    RunWalkWaves(*graph, u, walk_seed, params.num_walks, params.l_star,
+                 walker.inv_log_sqrt_c(), [&](uint32_t level, NodeId node) {
+                   ++counts[(static_cast<uint64_t>(level) << 32) | node];
+                 });
+    uint32_t want_level = 0;
+    for (const auto& [key, count] : counts) {
+      if (count >= params.level_count_threshold) {
+        want_level = std::max(want_level, static_cast<uint32_t>(key >> 32));
+      }
+    }
+    deepest = std::max(deepest, want_level);
+    const auto deep = [&](uint64_t key) {
+      const uint32_t level = static_cast<uint32_t>(key >> 32);
+      return level + 1 >= want_level && level <= want_level;
+    };
+    std::vector<uint64_t> want_candidates;
+    for (const auto& [key, count] : counts) {
+      if (deep(key) && count >= params.level_count_threshold) {
+        want_candidates.push_back(key);
+      }
+    }
+    for (const uint32_t wave : {1u, 8u, 64u, 256u}) {
+      SCOPED_TRACE("u " + std::to_string(u) + " wave " + std::to_string(wave));
+      Rng rng(u);
+      uint64_t walks = 0;
+      EXPECT_EQ(DetectMaxLevel(*graph, u, params, &rng, &workspace, &walks,
+                               nullptr, wave),
+                want_level);
+      EXPECT_EQ(walks, params.num_walks);
+      for (const auto& [key, count] : counts) {
+        if (deep(key)) {
+          EXPECT_EQ(workspace.level_tally.Count(key), count);
+        }
+      }
+      std::vector<uint64_t> candidates;
+      for (const uint64_t key : workspace.level_candidates) {
+        if (deep(key)) candidates.push_back(key);
+      }
+      std::sort(candidates.begin(), candidates.end());
+      EXPECT_EQ(candidates, want_candidates);
+    }
+  }
+  EXPECT_GE(deepest, 3u);
 }
 
 TEST(SourcePushTest, CancelDuringPullLevel) {
