@@ -1,13 +1,19 @@
 // Tests for Algorithm 3 (hitting probabilities between attention nodes
 // within G_u), cross-checked against a brute-force DP over G_u.
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "simpush/hitting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "test_util.h"
 
 namespace simpush {
@@ -172,6 +178,144 @@ TEST(HittingTest, DanglingAttentionNodeStillExportsSelfEntry) {
   EXPECT_NEAR(table.Probability(3, 3, deep_id), f.params.sqrt_c, 1e-12);
   // And the dangling node's own self entry exists.
   EXPECT_DOUBLE_EQ(table.Probability(4, 4, deep_id), 1.0);
+}
+
+// The hitting table by Algorithm 3's definition: level ℓ pulls, for
+// every member v of G_u's level ℓ in ascending order, the level-(ℓ+1)
+// vectors of v's in-neighbors in in-row order, each scaled by
+// √c/d_I(v); an attention occurrence at level >= 2 adds its self entry.
+using NaiveLevel = std::map<NodeId, std::vector<HittingEntry>>;
+
+std::vector<NaiveLevel> NaiveHittingTable(const Graph& graph,
+                                          const SourceGraph& gu,
+                                          double sqrt_c) {
+  const uint32_t max_level = gu.max_level();
+  std::vector<NaiveLevel> table(max_level + 1);
+  if (max_level < 2) return table;
+  for (const AttentionId id : gu.AttentionOnLevel(max_level)) {
+    table[max_level][gu.attention_nodes()[id].node] = {{id, 1.0}};
+  }
+  for (uint32_t level = max_level - 1; level >= 1; --level) {
+    const NaiveLevel& above = table[level + 1];
+    for (const auto& [v, h] : gu.Level(level)) {
+      (void)h;
+      std::map<AttentionId, double> sums;
+      const uint32_t deg = graph.InDegree(v);
+      for (const NodeId w : graph.InNeighbors(v)) {
+        const auto it = above.find(w);
+        if (it == above.end()) continue;
+        for (const auto& [target, p] : it->second) {
+          sums[target] += p * (sqrt_c / deg);
+        }
+      }
+      AttentionId self = 0;
+      if (level >= 2 && gu.LookupAttention(level, v, &self)) sums[self] = 1.0;
+      if (!sums.empty()) {
+        table[level][v].assign(sums.begin(), sums.end());
+      }
+    }
+    if (level == 1) break;
+  }
+  return table;
+}
+
+// Compares ComputeHittingTable (one reused workspace) with the naive
+// table on (node, id, probability bits) for every source in `sources`.
+void ExpectHittingEqualsNaive(const Graph& graph,
+                              const std::vector<NodeId>& sources, double eps,
+                              bool detection) {
+  SimPushOptions options;
+  options.epsilon = eps;
+  options.use_level_detection = detection;
+  const DerivedParams params = ComputeDerivedParams(options);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  HittingTable table;
+  for (const NodeId u : sources) {
+    Rng rng(u);
+    ASSERT_TRUE(SourcePushInto(graph, u, options, params, &rng, &workspace,
+                               &gu, nullptr)
+                    .ok());
+    ComputeHittingTable(graph, gu, params.sqrt_c, &workspace, &table);
+    const std::vector<NaiveLevel> want =
+        NaiveHittingTable(graph, gu, params.sqrt_c);
+    size_t vectors = 0, entries = 0;
+    for (uint32_t level = 1; level <= gu.max_level(); ++level) {
+      for (const auto& [v, expected] : want[level]) {
+        ++vectors;
+        entries += expected.size();
+        const HittingVector got = table.VectorAt(level, v);
+        ASSERT_EQ(got.size(), expected.size())
+            << "u " << u << " level " << level << " node " << v;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(got[i].first, expected[i].first)
+              << "u " << u << " level " << level << " node " << v;
+          ASSERT_EQ(std::bit_cast<uint64_t>(got[i].second),
+                    std::bit_cast<uint64_t>(expected[i].second))
+              << "u " << u << " level " << level << " node " << v
+              << " target " << expected[i].first;
+        }
+      }
+    }
+    ASSERT_EQ(table.NumVectors(), vectors) << "u " << u;
+    ASSERT_EQ(table.NumEntries(), entries) << "u " << u;
+  }
+}
+
+TEST(HittingTest, PullAndPushLevelsEqualNaivePullBitForBit) {
+  // A funnel with duplicate edges, a self-loop and a dangling attention
+  // node: from u = 0, node 10 (no in-edges) is attention at level 3.
+  GraphBuilder funnel(12);
+  for (NodeId i = 1; i <= 8; ++i) {
+    funnel.AddEdge(i, 0);
+    for (int dup = 0; dup < 5; ++dup) funnel.AddEdge(9, i);
+  }
+  funnel.AddEdge(9, 9);
+  funnel.AddEdge(10, 9);
+  auto funnel_graph = std::move(funnel).Build(/*dedupe=*/false);
+  // A comb whose pushed level 1 merges five holder spans into one
+  // receiver: from u = 0, R = 1 is level 1 (130 in-edges: H_2..H_6 and
+  // 125 leaves) and T = 7 the level-3 attention node feeding every H_i.
+  // The H_i have in-degrees 1, 2, 3, 5 and 7, so R's sum of the five
+  // addends rounds differently in reverse holder order.
+  GraphBuilder comb(200);
+  comb.AddEdge(1, 0);
+  NodeId leaf = 8;
+  const uint32_t in_degrees[] = {1, 2, 3, 5, 7};
+  for (NodeId i = 0; i < 5; ++i) {
+    comb.AddEdge(2 + i, 1);
+    comb.AddEdge(7, 2 + i);
+    for (uint32_t k = 1; k < in_degrees[i]; ++k) comb.AddEdge(leaf++, 2 + i);
+  }
+  while (leaf < 8 + 13 + 125) comb.AddEdge(leaf++, 1);
+  auto comb_graph = std::move(comb).Build();
+  auto complete = GenerateComplete(40);
+  auto star = GenerateStar(300, /*bidirectional=*/true);
+  auto grid = GenerateGrid(3, 3);
+  auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
+  auto chung_lu_20k = GenerateChungLu(20000, 160000, 2.2, 7);
+  ASSERT_TRUE(funnel_graph.ok() && comb_graph.ok() && complete.ok() &&
+              star.ok() && grid.ok() && chung_lu.ok() && chung_lu_20k.ok());
+  ASSERT_EQ(comb_graph->InDegree(1), 130u);
+
+  const std::pair<const char*, const Graph*> kZoo[] = {
+      {"funnel", &*funnel_graph}, {"comb", &*comb_graph},
+      {"complete", &*complete},   {"star", &*star},
+      {"grid", &*grid},           {"chung_lu", &*chung_lu},
+      {"chung_lu_20k", &*chung_lu_20k}};
+  for (const double eps : {0.05, 0.1}) {
+    for (const bool detection : {true, false}) {
+      for (const auto& [name, graph] : kZoo) {
+        SCOPED_TRACE(std::string(name) + " eps " + std::to_string(eps) +
+                     (detection ? " detection on" : " detection off"));
+        std::vector<NodeId> sources;
+        for (NodeId v = 0; v < graph->num_nodes() && v < 24; ++v) {
+          sources.push_back(v);
+        }
+        ExpectHittingEqualsNaive(*graph, sources, eps, detection);
+      }
+    }
+  }
 }
 
 TEST(HittingTest, ProbabilityLookupMissingReturnsZero) {
