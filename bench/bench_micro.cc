@@ -164,21 +164,30 @@ void BM_SourcePushStage(benchmark::State& state) {
 }
 BENCHMARK(BM_SourcePushStage);
 
+// Cycles 8 precomputed G_u: one source's levels would pin each level's
+// pull/push choice, hiding the other direction's cost.
 void BM_GammaStage(benchmark::State& state) {
   const Graph& g = BenchGraph();
   SimPushOptions o;
   o.epsilon = 0.02;
   o.walk_budget_cap = 20000;
   const DerivedParams params = ComputeDerivedParams(o);
-  Rng rng(4);
-  auto gu = SourcePush(g, 11, o, params, &rng, nullptr);
-  if (!gu.ok()) std::abort();
+  std::vector<SourceGraph> gus;
+  for (NodeId u = 11; gus.size() < 8; u += 37) {
+    Rng rng(4);
+    auto gu = SourcePush(g, u, o, params, &rng, nullptr);
+    if (!gu.ok()) std::abort();
+    gus.push_back(std::move(gu).value());
+  }
   QueryWorkspace workspace;
   HittingTable table;
   std::vector<double> gamma;
+  size_t next = 0;
   for (auto _ : state) {
-    ComputeHittingTable(g, *gu, params.sqrt_c, &workspace, &table);
-    ComputeLastMeetingProbabilities(*gu, table, &workspace, &gamma);
+    const SourceGraph& gu = gus[next];
+    next = (next + 1) % gus.size();
+    ComputeHittingTable(g, gu, params.sqrt_c, &workspace, &table);
+    ComputeLastMeetingProbabilities(gu, table, &workspace, &gamma);
     benchmark::DoNotOptimize(gamma);
   }
 }

@@ -77,167 +77,278 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   const size_t words = (num_attention + 63) / 64;
   std::vector<uint64_t>& bits = workspace->scratch_bits;
   bits.assign(words, 0);  // Clean even after a cancelled predecessor.
-  // Epoch-stamped per-node scratch over graph nodes, one epoch per
-  // level:
-  //   holder_span — maps a node of level+1 holding a nonzero vector to
-  //                 its packed pool-span bounds (begin << 32 | end), so
-  //                 a pull reads the holder's entries after ONE random
-  //                 access (no NodeSpan chase, no hashing);
-  //   member_marks — nodes present on the current level of G_u;
-  //   receiver_marks — current-level nodes already queued for a pull.
-  // Receivers are discovered by scanning the holders' out-edges, so a
-  // level's cost is Σ outdeg(holders) + Σ indeg(receivers) instead of
-  // an O(|G_u level|) sweep — holders cluster near the attention set.
+  // Per-level node scratch (see the push branch below for its roles).
+  // A cancelled push leaves both node bitmasks dirty, so they too are
+  // re-zeroed on entry.
+  const size_t node_words = (static_cast<size_t>(graph.num_nodes()) + 63) / 64;
+  std::vector<uint64_t>& member_bits = workspace->member_bits;
+  std::vector<uint64_t>& receiver_bits = workspace->receiver_bits;
+  member_bits.assign(node_words, 0);
+  receiver_bits.assign(node_words, 0);
   EpochArray<uint64_t>& holder_span = workspace->holder_span;
-  EpochArray<uint8_t>& member_marks = workspace->member_marks;
-  EpochArray<uint8_t>& receiver_marks = workspace->receiver_marks;
-  std::vector<NodeId>& receivers = workspace->receivers;
+  std::vector<NodeId>& bucket = workspace->frontier_a;
 
-  // Self entries at the deepest level: h̃^(0)(w, w) = 1 for attention w
-  // at levels 2..L (level-1 attention nodes are never ρ-targets).
-  // Attention ids are appended in node order by Source-Push, so the
-  // resulting NodeSpans are already sorted by node.
-  {
-    HittingTable::LevelVectors& deepest = table->per_level_[max_level];
-    for (AttentionId id : gu.AttentionOnLevel(max_level)) {
-      const AttentionNode& a = gu.attention_nodes()[id];
-      const uint32_t begin = static_cast<uint32_t>(deepest.pool.size());
-      deepest.pool.emplace_back(id, 1.0);
-      deepest.nodes.push_back({a.node, begin, begin + 1});
+  // Self entries h̃^(0)(w, w) = 1 of the attention occurrences w on a
+  // level: the whole vector of each, at the deepest level and at any
+  // level without holders above it (nothing to merge there).
+  const auto emit_self_entries = [&](uint32_t level,
+                                     HittingTable::LevelVectors* here) {
+    for (AttentionId id : gu.AttentionOnLevel(level)) {
+      const uint32_t begin = static_cast<uint32_t>(here->pool.size());
+      here->pool.emplace_back(id, 1.0);
+      here->nodes.push_back({gu.attention_nodes()[id].node, begin, begin + 1});
     }
-    std::sort(deepest.nodes.begin(), deepest.nodes.end(),
+    // Source-Push appends attention ids in node order, so only
+    // hand-built graphs need this sort.
+    std::sort(here->nodes.begin(), here->nodes.end(),
               [](const HittingTable::NodeSpan& a,
                  const HittingTable::NodeSpan& b) { return a.node < b.node; });
-  }
+  };
+  emit_self_entries(max_level, &table->per_level_[max_level]);
 
-  // Pull from level+1 into level, for level = L-1 .. 1.
+  // The direction rule (see hitting.h): pull iff the members' in-edges
+  // are at most kHittingPushEdgeCost times the holders' out-edges. The
+  // member sum stops as soon as it exceeds that budget.
+  const auto pulls = [&](const SourceGraph::LevelEntries& members,
+                         const HittingTable::LevelVectors& above) {
+    uint64_t budget = 0;
+    for (const HittingTable::NodeSpan& holder : above.nodes) {
+      budget += graph.OutDegree(holder.node);
+    }
+    budget *= kHittingPushEdgeCost;
+    uint64_t member_edges = 0;
+    for (const auto& [v, h] : members) {
+      (void)h;
+      member_edges += graph.InDegree(v);
+      if (member_edges > budget) return false;
+    }
+    return true;
+  };
+
+  // One receiver's vector is built by merging holder spans into accum
+  // (tracking the touched word range) and then emitting the set bits.
+  size_t wlo = words, whi = 0;
+  const auto merge = [&](std::span<const HittingEntry> entries,
+                         double scale) {
+    for (const auto& [target, prob] : entries) {
+      accum[target] += prob * scale;
+      const size_t w = target >> 6;
+      bits[w] |= uint64_t{1} << (target & 63);
+      if (w < wlo) wlo = w;
+      if (w > whi) whi = w;
+    }
+  };
+  const auto emit = [&](uint32_t level, NodeId v,
+                        HittingTable::LevelVectors* here) {
+    const uint32_t begin = static_cast<uint32_t>(here->pool.size());
+    // Self entry when v is itself an attention node on this level
+    // (level >= 2): its id is distinct from every pulled target id
+    // (those are occurrences at deeper levels), so a plain sorted
+    // merge of one element suffices.
+    AttentionId self_id = 0;
+    const bool has_self = level >= 2 && gu.LookupAttention(level, v, &self_id);
+    bool self_inserted = false;
+    for (size_t wi = wlo; wi <= whi; ++wi) {
+      uint64_t m = bits[wi];
+      if (m == 0) continue;
+      bits[wi] = 0;
+      do {
+        const AttentionId target =
+            static_cast<AttentionId>(wi * 64 + std::countr_zero(m));
+        m &= m - 1;
+        if (has_self && !self_inserted && self_id < target) {
+          here->pool.emplace_back(self_id, 1.0);
+          self_inserted = true;
+        }
+        here->pool.emplace_back(target, accum[target]);
+        accum[target] = 0.0;
+      } while (m != 0);
+    }
+    if (has_self && !self_inserted) here->pool.emplace_back(self_id, 1.0);
+    const uint32_t end = static_cast<uint32_t>(here->pool.size());
+    if (end > begin) here->nodes.push_back({v, begin, end});
+    wlo = words;
+    whi = 0;
+  };
+
+  // Level ℓ from level ℓ+1, for ℓ = L-1 .. 1. The holders are the
+  // level-(ℓ+1) nodes with a vector; a member v of level ℓ merges the
+  // vector of each holder w with an edge w→v, scaled by √c/d_I(v). A
+  // level takes the cheaper of two directions (`pulls`), and both merge
+  // the same spans in the same order: ascending holder, once per
+  // parallel edge — a sorted in-row lists its holders that way, and the
+  // push scans holders ascending. The sums, hence the table, are
+  // bit-identical either way. Either way the receivers come out
+  // ascending, so here.nodes needs no sort for VectorAt's search.
   uint32_t since_poll = 0;
   for (uint32_t level = max_level - 1; level >= 1; --level) {
     const HittingTable::LevelVectors& above = table->per_level_[level + 1];
-    HittingTable::LevelVectors& here = table->per_level_[level];
-    holder_span.BeginEpoch();
-    member_marks.BeginEpoch();
-    receiver_marks.BeginEpoch();
-    for (const HittingTable::NodeSpan& holder : above.nodes) {
-      // end > begin for every stored span, so a packed value is never 0
-      // and Get() == 0 cleanly reads as "not a holder".
-      holder_span.Set(holder.node, (static_cast<uint64_t>(holder.begin) << 32) |
-                                       holder.end);
-    }
-    for (const auto& [node, h] : gu.Level(level)) {
-      (void)h;
-      member_marks.Set(node, 1);
-    }
-    // Receivers: current-level nodes with at least one holder
-    // in-neighbor, found via the holders' out-edges; plus this level's
-    // attention nodes, which must emit a self entry even when they pull
-    // nothing (e.g. dangling nodes).
-    receivers.clear();
-    for (const HittingTable::NodeSpan& holder : above.nodes) {
-      for (NodeId v : graph.OutNeighbors(holder.node)) {
-        if (member_marks.IsSet(v) && !receiver_marks.IsSet(v)) {
-          receiver_marks.Set(v, 1);
-          receivers.push_back(v);
+    HittingTable::LevelVectors* here = &table->per_level_[level];
+    const SourceGraph::LevelEntries& members = gu.Level(level);
+    if (above.nodes.empty()) {
+      // Nothing to merge: only attention occurrences get a vector.
+      if (level >= 2) emit_self_entries(level, here);
+    } else if (pulls(members, above)) {
+      // Pull: every member walks its in-row. holder_span maps a holder
+      // to its packed pool-span bounds (begin << 32 | end), so each
+      // in-neighbor costs ONE random access; end > begin for every
+      // stored span, so a packed value is never 0 and Get() == 0
+      // cleanly reads as "not a holder".
+      holder_span.BeginEpoch();
+      for (const HittingTable::NodeSpan& holder : above.nodes) {
+        holder_span.Set(holder.node,
+                        (static_cast<uint64_t>(holder.begin) << 32) |
+                            holder.end);
+      }
+      for (const auto& [v, h] : members) {
+        (void)h;
+        // Cancellation stride over pulls; on a fired token the table is
+        // left partial — the caller re-checks the token and discards it.
+        if (++since_poll >= kCancelCheckStride) {
+          since_poll = 0;
+          if (ShouldStop(cancel)) return;
         }
-      }
-    }
-    if (level >= 2) {
-      for (AttentionId id : gu.AttentionOnLevel(level)) {
-        const NodeId node = gu.attention_nodes()[id].node;
-        if (!receiver_marks.IsSet(node)) {
-          receiver_marks.Set(node, 1);
-          receivers.push_back(node);
-        }
-      }
-    }
-    // Pull in ascending node order: the receivers' in-CSR rows are then
-    // streamed sequentially (instead of hopping with discovery order),
-    // and the spans appended to here.nodes come out already sorted —
-    // the per-level sort below disappears. Each receiver's accumulation
-    // is independent, so the reorder changes no value.
-    std::sort(receivers.begin(), receivers.end());
-    for (NodeId v : receivers) {
-      // Cancellation stride over pulls; on a fired token the table is
-      // left partial — the caller re-checks the token and discards it.
-      if (++since_poll >= kCancelCheckStride) {
-        since_poll = 0;
-        if (ShouldStop(cancel)) return;
-      }
-      const uint32_t deg = graph.InDegree(v);
-      size_t wlo = words, whi = 0;
-      // A dangling node (deg == 0) pulls nothing, but when it is an
-      // attention node its self entry below must still be emitted so
-      // shallower levels can see it.
-      if (deg > 0) {
-        const double scale = sqrt_c / deg;
-        const std::span<const NodeId> in = graph.InNeighbors(v);
-        // Two-stage software pipeline over the in-neighbors: the
-        // holder_span probes are random node-indexed accesses, hinted
-        // kSpanLookahead ahead; at kPoolLookahead (close enough that its
-        // span bounds are already cached from the first stage) the span
-        // bounds are re-read to hint the pool entries themselves — the
-        // level's pool outgrows L2, so the merge loop's first touch of
-        // each span is otherwise a stall.
-        constexpr size_t kSpanLookahead = 8;
-        constexpr size_t kPoolLookahead = 3;
-        const size_t n_in = in.size();
-        for (size_t i = 0; i < n_in; ++i) {
-          if (i + kSpanLookahead < n_in) {
-            holder_span.Prefetch(in[i + kSpanLookahead]);
-          }
-          if (i + kPoolLookahead < n_in) {
-            const uint64_t ahead = holder_span.Get(in[i + kPoolLookahead]);
-#if defined(__GNUC__) || defined(__clang__)
-            if (ahead != 0) {
-              __builtin_prefetch(&above.pool[ahead >> 32], /*rw=*/0,
-                                 /*locality=*/1);
+        const uint32_t deg = graph.InDegree(v);
+        // A dangling node (deg == 0) pulls nothing, but when it is an
+        // attention node its self entry must still be emitted so
+        // shallower levels can see it.
+        if (deg > 0) {
+          const double scale = sqrt_c / deg;
+          const std::span<const NodeId> in = graph.InNeighbors(v);
+          // Two-stage software pipeline over the in-neighbors: the
+          // holder_span probes are random node-indexed accesses, hinted
+          // kSpanLookahead ahead; at kPoolLookahead (close enough that
+          // its span bounds are already cached from the first stage) the
+          // span bounds are re-read to hint the pool entries themselves —
+          // the level's pool outgrows L2, so the merge loop's first touch
+          // of each span is otherwise a stall.
+          constexpr size_t kSpanLookahead = 8;
+          constexpr size_t kPoolLookahead = 3;
+          const size_t n_in = in.size();
+          for (size_t i = 0; i < n_in; ++i) {
+            if (i + kSpanLookahead < n_in) {
+              holder_span.Prefetch(in[i + kSpanLookahead]);
             }
+            if (i + kPoolLookahead < n_in) {
+              const uint64_t ahead = holder_span.Get(in[i + kPoolLookahead]);
+#if defined(__GNUC__) || defined(__clang__)
+              if (ahead != 0) {
+                __builtin_prefetch(&above.pool[ahead >> 32], /*rw=*/0,
+                                   /*locality=*/1);
+              }
 #endif
-          }
-          const uint64_t packed = holder_span.Get(in[i]);
-          if (packed == 0) continue;
-          const uint32_t end = static_cast<uint32_t>(packed);
-          for (uint32_t e = static_cast<uint32_t>(packed >> 32); e < end; ++e) {
-            const auto& [target, prob] = above.pool[e];
-            accum[target] += prob * scale;
-            const size_t w = target >> 6;
-            bits[w] |= uint64_t{1} << (target & 63);
-            if (w < wlo) wlo = w;
-            if (w > whi) whi = w;
+            }
+            const uint64_t packed = holder_span.Get(in[i]);
+            if (packed == 0) continue;
+            merge({above.pool.data() + (packed >> 32),
+                   above.pool.data() + static_cast<uint32_t>(packed)},
+                  scale);
           }
         }
+        emit(level, v, here);
       }
-      const uint32_t begin = static_cast<uint32_t>(here.pool.size());
-      // Self entry when v is itself an attention node on this level
-      // (level >= 2): its id is distinct from every pulled target id
-      // (those are occurrences at deeper levels), so a plain sorted
-      // merge of one element suffices.
-      AttentionId self_id = 0;
-      const bool has_self =
-          level >= 2 && gu.LookupAttention(level, v, &self_id);
-      bool self_inserted = false;
-      for (size_t wi = wlo; wi <= whi; ++wi) {
-        uint64_t m = bits[wi];
-        if (m == 0) continue;
-        bits[wi] = 0;
-        do {
-          const AttentionId target =
-              static_cast<AttentionId>(wi * 64 + std::countr_zero(m));
-          m &= m - 1;
-          if (has_self && !self_inserted && self_id < target) {
-            here.pool.emplace_back(self_id, 1.0);
-            self_inserted = true;
+    } else {
+      // Push: a counting sort of the holders' out-edges into
+      // per-receiver buckets. member_bits marks the level; a scan of
+      // the holders' out-rows counts each member's holder in-edges in
+      // holder_span and marks it in receiver_bits (so do this level's
+      // attention occurrences, which need a self entry even with an
+      // empty bucket). Offsets are laid out by a bitmask scan in
+      // ascending receiver order, a second scan fills the buckets
+      // (holder indices, in frontier_a, idle between Source-Push and
+      // Reverse-Push) in ascending holder order, and a last bitmask
+      // scan merges each bucket and restores the receiver bits. Both
+      // out-row scans poll every kCancelCheckStride edges: a web level
+      // can hold half a million of them.
+      for (const auto& [v, h] : members) {
+        (void)h;
+        member_bits[v >> 6] |= uint64_t{1} << (v & 63);
+      }
+      holder_span.BeginEpoch();
+      size_t rlo = node_words, rhi = 0;
+      const auto mark_receiver = [&](NodeId v) {
+        const size_t w = v >> 6;
+        receiver_bits[w] |= uint64_t{1} << (v & 63);
+        if (w < rlo) rlo = w;
+        if (w > rhi) rhi = w;
+      };
+      if (level >= 2) {
+        for (AttentionId id : gu.AttentionOnLevel(level)) {
+          const NodeId v = gu.attention_nodes()[id].node;
+          holder_span.Ref(v);  // Count 0 until a holder edge adds to it.
+          mark_receiver(v);
+        }
+      }
+      // Visits (holder index, member) for every holder out-edge into the
+      // level, holders ascending; false once the token fired.
+      const auto for_each_hit = [&](auto&& visit) {
+        for (uint32_t hi = 0; hi < above.nodes.size(); ++hi) {
+          for (const NodeId v : graph.OutNeighbors(above.nodes[hi].node)) {
+            if (++since_poll >= kCancelCheckStride) {
+              since_poll = 0;
+              if (ShouldStop(cancel)) return false;
+            }
+            if ((member_bits[v >> 6] >> (v & 63) & 1) != 0) visit(hi, v);
           }
-          here.pool.emplace_back(target, accum[target]);
-          accum[target] = 0.0;
+        }
+        return true;
+      };
+      const bool counted = for_each_hit([&](uint32_t, NodeId v) {
+        holder_span.Accumulate(v, 1);
+        mark_receiver(v);
+      });
+      if (!counted) return;
+      // Counts become packed (begin << 32 | cursor) bucket bounds; the
+      // fill advances the cursor to the bucket's end.
+      uint64_t offset = 0;
+      for (size_t wi = rlo; wi <= rhi; ++wi) {
+        for (uint64_t m = receiver_bits[wi]; m != 0; m &= m - 1) {
+          uint64_t& slot = holder_span.RawRef(
+              static_cast<NodeId>(wi * 64 + std::countr_zero(m)));
+          const uint64_t count = slot;
+          slot = offset << 32 | offset;
+          offset += count;
+        }
+      }
+      bucket.resize(offset);
+      const bool filled = for_each_hit([&](uint32_t hi, NodeId v) {
+        uint64_t& slot = holder_span.RawRef(v);
+        bucket[static_cast<uint32_t>(slot)] = hi;
+        ++slot;
+      });
+      if (!filled) return;
+      // members ascends by node, so its marks span one word range.
+      std::fill(member_bits.begin() + (members.front().first >> 6),
+                member_bits.begin() + (members.back().first >> 6) + 1,
+                uint64_t{0});
+      for (size_t wi = rlo; wi <= rhi; ++wi) {
+        uint64_t m = receiver_bits[wi];
+        if (m == 0) continue;
+        receiver_bits[wi] = 0;
+        do {
+          const NodeId v = static_cast<NodeId>(wi * 64 + std::countr_zero(m));
+          m &= m - 1;
+          if (++since_poll >= kCancelCheckStride) {
+            since_poll = 0;
+            if (ShouldStop(cancel)) return;
+          }
+          const uint64_t slot = holder_span.RawRef(v);
+          const uint32_t begin = static_cast<uint32_t>(slot >> 32);
+          const uint32_t end = static_cast<uint32_t>(slot);
+          // An attention-only receiver may be dangling: no bucket, no
+          // division.
+          const double scale =
+              end > begin ? sqrt_c / graph.InDegree(v) : 0.0;
+          for (uint32_t k = begin; k < end; ++k) {
+            const HittingTable::NodeSpan& holder = above.nodes[bucket[k]];
+            merge({above.pool.data() + holder.begin,
+                   above.pool.data() + holder.end},
+                  scale);
+          }
+          emit(level, v, here);
         } while (m != 0);
       }
-      if (has_self && !self_inserted) here.pool.emplace_back(self_id, 1.0);
-      const uint32_t end = static_cast<uint32_t>(here.pool.size());
-      if (end > begin) here.nodes.push_back({v, begin, end});
     }
-    // here.nodes is sorted by construction: receivers were processed in
-    // ascending node order, so VectorAt's binary search needs no sort.
     if (level == 1) break;  // uint32_t wrap guard.
   }
 }

@@ -5,9 +5,15 @@
 // over attention-node targets at deeper levels: entry (a, p) means a
 // √c-walk from v confined to G_u reaches attention occurrence a (at
 // level ℓ_a > ℓ, or ℓ_a = ℓ for the self entry) with probability
-// p = h̃^(ℓ_a - ℓ)(v, a). Vectors are built by pulling from level ℓ+1
-// down to level 1 (the pull at v divides by d_I(v), which equals v's
-// G_u in-degree whenever that is non-empty).
+// p = h̃^(ℓ_a - ℓ)(v, a). Vectors are built from level ℓ+1 down to
+// level 1: v merges the vectors of its level-(ℓ+1) in-neighbors that
+// hold one (the holders), scaled by √c/d_I(v) (d_I(v) equals v's G_u
+// in-degree whenever that is non-empty). Each level either pulls
+// (every member walks its in-row) or pushes (the holders' out-rows are
+// bucketed by receiver), whichever scans fewer weighted edges; both
+// merge the same spans in the same order, so the table is bit-identical
+// either way. A level with no holders only emits attention self
+// entries.
 //
 // Vectors live in one pooled entry array per level (CSR-style spans
 // instead of per-node heap vectors), so a table owned by a long-lived
@@ -28,6 +34,18 @@
 namespace simpush {
 
 class QueryWorkspace;
+
+/// Direction rule of the hitting-table build: level ℓ is pulled iff
+/// Σ d_I(members of level ℓ) <= kHittingPushEdgeCost · Σ d_O(holders),
+/// the holders being the level-(ℓ+1) nodes with a vector; otherwise it
+/// is pushed. A pushed out-edge costs about twice a pulled in-edge: the
+/// push scans each holder out-row twice (count, then fill) and touches
+/// every hit three times (count, fill, merge). Measured on the web graph
+/// of docs/performance.md at ε = 0.05 (60 sources, every level timed
+/// both ways), hitting-table time per query was 1.22 ms at cost 1,
+/// 1.04 ms at 2 (within 0.3% of choosing each level's faster direction
+/// in hindsight, and flat from 1.4 to 3.3) and 1.70 ms at 1/2.
+constexpr uint64_t kHittingPushEdgeCost = 2;
 
 /// One (attention id, probability) entry of a hitting vector.
 using HittingEntry = std::pair<AttentionId, double>;
@@ -78,8 +96,9 @@ class HittingTable {
 /// Runs Algorithm 3 over G_u into `table`, using `workspace` for dense
 /// scratch. O(m·log(1/ε)/ε) worst case (Lemma 6).
 ///
-/// `cancel`, when non-null, is polled every kCancelCheckStride pulls;
-/// a fired token returns early with the table only partially built —
+/// `cancel`, when non-null, is polled every kCancelCheckStride pulled
+/// members, pushed holder out-edges or merged push receivers; a fired
+/// token returns early with the table only partially built —
 /// the caller (QueryRunner) re-checks the token between stages and
 /// discards the partial result. The poll reads state only, so an
 /// unfired token leaves the table bit-identical.

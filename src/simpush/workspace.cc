@@ -75,8 +75,6 @@ void QueryWorkspace::Prepare(NodeId num_nodes) {
   frontier_a.clear();
   frontier_b.clear();
   holder_span.Resize(num_nodes);
-  member_marks.Resize(num_nodes);
-  receiver_marks.Resize(num_nodes);
 }
 
 }  // namespace simpush

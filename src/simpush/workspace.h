@@ -9,8 +9,9 @@
 //                            at), dense_a/dense_b + frontier_a/frontier_b
 //                            (level-wise residue propagation),
 //                            source_graph (the G_u being built).
-//   Hitting (Alg. 3)       — holder_span/member_marks/receiver_marks,
-//                            receivers, attention_accum/scratch_bits,
+//   Hitting (Alg. 3)       — holder_span, member_bits/receiver_bits,
+//                            frontier_a (push-level buckets),
+//                            attention_accum/scratch_bits,
 //                            hitting_table.
 //   Last-meeting (Alg. 4)  — gamma_scratch, gamma.
 //   Reverse-Push (Alg. 5)  — dense_a/dense_b + frontier_a/frontier_b
@@ -109,15 +110,16 @@ class QueryWorkspace {
   std::vector<NodeId> demand_last;
   std::vector<NodeId> demand_prev;
 
-  // --- Hitting-table construction. holder_span maps a node of level
-  // ℓ+1 holding a nonzero vector to its packed pool-span bounds
-  // (begin << 32 | end) — the pull loop reads the span in ONE random
-  // access instead of index-then-NodeSpan chasing; member/receiver
-  // marks track the current level's G_u membership and queued pulls.
+  // --- Hitting-table construction (see hitting.cc). A pull level maps
+  // each holder of level ℓ+1 to its packed pool-span bounds
+  // (begin << 32 | end) in holder_span, so an in-edge costs ONE random
+  // access; a push level keeps its per-receiver bucket bounds there
+  // instead and its buckets in frontier_a. member_bits and
+  // receiver_bits are node bitmasks (n/64 words) of a push level's
+  // members and receivers, zero between levels.
   EpochArray<uint64_t> holder_span;
-  EpochArray<uint8_t> member_marks;
-  EpochArray<uint8_t> receiver_marks;
-  std::vector<NodeId> receivers;
+  std::vector<uint64_t> member_bits;
+  std::vector<uint64_t> receiver_bits;
   std::vector<double> attention_accum;    // Zero-restored after each use.
 
   // --- Touched-set bitmask, shared by the Source-Push frontier scatter

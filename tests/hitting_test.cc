@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/deadline.h"
 #include "gtest/gtest.h"
 #include "simpush/hitting.h"
 #include "simpush/options.h"
@@ -219,11 +220,19 @@ std::vector<NaiveLevel> NaiveHittingTable(const Graph& graph,
   return table;
 }
 
+// Which directions the levels of the checked tables took.
+struct Directions {
+  bool pull = false;
+  bool push = false;
+};
+
 // Compares ComputeHittingTable (one reused workspace) with the naive
-// table on (node, id, probability bits) for every source in `sources`.
+// table on (node, id, probability bits) for every source in `sources`,
+// and records the direction the rule in hitting.h gives each level
+// that has holders.
 void ExpectHittingEqualsNaive(const Graph& graph,
                               const std::vector<NodeId>& sources, double eps,
-                              bool detection) {
+                              bool detection, Directions* directions) {
   SimPushOptions options;
   options.epsilon = eps;
   options.use_level_detection = detection;
@@ -259,6 +268,23 @@ void ExpectHittingEqualsNaive(const Graph& graph,
     }
     ASSERT_EQ(table.NumVectors(), vectors) << "u " << u;
     ASSERT_EQ(table.NumEntries(), entries) << "u " << u;
+    for (uint32_t level = 1; level < gu.max_level(); ++level) {
+      if (want[level + 1].empty()) continue;
+      uint64_t member_edges = 0, holder_edges = 0;
+      for (const auto& [v, h] : gu.Level(level)) {
+        (void)h;
+        member_edges += graph.InDegree(v);
+      }
+      for (const auto& [w, vec] : want[level + 1]) {
+        (void)vec;
+        holder_edges += graph.OutDegree(w);
+      }
+      if (member_edges <= kHittingPushEdgeCost * holder_edges) {
+        directions->pull = true;
+      } else {
+        directions->push = true;
+      }
+    }
   }
 }
 
@@ -303,6 +329,7 @@ TEST(HittingTest, PullAndPushLevelsEqualNaivePullBitForBit) {
       {"complete", &*complete},   {"star", &*star},
       {"grid", &*grid},           {"chung_lu", &*chung_lu},
       {"chung_lu_20k", &*chung_lu_20k}};
+  Directions directions;
   for (const double eps : {0.05, 0.1}) {
     for (const bool detection : {true, false}) {
       for (const auto& [name, graph] : kZoo) {
@@ -312,9 +339,84 @@ TEST(HittingTest, PullAndPushLevelsEqualNaivePullBitForBit) {
         for (NodeId v = 0; v < graph->num_nodes() && v < 24; ++v) {
           sources.push_back(v);
         }
-        ExpectHittingEqualsNaive(*graph, sources, eps, detection);
+        ExpectHittingEqualsNaive(*graph, sources, eps, detection,
+                                 &directions);
       }
     }
+  }
+  EXPECT_TRUE(directions.pull);
+  EXPECT_TRUE(directions.push);
+}
+
+// (node, id, probability bits) of every vector of `a` equal `b`'s.
+void ExpectTablesEqual(const SourceGraph& gu, const HittingTable& a,
+                       const HittingTable& b) {
+  ASSERT_EQ(a.NumVectors(), b.NumVectors());
+  ASSERT_EQ(a.NumEntries(), b.NumEntries());
+  for (uint32_t level = 1; level <= gu.max_level(); ++level) {
+    for (const auto& [v, h] : gu.Level(level)) {
+      (void)h;
+      const HittingVector x = a.VectorAt(level, v);
+      const HittingVector y = b.VectorAt(level, v);
+      ASSERT_EQ(x.size(), y.size()) << "level " << level << " node " << v;
+      for (size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].first, y[i].first);
+        EXPECT_EQ(std::bit_cast<uint64_t>(x[i].second),
+                  std::bit_cast<uint64_t>(y[i].second));
+      }
+    }
+  }
+}
+
+TEST(HittingTest, CancelDuringPushLevelLeavesWorkspaceClean) {
+  // A broom: K members m_i -> 0, each with in-edges from the hub H and
+  // four leaves of its own. From u = 0, level 1 is every m_i and H is
+  // the only level-2 attention node (h = c/5); level 3 is empty. Level 1
+  // then has 5K member in-edges against H's K out-edges and pushes.
+  // From u2, fed by the first K/2 members only, level 1 pushes too
+  // (5K/2 > 2K), and stale member marks from u would add receivers.
+  constexpr NodeId kMembers = 1000;
+  const NodeId hub = kMembers + 1;
+  const NodeId u2 = hub + 1;
+  GraphBuilder builder(u2 + 1 + 4 * kMembers);
+  NodeId leaf = u2 + 1;
+  for (NodeId m = 1; m <= kMembers; ++m) {
+    builder.AddEdge(m, 0);
+    if (m <= kMembers / 2) builder.AddEdge(m, u2);
+    builder.AddEdge(hub, m);
+    for (int i = 0; i < 4; ++i) builder.AddEdge(leaf++, m);
+  }
+  auto graph = std::move(builder).Build();
+  ASSERT_TRUE(graph.ok());
+  Fixture f = MakeFixture(*graph, 0, 0.05);
+  ASSERT_TRUE(f.gu.Contains(2, hub));
+  ASSERT_GT(5 * kMembers, kHittingPushEdgeCost * graph->OutDegree(hub));
+  ASSERT_GT(5 * kMembers / 2, kHittingPushEdgeCost * graph->OutDegree(hub));
+
+  // Every level above 1 is holderless and polls nothing, so the first
+  // poll of the cancelled token lands in level 1's out-row scan, after
+  // kCancelCheckStride < K of H's out-edges.
+  ASSERT_LT(kCancelCheckStride, kMembers);
+  QueryWorkspace workspace;
+  HittingTable table;
+  CancelToken token;
+  token.Cancel();
+  ComputeHittingTable(*graph, f.gu, f.params.sqrt_c, &workspace, &table,
+                      &token);
+  EXPECT_EQ(table.NumVectors(), 1u);  // H's self entry; level 1 aborted.
+  EXPECT_TRUE(table.VectorAt(1, 1).empty());
+
+  // The reused workspace then builds what a fresh one does, bit for bit.
+  for (const NodeId u : {u2, NodeId{0}}) {
+    SCOPED_TRACE(u);
+    Fixture g = MakeFixture(*graph, u, 0.05);
+    HittingTable after, fresh;
+    QueryWorkspace fresh_workspace;
+    ComputeHittingTable(*graph, g.gu, g.params.sqrt_c, &workspace, &after);
+    ComputeHittingTable(*graph, g.gu, g.params.sqrt_c, &fresh_workspace,
+                        &fresh);
+    EXPECT_GT(fresh.NumVectors(), 1u);
+    ExpectTablesEqual(g.gu, after, fresh);
   }
 }
 
