@@ -186,8 +186,11 @@ void BM_GammaStage(benchmark::State& state) {
   for (auto _ : state) {
     const SourceGraph& gu = gus[next];
     next = (next + 1) % gus.size();
-    ComputeHittingTable(g, gu, params.sqrt_c, &workspace, &table);
-    ComputeLastMeetingProbabilities(gu, table, &workspace, &gamma);
+    if (!ComputeHittingTable(g, gu, params.sqrt_c, &workspace, &table).ok() ||
+        !ComputeLastMeetingProbabilities(gu, table, &workspace, &gamma)
+             .ok()) {
+      std::abort();
+    }
     benchmark::DoNotOptimize(gamma);
   }
 }

@@ -289,7 +289,8 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
     if (header_end != std::string::npos) break;
     if (buffer->size() > kMaxHeaderBytes) {
       WriteResponse(fd, HttpResponse{400, "application/json",
-                                     "{\"error\":\"headers too large\"}\n"},
+                                     "{\"error\":\"headers too large\"}\n",
+                                     {}},
                     /*close=*/true);
       return -1;
     }
@@ -314,7 +315,8 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
       // Idle between requests: close silently. Mid-request: 408.
       if (!buffer->empty()) {
         WriteResponse(fd, HttpResponse{408, "application/json",
-                                       "{\"error\":\"request timeout\"}\n"},
+                                       "{\"error\":\"request timeout\"}\n",
+                                       {}},
                       /*close=*/true);
       }
       return -1;
@@ -331,7 +333,8 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
       sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
   if (sp2 == std::string_view::npos) {
     WriteResponse(fd, HttpResponse{400, "application/json",
-                                   "{\"error\":\"malformed request line\"}\n"},
+                                   "{\"error\":\"malformed request line\"}\n",
+                                   {}},
                   /*close=*/true);
     return -1;
   }
@@ -376,7 +379,8 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
     if (!all_digits) {
       WriteResponse(fd,
                     HttpResponse{400, "application/json",
-                                 "{\"error\":\"malformed content-length\"}\n"},
+                                 "{\"error\":\"malformed content-length\"}\n",
+                                 {}},
                     /*close=*/true);
       return -1;
     }
@@ -386,7 +390,8 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
     // size cap below rejects with 413 like any other oversized body.
     if (errno == ERANGE || content_length > options_.max_body_bytes) {
       WriteResponse(fd, HttpResponse{413, "application/json",
-                                     "{\"error\":\"body too large\"}\n"},
+                                     "{\"error\":\"body too large\"}\n",
+                                     {}},
                     /*close=*/true);
       return -1;
     }
@@ -415,7 +420,8 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
       }
       if (--idle_budget > 0) continue;
       WriteResponse(fd, HttpResponse{408, "application/json",
-                                     "{\"error\":\"request timeout\"}\n"},
+                                     "{\"error\":\"request timeout\"}\n",
+                                     {}},
                     /*close=*/true);
       return -1;
     }

@@ -1,9 +1,9 @@
 #include "simpush/hitting.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
+#include "common/touched_bits.h"
 #include "simpush/workspace.h"
 
 namespace simpush {
@@ -54,43 +54,39 @@ void HittingTable::Reset(uint32_t max_level) {
   num_levels_ = levels;
 }
 
-void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                         double sqrt_c, QueryWorkspace* workspace,
-                         HittingTable* table, const CancelToken* cancel) {
+Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
+                           double sqrt_c, QueryWorkspace* workspace,
+                           HittingTable* table, const CancelToken* cancel) {
   workspace->Prepare(graph.num_nodes());
   const uint32_t max_level = gu.max_level();
   table->Reset(max_level);
-  if (max_level < 2) return;  // No targets deeper than level 1.
+  if (max_level < 2) return Status::OK();  // No targets deeper than level 1.
 
   const size_t num_attention = gu.num_attention();
-  // Dense scratch accumulator over attention ids, paired with a bitmask
-  // of touched ids. The merge loop below runs ~10 pool entries per
-  // stored entry, so its per-entry cost decides the whole stage: the
-  // bitmask makes it branchless (unconditional OR instead of the
-  // unpredictable accum[t] == 0 test a touched-list needs), and
-  // iterating set bits at emit time yields the targets already in
-  // ascending id order — the per-receiver sort disappears. Both the
-  // accumulator slots and the mask words are zero-restored during the
-  // emit scan, so the scratch stays clean without per-receiver clears.
+  // Dense scratch accumulator over attention ids, paired with a
+  // TouchedBits of touched ids. The merge loop below runs ~10 pool
+  // entries per stored entry, so its per-entry cost decides the whole
+  // stage: the mask makes it branchless (unconditional OR instead of
+  // the unpredictable accum[t] == 0 test a touched-list needs), and
+  // draining it at emit time yields the targets already in ascending id
+  // order — the per-receiver sort disappears. The emit zero-restores
+  // both the accumulator slots and the mask, so the scratch stays clean
+  // without per-receiver clears.
   std::vector<double>& accum = workspace->attention_accum;
   if (accum.size() < num_attention) accum.resize(num_attention, 0.0);
-  const size_t words = (num_attention + 63) / 64;
-  std::vector<uint64_t>& bits = workspace->scratch_bits;
-  bits.assign(words, 0);  // Clean even after a cancelled predecessor.
-  // Per-level node scratch (see the push branch below for its roles).
-  // A cancelled push leaves both node bitmasks dirty, so they too are
-  // re-zeroed on entry.
-  const size_t node_words = (static_cast<size_t>(graph.num_nodes()) + 63) / 64;
-  std::vector<uint64_t>& member_bits = workspace->member_bits;
-  std::vector<uint64_t>& receiver_bits = workspace->receiver_bits;
-  member_bits.assign(node_words, 0);
-  receiver_bits.assign(node_words, 0);
+  TouchedBits& targets = workspace->scratch_bits;
+  targets.Reset(num_attention);
+  // Node masks of a pushed level (see the push branch below).
+  TouchedBits& member_bits = workspace->member_bits;
+  TouchedBits& receiver_bits = workspace->receiver_bits;
   EpochArray<uint64_t>& holder_span = workspace->holder_span;
   std::vector<NodeId>& bucket = workspace->frontier_a;
 
   // Self entries h̃^(0)(w, w) = 1 of the attention occurrences w on a
   // level: the whole vector of each, at the deepest level and at any
-  // level without holders above it (nothing to merge there).
+  // level without holders above it (nothing to merge there). A level's
+  // attention ids ascend by node (SourceGraph's contract), so the
+  // vectors come out in the node order VectorAt searches.
   const auto emit_self_entries = [&](uint32_t level,
                                      HittingTable::LevelVectors* here) {
     for (AttentionId id : gu.AttentionOnLevel(level)) {
@@ -98,11 +94,6 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
       here->pool.emplace_back(id, 1.0);
       here->nodes.push_back({gu.attention_nodes()[id].node, begin, begin + 1});
     }
-    // Source-Push appends attention ids in node order, so only
-    // hand-built graphs need this sort.
-    std::sort(here->nodes.begin(), here->nodes.end(),
-              [](const HittingTable::NodeSpan& a,
-                 const HittingTable::NodeSpan& b) { return a.node < b.node; });
   };
   emit_self_entries(max_level, &table->per_level_[max_level]);
 
@@ -126,16 +117,12 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   };
 
   // One receiver's vector is built by merging holder spans into accum
-  // (tracking the touched word range) and then emitting the set bits.
-  size_t wlo = words, whi = 0;
+  // and then draining the touched targets.
   const auto merge = [&](std::span<const HittingEntry> entries,
                          double scale) {
     for (const auto& [target, prob] : entries) {
       accum[target] += prob * scale;
-      const size_t w = target >> 6;
-      bits[w] |= uint64_t{1} << (target & 63);
-      if (w < wlo) wlo = w;
-      if (w > whi) whi = w;
+      targets.Mark(target);
     }
   };
   const auto emit = [&](uint32_t level, NodeId v,
@@ -146,29 +133,19 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
     // (those are occurrences at deeper levels), so a plain sorted
     // merge of one element suffices.
     AttentionId self_id = 0;
-    const bool has_self = level >= 2 && gu.LookupAttention(level, v, &self_id);
-    bool self_inserted = false;
-    for (size_t wi = wlo; wi <= whi; ++wi) {
-      uint64_t m = bits[wi];
-      if (m == 0) continue;
-      bits[wi] = 0;
-      do {
-        const AttentionId target =
-            static_cast<AttentionId>(wi * 64 + std::countr_zero(m));
-        m &= m - 1;
-        if (has_self && !self_inserted && self_id < target) {
-          here->pool.emplace_back(self_id, 1.0);
-          self_inserted = true;
-        }
-        here->pool.emplace_back(target, accum[target]);
-        accum[target] = 0.0;
-      } while (m != 0);
-    }
-    if (has_self && !self_inserted) here->pool.emplace_back(self_id, 1.0);
+    bool self_pending = level >= 2 && gu.LookupAttention(level, v, &self_id);
+    targets.Drain([&](size_t i) {
+      const AttentionId target = static_cast<AttentionId>(i);
+      if (self_pending && self_id < target) {
+        here->pool.emplace_back(self_id, 1.0);
+        self_pending = false;
+      }
+      here->pool.emplace_back(target, accum[target]);
+      accum[target] = 0.0;
+    });
+    if (self_pending) here->pool.emplace_back(self_id, 1.0);
     const uint32_t end = static_cast<uint32_t>(here->pool.size());
     if (end > begin) here->nodes.push_back({v, begin, end});
-    wlo = words;
-    whi = 0;
   };
 
   // Level ℓ from level ℓ+1, for ℓ = L-1 .. 1. The holders are the
@@ -180,6 +157,9 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   // push scans holders ascending. The sums, hence the table, are
   // bit-identical either way. Either way the receivers come out
   // ascending, so here.nodes needs no sort for VectorAt's search.
+  //
+  // Every poll is made between receivers, after the previous emit
+  // drained `targets`, so a cancelled return leaves that mask clear.
   uint32_t since_poll = 0;
   for (uint32_t level = max_level - 1; level >= 1; --level) {
     const HittingTable::LevelVectors& above = table->per_level_[level + 1];
@@ -203,10 +183,10 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
       for (const auto& [v, h] : members) {
         (void)h;
         // Cancellation stride over pulls; on a fired token the table is
-        // left partial — the caller re-checks the token and discards it.
+        // left partial and the caller discards it.
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
-          if (ShouldStop(cancel)) return;
+          SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
         }
         const uint32_t deg = graph.InDegree(v);
         // A dangling node (deg == 0) pulls nothing, but when it is an
@@ -253,112 +233,98 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
       // the holders' out-rows counts each member's holder in-edges in
       // holder_span and marks it in receiver_bits (so do this level's
       // attention occurrences, which need a self entry even with an
-      // empty bucket). Offsets are laid out by a bitmask scan in
-      // ascending receiver order, a second scan fills the buckets
-      // (holder indices, in frontier_a, idle between Source-Push and
-      // Reverse-Push) in ascending holder order, and a last bitmask
-      // scan merges each bucket and restores the receiver bits. Both
-      // out-row scans poll every kCancelCheckStride edges: a web level
-      // can hold half a million of them.
+      // empty bucket). Offsets are laid out in ascending receiver
+      // order, a second scan fills the buckets (holder indices, in
+      // frontier_a, idle between Source-Push and Reverse-Push) in
+      // ascending holder order, and a last pass over the receivers
+      // merges each bucket. Both out-row scans poll every
+      // kCancelCheckStride edges: a web level can hold half a million
+      // of them. Both masks are Reset first, so one a cancelled level
+      // left dirty is never read.
+      member_bits.Reset(graph.num_nodes());
+      receiver_bits.Reset(graph.num_nodes());
       for (const auto& [v, h] : members) {
         (void)h;
-        member_bits[v >> 6] |= uint64_t{1} << (v & 63);
+        member_bits.Mark(v);
       }
       holder_span.BeginEpoch();
-      size_t rlo = node_words, rhi = 0;
-      const auto mark_receiver = [&](NodeId v) {
-        const size_t w = v >> 6;
-        receiver_bits[w] |= uint64_t{1} << (v & 63);
-        if (w < rlo) rlo = w;
-        if (w > rhi) rhi = w;
-      };
       if (level >= 2) {
         for (AttentionId id : gu.AttentionOnLevel(level)) {
           const NodeId v = gu.attention_nodes()[id].node;
           holder_span.Ref(v);  // Count 0 until a holder edge adds to it.
-          mark_receiver(v);
+          receiver_bits.Mark(v);
         }
       }
       // Visits (holder index, member) for every holder out-edge into the
-      // level, holders ascending; false once the token fired.
+      // level, holders ascending; the token's status once it fired.
       const auto for_each_hit = [&](auto&& visit) {
         for (uint32_t hi = 0; hi < above.nodes.size(); ++hi) {
           for (const NodeId v : graph.OutNeighbors(above.nodes[hi].node)) {
             if (++since_poll >= kCancelCheckStride) {
               since_poll = 0;
-              if (ShouldStop(cancel)) return false;
+              SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
             }
-            if ((member_bits[v >> 6] >> (v & 63) & 1) != 0) visit(hi, v);
+            if (member_bits.Test(v)) visit(hi, v);
           }
         }
-        return true;
+        return Status::OK();
       };
-      const bool counted = for_each_hit([&](uint32_t, NodeId v) {
+      SIMPUSH_RETURN_NOT_OK(for_each_hit([&](uint32_t, NodeId v) {
         holder_span.Accumulate(v, 1);
-        mark_receiver(v);
-      });
-      if (!counted) return;
+        receiver_bits.Mark(v);
+      }));
       // Counts become packed (begin << 32 | cursor) bucket bounds; the
       // fill advances the cursor to the bucket's end.
       uint64_t offset = 0;
-      for (size_t wi = rlo; wi <= rhi; ++wi) {
-        for (uint64_t m = receiver_bits[wi]; m != 0; m &= m - 1) {
-          uint64_t& slot = holder_span.RawRef(
-              static_cast<NodeId>(wi * 64 + std::countr_zero(m)));
-          const uint64_t count = slot;
-          slot = offset << 32 | offset;
-          offset += count;
-        }
-      }
+      receiver_bits.ForEach([&](size_t v) {
+        uint64_t& slot = holder_span.RawRef(static_cast<NodeId>(v));
+        const uint64_t count = slot;
+        slot = offset << 32 | offset;
+        offset += count;
+      });
       bucket.resize(offset);
-      const bool filled = for_each_hit([&](uint32_t hi, NodeId v) {
+      SIMPUSH_RETURN_NOT_OK(for_each_hit([&](uint32_t hi, NodeId v) {
         uint64_t& slot = holder_span.RawRef(v);
         bucket[static_cast<uint32_t>(slot)] = hi;
         ++slot;
+      }));
+      Status status;
+      receiver_bits.ForEach([&](size_t i) {
+        if (!status.ok()) return;
+        if (++since_poll >= kCancelCheckStride) {
+          since_poll = 0;
+          status = CheckCancel(cancel);
+          if (!status.ok()) return;
+        }
+        const NodeId v = static_cast<NodeId>(i);
+        const uint64_t slot = holder_span.RawRef(v);
+        const uint32_t begin = static_cast<uint32_t>(slot >> 32);
+        const uint32_t end = static_cast<uint32_t>(slot);
+        // An attention-only receiver may be dangling: no bucket, no
+        // division.
+        const double scale = end > begin ? sqrt_c / graph.InDegree(v) : 0.0;
+        for (uint32_t k = begin; k < end; ++k) {
+          const HittingTable::NodeSpan& holder = above.nodes[bucket[k]];
+          merge({above.pool.data() + holder.begin,
+                 above.pool.data() + holder.end},
+                scale);
+        }
+        emit(level, v, here);
       });
-      if (!filled) return;
-      // members ascends by node, so its marks span one word range.
-      std::fill(member_bits.begin() + (members.front().first >> 6),
-                member_bits.begin() + (members.back().first >> 6) + 1,
-                uint64_t{0});
-      for (size_t wi = rlo; wi <= rhi; ++wi) {
-        uint64_t m = receiver_bits[wi];
-        if (m == 0) continue;
-        receiver_bits[wi] = 0;
-        do {
-          const NodeId v = static_cast<NodeId>(wi * 64 + std::countr_zero(m));
-          m &= m - 1;
-          if (++since_poll >= kCancelCheckStride) {
-            since_poll = 0;
-            if (ShouldStop(cancel)) return;
-          }
-          const uint64_t slot = holder_span.RawRef(v);
-          const uint32_t begin = static_cast<uint32_t>(slot >> 32);
-          const uint32_t end = static_cast<uint32_t>(slot);
-          // An attention-only receiver may be dangling: no bucket, no
-          // division.
-          const double scale =
-              end > begin ? sqrt_c / graph.InDegree(v) : 0.0;
-          for (uint32_t k = begin; k < end; ++k) {
-            const HittingTable::NodeSpan& holder = above.nodes[bucket[k]];
-            merge({above.pool.data() + holder.begin,
-                   above.pool.data() + holder.end},
-                  scale);
-          }
-          emit(level, v, here);
-        } while (m != 0);
-      }
+      SIMPUSH_RETURN_NOT_OK(status);
     }
     if (level == 1) break;  // uint32_t wrap guard.
   }
+  return Status::OK();
 }
 
 HittingTable ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
                                  double sqrt_c) {
   QueryWorkspace workspace;
   HittingTable table;
-  ComputeHittingTable(graph, gu, sqrt_c, &workspace, &table,
-                      /*cancel=*/nullptr);
+  // Only a fired token fails the build, and a null one never fires.
+  (void)ComputeHittingTable(graph, gu, sqrt_c, &workspace, &table,
+                            /*cancel=*/nullptr);
   return table;
 }
 

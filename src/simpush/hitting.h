@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/status.h"
 #include "graph/graph.h"
 #include "simpush/source_graph.h"
 
@@ -74,10 +75,11 @@ class HittingTable {
   void Reset(uint32_t max_level);
 
  private:
-  friend void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                                  double sqrt_c, QueryWorkspace* workspace,
-                                  HittingTable* table,
-                                  const CancelToken* cancel);
+  friend Status ComputeHittingTable(const Graph& graph,
+                                    const SourceGraph& gu, double sqrt_c,
+                                    QueryWorkspace* workspace,
+                                    HittingTable* table,
+                                    const CancelToken* cancel);
   // One node's span into the level's entry pool.
   struct NodeSpan {
     NodeId node;
@@ -98,14 +100,13 @@ class HittingTable {
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride pulled
 /// members, pushed holder out-edges or merged push receivers; a fired
-/// token returns early with the table only partially built —
-/// the caller (QueryRunner) re-checks the token between stages and
-/// discards the partial result. The poll reads state only, so an
-/// unfired token leaves the table bit-identical.
-void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                         double sqrt_c, QueryWorkspace* workspace,
-                         HittingTable* table,
-                         const CancelToken* cancel = nullptr);
+/// token aborts with kCancelled/kDeadlineExceeded and leaves the table
+/// partially built, for the caller to discard. The poll reads state
+/// only, so an unfired token leaves the table bit-identical.
+Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
+                           double sqrt_c, QueryWorkspace* workspace,
+                           HittingTable* table,
+                           const CancelToken* cancel = nullptr);
 
 /// Convenience overload for tests and one-shot callers: allocates its
 /// own scratch and returns the table by value.

@@ -65,27 +65,30 @@ double ComputeGammaFor(const SourceGraph& gu, const HittingTable& hitting,
   return GammaFor(gu, hitting, id, &scratch);
 }
 
-void ComputeLastMeetingProbabilities(const SourceGraph& gu,
-                                     const HittingTable& hitting,
-                                     QueryWorkspace* workspace,
-                                     std::vector<double>* gamma,
-                                     const CancelToken* cancel) {
+Status ComputeLastMeetingProbabilities(const SourceGraph& gu,
+                                       const HittingTable& hitting,
+                                       QueryWorkspace* workspace,
+                                       std::vector<double>* gamma,
+                                       const CancelToken* cancel) {
   gamma->assign(gu.num_attention(), 1.0);
   for (AttentionId id = 0; id < gu.num_attention(); ++id) {
     // Cancellation stride over attention occurrences; a fired token
     // leaves `gamma` partial and the caller discards it.
-    if ((id & (kCancelCheckStride - 1)) == 0 && ShouldStop(cancel)) {
-      return;
+    if ((id & (kCancelCheckStride - 1)) == 0) {
+      SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
     }
     (*gamma)[id] = GammaFor(gu, hitting, id, &workspace->gamma_scratch);
   }
+  return Status::OK();
 }
 
 std::vector<double> ComputeLastMeetingProbabilities(
     const SourceGraph& gu, const HittingTable& hitting) {
   QueryWorkspace workspace;
   std::vector<double> gamma;
-  ComputeLastMeetingProbabilities(gu, hitting, &workspace, &gamma);
+  // Only a fired token fails the stage, and a null one never fires.
+  (void)ComputeLastMeetingProbabilities(gu, hitting, &workspace, &gamma,
+                                        /*cancel=*/nullptr);
   return gamma;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/status.h"
 #include "simpush/hitting.h"
 #include "simpush/source_graph.h"
 
@@ -22,14 +23,15 @@ class QueryWorkspace;
 /// lie there already. Allocation-free once the workspace is warm.
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride
-/// attention occurrences; a fired token returns early with `gamma`
-/// only partially overwritten — the caller re-checks the token and
-/// discards it. An unfired token leaves the result bit-identical.
-void ComputeLastMeetingProbabilities(const SourceGraph& gu,
-                                     const HittingTable& hitting,
-                                     QueryWorkspace* workspace,
-                                     std::vector<double>* gamma,
-                                     const CancelToken* cancel = nullptr);
+/// attention occurrences; a fired token aborts with
+/// kCancelled/kDeadlineExceeded and leaves `gamma` only partially
+/// overwritten, for the caller to discard. An unfired token leaves the
+/// result bit-identical.
+Status ComputeLastMeetingProbabilities(const SourceGraph& gu,
+                                       const HittingTable& hitting,
+                                       QueryWorkspace* workspace,
+                                       std::vector<double>* gamma,
+                                       const CancelToken* cancel = nullptr);
 
 /// Convenience overload for tests and one-shot callers.
 std::vector<double> ComputeLastMeetingProbabilities(

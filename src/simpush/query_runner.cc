@@ -65,14 +65,12 @@ Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
   stage_timer.Restart();
   std::vector<double>& gamma = workspace.gamma;
   if (options.use_gamma_correction) {
-    // Both stages bail out early on a fired token, leaving partial
-    // scratch; the stage-boundary check below turns that into an error
-    // before the partial data can influence the (discarded) result.
-    ComputeHittingTable(graph, gu, derived.sqrt_c, &workspace,
-                        &workspace.hitting_table, cancel_);
-    ComputeLastMeetingProbabilities(gu, workspace.hitting_table,
-                                    &workspace, &gamma, cancel_);
-    SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel_));
+    SIMPUSH_RETURN_NOT_OK(ComputeHittingTable(graph, gu, derived.sqrt_c,
+                                              &workspace,
+                                              &workspace.hitting_table,
+                                              cancel_));
+    SIMPUSH_RETURN_NOT_OK(ComputeLastMeetingProbabilities(
+        gu, workspace.hitting_table, &workspace, &gamma, cancel_));
   } else {
     gamma.assign(gu.num_attention(), 1.0);
   }

@@ -39,17 +39,14 @@ StatusOr<SinglePairSession> SinglePairSession::Create(
 
   session.max_level_ = gu->max_level();
   session.num_attention_ = gu->num_attention();
+  // A level's attention ids ascend by node (SourceGraph's contract), so
+  // each residue level comes out in the node order Estimate searches.
   session.residues_.assign(gu->max_level(), {});
   for (AttentionId id = 0; id < gu->num_attention(); ++id) {
     const AttentionNode& attention = gu->attention_nodes()[id];
     // Levels are 1..L; store at index level-1.
     session.residues_[attention.level - 1].emplace_back(
         attention.node, attention.hitting_prob * gamma[id]);
-  }
-  // Attention occurrences arrive in node order per level already, but
-  // sort defensively — Estimate's lookup relies on it.
-  for (auto& level : session.residues_) {
-    std::sort(level.begin(), level.end());
   }
 
   // Hoeffding walk budget: each walk's accumulated residue lies in

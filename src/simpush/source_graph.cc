@@ -16,13 +16,7 @@ void SourceGraph::Reset(uint32_t max_level) {
   }
   for (auto& ids : attention_on_level_) ids.clear();
   attention_.clear();
-  std::fill(attention_level_sorted_.begin(), attention_level_sorted_.end(),
-            uint8_t{1});
   set_max_level(max_level);
-}
-
-void SourceGraph::SortLevel(uint32_t level) {
-  std::sort(levels_[level].begin(), levels_[level].end());
 }
 
 const SourceGraph::LevelEntries& SourceGraph::Level(uint32_t level) const {
@@ -32,8 +26,7 @@ const SourceGraph::LevelEntries& SourceGraph::Level(uint32_t level) const {
 
 double SourceGraph::HittingProb(uint32_t level, NodeId v) const {
   // Levels are small relative to the graph and this is not on the query
-  // hot path (which iterates levels instead), so a linear scan keeps the
-  // sortedness requirement out of the API.
+  // hot path (which iterates levels instead), so a linear scan suffices.
   for (const auto& [node, h] : Level(level)) {
     if (node == v) return h;
   }
@@ -54,12 +47,9 @@ AttentionId SourceGraph::AddAttentionNode(NodeId node, uint32_t level,
   attention_.push_back({node, level, h});
   if (attention_on_level_.size() <= level) {
     attention_on_level_.resize(level + 1);
-    attention_level_sorted_.resize(level + 1, uint8_t{1});
   }
   auto& ids = attention_on_level_[level];
-  if (!ids.empty() && attention_[ids.back()].node >= node) {
-    attention_level_sorted_[level] = 0;
-  }
+  assert(ids.empty() || attention_[ids.back()].node < node);
   ids.push_back(id);
   return id;
 }
@@ -74,22 +64,13 @@ bool SourceGraph::LookupAttention(uint32_t level, NodeId node,
                                   AttentionId* id) const {
   if (level >= attention_on_level_.size()) return false;
   const auto& ids = attention_on_level_[level];
-  if (attention_level_sorted_[level]) {
-    auto it = std::lower_bound(ids.begin(), ids.end(), node,
-                               [this](AttentionId a, NodeId n) {
-                                 return attention_[a].node < n;
-                               });
-    if (it == ids.end() || attention_[*it].node != node) return false;
-    *id = *it;
-    return true;
-  }
-  for (AttentionId candidate : ids) {
-    if (attention_[candidate].node == node) {
-      *id = candidate;
-      return true;
-    }
-  }
-  return false;
+  auto it = std::lower_bound(ids.begin(), ids.end(), node,
+                             [this](AttentionId a, NodeId n) {
+                               return attention_[a].node < n;
+                             });
+  if (it == ids.end() || attention_[*it].node != node) return false;
+  *id = *it;
+  return true;
 }
 
 size_t SourceGraph::TotalNodeOccurrences() const {

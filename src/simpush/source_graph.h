@@ -26,6 +26,7 @@
 #ifndef SIMPUSH_SIMPUSH_SOURCE_GRAPH_H_
 #define SIMPUSH_SIMPUSH_SOURCE_GRAPH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -63,16 +64,14 @@ class SourceGraph {
   /// buffer's capacity, then sets the new max level. O(L) — not O(n).
   void Reset(uint32_t max_level);
 
-  /// Appends one (node, h) entry to a level. Entries within a level must
-  /// be unique and are appended in ascending node order by Source-Push
-  /// (its frontiers are kept sorted), so lookups can assume node order;
-  /// bulk writers appending out of order must call SortLevel after.
+  /// Appends one (node, h) entry to a level. Contract: a level's
+  /// entries are appended in strictly ascending node order (Source-Push
+  /// builds each level from an ascending bitmask scan or pull), so
+  /// readers may rely on node order.
   void AddEntry(uint32_t level, NodeId node, double h) {
+    assert(levels_[level].empty() || levels_[level].back().first < node);
     levels_[level].emplace_back(node, h);
   }
-
-  /// Sorts a level's entries by node id (after bulk appends).
-  void SortLevel(uint32_t level);
 
   /// Entries of one level; empty for levels beyond max_level(). Under
   /// level detection, levels L-1 and L hold only the nodes Source-Push
@@ -86,13 +85,16 @@ class SourceGraph {
   bool Contains(uint32_t level, NodeId v) const;
 
   /// Registers an attention-node occurrence; returns its dense id.
+  /// Contract: a level's occurrences are registered in strictly
+  /// ascending node order, so AttentionOnLevel ascends by node and
+  /// LookupAttention can binary search.
   AttentionId AddAttentionNode(NodeId node, uint32_t level, double h);
 
   /// All attention occurrences, id-indexed.
   const std::vector<AttentionNode>& attention_nodes() const {
     return attention_;
   }
-  /// Attention ids on level ℓ (A_u^(ℓ)).
+  /// Attention ids on level ℓ (A_u^(ℓ)), ascending by node.
   const std::vector<AttentionId>& AttentionOnLevel(uint32_t level) const;
 
   /// Dense attention id of (level, node); returns false if not attention.
@@ -113,12 +115,9 @@ class SourceGraph {
   // Sized to the largest max level ever seen; inner vectors pooled.
   std::vector<LevelEntries> levels_;
   std::vector<AttentionNode> attention_;
-  // attention_on_level_[ℓ]: ids of attention occurrences at level ℓ.
-  // Ids appended in node order when Source-Push builds the graph, which
-  // enables binary-search lookup; hand-built graphs that insert out of
-  // order fall back to a linear scan (tracked per level).
+  // attention_on_level_[ℓ]: ids of attention occurrences at level ℓ,
+  // ascending by node (AddAttentionNode's contract).
   std::vector<std::vector<AttentionId>> attention_on_level_;
-  std::vector<uint8_t> attention_level_sorted_;
 };
 
 }  // namespace simpush

@@ -4,6 +4,7 @@
 #include <bit>
 #include <string>
 
+#include "common/touched_bits.h"
 #include "simpush/workspace.h"
 #include "walk/walk_batch.h"
 #include "walk/walker.h"
@@ -73,44 +74,30 @@ namespace {
 
 // Fills workspace->demand_last with C_L and, when L >= 3,
 // workspace->demand_prev with C_{L-1} ∪ O(C_L), both ascending.
-// `bits` must be all zero on entry and is all zero again on return.
+// workspace->scratch_bits must be all clear on entry and is all clear
+// again on return.
 void CollectDemandNodes(const Graph& graph, uint32_t max_level,
-                        QueryWorkspace* workspace,
-                        std::vector<uint64_t>& bits) {
+                        QueryWorkspace* workspace) {
   std::vector<NodeId>& last = workspace->demand_last;
   std::vector<NodeId>& prev = workspace->demand_prev;
+  TouchedBits& bits = workspace->scratch_bits;
   last.clear();
   prev.clear();
-  size_t wlo = bits.size(), whi = 0;
-  const auto mark = [&](NodeId v) {
-    const size_t w = v >> 6;
-    bits[w] |= uint64_t{1} << (v & 63);
-    if (w < wlo) wlo = w;
-    if (w > whi) whi = w;
-  };
   for (const uint64_t key : workspace->level_candidates) {
     const uint32_t level = static_cast<uint32_t>(key >> 32);
     const NodeId node = static_cast<NodeId>(key);
     if (level == max_level) {
       last.push_back(node);
     } else if (level + 1 == max_level && max_level >= 3) {
-      mark(node);
+      bits.Mark(node);
     }
   }
   std::sort(last.begin(), last.end());
   if (max_level < 3) return;
   for (const NodeId w : last) {
-    for (const NodeId v : graph.OutNeighbors(w)) mark(v);
+    for (const NodeId v : graph.OutNeighbors(w)) bits.Mark(v);
   }
-  for (size_t wi = wlo; wi <= whi; ++wi) {
-    uint64_t m = bits[wi];
-    if (m == 0) continue;
-    bits[wi] = 0;
-    do {
-      prev.push_back(static_cast<NodeId>(wi * 64 + std::countr_zero(m)));
-      m &= m - 1;
-    } while (m != 0);
-  }
+  bits.Drain([&](size_t v) { prev.push_back(static_cast<NodeId>(v)); });
 }
 
 }  // namespace
@@ -174,25 +161,24 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   EpochArray<double>& next = workspace->dense_b;
   std::vector<NodeId>& frontier = workspace->frontier_a;
   std::vector<NodeId>& frontier_next = workspace->frontier_b;
-  // Touched-node bitmask: the scatter marks next-level members with an
-  // unconditional OR (no was-it-set branch, no push per first touch),
-  // and the per-level emit scan walks set bits in node order — the next
-  // frontier comes out ascending by construction, replacing the
-  // per-level sort. The accumulation order over in-edges is unchanged
-  // (sorted frontier × in-CSR order), so the float sums are bit-for-bit
-  // the same as with the sorted-push scheme. A pull level uses the mask
-  // for the frontier instead: v' joins the next level iff one of its
-  // out-neighbors is marked, even should every share it sums underflow.
+  // Touched-node bitmask (TouchedBits): the scatter marks next-level
+  // members with an unconditional OR, and the per-level Drain walks set
+  // bits in node order — the next frontier comes out ascending by
+  // construction, with no per-level sort. The accumulation order over
+  // in-edges is unchanged (sorted frontier × in-CSR order), so the
+  // float sums are bit-for-bit the same as with the sorted-push scheme.
+  // A pull level uses the mask for the frontier instead: v' joins the
+  // next level iff one of its out-neighbors is marked, even should
+  // every share it sums underflow.
   //
   // A demand level is pulled at its demand nodes only (ascending), so
   // each evaluated entry keeps the bits of the whole level's entry:
   // the pull over a node's out-row is the same sum either way, and a
   // level-L node's out-neighbors all lie in the evaluated level L-1.
   const NodeId n = graph.num_nodes();
-  const size_t words = (static_cast<size_t>(n) + 63) / 64;
-  std::vector<uint64_t>& bits = workspace->scratch_bits;
-  bits.assign(words, 0);  // Clean even after a cancelled predecessor.
-  if (demand) CollectDemandNodes(graph, max_level, workspace, bits);
+  TouchedBits& bits = workspace->scratch_bits;
+  bits.Reset(n);  // Clean even after a cancelled predecessor.
+  if (demand) CollectDemandNodes(graph, max_level, workspace);
   const EdgeId pull_edges = graph.num_edges() / kPullEdgeFraction;
   current.BeginEpoch();
   next.BeginEpoch();
@@ -223,7 +209,7 @@ Status SourcePushInto(const Graph& graph, NodeId u,
         if (deg == 0) continue;
         double& value = current.RawRef(v);
         value = params.sqrt_c * value / deg;
-        bits[v >> 6] |= uint64_t{1} << (v & 63);
+        bits.Mark(v);
       }
       const size_t count = targets != nullptr ? targets->size() : n;
       for (size_t i = 0; i < count; ++i) {
@@ -237,7 +223,7 @@ Status SourcePushInto(const Graph& graph, NodeId u,
         double h = 0.0;
         uint64_t member = 0;
         for (const NodeId v : graph.OutNeighbors(vp)) {
-          const uint64_t marked = (bits[v >> 6] >> (v & 63)) & 1;
+          const uint64_t marked = bits.Test(v);
           member |= marked;
           h += std::bit_cast<double>(
               std::bit_cast<uint64_t>(current.RawRef(v)) & (0 - marked));
@@ -248,13 +234,12 @@ Status SourcePushInto(const Graph& graph, NodeId u,
         frontier_edges += graph.InDegree(vp);
         gu->AddEntry(level + 1, vp, h);
       }
-      for (const NodeId v : frontier) bits[v >> 6] = 0;
+      bits.Reset(n);  // Unmarks the frontier.
     } else {
-      size_t wlo = words, whi = 0;
       for (size_t i = 0; i < frontier.size(); ++i) {
         // Per-occurrence cancellation stride (same contract as the walk
         // loop above: a poll reads state only). A cancelled return
-        // leaves set bits behind; every consumer re-zeroes the mask on
+        // leaves set bits behind; every consumer Resets the mask on
         // entry.
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
@@ -273,30 +258,20 @@ Status SourcePushInto(const Graph& graph, NodeId u,
         const double share = params.sqrt_c * h / deg;
         for (NodeId vp : graph.InNeighbors(v)) {
           next.Accumulate(vp, share);
-          const size_t w = vp >> 6;
-          bits[w] |= uint64_t{1} << (vp & 63);
-          if (w < wlo) wlo = w;
-          if (w > whi) whi = w;
+          bits.Mark(vp);
         }
       }
       // Canonical (ascending) frontier order: makes the next level's
       // traversal sequential over the in-CSR, makes the accumulation
       // order — and hence the float sums — a function of the graph
       // alone (never of discovery order), and appends the level's
-      // entries already sorted by node, so no per-level SortLevel pass.
-      for (size_t wi = wlo; wi <= whi; ++wi) {
-        uint64_t m = bits[wi];
-        if (m == 0) continue;
-        bits[wi] = 0;
-        do {
-          const NodeId vp =
-              static_cast<NodeId>(wi * 64 + std::countr_zero(m));
-          m &= m - 1;
-          frontier_next.push_back(vp);
-          frontier_edges += graph.InDegree(vp);
-          gu->AddEntry(level + 1, vp, next.RawRef(vp));
-        } while (m != 0);
-      }
+      // entries in the ascending node order SourceGraph requires.
+      bits.Drain([&](size_t i) {
+        const NodeId vp = static_cast<NodeId>(i);
+        frontier_next.push_back(vp);
+        frontier_edges += graph.InDegree(vp);
+        gu->AddEntry(level + 1, vp, next.RawRef(vp));
+      });
     }
     // The consumed level's stamps are wiped in O(1) so the array can be
     // reused as the next level's accumulator after the swap.
@@ -307,7 +282,7 @@ Status SourcePushInto(const Graph& graph, NodeId u,
 
   // Lines 20-21: attention nodes are those with h^(ℓ)(u, w) >= ε_h.
   // Levels are sorted by node, so per-level attention ids are appended
-  // in node order and LookupAttention can binary search.
+  // in the node order SourceGraph requires.
   for (uint32_t level = 1; level <= max_level; ++level) {
     for (const auto& [node, h] : gu->Level(level)) {
       if (h >= params.eps_h) {

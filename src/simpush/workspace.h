@@ -7,18 +7,20 @@
 //                            level detection), demand_last/demand_prev
 //                            (the nodes levels L and L-1 are evaluated
 //                            at), dense_a/dense_b + frontier_a/frontier_b
-//                            (level-wise residue propagation),
-//                            source_graph (the G_u being built).
+//                            + scratch_bits (level-wise residue
+//                            propagation), source_graph (the G_u being
+//                            built).
 //   Hitting (Alg. 3)       — holder_span, member_bits/receiver_bits,
 //                            frontier_a (push-level buckets),
-//                            attention_accum/scratch_bits,
-//                            hitting_table.
+//                            attention_accum + scratch_bits (merge
+//                            targets), hitting_table.
 //   Last-meeting (Alg. 4)  — gamma_scratch, gamma.
 //   Reverse-Push (Alg. 5)  — dense_a/dense_b + frontier_a/frontier_b
 //                            again (the stages are sequential).
 //
 // All buffers grow to a high-water mark and are logically cleared per
-// query by epoch bumps or O(touched) clears — never O(n) sweeps.
+// query by epoch bumps or O(touched) clears; the one exception is a
+// TouchedBits Reset, an n/64-word sweep.
 
 #ifndef SIMPUSH_SIMPUSH_WORKSPACE_H_
 #define SIMPUSH_SIMPUSH_WORKSPACE_H_
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/epoch_array.h"
+#include "common/touched_bits.h"
 #include "graph/graph.h"
 #include "simpush/hitting.h"
 #include "simpush/source_graph.h"
@@ -115,22 +118,18 @@ class QueryWorkspace {
   // (begin << 32 | end) in holder_span, so an in-edge costs ONE random
   // access; a push level keeps its per-receiver bucket bounds there
   // instead and its buckets in frontier_a. member_bits and
-  // receiver_bits are node bitmasks (n/64 words) of a push level's
-  // members and receivers, zero between levels.
+  // receiver_bits hold a push level's members and receivers; each
+  // pushed level Resets them first.
   EpochArray<uint64_t> holder_span;
-  std::vector<uint64_t> member_bits;
-  std::vector<uint64_t> receiver_bits;
+  TouchedBits member_bits;
+  TouchedBits receiver_bits;
   std::vector<double> attention_accum;    // Zero-restored after each use.
 
-  // --- Touched-set bitmask, shared by the Source-Push frontier scatter
-  // and pull-level frontier marks (node-indexed) and the hitting pull
-  // merge (attention-id-indexed);
-  // the stages run sequentially and each re-zeroes it on entry
-  // (assign() reuses capacity, so steady state stays allocation-free).
-  // Scatter loops OR into it unconditionally — no per-write branch —
-  // and the emit scan walks set bits in index order, which both
-  // restores the zeros and yields sorted output without a sort.
-  std::vector<uint64_t> scratch_bits;
+  // --- Touched set shared by Source-Push (node-indexed: the push
+  // scatter, pull-level frontier marks and the demand nodes) and the
+  // hitting merge (attention-id-indexed). The stages run sequentially
+  // and each Resets it on entry.
+  TouchedBits scratch_bits;
 
   // --- Last-meeting probabilities.
   GammaScratch gamma_scratch;

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/StatusOr, Rng, Timer,
-// memory accounting.
+// memory accounting, TouchedBits.
 
 #include <cmath>
 #include <set>
@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "common/touched_bits.h"
 #include "gtest/gtest.h"
 
 namespace simpush {
@@ -210,6 +211,70 @@ TEST(MemoryTest, HumanBytesUnits) {
   EXPECT_DOUBLE_EQ(v, 2.0);
   v = 3.5 * 1024 * 1024 * 1024;
   EXPECT_STREQ(HumanBytesUnit(&v), "GB");
+}
+
+// n = 130 is not a multiple of 64: the last word is partial.
+constexpr size_t kBitsN = 130;
+
+std::vector<size_t> Drained(TouchedBits* bits) {
+  std::vector<size_t> out;
+  bits->Drain([&](size_t i) { out.push_back(i); });
+  return out;
+}
+
+TEST(TouchedBitsTest, MarksWordEdgesAndLastIndex) {
+  TouchedBits bits;
+  bits.Reset(kBitsN);
+  for (const size_t i : {kBitsN - 1, size_t{64}, size_t{0}, size_t{63}}) {
+    bits.Mark(i);
+  }
+  for (size_t i = 0; i < kBitsN; ++i) {
+    EXPECT_EQ(bits.Test(i), i == 0 || i == 63 || i == 64 || i == kBitsN - 1)
+        << i;
+  }
+}
+
+TEST(TouchedBitsTest, DrainIsAscendingAndClearsEveryBit) {
+  TouchedBits bits;
+  bits.Reset(kBitsN);
+  for (const size_t i : {size_t{100}, kBitsN - 1, size_t{3}, size_t{64},
+                         size_t{63}, size_t{3}}) {
+    bits.Mark(i);
+  }
+  EXPECT_EQ(Drained(&bits),
+            (std::vector<size_t>{3, 63, 64, 100, kBitsN - 1}));
+  for (size_t i = 0; i < kBitsN; ++i) EXPECT_FALSE(bits.Test(i)) << i;
+  EXPECT_TRUE(Drained(&bits).empty());
+}
+
+TEST(TouchedBitsTest, ForEachKeepsTheBits) {
+  TouchedBits bits;
+  bits.Reset(kBitsN);
+  bits.Mark(kBitsN - 1);
+  bits.Mark(5);
+  std::vector<size_t> seen;
+  bits.ForEach([&](size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<size_t>{5, kBitsN - 1}));
+  EXPECT_TRUE(bits.Test(5));
+  EXPECT_TRUE(bits.Test(kBitsN - 1));
+  EXPECT_EQ(Drained(&bits), seen);
+}
+
+TEST(TouchedBitsTest, ResetCleansAMaskLeftDirty) {
+  // An interrupted use (a cancelled scatter) leaves bits set; Reset
+  // clears them whether the next use has the same size or a smaller one.
+  TouchedBits bits;
+  bits.Reset(kBitsN);
+  bits.Mark(1);
+  bits.Mark(70);
+  bits.Mark(kBitsN - 1);
+  bits.Reset(kBitsN);
+  EXPECT_TRUE(Drained(&bits).empty());
+  bits.Mark(2);
+  bits.Reset(10);
+  EXPECT_TRUE(Drained(&bits).empty());
+  bits.Reset(kBitsN);
+  for (size_t i = 0; i < kBitsN; ++i) EXPECT_FALSE(bits.Test(i)) << i;
 }
 
 }  // namespace

@@ -245,7 +245,9 @@ void ExpectHittingEqualsNaive(const Graph& graph,
     ASSERT_TRUE(SourcePushInto(graph, u, options, params, &rng, &workspace,
                                &gu, nullptr)
                     .ok());
-    ComputeHittingTable(graph, gu, params.sqrt_c, &workspace, &table);
+    ASSERT_TRUE(
+        ComputeHittingTable(graph, gu, params.sqrt_c, &workspace, &table)
+            .ok());
     const std::vector<NaiveLevel> want =
         NaiveHittingTable(graph, gu, params.sqrt_c);
     size_t vectors = 0, entries = 0;
@@ -401,8 +403,10 @@ TEST(HittingTest, CancelDuringPushLevelLeavesWorkspaceClean) {
   HittingTable table;
   CancelToken token;
   token.Cancel();
-  ComputeHittingTable(*graph, f.gu, f.params.sqrt_c, &workspace, &table,
-                      &token);
+  EXPECT_EQ(ComputeHittingTable(*graph, f.gu, f.params.sqrt_c, &workspace,
+                                &table, &token)
+                .code(),
+            StatusCode::kCancelled);
   EXPECT_EQ(table.NumVectors(), 1u);  // H's self entry; level 1 aborted.
   EXPECT_TRUE(table.VectorAt(1, 1).empty());
 
@@ -412,9 +416,12 @@ TEST(HittingTest, CancelDuringPushLevelLeavesWorkspaceClean) {
     Fixture g = MakeFixture(*graph, u, 0.05);
     HittingTable after, fresh;
     QueryWorkspace fresh_workspace;
-    ComputeHittingTable(*graph, g.gu, g.params.sqrt_c, &workspace, &after);
-    ComputeHittingTable(*graph, g.gu, g.params.sqrt_c, &fresh_workspace,
-                        &fresh);
+    ASSERT_TRUE(
+        ComputeHittingTable(*graph, g.gu, g.params.sqrt_c, &workspace, &after)
+            .ok());
+    ASSERT_TRUE(ComputeHittingTable(*graph, g.gu, g.params.sqrt_c,
+                                    &fresh_workspace, &fresh)
+                    .ok());
     EXPECT_GT(fresh.NumVectors(), 1u);
     ExpectTablesEqual(g.gu, after, fresh);
   }

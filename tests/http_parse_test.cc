@@ -130,10 +130,10 @@ class ParseFixture {
     options.max_body_bytes = max_body_bytes;
     server_ = std::make_unique<HttpServer>(options);
     server_->Route("GET", "/ping", [](const HttpRequest&) {
-      return HttpResponse{200, "application/json", "{\"pong\":true}"};
+      return HttpResponse{200, "application/json", "{\"pong\":true}", {}};
     });
     server_->Route("POST", "/echo", [](const HttpRequest& request) {
-      return HttpResponse{200, "application/octet-stream", request.body};
+      return HttpResponse{200, "application/octet-stream", request.body, {}};
     });
     const Status started = server_->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -153,7 +153,7 @@ std::string EchoRequest(const std::string& body) {
 
 TEST(HttpParse, MalformedRequestLinesGet400) {
   ParseFixture fixture;
-  for (const std::string request :
+  for (const std::string& request :
        {std::string("GARBAGE\r\n\r\n"), std::string("GET\r\n\r\n"),
         std::string("GET /ping\r\n\r\n"),       // No version token.
         std::string("\r\n\r\n"),                // Empty request line.

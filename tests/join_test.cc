@@ -44,7 +44,9 @@ TEST(JoinTest, PairsAreCanonicalAndSorted) {
     const SimilarPair& pair = (*pairs)[i];
     EXPECT_LT(pair.u, pair.v) << "canonical order";
     EXPECT_TRUE(seen.emplace(pair.u, pair.v).second) << "no duplicates";
-    if (i > 0) EXPECT_LE(pair.score, (*pairs)[i - 1].score) << "descending";
+    if (i > 0) {
+      EXPECT_LE(pair.score, (*pairs)[i - 1].score) << "descending";
+    }
     EXPECT_GE(pair.score, 0.05 - TestOptions().query.epsilon - 1e-12);
   }
 }

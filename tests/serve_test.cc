@@ -365,7 +365,7 @@ TEST(ServeSmoke, AdmissionControlSheds503) {
   HttpServer server(options);
   server.Route("POST", "/slow", [](const HttpRequest&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    return HttpResponse{200, "application/json", "{\"slow\":true}"};
+    return HttpResponse{200, "application/json", "{\"slow\":true}", {}};
   });
   ASSERT_TRUE(server.Start().ok());
 
@@ -423,7 +423,7 @@ TEST(ServeSmoke, IdleConnectionsAreReclaimed) {
   options.idle_timeout_ms = 150;
   HttpServer server(options);
   server.Route("GET", "/ping", [](const HttpRequest&) {
-    return HttpResponse{200, "application/json", "{}"};
+    return HttpResponse{200, "application/json", "{}", {}};
   });
   ASSERT_TRUE(server.Start().ok());
 
@@ -454,7 +454,7 @@ TEST(ServeSmoke, GracefulShutdownDrainsInFlight) {
   server.Route("POST", "/slow", [&](const HttpRequest&) {
     slow_entered.fetch_add(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    return HttpResponse{200, "application/json", "{\"slow\":true}"};
+    return HttpResponse{200, "application/json", "{\"slow\":true}", {}};
   });
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();

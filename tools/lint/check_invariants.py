@@ -57,6 +57,14 @@ R7 pooled-scratch-only
     Nothing under src/serve/ may construct a QueryWorkspace (a local,
     a member, new / make_unique, a container of them); pointers and
     references to a leased workspace are fine.
+
+R8 one-bitmask
+    Source-Push and the hitting table both need "the indices this pass
+    touched, ascending", and common/touched_bits.h (TouchedBits) is the
+    one implementation of it. std::countr_zero scans and `>> 6]` word
+    indexing may appear under src/ only in that header, so a hand-rolled
+    bitmask (with its own word-range tracking or re-zero rule) cannot
+    come back.
 """
 
 from __future__ import annotations
@@ -126,6 +134,10 @@ POOLED_SCRATCH_DIR = "src/serve/"
 WORKSPACE_CONSTRUCTION = re.compile(
     r"(?<!class )(?<!struct )\bQueryWorkspace\b(?!\s*[*&])"
 )
+
+# R8: the one word-packed bitmask implementation.
+BITMASK_FILE = "src/common/touched_bits.h"
+RAW_BITMASK = re.compile(r"std::countr_zero\b|>>\s*6\s*\]")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -290,6 +302,16 @@ class Linter:
                         path, lineno, "pooled-scratch-only",
                         "QueryWorkspace constructed in the request layer; "
                         "lease one from the generation's WorkspacePool",
+                    )
+
+        # R8 — one bitmask type.
+        if rel != BITMASK_FILE:
+            for lineno, line in enumerate(code_lines, 1):
+                if RAW_BITMASK.search(line):
+                    self.report(
+                        path, lineno, "one-bitmask",
+                        "hand-rolled bitmask scan or word index; use "
+                        "TouchedBits (common/touched_bits.h)",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:

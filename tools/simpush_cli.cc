@@ -11,8 +11,7 @@
 //   generate write a synthetic graph (er | ba | chunglu | rmat | ws | sbm)
 //
 // Examples:
-//   simpush_cli generate --kind chunglu --nodes 10000 --edges 80000 \
-//       --out web.txt
+//   simpush_cli generate --nodes 10000 --edges 80000 --out web.txt
 //   simpush_cli query --graph web.txt --node 42 --epsilon 0.01
 //   simpush_cli topk --graph web.txt --node 42 --k 20 --method probesim
 
