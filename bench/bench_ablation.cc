@@ -8,37 +8,33 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "simpush/hitting.h"
-#include "simpush/last_meeting.h"
 #include "simpush/reverse_push.h"
 #include "simpush/simpush.h"
-#include "simpush/source_push.h"
 
 namespace {
 
 using namespace simpush;
 
-// Runs the full pipeline but performs Reverse-Push separately for every
-// attention occurrence (the naive variant SimPush §4.3 improves on).
-// Returns per-query seconds; scores must match the merged variant.
-double TimeSeparateReversePush(const Graph& graph, NodeId u, double eps,
+// Runs the query's own source side (G_u and γ), then Reverse-Push
+// separately for every attention occurrence (the naive variant SimPush
+// §4.3 improves on). Returns per-query seconds; scores must match the
+// merged variant.
+double TimeSeparateReversePush(const Graph& graph, NodeId u,
+                               const SimPushOptions& options,
                                std::vector<double>* scores_out) {
-  SimPushOptions o;
-  o.epsilon = eps;
-  o.walk_budget_cap = 50000;
-  const DerivedParams params = ComputeDerivedParams(o);
-  Rng rng(o.seed);
-  auto gu = SourcePush(graph, u, o, params, &rng, nullptr);
-  if (!gu.ok()) return -1;
-  HittingTable table = ComputeHittingTable(graph, *gu, params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(*gu, table);
+  const EngineCore core(graph, options);
+  const DerivedParams& params = core.derived();
+  QueryWorkspace workspace;
+  SimPushQueryStats stats;
+  if (!QueryRunner(core, &workspace).SourceSide(u, &stats).ok()) return -1;
+  const SourceGraph& gu = workspace.source_graph;
+  const std::vector<double>& gamma = workspace.gamma;
 
   Timer timer;
   std::vector<double> scores(graph.num_nodes(), 0.0);
-  QueryWorkspace workspace;
   // One single-attention G_u shell per occurrence.
-  for (AttentionId id = 0; id < gu->num_attention(); ++id) {
-    const AttentionNode& w = gu->attention_nodes()[id];
+  for (AttentionId id = 0; id < gu.num_attention(); ++id) {
+    const AttentionNode& w = gu.attention_nodes()[id];
     SourceGraph single;
     single.set_max_level(w.level);
     single.AddAttentionNode(w.node, w.level, w.hitting_prob);
@@ -132,7 +128,7 @@ int main() {
       if (!merged.ok()) continue;
       combined_seconds += merged->stats.reverse_push_seconds;
       std::vector<double> separate_scores;
-      const double sep = TimeSeparateReversePush(graph, u, eps,
+      const double sep = TimeSeparateReversePush(graph, u, o,
                                                  &separate_scores);
       if (sep < 0) continue;
       separate_seconds += sep;

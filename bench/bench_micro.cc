@@ -70,16 +70,10 @@ void BM_WalkKernelSerial(benchmark::State& state) {
   for (auto _ : state) {
     for (uint64_t i = 0; i < kKernelWalksPerIter; ++i) {
       Rng rng = Rng::ForWalk(/*seed=*/42, u, i);
-      const uint32_t length =
-          walker.SampleWalkLength(&rng, params.l_star);
-      NodeId current = u;
-      for (uint32_t level = 1; level <= length; ++level) {
-        const uint32_t deg = g.InDegree(current);
-        if (deg == 0) break;
-        current = g.InNeighborAt(
-            current, static_cast<uint32_t>(rng.NextBounded(deg)));
-        sink += current + level;
-      }
+      walker.SampleWalkVisit(
+          u, &rng,
+          [&sink](uint32_t level, NodeId node) { sink += node + level; },
+          params.l_star);
     }
     u = (u + 37) % g.num_nodes();
   }

@@ -2,12 +2,6 @@
 
 namespace simpush {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -18,39 +12,6 @@ uint64_t SplitMix64(uint64_t* state) {
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0,1) with full double precision.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  // Lemire's nearly-divisionless method.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    const uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }

@@ -54,15 +54,44 @@ class Rng {
     return Rng(CounterStreamSeed(DeriveStreamSeed(seed, node), walk_index));
   }
 
+  // Next, NextDouble and NextBounded are defined here so that the walk
+  // loops, which draw once per step, inline them.
+
   /// Uniform 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> [0,1) with full double precision.
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
   /// Precondition: bound > 0.
-  uint64_t NextBounded(uint64_t bound);
+  uint64_t NextBounded(uint64_t bound) {
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t low = static_cast<uint64_t>(m);
+    if (low < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Bernoulli trial with success probability p.
   bool NextBernoulli(double p) { return NextDouble() < p; }
@@ -71,6 +100,7 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
   uint64_t s_[4];
 };
 

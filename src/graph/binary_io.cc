@@ -3,10 +3,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
-
-#include "graph/graph_builder.h"
 
 namespace simpush {
 
@@ -14,6 +14,8 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'P', 'G', '1'};
 constexpr uint32_t kFlagSymmetric = 1u << 0;
+// magic | u32 flags | u32 n | u64 m.
+constexpr uint64_t kHeaderBytes = 4 + 4 + 4 + 8;
 
 struct FileCloser {
   void operator()(FILE* f) const {
@@ -77,30 +79,33 @@ StatusOr<Graph> LoadBinaryGraph(const std::string& path) {
   if (std::memcmp(magic, kMagic, 4) != 0) {
     return Status::IOError("'" + path + "' is not an SPG1 file");
   }
-  std::vector<uint64_t> offsets(size_t(n) + 1);
-  if (!ReadRaw(f.get(), offsets.data(), offsets.size())) {
-    return Status::IOError("truncated offsets in '" + path + "'");
-  }
-  if (offsets[0] != 0 || offsets[n] != m) {
-    return Status::IOError("corrupt offsets in '" + path + "'");
-  }
-  std::vector<NodeId> targets(m);
-  if (m > 0 && !ReadRaw(f.get(), targets.data(), targets.size())) {
-    return Status::IOError("truncated edges in '" + path + "'");
+  // The header's n and m size two allocations: check them against the
+  // bytes the file actually holds first, so a corrupt header fails
+  // with IOError instead of an allocation failure.
+  std::error_code error;
+  const uint64_t file_bytes = std::filesystem::file_size(path, error);
+  const uint64_t offset_bytes = (uint64_t{n} + 1) * sizeof(EdgeId);
+  if (error || file_bytes < kHeaderBytes + offset_bytes ||
+      m > (file_bytes - kHeaderBytes - offset_bytes) / sizeof(NodeId)) {
+    return Status::IOError("'" + path + "' is shorter than its header's n=" +
+                           std::to_string(n) + ", m=" + std::to_string(m));
   }
 
-  GraphBuilder builder(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > m) {
-      return Status::IOError("corrupt offsets in '" + path + "'");
-    }
-    for (uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      builder.AddEdge(v, targets[e]);
-    }
+  std::vector<EdgeId> offsets(size_t(n) + 1);
+  std::vector<NodeId> targets(m);
+  if (!ReadRaw(f.get(), offsets.data(), offsets.size()) ||
+      (m > 0 && !ReadRaw(f.get(), targets.data(), targets.size()))) {
+    return Status::IOError("truncated body in '" + path + "'");
   }
-  if ((flags & kFlagSymmetric) != 0) builder.MarkSymmetric();
-  // The dump is already deduped; skip the dedupe pass on load.
-  return std::move(builder).Build(/*dedupe=*/false);
+  // The dump holds a canonical out-CSR (rows ascending); FromSortedCsr
+  // checks that and derives the in-CSR from it.
+  auto graph = Graph::FromSortedCsr(n, std::move(offsets), std::move(targets),
+                                    (flags & kFlagSymmetric) != 0);
+  if (!graph.ok()) {
+    return Status::IOError("corrupt '" + path +
+                           "': " + graph.status().message());
+  }
+  return graph;
 }
 
 }  // namespace simpush

@@ -50,7 +50,10 @@ StatusOr<Graph> Graph::FromSortedCsr(NodeId num_nodes,
     return Status::InvalidArgument("malformed out-CSR offsets");
   }
   for (NodeId v = 0; v < num_nodes; ++v) {
-    if (out_offsets[v] > out_offsets[v + 1]) {
+    // Bounding every offset by m keeps a malformed row from reading
+    // past out_targets before a later row would fail monotonicity.
+    if (out_offsets[v] > out_offsets[v + 1] ||
+        out_offsets[v + 1] > out_targets.size()) {
       return Status::InvalidArgument("out-CSR offsets not monotone");
     }
     for (EdgeId e = out_offsets[v]; e < out_offsets[v + 1]; ++e) {

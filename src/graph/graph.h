@@ -113,8 +113,9 @@ class Graph {
   /// target runs are already sorted ascending (parallel edges adjacent).
   /// The in-CSR is derived by a counting sort that preserves source
   /// order, so both adjacency directions come out canonically sorted.
-  /// Validates the CSR invariants and the per-node sortedness; this is
-  /// the fast path for snapshot rebuilds (no global edge sort).
+  /// Validates the CSR invariants and the per-node sortedness. This is
+  /// the one in-CSR derivation: GraphBuilder, the SPG1 loader and
+  /// snapshot rebuilds all finish here (no global edge sort).
   static StatusOr<Graph> FromSortedCsr(NodeId num_nodes,
                                        std::vector<EdgeId> out_offsets,
                                        std::vector<NodeId> out_targets,
@@ -139,8 +140,6 @@ class Graph {
                                            bool symmetric = false);
 
  private:
-  friend class GraphBuilder;
-
   NodeId num_nodes_ = 0;
   bool is_symmetric_ = false;
   // Out-adjacency CSR.

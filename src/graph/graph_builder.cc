@@ -21,48 +21,19 @@ StatusOr<Graph> GraphBuilder::Build(bool dedupe, bool drop_self_loops) && {
     edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   }
 
-  Graph g;
-  g.num_nodes_ = num_nodes_;
-  g.is_symmetric_ = symmetric_;
-  const size_t m = edges_.size();
-
   // Out-CSR: edges_ is sorted by (src, dst) already.
-  g.out_offsets_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
-  g.out_targets_.resize(m);
+  std::vector<EdgeId> offsets(static_cast<size_t>(num_nodes_) + 1, 0);
+  std::vector<NodeId> targets;
+  targets.reserve(edges_.size());
   for (const auto& [src, dst] : edges_) {
-    (void)dst;
-    ++g.out_offsets_[src + 1];
+    ++offsets[src + 1];
+    targets.push_back(dst);
   }
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    g.out_offsets_[v + 1] += g.out_offsets_[v];
-  }
-  {
-    std::vector<EdgeId> cursor(g.out_offsets_.begin(),
-                               g.out_offsets_.end() - 1);
-    for (const auto& [src, dst] : edges_) {
-      g.out_targets_[cursor[src]++] = dst;
-    }
-  }
-
-  // In-CSR via counting sort on dst.
-  g.in_offsets_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
-  g.in_sources_.resize(m);
-  for (const auto& [src, dst] : edges_) {
-    (void)src;
-    ++g.in_offsets_[dst + 1];
-  }
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    g.in_offsets_[v + 1] += g.in_offsets_[v];
-  }
-  {
-    std::vector<EdgeId> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-    for (const auto& [src, dst] : edges_) {
-      g.in_sources_[cursor[dst]++] = src;
-    }
-  }
-
-  SIMPUSH_RETURN_NOT_OK(g.Validate());
-  return g;
+  for (NodeId v = 0; v < num_nodes_; ++v) offsets[v + 1] += offsets[v];
+  // Free the edge list before FromSortedCsr allocates the in-CSR.
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
+  return Graph::FromSortedCsr(num_nodes_, std::move(offsets),
+                              std::move(targets), symmetric_);
 }
 
 }  // namespace simpush

@@ -16,7 +16,7 @@ bool PairLess(const SimilarPair& a, const SimilarPair& b) {
   return a.v < b.v;
 }
 
-// Shared scan: runs one query per source, hands qualifying pairs to
+// Shared scan: runs one query per node, hands qualifying pairs to
 // `emit` under a mutex; `emit` returning false aborts the scan.
 //
 // Sources fan out through ParallelQueryBatch: every worker shares the
@@ -24,16 +24,12 @@ bool PairLess(const SimilarPair& a, const SimilarPair& b) {
 // per-source randomness is pinned to (options.query.seed, source) inside
 // the runner, so results do not depend on the chunking, thread count,
 // or workspace assignment.
-Status ScanSources(const Graph& graph, const std::vector<NodeId>& sources,
-                   double floor, const JoinOptions& options,
+Status ScanSources(const Graph& graph, double floor, const JoinOptions& options,
                    const std::function<bool(NodeId, NodeId, double)>& emit) {
   // A node with no in-neighbors has s(u, v) = 0 for all v != u: the
   // √c-walk from u can never move, so no meeting is possible.
   std::vector<NodeId> live;
-  for (const NodeId u : sources) {
-    if (u >= graph.num_nodes()) {
-      return Status::InvalidArgument("join contained an invalid source node");
-    }
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
     if (graph.InDegree(u) > 0) live.push_back(u);
   }
   const EngineCore core(graph, options.query);
@@ -56,7 +52,7 @@ Status ScanSources(const Graph& graph, const std::vector<NodeId>& sources,
         return true;
       });
   if (stats.queries_failed > 0) {
-    return Status::InvalidArgument("join contained an invalid source node");
+    return Status::Internal("a join query failed");
   }
   if (aborted) return Status::OutOfRange("join exceeded max_pairs");
   return Status::OK();
@@ -78,48 +74,14 @@ StatusOr<std::vector<SimilarPair>> SimilarityJoin(
   if (threshold <= 0.0 || threshold > 1.0) {
     return Status::InvalidArgument("threshold must be in (0, 1]");
   }
-  std::vector<NodeId> sources(graph.num_nodes());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) sources[v] = v;
-
   const double floor = threshold - options.query.epsilon;
   std::vector<SimilarPair> pairs;
   Status status = ScanSources(
-      graph, sources, floor, options,
+      graph, floor, options,
       [&pairs, &options](NodeId u, NodeId v, double score) {
         if (u > v) return true;  // the (v, u) scan emits this pair
         if (pairs.size() >= options.max_pairs) return false;
         pairs.push_back({u, v, score});
-        return true;
-      });
-  SIMPUSH_RETURN_NOT_OK(status);
-  std::sort(pairs.begin(), pairs.end(), PairLess);
-  return pairs;
-}
-
-StatusOr<std::vector<SimilarPair>> SimilarityJoinFor(
-    const Graph& graph, const std::vector<NodeId>& sources, double threshold,
-    const JoinOptions& options) {
-  SIMPUSH_RETURN_NOT_OK(options.Validate());
-  if (threshold <= 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument("threshold must be in (0, 1]");
-  }
-  std::vector<bool> is_source(graph.num_nodes(), false);
-  for (NodeId u : sources) {
-    if (u >= graph.num_nodes()) {
-      return Status::InvalidArgument("source node out of range");
-    }
-    is_source[u] = true;
-  }
-
-  const double floor = threshold - options.query.epsilon;
-  std::vector<SimilarPair> pairs;
-  Status status = ScanSources(
-      graph, sources, floor, options,
-      [&](NodeId u, NodeId v, double score) {
-        // Both endpoints sources: emit from the smaller one only.
-        if (is_source[v] && v < u) return true;
-        if (pairs.size() >= options.max_pairs) return false;
-        pairs.push_back({std::min(u, v), std::max(u, v), score});
         return true;
       });
   SIMPUSH_RETURN_NOT_OK(status);
@@ -132,9 +94,6 @@ StatusOr<std::vector<SimilarPair>> TopPairs(const Graph& graph, size_t n,
   SIMPUSH_RETURN_NOT_OK(options.Validate());
   if (n == 0) return Status::InvalidArgument("n must be positive");
 
-  std::vector<NodeId> sources(graph.num_nodes());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) sources[v] = v;
-
   // Keep a min-heap of the best n pairs; floor rises as it fills, which
   // prunes the per-query emission loop via the `floor` parameter only
   // loosely (scores arrive unsorted), so the heap does the real work.
@@ -144,7 +103,7 @@ StatusOr<std::vector<SimilarPair>> TopPairs(const Graph& graph, size_t n,
     return PairLess(a, b);  // min-heap on score via greater-comparator
   };
   Status status = ScanSources(
-      graph, sources, /*floor=*/1e-12, options,
+      graph, /*floor=*/1e-12, options,
       [&](NodeId u, NodeId v, double score) {
         if (u > v) return true;
         if (heap.size() < n) {

@@ -54,13 +54,6 @@ StatusOr<std::vector<SimilarPair>> SimilarityJoin(const Graph& graph,
                                                   double threshold,
                                                   const JoinOptions& options);
 
-/// Join restricted to the given source nodes: pairs (u, v) with
-/// u ∈ sources, any v, s̃ >= threshold - ε. Pairs are deduplicated when
-/// both endpoints are sources; ordering as in SimilarityJoin.
-StatusOr<std::vector<SimilarPair>> SimilarityJoinFor(
-    const Graph& graph, const std::vector<NodeId>& sources, double threshold,
-    const JoinOptions& options);
-
 /// The N globally most-similar distinct pairs (u < v), descending.
 /// Ranking carries the per-query ±ε guarantee, so pairs within 2ε can
 /// swap places relative to exact SimRank.

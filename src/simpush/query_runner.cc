@@ -22,7 +22,8 @@ QueryRunner::QueryRunner(const EngineCore& core, WorkspacePool& pool,
       workspace_(lease_.get()),
       cancel_(cancel) {}
 
-Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
+Status QueryRunner::SourceSide(NodeId u, SimPushQueryStats* stats) {
+  *stats = SimPushQueryStats{};
   if (workspace_ == nullptr) {
     // The cancel-aware pool wait gave up before a workspace freed up.
     const Status cancel_status = CheckCancel(cancel_);
@@ -38,9 +39,6 @@ Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
   const SimPushOptions& options = core_->options();
   const DerivedParams& derived = core_->derived();
   QueryWorkspace& workspace = *workspace_;
-
-  result->stats = SimPushQueryStats{};
-  Timer total_timer;
   Timer stage_timer;
 
   // The RNG stream is pinned to (seed, query node): reusing a
@@ -54,11 +52,11 @@ Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
   SIMPUSH_RETURN_NOT_OK(SourcePushInto(graph, u, options, derived,
                                        &query_rng, &workspace, &gu,
                                        &sp_stats, cancel_));
-  result->stats.max_level = sp_stats.detected_level;
-  result->stats.num_attention = sp_stats.num_attention;
-  result->stats.gu_node_occurrences = sp_stats.gu_node_occurrences;
-  result->stats.walks_sampled = sp_stats.walks_sampled;
-  result->stats.source_push_seconds = stage_timer.ElapsedSeconds();
+  stats->max_level = sp_stats.detected_level;
+  stats->num_attention = sp_stats.num_attention;
+  stats->gu_node_occurrences = sp_stats.gu_node_occurrences;
+  stats->walks_sampled = sp_stats.walks_sampled;
+  stats->source_push_seconds = stage_timer.ElapsedSeconds();
 
   // Stage 2: hitting probabilities within G_u (Algorithm 3) and
   // last-meeting probabilities γ (Algorithm 4).
@@ -74,13 +72,23 @@ Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
   } else {
     gamma.assign(gu.num_attention(), 1.0);
   }
-  result->stats.gamma_seconds = stage_timer.ElapsedSeconds();
+  stats->gamma_seconds = stage_timer.ElapsedSeconds();
+  return Status::OK();
+}
+
+Status QueryRunner::QueryInto(NodeId u, SimPushResult* result) {
+  Timer total_timer;
+  SIMPUSH_RETURN_NOT_OK(SourceSide(u, &result->stats));
 
   // Stage 3: Reverse-Push (Algorithm 5).
-  stage_timer.Restart();
+  Timer stage_timer;
+  const Graph& graph = core_->graph();
+  const DerivedParams& derived = core_->derived();
+  QueryWorkspace& workspace = *workspace_;
   result->scores.assign(graph.num_nodes(), 0.0);
   ReversePushStats rp_stats;
-  SIMPUSH_RETURN_NOT_OK(ReversePush(graph, gu, gamma, derived.sqrt_c,
+  SIMPUSH_RETURN_NOT_OK(ReversePush(graph, workspace.source_graph,
+                                    workspace.gamma, derived.sqrt_c,
                                     derived.eps_h, &workspace,
                                     &result->scores, &rp_stats, cancel_));
   result->scores[u] = 1.0;  // Algorithm 5 line 10.

@@ -80,6 +80,15 @@ class QueryRunner {
   /// |s̃(u,v) - s(u,v)| <= ε for all v w.p. >= 1-δ.
   StatusOr<SimPushResult> Query(NodeId u);
 
+  /// Stages 1-2 of Algorithm 1 for query node u: Source-Push, then the
+  /// hitting table and γ. Leaves G_u in workspace.source_graph and γ in
+  /// workspace.gamma, which stay valid until the workspace's next
+  /// query, and fills the stats of those two stages. Query runs this
+  /// and then Reverse-Push; other query shapes (SinglePairSession) read
+  /// the same source side, so it is a function of (options.seed, u)
+  /// alone, like Query's scores.
+  Status SourceSide(NodeId u, SimPushQueryStats* stats);
+
   /// Like Query, but writes into a caller-owned result whose buffers
   /// are reused — the steady-state hot path for a query loop. After
   /// warm-up (workspace + result both warm), performs zero heap

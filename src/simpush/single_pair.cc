@@ -3,47 +3,38 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simpush/hitting.h"
-#include "simpush/last_meeting.h"
-#include "simpush/source_push.h"
+#include "common/rng.h"
+#include "simpush/engine_core.h"
+#include "simpush/query_runner.h"
+#include "simpush/workspace.h"
 
 namespace simpush {
 
-SinglePairSession::SinglePairSession(const Graph& graph, NodeId u,
-                                     const SimPushOptions& options)
-    : graph_(&graph),
-      source_(u),
-      options_(options),
-      rng_(options.seed ^ (0x9E3779B97F4A7C15ULL * (u + 1))) {}
-
 StatusOr<SinglePairSession> SinglePairSession::Create(
     const Graph& graph, NodeId u, const SimPushOptions& options) {
-  SIMPUSH_RETURN_NOT_OK(options.Validate());
-  if (u >= graph.num_nodes()) {
-    return Status::InvalidArgument("query node out of range");
-  }
-  SinglePairSession session(graph, u, options);
-  const DerivedParams params = ComputeDerivedParams(options);
-  session.sqrt_c_ = params.sqrt_c;
+  // Stages 1-2 of Algorithm 1, exactly as a single-source query for u
+  // runs them.
+  const EngineCore core(graph, options);
+  QueryWorkspace workspace;
+  SimPushQueryStats stats;
+  SIMPUSH_RETURN_NOT_OK(QueryRunner(core, &workspace).SourceSide(u, &stats));
+  const SourceGraph& gu = workspace.source_graph;
+  const std::vector<double>& gamma = workspace.gamma;
 
-  // Stages 1-2 of Algorithm 1: attention discovery + γ correction.
-  SourcePushStats sp_stats;
-  Rng source_rng = session.rng_.Fork();
-  auto gu = SourcePush(graph, u, options, params, &source_rng, &sp_stats);
-  if (!gu.ok()) return gu.status();
-  std::vector<double> gamma(gu->num_attention(), 1.0);
-  if (options.use_gamma_correction) {
-    HittingTable hitting = ComputeHittingTable(graph, *gu, params.sqrt_c);
-    gamma = ComputeLastMeetingProbabilities(*gu, hitting);
-  }
-
-  session.max_level_ = gu->max_level();
-  session.num_attention_ = gu->num_attention();
+  const DerivedParams& params = core.derived();
+  SinglePairSession session(graph, u, params.sqrt_c, core.QuerySeed(u));
+  session.max_level_ = gu.max_level();
+  session.num_attention_ = gu.num_attention();
+  // Residue levels stop at the deepest attention level, often above L.
   // A level's attention ids ascend by node (SourceGraph's contract), so
   // each residue level comes out in the node order Estimate searches.
-  session.residues_.assign(gu->max_level(), {});
-  for (AttentionId id = 0; id < gu->num_attention(); ++id) {
-    const AttentionNode& attention = gu->attention_nodes()[id];
+  uint32_t deepest = 0;
+  for (const AttentionNode& attention : gu.attention_nodes()) {
+    deepest = std::max(deepest, attention.level);
+  }
+  session.residues_.assign(deepest, {});
+  for (AttentionId id = 0; id < gu.num_attention(); ++id) {
+    const AttentionNode& attention = gu.attention_nodes()[id];
     // Levels are 1..L; store at index level-1.
     session.residues_[attention.level - 1].emplace_back(
         attention.node, attention.hitting_prob * gamma[id]);
@@ -60,9 +51,9 @@ StatusOr<SinglePairSession> SinglePairSession::Create(
   return session;
 }
 
-StatusOr<SinglePairResult> SinglePairSession::Estimate(NodeId v,
-                                                       uint64_t num_walks) {
-  if (v >= graph_->num_nodes()) {
+StatusOr<SinglePairResult> SinglePairSession::Estimate(
+    NodeId v, uint64_t num_walks) const {
+  if (v >= walker_.graph().num_nodes()) {
     return Status::InvalidArgument("target node out of range");
   }
   SinglePairResult result;
@@ -72,29 +63,24 @@ StatusOr<SinglePairResult> SinglePairSession::Estimate(NodeId v,
   }
   if (num_walks == 0) num_walks = default_walks_;
   result.walks_used = num_walks;
-  if (max_level_ == 0) {
+  if (residues_.empty()) {
     result.score = 0.0;  // no attention nodes -> s⁺ below ε_h everywhere
     return result;
   }
 
+  // No residue lies deeper than residues_.size(), so walks stop there.
+  const uint32_t cap = static_cast<uint32_t>(residues_.size());
+  Rng rng(DeriveStreamSeed(query_seed_, v));
   double total = 0.0;
+  const auto accumulate = [this, &total](uint32_t level, NodeId node) {
+    const auto& level_residues = residues_[level - 1];
+    auto it = std::lower_bound(
+        level_residues.begin(), level_residues.end(), node,
+        [](const auto& entry, NodeId target) { return entry.first < target; });
+    if (it != level_residues.end() && it->first == node) total += it->second;
+  };
   for (uint64_t i = 0; i < num_walks; ++i) {
-    NodeId current = v;
-    for (uint32_t level = 1; level <= max_level_; ++level) {
-      // √c-walk step: stop w.p. 1-√c, else jump to a random in-neighbor.
-      if (!rng_.NextBernoulli(sqrt_c_)) break;
-      const uint32_t degree = graph_->InDegree(current);
-      if (degree == 0) break;
-      current = graph_->InNeighborAt(
-          current, static_cast<uint32_t>(rng_.NextBounded(degree)));
-      const auto& level_residues = residues_[level - 1];
-      auto it = std::lower_bound(
-          level_residues.begin(), level_residues.end(), current,
-          [](const auto& entry, NodeId node) { return entry.first < node; });
-      if (it != level_residues.end() && it->first == current) {
-        total += it->second;
-      }
-    }
+    walker_.SampleWalkVisit(v, &rng, accumulate, cap);
   }
   result.score = total / static_cast<double>(num_walks);
   return result;

@@ -17,7 +17,18 @@
 //
 // The session amortizes the source side across many v, which is the
 // point: checking u against a candidate set costs O(T·L) per candidate
-// instead of a full single-source query.
+// instead of a full single-source query. That source side is the
+// single-source query's own (QueryRunner::SourceSide), so a session's
+// L, A_u and residues are exactly those a query for u computes.
+//
+// A walk stops at the deepest level holding a residue (at most L), since
+// no deeper step can add to the estimate.
+//
+// A session is immutable once created. Estimate is const and
+// thread-safe: the walks for (u, v) come from one RNG stream keyed by
+// (EngineCore::QuerySeed(u), v), so an estimate depends only on
+// (options, u, v, walks) — not on the estimates before it or on the
+// thread running it.
 
 #ifndef SIMPUSH_SIMPUSH_SINGLE_PAIR_H_
 #define SIMPUSH_SIMPUSH_SINGLE_PAIR_H_
@@ -26,10 +37,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "simpush/options.h"
+#include "walk/walker.h"
 
 namespace simpush {
 
@@ -39,7 +50,7 @@ struct SinglePairResult {
   uint64_t walks_used = 0; ///< Monte-Carlo walks from v.
 };
 
-/// Reusable source-side state for pair queries u-vs-many.
+/// Immutable source-side state for pair queries u-vs-many.
 class SinglePairSession {
  public:
   /// Prepares the source side for query node u (stages 1-2 of
@@ -48,8 +59,9 @@ class SinglePairSession {
                                             const SimPushOptions& options);
 
   /// Estimates s(u, v). `num_walks` == 0 uses the Hoeffding default for
-  /// the session's (ε, δ).
-  StatusOr<SinglePairResult> Estimate(NodeId v, uint64_t num_walks = 0);
+  /// the session's (ε, δ). Safe to call concurrently; repeated calls
+  /// return the same bits.
+  StatusOr<SinglePairResult> Estimate(NodeId v, uint64_t num_walks = 0) const;
 
   /// The query node this session serves.
   NodeId source() const { return source_; }
@@ -61,17 +73,16 @@ class SinglePairSession {
   uint64_t default_walks() const { return default_walks_; }
 
  private:
-  SinglePairSession(const Graph& graph, NodeId u,
-                    const SimPushOptions& options);
+  SinglePairSession(const Graph& graph, NodeId u, double sqrt_c,
+                    uint64_t query_seed)
+      : walker_(graph, sqrt_c), source_(u), query_seed_(query_seed) {}
 
-  const Graph* graph_;
+  Walker walker_;
   NodeId source_;
-  SimPushOptions options_;
-  double sqrt_c_ = 0;
+  uint64_t query_seed_;  // EngineCore::QuerySeed(source_).
   uint32_t max_level_ = 0;
   size_t num_attention_ = 0;
   uint64_t default_walks_ = 0;
-  Rng rng_;
   // residues_[ℓ-1]: (node, r^(ℓ)(node)) for attention occurrences on ℓ,
   // sorted by node — the per-step lookup in Estimate binary searches.
   std::vector<std::vector<std::pair<NodeId, double>>> residues_;

@@ -70,10 +70,12 @@ class Walker {
   /// Samples a walk and invokes visit(step, node) for each step >= 1
   /// (the start node itself is step 0 and not reported). The callback is
   /// a template parameter so the per-step dispatch inlines — no
-  /// std::function on the level-detection hot path.
+  /// std::function on the level-detection hot path. A walk stops after
+  /// `cap` steps, for callers that read no deeper level.
   template <typename Visit>
-  void SampleWalkVisit(NodeId start, Rng* rng, Visit&& visit) const {
-    const uint32_t length = SampleWalkLength(rng);
+  void SampleWalkVisit(NodeId start, Rng* rng, Visit&& visit,
+                       uint32_t cap = kMaxWalkLength) const {
+    const uint32_t length = SampleWalkLength(rng, cap);
     NodeId current = start;
     for (uint32_t step = 1; step <= length; ++step) {
       const uint32_t deg = graph_.InDegree(current);

@@ -1,8 +1,10 @@
 // Tests for the SPG1 binary graph format.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "graph/binary_io.h"
 #include "gtest/gtest.h"
@@ -90,6 +92,46 @@ TEST(BinaryIoTest, RejectsTruncatedFile) {
   EXPECT_FALSE(LoadBinaryGraph(cut_path).ok());
   std::remove(full_path.c_str());
   std::remove(cut_path.c_str());
+}
+
+// Writes an SPG1 file field by field, so a test can state exactly the
+// header and body a corrupt file holds.
+void WriteSpg(const std::string& path, uint32_t n, uint64_t m,
+              const std::vector<uint64_t>& offsets,
+              const std::vector<uint32_t>& targets) {
+  std::ofstream out(path, std::ios::binary);
+  const uint32_t flags = 0;
+  out.write("SPG1", 4);
+  out.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
+  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
+  out.write(reinterpret_cast<const char*>(offsets.data()),
+            offsets.size() * sizeof(uint64_t));
+  out.write(reinterpret_cast<const char*>(targets.data()),
+            targets.size() * sizeof(uint32_t));
+}
+
+TEST(BinaryIoTest, RejectsHeaderLargerThanFile) {
+  // 36 bytes whose header claims m = 2^62 edges, with offsets {0, m}
+  // that agree with it: the loader must not size its arrays from it.
+  const std::string path = TempPath("huge_header.spg");
+  const uint64_t m = uint64_t{1} << 62;
+  WriteSpg(path, 1, m, {0, m}, {});
+  auto result = LoadBinaryGraph(path);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, RejectsUnsortedRow) {
+  // Node 0's row {2, 1} is not ascending; SaveBinaryGraph never writes
+  // one, so the file is corrupt.
+  const std::string path = TempPath("unsorted.spg");
+  WriteSpg(path, 3, 2, {0, 2, 2, 2}, {2, 1});
+  auto result = LoadBinaryGraph(path);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

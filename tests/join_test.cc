@@ -29,8 +29,6 @@ TEST(JoinTest, ValidatesArguments) {
   JoinOptions bad = TestOptions();
   bad.max_pairs = 0;
   EXPECT_FALSE(SimilarityJoin(*graph, 0.1, bad).ok());
-  EXPECT_FALSE(
-      SimilarityJoinFor(*graph, {1, 99}, 0.1, TestOptions()).ok());
 }
 
 TEST(JoinTest, PairsAreCanonicalAndSorted) {
@@ -105,21 +103,6 @@ TEST(JoinTest, HigherThresholdIsSubset) {
   for (const SimilarPair& pair : *tight) {
     EXPECT_TRUE(loose_set.count({pair.u, pair.v}))
         << "(" << pair.u << ", " << pair.v << ")";
-  }
-}
-
-TEST(JoinTest, RestrictedJoinOnlyTouchesSources) {
-  auto graph = GenerateStochasticBlockModel(100, 5, 0.3, 0.01, 7);
-  ASSERT_TRUE(graph.ok());
-  const std::vector<NodeId> sources = {0, 1, 2, 3, 4};
-  auto pairs = SimilarityJoinFor(*graph, sources, 0.05, TestOptions());
-  ASSERT_TRUE(pairs.ok());
-  for (const SimilarPair& pair : *pairs) {
-    const bool u_is_source =
-        std::find(sources.begin(), sources.end(), pair.u) != sources.end();
-    const bool v_is_source =
-        std::find(sources.begin(), sources.end(), pair.v) != sources.end();
-    EXPECT_TRUE(u_is_source || v_is_source);
   }
 }
 

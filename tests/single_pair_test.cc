@@ -3,9 +3,11 @@
 
 #include "simpush/single_pair.h"
 
-#include "graph/graph_builder.h"
-
 #include <cmath>
+#include <thread>
+#include <vector>
+
+#include "graph/graph_builder.h"
 
 #include "exact/power_method.h"
 #include "graph/generators.h"
@@ -150,6 +152,76 @@ TEST(SinglePairTest, DeterministicForFixedSeed) {
   auto r2 = s2->Estimate(9, 2000);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_DOUBLE_EQ(r1->score, r2->score);
+}
+
+TEST(SinglePairTest, RepeatedEstimatesReturnTheSameBits) {
+  // An estimate depends only on (options, u, v, walks): repeating it,
+  // or running estimates for other targets in between, cannot move it.
+  auto graph = GenerateChungLu(300, 1500, 2.4, 3);
+  ASSERT_TRUE(graph.ok());
+  auto session = SinglePairSession::Create(*graph, 2, TestOptions());
+  ASSERT_TRUE(session.ok());
+  auto first = session->Estimate(9, 2000);
+  auto repeated = session->Estimate(9, 2000);
+  for (NodeId other : {1u, 17u, 150u}) {
+    ASSERT_TRUE(session->Estimate(other, 2000).ok());
+  }
+  auto after_others = session->Estimate(9, 2000);
+  ASSERT_TRUE(first.ok() && repeated.ok() && after_others.ok());
+  EXPECT_EQ(first->score, repeated->score);
+  EXPECT_EQ(first->score, after_others->score);
+}
+
+TEST(SinglePairTest, SourceSideMatchesSingleSourceQuery) {
+  // The session runs the query's own stages 1-2, so L and |A_u| equal
+  // the single-source query's for every source.
+  auto graph = GenerateChungLu(300, 1500, 2.4, 3);
+  ASSERT_TRUE(graph.ok());
+  SimPushEngine engine(*graph, TestOptions());
+  for (NodeId u = 0; u < graph->num_nodes(); ++u) {
+    auto query = engine.Query(u);
+    auto session = SinglePairSession::Create(*graph, u, TestOptions());
+    ASSERT_TRUE(query.ok() && session.ok());
+    EXPECT_EQ(session->max_level(), query->stats.max_level) << "node " << u;
+    EXPECT_EQ(session->num_attention(), query->stats.num_attention)
+        << "node " << u;
+  }
+}
+
+TEST(SinglePairTest, ConcurrentEstimatesMatchSerial) {
+  auto graph = GenerateChungLu(300, 1500, 2.4, 3);
+  ASSERT_TRUE(graph.ok());
+  auto session = SinglePairSession::Create(*graph, 2, TestOptions());
+  ASSERT_TRUE(session.ok());
+  constexpr NodeId kTargets = 64;
+  std::vector<double> serial(kTargets);
+  for (NodeId v = 0; v < kTargets; ++v) {
+    auto result = session->Estimate(v, 1000);
+    ASSERT_TRUE(result.ok());
+    serial[v] = result->score;
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> parallel(kThreads,
+                                            std::vector<double>(kTargets));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&session, &parallel, t] {
+      // Each thread walks the targets from a different offset, so the
+      // estimates interleave differently on every thread.
+      for (NodeId i = 0; i < kTargets; ++i) {
+        const NodeId v = static_cast<NodeId>((i + 16 * t) % kTargets);
+        auto result = session->Estimate(v, 1000);
+        parallel[t][v] = result.ok() ? result->score : -1.0;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (NodeId v = 0; v < kTargets; ++v) {
+      EXPECT_EQ(parallel[t][v], serial[v]) << "thread " << t << " node " << v;
+    }
+  }
 }
 
 }  // namespace

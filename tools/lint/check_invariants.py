@@ -65,6 +65,13 @@ R8 one-bitmask
     indexing may appear under src/ only in that header, so a hand-rolled
     bitmask (with its own word-range tracking or re-zero rule) cannot
     come back.
+
+R9 rng-locals-only
+    A query's randomness comes from streams derived from (seed, node)
+    where it is used. An Rng held as a class or struct data member
+    under src/simpush/ carries its state from one call into the next,
+    so a result would depend on the calls before it. Rng there may be a
+    local, a parameter or a return value, never a member.
 """
 
 from __future__ import annotations
@@ -139,6 +146,13 @@ WORKSPACE_CONSTRUCTION = re.compile(
 BITMASK_FILE = "src/common/touched_bits.h"
 RAW_BITMASK = re.compile(r"std::countr_zero\b|>>\s*6\s*\]")
 
+# R9: no member RNG in the engine.
+RNG_MEMBER_DIR = "src/simpush/"
+CLASS_HEAD = re.compile(r"\b(?:class|struct)\b[^();]*$")
+RNG_MEMBER = re.compile(
+    r"^\s*(?:mutable\s+)?(?:simpush::)?Rng\s*[*&]?\s*\w+\s*[;={]"
+)
+
 
 def strip_comments_and_strings(text: str) -> str:
     """Blanks out comments and string/char literals, preserving line
@@ -187,6 +201,35 @@ def function_body_lines(code: str, header: re.Pattern) -> range | None:
                     last = code.count("\n", 0, i) + 1
                     return range(first, last + 1)
     return None
+
+
+def class_body_lines(code: str) -> set[int]:
+    """1-based numbers of the lines that start directly inside a class or
+    struct body (not inside one of its member functions or parameter
+    lists). A `{` opens a class body when the text since the previous
+    `;`, `{` or `}` names a class or struct and holds no parenthesis."""
+    stack: list[bool] = []
+    lines: set[int] = set()
+    line = 1
+    parens = 0
+    statement_start = 0
+    for i, c in enumerate(code):
+        if c == "\n":
+            line += 1
+            if stack and stack[-1] and parens == 0:
+                lines.add(line)
+        elif c in "()":
+            parens += 1 if c == "(" else -1
+        elif c == "{":
+            stack.append(bool(CLASS_HEAD.search(code[statement_start:i])))
+            statement_start = i + 1
+        elif c == "}":
+            if stack:
+                stack.pop()
+            statement_start = i + 1
+        elif c == ";":
+            statement_start = i + 1
+    return lines
 
 
 def iter_source_files(root: Path):
@@ -312,6 +355,17 @@ class Linter:
                         path, lineno, "one-bitmask",
                         "hand-rolled bitmask scan or word index; use "
                         "TouchedBits (common/touched_bits.h)",
+                    )
+
+        # R9 — no member RNG in the engine.
+        if rel.startswith(RNG_MEMBER_DIR):
+            members = class_body_lines(code)
+            for lineno, line in enumerate(code_lines, 1):
+                if lineno in members and RNG_MEMBER.search(line):
+                    self.report(
+                        path, lineno, "rng-locals-only",
+                        "Rng data member: its state carries from call to "
+                        "call; derive a local stream from (seed, node)",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
