@@ -29,8 +29,6 @@ const char* CodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

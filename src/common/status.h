@@ -31,8 +31,6 @@ enum class StatusCode {
   kUnimplemented,
   /// The request exceeds a configured size cap.
   kResourceExhausted,
-  /// The service cannot serve at all right now.
-  kUnavailable,
 };
 
 /// Lightweight status object: OK carries no allocation.
@@ -82,9 +80,6 @@ class [[nodiscard]] Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

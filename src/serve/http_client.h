@@ -1,11 +1,11 @@
 // Minimal blocking HTTP/1.1 client, just enough to drive simpush_serve:
-// used by the serve smoke test and the bench_serve load generator. Not
-// a general client — no TLS, no redirects, no chunked encoding (the
+// used by the serve and chaos tests and the bench/e2e load generator.
+// Not a general client — no TLS, no redirects, no chunked encoding (the
 // server always frames with Content-Length).
 //
 // Thread-safety contract: an HttpClient is NOT thread-safe (it owns one
 // socket). Concurrency means one client per thread — exactly how the
-// closed-loop load generator uses it.
+// bench/e2e closed-loop clients use it.
 
 #ifndef SIMPUSH_SERVE_HTTP_CLIENT_H_
 #define SIMPUSH_SERVE_HTTP_CLIENT_H_

@@ -69,10 +69,6 @@ GenerationLease GraphRegistry::BuildGeneration(
       std::move(cache_metrics));
 }
 
-Status GraphRegistry::Add(const std::string& name, Graph graph) {
-  return Add(name, std::move(graph), options_.query);
-}
-
 Status GraphRegistry::Add(const std::string& name, Graph graph,
                           const SimPushOptions& options) {
   if (!IsValidGraphName(name)) {

@@ -62,11 +62,6 @@ namespace serve {
 
 /// Configuration for a GraphRegistry.
 struct RegistryOptions {
-  /// Default engine knobs (ε, c, δ, seed, walk cap) for tenants added
-  /// without per-tenant options. Each tenant may override them at Add
-  /// time; the tenant's options then apply to every generation it
-  /// publishes (hot swaps preserve them).
-  SimPushOptions query;
   /// Worker threads in the shared batch fan-out pool (0 = hardware).
   size_t num_threads = 0;
   /// Workspace pool cap per generation (0 = match num_threads).
@@ -193,18 +188,13 @@ class GraphRegistry {
   explicit GraphRegistry(const RegistryOptions& options);
 
   /// Registers `name` serving `graph` (generation 1 for that tenant)
-  /// with the registry-default engine options (options().query).
-  /// Fails with FailedPrecondition when the name is taken, Invalid-
-  /// Argument for a bad name or invalid engine options, OutOfRange at
-  /// the max_graphs cap.
-  Status Add(const std::string& name, Graph graph);
-
-  /// Same, but the tenant runs with its own engine options: every
-  /// generation it publishes — including hot swaps — builds its
-  /// EngineCore from `options`, so two tenants can serve the same
-  /// graph at different ε/c/δ/seed. Options are validated here
-  /// (InvalidArgument names the bad field) and are immutable for the
-  /// tenant's lifetime.
+  /// with its own engine options: every generation it publishes —
+  /// including hot swaps — builds its EngineCore from `options` until
+  /// an UpdateOptions call replaces them, so two tenants can serve the
+  /// same graph at different ε/c/δ/seed. Fails with FailedPrecondition
+  /// when the name is taken, InvalidArgument for a bad name or invalid
+  /// engine options (naming the bad field), OutOfRange at the
+  /// max_graphs cap.
   Status Add(const std::string& name, Graph graph,
              const SimPushOptions& options);
 

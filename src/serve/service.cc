@@ -90,20 +90,6 @@ void WriteLatency(JsonWriter* writer, const LatencySnapshot& latency) {
   writer->EndObject();
 }
 
-// Writes the "pool": {capacity, created, outstanding} gauges — shared
-// by the per-tenant sections and the single-graph compatibility block.
-void WritePoolGauges(JsonWriter* writer, const TenantStats& stats) {
-  writer->Key("pool");
-  writer->BeginObject();
-  writer->Key("capacity");
-  writer->Uint(stats.pool_capacity);
-  writer->Key("created");
-  writer->Uint(stats.pool_created);
-  writer->Key("outstanding");
-  writer->Uint(stats.pool_outstanding);
-  writer->EndObject();
-}
-
 // Writes the epsilon/decay/delta/seed/walk_budget_cap members into the
 // writer's currently-open object — the one field list shared by the
 // process-default and per-tenant options sections of /v1/stats, so the
@@ -132,7 +118,6 @@ void WriteEngineOptions(JsonWriter* writer, const SimPushOptions& options) {
 
 RegistryOptions ToRegistryOptions(const ServiceOptions& options) {
   RegistryOptions registry_options;
-  registry_options.query = options.query;
   registry_options.num_threads = options.num_threads;
   registry_options.pool_capacity = options.pool_capacity;
   registry_options.swap_threshold = options.swap_threshold;
@@ -485,14 +470,6 @@ struct SimPushService::Route {
     service.WriteStats(writer);
   }
 
-  // A failed default-graph install must fail the liveness probe: a
-  // server whose configured graph never loaded should be restarted (or
-  // repaired over /v1/graphs), not kept in a load balancer rotation.
-  static Status RunHealth(SimPushService& service, Call*) {
-    const Status startup = service.startup_status();
-    return startup.ok() ? startup : Status::Unavailable(startup.ToString());
-  }
-
   static void EncodeHealth(SimPushService&, const Call&, JsonWriter* writer) {
     writer->Key("status");
     writer->String("ok");
@@ -744,7 +721,7 @@ const SimPushService::Route SimPushService::Route::kTable[] = {
   {"POST",   "/v1/topk",                 kTopK,      DecodeTopK,    RunQuery,    EncodeTopK},
   {"POST",   "/v1/batch",                kBatch,     DecodeBatch,   RunQuery,    EncodeBatch},
   {"GET",    "/v1/stats",                kUncounted, nullptr,       nullptr,     EncodeStats},
-  {"GET",    "/healthz",                 kUncounted, nullptr,       RunHealth,   EncodeHealth},
+  {"GET",    "/healthz",                 kUncounted, nullptr,       nullptr,     EncodeHealth},
   {"GET",    "/v1/graphs",               kAdmin,     nullptr,       nullptr,     EncodeGraphList},
   {"POST",   "/v1/graphs",               kAdmin,     DecodeCreate,  RunCreate,   EncodeCreate, 201},
   {"GET",    "/v1/graphs/{name}",        kAdmin,     nullptr,       RunGraphGet, EncodeGraphGet},
@@ -809,7 +786,6 @@ HttpResponse SimPushService::ErrorResponse(const Status& status,
       {StatusCode::kOutOfRange, 409, nullptr},          // Graph limit.
       {StatusCode::kResourceExhausted, 413, nullptr},   // A size cap.
       {StatusCode::kCancelled, 499, "client closed request"},
-      {StatusCode::kUnavailable, 503, nullptr},  // Default graph missing.
       {StatusCode::kDeadlineExceeded, 504, "deadline exceeded"},
   };
   HttpError error = {status.code(), 400, nullptr};
@@ -831,10 +807,6 @@ HttpResponse SimPushService::ErrorResponse(const Status& status,
     case StatusCode::kDeadlineExceeded:
       deadline_expired_.fetch_add(1);
       if (call.metrics != nullptr) call.metrics->deadline_expired.fetch_add(1);
-      break;
-    case StatusCode::kUnavailable:  // The service's state, not the request's.
-      writer.Key("status");
-      writer.String("unavailable");
       break;
     default:
       bad_requests_.fetch_add(1);
@@ -861,28 +833,6 @@ HttpResponse SimPushService::ErrorResponse(const Status& status,
 SimPushService::SimPushService(const ServiceOptions& options)
     : options_(options), registry_(ToRegistryOptions(options)) {}
 
-SimPushService::SimPushService(const Graph& graph,
-                               const ServiceOptions& options)
-    : SimPushService(options) {
-  // Compatibility shape: one tenant under the default name. A copy is
-  // taken so the registry owns its master/generation lifecycle. A
-  // rejection (bad options / bad default name) is RECORDED, not
-  // swallowed: /healthz turns 503 and /v1/stats carries the error
-  // until a later AddGraph installs the default graph. Tools should
-  // additionally check AddGraph up front and exit non-zero, as
-  // simpush_serve does.
-  const Status added = AddGraph(options_.default_graph, graph);
-  if (!added.ok()) {
-    MutexLock lock(&startup_mu_);
-    startup_status_ = added;
-  }
-}
-
-Status SimPushService::startup_status() const {
-  MutexLock lock(&startup_mu_);
-  return startup_status_;
-}
-
 // The metrics map must track the registry under concurrent add/remove
 // of one name WITHOUT metrics_mu_ ever covering the registry's O(n+m)
 // build (that would stall every handler's FindMetrics for the whole
@@ -891,24 +841,12 @@ Status SimPushService::startup_status() const {
 // it observed before removing, so a racing re-add's fresh metrics can
 // never be deleted out from under the new graph, and a re-added graph
 // can never inherit the old graph's counters.
-Status SimPushService::AddGraph(const std::string& name, Graph graph) {
-  return AddGraph(name, std::move(graph), options_.query);
-}
-
 Status SimPushService::AddGraph(const std::string& name, Graph graph,
                                 const SimPushOptions& tenant_options) {
   SIMPUSH_RETURN_NOT_OK(registry_.Add(name, std::move(graph),
                                       tenant_options));
-  {
-    MutexLock lock(&metrics_mu_);
-    tenant_metrics_.insert_or_assign(name, std::make_shared<TenantMetrics>());
-  }
-  if (name == options_.default_graph) {
-    // The default graph is installed: a startup failure (if any) is no
-    // longer the serving truth, so /healthz may recover.
-    MutexLock lock(&startup_mu_);
-    startup_status_ = Status::OK();
-  }
+  MutexLock lock(&metrics_mu_);
+  tenant_metrics_.insert_or_assign(name, std::make_shared<TenantMetrics>());
   return Status::OK();
 }
 
@@ -959,10 +897,6 @@ Status SimPushService::RunQuery(std::string_view graph_name, NodeId u,
   bool cached = false;
   return ServeOne(*lease, u, std::nullopt, result, /*cancel=*/nullptr,
                   &cached);
-}
-
-Status SimPushService::RunQuery(NodeId u, SimPushResult* result) {
-  return RunQuery(options_.default_graph, u, result);
 }
 
 Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
@@ -1099,7 +1033,15 @@ void SimPushService::WriteTenantSection(JsonWriter* writer,
     writer->Uint(stats->num_edges);
     writer->Key("master_edges");
     writer->Uint(stats->master_edges);
-    WritePoolGauges(writer, *stats);
+    writer->Key("pool");
+    writer->BeginObject();
+    writer->Key("capacity");
+    writer->Uint(stats->pool_capacity);
+    writer->Key("created");
+    writer->Uint(stats->pool_created);
+    writer->Key("outstanding");
+    writer->Uint(stats->pool_outstanding);
+    writer->EndObject();
     // Result-cache stats: counters are tenant-lifetime (they survive
     // swaps), occupancy is the current generation's cache.
     writer->Key("cache");
@@ -1150,18 +1092,6 @@ void SimPushService::WriteStats(JsonWriter* writer) {
 
   writer->Key("uptime_seconds");
   writer->Double(uptime);
-  // Compatibility sections for the single-graph shape: the default
-  // tenant's graph and pool, when it exists.
-  if (auto stats = registry_.Stats(options_.default_graph); stats.ok()) {
-    writer->Key("graph");
-    writer->BeginObject();
-    writer->Key("nodes");
-    writer->Uint(stats->num_nodes);
-    writer->Key("edges");
-    writer->Uint(stats->num_edges);
-    writer->EndObject();
-    WritePoolGauges(writer, *stats);
-  }
   // Process-wide DEFAULTS for tenants created without "options" — each
   // tenant's effective knobs live in its own section under "graphs".
   writer->Key("options");
@@ -1174,10 +1104,6 @@ void SimPushService::WriteStats(JsonWriter* writer) {
   writer->Key("default_graph");
   writer->String(options_.default_graph);
   writer->EndObject();
-  if (const Status startup = startup_status(); !startup.ok()) {
-    writer->Key("startup_error");
-    writer->String(startup.ToString());
-  }
   writer->Key("requests");
   writer->BeginObject();
   writer->Key("query");

@@ -16,10 +16,11 @@
 //   POST   /v1/graphs/{name}/swap   publish a new generation now
 //   PATCH  /v1/graphs/{name}/options  replace engine options (re-publish)
 //
-// The query endpoints take an optional "graph" field naming the tenant
-// (default: options.default_graph, preserved for single-graph
-// compatibility) and stamp responses with the generation id that served
-// them, so every response is reproducible offline.
+// A server is an empty service plus one AddGraph call per tenant (what
+// simpush_serve and bench/e2e do). The query endpoints take an optional
+// "graph" field naming the tenant (default: options.default_graph) and
+// stamp responses with the generation id that served them, so every
+// response is reproducible offline.
 //
 // Request JSON schemas and examples live in docs/serving.md.
 //
@@ -72,8 +73,8 @@ namespace serve {
 /// Configuration for a SimPushService.
 struct ServiceOptions {
   /// Process-default engine knobs (ε, c, δ, seed, walk cap). Tenants
-  /// created without an "options" object inherit these; a tenant's own
-  /// options (AddGraph overload / POST /v1/graphs "options") take
+  /// created over HTTP without an "options" object inherit these; a
+  /// tenant's own options (AddGraph / POST /v1/graphs "options") take
   /// precedence, and a per-request "epsilon" override beats both. See
   /// docs/serving.md for the precedence table.
   SimPushOptions query;
@@ -146,30 +147,13 @@ class SimPushService {
   /// An empty service: add graphs with AddGraph (or over HTTP).
   explicit SimPushService(const ServiceOptions& options);
 
-  /// Single-graph compatibility shape: registers a copy of `graph` as
-  /// options.default_graph. A failure to install the default graph
-  /// (invalid engine options, bad default name) is recorded and
-  /// surfaced by /healthz (503) and /v1/stats ("startup_error") — see
-  /// startup_status(). Tools should still check AddGraph directly and
-  /// exit non-zero, as simpush_serve does.
-  SimPushService(const Graph& graph, const ServiceOptions& options);
-
-  /// Registers `graph` under `name` with the process-default engine
-  /// options. Same error contract as GraphRegistry::Add; validates
-  /// engine options up front.
-  Status AddGraph(const std::string& name, Graph graph);
-
   /// Registers `graph` under `name` with per-tenant engine options:
   /// every generation of this tenant — including hot swaps — runs with
   /// `tenant_options`, independent of other tenants and of the process
-  /// defaults.
+  /// defaults. Same error contract as GraphRegistry::Add; a rejected
+  /// graph is not registered, so callers (simpush_serve) exit on it.
   Status AddGraph(const std::string& name, Graph graph,
                   const SimPushOptions& tenant_options);
-
-  /// Not-OK when installing the startup (default) graph failed and no
-  /// later AddGraph has installed it. /healthz reports 503 while this
-  /// is not OK.
-  Status startup_status() const;
 
   /// Unregisters `name`; in-flight queries on it finish unharmed.
   Status RemoveGraph(std::string_view name);
@@ -189,10 +173,8 @@ class SimPushService {
   /// verified by serve_test and registry_test.
   Status RunQuery(std::string_view graph_name, NodeId u,
                   SimPushResult* result);
-  /// Default-graph convenience overload.
-  Status RunQuery(NodeId u, SimPushResult* result);
 
-  /// Endpoint handlers (exposed for tests and the load generator; the
+  /// Endpoint handlers (exposed for tests and bench/e2e; the
   /// HTTP router calls the same rows). Each is concurrency-safe and a
   /// thin entry into the one route shell.
   HttpResponse HandleQuery(const HttpRequest& request);
@@ -278,13 +260,6 @@ class SimPushService {
   GraphRegistry registry_;
   HttpServer* server_ = nullptr;  // For admission counters in /v1/stats.
   Timer uptime_;
-
-  // Records a failed default-graph install (compat constructor) so the
-  // failure is visible to probes instead of silently yielding 404s on
-  // every query. Cleared when a later AddGraph installs the default
-  // graph successfully.
-  mutable Mutex startup_mu_;
-  Status startup_status_ SIMPUSH_GUARDED_BY(startup_mu_) = Status::OK();
 
   std::atomic<uint64_t> requests_[kUncounted] = {};
   std::atomic<uint64_t> nodes_scored_{0};

@@ -140,12 +140,14 @@ std::string ReadAll(int fd) {
 class ChaosFixture {
  public:
   explicit ChaosFixture(Graph graph, size_t http_workers = 2,
-                        size_t max_queued = 64, int idle_timeout_ms = 30000)
-      : graph_(std::move(graph)) {
+                        size_t max_queued = 64, int idle_timeout_ms = 30000) {
     ServiceOptions service_options;
     service_options.query = FastOptions();
     service_options.num_threads = 2;
-    service_ = std::make_unique<SimPushService>(graph_, service_options);
+    service_ = std::make_unique<SimPushService>(service_options);
+    const Status added = service_->AddGraph("default", std::move(graph),
+                                            service_options.query);
+    EXPECT_TRUE(added.ok()) << added.ToString();
 
     HttpServerOptions server_options;
     server_options.port = 0;
@@ -163,7 +165,6 @@ class ChaosFixture {
   uint16_t port() { return server_->port(); }
 
  private:
-  Graph graph_;
   std::unique_ptr<SimPushService> service_;
   std::unique_ptr<HttpServer> server_;
 };
@@ -247,7 +248,11 @@ TEST(ChaosTest, RebuildFailpointLeavesTenantServing) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  SimPushService service(options);
+  ASSERT_TRUE(service
+                  .AddGraph("default", testing_util::MakeFixtureGraph(),
+                            options.query)
+                  .ok());
   auto& registry = service.registry();
   const int64_t live_before = registry.live_generations();
   const auto before = registry.Stats("default");
@@ -267,7 +272,7 @@ TEST(ChaosTest, RebuildFailpointLeavesTenantServing) {
   EXPECT_EQ(after->swap_count, before->swap_count);
   EXPECT_EQ(registry.live_generations(), live_before);
   SimPushResult result;
-  EXPECT_TRUE(service.RunQuery(1, &result).ok());
+  EXPECT_TRUE(service.RunQuery("default", 1, &result).ok());
 
   FailpointRegistry::Get().DeactivateAll();
   const auto recovered = registry.Swap("default");
@@ -281,7 +286,11 @@ TEST(ChaosTest, PublishFailpointUnwindsBuiltGeneration) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  SimPushService service(options);
+  ASSERT_TRUE(service
+                  .AddGraph("default", testing_util::MakeFixtureGraph(),
+                            options.query)
+                  .ok());
   auto& registry = service.registry();
   const int64_t live_before = registry.live_generations();
   const auto before = registry.Stats("default");
@@ -301,7 +310,7 @@ TEST(ChaosTest, PublishFailpointUnwindsBuiltGeneration) {
   EXPECT_EQ(after->swap_count, before->swap_count);
   EXPECT_EQ(after->pending_updates, before->pending_updates);
   SimPushResult result;
-  EXPECT_TRUE(service.RunQuery(1, &result).ok());
+  EXPECT_TRUE(service.RunQuery("default", 1, &result).ok());
 }
 
 TEST(ChaosTest, WorkspaceAllocFailureTimesOutAs504) {
@@ -309,7 +318,11 @@ TEST(ChaosTest, WorkspaceAllocFailureTimesOutAs504) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  SimPushService service(options);
+  ASSERT_TRUE(service
+                  .AddGraph("default", testing_util::MakeFixtureGraph(),
+                            options.query)
+                  .ok());
 
   // Every lazy workspace creation "fails": the pool acts fully checked
   // out, so a deadline-carrying request waits, expires, and gets a 504
@@ -342,7 +355,11 @@ TEST(ChaosTest, DeadlineExpiryIsCountedPerTenant) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  SimPushService service(options);
+  ASSERT_TRUE(service
+                  .AddGraph("default", testing_util::MakeFixtureGraph(),
+                            options.query)
+                  .ok());
 
   // Stretch the checkout window past the request deadline so the 504
   // is deterministic even though the fixture graph queries in
@@ -527,7 +544,11 @@ TEST(ChaosTest, PatchOptionsRepublishesWithoutConsumingPending) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  SimPushService service(options);
+  ASSERT_TRUE(service
+                  .AddGraph("default", testing_util::MakeFixtureGraph(),
+                            options.query)
+                  .ok());
   auto& registry = service.registry();
 
   // Queue a pending master edit (no swap): the options change below
@@ -556,7 +577,7 @@ TEST(ChaosTest, PatchOptionsRepublishesWithoutConsumingPending) {
   EXPECT_EQ(after->num_edges, before->num_edges);  // Current graph, not master.
   EXPECT_EQ(after->swap_count, before->swap_count + 1);
   SimPushResult result;
-  EXPECT_TRUE(service.RunQuery(1, &result).ok());
+  EXPECT_TRUE(service.RunQuery("default", 1, &result).ok());
 
   // Contract violations: wrong method, missing body, unknown tenant,
   // network-bounds violation (ε below the server floor).
@@ -597,7 +618,8 @@ TEST(ChaosTest, CancellationSoakSurvivorsBitIdentical) {
   ServiceOptions options;
   options.query = soak_options;
   options.num_threads = 4;
-  SimPushService service(*graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   const int64_t live_baseline = service.registry().live_generations();
 
   // Four threads fire queries with tiny deadlines interleaved with
@@ -695,7 +717,8 @@ TEST(ChaosTest, ResultCacheInsertFailureDegradesToComputed) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
   const HttpRequest query = MakeRequest("POST", "/v1/query", "{\"node\": 3}");
 
   std::string healthy_body;

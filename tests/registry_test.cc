@@ -38,9 +38,13 @@ SimPushOptions FastOptions() {
 
 RegistryOptions FastRegistryOptions() {
   RegistryOptions options;
-  options.query = FastOptions();
   options.num_threads = 4;
   return options;
+}
+
+// Registers the fixture graph as `name` with FastOptions().
+Status AddFixture(GraphRegistry* registry, const std::string& name) {
+  return registry->Add(name, testing_util::MakeFixtureGraph(), FastOptions());
 }
 
 // Serial reference: fresh single-threaded engine on `graph` with the
@@ -74,7 +78,7 @@ TEST(RegistryTest, AddRemoveLookup) {
   EXPECT_EQ(registry.live_generations(), 0);
   EXPECT_EQ(registry.Lease("web").status().code(), StatusCode::kNotFound);
 
-  ASSERT_TRUE(registry.Add("web", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "web").ok());
   EXPECT_EQ(registry.size(), 1u);
   EXPECT_EQ(registry.live_generations(), 1);
   auto lease = registry.Lease("web");
@@ -82,18 +86,14 @@ TEST(RegistryTest, AddRemoveLookup) {
   EXPECT_EQ((*lease)->graph().num_nodes(), 10u);
 
   // Names are validated; duplicates conflict.
-  EXPECT_EQ(registry.Add("web", testing_util::MakeFixtureGraph()).code(),
+  EXPECT_EQ(AddFixture(&registry, "web").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(registry.Add("", testing_util::MakeFixtureGraph()).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Add("a/b", testing_util::MakeFixtureGraph()).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Add(std::string(65, 'x'),
-                         testing_util::MakeFixtureGraph())
-                .code(),
+  EXPECT_EQ(AddFixture(&registry, "").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(AddFixture(&registry, "a/b").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(AddFixture(&registry, std::string(65, 'x')).code(),
             StatusCode::kInvalidArgument);
 
-  ASSERT_TRUE(registry.Add("social", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "social").ok());
   EXPECT_EQ(registry.Names(), (std::vector<std::string>{"social", "web"}));
 
   // Remove: the name is gone immediately, but the held lease (the
@@ -112,12 +112,11 @@ TEST(RegistryTest, MaxGraphsEnforced) {
   RegistryOptions options = FastRegistryOptions();
   options.max_graphs = 2;
   GraphRegistry registry(options);
-  ASSERT_TRUE(registry.Add("a", testing_util::MakeFixtureGraph()).ok());
-  ASSERT_TRUE(registry.Add("b", testing_util::MakeFixtureGraph()).ok());
-  EXPECT_EQ(registry.Add("c", testing_util::MakeFixtureGraph()).code(),
-            StatusCode::kOutOfRange);
+  ASSERT_TRUE(AddFixture(&registry, "a").ok());
+  ASSERT_TRUE(AddFixture(&registry, "b").ok());
+  EXPECT_EQ(AddFixture(&registry, "c").code(), StatusCode::kOutOfRange);
   ASSERT_TRUE(registry.Remove("a").ok());
-  EXPECT_TRUE(registry.Add("c", testing_util::MakeFixtureGraph()).ok());
+  EXPECT_TRUE(AddFixture(&registry, "c").ok());
 }
 
 // Two tenants serving the SAME graph with different ε must answer from
@@ -128,7 +127,7 @@ TEST(RegistryTest, PerTenantOptionsDistinctEpsilon) {
   GraphRegistry registry(FastRegistryOptions());
   SimPushOptions coarse = FastOptions();
   coarse.epsilon = 0.4;
-  ASSERT_TRUE(registry.Add("fine", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "fine").ok());
   ASSERT_TRUE(
       registry.Add("coarse", testing_util::MakeFixtureGraph(), coarse).ok());
 
@@ -233,7 +232,7 @@ TEST(RegistryTest, InvalidOptionsRejectedAtAdd) {
 
 TEST(RegistryTest, SwapPublishesNewGenerationOldLeaseSurvives) {
   GraphRegistry registry(FastRegistryOptions());
-  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
   auto old_lease = registry.Lease("g");
   ASSERT_TRUE(old_lease.ok());
   const uint64_t gen1 = (*old_lease)->id();
@@ -283,7 +282,7 @@ TEST(RegistryTest, AutoSwapAtThreshold) {
   RegistryOptions options = FastRegistryOptions();
   options.swap_threshold = 3;
   GraphRegistry registry(options);
-  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
   const uint64_t gen1 = (*registry.Lease("g"))->id();
 
   auto outcome = registry.ApplyUpdates(
@@ -302,7 +301,7 @@ TEST(RegistryTest, AutoSwapAtThreshold) {
 
 TEST(RegistryTest, InvalidUpdateRejectsWholeBatch) {
   GraphRegistry registry(FastRegistryOptions());
-  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
   auto outcome = registry.ApplyUpdates(
       "g", {{EdgeUpdate::Kind::kInsert, 0, 4},
             {EdgeUpdate::Kind::kDelete, 7, 9},  // Not present.
@@ -321,7 +320,7 @@ TEST(RegistryTest, InvalidUpdateRejectsWholeBatch) {
 // bytes — never a half-applied prefix.
 TEST(RegistryTest, RejectedBatchThenSwapPublishesPreBatchBytes) {
   GraphRegistry registry(FastRegistryOptions());
-  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
   auto before = registry.Lease("g");
   ASSERT_TRUE(before.ok());
 
@@ -361,7 +360,7 @@ TEST(RegistryTest, RejectedBatchThenSwapPublishesPreBatchBytes) {
 // master damage and resets on publish, last_swap_ms records the cost.
 TEST(RegistryTest, DeltaSwapPathAndStats) {
   GraphRegistry registry(FastRegistryOptions());
-  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
   auto stats = registry.Stats("g");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->delta_swaps, 0u);
@@ -411,7 +410,7 @@ TEST(RegistryStress, SwapUnderLoadBitIdentity) {
   GraphRegistry registry(FastRegistryOptions());
   Graph base = testing_util::MakeFixtureGraph();
   const NodeId n = base.num_nodes();
-  ASSERT_TRUE(registry.Add("hot", std::move(base)).ok());
+  ASSERT_TRUE(registry.Add("hot", std::move(base), FastOptions()).ok());
 
   // Deterministic batch schedule: batch i adds two edges and removes
   // one edge added by batch i-1, so every update always applies.
@@ -692,7 +691,7 @@ TEST(RegistryStress, TwoTenantsDistinctEpsilonSwapUnderLoad) {
 // verified with the counting operator new/delete in simpush_alloc_hook.
 TEST(RegistryZeroAlloc, LeaseAndQuerySteadyState) {
   GraphRegistry registry(FastRegistryOptions());
-  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
 
   SimPushResult result;
   for (int warm = 0; warm < 3; ++warm) {
@@ -718,7 +717,7 @@ TEST(RegistryZeroAlloc, LeaseAndQuerySteadyState) {
 // counters survive the swap, and Remove + lease-drop leaks nothing.
 TEST(RegistryTest, GenerationOwnedCacheLifecycle) {
   GraphRegistry registry(FastRegistryOptions());
-  ASSERT_TRUE(registry.Add("web", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "web").ok());
 
   auto lease = registry.Lease("web");
   ASSERT_TRUE(lease.ok());
@@ -782,7 +781,7 @@ TEST(RegistryTest, CacheDisabledWhenBudgetZero) {
   RegistryOptions options = FastRegistryOptions();
   options.cache_bytes = 0;
   GraphRegistry registry(options);
-  ASSERT_TRUE(registry.Add("web", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(AddFixture(&registry, "web").ok());
   auto lease = registry.Lease("web");
   ASSERT_TRUE(lease.ok());
   EXPECT_EQ((*lease)->cache(), nullptr);

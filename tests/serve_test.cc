@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/memory.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "serve/http_client.h"
@@ -62,7 +63,10 @@ class ServeFixture {
     ServiceOptions service_options;
     service_options.query = FastOptions();
     service_options.num_threads = 4;
-    service_ = std::make_unique<SimPushService>(graph_, service_options);
+    service_ = std::make_unique<SimPushService>(service_options);
+    const Status added =
+        service_->AddGraph("default", graph_, service_options.query);
+    EXPECT_TRUE(added.ok()) << added.ToString();
 
     HttpServerOptions server_options;
     server_options.port = 0;
@@ -161,8 +165,9 @@ TEST(ServeSmoke, HealthAndStats) {
   EXPECT_EQ(stats->status, 200);
   auto doc = ParseJson(stats->body);
   ASSERT_TRUE(doc.ok()) << stats->body;
-  EXPECT_EQ(doc->Find("graph")->Find("nodes")->AsIndex().value(), 10u);
-  EXPECT_NE(doc->Find("pool"), nullptr);
+  const JsonValue* tenant = doc->Find("graphs")->Find("default");
+  EXPECT_EQ(tenant->Find("nodes")->AsIndex().value(), 10u);
+  EXPECT_NE(tenant->Find("pool"), nullptr);
   EXPECT_NE(doc->Find("latency_ms"), nullptr);
   EXPECT_NE(doc->Find("http"), nullptr);
   EXPECT_GT(doc->Find("memory")->Find("peak_rss_bytes")->number_value(), 0);
@@ -745,7 +750,8 @@ TEST(ServeMultiGraph, AutoSwapAtThreshold) {
   options.query = FastOptions();
   options.num_threads = 2;
   options.swap_threshold = 3;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   HttpRequest request;
   request.method = "POST";
@@ -788,7 +794,8 @@ TEST(ServeMultiGraph, OversizedUpdateRejected413) {
   options.query = FastOptions();
   options.num_threads = 2;
   options.max_update_edges = 4;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   HttpRequest request;
   request.method = "POST";
@@ -903,8 +910,8 @@ TEST(ServeSmoke, EpsilonOverrideLeasesFromBoundedPool) {
   options.num_threads = 2;
   options.pool_capacity = 2;
   options.cache_bytes = 0;
-  SimPushService service(*graph, options);
-  ASSERT_TRUE(service.startup_status().ok());
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   SimPushOptions override_options = FastOptions();
   override_options.epsilon = 0.05;
 
@@ -1139,40 +1146,37 @@ TEST(ServeMultiGraph, InvalidOptionsRejected400) {
   EXPECT_EQ(client.Post("/v1/query", "{\"node\": 1}")->status, 200);
 }
 
-// A failed default-graph install must not be swallowed: /healthz turns
-// 503, /v1/stats names the error, and a successful re-install of the
-// default graph recovers. Exercised through the handlers directly.
-TEST(ServeStartup, FailedDefaultGraphSurfaces503) {
-  Graph graph = testing_util::MakeFixtureGraph();
+// A rejected AddGraph returns its error to the caller and registers
+// nothing: queries on the name 404 while the liveness probe stays 200,
+// and a later valid AddGraph serves. Exercised through the handlers
+// directly.
+TEST(ServeStartup, RejectedAddGraphRegistersNothing) {
   ServiceOptions options;
   options.query = FastOptions();
-  options.query.epsilon = std::nan("");  // NaN must not pass validation.
   options.num_threads = 2;
-  SimPushService service(graph, options);
+  SimPushService service(options);
 
-  EXPECT_FALSE(service.startup_status().ok());
-  HttpRequest request;
-  const HttpResponse health = service.HandleHealth(request);
-  EXPECT_EQ(health.status, 503);
-  EXPECT_EQ(health.body,
-            R"g({"status":"unavailable","error":"InvalidArgument: epsilon must be in (0,1)"})g"
-            "\n");
-  const HttpResponse stats = service.HandleStats(request);
-  EXPECT_NE(stats.body.find("startup_error"), std::string::npos);
-  // No default tenant: queries 404 rather than silently serving.
-  SimPushResult result;
-  EXPECT_EQ(service.RunQuery(3, &result).code(), StatusCode::kNotFound);
+  SimPushOptions bad = FastOptions();
+  bad.epsilon = std::nan("");  // NaN must not pass validation.
+  const Status added =
+      service.AddGraph("default", testing_util::MakeFixtureGraph(), bad);
+  EXPECT_EQ(added.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(added.message(), "epsilon must be in (0,1)");
+  EXPECT_TRUE(service.registry().Names().empty());
 
-  // Installing the default graph with valid options recovers health.
+  HttpRequest query;
+  query.method = "POST";
+  query.target = "/v1/query";
+  query.body = "{\"node\": 3}";
+  EXPECT_EQ(service.HandleQuery(query).status, 404);
+  EXPECT_EQ(service.HandleHealth(HttpRequest()).status, 200);
+
   ASSERT_TRUE(service
                   .AddGraph("default", testing_util::MakeFixtureGraph(),
                             FastOptions())
                   .ok());
-  EXPECT_TRUE(service.startup_status().ok());
-  EXPECT_EQ(service.HandleHealth(request).status, 200);
-  EXPECT_EQ(service.HandleStats(request).body.find("startup_error"),
-            std::string::npos);
-  EXPECT_TRUE(service.RunQuery(3, &result).ok());
+  const HttpResponse served = service.HandleQuery(query);
+  EXPECT_EQ(served.status, 200) << served.body;
 }
 
 // The serve hot path — lease a pooled workspace, QueryInto reused
@@ -1184,15 +1188,16 @@ TEST(ServeZeroAlloc, QueryPathSteadyState) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   SimPushResult result;
   for (int warm = 0; warm < 3; ++warm) {
-    ASSERT_TRUE(service.RunQuery(3, &result).ok());
+    ASSERT_TRUE(service.RunQuery("default", 3, &result).ok());
   }
   const AllocationStats before = GetAllocationStats();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(service.RunQuery(3, &result).ok());
+    ASSERT_TRUE(service.RunQuery("default", 3, &result).ok());
   }
   const AllocationStats after = GetAllocationStats();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
@@ -1489,7 +1494,8 @@ TEST(ServeGolden, ResponseBytesArePinned) {
   options.max_batch_nodes = 8;
   options.max_update_edges = 4;
   options.max_graphs = 3;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
   const std::regex timing(
       "\"(total_ms|wall_ms|elapsed_ms|last_swap_ms)\":[-+0-9.eE]+");
   for (const GoldenExchange& exchange : kGoldenExchanges) {
@@ -1657,7 +1663,8 @@ TEST(ServeCache, DisabledCacheNeverStamps) {
   options.query = FastOptions();
   options.num_threads = 2;
   options.cache_bytes = 0;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   HttpRequest request;
   request.method = "POST";
@@ -1675,6 +1682,67 @@ TEST(ServeCache, DisabledCacheNeverStamps) {
   EXPECT_EQ(stats->cache_budget_bytes, 0u);
   EXPECT_EQ(stats->cache_hits, 0u);
   EXPECT_EQ(stats->cache_inserts, 0u);
+}
+
+// The cache contract on a skewed stream: 1 000 sequential /v1/query
+// requests whose sources are Zipf(1.1) over a Chung–Lu graph (n=2 000,
+// m=16 000, γ=2.2, seed 7) at ε=0.05. The default budget holds every
+// result, so each repeat of a source is a hit, the hit rate clears 0.6,
+// and a hit runs no query: engine.walks_sampled does not move.
+TEST(ServeCache, ZipfStreamHitsEveryRepeat) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, /*seed=*/7);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const NodeId n = graph->num_nodes();
+  ServiceOptions options;
+  options.query.epsilon = 0.05;
+  options.num_threads = 2;
+  SimPushService service(options);
+  ASSERT_TRUE(
+      service.AddGraph("default", *std::move(graph), options.query).ok());
+
+  // cdf[r] = P(source <= r), unnormalized: source r has weight (r+1)^-1.1.
+  std::vector<double> cdf(n);
+  double total = 0;
+  for (NodeId r = 0; r < n; ++r) {
+    total += std::pow(r + 1.0, -1.1);
+    cdf[r] = total;
+  }
+  const auto walks_sampled = [&service] {
+    auto doc = ParseJson(service.HandleStats(HttpRequest()).body);
+    return doc->Find("engine")->Find("walks_sampled")->AsIndex().value();
+  };
+
+  constexpr size_t kRequests = 1000;
+  Rng rng(7);
+  std::set<NodeId> sources;
+  size_t cached = 0;
+  uint64_t walks = walks_sampled();
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/query";
+  for (size_t i = 0; i < kRequests; ++i) {
+    const auto rank =
+        std::lower_bound(cdf.begin(), cdf.end(), rng.NextDouble() * total);
+    const NodeId source =
+        std::min<NodeId>(n - 1, static_cast<NodeId>(rank - cdf.begin()));
+    sources.insert(source);
+    request.body =
+        "{\"node\": " + std::to_string(source) + ", \"top_k\": 10}";
+    const HttpResponse response = service.HandleQuery(request);
+    ASSERT_EQ(response.status, 200) << response.body;
+    const uint64_t walks_before = walks;
+    walks = walks_sampled();
+    if (response.body.find("\"cached\":true") != std::string::npos) {
+      ++cached;
+      EXPECT_EQ(walks, walks_before) << "a cache hit ran a query";
+    }
+  }
+
+  auto stats = service.registry().Stats("default");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->cache_hits, kRequests - sources.size());
+  EXPECT_EQ(stats->cache_hits, cached);
+  EXPECT_GE(static_cast<double>(stats->cache_hits) / kRequests, 0.6);
 }
 
 // The headline lifecycle test: hammer a hot node while another thread
@@ -1696,7 +1764,8 @@ TEST(ServeCache, CacheUnderHotSwapServesOnlyItsGeneration) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
-  SimPushService service(graph, options);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   constexpr int kSwaps = 6;
   constexpr int kHammerThreads = 4;

@@ -3,8 +3,11 @@
 // epsilons, decay factors and query nodes (parameterized sweeps), plus
 // stats plumbing and ablation switches.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "simpush/simpush.h"
@@ -132,6 +135,40 @@ TEST(SimPushTest, DanglingQueryNodeGivesZeroVector) {
   EXPECT_DOUBLE_EQ(result->scores[0], 1.0);
   for (NodeId v = 1; v < 4; ++v) {
     EXPECT_DOUBLE_EQ(result->scores[v], 0.0);
+  }
+}
+
+TEST(SimPushTest, NoScoreCrossesWeakComponents) {
+  // Two disjoint bidirected cycles, {0..4} and {5..10}: √c-walks from
+  // one never reach the other, so every cross-component score is
+  // exactly 0, while nodes two hops apart on one cycle share in-
+  // neighbors and score > 0.
+  constexpr NodeId kSplit = 5;
+  constexpr NodeId kNodes = 11;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  const auto add_cycle = [&edges](NodeId first, NodeId last) {
+    for (NodeId a = first; a <= last; ++a) {
+      const NodeId b = a == last ? first : a + 1;
+      edges.push_back({a, b});
+      edges.push_back({b, a});
+    }
+  };
+  add_cycle(0, kSplit - 1);
+  add_cycle(kSplit, kNodes - 1);
+  Graph g = testing_util::MakeGraph(kNodes, edges);
+  SimPushEngine engine(g, TestOptions());
+  for (NodeId u = 0; u < kNodes; ++u) {
+    auto result = engine.Query(u);
+    ASSERT_TRUE(result.ok());
+    double within = 0;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      if ((u < kSplit) != (v < kSplit)) {
+        EXPECT_EQ(result->scores[v], 0.0) << "s(" << u << ", " << v << ")";
+      } else if (v != u) {
+        within = std::max(within, result->scores[v]);
+      }
+    }
+    EXPECT_GT(within, 0.0) << "node " << u;
   }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # tools/repro.sh — runs the README quickstart commands end to end
 # against a tiny synthetic graph: generate → CLI query/top-k → boot
-# simpush_serve → curl every endpoint → SIGTERM drain → closed-loop
-# load check. CI executes this on every push (.github/workflows/ci.yml,
+# simpush_serve → curl every endpoint → SIGTERM drain → a short
+# bench/e2e run. CI executes this on every push (.github/workflows/ci.yml,
 # `serve` job), so the documented commands cannot rot.
 #
 # Usage: tools/repro.sh            (configures+builds ./build if needed)
@@ -109,13 +109,11 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
 
-if [[ -x "$BUILD_DIR/bench_serve" ]]; then
-  echo "== closed-loop load check (bench_serve)"
-  "$BUILD_DIR/bench_serve" --nodes 2000 --edges 16000 \
-      --clients 4 --requests 10
-fi
+echo "== closed-loop Zipf load through the serving stack (bench/e2e)"
+# Its exit status carries the benchmark's replay and oracle gates.
+bash bench/e2e/run.sh --workload query_small_zipf --seed 1 --seconds 2 --trace 0
 
-echo "== record perf trajectory (BENCH_serial.json / BENCH_parallel.json / BENCH_serve.json)"
+echo "== record perf trajectory (BENCH_serial.json / BENCH_parallel.json / BENCH_dynamic.json)"
 # Every PR re-records machine-readable numbers at the repo root so the
 # perf trajectory is part of the history, not terminal scrollback.
 SIMPUSH_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
@@ -132,37 +130,6 @@ if [[ -x "$BUILD_DIR/bench_parallel" ]]; then
       --json BENCH_parallel.json > /dev/null
   echo "   wrote BENCH_parallel.json"
 fi
-if [[ -x "$BUILD_DIR/bench_serve" ]]; then
-  # Zipfian skew (s = 1.1) over the same graph: the run records the
-  # result-cache contract — hit rate, hit-vs-computed latency split,
-  # allocs on the hit path — and the asserts below keep it honest.
-  "$BUILD_DIR/bench_serve" --nodes 2000 --edges 16000 \
-      --clients 4 --requests 250 --zipf-s 1.1 \
-      --json BENCH_serve.json > /dev/null
-  echo "   wrote BENCH_serve.json"
-  python3 - <<'EOF'
-import json, sys
-with open("BENCH_serve.json") as f:
-    doc = json.load(f)
-rows = {r["name"]: r for r in doc["results"]}
-overall, hit, computed = (rows.get(k) for k in
-                          ("serve_overall", "serve_hit", "serve_computed"))
-assert overall and hit and computed, "bench_serve rows missing"
-assert overall["counters"]["errors"] == 0, "serve errors during bench"
-hit_rate = overall["counters"]["hit_rate"]
-allocs = hit["counters"]["allocs/hit"]
-if allocs > 0:
-    sys.exit(f"cache-hit path allocates: {allocs}/hit")
-if hit_rate < 0.6:
-    sys.exit(f"Zipf(1.1) hit rate below 60%: {hit_rate:.3f}")
-if hit["p50_ms"] * 10 > computed["p50_ms"]:
-    sys.exit(f"cache hits not >=10x faster: hit p50 {hit['p50_ms']:.3f}ms "
-             f"vs computed p50 {computed['p50_ms']:.3f}ms")
-print(f"   hit_rate {hit_rate:.1%}, hit p50 {hit['p50_ms']:.3f}ms, "
-      f"computed p50 {computed['p50_ms']:.3f}ms, allocs/hit {allocs}")
-EOF
-fi
-
 if [[ -x "$BUILD_DIR/bench_dynamic_updates" ]]; then
   # Full-vs-delta publish cost across a dirty-fraction sweep on a
   # 1.6M-edge Chung-Lu graph. The asserts pin the delta-generations
