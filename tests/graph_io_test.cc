@@ -1,13 +1,26 @@
 // Unit tests for edge-list parsing and round-tripping.
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simpush {
 namespace {
+
+using testing_util::CsrArrays;
+using testing_util::CsrOf;
 
 TEST(GraphIoTest, ParseBasicDirected) {
   auto result = ParseEdgeList("0 1\n1 2\n2 0\n");
@@ -76,6 +89,173 @@ TEST(GraphIoTest, SelfLoopDropOption) {
   auto result = ParseEdgeList("0 0\n0 1\n", options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_edges(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Differential tests: the loader against a reference implementation of
+// the original algorithm (getline + istringstream per line, ids
+// compacted in first-appearance order through a std::map, then a
+// global std::sort + std::unique). Every input here is one both accept,
+// and the two must agree on every CSR array.
+
+std::optional<CsrArrays> ReferenceParse(const std::string& text,
+                                        const EdgeListOptions& options) {
+  std::istringstream in(text);
+  std::map<uint64_t, NodeId> remap;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t pos = line.find_first_not_of(" \t\r");
+    if (pos == std::string::npos) continue;
+    if (options.comment_chars.find(line[pos]) != std::string::npos) continue;
+    std::istringstream fields(line);
+    uint64_t a = 0;
+    uint64_t b = 0;
+    if (!(fields >> a >> b)) return std::nullopt;
+    const NodeId src =
+        remap.emplace(a, static_cast<NodeId>(remap.size())).first->second;
+    const NodeId dst =
+        remap.emplace(b, static_cast<NodeId>(remap.size())).first->second;
+    edges.emplace_back(src, dst);
+    if (options.undirected) edges.emplace_back(dst, src);
+  }
+  return testing_util::ReferenceCsr(static_cast<NodeId>(remap.size()),
+                                    std::move(edges), options.undirected,
+                                    options.dedupe, options.drop_self_loops);
+}
+
+// Sparse 64-bit ids, the two extremes always among them.
+std::vector<uint64_t> IdPool(std::mt19937_64& rng, size_t size) {
+  std::vector<uint64_t> ids = {0, std::numeric_limits<uint64_t>::max()};
+  while (ids.size() < size) ids.push_back(rng() % 2 ? rng() : rng() % 1000);
+  return ids;
+}
+
+// One line of a SNAP-style edge list, newline included: an edge with
+// optional leading whitespace, space/tab separators, a trailing weight
+// column or trailing whitespace, or a comment, blank or whitespace-only
+// line; LF or CRLF.
+void AppendRandomLine(std::mt19937_64& rng, const std::vector<uint64_t>& ids,
+                      std::string* text) {
+  static const char* const kSeparators[] = {" ", "\t", "  ", " \t "};
+  auto separator = [&rng] { return kSeparators[rng() % 4]; };
+  auto id = [&] { return std::to_string(ids[rng() % ids.size()]); };
+  switch (rng() % 10) {
+    case 0:
+      *text += rng() % 2 ? "# comment 1 2" : "  % 3 4 header";
+      break;
+    case 1:
+      break;  // blank
+    case 2:
+      *text += " \t ";
+      break;
+    default: {
+      if (rng() % 4 == 0) *text += separator();
+      const std::string src = id();
+      *text += src;
+      *text += separator();
+      *text += rng() % 8 == 0 ? src : id();  // self-loop
+      switch (rng() % 4) {
+        case 0:
+          *text += separator();
+          *text += "0.5";  // weight column
+          break;
+        case 1:
+          *text += separator();
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  *text += rng() % 3 == 0 ? "\r\n" : "\n";
+}
+
+std::vector<EdgeListOptions> AllOptions() {
+  std::vector<EdgeListOptions> all;
+  for (const bool undirected : {false, true}) {
+    for (const bool dedupe : {false, true}) {
+      for (const bool drop_self_loops : {false, true}) {
+        EdgeListOptions options;
+        options.undirected = undirected;
+        options.dedupe = dedupe;
+        options.drop_self_loops = drop_self_loops;
+        all.push_back(options);
+      }
+    }
+  }
+  return all;
+}
+
+std::string WriteTemp(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  EXPECT_TRUE(out.good()) << path;
+  return path;
+}
+
+// ParseEdgeList and LoadEdgeList both match the reference under every
+// option combination.
+void ExpectMatchesReference(const std::string& text, const std::string& path) {
+  for (const EdgeListOptions& options : AllOptions()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "undirected " << options.undirected << " dedupe "
+                 << options.dedupe << " drop " << options.drop_self_loops);
+    const std::optional<CsrArrays> expected = ReferenceParse(text, options);
+    ASSERT_TRUE(expected.has_value());
+    auto parsed = ParseEdgeList(text, options);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(CsrOf(*parsed) == *expected) << "ParseEdgeList";
+    auto loaded = LoadEdgeList(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(CsrOf(*loaded) == *expected) << "LoadEdgeList";
+  }
+}
+
+TEST(GraphIoDifferentialTest, RandomEdgeListsMatchReference) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    const std::vector<uint64_t> ids = IdPool(rng, 2 + rng() % 60);
+    std::string text;
+    const size_t lines = rng() % 400;
+    for (size_t i = 0; i < lines; ++i) AppendRandomLine(rng, ids, &text);
+    // Odd seeds end on an edge with no final newline.
+    if (seed % 2 == 1) text += "17 " + std::to_string(ids[0]);
+    ExpectMatchesReference(text, WriteTemp("simpush_diff.txt", text));
+  }
+}
+
+// A file of more than two of the loader's 1 MiB read blocks. The first
+// block boundary falls inside a 20-digit id; the second falls between a
+// CR and its LF; the file ends without a newline.
+TEST(GraphIoDifferentialTest, LinesStraddlingBlockBoundariesMatchReference) {
+  constexpr size_t kBlock = size_t{1} << 20;
+  std::mt19937_64 rng(2024);
+  const std::vector<uint64_t> ids = IdPool(rng, 5000);
+  const std::string split_id = "18446744073709551615 12345678901234567890\n";
+  const std::string split_crlf = "5 18446744073709551615\r\n";
+  std::string text;
+  for (const size_t boundary : {kBlock, 2 * kBlock}) {
+    while (text.size() + 200 <= boundary) AppendRandomLine(rng, ids, &text);
+    // A comment filler puts the crafted line where the boundary splits it.
+    const size_t start = boundary == kBlock
+                             ? boundary - 7
+                             : boundary - (split_crlf.size() - 1);
+    text += '#';
+    text.append(start - text.size() - 1, 'x');
+    text += '\n';
+    text += boundary == kBlock ? split_id : split_crlf;
+  }
+  while (text.size() < 2 * kBlock + kBlock / 2) {
+    AppendRandomLine(rng, ids, &text);
+  }
+  text += "3 4";
+  ASSERT_EQ(text.substr(kBlock - 7, split_id.size()), split_id);
+  ASSERT_EQ(text[2 * kBlock - 1], '\r');
+  ASSERT_EQ(text[2 * kBlock], '\n');
+  ExpectMatchesReference(text, WriteTemp("simpush_diff_blocks.txt", text));
 }
 
 }  // namespace

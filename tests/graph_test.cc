@@ -1,7 +1,10 @@
 // Unit tests for the CSR graph and builder.
 
 #include <algorithm>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -84,6 +87,63 @@ TEST(GraphBuilderTest, UndirectedAddsBothDirections) {
   EXPECT_TRUE(result->is_symmetric());
   EXPECT_EQ(result->OutDegree(0), 1u);
   EXPECT_EQ(result->InDegree(0), 1u);
+}
+
+// Build's CSR equals a global std::sort + std::unique over the same
+// edges, on shuffled multigraphs with duplicates, self-loops and
+// isolated nodes, under every dedupe x drop_self_loops combination.
+TEST(GraphBuilderTest, BuildMatchesSortUniqueReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    const NodeId n = 1 + static_cast<NodeId>(rng() % 300);
+    // Endpoints come from the lower part of [0, n) only, so the upper
+    // nodes stay isolated; a small range forces duplicates and loops.
+    const NodeId used = 1 + static_cast<NodeId>(rng() % n);
+    const size_t m = rng() % 2000;
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (size_t i = 0; i < m; ++i) {
+      const NodeId src = static_cast<NodeId>(rng() % used);
+      const NodeId dst =
+          rng() % 8 == 0 ? src : static_cast<NodeId>(rng() % used);
+      edges.emplace_back(src, dst);
+      if (rng() % 4 == 0) edges.emplace_back(src, dst);  // duplicate
+    }
+    std::shuffle(edges.begin(), edges.end(), rng);
+    const bool symmetric = seed % 2 == 0;
+    for (const bool dedupe : {false, true}) {
+      for (const bool drop_self_loops : {false, true}) {
+        GraphBuilder builder(n);
+        for (const auto& [src, dst] : edges) builder.AddEdge(src, dst);
+        if (symmetric) builder.MarkSymmetric();
+        auto graph = std::move(builder).Build(dedupe, drop_self_loops);
+        ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+        EXPECT_TRUE(testing_util::CsrOf(*graph) ==
+                    testing_util::ReferenceCsr(n, edges, symmetric, dedupe,
+                                               drop_self_loops))
+            << "seed " << seed << " dedupe " << dedupe << " drop "
+            << drop_self_loops;
+      }
+    }
+  }
+}
+
+TEST(GraphBuilderTest, RejectsOutOfRangeEndpointUnderEveryFlag) {
+  // A bad source, a bad target, and a bad self-loop that
+  // drop_self_loops would otherwise remove: all are InvalidArgument.
+  const std::vector<std::pair<NodeId, NodeId>> bad = {{7, 1}, {1, 3}, {4, 4}};
+  for (const auto& [src, dst] : bad) {
+    for (const bool dedupe : {false, true}) {
+      for (const bool drop_self_loops : {false, true}) {
+        GraphBuilder builder(3);
+        builder.AddEdge(0, 1);
+        builder.AddEdge(src, dst);
+        builder.AddEdge(2, 0);
+        auto result = std::move(builder).Build(dedupe, drop_self_loops);
+        ASSERT_FALSE(result.ok()) << src << "->" << dst;
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
 }
 
 TEST(GraphTest, InOutConsistency) {

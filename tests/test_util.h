@@ -3,7 +3,10 @@
 #ifndef SIMPUSH_TESTS_TEST_UTIL_H_
 #define SIMPUSH_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "exact/power_method.h"
@@ -71,6 +74,67 @@ inline Graph RandomGraph(NodeId n, EdgeId m, uint64_t seed) {
   auto result = GenerateErdosRenyi(n, m, seed);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// A graph's four CSR arrays, flattened for exact comparison.
+struct CsrArrays {
+  NodeId num_nodes = 0;
+  bool is_symmetric = false;
+  std::vector<EdgeId> out_offsets;
+  std::vector<NodeId> out_targets;
+  std::vector<EdgeId> in_offsets;
+  std::vector<NodeId> in_sources;
+
+  bool operator==(const CsrArrays&) const = default;
+};
+
+inline CsrArrays CsrOf(const Graph& graph) {
+  CsrArrays csr;
+  csr.num_nodes = graph.num_nodes();
+  csr.is_symmetric = graph.is_symmetric();
+  for (NodeId v = 0; v <= graph.num_nodes(); ++v) {
+    csr.out_offsets.push_back(graph.OutRowBegin(v));
+    csr.in_offsets.push_back(graph.InRowBegin(v));
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (NodeId w : graph.OutNeighbors(v)) csr.out_targets.push_back(w);
+    for (NodeId w : graph.InNeighbors(v)) csr.in_sources.push_back(w);
+  }
+  return csr;
+}
+
+/// The CSR a builder must produce from `edges`, computed the plain way:
+/// drop self-loops if asked, one global std::sort (plus std::unique when
+/// deduping) for the out side, and a second sort by (dst, src) for the
+/// in side. Endpoints must be < n.
+inline CsrArrays ReferenceCsr(NodeId n,
+                              std::vector<std::pair<NodeId, NodeId>> edges,
+                              bool symmetric, bool dedupe,
+                              bool drop_self_loops) {
+  if (drop_self_loops) {
+    std::erase_if(edges, [](const auto& e) { return e.first == e.second; });
+  }
+  std::sort(edges.begin(), edges.end());
+  if (dedupe) edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  CsrArrays csr;
+  csr.num_nodes = n;
+  csr.is_symmetric = symmetric;
+  csr.out_offsets.assign(static_cast<size_t>(n) + 1, 0);
+  csr.in_offsets.assign(static_cast<size_t>(n) + 1, 0);
+  for (const auto& [src, dst] : edges) {
+    ++csr.out_offsets[src + 1];
+    ++csr.in_offsets[dst + 1];
+    csr.out_targets.push_back(dst);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    csr.out_offsets[v + 1] += csr.out_offsets[v];
+    csr.in_offsets[v + 1] += csr.in_offsets[v];
+  }
+  std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.second, x.first) < std::tie(y.second, y.first);
+  });
+  for (const auto& edge : edges) csr.in_sources.push_back(edge.first);
+  return csr;
 }
 
 /// The substrate ParallelQueryBatch fans out over: one engine core, one
