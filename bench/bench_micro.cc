@@ -1,5 +1,5 @@
 // Component micro-benchmarks (google-benchmark): walk sampling, push
-// kernels, graph construction, and the three SimPush stages in
+// kernels, graph construction and loading, and the three SimPush stages in
 // isolation. These quantify the constants behind the Table 1/3
 // complexities.
 
@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "graph/graph_io.h"
 #include "simpush/single_pair.h"
 #include "simpush/hitting.h"
 #include "simpush/last_meeting.h"
@@ -136,6 +138,36 @@ void BM_GraphBuild(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_GraphBuild)->Range(1 << 10, 1 << 14)->Complexity();
+
+// Text load of the e2e benchmark's web graph (Chung-Lu n=200 000,
+// m=1.6M, gamma=2.2, seed 7), written once to the temp directory with
+// SaveEdgeList and removed at exit. Reports bytes/s of edge-list text.
+struct WebEdgeListFile {
+  WebEdgeListFile()
+      : path((std::filesystem::temp_directory_path() /
+              "simpush_bench_web_edges.txt")
+                 .string()) {
+    auto graph = GenerateChungLu(200000, 1600000, 2.2, 7);
+    if (!graph.ok() || !SaveEdgeList(*graph, path).ok()) std::abort();
+    bytes = std::filesystem::file_size(path);
+  }
+  ~WebEdgeListFile() { std::filesystem::remove(path); }
+
+  std::string path;
+  uint64_t bytes = 0;
+};
+
+void BM_LoadEdgeList(benchmark::State& state) {
+  static const WebEdgeListFile file;
+  for (auto _ : state) {
+    auto graph = LoadEdgeList(file.path);
+    if (!graph.ok()) std::abort();
+    benchmark::DoNotOptimize(graph);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(file.bytes) *
+                          static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LoadEdgeList)->Unit(benchmark::kMillisecond);
 
 void BM_SourcePushStage(benchmark::State& state) {
   const Graph& g = BenchGraph();

@@ -35,8 +35,16 @@ class GraphBuilder {
   /// Marks the finished graph as symmetric (built from undirected input).
   void MarkSymmetric() { symmetric_ = true; }
 
+  /// Sets the node count, for callers that learn n only after the last
+  /// edge (the edge-list loader compacts ids as it reads them).
+  void SetNumNodes(NodeId num_nodes) { num_nodes_ = num_nodes; }
+
   /// Sorts adjacency, optionally removes duplicate edges and self-loops,
   /// and produces the immutable graph. The builder is consumed.
+  ///
+  /// A counting sort by source places each edge in its row, then each
+  /// row is sorted (and deduped) in place and the rows are compacted:
+  /// O(n + m log d_max), the same (src, dst) order a global sort gives.
   StatusOr<Graph> Build(bool dedupe = true, bool drop_self_loops = false) &&;
 
  private:

@@ -1,10 +1,14 @@
 #include "graph/graph_io.h"
 
-#include <cctype>
+#include <bit>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
-#include <unordered_map>
+#include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -15,81 +19,213 @@ namespace simpush {
 
 namespace {
 
-struct RawEdges {
-  std::vector<std::pair<uint64_t, uint64_t>> edges;
+constexpr size_t kBlockBytes = size_t{1} << 20;
+// How much of a malformed line an error message echoes.
+constexpr size_t kEchoBytes = 80;
+
+// Whitespace inside a line: every isspace byte except '\n', which ends it.
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+// Flat open-addressing map from raw 64-bit ids to dense NodeIds handed
+// out in first-appearance order. Linear probing, load factor <= 1/2.
+class IdInterner {
+ public:
+  IdInterner() { Resize(1024); }
+
+  NodeId size() const { return size_; }
+
+  NodeId Intern(uint64_t id) {
+    for (size_t slot = SlotOf(id);; slot = (slot + 1) & mask_) {
+      Slot& entry = slots_[slot];
+      if (entry.node == kInvalidNode) {
+        entry = {id, size_};
+        const NodeId node = size_++;
+        if (size_t{size_} * 2 > slots_.size()) Resize(slots_.size() * 2);
+        return node;
+      }
+      if (entry.id == id) return entry.node;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t id = 0;
+    NodeId node = kInvalidNode;
+  };
+
+  size_t SlotOf(uint64_t id) const {
+    // Fibonacci hashing: the product's top bits mix every input bit.
+    return static_cast<size_t>(((id ^ (id >> 32)) * 0x9E3779B97F4A7C15ull) >>
+                               shift_);
+  }
+
+  void Resize(size_t capacity) {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(capacity));
+    mask_ = capacity - 1;
+    shift_ = 64 - std::bit_width(mask_);  // top log2(capacity) bits
+    for (const Slot& entry : old) {
+      if (entry.node == kInvalidNode) continue;
+      size_t slot = SlotOf(entry.id);
+      while (slots_[slot].node != kInvalidNode) slot = (slot + 1) & mask_;
+      slots_[slot] = entry;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int shift_ = 64;
+  NodeId size_ = 0;
 };
 
-Status ParseInto(std::istream& in, const EdgeListOptions& options,
-                 RawEdges* out) {
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Skip blank and comment lines.
-    size_t pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos) continue;
-    if (options.comment_chars.find(line[pos]) != std::string::npos) continue;
-    std::istringstream ls(line);
-    uint64_t a = 0;
-    uint64_t b = 0;
-    if (!(ls >> a >> b)) {
-      return Status::IOError("malformed edge at line " +
-                             std::to_string(line_no) + ": '" + line + "'");
+// One pass over the bytes: parses lines, interns both ids and appends
+// the NodeId pair straight into a GraphBuilder.
+class EdgeListParser {
+ public:
+  explicit EdgeListParser(const EdgeListOptions& options) : options_(options) {
+    for (const char c : options.comment_chars) {
+      comment_[static_cast<unsigned char>(c)] = true;
     }
-    out->edges.emplace_back(a, b);
   }
-  return Status::OK();
-}
 
-StatusOr<Graph> BuildFromRaw(const RawEdges& raw,
-                             const EdgeListOptions& options) {
-  // Compact arbitrary ids to [0, n) in first-appearance order.
-  std::unordered_map<uint64_t, NodeId> remap;
-  remap.reserve(raw.edges.size() * 2);
-  auto intern = [&remap](uint64_t id) {
-    auto [it, inserted] = remap.emplace(id, static_cast<NodeId>(remap.size()));
-    (void)inserted;
-    return it->second;
-  };
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(raw.edges.size());
-  for (const auto& [a, b] : raw.edges) {
-    // Two statements: emplace_back(intern(a), intern(b)) would leave
-    // the interning order — and thus the documented first-appearance
-    // id assignment — to unspecified argument evaluation order.
-    const NodeId src = intern(a);
-    const NodeId dst = intern(b);
-    edges.emplace_back(src, dst);
-  }
-  GraphBuilder builder(static_cast<NodeId>(remap.size()));
-  for (const auto& [a, b] : edges) {
-    if (options.undirected) {
-      builder.AddUndirectedEdge(a, b);
-    } else {
-      builder.AddEdge(a, b);
+  // Parses every line in [begin, end). A line ends at '\n' or at `end`,
+  // so callers pass whole lines; only the input's last may lack '\n'.
+  Status ParseLines(const char* begin, const char* end) {
+    const char* p = begin;
+    while (p < end) {
+      ++line_no_;
+      const char* const line = p;
+      while (p < end && IsBlank(*p)) ++p;
+      if (p == end || *p == '\n' || comment_[static_cast<unsigned char>(*p)]) {
+        p = LineEnd(p, end);
+        if (p < end) ++p;
+        continue;
+      }
+      uint64_t a = 0;
+      uint64_t b = 0;
+      if (!ParseId(&p, end, &a) || p == end || !IsBlank(*p)) {
+        return Malformed(line, end);
+      }
+      while (p < end && IsBlank(*p)) ++p;
+      if (!ParseId(&p, end, &b)) return Malformed(line, end);
+      // Both ids may be new; kInvalidNode itself is never a node.
+      if (ids_.size() > kInvalidNode - 2) {
+        return Status::IOError("too many distinct node ids at line " +
+                               std::to_string(line_no_));
+      }
+      // Two statements: the interning order is the documented
+      // first-appearance id assignment.
+      const NodeId src = ids_.Intern(a);
+      const NodeId dst = ids_.Intern(b);
+      if (options_.undirected) {
+        builder_.AddUndirectedEdge(src, dst);
+      } else {
+        builder_.AddEdge(src, dst);
+      }
+      // Anything after the second id and its whitespace is ignored.
+      if (p < end && *p != '\n') p = LineEnd(p, end);
+      if (p < end) ++p;
     }
+    return Status::OK();
   }
-  if (options.undirected) builder.MarkSymmetric();
-  return std::move(builder).Build(options.dedupe, options.drop_self_loops);
-}
+
+  StatusOr<Graph> Finish() && {
+    builder_.SetNumNodes(ids_.size());
+    ids_ = IdInterner();  // free the table before Build allocates the CSR
+    if (options_.undirected) builder_.MarkSymmetric();
+    return std::move(builder_).Build(options_.dedupe,
+                                     options_.drop_self_loops);
+  }
+
+ private:
+  static const char* LineEnd(const char* p, const char* end) {
+    const void* newline = std::memchr(p, '\n', static_cast<size_t>(end - p));
+    return newline != nullptr ? static_cast<const char*>(newline) : end;
+  }
+
+  // An unsigned decimal id ending at whitespace or the end of the line.
+  static bool ParseId(const char** cursor, const char* end, uint64_t* id) {
+    const char* const digits = *cursor;
+    const char* p = digits;
+    uint64_t value = 0;
+    for (; p < end && *p >= '0' && *p <= '9'; ++p) {
+      const auto digit = static_cast<uint64_t>(*p - '0');
+      if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
+      value = value * 10 + digit;
+    }
+    if (p == digits || (p < end && *p != '\n' && !IsBlank(*p))) return false;
+    *cursor = p;
+    *id = value;
+    return true;
+  }
+
+  Status Malformed(const char* line, const char* end) const {
+    const size_t length = static_cast<size_t>(LineEnd(line, end) - line);
+    const std::string_view text(line, length);
+    return Status::IOError(
+        "malformed edge at line " + std::to_string(line_no_) + ": '" +
+        std::string(text.substr(0, kEchoBytes)) +
+        (text.size() > kEchoBytes ? "...'" : "'"));
+  }
+
+  const EdgeListOptions& options_;
+  bool comment_[256] = {};
+  size_t line_no_ = 0;
+  IdInterner ids_;
+  GraphBuilder builder_{0};
+};
+
+struct FileCloser {
+  void operator()(FILE* f) const { std::fclose(f); }
+};
 
 }  // namespace
 
 StatusOr<Graph> LoadEdgeList(const std::string& path,
                              const EdgeListOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  RawEdges raw;
-  SIMPUSH_RETURN_NOT_OK(ParseInto(in, options, &raw));
-  return BuildFromRaw(raw, options);
+  std::unique_ptr<FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (!file) return Status::IOError("cannot open '" + path + "'");
+  EdgeListParser parser(options);
+  // `buffer` holds the carried partial line at its front and the next
+  // block behind it; it grows only for a line longer than a block.
+  std::vector<char> buffer(kBlockBytes);
+  size_t carry = 0;
+  while (true) {
+    if (carry == buffer.size()) buffer.resize(buffer.size() * 2);
+    const size_t got = std::fread(buffer.data() + carry, 1,
+                                  buffer.size() - carry, file.get());
+    if (std::ferror(file.get())) {
+      return Status::IOError("read failed for '" + path +
+                             "': " + std::strerror(errno));
+    }
+    const char* const begin = buffer.data();
+    const char* const filled = begin + carry + got;
+    if (got == 0) {  // EOF: the carry is the unterminated last line
+      SIMPUSH_RETURN_NOT_OK(parser.ParseLines(begin, filled));
+      break;
+    }
+    // Parse up to the last newline; the partial line after it carries.
+    const char* whole = filled;
+    while (whole > begin && whole[-1] != '\n') --whole;
+    if (whole == begin) {
+      carry += got;
+      continue;
+    }
+    SIMPUSH_RETURN_NOT_OK(parser.ParseLines(begin, whole));
+    carry = static_cast<size_t>(filled - whole);
+    std::memmove(buffer.data(), whole, carry);
+  }
+  return std::move(parser).Finish();
 }
 
 StatusOr<Graph> ParseEdgeList(const std::string& text,
                               const EdgeListOptions& options) {
-  std::istringstream in(text);
-  RawEdges raw;
-  SIMPUSH_RETURN_NOT_OK(ParseInto(in, options, &raw));
-  return BuildFromRaw(raw, options);
+  EdgeListParser parser(options);
+  SIMPUSH_RETURN_NOT_OK(
+      parser.ParseLines(text.data(), text.data() + text.size()));
+  return std::move(parser).Finish();
 }
 
 StatusOr<Graph> LoadGraphAnyFormat(const std::string& path,

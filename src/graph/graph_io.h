@@ -23,9 +23,26 @@ struct EdgeListOptions {
   bool drop_self_loops = false;
 };
 
-/// Loads a graph from a whitespace-separated edge-list file. Node ids may
-/// be arbitrary non-negative integers; they are compacted to [0, n) in
+/// Loads a graph from a whitespace-separated edge-list file.
+///
+/// Grammar, one line at a time (lines end at '\n'; whitespace is space,
+/// tab, '\r', '\v' or '\f'):
+///   - a line that is empty or all whitespace is skipped;
+///   - a line whose first non-whitespace byte is in `comment_chars` is
+///     skipped;
+///   - any other line is `id ws+ id`, optionally followed by whitespace
+///     and anything at all (extra columns such as SNAP weights are
+///     ignored). An id is an unsigned decimal integer in [0, 2^64)
+///     ending at whitespace or the end of the line, so "-1", "+1",
+///     "2.5", "0x1f" and "2," are rejected.
+/// A line breaking the grammar is an IOError naming its line number and
+/// echoing at most 80 bytes of it. Ids are compacted to [0, n) in
 /// first-appearance order.
+///
+/// The file is read in 1 MiB blocks, so memory beyond the graph itself
+/// stays bounded by the block and the longest line. A read error (for
+/// instance `path` naming a directory) is an IOError, never a truncated
+/// graph.
 StatusOr<Graph> LoadEdgeList(const std::string& path,
                              const EdgeListOptions& options = {});
 

@@ -39,6 +39,51 @@ INSTANTIATE_TEST_SUITE_P(
         "\x01\x02\x03",        // binary junk
         "1\t2\textra garbage here"));
 
+// Exact expectations for the id grammar (graph_io.h): an id is unsigned
+// decimal ending at whitespace or the end of the line. Each bad line
+// sits on line 3, behind an edge and a comment, and the message names
+// that line.
+TEST(EdgeListGrammarTest, RejectsNonDecimalIdsNamingTheLine) {
+  for (const std::string bad :
+       {"-1 2", "+1 2", "1 2.5", "1 -2", "1 +2", "1.5 2", "0x10 1", "1,2",
+        "1 2,", "1 2abc", "1", "1 ", "1 # 2", "18446744073709551616 1",
+        "1 99999999999999999999"}) {
+    auto graph = ParseEdgeList("0 1\n# comment\n" + bad + "\n4 5\n");
+    ASSERT_FALSE(graph.ok()) << "accepted: '" << bad << "'";
+    EXPECT_EQ(graph.status().code(), StatusCode::kIOError);
+    EXPECT_NE(graph.status().message().find("line 3:"), std::string::npos)
+        << graph.status().message();
+    EXPECT_NE(graph.status().message().find("'" + bad + "'"),
+              std::string::npos)
+        << graph.status().message();
+  }
+}
+
+TEST(EdgeListGrammarTest, MalformedLineEchoIsCappedAt80Bytes) {
+  const std::string bad = "1 x" + std::string(500, 'y');
+  auto graph = ParseEdgeList(bad);
+  ASSERT_FALSE(graph.ok());
+  const std::string& message = graph.status().message();
+  EXPECT_NE(message.find("line 1:"), std::string::npos) << message;
+  EXPECT_NE(message.find(bad.substr(0, 80)), std::string::npos) << message;
+  EXPECT_EQ(message.find(bad.substr(0, 81)), std::string::npos) << message;
+}
+
+TEST(EdgeListGrammarTest, ExtremeIdsAndExtraColumnsAccepted) {
+  // Leading zeros, both ends of the id range, and extra columns after
+  // whitespace (SNAP weights, free text) are all valid.
+  auto graph = ParseEdgeList(
+      "18446744073709551615 0 1.5\n"
+      "007\t18446744073709551615\tweight=2 x\n"
+      "0 7 \r\n");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_nodes(), 3u);  // UINT64_MAX -> 0, 0 -> 1, 7 -> 2
+  EXPECT_EQ(graph->num_edges(), 3u);
+  auto out2 = graph->OutNeighbors(2);
+  ASSERT_EQ(out2.size(), 1u);
+  EXPECT_EQ(out2[0], 0u);
+}
+
 TEST(EdgeListParseTest, WhitespaceVariantsAllParse) {
   for (const std::string text :
        {"1 2\n3 4\n", "1\t2\n3\t4\n", "  1   2  \n\t3\t4\t\n",
@@ -116,6 +161,17 @@ TEST(EdgeListParseTest, EmptyInputsYieldEmptyGraphOrError) {
 
 TEST(EdgeListFileTest, MissingFileIsIOError) {
   auto graph = LoadEdgeList("/nonexistent_dir_xyz/graph.txt");
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kIOError);
+}
+
+// A directory opens but cannot be read: that is a read error, not an
+// empty graph (a server pointed at a directory must not serve n=0).
+TEST(EdgeListFileTest, DirectoryIsIOError) {
+  auto graph = LoadEdgeList(::testing::TempDir());
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kIOError);
+  graph = LoadGraphAnyFormat(::testing::TempDir());
   ASSERT_FALSE(graph.ok());
   EXPECT_EQ(graph.status().code(), StatusCode::kIOError);
 }
