@@ -223,7 +223,9 @@ TEST(GraphIoDifferentialTest, RandomEdgeListsMatchReference) {
     for (size_t i = 0; i < lines; ++i) AppendRandomLine(rng, ids, &text);
     // Odd seeds end on an edge with no final newline.
     if (seed % 2 == 1) text += "17 " + std::to_string(ids[0]);
-    ExpectMatchesReference(text, WriteTemp("simpush_diff.txt", text));
+    const std::string path = WriteTemp("simpush_diff.txt", text);
+    ExpectMatchesReference(text, path);
+    std::remove(path.c_str());
   }
 }
 
@@ -255,7 +257,9 @@ TEST(GraphIoDifferentialTest, LinesStraddlingBlockBoundariesMatchReference) {
   ASSERT_EQ(text.substr(kBlock - 7, split_id.size()), split_id);
   ASSERT_EQ(text[2 * kBlock - 1], '\r');
   ASSERT_EQ(text[2 * kBlock], '\n');
-  ExpectMatchesReference(text, WriteTemp("simpush_diff_blocks.txt", text));
+  const std::string path = WriteTemp("simpush_diff_blocks.txt", text);
+  ExpectMatchesReference(text, path);
+  std::remove(path.c_str());
 }
 
 }  // namespace
