@@ -42,6 +42,7 @@ StatusOr<Graph> GraphBuilder::Build(bool dedupe, bool drop_self_loops) && {
     write += static_cast<EdgeId>(row_end - row);
   }
   offsets[num_nodes_] = write;
+  // Graph::MemoryBytes counts capacity, so drop what dedupe freed.
   if (write < targets.size()) {
     targets.resize(write);
     targets.shrink_to_fit();
