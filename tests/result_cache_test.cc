@@ -9,6 +9,9 @@
 #include "serve/result_cache.h"
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -45,6 +48,13 @@ SimPushResult MakeResult(size_t num_scores, double fill) {
   result.scores.assign(num_scores, fill);
   result.stats.walks_sampled = static_cast<uint64_t>(fill * 1000);
   return result;
+}
+
+// Bitwise equality: operator== on doubles would let -0.0 stand in for
+// +0.0 (and fail on NaN), but a cached answer must reproduce the bits.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // The service flow: every lookup touches the sketch, so simulate
@@ -98,6 +108,29 @@ TEST(ResultCacheTest, HitReturnsStoredScoresAndStats) {
   // Different node / different fingerprint miss.
   EXPECT_FALSE(cache.Get(4, fp, &out));
   EXPECT_FALSE(cache.Get(3, fp ^ 1, &out));
+}
+
+TEST(ResultCacheTest, HitIsBitIdentical) {
+  // Every shape of zero and nonzero a score vector can hold: runs of
+  // +0.0, a -0.0, a subnormal, 1.0 and a nonzero last score.
+  SimPushResult stored;
+  stored.scores.assign(64, 0.0);
+  stored.scores[3] = -0.0;
+  stored.scores[7] = std::numeric_limits<double>::denorm_min();
+  stored.scores[8] = 1.0;
+  stored.scores[20] = 0.125;
+  stored.scores[63] = 3e-300;
+  stored.stats.walks_sampled = 77;
+  ResultCache cache(SmallConfig(4, stored.scores.size()));
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  AccessThenInsert(&cache, 5, fp, stored, 1);
+
+  SimPushResult out;
+  out.scores.assign(200, 9.0);  // A warm buffer of the wrong size.
+  ASSERT_TRUE(cache.Get(5, fp, &out));
+  EXPECT_TRUE(SameBits(out.scores, stored.scores));
+  EXPECT_TRUE(std::signbit(out.scores[3]));
+  EXPECT_EQ(out.stats.walks_sampled, 77u);
 }
 
 TEST(ResultCacheTest, LruEvictionOrder) {
@@ -287,7 +320,7 @@ TEST(ResultCacheConcurrency, EightThreadHammerHitsAreBitIdentical) {
         // Bitwise comparison against the serial reference — a cache
         // that ever served stale, torn, or wrong-key scores fails
         // here.
-        if (result.scores != reference[u]) mismatches.fetch_add(1);
+        if (!SameBits(result.scores, reference[u])) mismatches.fetch_add(1);
       }
     });
   }
