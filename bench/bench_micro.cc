@@ -19,12 +19,14 @@
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "serve/result_cache.h"
 #include "simpush/single_pair.h"
 #include "simpush/hitting.h"
 #include "simpush/last_meeting.h"
 #include "simpush/reverse_push.h"
 #include "simpush/simpush.h"
 #include "simpush/source_push.h"
+#include "simpush/topk.h"
 #include "walk/walk_batch.h"
 #include "walk/walker.h"
 
@@ -316,6 +318,55 @@ void BM_QueryColdEngine(benchmark::State& state) {
       double(after.allocations - before.allocations) / state.iterations());
 }
 BENCHMARK(BM_QueryColdEngine);
+
+// A cached /v1/topk answer: ResultCache::Get of a real result from a
+// warm 64 MiB cache, then SelectTopK(k=10). The graph and options are
+// the e2e small workload's (Chung-Lu n=20 000, m=160 000, gamma=2.2,
+// seed 7; eps=0.05, walk cap 100 000). 64 sources are computed and
+// cached up front; the loop cycles through them. "allocs/hit" counts
+// operator new calls per hit, Get and SelectTopK together;
+// "stored_frac" is the fraction of scores the entries store.
+void BM_ResultCacheHit(benchmark::State& state) {
+  static const Graph graph = [] {
+    auto g = GenerateChungLu(20000, 160000, 2.2, 7);
+    if (!g.ok()) std::abort();
+    return std::move(g).value();
+  }();
+  SimPushOptions o;
+  o.epsilon = 0.05;
+  o.walk_budget_cap = 100000;
+  SimPushEngine engine(graph, o);
+  serve::ResultCacheConfig config;
+  config.byte_budget = 64u << 20;
+  serve::ResultCache cache(config);
+  const uint64_t fp = serve::OptionsFingerprint(o);
+  constexpr NodeId kSources = 64;
+  constexpr NodeId kStride = 311;
+  SimPushResult result;
+  size_t stored = 0;
+  for (NodeId i = 0; i < kSources; ++i) {
+    const NodeId u = i * kStride % graph.num_nodes();
+    if (!engine.QueryInto(u, &result).ok() ||
+        !cache.Insert(u, fp, result) || !cache.Get(u, fp, &result)) {
+      std::abort();
+    }
+    for (double score : result.scores) stored += score != 0.0;
+  }
+  const AllocationStats before = GetAllocationStats();
+  NodeId i = 0;
+  for (auto _ : state) {
+    const NodeId u = i * kStride % graph.num_nodes();
+    if (!cache.Get(u, fp, &result)) std::abort();
+    benchmark::DoNotOptimize(SelectTopK(result.scores, 10, u));
+    i = (i + 1) % kSources;
+  }
+  const AllocationStats after = GetAllocationStats();
+  state.counters["allocs/hit"] = benchmark::Counter(
+      double(after.allocations - before.allocations) / state.iterations());
+  state.counters["stored_frac"] = benchmark::Counter(
+      double(stored) / (double(kSources) * graph.num_nodes()));
+}
+BENCHMARK(BM_ResultCacheHit);
 
 
 void BM_SinglePairSessionCreate(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/failpoint.h"
 
@@ -70,13 +71,23 @@ uint64_t ResultCache::KeyHash(NodeId source, uint64_t fingerprint) {
   return HashCombine(fingerprint, static_cast<uint64_t>(source));
 }
 
-size_t ResultCache::EntryBytes(size_t num_scores) {
-  // Scores dominate; kOverhead approximates the Entry struct, the LRU
-  // list node and the index slot. The budget is enforced against this
-  // estimate, not malloc's exact accounting — what matters is that it
-  // is a hard monotone bound proportional to what is stored.
+size_t ResultCache::EntryBytes(size_t stored_scores) {
+  // Stored (id, score) pairs dominate; kOverhead approximates the LRU
+  // list node, the index slot and the two vectors' malloc headers. The
+  // budget is enforced against this estimate, not malloc's exact
+  // accounting — what matters is that it is a hard monotone bound
+  // proportional to what is stored.
   constexpr size_t kOverhead = 160;
-  return num_scores * sizeof(double) + sizeof(Entry) + kOverhead;
+  return stored_scores * (sizeof(NodeId) + sizeof(double)) + sizeof(Entry) +
+         kOverhead;
+}
+
+bool ResultCache::VictimOutranks(const Shard& shard,
+                                 uint32_t candidate_freq) {
+  const Entry& victim = shard.lru.back();
+  return shard.sketch.Estimate(KeyHash(victim.key.source,
+                                       victim.key.fingerprint)) >=
+         candidate_freq;
 }
 
 ResultCache::ResultCache(const ResultCacheConfig& config)
@@ -111,7 +122,10 @@ bool ResultCache::Get(NodeId source, uint64_t fingerprint,
   const Entry& entry = *it->second;
   // assign() reuses out->scores' capacity; a warm caller buffer makes
   // the whole hit path allocation-free.
-  out->scores.assign(entry.scores.begin(), entry.scores.end());
+  out->scores.assign(entry.num_scores, 0.0);
+  for (size_t i = 0; i < entry.ids.size(); ++i) {
+    out->scores[entry.ids[i]] = entry.values[i];
+  }
   out->stats = entry.stats;
   metrics_->hits.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -135,13 +149,9 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
   }
 
   const uint64_t hash = KeyHash(source, fingerprint);
-  const size_t entry_bytes = EntryBytes(result.scores.size());
+  const std::vector<double>& scores = result.scores;
   Shard& shard = ShardFor(hash);
   MutexLock lock(&shard.mu);
-  if (entry_bytes > shard.budget) {
-    metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   const Key key{source, fingerprint};
   if (shard.index.find(key) != shard.index.end()) {
     // A concurrent request computed and inserted the same key; by the
@@ -151,22 +161,48 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
   // Evict until the entry fits — but only past victims it outranks.
   // A cold one-shot source must not displace a hot entry: if the LRU
   // victim is accessed at least as often as the candidate, the insert
-  // loses the duel and the cache keeps what it has.
+  // loses the duel and the cache keeps what it has. The duel runs
+  // before the O(n) nonzero count whenever even a dense entry would
+  // need an eviction, so a losing insert never pays for the scan.
   const uint32_t candidate_freq = shard.sketch.Estimate(hash);
+  if (shard.bytes + EntryBytes(scores.size()) > shard.budget &&
+      !shard.lru.empty() && VictimOutranks(shard, candidate_freq)) {
+    metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  // A score is stored when its bit pattern is nonzero, so -0.0 is kept.
+  const auto stored = [&scores](size_t v) {
+    uint64_t bits;
+    std::memcpy(&bits, &scores[v], sizeof(bits));
+    return bits != 0;
+  };
+  size_t num_stored = 0;
+  for (size_t v = 0; v < scores.size(); ++v) num_stored += stored(v);
+  const size_t entry_bytes = EntryBytes(num_stored);
+  if (entry_bytes > shard.budget) {
+    metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   while (shard.bytes + entry_bytes > shard.budget) {
-    Entry& victim = shard.lru.back();
-    const uint64_t victim_hash = KeyHash(victim.key.source,
-                                         victim.key.fingerprint);
-    if (shard.sketch.Estimate(victim_hash) >= candidate_freq) {
+    if (VictimOutranks(shard, candidate_freq)) {
       metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
+    const Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
     shard.index.erase(victim.key);
     shard.lru.pop_back();
     metrics_->evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.lru.push_front(Entry{key, entry_bytes, result.scores, result.stats});
+  Entry entry{key, entry_bytes, scores.size(), {}, {}, result.stats};
+  entry.ids.reserve(num_stored);
+  entry.values.reserve(num_stored);
+  for (size_t v = 0; v < scores.size(); ++v) {
+    if (!stored(v)) continue;
+    entry.ids.push_back(static_cast<NodeId>(v));
+    entry.values.push_back(scores[v]);
+  }
+  shard.lru.push_front(std::move(entry));
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += entry_bytes;
   metrics_->inserts.fetch_add(1, std::memory_order_relaxed);

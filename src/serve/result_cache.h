@@ -31,8 +31,24 @@
 // otherwise the insert is rejected (admission_rejects). This is what
 // keeps a scan of one-shot sources from flushing the hot set.
 //
-// Budget. A hard per-tenant byte budget, split evenly across shards.
-// Entries larger than a shard's budget are never admitted.
+// Storage. A SimPush score vector is mostly zeros (the push phases only
+// touch nodes near the source), so an entry keeps just the scores whose
+// bit pattern is nonzero, as ascending (node id, score) pairs, and Get()
+// scatters them back into a zeroed vector of the original length. -0.0
+// is a nonzero bit pattern and is stored, so a hit is bit-identical to
+// the computed vector.
+//
+// Budget. A hard per-tenant byte budget, split evenly across shards and
+// charged for what an entry actually stores (EntryBytes of its stored
+// score count). Entries larger than a shard's budget are never admitted.
+//
+// Counting an entry's nonzeros is an O(n) scan, so it is only paid for
+// an insert that can still be admitted: when even a dense entry
+// (EntryBytes(n)) would need an eviction, the duel against the LRU
+// victim runs first, and a loss rejects the insert before the scan.
+// That is slightly stricter than dueling on the sparse size: within
+// a shard's last EntryBytes(n) bytes of headroom, an insert whose
+// sparse entry would still have fit loses the duel and is rejected.
 //
 // Thread-safety: all methods safe from any thread. The cache is
 // sharded by key hash; each shard has its own mutex, LRU list and
@@ -93,8 +109,9 @@ struct ResultCacheConfig {
   std::shared_ptr<ResultCacheMetrics> metrics;
 };
 
-/// Sharded LRU of full SimPushResult score vectors with TinyLFU-style
-/// admission and a hard byte budget. See file comment for the model.
+/// Sharded LRU of SimPushResult score vectors, stored sparse, with
+/// TinyLFU-style admission and a hard byte budget. See file comment for
+/// the model.
 class ResultCache {
  public:
   explicit ResultCache(const ResultCacheConfig& config);
@@ -102,8 +119,8 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Looks up (source, fingerprint). On a hit, copies the stored
-  /// scores + stats into `*out` (no allocation when out->scores is
+  /// Looks up (source, fingerprint). On a hit, rebuilds the full score
+  /// vector + stats in `*out` (no allocation when out->scores is
   /// already at capacity) and refreshes LRU position. Records the
   /// access in the frequency sketch either way, so repeated misses
   /// build up the admission credit that lets the source displace a
@@ -129,10 +146,11 @@ class ResultCache {
     return metrics_;
   }
 
-  /// Bytes one cached entry for an n-node score vector accounts for
-  /// (scores + bookkeeping overhead). Exposed for budget math in
+  /// Bytes one cached entry holding `stored_scores` nonzero scores
+  /// accounts for (12 bytes per score + bookkeeping overhead). A dense
+  /// n-node vector costs EntryBytes(n). Exposed for budget math in
   /// tests and capacity planning.
-  static size_t EntryBytes(size_t num_scores);
+  static size_t EntryBytes(size_t stored_scores);
 
  private:
   struct Key {
@@ -151,7 +169,11 @@ class ResultCache {
   struct Entry {
     Key key;
     size_t bytes = 0;
-    std::vector<double> scores;
+    // Length of the cached score vector; every node not in `ids`
+    // scores +0.0.
+    size_t num_scores = 0;
+    std::vector<NodeId> ids;  // Ascending.
+    std::vector<double> values;
     SimPushQueryStats stats;
   };
   using LruList = std::list<Entry>;
@@ -185,6 +207,11 @@ class ResultCache {
   };
 
   static uint64_t KeyHash(NodeId source, uint64_t fingerprint);
+  // True when the shard's LRU victim is accessed at least as often as
+  // a candidate of sketch frequency `candidate_freq`, i.e. the
+  // candidate loses the admission duel. The shard must be non-empty.
+  static bool VictimOutranks(const Shard& shard, uint32_t candidate_freq)
+      SIMPUSH_REQUIRES(shard.mu);
   Shard& ShardFor(uint64_t key_hash) {
     return *shards_[key_hash % shards_.size()];
   }

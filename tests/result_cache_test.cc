@@ -50,6 +50,24 @@ SimPushResult MakeResult(size_t num_scores, double fill) {
   return result;
 }
 
+// A result with one nonzero score in every `stride` (stride 20: 5%
+// nonzero, the sparsity SimPush answers have on web-like graphs).
+SimPushResult MakeSparseResult(size_t num_scores, size_t stride,
+                               double fill) {
+  SimPushResult result;
+  result.scores.assign(num_scores, 0.0);
+  for (size_t v = 0; v < num_scores; v += stride) {
+    result.scores[v] = fill + 1e-6 * static_cast<double>(v);
+  }
+  return result;
+}
+
+size_t NonzeroCount(const SimPushResult& result) {
+  size_t count = 0;
+  for (double score : result.scores) count += score != 0.0;
+  return count;
+}
+
 // Bitwise equality: operator== on doubles would let -0.0 stand in for
 // +0.0 (and fail on NaN), but a cached answer must reproduce the bits.
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -202,6 +220,78 @@ TEST(ResultCacheTest, OversizedEntryIsRejectedOutright) {
   EXPECT_FALSE(cache.Insert(0, fp, MakeResult(100000, 0.5)));
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_GE(cache.metrics()->admission_rejects.load(), 1u);
+}
+
+TEST(ResultCacheTest, SparseEntriesAreChargedForWhatTheyStore) {
+  // Budgeted for 2 dense 4 096-score entries; 5%-nonzero entries cost
+  // ~18x less, so the same bytes hold many more of them.
+  constexpr size_t kScores = 4096;
+  ResultCache cache(SmallConfig(2, kScores));
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  size_t charged = 0;
+  for (NodeId u = 0; u < 40; ++u) {
+    const SimPushResult result = MakeSparseResult(kScores, 20, 0.01 * (u + 1));
+    ASSERT_EQ(NonzeroCount(result), 205u);
+    SimPushResult scratch;
+    cache.Get(u, fp, &scratch);
+    if (cache.Insert(u, fp, result)) {
+      charged += ResultCache::EntryBytes(NonzeroCount(result));
+    }
+    EXPECT_EQ(cache.bytes(), charged);
+    EXPECT_LE(cache.bytes(), cache.budget_bytes());
+  }
+  EXPECT_GE(cache.entries(), 10u);
+  EXPECT_EQ(cache.metrics()->evictions.load(), 0u);
+
+  // Each hit still rebuilds the full-length, bit-identical vector.
+  SimPushResult out;
+  ASSERT_TRUE(cache.Get(0, fp, &out));
+  EXPECT_TRUE(
+      SameBits(out.scores, MakeSparseResult(kScores, 20, 0.01).scores));
+}
+
+TEST(ResultCacheTest, DenseEntryCostsItsFullLength) {
+  constexpr size_t kScores = 4096;
+  ResultCache cache(SmallConfig(2, kScores));
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  AccessThenInsert(&cache, 1, fp, MakeResult(kScores, 0.5), 1);
+  ASSERT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.bytes(), ResultCache::EntryBytes(kScores));
+  // An all-zero vector stores no scores at all.
+  AccessThenInsert(&cache, 2, fp, MakeResult(kScores, 0.0), 1);
+  EXPECT_EQ(cache.bytes(),
+            ResultCache::EntryBytes(kScores) + ResultCache::EntryBytes(0));
+  SimPushResult out;
+  ASSERT_TRUE(cache.Get(2, fp, &out));
+  EXPECT_TRUE(SameBits(out.scores, MakeResult(kScores, 0.0).scores));
+}
+
+// Admission duels the LRU victim before it counts nonzeros whenever a
+// dense-sized entry would not fit, so a colder candidate is rejected
+// even when its sparse entry would have fit in the headroom left.
+TEST(ResultCacheTest, ColderCandidateLosesBeforeTheNonzeroCount) {
+  constexpr size_t kScores = 4096;
+  ResultCache cache(SmallConfig(2, kScores));
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  AccessThenInsert(&cache, 0, fp, MakeResult(kScores, 0.5), 2);  // Victim.
+  AccessThenInsert(&cache, 1, fp, MakeSparseResult(kScores, 20, 0.1), 8);
+  ASSERT_EQ(cache.entries(), 2u);
+  const size_t sparse_bytes = ResultCache::EntryBytes(205);
+  ASSERT_GT(cache.bytes() + ResultCache::EntryBytes(kScores),
+            cache.budget_bytes());
+  ASSERT_LE(cache.bytes() + sparse_bytes, cache.budget_bytes());
+
+  // Cold (1 access against the victim's 2): rejected, nothing evicted.
+  const uint64_t rejects = cache.metrics()->admission_rejects.load();
+  AccessThenInsert(&cache, 2, fp, MakeSparseResult(kScores, 20, 0.2), 1);
+  EXPECT_EQ(cache.metrics()->admission_rejects.load(), rejects + 1);
+  EXPECT_EQ(cache.entries(), 2u);
+
+  // Warmer (3 accesses): wins the duel, then fits without an eviction.
+  AccessThenInsert(&cache, 3, fp, MakeSparseResult(kScores, 20, 0.3), 3);
+  EXPECT_EQ(cache.entries(), 3u);
+  EXPECT_EQ(cache.metrics()->evictions.load(), 0u);
+  EXPECT_LE(cache.bytes(), cache.budget_bytes());
 }
 
 TEST(ResultCacheTest, ZeroBudgetDisablesInserts) {

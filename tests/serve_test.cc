@@ -34,6 +34,7 @@
 #include "serve/http_client.h"
 #include "serve/http_server.h"
 #include "serve/json.h"
+#include "serve/result_cache.h"
 #include "serve/service.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
@@ -1743,6 +1744,71 @@ TEST(ServeCache, ZipfStreamHitsEveryRepeat) {
   EXPECT_EQ(stats->cache_hits, kRequests - sources.size());
   EXPECT_EQ(stats->cache_hits, cached);
   EXPECT_GE(static_cast<double>(stats->cache_hits) / kRequests, 0.6);
+}
+
+// Sparse entries: with a budget of 4 dense entries per shard, the same
+// Zipf stream keeps more than 8 x 4 sources cached, within the budget,
+// and every cached body equals an uncached service's body for the same
+// request once the stamp is removed.
+TEST(ServeCache, SparseEntriesStretchTheBudget) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, /*seed=*/7);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const NodeId n = graph->num_nodes();
+  ServiceOptions options;
+  options.query.epsilon = 0.05;
+  options.num_threads = 2;
+  options.cache_bytes = 8 * 4 * ResultCache::EntryBytes(n);
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
+  ServiceOptions uncached_options = options;
+  uncached_options.cache_bytes = 0;
+  SimPushService uncached(uncached_options);
+  ASSERT_TRUE(
+      uncached.AddGraph("default", *std::move(graph), options.query).ok());
+
+  std::vector<double> cdf(n);
+  double total = 0;
+  for (NodeId r = 0; r < n; ++r) {
+    total += std::pow(r + 1.0, -1.1);
+    cdf[r] = total;
+  }
+  constexpr size_t kRequests = 1000;
+  const std::string stamp = ",\"cached\":true";
+  Rng rng(7);
+  std::map<NodeId, std::string> uncached_bodies;
+  size_t cached = 0;
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/query";
+  for (size_t i = 0; i < kRequests; ++i) {
+    const auto rank =
+        std::lower_bound(cdf.begin(), cdf.end(), rng.NextDouble() * total);
+    const NodeId source =
+        std::min<NodeId>(n - 1, static_cast<NodeId>(rank - cdf.begin()));
+    request.body =
+        "{\"node\": " + std::to_string(source) + ", \"top_k\": 10}";
+    const HttpResponse response = service.HandleQuery(request);
+    ASSERT_EQ(response.status, 200) << response.body;
+    const size_t at = response.body.find(stamp);
+    if (at == std::string::npos) continue;
+    ++cached;
+    auto [it, fresh] = uncached_bodies.try_emplace(source);
+    if (fresh) {
+      const HttpResponse computed = uncached.HandleQuery(request);
+      ASSERT_EQ(computed.status, 200) << computed.body;
+      it->second = computed.body;
+    }
+    std::string body = response.body;
+    body.erase(at, stamp.size());
+    EXPECT_EQ(body, it->second) << "source " << source;
+  }
+
+  auto stats = service.registry().Stats("default");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats->cache_entries, 32u);
+  EXPECT_LE(stats->cache_bytes, options.cache_bytes);
+  EXPECT_EQ(stats->cache_hits, cached);
+  EXPECT_GT(cached, 0u);
 }
 
 // The headline lifecycle test: hammer a hot node while another thread

@@ -38,6 +38,20 @@ echo "== single-source SimRank query (CLI)"
 echo "== top-k query (CLI)"
 "$CLI" topk --graph "$WORK/web.txt" --node 42 --k 5 --epsilon 0.05
 
+echo "== integer flags are strict unsigned decimals: a bad value exits 2 naming the flag"
+for bad in -1 64MiB; do
+  status=0
+  timeout 10 "$SERVE" --graph "$WORK/web.txt" --port 0 --cache-bytes "$bad" \
+      2> "$WORK/flag.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q -- "--cache-bytes" "$WORK/flag.err" || {
+    echo "simpush_serve --cache-bytes $bad: exit $status, want 2" >&2; exit 1; }
+  status=0
+  "$CLI" query --graph "$WORK/web.txt" --node "$bad" \
+      2> "$WORK/flag.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q -- "--node" "$WORK/flag.err" || {
+    echo "simpush_cli --node $bad: exit $status, want 2" >&2; exit 1; }
+done
+
 echo "== boot simpush_serve on an ephemeral port (second tenant with its own epsilon)"
 "$SERVE" --graph "$WORK/web.txt" --graph "tuned=$WORK/web.txt:eps=0.08" \
     --port 0 --default-epsilon 0.05 --port-file "$WORK/port" &
@@ -120,7 +134,7 @@ SIMPUSH_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 export SIMPUSH_GIT_SHA
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   "$BUILD_DIR/bench_micro" --json BENCH_serial.json \
-      --benchmark_filter='BM_WalkKernel|BM_SourcePushStage|BM_GammaStage|BM_FullQuery|BM_QuerySteadyState|BM_LoadEdgeList' \
+      --benchmark_filter='BM_WalkKernel|BM_SourcePushStage|BM_GammaStage|BM_FullQuery|BM_QuerySteadyState|BM_LoadEdgeList|BM_ResultCacheHit' \
       --benchmark_min_time=0.2 --benchmark_repetitions=3 \
       --benchmark_report_aggregates_only=false > /dev/null
   echo "   wrote BENCH_serial.json"

@@ -18,11 +18,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "args.h"
 #include "baselines/probesim.h"
 #include "baselines/prsim.h"
 #include "baselines/sling.h"
@@ -44,35 +46,8 @@ namespace {
 
 using namespace simpush;
 
-// Minimal --flag value parser: flags come as "--name value" pairs.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
-      }
-    }
-  }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+// Bound for flags narrowed to NodeId or uint32_t.
+constexpr uint64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
 
 int Usage() {
   std::fprintf(
@@ -120,7 +95,7 @@ int RunQuery(const Args& args) {
   EngineCore core(*graph, options);
   WorkspacePool pool(1);
   QueryRunner runner(core, pool);
-  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0));
+  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0, kMaxUint32));
   auto result = runner.Query(u);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -141,7 +116,7 @@ int RunTopK(const Args& args) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0));
+  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0, kMaxUint32));
   const size_t k = args.GetInt("k", 10);
   const std::string method = args.Get("method", "simpush");
   const double epsilon = args.GetDouble("epsilon", 0.01);
@@ -220,9 +195,25 @@ int RunPair(const Args& args) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0));
+  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0, kMaxUint32));
   const std::string targets = args.Get("targets", "");
   if (targets.empty()) return Usage();
+  std::vector<NodeId> target_ids;
+  for (size_t start = 0; start <= targets.size();) {
+    size_t comma = targets.find(',', start);
+    if (comma == std::string::npos) comma = targets.size();
+    uint64_t v = 0;
+    if (!ParseUnsignedDecimal(targets.substr(start, comma - start),
+                              kMaxUint32, &v)) {
+      std::fprintf(stderr,
+                   "bad --targets \"%s\": need comma-separated unsigned "
+                   "decimal node ids\n",
+                   targets.c_str());
+      return 2;
+    }
+    target_ids.push_back(static_cast<NodeId>(v));
+    start = comma + 1;
+  }
 
   SimPushOptions options;
   options.epsilon = args.GetDouble("epsilon", 0.01);
@@ -234,13 +225,7 @@ int RunPair(const Args& args) {
   const uint64_t walks = args.GetInt("walks", 0);  // 0 = Hoeffding default
   std::printf("# s(%u, v) pair estimates (%zu attention nodes, L=%u)\n", u,
               session->num_attention(), session->max_level());
-  size_t start = 0;
-  while (start < targets.size()) {
-    size_t comma = targets.find(',', start);
-    if (comma == std::string::npos) comma = targets.size();
-    const NodeId v = static_cast<NodeId>(
-        std::strtoull(targets.substr(start, comma - start).c_str(), nullptr,
-                      10));
+  for (const NodeId v : target_ids) {
     auto result = session->Estimate(v, walks);
     if (!result.ok()) {
       std::fprintf(stderr, "node %u: %s\n", v,
@@ -248,7 +233,6 @@ int RunPair(const Args& args) {
     } else {
       std::printf("%u %.6f\n", v, result->score);
     }
-    start = comma + 1;
   }
   return 0;
 }
@@ -296,8 +280,10 @@ int RunIndex(const Args& args) {
   std::function<Status(const std::string&)> save, load;
   if (method == "reads") {
     ReadsOptions o;
-    o.num_walks = static_cast<uint32_t>(args.GetInt("walks", 100));
-    o.max_depth = static_cast<uint32_t>(args.GetInt("depth", 10));
+    o.num_walks =
+        static_cast<uint32_t>(args.GetInt("walks", 100, kMaxUint32));
+    o.max_depth =
+        static_cast<uint32_t>(args.GetInt("depth", 10, kMaxUint32));
     auto reads = std::make_unique<Reads>(*graph, o);
     save = [r = reads.get()](const std::string& p) { return r->SaveIndex(p); };
     load = [r = reads.get()](const std::string& p) { return r->LoadIndex(p); };
@@ -343,7 +329,7 @@ int RunIndex(const Args& args) {
     std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
     return 1;
   }
-  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0));
+  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0, kMaxUint32));
   auto scores = algo->Query(u);
   if (!scores.ok()) {
     std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
@@ -411,7 +397,8 @@ int RunConvert(const Args& args) {
 
 int RunGenerate(const Args& args) {
   const std::string kind = args.Get("kind", "chunglu");
-  const NodeId n = static_cast<NodeId>(args.GetInt("nodes", 10000));
+  const NodeId n =
+      static_cast<NodeId>(args.GetInt("nodes", 10000, kMaxUint32));
   const EdgeId m = args.GetInt("edges", uint64_t(n) * 8);
   const uint64_t seed = args.GetInt("seed", 1);
   const bool undirected = args.GetInt("undirected", 0) != 0;
@@ -420,7 +407,8 @@ int RunGenerate(const Args& args) {
     graph = GenerateErdosRenyi(n, m, seed, undirected);
   } else if (kind == "ba") {
     graph = GenerateBarabasiAlbert(
-        n, static_cast<uint32_t>(args.GetInt("attach", 4)), seed, undirected);
+        n, static_cast<uint32_t>(args.GetInt("attach", 4, kMaxUint32)), seed,
+        undirected);
   } else if (kind == "chunglu") {
     graph = GenerateChungLu(n, m, args.GetDouble("gamma", 2.2), seed,
                             undirected);
@@ -433,11 +421,11 @@ int RunGenerate(const Args& args) {
                          undirected);
   } else if (kind == "ws") {
     graph = GenerateWattsStrogatz(
-        n, static_cast<uint32_t>(args.GetInt("k", 8)),
+        n, static_cast<uint32_t>(args.GetInt("k", 8, kMaxUint32)),
         args.GetDouble("beta", 0.1), seed);
   } else if (kind == "sbm") {
     graph = GenerateStochasticBlockModel(
-        n, static_cast<uint32_t>(args.GetInt("blocks", 10)),
+        n, static_cast<uint32_t>(args.GetInt("blocks", 10, kMaxUint32)),
         args.GetDouble("p-in", 0.05), args.GetDouble("p-out", 0.001), seed);
   }
   if (!graph.ok()) {
@@ -464,7 +452,7 @@ int RunGenerate(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Args args(argc, argv);
+  const Args args(argc, argv, /*first=*/2);
   if (command == "query") return RunQuery(args);
   if (command == "topk") return RunTopK(args);
   if (command == "pair") return RunPair(args);

@@ -42,10 +42,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "common/failpoint.h"
 #include "graph/graph_io.h"
 #include "serve/http_server.h"
@@ -55,44 +56,8 @@ namespace {
 
 using namespace simpush;
 
-// Minimal --flag value parser, mirrors simpush_cli; flags may repeat
-// (GetAll) — the last value wins for the scalar getters.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
-      }
-    }
-  }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    std::string value = fallback;
-    for (const auto& [k, v] : values_) {
-      if (k == key) value = v;
-    }
-    return value;
-  }
-  std::vector<std::string> GetAll(const std::string& key) const {
-    std::vector<std::string> all;
-    for (const auto& [k, v] : values_) {
-      if (k == key) all.push_back(v);
-    }
-    return all;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const std::string value = Get(key, "");
-    return value.empty() ? fallback : std::atof(value.c_str());
-  }
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
-    const std::string value = Get(key, "");
-    return value.empty() ? fallback
-                         : std::strtoull(value.c_str(), nullptr, 10);
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> values_;
-};
+// Bound for millisecond flags narrowed to int.
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
 
 int Usage() {
   std::fprintf(
@@ -167,7 +132,7 @@ bool ParseGraphSpec(const std::string& flag, GraphSpec* spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, /*first=*/1);
   const std::vector<std::string> graph_flags = args.GetAll("graph");
   if (graph_flags.empty()) return Usage();
 
@@ -198,9 +163,9 @@ int main(int argc, char** argv) {
   service_options.max_graphs = args.GetInt("max-graphs", 64);
   service_options.allow_path_create = args.GetInt("allow-path-create", 0) != 0;
   service_options.request_timeout_ms =
-      static_cast<int>(args.GetInt("request-timeout-ms", 0));
+      static_cast<int>(args.GetInt("request-timeout-ms", 0, kMaxInt));
   service_options.max_deadline_ms =
-      static_cast<int>(args.GetInt("max-deadline-ms", 60000));
+      static_cast<int>(args.GetInt("max-deadline-ms", 60000, kMaxInt));
   // --cache-off 1 wins over --cache-bytes: budget 0 disables the
   // generation-keyed result cache entirely.
   service_options.cache_bytes =
@@ -247,13 +212,14 @@ int main(int argc, char** argv) {
   }
 
   serve::HttpServerOptions server_options;
-  server_options.port = static_cast<uint16_t>(args.GetInt("port", 8080));
+  server_options.port = static_cast<uint16_t>(args.GetInt(
+      "port", 8080, std::numeric_limits<uint16_t>::max()));
   server_options.num_workers = args.GetInt("http-workers", 0);
   server_options.max_queued_connections = args.GetInt("max-queued", 64);
 
-  serve::SimPushService service(service_options);
   EdgeListOptions load_options;
   load_options.undirected = args.GetInt("undirected", 0) != 0;
+  serve::SimPushService service(service_options);
   for (const GraphSpec& spec : graph_specs) {
     StatusOr<Graph> graph = LoadGraphAnyFormat(spec.path, load_options);
     if (!graph.ok()) {
