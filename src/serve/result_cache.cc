@@ -195,12 +195,15 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
     metrics_->evictions.fetch_add(1, std::memory_order_relaxed);
   }
   Entry entry{key, entry_bytes, scores.size(), {}, {}, result.stats};
-  entry.ids.reserve(num_stored);
-  entry.values.reserve(num_stored);
-  for (size_t v = 0; v < scores.size(); ++v) {
-    if (!stored(v)) continue;
-    entry.ids.push_back(static_cast<NodeId>(v));
-    entry.values.push_back(scores[v]);
+  entry.ids.resize(num_stored);
+  entry.values.resize(num_stored);
+  // Branch-free gather: every score is written to slot k, which only
+  // advances past a stored one. The loop ends at the last stored score,
+  // so k < num_stored on every write.
+  for (size_t v = 0, k = 0; k < num_stored; ++v) {
+    entry.ids[k] = static_cast<NodeId>(v);
+    entry.values[k] = scores[v];
+    k += stored(v);
   }
   shard.lru.push_front(std::move(entry));
   shard.index.emplace(key, shard.lru.begin());

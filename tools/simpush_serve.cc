@@ -73,6 +73,8 @@ int Usage() {
       "  cache (default 64 MiB); --cache-off 1 disables result caching\n"
       "  entirely. Cached responses are byte-identical to computed\n"
       "  ones and stamped \"cached\": true; see docs/serving.md.\n"
+      "  Integer flags take plain unsigned decimals (--cache-bytes is\n"
+      "  in bytes); any other value exits 2.\n"
       "  --request-timeout-ms is the default per-request deadline for\n"
       "  query/topk/batch requests without a \"deadline_ms\" field (0 =\n"
       "  none); --max-deadline-ms caps the client-supplied field. The\n"
