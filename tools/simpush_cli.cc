@@ -16,8 +16,6 @@
 //   simpush_cli topk --graph web.txt --node 42 --k 20 --method probesim
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
