@@ -529,6 +529,148 @@ TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
   EXPECT_GE(deepest, 3u);
 }
 
+// Level detection as Algorithm 2 states it, from a tally of every visit:
+// L, and the sorted keys at levels L-1 and L whose count reaches the
+// threshold.
+struct ReferenceDetection {
+  uint32_t level = 0;
+  std::vector<uint64_t> deep_keys;
+};
+
+ReferenceDetection DetectByFullTally(const Graph& graph, NodeId u,
+                                     const DerivedParams& params,
+                                     uint64_t walk_seed) {
+  const Walker walker(graph, params.sqrt_c);
+  std::map<uint64_t, uint64_t> counts;
+  RunWalkWaves(graph, u, walk_seed, params.num_walks, params.l_star,
+               walker.inv_log_sqrt_c(), [&](uint32_t level, NodeId node) {
+                 ++counts[(static_cast<uint64_t>(level) << 32) | node];
+               });
+  ReferenceDetection want;
+  for (const auto& [key, count] : counts) {
+    if (count >= params.level_count_threshold) {
+      want.level = std::max(want.level, static_cast<uint32_t>(key >> 32));
+    }
+  }
+  for (const auto& [key, count] : counts) {
+    const uint32_t level = static_cast<uint32_t>(key >> 32);
+    if (level + 1 >= want.level && level <= want.level &&
+        count >= params.level_count_threshold) {
+      want.deep_keys.push_back(key);
+    }
+  }
+  return want;
+}
+
+// The candidate keys DetectMaxLevel left at levels L-1 and L, sorted.
+std::vector<uint64_t> DeepCandidates(const QueryWorkspace& workspace,
+                                     uint32_t max_level) {
+  std::vector<uint64_t> keys;
+  for (const uint64_t key : workspace.level_candidates) {
+    const uint32_t level = static_cast<uint32_t>(key >> 32);
+    if (level + 1 >= max_level && level <= max_level) keys.push_back(key);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// DetectMaxLevel against the full tally where L is 0 or 1, or where a
+// level above L has visits but no count at the threshold.
+TEST(SourcePushTest, DetectionEdgeCases) {
+  // Node 0 has 4 in-neighbors 1..4 and each of those 2 000 in-neighbors
+  // (leaves), so level 1 holds four heavy nodes and level 2 ~16 000
+  // visits spread over 8 000 leaves, none near the threshold. Leaf 5
+  // has one in-neighbor, 8 005, so level 3 sees a handful of visits.
+  // Node 8 005 has no in-neighbors.
+  constexpr NodeId kLeaves = 2000;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId a = 1; a <= 4; ++a) {
+    edges.emplace_back(a, 0);
+    for (NodeId j = 0; j < kLeaves; ++j) {
+      edges.emplace_back(5 + (a - 1) * kLeaves + j, a);
+    }
+  }
+  const NodeId kDangling = 5 + 4 * kLeaves;
+  edges.emplace_back(kDangling, 5);
+  const Graph fan = testing_util::MakeGraph(kDangling + 1, edges);
+  auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(chung_lu.ok());
+
+  struct Case {
+    const char* name;
+    const Graph* graph;
+    NodeId u;
+    bool walks_below_threshold;  // Run threshold - 1 walks.
+    int want_level;              // -1: not pinned.
+  };
+  const Case kCases[] = {
+      {"no in-neighbors", &fan, kDangling, false, 0},
+      {"walks below threshold", &fan, 0, true, 0},
+      {"fan, level 2 under threshold", &fan, 0, false, 1},
+      {"leaf", &fan, 5, false, 1},
+      {"chung_lu 0", &*chung_lu, 0, false, -1},
+      {"chung_lu 7", &*chung_lu, 7, false, -1},
+  };
+  QueryWorkspace workspace;
+  for (const double eps : {0.05, 0.02}) {
+    for (const double decay : {0.6, 0.8}) {
+      SimPushOptions options;
+      options.epsilon = eps;
+      options.decay = decay;
+      for (const Case& c : kCases) {
+        DerivedParams params = ComputeDerivedParams(options);
+        if (c.walks_below_threshold) {
+          params.num_walks = params.level_count_threshold - 1;
+        }
+        const uint64_t seed = 17 + c.u;
+        const ReferenceDetection want =
+            DetectByFullTally(*c.graph, c.u, params, Rng(seed).Next());
+        if (c.want_level >= 0) {
+          EXPECT_EQ(want.level, static_cast<uint32_t>(c.want_level))
+              << c.name << " eps " << eps << " c " << decay;
+        }
+        for (const uint32_t wave : {1u, 64u, 256u}) {
+          SCOPED_TRACE(std::string(c.name) + " eps " + std::to_string(eps) +
+                       " c " + std::to_string(decay) + " wave " +
+                       std::to_string(wave));
+          Rng rng(seed);
+          uint64_t walks = 0;
+          const uint32_t level = DetectMaxLevel(
+              *c.graph, c.u, params, &rng, &workspace, &walks, nullptr, wave);
+          EXPECT_EQ(level, want.level);
+          EXPECT_EQ(walks, params.num_walks);
+          EXPECT_EQ(DeepCandidates(workspace, level), want.deep_keys);
+        }
+      }
+    }
+  }
+}
+
+// A token that fired before detection starts runs no walk and leaves
+// no candidate, even in a workspace a finished detection filled.
+TEST(SourcePushTest, DetectionWithFiredTokenRunsNoWalk) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(graph.ok());
+  SimPushOptions options;
+  options.epsilon = 0.05;
+  const DerivedParams params = ComputeDerivedParams(options);
+  QueryWorkspace workspace;
+  Rng rng(3);
+  uint64_t walks = 0;
+  ASSERT_GE(DetectMaxLevel(*graph, 0, params, &rng, &workspace, &walks,
+                           nullptr, kDefaultWalkWaveSize),
+            1u);
+  ASSERT_FALSE(workspace.level_candidates.empty());
+  CancelToken token;
+  token.Cancel();
+  Rng fired_rng(3);
+  EXPECT_EQ(DetectMaxLevel(*graph, 0, params, &fired_rng, &workspace, &walks,
+                           &token, kDefaultWalkWaveSize),
+            0u);
+  EXPECT_EQ(walks, 0u);
+  EXPECT_TRUE(workspace.level_candidates.empty());
+}
+
 TEST(SourcePushTest, CancelDuringPullLevel) {
   // On K_300 level 0 (one node, 299 in-edges) pushes and level 1 (299
   // nodes, ~m in-edges) pulls. With detection off nothing polls before
