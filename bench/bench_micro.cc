@@ -27,6 +27,7 @@
 #include "simpush/simpush.h"
 #include "simpush/source_push.h"
 #include "simpush/topk.h"
+#include "simpush/workspace.h"
 #include "walk/walk_batch.h"
 #include "walk/walker.h"
 
@@ -117,7 +118,56 @@ BENCHMARK(BM_WalkKernelBatched)
     ->Arg(16)
     ->Arg(32)
     ->Arg(64)
-    ->Arg(128);
+    ->Arg(128)
+    ->Arg(256);
+
+// The e2e benchmark's web graph: Chung-Lu n=200k, m=1.6M, gamma=2.2,
+// seed 7. Its CSR outgrows L2, unlike BenchGraph()'s.
+const Graph& WebGraph() {
+  static const Graph graph = [] {
+    auto g = GenerateChungLu(200000, 1600000, 2.2, 7);
+    if (!g.ok()) std::abort();
+    return std::move(g).value();
+  }();
+  return graph;
+}
+
+// Level detection alone (Algorithm 2 lines 1-8): the walks, their
+// visit log and the counting pass, at eps=0.05 with the derived walk
+// count (26 441), on a warm workspace. The argument is the wave width;
+// every width cycles the same 64 sources. Reports ms per query and
+// visits per query.
+void BM_DetectMaxLevel(benchmark::State& state, const Graph& (*graph)()) {
+  const Graph& g = graph();
+  SimPushOptions o;
+  o.epsilon = 0.05;
+  const DerivedParams params = ComputeDerivedParams(o);
+  const uint32_t wave = static_cast<uint32_t>(state.range(0));
+  QueryWorkspace workspace;
+  uint64_t visits = 0;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const NodeId u = static_cast<NodeId>(i * 7919 % g.num_nodes());
+    i = (i + 1) % 64;
+    Rng rng(u);
+    uint64_t walks = 0;
+    benchmark::DoNotOptimize(DetectMaxLevel(g, u, params, &rng, &workspace,
+                                            &walks, nullptr, wave));
+    for (const auto& level : workspace.level_visits) visits += level.size();
+  }
+  state.counters["visits"] =
+      benchmark::Counter(double(visits) / state.iterations());
+}
+BENCHMARK_CAPTURE(BM_DetectMaxLevel, bench_graph, &BenchGraph)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(64)
+    ->Arg(256);
+BENCHMARK_CAPTURE(BM_DetectMaxLevel, web, &WebGraph)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256);
 
 void BM_PairWalkMeeting(benchmark::State& state) {
   const Graph& g = BenchGraph();

@@ -2,18 +2,6 @@
 
 namespace simpush {
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& word : s_) word = SplitMix64(&sm);
-}
-
 Rng Rng::Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
 
 }  // namespace simpush

@@ -12,7 +12,14 @@
 namespace simpush {
 
 /// Mixes a 64-bit seed into a well-distributed state word (splitmix64).
-uint64_t SplitMix64(uint64_t* state);
+/// Inline, like the stream derivations below: a level-detection query
+/// seeds tens of thousands of walk streams.
+inline uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Derives a per-stream seed from a base seed and a stream id (query
 /// node, source node, …). Every consumer of per-query randomness uses
@@ -42,7 +49,10 @@ inline uint64_t CounterStreamSeed(uint64_t key, uint64_t counter) {
 class Rng {
  public:
   /// Seeds the four state words via splitmix64 from a single seed.
-  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
+  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL) {
+    uint64_t sm = seed;
+    for (auto& word : s_) word = SplitMix64(&sm);
+  }
 
   /// Counter-based per-walk stream pinned to (seed, node, walk_index):
   /// the walk-index is a pure counter, so batched, serial, and

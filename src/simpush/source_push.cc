@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/touched_bits.h"
 #include "simpush/workspace.h"
@@ -11,44 +13,39 @@
 
 namespace simpush {
 
-// Algorithm 2 lines 1-8: sample N √c-walks from u, tally per-level visit
-// counts H^(l)(u, v), and return the largest level where some node's
+// Algorithm 2 lines 1-8: sample N √c-walks from u, count per-level
+// visits H^(l)(u, v), and return the largest level where some node's
 // count reaches the detection threshold (i.e. an empirical hitting
 // probability >= ε_h/2). Walks stop at L* steps, so L <= L*.
 //
 // This is the per-query latency floor of SimPush, so the walks run
 // through the batched SoA kernel (walk/walk_batch.h): waves of lockstep
 // walks with prefetched adjacency loads, each walk on its own counter
-// stream Rng::ForWalk(walk_seed, u, i). Counts live in the workspace's
-// epoch-stamped open-addressing tally — no hashing container churn, no
-// O(n) clears between queries. Every (level, node) key whose count
-// reaches the threshold is appended to workspace->level_candidates as
-// it crosses; Source-Push reads the keys at levels L-1 and L (C_{L-1}
-// and C_L) to evaluate those levels on demand.
-//
-// L, and the counts and candidates at levels L-1 and L, are invariant
-// to the order walks are tallied in, so any wave size gives
-// bit-identical downstream scores. A visit's increment is skipped only
-// when its level is <= max_level - 2, and max_level only rises, to
-// M* = max{l : some node's FULL count T(l, v) reaches the threshold}:
-// - visits at levels above the current max_level are never skipped,
-//   so the threshold at M* is always eventually reached no matter the
-//   interleaving, and no level beyond M* can reach it under any order;
-//   hence L = M*;
-// - max_level <= L throughout, so a skipped visit has a level <= L-2.
-//   Every visit at L-1 and L is counted, their counts end as the full
-//   T(l, v), and each key there that reaches the threshold is appended
-//   exactly once. Only the list's order depends on the interleaving;
-//   its consumers sort.
+// stream Rng::ForWalk(walk_seed, u, i). A visit only appends its node
+// to the level's list in workspace->level_visits; nothing is counted
+// while the walks run. Source-Push reads the keys at levels L-1 and L
+// (C_{L-1} and C_L) alone, so the counting pass afterwards counts only
+// those two levels, deepest first, into a per-node epoch array:
+// - a level with fewer visits than the threshold is skipped, since no
+//   node there can reach it;
+// - the first level where a count reaches the threshold is L;
+// - level L-1 is counted as well, then the pass stops.
+// Each key whose count reaches the threshold is appended to
+// workspace->level_candidates once. Counting starts after the last
+// walk, so L and the candidates equal a full tally's for any walk order
+// or wave size; the order only permutes each list (and so the
+// candidates, which their consumers sort). The epoch array is
+// holder_span, idle until the hitting stage, which starts a new epoch
+// before using it.
 uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
                         const DerivedParams& params, Rng* rng,
                         QueryWorkspace* workspace, uint64_t* walks_out,
                         const CancelToken* cancel, uint32_t wave_size) {
-  LevelNodeTally& tally = workspace->level_tally;
+  std::vector<std::vector<NodeId>>& visits = workspace->level_visits;
   std::vector<uint64_t>& candidates = workspace->level_candidates;
-  tally.NewRound();
+  if (visits.size() <= params.l_star) visits.resize(params.l_star + 1);
+  for (std::vector<NodeId>& list : visits) list.clear();
   candidates.clear();
-  uint32_t max_level = 0;
   // One draw reserves the walk-stream key. `rng` is itself a pure
   // function of (options.seed, u), so every walk stream stays pinned to
   // (seed, node, walk_index); downstream consumers of `rng` see exactly
@@ -58,16 +55,41 @@ uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
   *walks_out = RunWalkWaves(
       graph, u, walk_seed, params.num_walks, params.l_star,
       walker.inv_log_sqrt_c(),
-      [&](uint32_t level, NodeId node) {
-        // Only the two deepest levels' candidates are read.
-        if (level + 1 < max_level) return;
-        const uint64_t key = (static_cast<uint64_t>(level) << 32) | node;
-        if (tally.Increment(key) != params.level_count_threshold) return;
-        candidates.push_back(key);
-        max_level = std::max(max_level, level);
-      },
+      [&visits](uint32_t level, NodeId node) { visits[level].push_back(node); },
       cancel, wave_size);
-  return max_level;  // On cancellation the caller re-checks and aborts.
+  // Cancelled: the caller re-checks the token and aborts, so the
+  // partial log is not counted.
+  if (*walks_out < params.num_walks) return 0;
+
+  EpochArray<uint64_t>& counts = workspace->holder_span;
+  counts.Resize(graph.num_nodes());
+  const uint64_t threshold = params.level_count_threshold;
+  // Counts one level's visits; true iff some count reached the
+  // threshold. The counts are random node-indexed accesses, hinted a
+  // fixed distance ahead so their misses overlap.
+  constexpr size_t kCountLookahead = 16;
+  const auto count_level = [&](uint32_t level) {
+    const std::vector<NodeId>& list = visits[level];
+    if (list.size() < threshold) return false;
+    const size_t found = candidates.size();
+    const uint64_t tag = static_cast<uint64_t>(level) << 32;
+    counts.BeginEpoch();
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (i + kCountLookahead < list.size()) {
+        counts.Prefetch(list[i + kCountLookahead]);
+      }
+      if (++counts.Ref(list[i]) == threshold) {
+        candidates.push_back(tag | list[i]);
+      }
+    }
+    return candidates.size() > found;
+  };
+  for (uint32_t level = params.l_star; level >= 1; --level) {
+    if (!count_level(level)) continue;
+    count_level(level - 1);  // Level 0 has no visits: a no-op at L = 1.
+    return level;
+  }
+  return 0;
 }
 
 namespace {

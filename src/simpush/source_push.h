@@ -38,12 +38,15 @@ struct SourcePushStats {
 /// Level detection, Algorithm 2 lines 1-8: runs params.num_walks
 /// √c-walks from u in waves of `wave_size` and returns the deepest level
 /// L at which some node's visit count reached
-/// params.level_count_threshold (0 if none). Leaves the counts in
-/// workspace->level_tally and every (level << 32 | node) key whose count
-/// reached the threshold in workspace->level_candidates. The counts and
-/// candidates at levels L-1 and L are complete; shallower levels are
-/// counted only partly. L and those counts and candidates (as a set) do
-/// not depend on `wave_size`. SourcePushInto runs this first.
+/// params.level_count_threshold (0 if none). Leaves every visit in
+/// workspace->level_visits (level ℓ's nodes in level_visits[ℓ]) and, in
+/// workspace->level_candidates, every (level << 32 | node) key at levels
+/// L-1 and L, and only there, whose count reached the threshold. L, the
+/// candidates (as a set) and each level's visits (as a multiset) do not
+/// depend on `wave_size`. A token that fires before the last wave
+/// returns 0 with no candidates: the caller re-checks it and aborts.
+/// Uses workspace->holder_span as count scratch. SourcePushInto runs
+/// this first.
 uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
                         const DerivedParams& params, Rng* rng,
                         QueryWorkspace* workspace, uint64_t* walks_out,

@@ -3,14 +3,15 @@
 // queries with zero steady-state heap allocations.
 //
 // Ownership map (stage → scratch):
-//   Source-Push (Alg. 2)   — level_tally + level_candidates (walk
+//   Source-Push (Alg. 2)   — level_visits + level_candidates, with
+//                            holder_span as the per-node counts (walk
 //                            level detection), demand_last/demand_prev
 //                            (the nodes levels L and L-1 are evaluated
 //                            at), dense_a/dense_b + frontier_a/frontier_b
 //                            + scratch_bits (level-wise residue
 //                            propagation), source_graph (the G_u being
 //                            built).
-//   Hitting (Alg. 3)       — holder_span, member_bits/receiver_bits,
+//   Hitting (Alg. 3)       — holder_span again, member_bits/receiver_bits,
 //                            frontier_a (push-level buckets),
 //                            attention_accum + scratch_bits (merge
 //                            targets), hitting_table.
@@ -36,38 +37,6 @@
 #include "simpush/source_graph.h"
 
 namespace simpush {
-
-/// Flat open-addressing (level, node) → count tally for Source-Push
-/// level detection. Slots are epoch-stamped, so starting a new query is
-/// O(1); the table only allocates while growing to its high-water size.
-class LevelNodeTally {
- public:
-  /// O(1) logical clear (epoch bump).
-  void NewRound();
-
-  /// Increments the count of `key` and returns the new value.
-  /// `key` packs (level << 32 | node).
-  uint64_t Increment(uint64_t key);
-
-  /// Count of `key` in the current round; 0 if never incremented.
-  uint64_t Count(uint64_t key) const;
-
-  /// Live entries in the current round (for tests).
-  size_t size() const { return size_; }
-
- private:
-  struct Slot {
-    uint64_t key = 0;
-    uint32_t count = 0;
-    uint32_t epoch = 0;
-  };
-
-  void Grow();
-
-  std::vector<Slot> slots_;  // Power-of-two size.
-  size_t size_ = 0;          // Live entries this round.
-  uint32_t epoch_ = 1;
-};
 
 /// Reusable scratch for the γ computation (Algorithm 4).
 struct GammaScratch {
@@ -104,16 +73,20 @@ class QueryWorkspace {
   std::vector<NodeId> frontier_b;
 
   // --- Source-Push level detection and demand levels.
-  LevelNodeTally level_tally;
-  // (level << 32 | node) keys whose walk count reached the detection
-  // threshold, in the order the walks crossed it.
+  // level_visits[ℓ]: the node of every walk visit at level ℓ, in visit
+  // order; lists are cleared per query and never shrunk.
+  std::vector<std::vector<NodeId>> level_visits;
+  // (level << 32 | node) keys at levels L-1 and L whose visit count
+  // reached the detection threshold.
   std::vector<uint64_t> level_candidates;
   // The nodes Source-Push evaluates its two deepest levels at, both
   // ascending: C_L (level L) and C_{L-1} ∪ O(C_L) (level L-1).
   std::vector<NodeId> demand_last;
   std::vector<NodeId> demand_prev;
 
-  // --- Hitting-table construction (see hitting.cc). A pull level maps
+  // --- Hitting-table construction (see hitting.cc). Level detection
+  // counts visits in holder_span before the hitting stage starts (each
+  // use begins a new epoch). A pull level maps
   // each holder of level ℓ+1 to its packed pool-span bounds
   // (begin << 32 | end) in holder_span, so an in-edge costs ONE random
   // access; a push level keeps its per-receiver bucket bounds there

@@ -53,14 +53,18 @@
 
 namespace simpush {
 
-/// Default lockstep wave width. 64 walks keep ~64 independent misses in
-/// flight — comfortably past typical miss-queue depths — while the SoA
-/// state (~3 KiB) stays inside L1. The BM_WalkKernel sweep in
-/// bench_micro justifies the choice empirically.
-constexpr uint32_t kDefaultWalkWaveSize = 64;
+/// Default lockstep wave width: the widest legal wave. Its SoA state
+/// (~13 KiB) still fits in L1, and a wider wave has more misses in
+/// flight. Level detection after a web-graph query measured
+/// 2.10 / 1.72 / 1.45 / 1.23 ms at W = 32 / 64 / 128 / 256 once its
+/// visit callback became an append (simpush/source_push.cc). The
+/// BM_WalkKernel/batched and BM_DetectMaxLevel sweeps in bench_micro
+/// re-measure the choice.
+constexpr uint32_t kDefaultWalkWaveSize = 256;
 
 /// Hard cap on the wave width: kernel state is stack-allocated at this
-/// size (~13 KiB), and wider waves only dilute cache locality.
+/// size (~13 KiB), and no wave may outrun the cancellation stride
+/// (static_asserts in walk_batch.cc).
 constexpr uint32_t kMaxWalkWaveSize = 256;
 
 /// Clamps a requested wave width into [1, kMaxWalkWaveSize].
@@ -72,8 +76,8 @@ inline uint32_t ClampWaveSize(uint32_t wave_size) {
 /// visit(level, node) for every step >= 1 of every walk (level 0 — the
 /// start node itself — is not reported), in walk order within each
 /// wave pass. Aggregation callbacks must therefore be order-insensitive
-/// (the level tally is: see the max_level order-invariance argument in
-/// simpush/source_push.cc).
+/// (level detection is: it appends to per-level lists and counts them
+/// only after the last wave; see simpush/source_push.cc).
 ///
 /// `walk_seed` keys the counter-based per-walk streams; walk i draws
 /// from Rng::ForWalk(walk_seed, start, i) regardless of wave size.
@@ -102,6 +106,9 @@ uint64_t RunWalkWaves(const Graph& graph, NodeId start, uint64_t walk_seed,
   uint32_t level[kMaxWalkWaveSize];
   EdgeId edge[kMaxWalkWaveSize];
 
+  // Rng::ForWalk(walk_seed, start, i) with its (walk_seed, start) key
+  // derived once per call instead of once per walk.
+  const uint64_t stream_key = DeriveStreamSeed(walk_seed, start);
   uint64_t next_poll = 0;
   for (uint64_t base = 0; base < num_walks; base += wave_size) {
     // Cancellation poll at the same stride as the serial loop. State
@@ -119,7 +126,7 @@ uint64_t RunWalkWaves(const Graph& graph, NodeId start, uint64_t walk_seed,
     // serial loop's empty inner loop.
     uint32_t alive = 0;
     for (uint32_t j = 0; j < wave; ++j) {
-      rng[alive] = Rng::ForWalk(walk_seed, start, base + j);
+      rng[alive] = Rng(CounterStreamSeed(stream_key, base + j));
       const uint32_t length_j = WalkLengthForUniform(
           rng[alive].NextDouble(), inv_log_sqrt_c, length_cap);
       if (length_j == 0) continue;

@@ -468,9 +468,10 @@ TEST(SourcePushTest, DetectedLevelsKeepScoresBitForBit) {
   EXPECT_GT(demand_queries, 0);
 }
 
-// Level detection's counts at levels L-1 and L, and the candidates
-// there (the keys whose count reached the threshold), equal those of a
-// tally that counts every visit, for any wave width; so does L.
+// Level detection's visit log at levels L-1 and L (as multisets), and
+// the candidates there (the keys whose count reached the threshold),
+// equal those of a tally that counts every visit, for any wave width;
+// so does L.
 TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
   auto graph = GenerateChungLu(2000, 16000, 2.2, 5);
   ASSERT_TRUE(graph.ok());
@@ -505,6 +506,15 @@ TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
         want_candidates.push_back(key);
       }
     }
+    // The sorted visit multiset of one level, from the full tally.
+    const auto want_visits = [&](uint32_t level) {
+      std::vector<NodeId> nodes;
+      for (const auto& [key, count] : counts) {
+        if (static_cast<uint32_t>(key >> 32) != level) continue;
+        nodes.insert(nodes.end(), count, static_cast<NodeId>(key));
+      }
+      return nodes;
+    };
     for (const uint32_t wave : {1u, 8u, 64u, 256u}) {
       SCOPED_TRACE("u " + std::to_string(u) + " wave " + std::to_string(wave));
       Rng rng(u);
@@ -513,10 +523,11 @@ TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
                                nullptr, wave),
                 want_level);
       EXPECT_EQ(walks, params.num_walks);
-      for (const auto& [key, count] : counts) {
-        if (deep(key)) {
-          EXPECT_EQ(workspace.level_tally.Count(key), count);
-        }
+      for (uint32_t level = want_level == 0 ? 0 : want_level - 1;
+           level <= want_level; ++level) {
+        std::vector<NodeId> logged = workspace.level_visits[level];
+        std::sort(logged.begin(), logged.end());
+        EXPECT_EQ(logged, want_visits(level)) << "level " << level;
       }
       std::vector<uint64_t> candidates;
       for (const uint64_t key : workspace.level_candidates) {

@@ -198,12 +198,13 @@ TEST(WalkBatchTest, WaveSizeIsInvisibleAndUnfiredTokenToo) {
   ASSERT_TRUE(graph.ok());
   const auto baseline = KernelCounts(*graph, 0, 7, 3000, 1);
   // Any wave size (including an over-cap request, clamped) agrees.
-  for (uint32_t wave : {2u, 8u, 64u, 128u, 100000u}) {
+  for (uint32_t wave : {2u, 8u, 64u, 128u, 256u, 100000u}) {
     EXPECT_EQ(baseline, KernelCounts(*graph, 0, 7, 3000, wave));
   }
   // An installed-but-unfired token is bit-invisible mid-batch.
   const CancelToken token(Deadline::After(600000));
-  EXPECT_EQ(baseline, KernelCounts(*graph, 0, 7, 3000, 64, &token));
+  EXPECT_EQ(baseline,
+            KernelCounts(*graph, 0, 7, 3000, kDefaultWalkWaveSize, &token));
   EXPECT_FALSE(token.cancelled());
 }
 

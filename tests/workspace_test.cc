@@ -1,5 +1,5 @@
-// Tests for the QueryWorkspace subsystem: epoch-array semantics, the
-// flat level tally, workspace reuse correctness across many queries on
+// Tests for the QueryWorkspace subsystem: epoch-array semantics,
+// workspace reuse correctness across many queries on
 // one engine, and the zero-allocation steady state (this binary links
 // the counting operator new/delete from common/alloc_hook.cc).
 
@@ -53,32 +53,6 @@ TEST(EpochArrayTest, ResizePreservesAndGrows) {
   EXPECT_FALSE(array.IsSet(10));
   array.Resize(4);  // Never shrinks.
   EXPECT_EQ(array.size(), 16u);
-}
-
-TEST(LevelNodeTallyTest, CountsAndRoundsAreIsolated) {
-  LevelNodeTally tally;
-  tally.NewRound();
-  EXPECT_EQ(tally.Increment(42), 1u);
-  EXPECT_EQ(tally.Increment(42), 2u);
-  EXPECT_EQ(tally.Increment(7), 1u);
-  EXPECT_EQ(tally.size(), 2u);
-  tally.NewRound();
-  EXPECT_EQ(tally.size(), 0u);
-  EXPECT_EQ(tally.Increment(42), 1u) << "previous round must not leak";
-}
-
-TEST(LevelNodeTallyTest, SurvivesGrowthWithManyKeys) {
-  LevelNodeTally tally;
-  tally.NewRound();
-  const uint64_t kKeys = 5000;
-  for (uint64_t round = 0; round < 3; ++round) {
-    for (uint64_t key = 0; key < kKeys; ++key) {
-      tally.Increment(key << 17 | key);  // Spread keys out.
-    }
-  }
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    EXPECT_EQ(tally.Increment(key << 17 | key), 4u) << "key " << key;
-  }
 }
 
 TEST(WorkspaceReuseTest, ManyQueriesMatchFreshEngineExactly) {

@@ -134,7 +134,7 @@ SIMPUSH_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 export SIMPUSH_GIT_SHA
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   "$BUILD_DIR/bench_micro" --json BENCH_serial.json \
-      --benchmark_filter='BM_WalkKernel|BM_SourcePushStage|BM_GammaStage|BM_FullQuery|BM_QuerySteadyState|BM_LoadEdgeList|BM_ResultCacheHit' \
+      --benchmark_filter='BM_WalkKernel|BM_DetectMaxLevel|BM_SourcePushStage|BM_GammaStage|BM_FullQuery|BM_QuerySteadyState|BM_LoadEdgeList|BM_ResultCacheHit' \
       --benchmark_min_time=0.2 --benchmark_repetitions=3 \
       --benchmark_report_aggregates_only=false > /dev/null
   echo "   wrote BENCH_serial.json"
