@@ -468,96 +468,25 @@ TEST(SourcePushTest, DetectedLevelsKeepScoresBitForBit) {
   EXPECT_GT(demand_queries, 0);
 }
 
-// Level detection's visit log at levels L-1 and L (as multisets), and
-// the candidates there (the keys whose count reached the threshold),
-// equal those of a tally that counts every visit, for any wave width;
-// so does L.
-TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
-  auto graph = GenerateChungLu(2000, 16000, 2.2, 5);
-  ASSERT_TRUE(graph.ok());
-  SimPushOptions options;
-  options.epsilon = 0.05;
-  const DerivedParams params = ComputeDerivedParams(options);
-  const Walker walker(*graph, params.sqrt_c);
-  QueryWorkspace workspace;
-  uint32_t deepest = 0;
-  for (NodeId u = 0; u < 16; ++u) {
-    // DetectMaxLevel keys its walk streams with the RNG's first draw.
-    const uint64_t walk_seed = Rng(u).Next();
-    std::map<uint64_t, uint64_t> counts;
-    RunWalkWaves(*graph, u, walk_seed, params.num_walks, params.l_star,
-                 walker.inv_log_sqrt_c(), [&](uint32_t level, NodeId node) {
-                   ++counts[(static_cast<uint64_t>(level) << 32) | node];
-                 });
-    uint32_t want_level = 0;
-    for (const auto& [key, count] : counts) {
-      if (count >= params.level_count_threshold) {
-        want_level = std::max(want_level, static_cast<uint32_t>(key >> 32));
-      }
-    }
-    deepest = std::max(deepest, want_level);
-    const auto deep = [&](uint64_t key) {
-      const uint32_t level = static_cast<uint32_t>(key >> 32);
-      return level + 1 >= want_level && level <= want_level;
-    };
-    std::vector<uint64_t> want_candidates;
-    for (const auto& [key, count] : counts) {
-      if (deep(key) && count >= params.level_count_threshold) {
-        want_candidates.push_back(key);
-      }
-    }
-    // The sorted visit multiset of one level, from the full tally.
-    const auto want_visits = [&](uint32_t level) {
-      std::vector<NodeId> nodes;
-      for (const auto& [key, count] : counts) {
-        if (static_cast<uint32_t>(key >> 32) != level) continue;
-        nodes.insert(nodes.end(), count, static_cast<NodeId>(key));
-      }
-      return nodes;
-    };
-    for (const uint32_t wave : {1u, 8u, 64u, 256u}) {
-      SCOPED_TRACE("u " + std::to_string(u) + " wave " + std::to_string(wave));
-      Rng rng(u);
-      uint64_t walks = 0;
-      EXPECT_EQ(DetectMaxLevel(*graph, u, params, &rng, &workspace, &walks,
-                               nullptr, wave),
-                want_level);
-      EXPECT_EQ(walks, params.num_walks);
-      for (uint32_t level = want_level == 0 ? 0 : want_level - 1;
-           level <= want_level; ++level) {
-        std::vector<NodeId> logged = workspace.level_visits[level];
-        std::sort(logged.begin(), logged.end());
-        EXPECT_EQ(logged, want_visits(level)) << "level " << level;
-      }
-      std::vector<uint64_t> candidates;
-      for (const uint64_t key : workspace.level_candidates) {
-        if (deep(key)) candidates.push_back(key);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      EXPECT_EQ(candidates, want_candidates);
-    }
-  }
-  EXPECT_GE(deepest, 3u);
-}
-
 // Level detection as Algorithm 2 states it, from a tally of every visit:
-// L, and the sorted keys at levels L-1 and L whose count reaches the
-// threshold.
+// L, the sorted keys at levels L-1 and L whose count reaches the
+// threshold, and every count.
 struct ReferenceDetection {
   uint32_t level = 0;
   std::vector<uint64_t> deep_keys;
+  std::map<uint64_t, uint64_t> counts;  // (level << 32 | node) -> visits.
 };
 
 ReferenceDetection DetectByFullTally(const Graph& graph, NodeId u,
                                      const DerivedParams& params,
                                      uint64_t walk_seed) {
   const Walker walker(graph, params.sqrt_c);
-  std::map<uint64_t, uint64_t> counts;
+  ReferenceDetection want;
+  std::map<uint64_t, uint64_t>& counts = want.counts;
   RunWalkWaves(graph, u, walk_seed, params.num_walks, params.l_star,
                walker.inv_log_sqrt_c(), [&](uint32_t level, NodeId node) {
                  ++counts[(static_cast<uint64_t>(level) << 32) | node];
                });
-  ReferenceDetection want;
   for (const auto& [key, count] : counts) {
     if (count >= params.level_count_threshold) {
       want.level = std::max(want.level, static_cast<uint32_t>(key >> 32));
@@ -583,6 +512,52 @@ std::vector<uint64_t> DeepCandidates(const QueryWorkspace& workspace,
   }
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+// Level detection's visit log at levels L-1 and L (as multisets), and
+// the candidates there (the keys whose count reached the threshold),
+// equal those of a tally that counts every visit, for any wave width;
+// so does L.
+TEST(SourcePushTest, DeepestLevelCandidatesIgnoreWalkOrder) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(graph.ok());
+  SimPushOptions options;
+  options.epsilon = 0.05;
+  const DerivedParams params = ComputeDerivedParams(options);
+  QueryWorkspace workspace;
+  uint32_t deepest = 0;
+  for (NodeId u = 0; u < 16; ++u) {
+    // DetectMaxLevel keys its walk streams with the RNG's first draw.
+    const ReferenceDetection want =
+        DetectByFullTally(*graph, u, params, Rng(u).Next());
+    deepest = std::max(deepest, want.level);
+    // The sorted visit multiset of one level, from the full tally.
+    const auto want_visits = [&](uint32_t level) {
+      std::vector<NodeId> nodes;
+      for (const auto& [key, count] : want.counts) {
+        if (static_cast<uint32_t>(key >> 32) != level) continue;
+        nodes.insert(nodes.end(), count, static_cast<NodeId>(key));
+      }
+      return nodes;
+    };
+    for (const uint32_t wave : {1u, 8u, 64u, 256u}) {
+      SCOPED_TRACE("u " + std::to_string(u) + " wave " + std::to_string(wave));
+      Rng rng(u);
+      uint64_t walks = 0;
+      EXPECT_EQ(DetectMaxLevel(*graph, u, params, &rng, &workspace, &walks,
+                               nullptr, wave),
+                want.level);
+      EXPECT_EQ(walks, params.num_walks);
+      for (uint32_t level = want.level == 0 ? 0 : want.level - 1;
+           level <= want.level; ++level) {
+        std::vector<NodeId> logged = workspace.level_visits[level];
+        std::sort(logged.begin(), logged.end());
+        EXPECT_EQ(logged, want_visits(level)) << "level " << level;
+      }
+      EXPECT_EQ(DeepCandidates(workspace, want.level), want.deep_keys);
+    }
+  }
+  EXPECT_GE(deepest, 3u);
 }
 
 // DetectMaxLevel against the full tally where L is 0 or 1, or where a
