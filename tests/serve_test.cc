@@ -1811,6 +1811,78 @@ TEST(ServeCache, SparseEntriesStretchTheBudget) {
   EXPECT_GT(cached, 0u);
 }
 
+// Cached top-k reads: every ranked request shape served from the cache
+// equals a cache_bytes = 0 service's body once the stamp is removed
+// (and the per-run total_ms zeroed). The k values straddle the cache's
+// ranked-prefix length (64) and exceed every source's positive count;
+// the sources tie at the 10th or the 64th place, so tie order is
+// pinned too. The first request per source is the computed miss.
+TEST(ServeCache, TopKHitsMatchComputedBytes) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, /*seed=*/7);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ServiceOptions options;
+  options.query.epsilon = 0.05;
+  options.num_threads = 2;
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
+  ServiceOptions uncached_options = options;
+  uncached_options.cache_bytes = 0;
+  SimPushService uncached(uncached_options);
+  ASSERT_TRUE(uncached.AddGraph("default", *graph, options.query).ok());
+
+  constexpr NodeId kSources[] = {1, 4, 33};
+  bool tie_at_10 = false;
+  bool tie_at_64 = false;
+  for (const NodeId source : kSources) {
+    const std::vector<TopKEntry> all = SelectTopK(
+        DirectScoresWith(*graph, options.query, source), 5000, source);
+    ASSERT_GT(all.size(), 65u) << "source " << source;
+    tie_at_10 |= all[9].score == all[10].score;
+    tie_at_64 |= all[63].score == all[64].score;
+  }
+  EXPECT_TRUE(tie_at_10 && tie_at_64) << "no tie at the k-th place";
+
+  std::vector<std::pair<std::string, std::string>> shapes;
+  for (const char* stats : {"", ", \"with_stats\": true"}) {
+    for (const int k : {1, 10, 64, 65, 5000}) {
+      shapes.emplace_back("/v1/query", ", \"top_k\": " + std::to_string(k) +
+                                           stats);
+    }
+    for (const int k : {0, 10}) {
+      shapes.emplace_back("/v1/topk", ", \"k\": " + std::to_string(k) + stats);
+    }
+  }
+  const std::string stamp = ",\"cached\":true";
+  const std::regex timing("\"total_ms\":[-+0-9.eE]+");
+  for (const NodeId source : kSources) {
+    bool first = true;
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& [target, fields] : shapes) {
+        HttpRequest request;
+        request.method = "POST";
+        request.target = target;
+        request.body = "{\"node\": " + std::to_string(source) + fields + "}";
+        const HttpResponse computed = target == "/v1/query"
+                                          ? uncached.HandleQuery(request)
+                                          : uncached.HandleTopK(request);
+        const HttpResponse response = target == "/v1/query"
+                                          ? service.HandleQuery(request)
+                                          : service.HandleTopK(request);
+        ASSERT_EQ(computed.status, 200) << computed.body;
+        ASSERT_EQ(response.status, 200) << response.body;
+        std::string body = response.body;
+        const size_t at = body.find(stamp);
+        EXPECT_EQ(at == std::string::npos, first) << request.body;
+        if (at != std::string::npos) body.erase(at, stamp.size());
+        EXPECT_EQ(std::regex_replace(body, timing, "\"total_ms\":0"),
+                  std::regex_replace(computed.body, timing, "\"total_ms\":0"))
+            << target << " " << request.body;
+        first = false;
+      }
+    }
+  }
+}
+
 // The headline lifecycle test: hammer a hot node while another thread
 // hot-swaps the graph underneath it. Every response must carry scores
 // bit-identical to a direct engine run on the exact graph its
