@@ -369,13 +369,14 @@ void BM_QueryColdEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryColdEngine);
 
-// A cached /v1/topk answer: ResultCache::Get of a real result from a
-// warm 64 MiB cache, then SelectTopK(k=10). The graph and options are
-// the e2e small workload's (Chung-Lu n=20 000, m=160 000, gamma=2.2,
-// seed 7; eps=0.05, walk cap 100 000). 64 sources are computed and
-// cached up front; the loop cycles through them. "allocs/hit" counts
-// operator new calls per hit, Get and SelectTopK together;
-// "stored_frac" is the fraction of scores the entries store.
+// A cached answer from a warm 64 MiB cache, by request shape: arg 0 is
+// a full-vector read (ResultCache::Get rebuilds all n scores), arg k > 0
+// a top-k read (ResultCache::GetTopK into a warm buffer). The graph and
+// options are the e2e small workload's (Chung-Lu n=20 000, m=160 000,
+// gamma=2.2, seed 7; eps=0.05, walk cap 100 000). 64 sources are
+// computed and cached up front; the loop cycles through them.
+// "allocs/hit" counts operator new calls per hit; "stored_frac" is the
+// fraction of scores the entries store.
 void BM_ResultCacheHit(benchmark::State& state) {
   static const Graph graph = [] {
     auto g = GenerateChungLu(20000, 160000, 2.2, 7);
@@ -402,12 +403,18 @@ void BM_ResultCacheHit(benchmark::State& state) {
     }
     for (double score : result.scores) stored += score != 0.0;
   }
+  const size_t k = static_cast<size_t>(state.range(0));
+  std::vector<TopKEntry> top;
+  top.reserve(k);  // Warm, as the service's per-thread buffer is.
   const AllocationStats before = GetAllocationStats();
   NodeId i = 0;
   for (auto _ : state) {
     const NodeId u = i * kStride % graph.num_nodes();
-    if (!cache.Get(u, fp, &result)) std::abort();
-    benchmark::DoNotOptimize(SelectTopK(result.scores, 10, u));
+    const bool hit = k == 0 ? cache.Get(u, fp, &result)
+                            : cache.GetTopK(u, fp, k, &top, &result.stats);
+    if (!hit) std::abort();
+    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(top);
     i = (i + 1) % kSources;
   }
   const AllocationStats after = GetAllocationStats();
@@ -416,7 +423,7 @@ void BM_ResultCacheHit(benchmark::State& state) {
   state.counters["stored_frac"] = benchmark::Counter(
       double(stored) / (double(kSources) * graph.num_nodes()));
 }
-BENCHMARK(BM_ResultCacheHit);
+BENCHMARK(BM_ResultCacheHit)->Arg(0)->Arg(10);
 
 
 void BM_SinglePairSessionCreate(benchmark::State& state) {

@@ -78,8 +78,8 @@ size_t ResultCache::EntryBytes(size_t stored_scores) {
   // accounting — what matters is that it is a hard monotone bound
   // proportional to what is stored.
   constexpr size_t kOverhead = 160;
-  return stored_scores * (sizeof(NodeId) + sizeof(double)) + sizeof(Entry) +
-         kOverhead;
+  return stored_scores * (sizeof(NodeId) + sizeof(double)) +
+         kRankedPrefix * sizeof(uint32_t) + sizeof(Entry) + kOverhead;
 }
 
 bool ResultCache::VictimOutranks(const Shard& shard,
@@ -104,30 +104,59 @@ ResultCache::ResultCache(const ResultCacheConfig& config)
   }
 }
 
-bool ResultCache::Get(NodeId source, uint64_t fingerprint,
-                      SimPushResult* out) {
-  const uint64_t hash = KeyHash(source, fingerprint);
-  Shard& shard = ShardFor(hash);
-  MutexLock lock(&shard.mu);
+const ResultCache::Entry* ResultCache::Lookup(Shard& shard, uint64_t hash,
+                                              NodeId source,
+                                              uint64_t fingerprint) {
   // Sketch sees every access, so a source that keeps missing accrues
   // the frequency it needs to win a later admission duel.
   shard.sketch.Touch(hash);
   const auto it = shard.index.find(Key{source, fingerprint});
   if (it == shard.index.end()) {
     metrics_->misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return nullptr;
   }
   // Refresh LRU position (splice: pointer relink, no allocation).
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  const Entry& entry = *it->second;
+  metrics_->hits.fetch_add(1, std::memory_order_relaxed);
+  return &*it->second;
+}
+
+bool ResultCache::Get(NodeId source, uint64_t fingerprint,
+                      SimPushResult* out) {
+  const uint64_t hash = KeyHash(source, fingerprint);
+  Shard& shard = ShardFor(hash);
+  MutexLock lock(&shard.mu);
+  const Entry* entry = Lookup(shard, hash, source, fingerprint);
+  if (entry == nullptr) return false;
   // assign() reuses out->scores' capacity; a warm caller buffer makes
   // the whole hit path allocation-free.
-  out->scores.assign(entry.num_scores, 0.0);
-  for (size_t i = 0; i < entry.ids.size(); ++i) {
-    out->scores[entry.ids[i]] = entry.values[i];
+  out->scores.assign(entry->num_scores, 0.0);
+  for (size_t i = 0; i < entry->ids.size(); ++i) {
+    out->scores[entry->ids[i]] = entry->values[i];
   }
-  out->stats = entry.stats;
-  metrics_->hits.fetch_add(1, std::memory_order_relaxed);
+  out->stats = entry->stats;
+  return true;
+}
+
+bool ResultCache::GetTopK(NodeId source, uint64_t fingerprint, size_t k,
+                          std::vector<TopKEntry>* top,
+                          SimPushQueryStats* stats) {
+  const uint64_t hash = KeyHash(source, fingerprint);
+  Shard& shard = ShardFor(hash);
+  MutexLock lock(&shard.mu);
+  const Entry* entry = Lookup(shard, hash, source, fingerprint);
+  if (entry == nullptr) return false;
+  if (k <= kRankedPrefix || entry->ranked_all) {
+    // The top k are the prefix's first k: a copy.
+    top->resize(std::min(k, entry->ranked.size()));
+    for (size_t i = 0; i < top->size(); ++i) {
+      const uint32_t at = entry->ranked[i];
+      (*top)[i] = {entry->ids[at], entry->values[at]};
+    }
+  } else {
+    SelectTopK(entry->ids, entry->values, k, source, top);
+  }
+  *stats = entry->stats;
   return true;
 }
 
@@ -194,7 +223,8 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
     shard.lru.pop_back();
     metrics_->evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  Entry entry{key, entry_bytes, scores.size(), {}, {}, result.stats};
+  Entry entry{key, entry_bytes, scores.size(), {}, {}, {}, false,
+              result.stats};
   entry.ids.resize(num_stored);
   entry.values.resize(num_stored);
   // Branch-free gather: every score is written to slot k, which only
@@ -204,6 +234,16 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
     entry.ids[k] = static_cast<NodeId>(v);
     entry.values[k] = scores[v];
     k += stored(v);
+  }
+  // Rank one past the prefix: a shorter result is every positive score.
+  std::vector<TopKEntry> ranked;
+  SelectTopK(entry.ids, entry.values, kRankedPrefix + 1, source, &ranked);
+  entry.ranked_all = ranked.size() <= kRankedPrefix;
+  entry.ranked.resize(std::min(ranked.size(), kRankedPrefix));
+  for (size_t i = 0; i < entry.ranked.size(); ++i) {
+    entry.ranked[i] = static_cast<uint32_t>(
+        std::lower_bound(entry.ids.begin(), entry.ids.end(), ranked[i].node) -
+        entry.ids.begin());
   }
   shard.lru.push_front(std::move(entry));
   shard.index.emplace(key, shard.lru.begin());

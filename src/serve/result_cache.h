@@ -38,9 +38,19 @@
 // is a nonzero bit pattern and is stored, so a hit is bit-identical to
 // the computed vector.
 //
+// Ranked prefix. Most reads want a top-k, not n scores, so an admitted
+// entry also keeps the positions (into ids/values) of its first
+// min(kRankedPrefix, P) entries in SelectTopK order, where P counts the
+// positive scores other than the source's. GetTopK answers k up to
+// kRankedPrefix, or any k when the prefix holds all P, by copying k
+// entries; a larger k ranks the stored pairs, still never touching
+// the n zeros. The prefix costs 4 bytes a slot and one ranking pass
+// per admitted insert.
+//
 // Budget. A hard per-tenant byte budget, split evenly across shards and
 // charged for what an entry actually stores (EntryBytes of its stored
-// score count). Entries larger than a shard's budget are never admitted.
+// score count, which includes the ranked prefix's 4·kRankedPrefix).
+// Entries larger than a shard's budget are never admitted.
 //
 // Counting an entry's nonzeros is an O(n) scan, so it is only paid for
 // an insert that can still be admitted: when even a dense entry
@@ -53,8 +63,8 @@
 // Thread-safety: all methods safe from any thread. The cache is
 // sharded by key hash; each shard has its own mutex, LRU list and
 // sketch, so concurrent hot-path lookups on different sources do not
-// contend. Get() performs no heap allocation when the caller's result
-// buffers are warm — the serving steady state stays at zero
+// contend. Get() and GetTopK() perform no heap allocation when the
+// caller's buffers are warm — the serving steady state stays at zero
 // allocations per request even when it is served from cache.
 
 #ifndef SIMPUSH_SERVE_RESULT_CACHE_H_
@@ -72,6 +82,7 @@
 #include "graph/graph.h"
 #include "simpush/options.h"
 #include "simpush/query_runner.h"
+#include "simpush/topk.h"
 
 namespace simpush {
 namespace serve {
@@ -127,6 +138,16 @@ class ResultCache {
   /// colder entry later.
   bool Get(NodeId source, uint64_t fingerprint, SimPushResult* out);
 
+  /// The top-k read of the same entry: on a hit writes
+  /// SelectTopK(scores, k, source) of the cached scores into `*top` and
+  /// the stats into `*stats`. For k <= kRankedPrefix, or when the
+  /// entry's prefix holds all its positive scores, that is a copy of
+  /// min(k, prefix) entries; otherwise the stored pairs are ranked,
+  /// O(stored) and never O(n). Allocates nothing when `top` is warm.
+  /// The sketch touch, LRU refresh and hit/miss counts are Get's.
+  bool GetTopK(NodeId source, uint64_t fingerprint, size_t k,
+               std::vector<TopKEntry>* top, SimPushQueryStats* stats);
+
   /// Inserts a computed result. Best-effort: returns false (and the
   /// computed answer is simply served uncached) when the entry is
   /// over budget, loses the admission duel against the LRU victim, or
@@ -147,10 +168,15 @@ class ResultCache {
   }
 
   /// Bytes one cached entry holding `stored_scores` nonzero scores
-  /// accounts for (12 bytes per score + bookkeeping overhead). A dense
-  /// n-node vector costs EntryBytes(n). Exposed for budget math in
-  /// tests and capacity planning.
+  /// accounts for (12 bytes per score + the ranked prefix's 4 bytes per
+  /// slot + bookkeeping overhead). A dense n-node vector costs
+  /// EntryBytes(n). Exposed for budget math in tests and capacity
+  /// planning.
   static size_t EntryBytes(size_t stored_scores);
+
+  /// Length of an entry's ranked prefix: its top positive scores in
+  /// rank order, so a top-k hit with k up to this is a copy.
+  static constexpr size_t kRankedPrefix = 64;
 
  private:
   struct Key {
@@ -174,6 +200,11 @@ class ResultCache {
     size_t num_scores = 0;
     std::vector<NodeId> ids;  // Ascending.
     std::vector<double> values;
+    // Positions into ids/values of the first min(kRankedPrefix, P)
+    // entries of SelectTopK(scores, ·, source), where P counts the
+    // positive scores other than the source's, in rank order.
+    std::vector<uint32_t> ranked;
+    bool ranked_all = false;  // ranked holds all P positive scores.
     SimPushQueryStats stats;
   };
   using LruList = std::list<Entry>;
@@ -207,6 +238,11 @@ class ResultCache {
   };
 
   static uint64_t KeyHash(NodeId source, uint64_t fingerprint);
+  // The lookup Get and GetTopK share: touches the sketch, counts the
+  // hit or miss, and on a hit moves the entry to the LRU front.
+  // Returns the entry, or null on a miss.
+  const Entry* Lookup(Shard& shard, uint64_t hash, NodeId source,
+                      uint64_t fingerprint) SIMPUSH_REQUIRES(shard.mu);
   // True when the shard's LRU victim is accessed at least as often as
   // a candidate of sketch frequency `candidate_freq`, i.e. the
   // candidate loses the admission duel. The shard must be non-empty.

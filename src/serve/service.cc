@@ -151,14 +151,17 @@ struct SimPushService::Call {
   uint64_t node = 0;                     // /v1/query, /v1/topk.
   const JsonValue* node_list = nullptr;  // /v1/batch: the "nodes" array.
   uint64_t k = 0;  // /v1/query: top_k (0 = full score vector); else k.
+  bool full_vector = false;  // /v1/query with top_k 0.
   bool with_stats = false;
   // ...resolved against the leased generation...
   GenerationLease generation;
   std::shared_ptr<TenantMetrics> metrics;
   int64_t deadline_ms = 0;
   std::vector<NodeId> nodes;  // One per requested position.
-  // ...and run: a single query's scores...
+  // ...and run: a single query's scores (only the stats when ranked
+  // from the cache) and, unless full_vector, its ranked top k...
   const SimPushResult* result = nullptr;
+  const std::vector<TopKEntry>* top = nullptr;
   double epsilon = 0;  // The ε that produced `result`.
   bool cached = false;
   // ...or a batch: one entry per distinct node, fanned back to the
@@ -228,6 +231,7 @@ struct SimPushService::Route {
   static Status DecodeQuery(const ServiceOptions&, Call* call) {
     SIMPUSH_ASSIGN_OR_RETURN(call->node, RequireIndex(call->doc, "node"));
     SIMPUSH_ASSIGN_OR_RETURN(call->k, OptionalIndex(call->doc, "top_k", 0));
+    call->full_vector = call->k == 0;
     SIMPUSH_ASSIGN_OR_RETURN(call->with_stats,
                              OptionalBool(call->doc, "with_stats", false));
     return Status::OK();
@@ -326,9 +330,12 @@ struct SimPushService::Route {
     // performs zero heap allocations. An ε override leases the same
     // pooled workspaces, which grow once to its high-water size.
     static thread_local SimPushResult result;
+    static thread_local std::vector<TopKEntry> top;
+    std::vector<TopKEntry>* const ranked = call->full_vector ? nullptr : &top;
     call->result = &result;
+    call->top = ranked;
     return service.ServeOne(generation, call->nodes[0], epsilon, &result,
-                            cancel, &call->cached);
+                            ranked, call->k, cancel, &call->cached);
   }
 
   // The deduplicated /v1/batch fan-out through ParallelQueryBatchTopK.
@@ -405,20 +412,18 @@ struct SimPushService::Route {
   static void EncodeQuery(SimPushService&, const Call& call,
                           JsonWriter* writer) {
     EncodeSingleHead(call, writer);
-    const SimPushResult& result = *call.result;
-    if (call.k > 0) {
-      writer->Key("top");
-      WriteTopEntries(writer,
-                      SelectTopK(result.scores, call.k, call.nodes[0]));
-    } else {
+    if (call.full_vector) {
       writer->Key("scores");
       writer->BeginArray();
-      for (const double score : result.scores) writer->Double(score);
+      for (const double score : call.result->scores) writer->Double(score);
       writer->EndArray();
+    } else {
+      writer->Key("top");
+      WriteTopEntries(writer, *call.top);
     }
     if (call.with_stats) {
       writer->Key("stats");
-      WriteQueryStats(writer, result.stats);
+      WriteQueryStats(writer, call.result->stats);
     }
   }
 
@@ -428,8 +433,7 @@ struct SimPushService::Route {
     writer->Key("k");
     writer->Uint(call.k);
     writer->Key("top");
-    WriteTopEntries(writer,
-                    SelectTopK(call.result->scores, call.k, call.nodes[0]));
+    WriteTopEntries(writer, *call.top);
   }
 
   static void EncodeBatch(SimPushService&, const Call& call,
@@ -895,13 +899,14 @@ Status SimPushService::RunQuery(std::string_view graph_name, NodeId u,
   SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease lease,
                            registry_.Lease(graph_name));
   bool cached = false;
-  return ServeOne(*lease, u, std::nullopt, result, /*cancel=*/nullptr,
-                  &cached);
+  return ServeOne(*lease, u, std::nullopt, result, /*top=*/nullptr, 0,
+                  /*cancel=*/nullptr, &cached);
 }
 
 Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
                                 std::optional<double> epsilon,
                                 SimPushResult* result,
+                                std::vector<TopKEntry>* top, size_t k,
                                 const CancelToken* cancel, bool* cached) {
   // Cache key: the fingerprint of the MERGED effective options. With no
   // override this is the generation's precomputed fingerprint; an
@@ -919,7 +924,12 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
     merged.epsilon = *epsilon;
     fingerprint = OptionsFingerprint(merged);
   }
-  *cached = cache != nullptr && cache->Get(u, fingerprint, result);
+  // A ranked read copies the entry's top k; only a full-vector read
+  // rebuilds all n scores.
+  *cached = cache != nullptr &&
+            (top == nullptr ? cache->Get(u, fingerprint, result)
+                            : cache->GetTopK(u, fingerprint, k, top,
+                                             &result->stats));
   if (*cached) return Status::OK();
 
   // An override only changes which core runs: a throwaway core for the
@@ -942,6 +952,7 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
   // Best-effort: a rejected insert (budget, admission duel, injected
   // failure) just means this computed answer is served uncached.
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
+  if (top != nullptr) *top = SelectTopK(result->scores, k, u);
   return Status::OK();
 }
 

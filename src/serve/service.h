@@ -66,6 +66,7 @@
 #include "serve/json.h"
 #include "serve/registry.h"
 #include "simpush/query_runner.h"
+#include "simpush/topk.h"
 
 namespace simpush {
 namespace serve {
@@ -236,11 +237,16 @@ class SimPushService {
   /// leased from the generation's pool — with the tenant's core, or,
   /// for a per-request ε `epsilon`, with a throwaway core for that ε —
   /// adds its stats to the /v1/stats engine counters, then inserts the
-  /// result best-effort. `*cached` reports whether the scores came from
-  /// the cache. `cancel` (nullable) is polled in the pool wait and
-  /// cooperatively inside the engine.
+  /// result best-effort. With a non-null `top` the read is ranked: a
+  /// hit copies the cached top `k` into `*top` and only the stats into
+  /// `*result`, and a miss ranks the computed scores into `*top`; with
+  /// a null `top` `*result` gets the full score vector. `*cached`
+  /// reports whether the answer came from the cache. `cancel`
+  /// (nullable) is polled in the pool wait and cooperatively inside
+  /// the engine.
   Status ServeOne(const GraphGeneration& generation, NodeId u,
                   std::optional<double> epsilon, SimPushResult* result,
+                  std::vector<TopKEntry>* top, size_t k,
                   const CancelToken* cancel, bool* cached);
   /// The route shell every row runs: count → [graph name check] →
   /// [parse body] → decode → run → encode → finish. `graph` and `op` are

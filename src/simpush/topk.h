@@ -7,6 +7,7 @@
 #define SIMPUSH_SIMPUSH_TOPK_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -28,11 +29,22 @@ struct TopKResult {
 };
 
 /// The top-k selector every top-k path shares (QueryTopK, the parallel
-/// top-k batch, the service's top-k responses): the at most k nodes
-/// other than `exclude` with a positive score, descending by score,
-/// ties to the smaller id. Zero-score nodes are never reported.
+/// top-k batch, the service's top-k responses, the result cache): the
+/// at most k nodes other than `exclude` with a positive score,
+/// descending by score, ties to the smaller id. Zero-score (and NaN)
+/// nodes are never reported. A bounded heap of k entries: O(n log k)
+/// time, O(k) space.
 std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores, size_t k,
                                   NodeId exclude);
+
+/// The same selection over a sparse vector: node ids[i] scores
+/// scores[i] (the spans have equal lengths, the ids are distinct), and
+/// every node not in `ids` scores zero. Writes the ranked entries into
+/// `*top`, reusing its capacity, so it allocates nothing once `top` has
+/// held min(k, ids.size()) entries. Ranks bit-identically to the dense
+/// form over the scattered vector.
+void SelectTopK(std::span<const NodeId> ids, std::span<const double> scores,
+                size_t k, NodeId exclude, std::vector<TopKEntry>* top);
 
 /// Answers a top-k single-source query (the query node itself, whose
 /// s = 1 trivially, is excluded). An entry's score carries the same

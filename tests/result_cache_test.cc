@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
+#include "simpush/topk.h"
 #include "simpush/workspace.h"
 #include "test_util.h"
 
@@ -294,6 +295,108 @@ TEST(ResultCacheTest, ColderCandidateLosesBeforeTheNonzeroCount) {
   EXPECT_LE(cache.bytes(), cache.budget_bytes());
 }
 
+// A hand-built result for `source` with `positives` positive scores
+// other than the source's own 1.0, drawn from four values so ties run
+// across every rank (the prefix boundary included), interleaved with
+// -0.0, negatives and runs of +0.0.
+SimPushResult MakeRankedResult(NodeId source, size_t positives) {
+  SimPushResult result;
+  result.scores.assign(4 * positives + 16, 0.0);
+  result.scores[source] = 1.0;
+  size_t placed = 0;
+  for (size_t v = 0; placed < positives; ++v) {
+    if (v == source) continue;
+    switch (v % 4) {
+      case 0:
+        result.scores[v] = 0.25 / static_cast<double>(1 + placed % 4);
+        ++placed;
+        break;
+      case 1:
+        result.scores[v] = -0.0;
+        break;
+      case 2:
+        result.scores[v] = -0.5 / static_cast<double>(1 + v % 3);
+        break;
+      default:
+        break;  // +0.0
+    }
+  }
+  result.stats.walks_sampled = positives;
+  return result;
+}
+
+// A top-k hit equals ranking the scores Get rebuilds: from the prefix
+// copy (k <= R, or a prefix that holds every positive score) and from
+// ranking the stored pairs (k > R past a cut prefix). Positive counts
+// straddle R.
+TEST(ResultCacheTest, GetTopKMatchesSelectTopKOfGet) {
+  constexpr size_t R = ResultCache::kRankedPrefix;
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  for (const size_t positives : {size_t{0}, size_t{5}, R - 1, R, R + 1,
+                                 size_t{150}}) {
+    const NodeId source = 6;
+    const SimPushResult stored = MakeRankedResult(source, positives);
+    ResultCache cache(SmallConfig(1, stored.scores.size()));
+    ASSERT_TRUE(cache.Insert(source, fp, stored));
+    SimPushResult full;
+    ASSERT_TRUE(cache.Get(source, fp, &full));
+    const size_t nnz = NonzeroCount(full);
+    for (const size_t k : {size_t{0}, size_t{1}, R, R + 1, nnz + 5}) {
+      std::vector<TopKEntry> top(3, TopKEntry{1, 9.0});  // Stale contents.
+      SimPushQueryStats stats;
+      ASSERT_TRUE(cache.GetTopK(source, fp, k, &top, &stats));
+      EXPECT_TRUE(testing_util::SameRanking(
+          top, SelectTopK(full.scores, k, source)))
+          << "positives " << positives << " k " << k;
+      EXPECT_EQ(top.size(), std::min(k, positives));
+      EXPECT_EQ(stats.walks_sampled, positives);
+    }
+  }
+}
+
+// GetTopK is the same lookup as Get: driven by one script, a cache read
+// through GetTopK hits, misses, admits and evicts exactly as one read
+// through Get. The script is LruEvictionOrder's followed by
+// OneShotSourceCannotEvictHotEntries' scan of one-shot sources.
+TEST(ResultCacheTest, GetTopKMovesCountersAndLruLikeGet) {
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  std::vector<bool> outcomes[2];
+  std::shared_ptr<ResultCacheMetrics> metrics[2];
+  for (const bool ranked : {false, true}) {
+    ResultCache cache(SmallConfig(3, 16));
+    std::vector<bool>& seen = outcomes[ranked];
+    const auto read = [&](NodeId node) {
+      SimPushResult out;
+      std::vector<TopKEntry> top;
+      seen.push_back(ranked ? cache.GetTopK(node, fp, 10, &top, &out.stats)
+                            : cache.Get(node, fp, &out));
+    };
+    const auto read_then_insert = [&](NodeId node, int reads) {
+      for (int i = 0; i < reads; ++i) read(node);
+      seen.push_back(cache.Insert(node, fp, MakeResult(16, 0.1 * node)));
+    };
+    read_then_insert(0, 1);
+    read_then_insert(1, 1);
+    read_then_insert(2, 1);
+    read(0);
+    read_then_insert(3, 2);  // Evicts the LRU victim, 1.
+    for (NodeId u = 100; u < 110; ++u) read_then_insert(u, 1);
+    for (NodeId u = 0; u < 4; ++u) read(u);
+    metrics[ranked] = cache.metrics();
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  EXPECT_EQ(std::vector<bool>(outcomes[1].end() - 4, outcomes[1].end()),
+            (std::vector<bool>{true, false, true, true}));
+  EXPECT_EQ(metrics[0]->hits.load(), metrics[1]->hits.load());
+  EXPECT_EQ(metrics[0]->misses.load(), metrics[1]->misses.load());
+  EXPECT_EQ(metrics[0]->inserts.load(), metrics[1]->inserts.load());
+  EXPECT_EQ(metrics[0]->evictions.load(), metrics[1]->evictions.load());
+  EXPECT_EQ(metrics[0]->admission_rejects.load(),
+            metrics[1]->admission_rejects.load());
+  EXPECT_EQ(metrics[1]->evictions.load(), 1u);
+  EXPECT_EQ(metrics[1]->admission_rejects.load(), 10u);
+}
+
 TEST(ResultCacheTest, ZeroBudgetDisablesInserts) {
   ResultCacheConfig config;
   config.byte_budget = 0;
@@ -352,6 +455,21 @@ TEST(ResultCacheZeroAlloc, HitPathSteadyState) {
   const AllocationStats after = GetAllocationStats();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
       << "cache hits must not allocate in steady state";
+
+  // Top-k hits: a prefix copy (k = 10) and a ranking of the stored
+  // pairs (k past the prefix), once the top buffer is warm.
+  for (const size_t k : {size_t{10}, ResultCache::kRankedPrefix + 1}) {
+    std::vector<TopKEntry> top;
+    ASSERT_TRUE(cache.GetTopK(7, fp, k, &top, &out.stats));
+    ASSERT_EQ(top.size(), k);
+    const AllocationStats top_before = GetAllocationStats();
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(cache.GetTopK(7, fp, k, &top, &out.stats));
+    }
+    const AllocationStats top_after = GetAllocationStats();
+    EXPECT_EQ(top_after.allocations - top_before.allocations, 0u)
+        << "top-" << k << " cache hits must not allocate in steady state";
+  }
 }
 
 // The headline concurrency test: 8 threads hammer a shared cache over

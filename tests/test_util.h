@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -15,9 +16,24 @@
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "simpush/parallel.h"
+#include "simpush/topk.h"
 
 namespace simpush {
 namespace testing_util {
+
+/// True when two rankings hold the same nodes with bit-equal scores,
+/// rank by rank (operator== on doubles would pass -0.0 for +0.0).
+inline bool SameRanking(const std::vector<TopKEntry>& a,
+                        const std::vector<TopKEntry>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].node != b[i].node ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Builds a directed graph from an explicit edge list; aborts the test
 /// on failure.

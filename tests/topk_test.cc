@@ -1,5 +1,11 @@
 // Tests for the top-k query layer.
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "simpush/simpush.h"
 #include "simpush/topk.h"
@@ -88,6 +94,78 @@ TEST(SelectTopKTest, PositiveScoresDescendingTiesToSmallerId) {
   }
   EXPECT_EQ(SelectTopK(scores, 2, 3).size(), 2u);
   EXPECT_TRUE(SelectTopK(scores, 0, 3).empty());
+}
+
+// The selector before it became a bounded heap: collect every positive
+// non-excluded node, then partial_sort. Kept as the reference the heap
+// must reproduce entry for entry.
+std::vector<TopKEntry> ReferenceSelectTopK(const std::vector<double>& scores,
+                                           size_t k, NodeId exclude) {
+  std::vector<NodeId> order;
+  for (NodeId v = 0; v < scores.size(); ++v) {
+    if (v != exclude && scores[v] > 0.0) order.push_back(v);
+  }
+  const size_t take = std::min(k, order.size());
+  std::partial_sort(order.begin(), order.begin() + take, order.end(),
+                    [&scores](NodeId a, NodeId b) {
+                      if (scores[a] != scores[b]) {
+                        return scores[a] > scores[b];
+                      }
+                      return a < b;
+                    });
+  std::vector<TopKEntry> entries;
+  for (size_t i = 0; i < take; ++i) {
+    entries.push_back({order[i], scores[order[i]]});
+  }
+  return entries;
+}
+
+// Random vectors drawn from a small value set, so ties are everywhere,
+// with ±0.0, negatives, NaN and ±inf mixed in. The heap must match the
+// partial_sort reference for every k, dense and as (id, score) pairs of
+// the nonzero-bit scores, in ascending and in shuffled id order.
+TEST(SelectTopKTest, BoundedHeapMatchesPartialSortReference) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kValues[] = {0.0,  -0.0, 0.5, 0.25, 0.25, 0.125, 1.0,
+                            -0.5, kInf, -kInf, std::nan(""), 1e-300};
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.NextBounded(300);
+    std::vector<double> scores(n);
+    for (double& score : scores) {
+      score = kValues[rng.NextBounded(std::size(kValues))];
+    }
+    const NodeId exclude = static_cast<NodeId>(rng.NextBounded(n + 1));
+    std::vector<NodeId> ids;
+    std::vector<double> values;
+    for (NodeId v = 0; v < n; ++v) {
+      uint64_t bits;
+      std::memcpy(&bits, &scores[v], sizeof(bits));
+      if (bits == 0) continue;
+      ids.push_back(v);
+      values.push_back(scores[v]);
+    }
+    std::vector<NodeId> shuffled_ids = ids;
+    std::vector<double> shuffled_values = values;
+    for (size_t i = ids.size(); i > 1; --i) {
+      const size_t j = rng.NextBounded(i);
+      std::swap(shuffled_ids[i - 1], shuffled_ids[j]);
+      std::swap(shuffled_values[i - 1], shuffled_values[j]);
+    }
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{10}, n}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " k " +
+                   std::to_string(k));
+      const std::vector<TopKEntry> expected =
+          ReferenceSelectTopK(scores, k, exclude);
+      EXPECT_TRUE(testing_util::SameRanking(SelectTopK(scores, k, exclude),
+                                            expected));
+      std::vector<TopKEntry> top(2, TopKEntry{0, 3.0});  // Stale contents.
+      SelectTopK(ids, values, k, exclude, &top);
+      EXPECT_TRUE(testing_util::SameRanking(top, expected));
+      SelectTopK(shuffled_ids, shuffled_values, k, exclude, &top);
+      EXPECT_TRUE(testing_util::SameRanking(top, expected));
+    }
+  }
 }
 
 }  // namespace

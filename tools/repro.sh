@@ -34,6 +34,14 @@ echo "== generate a tiny synthetic web-like graph (Chung-Lu, power law)"
 
 echo "== single-source SimRank query (CLI)"
 "$CLI" query --graph "$WORK/web.txt" --node 42 --epsilon 0.05 --limit 5
+# A limit past the positive scores lists each positive score once, no
+# zero-score rows, and the header counts the rows printed.
+"$CLI" query --graph "$WORK/web.txt" --node 42 --epsilon 0.05 \
+    --limit 100000 > "$WORK/query.out"
+awk '/^#/ { shown = $6; next } { rows++; if ($2 <= 0) bad++ }
+     END { exit !(rows == shown && rows > 0 && bad == 0) }' \
+    "$WORK/query.out" || {
+  echo "simpush_cli query listed zero scores or miscounted them" >&2; exit 1; }
 
 echo "== top-k query (CLI)"
 "$CLI" topk --graph "$WORK/web.txt" --node 42 --k 5 --epsilon 0.05

@@ -99,11 +99,13 @@ int RunQuery(const Args& args) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  const size_t limit = args.GetInt("limit", 20);
+  const std::vector<TopKEntry> top =
+      SelectTopK(result->scores, args.GetInt("limit", 20), u);
   std::printf("# s(%u, v) — showing %zu highest of %u nodes (%.2f ms)\n", u,
-              limit, graph->num_nodes(), result->stats.total_seconds * 1e3);
-  for (NodeId v : TopK(result->scores, limit, u)) {
-    std::printf("%u %.6f\n", v, result->scores[v]);
+              top.size(), graph->num_nodes(),
+              result->stats.total_seconds * 1e3);
+  for (const TopKEntry& entry : top) {
+    std::printf("%u %.6f\n", entry.node, entry.score);
   }
   return 0;
 }
