@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/memory.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -616,6 +617,112 @@ TEST(ServeMultiGraph, CreateQuerySwapDeleteEndToEnd) {
                       "{\"name\":\"ring\",\"nodes\":2,\"edges\":[[0,1]]}")
                 ->status,
             201);
+}
+
+// The per-tenant counters one tenant section reports.
+struct TenantCounts {
+  uint64_t requests = 0;
+  uint64_t nodes_scored = 0;
+  uint64_t latency_samples = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+};
+
+TenantCounts CountsOf(const JsonValue& section) {
+  TenantCounts counts;
+  counts.requests = section.Find("requests")->AsIndex().value();
+  counts.nodes_scored = section.Find("nodes_scored")->AsIndex().value();
+  counts.latency_samples =
+      section.Find("latency_ms")->Find("samples")->AsIndex().value();
+  counts.cache_hits = section.Find("cache")->Find("hits")->AsIndex().value();
+  counts.cache_misses =
+      section.Find("cache")->Find("misses")->AsIndex().value();
+  return counts;
+}
+
+// Expects the section of tenant `name` to report `want`, read from
+// both endpoints that write it: GET /v1/graphs/{name} and /v1/stats.
+void ExpectTenantCounts(HttpClient* client, const std::string& name,
+                        const TenantCounts& want, const char* when) {
+  SCOPED_TRACE(when);
+  auto one = client->Get("/v1/graphs/" + name);
+  auto all = client->Get("/v1/stats");
+  ASSERT_TRUE(one.ok() && all.ok());
+  ASSERT_EQ(one->status, 200) << one->body;
+  auto one_doc = ParseJson(one->body);
+  auto all_doc = ParseJson(all->body);
+  ASSERT_TRUE(one_doc.ok() && all_doc.ok());
+  const JsonValue* sections[] = {one_doc->Find("stats"),
+                                 all_doc->Find("graphs")->Find(name)};
+  for (const JsonValue* section : sections) {
+    ASSERT_NE(section, nullptr);
+    ASSERT_NE(section->Find("requests"), nullptr) << one->body;
+    const TenantCounts got = CountsOf(*section);
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.nodes_scored, want.nodes_scored);
+    EXPECT_EQ(got.latency_samples, want.latency_samples);
+    EXPECT_EQ(got.cache_hits, want.cache_hits);
+    EXPECT_EQ(got.cache_misses, want.cache_misses);
+  }
+}
+
+// Every per-tenant counter lives and dies with the tenant: request,
+// latency and cache counters survive a swap, a DELETE and re-create of
+// the same name starts them at zero, and a request still running on
+// the deleted tenant's generation counts against that tenant, never
+// against the new one.
+TEST(ServeMultiGraph, TenantCountersFollowTheTenant) {
+  ServeFixture fixture;
+  HttpClient client("127.0.0.1", fixture.port());
+  const std::string create =
+      "{\"name\":\"ring\",\"nodes\":6,"
+      "\"edges\":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]}";
+  ASSERT_EQ(client.Post("/v1/graphs", create)->status, 201);
+
+  // A miss, then a hit of the same source.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(
+        client.Post("/v1/query", "{\"node\":2,\"graph\":\"ring\"}")->status,
+        200);
+  }
+  const TenantCounts served = {2, 2, 2, 1, 1};
+  ExpectTenantCounts(&client, "ring", served, "after two queries");
+  ASSERT_EQ(client.Post("/v1/graphs/ring/swap", "")->status, 200);
+  ExpectTenantCounts(&client, "ring", served, "after a swap");
+
+  ASSERT_EQ(client.Request("DELETE", "/v1/graphs/ring")->status, 200);
+  ASSERT_EQ(client.Post("/v1/graphs", create)->status, 201);
+  ExpectTenantCounts(&client, "ring", {}, "after delete and re-create");
+
+  // Hold a cache-missing request inside its workspace acquire while the
+  // tenant it leased is deleted and created again.
+  Failpoint* const acquire =
+      FailpointRegistry::Get().Register("workspace_pool.acquire");
+  const uint64_t hits_before = acquire->hits();
+  ASSERT_TRUE(FailpointRegistry::Get()
+                  .Activate("workspace_pool.acquire", "sleep:300")
+                  .ok());
+  int held_status = 0;
+  std::thread held([&fixture, &held_status] {
+    HttpClient held_client("127.0.0.1", fixture.port());
+    auto response =
+        held_client.Post("/v1/query", "{\"node\":3,\"graph\":\"ring\"}");
+    held_status = response.ok() ? response->status : -1;
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (acquire->hits() == hits_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(acquire->hits(), hits_before) << "the request never acquired";
+  EXPECT_EQ(client.Request("DELETE", "/v1/graphs/ring")->status, 200);
+  EXPECT_EQ(client.Post("/v1/graphs", create)->status, 201);
+  held.join();
+  FailpointRegistry::Get().DeactivateAll();
+  EXPECT_EQ(held_status, 200);
+  ExpectTenantCounts(&client, "ring", {},
+                     "after a request that ran on the deleted tenant");
 }
 
 // Atomic edges batches over the wire: a 4xx batch whose valid prefix
