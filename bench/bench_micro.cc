@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <map>
@@ -15,7 +14,6 @@
 #include "bench_json.h"
 #include "common/memory.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -481,16 +479,6 @@ void BM_DynamicGraphSnapshot(benchmark::State& state) {
   state.counters["edges"] = double(dynamic.num_edges());
 }
 BENCHMARK(BM_DynamicGraphSnapshot);
-
-void BM_ThreadPoolDispatch(benchmark::State& state) {
-  ThreadPool pool(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<uint64_t> sink{0};
-    ParallelFor(pool, 0, 1024, [&sink](size_t i) { sink.fetch_add(i); });
-    benchmark::DoNotOptimize(sink.load());
-  }
-}
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4);
 
 // Console reporter that additionally captures every per-repetition run
 // so --json can persist the trajectory (bench_json.h).

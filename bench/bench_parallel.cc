@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,20 +51,22 @@ RunRow RunEnginePerWorker(const Graph& graph, const SimPushOptions& options,
   RunRow row;
   // Pool construction precedes the timer on both models: the pooled
   // path times only the batch (its executor is built first too), so
-  // thread-spawn cost must not be charged to this baseline either.
-  ThreadPool pool(num_threads);
+  // thread-spawn cost must not be charged to this baseline either. The
+  // pool is destroyed to wait for the chunks: its destructor drains the
+  // queue and joins the workers.
+  std::optional<ThreadPool> pool(std::in_place, num_threads);
   Timer wall;
-  row.stats.num_threads = pool.num_threads();
+  row.stats.num_threads = pool->num_threads();
   std::atomic<size_t> ok{0};
   std::atomic<size_t> local_sink{0};
   std::atomic<uint64_t> cpu_nanos{0};
-  const size_t workers = pool.num_threads();
+  const size_t workers = pool->num_threads();
   const size_t chunk = (queries.size() + workers - 1) / workers;
   for (size_t w = 0; w < workers; ++w) {
     const size_t begin = w * chunk;
     const size_t end = std::min(queries.size(), begin + chunk);
     if (begin >= end) break;
-    pool.Submit([&, begin, end] {
+    pool->Submit([&, begin, end] {
       SimPushEngine engine(graph, options);
       SimPushResult result;
       for (size_t i = begin; i < end; ++i) {
@@ -75,7 +78,7 @@ RunRow RunEnginePerWorker(const Graph& graph, const SimPushOptions& options,
       }
     });
   }
-  pool.Wait();
+  pool.reset();
   row.stats.queries_ok = ok.load();
   row.stats.cpu_query_seconds = cpu_nanos.load() / 1e9;
   row.stats.wall_seconds = wall.ElapsedSeconds();

@@ -30,14 +30,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_ready_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  while (in_flight_ != 0) all_done_.Wait(mu_);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -54,32 +48,7 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      if (--in_flight_ == 0) {
-        all_done_.NotifyAll();
-      }
-    }
   }
-}
-
-void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body, size_t min_chunk) {
-  if (begin >= end) return;
-  const size_t total = end - begin;
-  min_chunk = std::max<size_t>(min_chunk, 1);
-  const size_t num_chunks =
-      std::min(pool.num_threads(), (total + min_chunk - 1) / min_chunk);
-  const size_t chunk = (total + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &body] {
-      for (size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool.Wait();
 }
 
 }  // namespace simpush

@@ -1,7 +1,8 @@
-// Fixed-size thread pool with a blocking task queue plus a ParallelFor
-// helper. Used by the batch/parallel query paths and by parallel
-// ground-truth generation; the single-query SimPush path stays strictly
-// single-threaded (matching the paper's measurements).
+// Fixed-size thread pool with a blocking task queue. Used by the
+// batch/parallel query paths (ParallelQueryBatch, which tracks its own
+// chunks' completion) and the similarity join; the single-query SimPush
+// path stays strictly single-threaded (matching the paper's
+// measurements).
 
 #ifndef SIMPUSH_COMMON_THREAD_POOL_H_
 #define SIMPUSH_COMMON_THREAD_POOL_H_
@@ -27,7 +28,8 @@ class ThreadPool {
   /// concurrency, or 1 when that is unknown).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains outstanding tasks, then joins all workers.
+  /// Drains outstanding tasks, then joins all workers: the one way to
+  /// wait for everything submitted to a scoped pool.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -35,9 +37,6 @@ class ThreadPool {
 
   /// Enqueues one task. Never blocks (unbounded queue).
   void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
 
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
@@ -47,23 +46,12 @@ class ThreadPool {
 
   Mutex mu_;
   CondVar task_ready_;
-  CondVar all_done_;
   std::queue<std::function<void()>> tasks_ SIMPUSH_GUARDED_BY(mu_);
-  // queued + currently executing
-  size_t in_flight_ SIMPUSH_GUARDED_BY(mu_) = 0;
   bool shutting_down_ SIMPUSH_GUARDED_BY(mu_) = false;
   // Written once by the constructor before any concurrent access;
   // num_threads() reads it lock-free thereafter.
   std::vector<std::thread> workers_;
 };
-
-/// Runs `body(i)` for every i in [begin, end) across the pool, splitting
-/// the range into contiguous chunks (one per worker, minimum `min_chunk`
-/// indices each) and blocking until all chunks finish. `body` must be
-/// safe to call concurrently for distinct i.
-void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body,
-                 size_t min_chunk = 1);
 
 }  // namespace simpush
 

@@ -1,5 +1,6 @@
 #include "serve/registry.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -10,29 +11,59 @@ namespace serve {
 
 namespace {
 
+// The cache counts into the tenant's record: an aliasing shared_ptr
+// to its `cache` member keeps the whole record alive.
 std::unique_ptr<ResultCache> MakeCache(
-    uint64_t generation_id, size_t cache_bytes,
-    std::shared_ptr<ResultCacheMetrics> metrics) {
+    size_t cache_bytes, const std::shared_ptr<TenantCounters>& counters) {
   if (cache_bytes == 0) return nullptr;
   ResultCacheConfig config;
   config.byte_budget = cache_bytes;
-  config.generation = generation_id;
-  config.metrics = std::move(metrics);
+  config.metrics =
+      std::shared_ptr<ResultCacheMetrics>(counters, &counters->cache);
   return std::make_unique<ResultCache>(config);
 }
 
 }  // namespace
 
+void LatencyRing::Record(double seconds) {
+  MutexLock lock(&mu);
+  ring[next] = seconds;
+  next = (next + 1) % ring.size();
+  filled = std::min(filled + 1, ring.size());
+}
+
+LatencySnapshot LatencyRing::Snapshot() const {
+  std::vector<double> sorted;
+  {
+    MutexLock lock(&mu);
+    sorted.assign(ring.begin(), ring.begin() + filled);
+  }
+  LatencySnapshot snapshot;
+  snapshot.samples = sorted.size();
+  if (sorted.empty()) return snapshot;
+  std::sort(sorted.begin(), sorted.end());
+  const auto percentile = [&sorted](double p) {
+    const size_t index = static_cast<size_t>(p * (sorted.size() - 1));
+    return sorted[index] * 1e3;
+  };
+  snapshot.p50_ms = percentile(0.50);
+  snapshot.p90_ms = percentile(0.90);
+  snapshot.p99_ms = percentile(0.99);
+  snapshot.max_ms = sorted.back() * 1e3;
+  return snapshot;
+}
+
 GraphGeneration::GraphGeneration(
     uint64_t id, Graph graph, const SimPushOptions& options,
     size_t pool_capacity, std::shared_ptr<std::atomic<int64_t>> live_counter,
-    size_t cache_bytes, std::shared_ptr<ResultCacheMetrics> cache_metrics)
+    size_t cache_bytes, std::shared_ptr<TenantCounters> counters)
     : id_(id),
       graph_(std::move(graph)),
       core_(graph_, options),
       workspaces_(pool_capacity),
       options_fingerprint_(OptionsFingerprint(options)),
-      cache_(MakeCache(id, cache_bytes, std::move(cache_metrics))),
+      counters_(std::move(counters)),
+      cache_(MakeCache(cache_bytes, counters_)),
       live_(std::move(live_counter)) {
   if (live_ != nullptr) live_->fetch_add(1);
 }
@@ -59,14 +90,13 @@ GraphRegistry::GraphRegistry(const RegistryOptions& options)
 
 GenerationLease GraphRegistry::BuildGeneration(
     Graph graph, const SimPushOptions& options,
-    std::shared_ptr<ResultCacheMetrics> cache_metrics) {
+    std::shared_ptr<TenantCounters> counters) {
   const size_t capacity = options_.pool_capacity != 0
                               ? options_.pool_capacity
                               : thread_pool_.num_threads();
   return std::make_shared<const GraphGeneration>(
       next_generation_id_.fetch_add(1), std::move(graph), options,
-      capacity, live_generations_, options_.cache_bytes,
-      std::move(cache_metrics));
+      capacity, live_generations_, options_.cache_bytes, std::move(counters));
 }
 
 Status GraphRegistry::Add(const std::string& name, Graph graph,
@@ -78,13 +108,13 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
   // Reject bad options before the O(n+m) bundle build; the core
   // repeats the check, but failing early keeps Add cheap on bad input.
   SIMPUSH_RETURN_NOT_OK(options.Validate());
-  // The tenant's lifetime cache counters exist before its first
-  // generation so every generation (including this one) shares them.
-  auto cache_metrics = std::make_shared<ResultCacheMetrics>();
+  // The tenant's counters exist before its first generation so every
+  // generation (including this one) shares them.
+  auto counters = std::make_shared<TenantCounters>();
   // Build the full bundle before touching the map, so a validation
   // failure (or a long CSR copy) never holds map_mu_.
   GenerationLease generation =
-      BuildGeneration(std::move(graph), options, cache_metrics);
+      BuildGeneration(std::move(graph), options, counters);
   const Status& options_status = generation->core().options_status();
   if (!options_status.ok()) return options_status;
 
@@ -99,7 +129,7 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
     MutexLock options_lock(&t->options_mu);
     MutexLock current_lock(&t->current_mu);
     t->master = DynamicGraph::FromGraph(generation->graph());
-    t->cache_metrics = std::move(cache_metrics);
+    t->counters = std::move(counters);
     t->options = options;
     t->options_generation = generation->id();
     t->swap_count.store(1);
@@ -194,7 +224,7 @@ Status GraphRegistry::RebuildLocked(Tenant* tenant) {
     options = tenant->options;
   }
   GenerationLease next =
-      BuildGeneration(*std::move(snapshot), options, tenant->cache_metrics);
+      BuildGeneration(*std::move(snapshot), options, tenant->counters);
   SIMPUSH_RETURN_NOT_OK(next->core().options_status());
   // Chaos hook: failure after the (expensive) build but before the
   // publish — the fully-built `next` must unwind cleanly through the
@@ -293,7 +323,7 @@ StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
   // Re-publish the CURRENT generation's graph, not a master snapshot:
   // an options change must not smuggle in pending edge updates.
   GenerationLease next =
-      BuildGeneration(Graph(current->graph()), options, t->cache_metrics);
+      BuildGeneration(Graph(current->graph()), options, t->counters);
   SIMPUSH_RETURN_NOT_OK(next->core().options_status());
   SIMPUSH_FAILPOINT("registry.publish");
   {
@@ -346,17 +376,21 @@ StatusOr<TenantStats> GraphRegistry::Stats(std::string_view name) const {
       stats.cache_bytes = cache->bytes();
     }
   }
-  if (tenant->cache_metrics != nullptr) {
-    const ResultCacheMetrics& m = *tenant->cache_metrics;
-    stats.cache_hits = m.hits.load(std::memory_order_relaxed);
-    stats.cache_misses = m.misses.load(std::memory_order_relaxed);
-    stats.cache_inserts = m.inserts.load(std::memory_order_relaxed);
-    stats.cache_evictions = m.evictions.load(std::memory_order_relaxed);
-    stats.cache_admission_rejects =
-        m.admission_rejects.load(std::memory_order_relaxed);
-    stats.cache_insert_failures =
-        m.insert_failures.load(std::memory_order_relaxed);
-  }
+  const TenantCounters& counters = *tenant->counters;
+  const ResultCacheMetrics& m = counters.cache;
+  stats.cache_hits = m.hits.load(std::memory_order_relaxed);
+  stats.cache_misses = m.misses.load(std::memory_order_relaxed);
+  stats.cache_inserts = m.inserts.load(std::memory_order_relaxed);
+  stats.cache_evictions = m.evictions.load(std::memory_order_relaxed);
+  stats.cache_admission_rejects =
+      m.admission_rejects.load(std::memory_order_relaxed);
+  stats.cache_insert_failures =
+      m.insert_failures.load(std::memory_order_relaxed);
+  stats.requests = counters.requests.load();
+  stats.nodes_scored = counters.nodes_scored.load();
+  stats.deadline_expired = counters.deadline_expired.load();
+  stats.client_abandoned = counters.client_abandoned.load();
+  stats.latency = counters.latency.Snapshot();
   return stats;
 }
 

@@ -10,7 +10,9 @@
 //     updates, and
 //   - a published *generation*: an immutable bundle of
 //     Graph snapshot + EngineCore + WorkspacePool, held through
-//     std::shared_ptr<const GraphGeneration>.
+//     std::shared_ptr<const GraphGeneration>, and
+//   - one TenantCounters record (cache, request and latency counters)
+//     that every generation of the tenant shares.
 //
 // Queries take a lease (a shared_ptr copy) on the current generation
 // and run entirely against that bundle; a swap builds the next
@@ -78,23 +80,62 @@ struct RegistryOptions {
   size_t cache_bytes = 64u << 20;
 };
 
+/// Point-in-time latency percentiles computed from a ring buffer.
+struct LatencySnapshot {
+  size_t samples = 0;  ///< Entries in the ring (<= LatencyRing::kSize).
+  double p50_ms = 0;
+  double p90_ms = 0;
+  double p99_ms = 0;
+  double max_ms = 0;
+};
+
+/// The last kSize request latencies in a ring preallocated at
+/// construction; Record never allocates.
+struct LatencyRing {
+  static constexpr size_t kSize = 2048;
+
+  LatencyRing() : ring(kSize, 0.0) {}
+  void Record(double seconds);
+  LatencySnapshot Snapshot() const;
+
+  mutable Mutex mu;
+  std::vector<double> ring SIMPUSH_GUARDED_BY(mu);
+  size_t next SIMPUSH_GUARDED_BY(mu) = 0;
+  size_t filled SIMPUSH_GUARDED_BY(mu) = 0;
+};
+
+/// Every counter one tenant accumulates over its lifetime. GraphRegistry
+/// creates it with the tenant and hands it to each generation the
+/// tenant publishes, so the counters survive swaps and option changes,
+/// while a deleted and re-created name starts from a fresh object. A
+/// request counts into the counters of the generation it leased, so it
+/// is always charged to the tenant it ran on.
+struct TenantCounters {
+  ResultCacheMetrics cache;  ///< Every generation's result cache.
+  // The query endpoints' counters (/v1/query, /v1/topk, /v1/batch).
+  std::atomic<uint64_t> requests{0};
+  std::atomic<uint64_t> nodes_scored{0};
+  std::atomic<uint64_t> deadline_expired{0};   ///< 504 responses.
+  std::atomic<uint64_t> client_abandoned{0};   ///< 499: client left.
+  LatencyRing latency;
+};
+
 /// One immutable, published graph generation: snapshot + core + scratch
-/// pool. Deeply const except the workspace pool, which is internally
-/// synchronized. Generations are shared via shared_ptr and never
-/// mutated after publication; they die when the registry has swapped
-/// past them AND the last in-flight lease has dropped.
+/// pool. Deeply const except the workspace pool, the cache and the
+/// tenant counters, which are internally synchronized. Generations are
+/// shared via shared_ptr and never mutated after publication; they die
+/// when the registry has swapped past them AND the last in-flight lease
+/// has dropped.
 class GraphGeneration {
  public:
   /// `live_counter` (may be null) is decremented on destruction — the
   /// registry's generation-leak gauge. `cache_bytes` bounds this
-  /// generation's result cache (0 = no cache); `cache_metrics` (may be
-  /// null) carries the owning tenant's lifetime hit/miss counters
-  /// across swaps.
+  /// generation's result cache (0 = no cache); `counters` (non-null) is
+  /// the owning tenant's record, which the cache counts into.
   GraphGeneration(uint64_t id, Graph graph, const SimPushOptions& options,
                   size_t pool_capacity,
                   std::shared_ptr<std::atomic<int64_t>> live_counter,
-                  size_t cache_bytes = 0,
-                  std::shared_ptr<ResultCacheMetrics> cache_metrics = nullptr);
+                  size_t cache_bytes, std::shared_ptr<TenantCounters> counters);
   ~GraphGeneration();
 
   GraphGeneration(const GraphGeneration&) = delete;
@@ -117,6 +158,9 @@ class GraphGeneration {
   /// Fingerprint of the options this generation was built from —
   /// precomputed so the no-override query path hashes nothing.
   uint64_t options_fingerprint() const { return options_fingerprint_; }
+  /// The owning tenant's counters (internally synchronized; shared by
+  /// every generation of the tenant).
+  TenantCounters& counters() const { return *counters_; }
 
  private:
   const uint64_t id_;
@@ -124,6 +168,7 @@ class GraphGeneration {
   const EngineCore core_;          // References graph_.
   mutable WorkspacePool workspaces_;
   const uint64_t options_fingerprint_;
+  const std::shared_ptr<TenantCounters> counters_;
   const std::unique_ptr<ResultCache> cache_;
   std::shared_ptr<std::atomic<int64_t>> live_;
 };
@@ -168,6 +213,12 @@ struct TenantStats {
   uint64_t cache_evictions = 0;
   uint64_t cache_admission_rejects = 0;
   uint64_t cache_insert_failures = 0;
+  // Query-endpoint counters, tenant-lifetime like the cache counters.
+  uint64_t requests = 0;
+  uint64_t nodes_scored = 0;
+  uint64_t deadline_expired = 0;
+  uint64_t client_abandoned = 0;
+  LatencySnapshot latency;
 };
 
 /// Result of an ApplyUpdates/Swap call.
@@ -230,7 +281,8 @@ class GraphRegistry {
   StatusOr<UpdateOutcome> UpdateOptions(std::string_view name,
                                         const SimPushOptions& options);
 
-  /// Stats snapshot for one tenant.
+  /// Stats snapshot for one tenant: its gauges, its current
+  /// generation and its counters, all read from one tenant record.
   StatusOr<TenantStats> Stats(std::string_view name) const;
 
   /// Registered tenant names, sorted.
@@ -274,10 +326,9 @@ class GraphRegistry {
     std::atomic<uint64_t> delta_swaps{0};
     std::atomic<uint64_t> last_swap_us{0};
 
-    // Tenant-lifetime cache counters, threaded into every generation's
-    // cache so hit rates survive swaps (set once in Add, then
-    // read-only).
-    std::shared_ptr<ResultCacheMetrics> cache_metrics;
+    // The tenant's counters, threaded into every generation it
+    // publishes (set once in Add, then read-only).
+    std::shared_ptr<TenantCounters> counters;
 
     // Guards only the `current` pointer; held for a load or store.
     mutable Mutex current_mu;
@@ -290,11 +341,9 @@ class GraphRegistry {
   };
 
   // Builds a generation bundle around `graph` with the given engine
-  // options (outside any lock). `cache_metrics` carries the owning
-  // tenant's counters into the new generation's cache.
-  GenerationLease BuildGeneration(
-      Graph graph, const SimPushOptions& options,
-      std::shared_ptr<ResultCacheMetrics> cache_metrics);
+  // options (outside any lock), carrying the owning tenant's counters.
+  GenerationLease BuildGeneration(Graph graph, const SimPushOptions& options,
+                                  std::shared_ptr<TenantCounters> counters);
   // Snapshots tenant->master and publishes the result. The REQUIRES
   // annotation is the compiler-checked form of "caller holds
   // tenant->update_mu" — call sites must lock through a raw Tenant*

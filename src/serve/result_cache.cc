@@ -92,7 +92,6 @@ bool ResultCache::VictimOutranks(const Shard& shard,
 
 ResultCache::ResultCache(const ResultCacheConfig& config)
     : budget_(config.byte_budget),
-      generation_(config.generation),
       metrics_(config.metrics != nullptr
                    ? config.metrics
                    : std::make_shared<ResultCacheMetrics>()) {

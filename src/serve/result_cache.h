@@ -12,10 +12,9 @@
 // can never outlive the snapshot they were computed on.
 //
 // Keying. An entry is identified by (generation id, source node,
-// options fingerprint). The generation id is implicit — a cache
-// belongs to exactly one generation and is only reachable through a
-// lease on it — but it is carried for stats and self-description. The
-// fingerprint canonicalizes the *effective* options: the tenant's
+// options fingerprint). The generation id is implicit: a cache belongs
+// to exactly one generation and is only reachable through a lease on
+// it. The fingerprint canonicalizes the *effective* options: the tenant's
 // options merged with any per-request ε override, hashed over exactly
 // the score-affecting fields (ε, c, δ, seed, walk cap, level
 // detection, gamma correction). A request that explicitly passes the
@@ -96,7 +95,8 @@ uint64_t OptionsFingerprint(const SimPushOptions& options);
 
 /// Lifetime cache counters, shared across a tenant's generations so
 /// hit-rate statistics survive hot swaps (each swap starts an empty
-/// cache, but the tenant's counters keep accumulating).
+/// cache, but the tenant's counters keep accumulating). The registry
+/// keeps them in the tenant's TenantCounters.
 struct ResultCacheMetrics {
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
@@ -113,9 +113,6 @@ struct ResultCacheConfig {
   /// Shard count (clamped to >= 1). Tests use 1 for deterministic
   /// LRU order; the registry uses the default.
   size_t shards = 8;
-  /// Generation id this cache serves (stats/self-description only;
-  /// isolation comes from per-generation ownership, not the key).
-  uint64_t generation = 0;
   /// Shared tenant counters (may be null; counters are then local).
   std::shared_ptr<ResultCacheMetrics> metrics;
 };
@@ -162,7 +159,6 @@ class ResultCache {
   size_t bytes() const;
 
   size_t budget_bytes() const { return budget_; }
-  uint64_t generation() const { return generation_; }
   const std::shared_ptr<ResultCacheMetrics>& metrics() const {
     return metrics_;
   }
@@ -253,7 +249,6 @@ class ResultCache {
   }
 
   const size_t budget_;
-  const uint64_t generation_;
   std::shared_ptr<ResultCacheMetrics> metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

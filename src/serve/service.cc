@@ -155,7 +155,6 @@ struct SimPushService::Call {
   bool with_stats = false;
   // ...resolved against the leased generation...
   GenerationLease generation;
-  std::shared_ptr<TenantMetrics> metrics;
   int64_t deadline_ms = 0;
   std::vector<NodeId> nodes;  // One per requested position.
   // ...and run: a single query's scores (only the stats when ranked
@@ -225,7 +224,7 @@ struct SimPushService::Route {
   // -------------------------------------------------------------------------
   // The query endpoints: /v1/query, /v1/topk and /v1/batch differ only in
   // decode and encode. Their run is one chain: lease → bind nodes →
-  // deadline → cancel token → score → per-tenant counters.
+  // deadline → cancel token → score → the leased tenant's counters.
   // -------------------------------------------------------------------------
 
   static Status DecodeQuery(const ServiceOptions&, Call* call) {
@@ -305,15 +304,13 @@ struct SimPushService::Route {
     // raw token pointer from the watcher's poll set).
     CancelToken token(Deadline::After(call->deadline_ms));
     const auto watch = service.watcher_.Watch(call->request.client_fd, &token);
-    call->metrics = service.FindMetrics(call->graph);
     SIMPUSH_RETURN_NOT_OK(call->node_list == nullptr
                               ? ScoreOne(service, call, &token)
                               : ScoreBatch(service, call, &token));
     service.nodes_scored_.fetch_add(call->nodes.size());
-    if (call->metrics != nullptr) {
-      call->metrics->requests.fetch_add(1);
-      call->metrics->nodes_scored.fetch_add(call->nodes.size());
-    }
+    TenantCounters& counters = call->generation->counters();
+    counters.requests.fetch_add(1);
+    counters.nodes_scored.fetch_add(call->nodes.size());
     return Status::OK();
   }
 
@@ -570,7 +567,7 @@ struct SimPushService::Route {
     }
     if (!graph.ok()) return Status::InvalidArgument(graph.status().ToString());
     SIMPUSH_RETURN_NOT_OK(
-        service.AddGraph(call->graph, *std::move(graph), call->options));
+        service.registry_.Add(call->graph, *std::move(graph), call->options));
     if (auto stats = service.registry_.Stats(call->graph); stats.ok()) {
       call->stats = *std::move(stats);
     }
@@ -608,7 +605,7 @@ struct SimPushService::Route {
   }
 
   static Status RunDelete(SimPushService& service, Call* call) {
-    return service.RemoveGraph(call->graph);
+    return service.registry_.Remove(call->graph);
   }
 
   static void EncodeDeleted(SimPushService&, const Call& call,
@@ -766,7 +763,10 @@ HttpResponse SimPushService::Serve(const Route& route,
   writer.EndObject();
   HttpResponse response = Finish(&writer, route.ok_status);
   if (route.counter < kAdmin) {
-    RecordLatency(call.metrics, call.wall.ElapsedSeconds());
+    // A served query always holds the generation it ran on.
+    const double seconds = call.wall.ElapsedSeconds();
+    latency_.Record(seconds);
+    call.generation->counters().latency.Record(seconds);
   }
   return response;
 }
@@ -806,11 +806,15 @@ HttpResponse SimPushService::ErrorResponse(const Status& status,
     // operator's signal that clients are hanging up, not timing out.
     case StatusCode::kCancelled:
       client_abandoned_.fetch_add(1);
-      if (call.metrics != nullptr) call.metrics->client_abandoned.fetch_add(1);
+      if (call.generation != nullptr) {
+        call.generation->counters().client_abandoned.fetch_add(1);
+      }
       break;
     case StatusCode::kDeadlineExceeded:
       deadline_expired_.fetch_add(1);
-      if (call.metrics != nullptr) call.metrics->deadline_expired.fetch_add(1);
+      if (call.generation != nullptr) {
+        call.generation->counters().deadline_expired.fetch_add(1);
+      }
       break;
     default:
       bad_requests_.fetch_add(1);
@@ -837,34 +841,6 @@ HttpResponse SimPushService::ErrorResponse(const Status& status,
 SimPushService::SimPushService(const ServiceOptions& options)
     : options_(options), registry_(ToRegistryOptions(options)) {}
 
-// The metrics map must track the registry under concurrent add/remove
-// of one name WITHOUT metrics_mu_ ever covering the registry's O(n+m)
-// build (that would stall every handler's FindMetrics for the whole
-// build). AddGraph installs a FRESH metrics object only after the
-// registry accepted the name; RemoveGraph erases only the exact object
-// it observed before removing, so a racing re-add's fresh metrics can
-// never be deleted out from under the new graph, and a re-added graph
-// can never inherit the old graph's counters.
-Status SimPushService::AddGraph(const std::string& name, Graph graph,
-                                const SimPushOptions& tenant_options) {
-  SIMPUSH_RETURN_NOT_OK(registry_.Add(name, std::move(graph),
-                                      tenant_options));
-  MutexLock lock(&metrics_mu_);
-  tenant_metrics_.insert_or_assign(name, std::make_shared<TenantMetrics>());
-  return Status::OK();
-}
-
-Status SimPushService::RemoveGraph(std::string_view name) {
-  const std::shared_ptr<TenantMetrics> observed = FindMetrics(name);
-  SIMPUSH_RETURN_NOT_OK(registry_.Remove(name));
-  MutexLock lock(&metrics_mu_);
-  const auto it = tenant_metrics_.find(name);
-  if (it != tenant_metrics_.end() && it->second == observed) {
-    tenant_metrics_.erase(it);
-  }
-  return Status::OK();
-}
-
 void SimPushService::RegisterRoutes(HttpServer* server) {
   server_ = server;
   std::vector<std::string_view> prefix_methods;
@@ -885,13 +861,6 @@ void SimPushService::RegisterRoutes(HttpServer* server) {
                           });
     }
   }
-}
-
-std::shared_ptr<SimPushService::TenantMetrics> SimPushService::FindMetrics(
-    std::string_view name) const {
-  MutexLock lock(&metrics_mu_);
-  const auto it = tenant_metrics_.find(name);
-  return it == tenant_metrics_.end() ? nullptr : it->second;
 }
 
 Status SimPushService::RunQuery(std::string_view graph_name, NodeId u,
@@ -952,7 +921,7 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
   // Best-effort: a rejected insert (budget, admission duel, injected
   // failure) just means this computed answer is served uncached.
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
-  if (top != nullptr) *top = SelectTopK(result->scores, k, u);
+  if (top != nullptr) SelectTopK(result->scores, k, u, top);
   return Status::OK();
 }
 
@@ -1078,18 +1047,16 @@ void SimPushService::WriteTenantSection(JsonWriter* writer,
     writer->Key("insert_failures");
     writer->Uint(stats->cache_insert_failures);
     writer->EndObject();
-  }
-  if (const auto metrics = FindMetrics(name)) {
     writer->Key("requests");
-    writer->Uint(metrics->requests.load());
+    writer->Uint(stats->requests);
     writer->Key("nodes_scored");
-    writer->Uint(metrics->nodes_scored.load());
+    writer->Uint(stats->nodes_scored);
     writer->Key("deadline_expired");
-    writer->Uint(metrics->deadline_expired.load());
+    writer->Uint(stats->deadline_expired);
     writer->Key("client_abandoned");
-    writer->Uint(metrics->client_abandoned.load());
+    writer->Uint(stats->client_abandoned);
     writer->Key("latency_ms");
-    WriteLatency(writer, metrics->latency.Snapshot());
+    WriteLatency(writer, stats->latency);
   }
   writer->EndObject();
 }
@@ -1182,34 +1149,6 @@ void SimPushService::WriteStats(JsonWriter* writer) {
   writer->EndObject();
 }
 
-
-void SimPushService::LatencyRing::Record(double seconds) {
-  MutexLock lock(&mu);
-  ring[next] = seconds;
-  next = (next + 1) % ring.size();
-  filled = std::min(filled + 1, ring.size());
-}
-
-LatencySnapshot SimPushService::LatencyRing::Snapshot() const {
-  std::vector<double> sorted;
-  {
-    MutexLock lock(&mu);
-    sorted.assign(ring.begin(), ring.begin() + filled);
-  }
-  LatencySnapshot snapshot;
-  snapshot.samples = sorted.size();
-  if (sorted.empty()) return snapshot;
-  std::sort(sorted.begin(), sorted.end());
-  const auto percentile = [&sorted](double p) {
-    const size_t index = static_cast<size_t>(p * (sorted.size() - 1));
-    return sorted[index] * 1e3;
-  };
-  snapshot.p50_ms = percentile(0.50);
-  snapshot.p90_ms = percentile(0.90);
-  snapshot.p99_ms = percentile(0.99);
-  snapshot.max_ms = sorted.back() * 1e3;
-  return snapshot;
-}
 
 // ---------------------------------------------------------------------------
 // Shutdown signal plumbing (used by tools/simpush_serve.cc).

@@ -49,14 +49,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/deadline.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -133,15 +131,6 @@ struct ServiceOptions {
   std::string default_graph = "default";
 };
 
-/// Point-in-time latency percentiles computed from a ring buffer.
-struct LatencySnapshot {
-  size_t samples = 0;   ///< Entries currently in the ring (<= ring size).
-  double p50_ms = 0;
-  double p90_ms = 0;
-  double p99_ms = 0;
-  double max_ms = 0;
-};
-
 /// The SimPush query service over a GraphRegistry.
 class SimPushService {
  public:
@@ -151,13 +140,13 @@ class SimPushService {
   /// Registers `graph` under `name` with per-tenant engine options:
   /// every generation of this tenant — including hot swaps — runs with
   /// `tenant_options`, independent of other tenants and of the process
-  /// defaults. Same error contract as GraphRegistry::Add; a rejected
-  /// graph is not registered, so callers (simpush_serve) exit on it.
+  /// defaults. A forward to GraphRegistry::Add, with its error
+  /// contract; a rejected graph is not registered, so callers
+  /// (simpush_serve) exit on it.
   Status AddGraph(const std::string& name, Graph graph,
-                  const SimPushOptions& tenant_options);
-
-  /// Unregisters `name`; in-flight queries on it finish unharmed.
-  Status RemoveGraph(std::string_view name);
+                  const SimPushOptions& tenant_options) {
+    return registry_.Add(name, std::move(graph), tenant_options);
+  }
 
   /// Registers all endpoints on `server` (call before server.Start()).
   /// The service keeps the pointer to surface the server's admission
@@ -193,29 +182,6 @@ class SimPushService {
   GraphRegistry& registry() { return registry_; }
 
  private:
-  /// Requests each latency ring (global and per tenant) remembers.
-  static constexpr size_t kLatencyRingSize = 2048;
-
-  // Fixed-size preallocated latency ring; Record never allocates.
-  struct LatencyRing {
-    LatencyRing() : ring(kLatencyRingSize, 0.0) {}
-    mutable Mutex mu;
-    std::vector<double> ring SIMPUSH_GUARDED_BY(mu);
-    size_t next SIMPUSH_GUARDED_BY(mu) = 0;
-    size_t filled SIMPUSH_GUARDED_BY(mu) = 0;
-    void Record(double seconds);
-    LatencySnapshot Snapshot() const;
-  };
-  // Per-tenant request-path counters + latency ring. Created when a
-  // graph is registered, torn down when it is removed.
-  struct TenantMetrics {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> nodes_scored{0};
-    std::atomic<uint64_t> deadline_expired{0};   ///< 504 responses.
-    std::atomic<uint64_t> client_abandoned{0};   ///< 499: client left.
-    LatencyRing latency;
-  };
-
   /// The "requests" counters of /v1/stats; every route row names one.
   /// Query endpoints count the requests they served, admin endpoints
   /// every request they were handed, kUncounted routes neither.
@@ -224,13 +190,6 @@ class SimPushService {
   struct Call;   // service.cc: one request moving through the route shell.
   struct Route;  // service.cc: a row of the route table and its steps.
 
-  /// Records into the global ring and, when `metrics` is non-null, the
-  /// tenant ring — the caller looked the tenant up once per request.
-  void RecordLatency(const std::shared_ptr<TenantMetrics>& metrics,
-                     double seconds) {
-    latency_.Record(seconds);
-    if (metrics != nullptr) metrics->latency.Record(seconds);
-  }
   /// The one cache-then-run path for a single query (RunQuery and the
   /// query/topk endpoints): consults the generation's result cache under
   /// the caller's lease and on a miss runs the query on a workspace
@@ -257,7 +216,6 @@ class SimPushService {
   /// body and bumps the counter the failure belongs to (service.cc
   /// holds the table; docs/serving.md lists it).
   HttpResponse ErrorResponse(const Status& status, const Call& call);
-  std::shared_ptr<TenantMetrics> FindMetrics(std::string_view name) const;
   /// The members of the /v1/stats object.
   void WriteStats(JsonWriter* writer);
   void WriteTenantSection(JsonWriter* writer, const std::string& name);
@@ -283,10 +241,9 @@ class SimPushService {
   // duration of the query.
   DisconnectWatcher watcher_;
 
-  LatencyRing latency_;  // All requests, all graphs.
-  mutable Mutex metrics_mu_;
-  std::map<std::string, std::shared_ptr<TenantMetrics>, std::less<>>
-      tenant_metrics_ SIMPUSH_GUARDED_BY(metrics_mu_);
+  // All requests, all graphs; each tenant's own ring is on its
+  // TenantCounters.
+  LatencyRing latency_;
 };
 
 /// Installs SIGTERM/SIGINT handlers that mark shutdown as requested

@@ -85,7 +85,7 @@ StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
       core, thread_pool, workspaces, queries,
       [&](size_t i, const SimPushResult& result) {
         results[i].query = queries[i];
-        results[i].topk = SelectTopK(result.scores, k, queries[i]);
+        SelectTopK(result.scores, k, queries[i], &results[i].topk);
         return true;
       },
       cancel);

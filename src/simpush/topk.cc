@@ -65,13 +65,11 @@ void SelectInto(std::span<const double> scores, IdAt id_at, size_t k,
 
 }  // namespace
 
-std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores, size_t k,
-                                  NodeId exclude) {
-  std::vector<TopKEntry> top;
+void SelectTopK(const std::vector<double>& scores, size_t k, NodeId exclude,
+                std::vector<TopKEntry>* top) {
   SelectInto(
       scores, [](size_t v) { return static_cast<NodeId>(v); }, k, exclude,
-      &top);
-  return top;
+      top);
 }
 
 void SelectTopK(std::span<const NodeId> ids, std::span<const double> scores,
@@ -83,7 +81,7 @@ void SelectTopK(std::span<const NodeId> ids, std::span<const double> scores,
 StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
   SIMPUSH_ASSIGN_OR_RETURN(SimPushResult full, runner->Query(u));
   TopKResult result;
-  result.entries = SelectTopK(full.scores, k, u);
+  SelectTopK(full.scores, k, u, &result.entries);
   result.stats = full.stats;
   return result;
 }

@@ -29,20 +29,21 @@ struct TopKResult {
 };
 
 /// The top-k selector every top-k path shares (QueryTopK, the parallel
-/// top-k batch, the service's top-k responses, the result cache): the
-/// at most k nodes other than `exclude` with a positive score,
-/// descending by score, ties to the smaller id. Zero-score (and NaN)
-/// nodes are never reported. A bounded heap of k entries: O(n log k)
-/// time, O(k) space.
-std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores, size_t k,
-                                  NodeId exclude);
+/// top-k batch, the service's top-k responses, the result cache, the
+/// CLI): writes into `*top` the at most k nodes other than `exclude`
+/// with a positive score, descending by score, ties to the smaller id.
+/// Zero-score (and NaN) nodes are never reported. A bounded heap of k
+/// entries: O(n log k) time, O(k) space. `*top` keeps its capacity, so
+/// the selection allocates nothing once `top` has held min(k, n)
+/// entries.
+void SelectTopK(const std::vector<double>& scores, size_t k, NodeId exclude,
+                std::vector<TopKEntry>* top);
 
 /// The same selection over a sparse vector: node ids[i] scores
 /// scores[i] (the spans have equal lengths, the ids are distinct), and
-/// every node not in `ids` scores zero. Writes the ranked entries into
-/// `*top`, reusing its capacity, so it allocates nothing once `top` has
-/// held min(k, ids.size()) entries. Ranks bit-identically to the dense
-/// form over the scattered vector.
+/// every node not in `ids` scores zero. Allocates nothing once `top`
+/// has held min(k, ids.size()) entries. Ranks bit-identically to the
+/// dense form over the scattered vector.
 void SelectTopK(std::span<const NodeId> ids, std::span<const double> scores,
                 size_t k, NodeId exclude, std::vector<TopKEntry>* top);
 

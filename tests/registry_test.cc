@@ -723,7 +723,6 @@ TEST(RegistryTest, GenerationOwnedCacheLifecycle) {
   ASSERT_TRUE(lease.ok());
   ResultCache* cache = (*lease)->cache();
   ASSERT_NE(cache, nullptr) << "cache_bytes default must enable the cache";
-  EXPECT_EQ(cache->generation(), (*lease)->id());
   EXPECT_EQ(cache->budget_bytes(), registry.options().cache_bytes);
 
   // Serve-shape flow: miss, compute on the generation, insert, hit.

@@ -345,8 +345,9 @@ TEST(ResultCacheTest, GetTopKMatchesSelectTopKOfGet) {
       std::vector<TopKEntry> top(3, TopKEntry{1, 9.0});  // Stale contents.
       SimPushQueryStats stats;
       ASSERT_TRUE(cache.GetTopK(source, fp, k, &top, &stats));
-      EXPECT_TRUE(testing_util::SameRanking(
-          top, SelectTopK(full.scores, k, source)))
+      std::vector<TopKEntry> expected;
+      SelectTopK(full.scores, k, source, &expected);
+      EXPECT_TRUE(testing_util::SameRanking(top, expected))
           << "positives " << positives << " k " << k;
       EXPECT_EQ(top.size(), std::min(k, positives));
       EXPECT_EQ(stats.walks_sampled, positives);
@@ -426,7 +427,6 @@ TEST(ResultCacheTest, SharedMetricsSurviveInstanceTurnover) {
   const uint64_t fp = OptionsFingerprint(FastOptions());
   for (int generation = 0; generation < 3; ++generation) {
     ResultCacheConfig config = SmallConfig(4, 16);
-    config.generation = static_cast<uint64_t>(generation + 1);
     config.metrics = metrics;
     ResultCache cache(config);
     AccessThenInsert(&cache, 3, fp, MakeResult(16, 0.5), 1);

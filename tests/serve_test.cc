@@ -1941,8 +1941,9 @@ TEST(ServeCache, TopKHitsMatchComputedBytes) {
   bool tie_at_10 = false;
   bool tie_at_64 = false;
   for (const NodeId source : kSources) {
-    const std::vector<TopKEntry> all = SelectTopK(
-        DirectScoresWith(*graph, options.query, source), 5000, source);
+    std::vector<TopKEntry> all;
+    SelectTopK(DirectScoresWith(*graph, options.query, source), 5000, source,
+               &all);
     ASSERT_GT(all.size(), 65u) << "source " << source;
     tie_at_10 |= all[9].score == all[10].score;
     tie_at_64 |= all[63].score == all[64].score;

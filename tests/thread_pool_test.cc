@@ -1,11 +1,10 @@
-// Unit tests for the ThreadPool / ParallelFor substrate, plus the
+// Unit tests for the ThreadPool substrate, plus the
 // capability-annotated lock wrappers it runs on (common/annotations.h).
 
 #include "common/thread_pool.h"
 
 #include <atomic>
 #include <mutex>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -78,29 +77,27 @@ TEST(AnnotationsTest, WaitForTimesOutWithoutNotification) {
             std::cv_status::timeout);
 }
 
+// Each test scopes its pool: the destructor drains the queue and joins
+// the workers, so every submitted task has run once the scope closes.
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
   }
-  pool.Wait();
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  SUCCEED();
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolRunsSequentially) {
-  ThreadPool pool(1);
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 10; ++i) {
+      pool.Submit([&order, i] { order.push_back(i); });
+    }
   }
-  pool.Wait();
   // One worker: FIFO order is deterministic and no data race on `order`.
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -111,18 +108,6 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToHardware) {
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossWaitCycles) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
-}
-
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   std::atomic<int> counter{0};
   {
@@ -130,55 +115,9 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
     for (int i = 0; i < 50; ++i) {
       pool.Submit([&counter] { counter.fetch_add(1); });
     }
-    // No Wait(): destructor must still run every queued task.
+    // The destructor must still run every queued task.
   }
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ParallelForTest, CoversEntireRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(pool, 0, hits.size(),
-              [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoOp) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  ParallelFor(pool, 5, 5, [&counter](size_t) { counter.fetch_add(1); });
-  ParallelFor(pool, 7, 3, [&counter](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 0);
-}
-
-TEST(ParallelForTest, NonZeroBeginOffset) {
-  ThreadPool pool(3);
-  std::atomic<uint64_t> sum{0};
-  ParallelFor(pool, 10, 20, [&sum](size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 145u);  // 10 + 11 + ... + 19
-}
-
-TEST(ParallelForTest, MinChunkLargerThanRange) {
-  ThreadPool pool(8);
-  std::atomic<int> counter{0};
-  ParallelFor(pool, 0, 5, [&counter](size_t) { counter.fetch_add(1); },
-              /*min_chunk=*/100);
-  EXPECT_EQ(counter.load(), 5);
-}
-
-TEST(ParallelForTest, ParallelSumMatchesSequential) {
-  ThreadPool pool(4);
-  std::vector<uint64_t> values(10000);
-  std::iota(values.begin(), values.end(), 1);
-  std::atomic<uint64_t> parallel_sum{0};
-  ParallelFor(pool, 0, values.size(), [&](size_t i) {
-    parallel_sum.fetch_add(values[i]);
-  });
-  const uint64_t expected =
-      std::accumulate(values.begin(), values.end(), uint64_t{0});
-  EXPECT_EQ(parallel_sum.load(), expected);
 }
 
 }  // namespace

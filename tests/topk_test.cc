@@ -84,7 +84,8 @@ TEST(TopKQueryTest, InvalidQueryPropagatesError) {
 
 TEST(SelectTopKTest, PositiveScoresDescendingTiesToSmallerId) {
   const std::vector<double> scores = {0.5, 0.0, 0.2, 1.0, 0.2, 0.7};
-  const std::vector<TopKEntry> top = SelectTopK(scores, 10, /*exclude=*/3);
+  std::vector<TopKEntry> top;
+  SelectTopK(scores, 10, /*exclude=*/3, &top);
   // Node 3 is excluded and zero-score node 1 is never reported.
   ASSERT_EQ(top.size(), 4u);
   const NodeId expected[] = {5, 0, 2, 4};
@@ -92,8 +93,10 @@ TEST(SelectTopKTest, PositiveScoresDescendingTiesToSmallerId) {
     EXPECT_EQ(top[i].node, expected[i]) << "rank " << i;
     EXPECT_EQ(top[i].score, scores[expected[i]]) << "rank " << i;
   }
-  EXPECT_EQ(SelectTopK(scores, 2, 3).size(), 2u);
-  EXPECT_TRUE(SelectTopK(scores, 0, 3).empty());
+  SelectTopK(scores, 2, 3, &top);
+  EXPECT_EQ(top.size(), 2u);
+  SelectTopK(scores, 0, 3, &top);
+  EXPECT_TRUE(top.empty());
 }
 
 // The selector before it became a bounded heap: collect every positive
@@ -157,9 +160,10 @@ TEST(SelectTopKTest, BoundedHeapMatchesPartialSortReference) {
                    std::to_string(k));
       const std::vector<TopKEntry> expected =
           ReferenceSelectTopK(scores, k, exclude);
-      EXPECT_TRUE(testing_util::SameRanking(SelectTopK(scores, k, exclude),
-                                            expected));
       std::vector<TopKEntry> top(2, TopKEntry{0, 3.0});  // Stale contents.
+      SelectTopK(scores, k, exclude, &top);
+      EXPECT_TRUE(testing_util::SameRanking(top, expected));
+      top.assign(2, TopKEntry{0, 3.0});
       SelectTopK(ids, values, k, exclude, &top);
       EXPECT_TRUE(testing_util::SameRanking(top, expected));
       SelectTopK(shuffled_ids, shuffled_values, k, exclude, &top);

@@ -45,6 +45,13 @@ awk '/^#/ { shown = $6; next } { rows++; if ($2 <= 0) bad++ }
 
 echo "== top-k query (CLI)"
 "$CLI" topk --graph "$WORK/web.txt" --node 42 --k 5 --epsilon 0.05
+# The baselines rank with the same selector: a k past the positive
+# scores lists no zero-score rows.
+"$CLI" topk --graph "$WORK/web.txt" --node 42 --k 100000 --epsilon 0.05 \
+    --method probesim > "$WORK/topk.out"
+awk '{ rows++; if ($2 <= 0) bad++ } END { exit !(rows > 0 && bad == 0) }' \
+    "$WORK/topk.out" || {
+  echo "simpush_cli topk --method probesim listed zero scores" >&2; exit 1; }
 
 echo "== integer flags are strict unsigned decimals: a bad value exits 2 naming the flag"
 for bad in -1 64MiB; do

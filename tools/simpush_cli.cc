@@ -26,7 +26,6 @@
 #include "baselines/probesim.h"
 #include "baselines/prsim.h"
 #include "baselines/sling.h"
-#include "eval/metrics.h"
 #include "graph/binary_io.h"
 #include "graph/degree_stats.h"
 #include "graph/generators.h"
@@ -50,8 +49,8 @@ constexpr uint64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: simpush_cli <query|topk|pair|stats|convert|generate> [--flag "
-      "value]...\n"
+      "usage: simpush_cli <query|topk|pair|join|index|stats|convert|generate> "
+      "[--flag value]...\n"
       "  query    --graph F --node U [--epsilon E] [--decay C] "
       "[--undirected 1] [--limit N]\n"
       "  topk     --graph F --node U [--k K] [--epsilon E] [--method "
@@ -78,6 +77,16 @@ StatusOr<Graph> LoadGraphArg(const Args& args, const std::string& key) {
   return LoadGraphAnyFormat(path, options);
 }
 
+// Prints at most k "node score" rows of `scores`, best first, listing
+// only positive scores and never u itself (SelectTopK order).
+void PrintTopK(const std::vector<double>& scores, size_t k, NodeId u) {
+  std::vector<TopKEntry> top;
+  SelectTopK(scores, k, u, &top);
+  for (const TopKEntry& entry : top) {
+    std::printf("%u %.6f\n", entry.node, entry.score);
+  }
+}
+
 int RunQuery(const Args& args) {
   auto graph = LoadGraphArg(args, "graph");
   if (!graph.ok()) {
@@ -99,8 +108,8 @@ int RunQuery(const Args& args) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  const std::vector<TopKEntry> top =
-      SelectTopK(result->scores, args.GetInt("limit", 20), u);
+  std::vector<TopKEntry> top;
+  SelectTopK(result->scores, args.GetInt("limit", 20), u, &top);
   std::printf("# s(%u, v) — showing %zu highest of %u nodes (%.2f ms)\n", u,
               top.size(), graph->num_nodes(),
               result->stats.total_seconds * 1e3);
@@ -183,9 +192,7 @@ int RunTopK(const Args& args) {
     std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
     return 1;
   }
-  for (NodeId v : TopK(*scores, k, u)) {
-    std::printf("%u %.6f\n", v, (*scores)[v]);
-  }
+  PrintTopK(*scores, k, u);
   return 0;
 }
 
@@ -335,9 +342,7 @@ int RunIndex(const Args& args) {
     std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
     return 1;
   }
-  for (NodeId v : TopK(*scores, args.GetInt("k", 10), u)) {
-    std::printf("%u %.6f\n", v, (*scores)[v]);
-  }
+  PrintTopK(*scores, args.GetInt("k", 10), u);
   return 0;
 }
 
