@@ -1,6 +1,8 @@
 // Tests for the evaluation substrate: dataset registry, ground-truth
 // builders, query generation and the method harness.
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "baselines/probesim.h"
@@ -144,6 +146,50 @@ TEST(HarnessTest, EvaluateIndexedMethodReportsIndex) {
   ASSERT_TRUE(row.ok());
   EXPECT_GT(row->index_bytes, 0u);
   EXPECT_GT(row->prepare_seconds, 0.0);
+}
+
+// One evaluation per (dataset, method, setting) stands in for every
+// figure column only if a repeat evaluation reproduces it bit for bit:
+// pooled ground truths and every method's error, precision and index
+// size must be pure functions of (graph, queries, options).
+TEST(HarnessTest, EvaluateMethodRepeatsBitForBit) {
+  Graph g = testing_util::MakeFixtureGraph();
+  HarnessOptions options;
+  options.k = 5;
+  options.truth.exact_node_limit = g.num_nodes() - 1;  // Force pooling.
+  options.truth.mc_samples_per_pair = 2000;
+  auto queries = GenerateQuerySet(g, 3, 23);
+  const std::vector<MethodSetting> pool{PaperParameterSweep({"SimPush"})[1],
+                                        PaperParameterSweep({"ProbeSim"})[2]};
+
+  auto truths = BuildGroundTruths(g, queries, pool, options);
+  auto again = BuildGroundTruths(g, queries, pool, options);
+  ASSERT_TRUE(truths.ok()) << truths.status().ToString();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ(truths->size(), again->size());
+  for (size_t i = 0; i < truths->size(); ++i) {
+    EXPECT_FALSE((*truths)[i].exact);
+    EXPECT_FALSE((*truths)[i].topk.empty());
+    ASSERT_EQ((*truths)[i].topk.size(), (*again)[i].topk.size());
+    for (size_t j = 0; j < (*truths)[i].topk.size(); ++j) {
+      EXPECT_EQ((*truths)[i].topk[j].first, (*again)[i].topk[j].first);
+      EXPECT_EQ(std::bit_cast<uint64_t>((*truths)[i].topk[j].second),
+                std::bit_cast<uint64_t>((*again)[i].topk[j].second));
+    }
+  }
+
+  for (const MethodSetting& setting : PaperParameterSweep()) {
+    SCOPED_TRACE(setting.method + " " + setting.setting);
+    auto first = EvaluateMethod(g, setting, queries, *truths, options);
+    auto second = EvaluateMethod(g, setting, queries, *truths, options);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(first->avg_error_at_k),
+              std::bit_cast<uint64_t>(second->avg_error_at_k));
+    EXPECT_EQ(std::bit_cast<uint64_t>(first->avg_precision_at_k),
+              std::bit_cast<uint64_t>(second->avg_precision_at_k));
+    EXPECT_EQ(first->index_bytes, second->index_bytes);
+  }
 }
 
 }  // namespace
