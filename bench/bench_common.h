@@ -1,24 +1,21 @@
 // Shared utilities for the per-figure/table benchmark binaries.
 //
-// Each binary regenerates one table or figure of the paper on the
-// synthetic stand-in datasets (eval/datasets.h). Output is printed as
-// aligned text tables: one row per (dataset, method, setting), matching
-// the series the paper plots.
+// Each binary regenerates one table or figure of the paper (Figs. 4-6
+// share one) on the synthetic stand-in datasets (eval/datasets.h).
+// Output is printed as aligned text tables: one row per (dataset,
+// method, setting), matching the series the paper plots.
 
 #ifndef SIMPUSH_BENCH_BENCH_COMMON_H_
 #define SIMPUSH_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <map>
-#include <memory>
-
 #include "baselines/prsim.h"
 #include "common/memory.h"
-#include "eval/csv_report.h"
 #include "common/timer.h"
 #include "eval/datasets.h"
 #include "eval/ground_truth.h"
@@ -114,39 +111,16 @@ inline bool SettingFitsMemory(const std::string& method,
   return true;
 }
 
-/// Runs a set of method settings over one dataset and prints one row
-/// per setting. `extra_columns` selects which metric columns to print.
-enum class FigureMetric { kError, kPrecision, kMemory };
-
-/// Lazily-created CSV sink per bench binary, active only when
-/// SIMPUSH_BENCH_CSV_DIR is set. All metric columns are always written
-/// so one file serves Figures 4, 5, and 6 alike.
-inline CsvWriter* FigureCsv(const std::string& bench_name) {
-  static std::map<std::string, std::unique_ptr<CsvWriter>> writers;
-  const std::string dir = BenchCsvDir();
-  if (dir.empty() || bench_name.empty()) return nullptr;
-  auto it = writers.find(bench_name);
-  if (it != writers.end()) return it->second.get();
-  auto created = CsvWriter::Create(
-      dir + "/" + bench_name + ".csv",
-      {"dataset", "method", "setting", "query_ms", "avg_error_at_50",
-       "precision_at_50", "prepare_s", "index_mb", "peak_rss_mb"});
-  if (!created.ok()) {
-    std::fprintf(stderr, "warning: CSV sink disabled: %s\n",
-                 created.status().ToString().c_str());
-    writers[bench_name] = nullptr;
-    return nullptr;
-  }
-  auto [inserted, unused] = writers.emplace(
-      bench_name, std::make_unique<CsvWriter>(std::move(*created)));
-  (void)unused;
-  return inserted->second.get();
-}
-
+/// Runs a set of method settings over one dataset: each setting is
+/// evaluated once and printed as one row carrying every figure column —
+/// query time and prepare time (Figs. 4-5's x axis), AvgError@50
+/// (Figs. 4, 6), Precision@50 (Fig. 5), the method's index alone, the
+/// accounted footprint (graph + index + one score vector; Fig. 6's
+/// apples-to-apples memory) and the process peak RSS, which mirrors the
+/// paper's ru_maxrss but is cumulative over the process, so it only
+/// grows when a method's footprint exceeds everything before it.
 inline void RunFigureForDataset(const DatasetSpec& spec,
-                                const std::vector<MethodSetting>& sweep,
-                                FigureMetric metric,
-                                const std::string& csv_name = "") {
+                                const std::vector<MethodSetting>& sweep) {
   Graph graph = MustBuildDataset(spec);
   HarnessOptions options = FigureHarnessOptions();
   auto queries = GenerateQuerySet(graph, options.num_queries,
@@ -170,66 +144,31 @@ inline void RunFigureForDataset(const DatasetSpec& spec,
   std::printf("\n-- %s (stand-in for %s; %s) --\n", spec.name.c_str(),
               spec.paper_name.c_str(),
               spec.undirected ? "undirected" : "directed");
-  switch (metric) {
-    case FigureMetric::kError:
-      std::printf("%-10s %-16s %14s %14s\n", "method", "setting",
-                  "query(ms)", "AvgErr@50");
-      break;
-    case FigureMetric::kPrecision:
-      std::printf("%-10s %-16s %14s %14s\n", "method", "setting",
-                  "query(ms)", "Prec@50");
-      break;
-    case FigureMetric::kMemory:
-      std::printf("%-10s %-16s %14s %14s %14s\n", "method", "setting",
-                  "AvgErr@50", "index(MB)", "peakRSS(MB)");
-      break;
-  }
+  std::printf("%-10s %-16s %12s %12s %12s %10s %12s %13s %12s\n", "method",
+              "setting", "query(ms)", "prepare(s)", "AvgErr@50", "Prec@50",
+              "index(MB)", "accounted(MB)", "peakRSS(MB)");
 
+  constexpr double kMiB = 1 << 20;
   for (const MethodSetting& setting : sweep) {
     if (!SettingFitsMemory(setting.method, setting.setting,
                            graph.num_nodes())) {
-      std::printf("%-10s %-16s %14s\n", setting.method.c_str(),
+      std::printf("%-10s %-16s %12s\n", setting.method.c_str(),
                   setting.setting.c_str(), "skipped(mem)");
       continue;
     }
-    auto row = EvaluateMethod(graph, setting, queries, *truths, options);
+    auto row = EvaluateMethod(graph, setting, queries, *truths);
     if (!row.ok()) {
-      std::printf("%-10s %-16s %14s\n", setting.method.c_str(),
+      std::printf("%-10s %-16s %12s\n", setting.method.c_str(),
                   setting.setting.c_str(), "error");
       continue;
     }
-    if (CsvWriter* csv = FigureCsv(csv_name)) {
-      CsvWriter::RowBuilder builder;
-      builder.Add(spec.name)
-          .Add(row->method)
-          .Add(row->setting)
-          .Add(row->avg_query_seconds * 1e3)
-          .Add(row->avg_error_at_k)
-          .Add(row->avg_precision_at_k)
-          .Add(row->prepare_seconds)
-          .Add(double(row->peak_memory_bytes) / (1 << 20))
-          .Add(double(PeakRssBytes()) / (1 << 20));
-      (void)csv->AppendRow(builder.fields());
-    }
-    switch (metric) {
-      case FigureMetric::kError:
-        std::printf("%-10s %-16s %14.3f %14.6f\n", row->method.c_str(),
-                    row->setting.c_str(), row->avg_query_seconds * 1e3,
-                    row->avg_error_at_k);
-        break;
-      case FigureMetric::kPrecision:
-        std::printf("%-10s %-16s %14.3f %14.4f\n", row->method.c_str(),
-                    row->setting.c_str(), row->avg_query_seconds * 1e3,
-                    row->avg_precision_at_k);
-        break;
-      case FigureMetric::kMemory:
-        std::printf("%-10s %-16s %14.6f %14.2f %14.2f\n",
-                    row->method.c_str(), row->setting.c_str(),
-                    row->avg_error_at_k,
-                    double(row->peak_memory_bytes) / (1 << 20),
-                    double(PeakRssBytes()) / (1 << 20));
-        break;
-    }
+    std::printf("%-10s %-16s %12.3f %12.3f %12.6f %10.4f %12.2f %13.2f "
+                "%12.2f\n",
+                row->method.c_str(), row->setting.c_str(),
+                row->avg_query_seconds * 1e3, row->prepare_seconds,
+                row->avg_error_at_k, row->avg_precision_at_k,
+                row->index_bytes / kMiB, row->peak_memory_bytes / kMiB,
+                PeakRssBytes() / kMiB);
     std::fflush(stdout);
   }
 }

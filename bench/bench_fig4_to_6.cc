@@ -1,5 +1,8 @@
-// Figure 4: AvgError@50 vs. query time, per dataset, all methods, five
-// parameter settings each. Small stand-ins run every method; large
+// Figures 4-6: AvgError@50 vs. query time (Fig. 4), Precision@50 vs.
+// query time (Fig. 5) and AvgError@50 vs. memory (Fig. 6), per dataset,
+// all methods, five parameter settings each. Every (dataset, method,
+// setting) is evaluated once and printed as one row with all three
+// figures' columns. Small stand-ins run every method; large
 // stand-ins run the scalable subset (SimPush / ProbeSim / PRSim), the
 // others being excluded by the same time/memory budgeting rule the
 // paper applies (§5.2).
@@ -10,7 +13,7 @@ int main() {
   using namespace simpush;
   using namespace simpush::bench;
 
-  std::printf("=== Figure 4: AvgError@50 vs query time ===\n");
+  std::printf("=== Figures 4-6: error, precision, memory vs query time ===\n");
 
   const auto all = PaperParameterSweep();
   const auto scalable = LargeGraphSweep();
@@ -19,8 +22,7 @@ int main() {
     if (spec.name == "clueweb-sim") continue;  // Figure 7's dataset.
     const bool small = !spec.large;
     if (QuickMode() && spec.large) continue;
-    RunFigureForDataset(spec, small ? all : scalable,
-                        FigureMetric::kError, "fig4");
+    RunFigureForDataset(spec, small ? all : scalable);
   }
   return 0;
 }

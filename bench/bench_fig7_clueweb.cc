@@ -1,7 +1,7 @@
 // Figure 7: the billion-node ClueWeb evaluation (stand-in), where only
 // SimPush, PRSim and ProbeSim fit in memory (the paper excludes TSF,
-// TopSim, READS and SLING at this scale). Reports all three panels:
-// (a) error vs time, (b) precision vs time, (c) error vs memory.
+// TopSim, READS and SLING at this scale). Each row carries all three
+// panels: (a) error vs time, (b) precision vs time, (c) error vs memory.
 
 #include "bench_common.h"
 
@@ -16,13 +16,7 @@ int main() {
     std::fprintf(stderr, "missing clueweb-sim spec\n");
     return 1;
   }
-  const auto sweep = PaperParameterSweep({"SimPush", "ProbeSim", "PRSim"});
-
-  std::printf("\n--- panel (a): error vs time ---");
-  RunFigureForDataset(*spec, sweep, FigureMetric::kError, "fig7");
-  std::printf("\n--- panel (b): precision vs time ---");
-  RunFigureForDataset(*spec, sweep, FigureMetric::kPrecision, "fig7");
-  std::printf("\n--- panel (c): error vs memory ---");
-  RunFigureForDataset(*spec, sweep, FigureMetric::kMemory, "fig7");
+  RunFigureForDataset(*spec,
+                      PaperParameterSweep({"SimPush", "ProbeSim", "PRSim"}));
   return 0;
 }

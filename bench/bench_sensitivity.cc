@@ -10,6 +10,7 @@
 //                   (logarithmically); accuracy should be flat, cost
 //                   mildly increasing as δ shrinks.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -31,22 +32,6 @@ Graph BuildSensitivityGraph() {
   return std::move(graph).value();
 }
 
-double MaxErrorOverQueries(const Graph& graph, const SimRankMatrix& exact,
-                           const SimPushOptions& options,
-                           const std::vector<NodeId>& queries) {
-  SimPushEngine engine(graph, options);
-  double worst = 0;
-  for (NodeId u : queries) {
-    auto result = engine.Query(u);
-    if (!result.ok()) std::exit(1);
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      if (v == u) continue;
-      worst = std::max(worst, exact(u, v) - result->scores[v]);
-    }
-  }
-  return worst;
-}
-
 void SweepDecay(const Graph& graph, const std::vector<NodeId>& queries) {
   std::printf("\n== decay factor sweep (epsilon = 0.02, delta = 1e-4) ==\n");
   std::printf("%-8s %8s %10s %12s %14s %14s\n", "c", "L*", "avg L",
@@ -65,15 +50,18 @@ void SweepDecay(const Graph& graph, const std::vector<NodeId>& queries) {
 
     SimPushEngine engine(graph, options);
     double total_seconds = 0, total_level = 0, total_attention = 0;
+    double max_error = 0;
     for (NodeId u : queries) {
       auto result = engine.Query(u);
       if (!result.ok()) std::exit(1);
       total_seconds += result->stats.total_seconds;
       total_level += result->stats.max_level;
       total_attention += result->stats.num_attention;
+      for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+        if (v == u) continue;
+        max_error = std::max(max_error, (*exact)(u, v) - result->scores[v]);
+      }
     }
-    const double max_error =
-        MaxErrorOverQueries(graph, *exact, options, queries);
     std::printf("%-8.2f %8u %10.2f %12.1f %14.3f %14.6f%s\n", c,
                 params.l_star, total_level / queries.size(),
                 total_attention / queries.size(),

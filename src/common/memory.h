@@ -1,6 +1,6 @@
-// Memory accounting: process peak RSS (as the paper measures via
-// rusage.ru_maxrss) plus an explicit byte counter for per-structure
-// attribution, which peak RSS cannot provide.
+// Memory accounting: process peak and current RSS (the paper measures
+// rusage.ru_maxrss) and the heap-allocation counters behind the
+// zero-allocation checks.
 
 #ifndef SIMPUSH_COMMON_MEMORY_H_
 #define SIMPUSH_COMMON_MEMORY_H_
@@ -17,25 +17,6 @@ size_t PeakRssBytes();
 /// Current resident set size of the calling process, in bytes
 /// (read from /proc/self/statm; returns 0 if unavailable).
 size_t CurrentRssBytes();
-
-/// Explicit byte counter for attributing memory to individual data
-/// structures (index vs. graph vs. query scratch).
-class MemoryTracker {
- public:
-  void Add(size_t bytes) {
-    current_ += bytes;
-    if (current_ > peak_) peak_ = current_;
-  }
-  void Sub(size_t bytes) { current_ = bytes > current_ ? 0 : current_ - bytes; }
-  void Reset() { current_ = peak_ = 0; }
-
-  size_t current_bytes() const { return current_; }
-  size_t peak_bytes() const { return peak_; }
-
- private:
-  size_t current_ = 0;
-  size_t peak_ = 0;
-};
 
 /// Pretty-prints a byte count, e.g. "1.50 GB".
 const char* HumanBytesUnit(double* value);

@@ -45,9 +45,7 @@ std::string FormatSetting(const char* fmt, double value) {
 StatusOr<EvalRow> EvaluateMethod(const Graph& graph,
                                  const MethodSetting& setting,
                                  const std::vector<NodeId>& queries,
-                                 const std::vector<GroundTruth>& truths,
-                                 const HarnessOptions& options) {
-  (void)options;  // k is taken from each GroundTruth's pool size.
+                                 const std::vector<GroundTruth>& truths) {
   EvalRow row;
   row.method = setting.method;
   row.setting = setting.setting;

@@ -47,12 +47,11 @@ struct HarnessOptions {
 };
 
 /// Evaluates one method setting against precomputed ground truths.
-/// `truths[i]` corresponds to `queries[i]`.
+/// `truths[i]` corresponds to `queries[i]`; k is each truth's pool size.
 StatusOr<EvalRow> EvaluateMethod(const Graph& graph,
                                  const MethodSetting& setting,
                                  const std::vector<NodeId>& queries,
-                                 const std::vector<GroundTruth>& truths,
-                                 const HarnessOptions& options);
+                                 const std::vector<GroundTruth>& truths);
 
 /// Builds ground truths for a query set: exact when the graph is small
 /// enough, otherwise pooled over the provided methods' top-k results.

@@ -64,19 +64,23 @@ namespace serve {
 
 /// Configuration for a GraphRegistry.
 struct RegistryOptions {
-  /// Worker threads in the shared batch fan-out pool (0 = hardware).
+  /// Worker threads in the shared /v1/batch fan-out pool, shared
+  /// across all graphs (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Workspace pool cap per generation (0 = match num_threads).
+  /// Workspace pool cap per generation (0 = match num_threads). See
+  /// docs/serving.md for tuning pool_capacity vs threads.
   size_t pool_capacity = 0;
   /// Pending updates that trigger an automatic swap from ApplyUpdates
-  /// (0 = swaps only happen through an explicit Swap() call).
+  /// (0 = swaps only happen through an explicit Swap() call, i.e.
+  /// POST /v1/graphs/{name}/swap).
   size_t swap_threshold = 0;
   /// Maximum number of tenants (Add beyond this fails).
   size_t max_graphs = 64;
   /// Per-tenant result-cache byte budget. Each published generation
   /// carries its own cache bounded by this budget; 0 disables caching.
   /// Entries are keyed by (generation, source, options fingerprint)
-  /// and die with their generation — swaps need no invalidation.
+  /// and die with their generation — swaps need no invalidation. See
+  /// docs/serving.md, "Result cache".
   size_t cache_bytes = 64u << 20;
 };
 

@@ -116,16 +116,6 @@ void WriteEngineOptions(JsonWriter* writer, const SimPushOptions& options) {
   writer->EndObject();
 }
 
-RegistryOptions ToRegistryOptions(const ServiceOptions& options) {
-  RegistryOptions registry_options;
-  registry_options.num_threads = options.num_threads;
-  registry_options.pool_capacity = options.pool_capacity;
-  registry_options.swap_threshold = options.swap_threshold;
-  registry_options.max_graphs = options.max_graphs;
-  registry_options.cache_bytes = options.cache_bytes;
-  return registry_options;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -839,7 +829,7 @@ HttpResponse SimPushService::ErrorResponse(const Status& status,
 }
 
 SimPushService::SimPushService(const ServiceOptions& options)
-    : options_(options), registry_(ToRegistryOptions(options)) {}
+    : options_(options), registry_(options) {}
 
 void SimPushService::RegisterRoutes(HttpServer* server) {
   server_ = server;

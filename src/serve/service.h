@@ -69,8 +69,10 @@
 namespace simpush {
 namespace serve {
 
-/// Configuration for a SimPushService.
-struct ServiceOptions {
+/// Configuration for a SimPushService. The registry's settings (batch
+/// threads, workspace pool cap, swap threshold, tenant limit, result
+/// cache budget) are inherited from RegistryOptions.
+struct ServiceOptions : RegistryOptions {
   /// Process-default engine knobs (ε, c, δ, seed, walk cap). Tenants
   /// created over HTTP without an "options" object inherit these; a
   /// tenant's own options (AddGraph / POST /v1/graphs "options") take
@@ -89,12 +91,6 @@ struct ServiceOptions {
   /// all of them; simpush_serve additionally validates the flag at
   /// startup.
   double min_request_epsilon = 1e-3;
-  /// Worker threads for /v1/batch fan-out (0 = hardware concurrency),
-  /// shared across all graphs.
-  size_t num_threads = 0;
-  /// Workspace pool cap per graph generation (0 = match num_threads).
-  /// See docs/serving.md for tuning pool_capacity vs threads.
-  size_t pool_capacity = 0;
   /// Maximum nodes accepted in one /v1/batch request (larger → 413).
   size_t max_batch_nodes = 4096;
   /// Maximum edge updates in one /v1/graphs/{name}/edges request
@@ -106,11 +102,6 @@ struct ServiceOptions {
   /// files. Turn on (simpush_serve --allow-path-create 1) only when
   /// every client is trusted; inline edge creates are always allowed.
   bool allow_path_create = false;
-  /// Pending updates that trigger an automatic generation swap
-  /// (0 = only explicit POST /v1/graphs/{name}/swap).
-  size_t swap_threshold = 0;
-  /// Maximum number of registered graphs.
-  size_t max_graphs = 64;
   /// Default per-request deadline for query/topk/batch requests that
   /// carry no "deadline_ms" field, in milliseconds (0 = no default
   /// deadline — requests without the field run to completion). A
@@ -121,12 +112,6 @@ struct ServiceOptions {
   /// values get a 400). The field is network-controlled; without a cap
   /// a client could pin a worker for an arbitrary time.
   int max_deadline_ms = 60000;
-  /// Per-tenant result-cache byte budget (0 disables caching). Each
-  /// published generation owns a cache bounded by this budget, keyed
-  /// by (generation, source node, effective-options fingerprint);
-  /// entries die with their generation on swap, so there is no
-  /// invalidation path. See docs/serving.md, "Result cache".
-  size_t cache_bytes = 64u << 20;
   /// Tenant served when a request has no "graph" field.
   std::string default_graph = "default";
 };

@@ -190,19 +190,6 @@ TEST(MemoryTest, PeakRssNonZero) { EXPECT_GT(PeakRssBytes(), 0u); }
 
 TEST(MemoryTest, CurrentRssNonZero) { EXPECT_GT(CurrentRssBytes(), 0u); }
 
-TEST(MemoryTest, TrackerTracksPeak) {
-  MemoryTracker tracker;
-  tracker.Add(100);
-  tracker.Add(200);
-  tracker.Sub(150);
-  EXPECT_EQ(tracker.current_bytes(), 150u);
-  EXPECT_EQ(tracker.peak_bytes(), 300u);
-  tracker.Sub(1000);  // Clamps at zero.
-  EXPECT_EQ(tracker.current_bytes(), 0u);
-  tracker.Reset();
-  EXPECT_EQ(tracker.peak_bytes(), 0u);
-}
-
 TEST(MemoryTest, HumanBytesUnits) {
   double v = 512;
   EXPECT_STREQ(HumanBytesUnit(&v), "B");

@@ -124,7 +124,7 @@ TEST(HarnessTest, EvaluateSimPushOnFixture) {
   auto truths = BuildGroundTruths(g, queries, {}, options);
   ASSERT_TRUE(truths.ok());
   auto sweep = PaperParameterSweep({"SimPush"});
-  auto row = EvaluateMethod(g, sweep[1], queries, *truths, options);
+  auto row = EvaluateMethod(g, sweep[1], queries, *truths);
   ASSERT_TRUE(row.ok()) << row.status().ToString();
   EXPECT_EQ(row->method, "SimPush");
   EXPECT_EQ(row->queries, 4u);
@@ -142,7 +142,7 @@ TEST(HarnessTest, EvaluateIndexedMethodReportsIndex) {
   auto truths = BuildGroundTruths(g, queries, {}, options);
   ASSERT_TRUE(truths.ok());
   auto sweep = PaperParameterSweep({"READS"});
-  auto row = EvaluateMethod(g, sweep[2], queries, *truths, options);
+  auto row = EvaluateMethod(g, sweep[2], queries, *truths);
   ASSERT_TRUE(row.ok());
   EXPECT_GT(row->index_bytes, 0u);
   EXPECT_GT(row->prepare_seconds, 0.0);
@@ -180,8 +180,8 @@ TEST(HarnessTest, EvaluateMethodRepeatsBitForBit) {
 
   for (const MethodSetting& setting : PaperParameterSweep()) {
     SCOPED_TRACE(setting.method + " " + setting.setting);
-    auto first = EvaluateMethod(g, setting, queries, *truths, options);
-    auto second = EvaluateMethod(g, setting, queries, *truths, options);
+    auto first = EvaluateMethod(g, setting, queries, *truths);
+    auto second = EvaluateMethod(g, setting, queries, *truths);
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     EXPECT_EQ(std::bit_cast<uint64_t>(first->avg_error_at_k),

@@ -1763,7 +1763,7 @@ TEST(ServeCache, BatchDeduplicatesRepeatedSources) {
   }
 }
 
-// --cache-off equivalent: cache_bytes = 0 disables caching — repeat
+// --cache-bytes 0: a zero budget disables caching — repeat
 // queries recompute (never stamped) and stats say so.
 TEST(ServeCache, DisabledCacheNeverStamps) {
   Graph graph = testing_util::MakeFixtureGraph();

@@ -72,6 +72,12 @@ R9 rng-locals-only
     under src/simpush/ carries its state from one call into the next,
     so a result would depend on the calls before it. Rng there may be a
     local, a parameter or a return value, never a member.
+
+R10 one-env-knob
+    The library reads one environment variable, SIMPUSH_FAILPOINTS, in
+    common/failpoint.cc. getenv may appear under src/ only there, so a
+    setting cannot arrive through an environment variable that no flag,
+    option or doc names.
 """
 
 from __future__ import annotations
@@ -152,6 +158,10 @@ CLASS_HEAD = re.compile(r"\b(?:class|struct)\b[^();]*$")
 RNG_MEMBER = re.compile(
     r"^\s*(?:mutable\s+)?(?:simpush::)?Rng\s*[*&]?\s*\w+\s*[;={]"
 )
+
+# R10: the library's one environment read.
+ENV_READ_FILE = "src/common/failpoint.cc"
+ENV_READ = re.compile(r"\bgetenv\b")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -366,6 +376,16 @@ class Linter:
                         path, lineno, "rng-locals-only",
                         "Rng data member: its state carries from call to "
                         "call; derive a local stream from (seed, node)",
+                    )
+
+        # R10 — one environment knob.
+        if rel != ENV_READ_FILE:
+            for lineno, line in enumerate(code_lines, 1):
+                if ENV_READ.search(line):
+                    self.report(
+                        path, lineno, "one-env-knob",
+                        "getenv outside common/failpoint.cc; take the "
+                        "setting as an option or flag",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:

@@ -67,10 +67,10 @@ int Usage() {
       "    [--swap-threshold U] [--max-graphs G] [--undirected 1]\n"
       "    [--allow-path-create 1] [--min-request-epsilon E]\n"
       "    [--request-timeout-ms T] [--max-deadline-ms M]\n"
-      "    [--cache-bytes N] [--cache-off 1] [--port-file F]\n"
+      "    [--cache-bytes N] [--port-file F]\n"
       "  --cache-bytes bounds each tenant's generation-keyed result\n"
-      "  cache (default 64 MiB); --cache-off 1 disables result caching\n"
-      "  entirely. Cached responses are byte-identical to computed\n"
+      "  cache (default 64 MiB); --cache-bytes 0 disables result\n"
+      "  caching. Cached responses are byte-identical to computed\n"
       "  ones and stamped \"cached\": true; see docs/serving.md.\n"
       "  Integer flags take plain unsigned decimals (--cache-bytes is\n"
       "  in bytes); any other value exits 2.\n"
@@ -167,12 +167,8 @@ int main(int argc, char** argv) {
       static_cast<int>(args.GetInt("request-timeout-ms", 0, kMaxInt));
   service_options.max_deadline_ms =
       static_cast<int>(args.GetInt("max-deadline-ms", 60000, kMaxInt));
-  // --cache-off 1 wins over --cache-bytes: budget 0 disables the
-  // generation-keyed result cache entirely.
-  service_options.cache_bytes =
-      args.GetInt("cache-off", 0) != 0
-          ? 0
-          : static_cast<size_t>(args.GetInt("cache-bytes", 64 << 20));
+  // Budget 0 disables the generation-keyed result cache entirely.
+  service_options.cache_bytes = args.GetInt("cache-bytes", 64 << 20);
   service_options.default_graph = graph_specs.front().name;
   if (service_options.max_deadline_ms < 1 ||
       service_options.request_timeout_ms < 0 ||
