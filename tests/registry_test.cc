@@ -402,6 +402,56 @@ TEST(RegistryTest, DeltaSwapPathAndStats) {
   }
 }
 
+// Pins every per-generation stats value across a tenant's publishes:
+// create, a delta swap, an options change and another swap. The graph
+// is large enough that a swap takes well over a microsecond.
+TEST(RegistryTest, StatsTrackEachPublish) {
+  GraphRegistry registry(FastRegistryOptions());
+  SimPushOptions first = FastOptions();
+  SimPushOptions second = FastOptions();
+  second.epsilon = 0.3;
+  second.seed = 7;
+  ASSERT_TRUE(
+      registry.Add("g", testing_util::RandomGraph(2000, 16000, 3), first)
+          .ok());
+
+  struct Expected {
+    uint64_t generation;
+    const SimPushOptions* options;
+    uint64_t options_generation;
+    uint64_t swap_count;
+    uint64_t delta_swaps;
+    bool swap_timed;  // last_swap_ms > 0.
+  };
+  const auto check = [&registry](const Expected& want) {
+    const auto stats = registry.Stats("g");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->generation, want.generation);
+    EXPECT_EQ(OptionsFingerprint(stats->options),
+              OptionsFingerprint(*want.options));
+    EXPECT_EQ(stats->options.epsilon, want.options->epsilon);
+    EXPECT_EQ(stats->options.seed, want.options->seed);
+    EXPECT_EQ(stats->options_generation, want.options_generation);
+    EXPECT_EQ(stats->swap_count, want.swap_count);
+    EXPECT_EQ(stats->delta_swaps, want.delta_swaps);
+    EXPECT_EQ(stats->last_swap_ms > 0, want.swap_timed);
+  };
+
+  check({1, &first, 1, 1, 0, false});
+  ASSERT_TRUE(registry
+                  .ApplyUpdates("g", {{EdgeUpdate::Kind::kInsert, 0, 5}},
+                                /*force_swap=*/true)
+                  .ok());
+  check({2, &first, 1, 2, 1, true});
+  ASSERT_TRUE(registry.UpdateOptions("g", second).ok());
+  check({3, &second, 3, 3, 1, true});
+  ASSERT_TRUE(registry
+                  .ApplyUpdates("g", {{EdgeUpdate::Kind::kInsert, 1, 6}},
+                                /*force_swap=*/true)
+                  .ok());
+  check({4, &second, 3, 4, 2, true});
+}
+
 // The headline stress: four threads hammer one tenant while the main
 // thread applies edge-update batches and hot swaps. Every observed
 // response must be bit-identical to a fresh single-threaded engine on
