@@ -23,6 +23,10 @@ std::unique_ptr<ResultCache> MakeCache(
   return std::make_unique<ResultCache>(config);
 }
 
+Status NoSuchGraph(std::string_view name) {
+  return Status::NotFound("no graph named \"" + std::string(name) + "\"");
+}
+
 }  // namespace
 
 void LatencyRing::Record(double seconds) {
@@ -56,7 +60,8 @@ LatencySnapshot LatencyRing::Snapshot() const {
 GraphGeneration::GraphGeneration(
     uint64_t id, Graph graph, const SimPushOptions& options,
     size_t pool_capacity, std::shared_ptr<std::atomic<int64_t>> live_counter,
-    size_t cache_bytes, std::shared_ptr<TenantCounters> counters)
+    size_t cache_bytes, std::shared_ptr<TenantCounters> counters,
+    const PublishRecord& publish)
     : id_(id),
       graph_(std::move(graph)),
       core_(graph_, options),
@@ -64,6 +69,7 @@ GraphGeneration::GraphGeneration(
       options_fingerprint_(OptionsFingerprint(options)),
       counters_(std::move(counters)),
       cache_(MakeCache(cache_bytes, counters_)),
+      publish_(publish),
       live_(std::move(live_counter)) {
   if (live_ != nullptr) live_->fetch_add(1);
 }
@@ -83,20 +89,56 @@ bool IsValidGraphName(std::string_view name) {
   return true;
 }
 
+StatusOr<GenerationLease> GraphRegistry::Tenant::Published(
+    std::string_view name) const {
+  GenerationLease lease = Current();
+  if (lease == nullptr) return NoSuchGraph(name);
+  return lease;
+}
+
+UpdateOutcome GraphRegistry::Tenant::Outcome(size_t applied,
+                                             bool swapped) const {
+  UpdateOutcome outcome;
+  outcome.applied = applied;
+  outcome.swapped = swapped;
+  outcome.pending = pending.load();
+  const GenerationLease lease = Current();
+  outcome.generation = lease != nullptr ? lease->id() : 0;
+  return outcome;
+}
+
 GraphRegistry::GraphRegistry(const RegistryOptions& options)
     : options_(options),
       thread_pool_(options.num_threads),
       live_generations_(std::make_shared<std::atomic<int64_t>>(0)) {}
 
-GenerationLease GraphRegistry::BuildGeneration(
-    Graph graph, const SimPushOptions& options,
-    std::shared_ptr<TenantCounters> counters) {
+Status GraphRegistry::Publish(Tenant* tenant, const GraphGeneration* base,
+                              Graph graph, const SimPushOptions* options,
+                              bool delta, double build_ms) {
+  const uint64_t id = next_generation_id_.fetch_add(1);
+  PublishRecord record;
+  if (base != nullptr) record = base->publish();
+  ++record.swap_count;
+  if (delta) ++record.delta_swaps;
+  record.last_swap_ms = build_ms;
+  if (options != nullptr) {
+    record.options_generation = id;
+  } else {
+    options = &base->core().options();
+  }
   const size_t capacity = options_.pool_capacity != 0
                               ? options_.pool_capacity
                               : thread_pool_.num_threads();
-  return std::make_shared<const GraphGeneration>(
-      next_generation_id_.fetch_add(1), std::move(graph), options,
-      capacity, live_generations_, options_.cache_bytes, std::move(counters));
+  GenerationLease next = std::make_shared<const GraphGeneration>(
+      id, std::move(graph), *options, capacity, live_generations_,
+      options_.cache_bytes, tenant->counters, record);
+  // Chaos hook: failure after the build but before the publish — the
+  // fully-built `next` must unwind cleanly through the live_generations
+  // gauge, with the tenant still serving `base`.
+  SIMPUSH_FAILPOINT("registry.publish");
+  MutexLock lock(&tenant->current_mu);
+  tenant->current = std::move(next);
+  return Status::OK();
 }
 
 Status GraphRegistry::Add(const std::string& name, Graph graph,
@@ -105,36 +147,25 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
     return Status::InvalidArgument(
         "graph name must be 1-64 chars of [A-Za-z0-9._-]");
   }
-  // Reject bad options before the O(n+m) bundle build; the core
-  // repeats the check, but failing early keeps Add cheap on bad input.
+  // Reject bad options before the O(n+m) bundle build.
   SIMPUSH_RETURN_NOT_OK(options.Validate());
-  // The tenant's counters exist before its first generation so every
-  // generation (including this one) shares them.
-  auto counters = std::make_shared<TenantCounters>();
-  // Build the full bundle before touching the map, so a validation
-  // failure (or a long CSR copy) never holds map_mu_.
-  GenerationLease generation =
-      BuildGeneration(std::move(graph), options, counters);
-  const Status& options_status = generation->core().options_status();
-  if (!options_status.ok()) return options_status;
-
+  // Publish the first generation before touching the map, so a long CSR
+  // copy never holds map_mu_.
   auto tenant = std::make_shared<Tenant>();
   {
-    // The tenant is not yet reachable from the map, so these locks are
+    // The tenant is not yet reachable from the map, so this lock is
     // uncontended; the analysis has no notion of "not yet shared" for a
-    // heap object, so the guarded fields are initialized under their
-    // mutexes like any other write.
+    // heap object, so the guarded fields are written under it.
     Tenant* const t = tenant.get();
-    MutexLock update_lock(&t->update_mu);
-    MutexLock options_lock(&t->options_mu);
-    MutexLock current_lock(&t->current_mu);
-    t->master = DynamicGraph::FromGraph(generation->graph());
-    t->counters = std::move(counters);
-    t->options = options;
-    t->options_generation = generation->id();
-    t->swap_count.store(1);
+    MutexLock lock(&t->update_mu);
+    // The counters exist before the first generation so every
+    // generation (including this one) shares them.
+    t->counters = std::make_shared<TenantCounters>();
+    SIMPUSH_RETURN_NOT_OK(Publish(t, /*base=*/nullptr, std::move(graph),
+                                  &options, /*delta=*/false,
+                                  /*build_ms=*/0));
+    t->master = DynamicGraph::FromGraph(t->Current()->graph());
     t->master_edges.store(t->master.num_edges());
-    t->current = std::move(generation);
   }
 
   // Rejections return with `tenant` still owned locally: it was
@@ -160,10 +191,7 @@ Status GraphRegistry::Remove(std::string_view name) {
   {
     MutexLock lock(&map_mu_);
     const auto it = tenants_.find(name);
-    if (it == tenants_.end()) {
-      return Status::NotFound("no graph named \"" + std::string(name) +
-                              "\"");
-    }
+    if (it == tenants_.end()) return NoSuchGraph(name);
     tenant = std::move(it->second);
     tenants_.erase(it);
   }
@@ -175,87 +203,62 @@ Status GraphRegistry::Remove(std::string_view name) {
   return Status::OK();
 }
 
-std::shared_ptr<GraphRegistry::Tenant> GraphRegistry::FindTenant(
+StatusOr<std::shared_ptr<GraphRegistry::Tenant>> GraphRegistry::FindTenant(
     std::string_view name) const {
-  MutexLock lock(&map_mu_);
-  const auto it = tenants_.find(name);
-  return it == tenants_.end() ? nullptr : it->second;
+  std::shared_ptr<Tenant> tenant;
+  {
+    MutexLock lock(&map_mu_);
+    const auto it = tenants_.find(name);
+    if (it != tenants_.end()) tenant = it->second;
+  }
+  if (tenant == nullptr) return NoSuchGraph(name);
+  return tenant;
 }
 
 StatusOr<GenerationLease> GraphRegistry::Lease(std::string_view name) const {
-  const std::shared_ptr<Tenant> tenant = FindTenant(name);
-  if (tenant == nullptr) {
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
-  GenerationLease lease = tenant->Current();
-  if (lease == nullptr) {  // Raced with Remove().
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
-  return lease;
+  SIMPUSH_ASSIGN_OR_RETURN(const std::shared_ptr<Tenant> tenant,
+                           FindTenant(name));
+  return tenant->Published(name);
 }
 
-Status GraphRegistry::RebuildLocked(Tenant* tenant) {
+Status GraphRegistry::RebuildLocked(std::string_view name, Tenant* tenant) {
   // Chaos hook: a rebuild that fails (snapshot OOM, bad state) must
   // leave the tenant serving its old generation with nothing leaked.
   SIMPUSH_FAILPOINT("registry.rebuild");
   Timer timer;
+  SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease base,
+                           tenant->Published(name));
   // Delta fast path: patch only the rows dirtied since the last publish
   // into a copy of the live generation's CSR arrays. SnapshotDelta
   // rejects a mismatched base (e.g. a failed publish left the dirty set
-  // spanning two generations, or there is no published generation yet),
-  // in which case we fall back to the full O(n+m) snapshot — the result
-  // is byte-identical either way, only the build cost differs.
-  bool used_delta = false;
-  StatusOr<Graph> snapshot = Status::FailedPrecondition("no base");
-  {
-    const GenerationLease base = tenant->Current();
-    if (base != nullptr) {
-      snapshot = tenant->master.SnapshotDelta(base->graph());
-      used_delta = snapshot.ok();
-    }
-  }
-  if (!snapshot.ok()) snapshot = tenant->master.Snapshot();
+  // spanning two generations), in which case we fall back to the full
+  // O(n+m) snapshot — the result is byte-identical either way, only the
+  // build cost differs.
+  StatusOr<Graph> snapshot = tenant->master.SnapshotDelta(base->graph());
+  const bool delta = snapshot.ok();
+  if (!delta) snapshot = tenant->master.Snapshot();
   if (!snapshot.ok()) return snapshot.status();
-  // The tenant's own options, not the registry default — a hot swap
-  // must never silently reset a tenant's ε/c/δ/seed.
-  SimPushOptions options;
-  {
-    MutexLock lock(&tenant->options_mu);
-    options = tenant->options;
-  }
-  GenerationLease next =
-      BuildGeneration(*std::move(snapshot), options, tenant->counters);
-  SIMPUSH_RETURN_NOT_OK(next->core().options_status());
-  // Chaos hook: failure after the (expensive) build but before the
-  // publish — the fully-built `next` must unwind cleanly through the
-  // live_generations gauge. MarkClean() must stay BELOW this point: a
-  // failed publish keeps the dirty set, so the next rebuild still
-  // deltas correctly against the still-live old generation.
-  SIMPUSH_FAILPOINT("registry.publish");
+  // No options: a hot swap keeps the tenant's ε/c/δ/seed from `base`.
+  SIMPUSH_RETURN_NOT_OK(Publish(tenant, base.get(), *std::move(snapshot),
+                                /*options=*/nullptr, delta,
+                                timer.ElapsedMillis()));
+  // Only after a successful publish: a failed one keeps the dirty set,
+  // so the next rebuild still deltas against the still-live `base`.
   tenant->master.MarkClean();
   tenant->pending.store(0);
   tenant->dirty_vertices.store(0);
-  tenant->swap_count.fetch_add(1);
-  if (used_delta) tenant->delta_swaps.fetch_add(1);
-  tenant->last_swap_us.store(
-      static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
-  MutexLock lock(&tenant->current_mu);
-  tenant->current = std::move(next);
   return Status::OK();
 }
 
 StatusOr<UpdateOutcome> GraphRegistry::ApplyUpdates(
     std::string_view name, const std::vector<EdgeUpdate>& updates,
     bool force_swap) {
-  const std::shared_ptr<Tenant> tenant = FindTenant(name);
-  if (tenant == nullptr) {
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
+  SIMPUSH_ASSIGN_OR_RETURN(const std::shared_ptr<Tenant> tenant,
+                           FindTenant(name));
   // Raw pointer so the held capability (t->update_mu) syntactically
   // matches RebuildLocked's REQUIRES(tenant->update_mu).
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
-  UpdateOutcome outcome;
   const Status apply_status = t->master.Apply(updates);
   if (!apply_status.ok()) {
     // Atomic batch semantics (DynamicGraph::Apply): nothing was
@@ -264,118 +267,80 @@ StatusOr<UpdateOutcome> GraphRegistry::ApplyUpdates(
     // graph. Rewrap as InvalidArgument so an edge-level failure (e.g.
     // removing an absent edge) cannot be confused with the tenant
     // itself being missing.
-    outcome.pending = t->pending.load();
-    const GenerationLease current = t->Current();
-    outcome.generation = current != nullptr ? current->id() : 0;
     return Status::InvalidArgument("batch rejected: " +
                                    std::string(apply_status.message()));
   }
-  outcome.applied = updates.size();
-  t->pending.fetch_add(outcome.applied);
-  t->updates_applied.fetch_add(outcome.applied);
+  t->pending.fetch_add(updates.size());
+  t->updates_applied.fetch_add(updates.size());
   t->master_edges.store(t->master.num_edges());
   t->dirty_vertices.store(t->master.dirty_vertices());
   const bool threshold_hit = options_.swap_threshold != 0 &&
                              t->pending.load() >= options_.swap_threshold;
-  if ((force_swap || threshold_hit) && t->pending.load() > 0) {
-    SIMPUSH_RETURN_NOT_OK(RebuildLocked(t));
-    outcome.swapped = true;
-  }
-  outcome.pending = t->pending.load();
-  {
-    const GenerationLease current = t->Current();
-    outcome.generation = current != nullptr ? current->id() : 0;
-  }
-  return outcome;
+  const bool swap = (force_swap || threshold_hit) && t->pending.load() > 0;
+  if (swap) SIMPUSH_RETURN_NOT_OK(RebuildLocked(name, t));
+  return t->Outcome(updates.size(), swap);
 }
 
 StatusOr<UpdateOutcome> GraphRegistry::Swap(std::string_view name) {
-  const std::shared_ptr<Tenant> tenant = FindTenant(name);
-  if (tenant == nullptr) {
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
+  SIMPUSH_ASSIGN_OR_RETURN(const std::shared_ptr<Tenant> tenant,
+                           FindTenant(name));
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
-  SIMPUSH_RETURN_NOT_OK(RebuildLocked(t));
-  UpdateOutcome outcome;
-  outcome.swapped = true;
-  outcome.pending = t->pending.load();
-  const GenerationLease current = t->Current();
-  outcome.generation = current != nullptr ? current->id() : 0;
-  return outcome;
+  SIMPUSH_RETURN_NOT_OK(RebuildLocked(name, t));
+  return t->Outcome(0, /*swapped=*/true);
 }
 
 StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
     std::string_view name, const SimPushOptions& options) {
   SIMPUSH_RETURN_NOT_OK(options.Validate());
-  const std::shared_ptr<Tenant> tenant = FindTenant(name);
-  if (tenant == nullptr) {
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
+  SIMPUSH_ASSIGN_OR_RETURN(const std::shared_ptr<Tenant> tenant,
+                           FindTenant(name));
   // update_mu serializes against rebuilds so the generation we re-wrap
   // cannot be swapped out from under us mid-build.
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
-  const GenerationLease current = t->Current();
-  if (current == nullptr) {  // Raced with Remove().
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
+  Timer timer;
+  SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease current,
+                           t->Published(name));
   // Re-publish the CURRENT generation's graph, not a master snapshot:
   // an options change must not smuggle in pending edge updates.
-  GenerationLease next =
-      BuildGeneration(Graph(current->graph()), options, t->counters);
-  SIMPUSH_RETURN_NOT_OK(next->core().options_status());
-  SIMPUSH_FAILPOINT("registry.publish");
-  {
-    MutexLock olock(&t->options_mu);
-    t->options = options;
-    t->options_generation = next->id();
-  }
-  t->swap_count.fetch_add(1);
-  UpdateOutcome outcome;
-  outcome.swapped = true;
-  outcome.pending = t->pending.load();
-  outcome.generation = next->id();
-  MutexLock clock(&t->current_mu);
-  t->current = std::move(next);
-  return outcome;
+  Graph graph(current->graph());
+  SIMPUSH_RETURN_NOT_OK(Publish(t, current.get(), std::move(graph), &options,
+                                /*delta=*/false, timer.ElapsedMillis()));
+  return t->Outcome(0, /*swapped=*/true);
 }
 
 StatusOr<TenantStats> GraphRegistry::Stats(std::string_view name) const {
-  const std::shared_ptr<Tenant> tenant = FindTenant(name);
-  if (tenant == nullptr) {
-    return Status::NotFound("no graph named \"" + std::string(name) + "\"");
-  }
-  // Atomic gauges (and options_mu), not update_mu: a stats scrape must
-  // never wait out a rebuild holding the lock across its O(m) snapshot.
+  SIMPUSH_ASSIGN_OR_RETURN(const std::shared_ptr<Tenant> tenant,
+                           FindTenant(name));
+  // One lease for every per-generation value, so they all describe the
+  // same generation; atomic gauges, not update_mu, for the rest: a stats
+  // scrape must never wait out a rebuild holding the lock across its
+  // O(m) snapshot.
+  SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease current,
+                           tenant->Published(name));
   TenantStats stats;
-  {
-    MutexLock lock(&tenant->options_mu);
-    stats.options = tenant->options;
-    stats.options_generation = tenant->options_generation;
+  stats.generation = current->id();
+  stats.options = current->core().options();
+  const PublishRecord& publish = current->publish();
+  stats.options_generation = publish.options_generation;
+  stats.swap_count = publish.swap_count;
+  stats.delta_swaps = publish.delta_swaps;
+  stats.last_swap_ms = publish.last_swap_ms;
+  stats.num_nodes = current->graph().num_nodes();
+  stats.num_edges = current->graph().num_edges();
+  stats.pool_capacity = current->workspaces().capacity();
+  stats.pool_created = current->workspaces().created();
+  stats.pool_outstanding = current->workspaces().outstanding();
+  if (const ResultCache* cache = current->cache()) {
+    stats.cache_budget_bytes = cache->budget_bytes();
+    stats.cache_entries = cache->entries();
+    stats.cache_bytes = cache->bytes();
   }
   stats.pending_updates = tenant->pending.load();
   stats.updates_applied = tenant->updates_applied.load();
-  stats.swap_count = tenant->swap_count.load();
-  stats.delta_swaps = tenant->delta_swaps.load();
-  stats.last_swap_ms =
-      static_cast<double>(tenant->last_swap_us.load()) / 1000.0;
   stats.master_edges = tenant->master_edges.load();
   stats.dirty_vertices = static_cast<size_t>(tenant->dirty_vertices.load());
-  const GenerationLease current = tenant->Current();
-  if (current != nullptr) {
-    stats.generation = current->id();
-    stats.num_nodes = current->graph().num_nodes();
-    stats.num_edges = current->graph().num_edges();
-    stats.pool_capacity = current->workspaces().capacity();
-    stats.pool_created = current->workspaces().created();
-    stats.pool_outstanding = current->workspaces().outstanding();
-    if (const ResultCache* cache = current->cache()) {
-      stats.cache_budget_bytes = cache->budget_bytes();
-      stats.cache_entries = cache->entries();
-      stats.cache_bytes = cache->bytes();
-    }
-  }
   const TenantCounters& counters = *tenant->counters;
   const ResultCacheMetrics& m = counters.cache;
   stats.cache_hits = m.hits.load(std::memory_order_relaxed);

@@ -124,12 +124,23 @@ struct TenantCounters {
   LatencyRing latency;
 };
 
+/// How a tenant came to publish one generation, stamped once by the
+/// registry's publish path: every value agrees with its generation.
+struct PublishRecord {
+  uint64_t options_generation = 0;  ///< Where its options took effect.
+  uint64_t swap_count = 0;   ///< Generations published, this one included.
+  uint64_t delta_swaps = 0;  ///< Rebuilds that took the delta fast path.
+  /// Wall time of the snapshot (or graph copy) this generation was
+  /// built from, ms; 0 for the tenant's first generation.
+  double last_swap_ms = 0;
+};
+
 /// One immutable, published graph generation: snapshot + core + scratch
-/// pool. Deeply const except the workspace pool, the cache and the
-/// tenant counters, which are internally synchronized. Generations are
-/// shared via shared_ptr and never mutated after publication; they die
-/// when the registry has swapped past them AND the last in-flight lease
-/// has dropped.
+/// pool + publish record. Deeply const except the workspace pool, the
+/// cache and the tenant counters, which are internally synchronized.
+/// Generations are shared via shared_ptr and never mutated after
+/// publication; they die when the registry has swapped past them AND the
+/// last in-flight lease has dropped.
 class GraphGeneration {
  public:
   /// `live_counter` (may be null) is decremented on destruction — the
@@ -139,7 +150,8 @@ class GraphGeneration {
   GraphGeneration(uint64_t id, Graph graph, const SimPushOptions& options,
                   size_t pool_capacity,
                   std::shared_ptr<std::atomic<int64_t>> live_counter,
-                  size_t cache_bytes, std::shared_ptr<TenantCounters> counters);
+                  size_t cache_bytes, std::shared_ptr<TenantCounters> counters,
+                  const PublishRecord& publish);
   ~GraphGeneration();
 
   GraphGeneration(const GraphGeneration&) = delete;
@@ -150,7 +162,8 @@ class GraphGeneration {
   uint64_t id() const { return id_; }
   /// The immutable snapshot this generation serves.
   const Graph& graph() const { return graph_; }
-  /// The shared engine core bound to graph().
+  /// The shared engine core bound to graph(); its options() are the
+  /// tenant's engine options for this generation.
   const EngineCore& core() const { return core_; }
   /// Per-generation scratch pool (internally synchronized; const
   /// because leasing scratch does not mutate the published graph).
@@ -165,6 +178,8 @@ class GraphGeneration {
   /// The owning tenant's counters (internally synchronized; shared by
   /// every generation of the tenant).
   TenantCounters& counters() const { return *counters_; }
+  /// How the tenant published this generation.
+  const PublishRecord& publish() const { return publish_; }
 
  private:
   const uint64_t id_;
@@ -174,6 +189,7 @@ class GraphGeneration {
   const uint64_t options_fingerprint_;
   const std::shared_ptr<TenantCounters> counters_;
   const std::unique_ptr<ResultCache> cache_;
+  const PublishRecord publish_;
   std::shared_ptr<std::atomic<int64_t>> live_;
 };
 
@@ -181,22 +197,20 @@ class GraphGeneration {
 /// outlives any swap that happens mid-query.
 using GenerationLease = std::shared_ptr<const GraphGeneration>;
 
-/// Point-in-time view of one tenant for /v1/stats.
+/// Point-in-time view of one tenant for /v1/stats. Every value that
+/// describes a generation comes from the one lease `generation` names.
 struct TenantStats {
   uint64_t generation = 0;        ///< Current generation id.
-  /// The engine options every generation of this tenant is built from
-  /// — the tenant's own ε/c/δ/seed, NOT the registry-wide default.
+  /// The engine options the current generation runs — the tenant's own
+  /// ε/c/δ/seed, NOT the registry-wide default.
   SimPushOptions options;
-  /// Generation id in which `options` took effect: the tenant's first
-  /// generation, or the generation published by the most recent
-  /// UpdateOptions call.
+  // The current generation's PublishRecord.
   uint64_t options_generation = 0;
+  uint64_t swap_count = 0;
+  uint64_t delta_swaps = 0;
+  double last_swap_ms = 0;
   uint64_t pending_updates = 0;   ///< Master edits not yet snapshotted.
   uint64_t updates_applied = 0;   ///< Lifetime accepted edge updates.
-  uint64_t swap_count = 0;        ///< Generations published (incl. first).
-  uint64_t delta_swaps = 0;       ///< Swaps that used the delta fast path.
-  /// Wall time of the most recent publish (snapshot + rebuild), ms.
-  double last_swap_ms = 0;
   /// Master vertices dirtied since the last publish — the delta cost
   /// the next swap will pay.
   size_t dirty_vertices = 0;
@@ -285,8 +299,8 @@ class GraphRegistry {
   StatusOr<UpdateOutcome> UpdateOptions(std::string_view name,
                                         const SimPushOptions& options);
 
-  /// Stats snapshot for one tenant: its gauges, its current
-  /// generation and its counters, all read from one tenant record.
+  /// Stats snapshot for one tenant: its gauges and counters, and every
+  /// per-generation value from one lease on its current generation.
   StatusOr<TenantStats> Stats(std::string_view name) const;
 
   /// Registered tenant names, sorted.
@@ -306,29 +320,20 @@ class GraphRegistry {
   const RegistryOptions& options() const { return options_; }
 
  private:
+  // Everything about a tenant that is not a fact of one generation. A
+  // generation carries its own options and PublishRecord.
   struct Tenant {
-    // Serializes master mutation + snapshot + rebuild for this tenant.
+    // Serializes master mutation + snapshot + publish for this tenant.
     // Never held while executing queries; Lease() does not take it.
     Mutex update_mu;
     DynamicGraph master SIMPUSH_GUARDED_BY(update_mu);
-    // The tenant's engine options and the generation they took effect
-    // in. Written in Add() before the tenant reaches the map, then
-    // only by UpdateOptions; options_mu guards them because Stats()
-    // reads without update_mu (which rebuilds hold across an O(m)
-    // snapshot).
-    mutable Mutex options_mu;
-    SimPushOptions options SIMPUSH_GUARDED_BY(options_mu);
-    uint64_t options_generation SIMPUSH_GUARDED_BY(options_mu) = 0;
-    // Gauges mirrored as atomics (written under update_mu, read
-    // anywhere) so Stats() never waits out a rebuild, which holds
-    // update_mu across the whole O(m) snapshot.
+    // Between-publish gauges mirrored as atomics (written under
+    // update_mu, read anywhere) so Stats() never waits out a rebuild,
+    // which holds update_mu across the whole O(m) snapshot.
     std::atomic<uint64_t> pending{0};
     std::atomic<uint64_t> updates_applied{0};
-    std::atomic<uint64_t> swap_count{0};
     std::atomic<uint64_t> master_edges{0};
     std::atomic<uint64_t> dirty_vertices{0};
-    std::atomic<uint64_t> delta_swaps{0};
-    std::atomic<uint64_t> last_swap_us{0};
 
     // The tenant's counters, threaded into every generation it
     // publishes (set once in Add, then read-only).
@@ -342,18 +347,27 @@ class GraphRegistry {
       MutexLock lock(&current_mu);
       return current;
     }
+    // Current(), or NotFound for `name` once Remove() has retired it.
+    StatusOr<GenerationLease> Published(std::string_view name) const;
+    // What an update call reports once it is done.
+    UpdateOutcome Outcome(size_t applied, bool swapped) const;
   };
 
-  // Builds a generation bundle around `graph` with the given engine
-  // options (outside any lock), carrying the owning tenant's counters.
-  GenerationLease BuildGeneration(Graph graph, const SimPushOptions& options,
-                                  std::shared_ptr<TenantCounters> counters);
+  // The one path that builds and publishes a generation: `graph` under
+  // `options` (null keeps `base`'s), with a PublishRecord continuing
+  // `base`'s, the tenant's current generation (null for its first).
+  // `delta` (a delta snapshot) and `build_ms` (the time spent producing
+  // `graph`; 0 for a create) go into the record.
+  Status Publish(Tenant* tenant, const GraphGeneration* base, Graph graph,
+                 const SimPushOptions* options, bool delta, double build_ms)
+      SIMPUSH_REQUIRES(tenant->update_mu);
   // Snapshots tenant->master and publishes the result. The REQUIRES
   // annotation is the compiler-checked form of "caller holds
   // tenant->update_mu" — call sites must lock through a raw Tenant*
   // so the capability expression matches.
-  Status RebuildLocked(Tenant* tenant) SIMPUSH_REQUIRES(tenant->update_mu);
-  std::shared_ptr<Tenant> FindTenant(std::string_view name) const
+  Status RebuildLocked(std::string_view name, Tenant* tenant)
+      SIMPUSH_REQUIRES(tenant->update_mu);
+  StatusOr<std::shared_ptr<Tenant>> FindTenant(std::string_view name) const
       SIMPUSH_EXCLUDES(map_mu_);
 
   const RegistryOptions options_;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -734,6 +735,51 @@ TEST(RegistryStress, TwoTenantsDistinctEpsilonSwapUnderLoad) {
     EXPECT_EQ(stats->pool_outstanding, 0u);
     EXPECT_EQ(stats->swap_count, static_cast<uint64_t>(kSwaps) + 1);
   }
+}
+
+// A stats read racing options changes describes one generation: the
+// options it reports are the ones that generation runs, and they never
+// took effect in a later generation. Every publish here is an
+// UpdateOptions flipping ε, so generation g runs ε = 0.3 when g is even.
+TEST(RegistryStress, StatsRacingUpdateOptionsDescribeOneGeneration) {
+  GraphRegistry registry(FastRegistryOptions());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
+  SimPushOptions odd = FastOptions();  // ε = 0.1, generation 1.
+  SimPushOptions even = FastOptions();
+  even.epsilon = 0.3;
+
+  constexpr int kFlips = 200;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 1; i <= kFlips; ++i) {
+      EXPECT_TRUE(registry.UpdateOptions("g", i % 2 == 1 ? even : odd).ok());
+    }
+    done.store(true);
+  });
+  // EXPECT and break, not ASSERT: the writer must be joined.
+  size_t reads = 0;
+  while (!done.load() || reads == 0) {
+    const auto stats = registry.Stats("g");
+    ++reads;
+    const bool consistent =
+        stats.ok() && stats->options_generation <= stats->generation &&
+        stats->options.epsilon ==
+            (stats->generation % 2 == 0 ? even.epsilon : odd.epsilon);
+    EXPECT_TRUE(consistent)
+        << "read " << reads << ": "
+        << (stats.ok() ? "generation " + std::to_string(stats->generation) +
+                             ", options_generation " +
+                             std::to_string(stats->options_generation) +
+                             ", epsilon " +
+                             std::to_string(stats->options.epsilon)
+                       : stats.status().ToString());
+    if (!consistent) break;
+  }
+  writer.join();
+  const auto stats = registry.Stats("g");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->generation, static_cast<uint64_t>(kFlips) + 1);
+  EXPECT_EQ(stats->options_generation, stats->generation);
 }
 
 // The registry hot path (lease + pooled workspace + QueryInto into a

@@ -29,8 +29,7 @@ R3 failpoint-coverage
     must appear in chaos_test's AllInstrumentedFailpointsFired list (a
     renamed or new-but-untested seam fails the lint, not just rots),
     and no name may be claimed by two different source files (one seam,
-    one owner; multiple sites within a file share a seam, e.g. the two
-    registry.publish publish points).
+    one owner; multiple sites within a file share a seam).
 
 R4 locked-suffix-requires
     The *Locked naming convention ("caller must hold the mutex") must
@@ -78,6 +77,16 @@ R10 one-env-knob
     common/failpoint.cc. getenv may appear under src/ only there, so a
     setting cannot arrive through an environment variable that no flag,
     option or doc names.
+
+R11 one-publish-path
+    A tenant's generation carries its own options and publish record,
+    stamped by the one function that builds and publishes it,
+    GraphRegistry::Publish in serve/registry.cc. Nowhere else under src/
+    may construct a GraphGeneration (make_shared / make_unique / new / a
+    named local) or assign a `current` member (`= ...`, `.reset(x)`,
+    `.swap(...)`), so a second publish path cannot come back with its
+    own copy of the record. Remove() retiring a generation with a bare
+    `current.reset()` publishes nothing and is allowed.
 """
 
 from __future__ import annotations
@@ -162,6 +171,19 @@ RNG_MEMBER = re.compile(
 # R10: the library's one environment read.
 ENV_READ_FILE = "src/common/failpoint.cc"
 ENV_READ = re.compile(r"\bgetenv\b")
+
+# R11: the one publish path.
+PUBLISH_FILE = "src/serve/registry.cc"
+PUBLISH_FUNCTION = re.compile(r"\bGraphRegistry::Publish\s*\(")
+GENERATION_BUILD = re.compile(
+    r"\b(?:make_shared|make_unique|allocate_shared)\s*<\s*(?:const\s+)?"
+    r"GraphGeneration\s*>|\bnew\s+(?:const\s+)?GraphGeneration\b"
+    r"|\bGraphGeneration\s+\w+\s*[({]"
+)
+CURRENT_ASSIGN = re.compile(
+    r"(?:->|\.)\s*current\s*"
+    r"(?:=(?!=)|\.\s*(?:reset\s*\(\s*[^)\s]|swap\s*\())"
+)
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -387,6 +409,32 @@ class Linter:
                         "getenv outside common/failpoint.cc; take the "
                         "setting as an option or flag",
                     )
+
+        # R11 — the one publish path.
+        publish_body = range(0)
+        if rel == PUBLISH_FILE:
+            publish_body = function_body_lines(code, PUBLISH_FUNCTION)
+            if publish_body is None:
+                self.report(
+                    path, 1, "one-publish-path",
+                    "GraphRegistry::Publish definition not found",
+                )
+                publish_body = range(0)
+        for lineno, line in enumerate(code_lines, 1):
+            if lineno in publish_body:
+                continue
+            if GENERATION_BUILD.search(line):
+                self.report(
+                    path, lineno, "one-publish-path",
+                    "GraphGeneration constructed outside "
+                    "GraphRegistry::Publish; publish through it",
+                )
+            if CURRENT_ASSIGN.search(line):
+                self.report(
+                    path, lineno, "one-publish-path",
+                    "`current` assigned outside GraphRegistry::Publish; "
+                    "publish through it",
+                )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
         if not CHAOS_TEST.exists():
