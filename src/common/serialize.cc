@@ -1,5 +1,6 @@
 #include "common/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace simpush {
@@ -56,11 +57,16 @@ StatusOr<BinaryReader> BinaryReader::Open(const std::string& path) {
   if (file == nullptr) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  return BinaryReader(file);
+  const long size = std::fseek(file, 0, SEEK_END) == 0 ? std::ftell(file) : -1;
+  if (size < 0 || std::fseek(file, 0, SEEK_SET) != 0) {
+    std::fclose(file);
+    return Status::IOError("cannot size for reading: " + path);
+  }
+  return BinaryReader(file, static_cast<uint64_t>(size));
 }
 
 BinaryReader::BinaryReader(BinaryReader&& other) noexcept
-    : file_(other.file_) {
+    : file_(other.file_), remaining_(other.remaining_) {
   other.file_ = nullptr;
 }
 
@@ -68,6 +74,7 @@ BinaryReader& BinaryReader::operator=(BinaryReader&& other) noexcept {
   if (this != &other) {
     if (file_ != nullptr) std::fclose(file_);
     file_ = other.file_;
+    remaining_ = other.remaining_;
     other.file_ = nullptr;
   }
   return *this;
@@ -93,6 +100,7 @@ Status BinaryReader::ReadBytes(void* data, size_t bytes) {
   if (std::fread(data, 1, bytes, file_) != bytes) {
     return Status::IOError("unexpected end of file");
   }
+  remaining_ -= std::min<uint64_t>(bytes, remaining_);
   return Status::OK();
 }
 

@@ -83,16 +83,16 @@ class BinaryReader {
     return ReadBytes(value, sizeof(T));
   }
 
-  /// Reads a vector written by WriteVector. `max_elements` guards
-  /// against corrupt counts allocating unbounded memory.
+  /// Reads a vector written by WriteVector. A count larger than the
+  /// bytes left in the file can hold is an IOError, so a corrupt count
+  /// never allocates more than the file's size.
   template <typename T>
-  Status ReadVector(std::vector<T>* values,
-                    uint64_t max_elements = (1ULL << 32)) {
+  Status ReadVector(std::vector<T>* values) {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t count = 0;
     SIMPUSH_RETURN_NOT_OK(Read(&count));
-    if (count > max_elements) {
-      return Status::IOError("vector length exceeds sanity bound");
+    if (count > remaining_ / sizeof(T)) {
+      return Status::IOError("vector length exceeds the bytes left");
     }
     values->resize(count);
     if (count == 0) return Status::OK();
@@ -103,10 +103,11 @@ class BinaryReader {
   bool AtEof();
 
  private:
-  explicit BinaryReader(FILE* file) : file_(file) {}
+  BinaryReader(FILE* file, uint64_t size) : file_(file), remaining_(size) {}
   Status ReadBytes(void* data, size_t bytes);
 
   FILE* file_ = nullptr;
+  uint64_t remaining_ = 0;  // Bytes not yet read.
 };
 
 }  // namespace simpush

@@ -96,6 +96,28 @@ TEST(SerializeTest, InsaneVectorCountRejected) {
   std::filesystem::remove(path);
 }
 
+// A count that passes any fixed bound but exceeds what the file holds:
+// 2^31 eight-byte elements (16 GiB) promised by a 12-byte file. The
+// read must fail before it allocates.
+TEST(SerializeTest, VectorCountBeyondFileSizeRejected) {
+  const std::string path = TempPath("serialize_oversized.bin");
+  {
+    auto writer = BinaryWriter::Open(path);
+    ASSERT_TRUE(writer.ok());
+    writer->WriteMagic("TST1");
+    writer->Write<uint64_t>(1ULL << 31);
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 12u);
+  auto reader = BinaryReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader->ExpectMagic("TST1").ok());
+  std::vector<uint64_t> values;
+  EXPECT_EQ(reader->ReadVector(&values).code(), StatusCode::kIOError);
+  EXPECT_TRUE(values.empty());
+  std::filesystem::remove(path);
+}
+
 TEST(SerializeTest, OpenMissingFileFails) {
   auto reader = BinaryReader::Open(TempPath("does_not_exist_xyz.bin"));
   EXPECT_FALSE(reader.ok());
