@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 #include "walk/walker.h"
 
@@ -110,64 +109,6 @@ StatusOr<std::vector<double>> Tsf::Query(NodeId u) {
   }
   scores[u] = 1.0;
   return scores;
-}
-
-
-namespace {
-constexpr char kTsfMagic[4] = {'T', 'S', 'F', '1'};
-}
-
-Status Tsf::SaveIndex(const std::string& path) const {
-  if (!prepared_) {
-    return Status::FailedPrecondition("SaveIndex before Prepare");
-  }
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  writer.WriteMagic(kTsfMagic);
-  writer.Write<uint32_t>(graph_.num_nodes());
-  writer.Write<uint64_t>(graph_.num_edges());
-  writer.Write<double>(options_.decay);
-  writer.Write<uint32_t>(options_.num_one_way_graphs);
-  writer.Write<uint32_t>(options_.max_depth);
-  for (uint32_t g = 0; g < options_.num_one_way_graphs; ++g) {
-    writer.WriteVector(children_offsets_[g]);
-    writer.WriteVector(children_nodes_[g]);
-  }
-  return writer.Finish();
-}
-
-Status Tsf::LoadIndex(const std::string& path) {
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryReader reader, BinaryReader::Open(path));
-  SIMPUSH_RETURN_NOT_OK(reader.ExpectMagic(kTsfMagic));
-  uint32_t n = 0, rg = 0, depth = 0;
-  uint64_t m = 0;
-  double decay = 0;
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&n));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&m));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&decay));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&rg));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&depth));
-  if (n != graph_.num_nodes() || m != graph_.num_edges()) {
-    return Status::InvalidArgument("index was built for a different graph");
-  }
-  if (decay != options_.decay || rg != options_.num_one_way_graphs ||
-      depth != options_.max_depth) {
-    return Status::InvalidArgument("index was built with different options");
-  }
-  children_offsets_.assign(rg, {});
-  children_nodes_.assign(rg, {});
-  for (uint32_t g = 0; g < rg; ++g) {
-    SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&children_offsets_[g]));
-    SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&children_nodes_[g]));
-    if (children_offsets_[g].size() != size_t(n) + 1) {
-      return Status::IOError("one-way graph offsets have wrong size");
-    }
-    for (NodeId child : children_nodes_[g]) {
-      if (child >= n) return Status::IOError("one-way child out of range");
-    }
-  }
-  prepare_seconds_ = 0.0;
-  prepared_ = true;
-  return Status::OK();
 }
 
 }  // namespace simpush

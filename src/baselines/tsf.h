@@ -45,14 +45,6 @@ class Tsf : public SingleSourceAlgorithm {
   double PrepareSeconds() const override { return prepare_seconds_; }
   bool index_free() const override { return false; }
 
-  /// Persists the built one-way graphs. FailedPrecondition before
-  /// Prepare().
-  Status SaveIndex(const std::string& path) const;
-
-  /// Loads an index written by SaveIndex for the *same* graph and
-  /// matching (R_g, T) options; marks the instance prepared.
-  Status LoadIndex(const std::string& path);
-
  private:
   const Graph& graph_;
   TsfOptions options_;

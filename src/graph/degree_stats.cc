@@ -29,19 +29,6 @@ DegreeHistogram ComputeDegreeHistogram(const Graph& graph, DegreeKind kind) {
   return histogram;
 }
 
-std::vector<double> ComputeCcdf(const DegreeHistogram& histogram) {
-  std::vector<double> ccdf(histogram.degrees.size());
-  if (histogram.num_nodes == 0) return ccdf;
-  // Suffix sums: P(D >= degrees[i]).
-  uint64_t at_least = 0;
-  for (size_t i = histogram.degrees.size(); i-- > 0;) {
-    at_least += histogram.counts[i];
-    ccdf[i] = static_cast<double>(at_least) /
-              static_cast<double>(histogram.num_nodes);
-  }
-  return ccdf;
-}
-
 namespace {
 
 // KS distance between the empirical tail CCDF and the fitted power-law

@@ -1,13 +1,13 @@
-// Degree-distribution analysis: histograms, CCDF, and a power-law tail
-// fit (continuous-approximation MLE of Clauset–Shalizi–Newman with a KS
+// Degree-distribution analysis: histograms and a power-law tail fit
+// (continuous-approximation MLE of Clauset–Shalizi–Newman with a KS
 // goodness-of-fit distance).
 //
 // Motivation from the paper: PRSim's complexity analysis assumes the
 // input is a strict power-law graph, and the paper counters with Broido
 // & Clauset's "Scale-free networks are rare" [3]. This module makes the
-// assumption checkable — the Table 4 dataset bench prints each
-// stand-in's fitted exponent and KS distance, and tests verify that the
-// Chung–Lu stand-ins actually have the tail they claim.
+// assumption checkable — the CLI's `stats` command prints a graph's
+// fitted exponent and KS distance, and tests verify that the Chung–Lu
+// stand-ins actually have the tail they claim.
 
 #ifndef SIMPUSH_GRAPH_DEGREE_STATS_H_
 #define SIMPUSH_GRAPH_DEGREE_STATS_H_
@@ -33,10 +33,6 @@ struct DegreeHistogram {
 /// Builds the in- or out-degree histogram of `graph`.
 DegreeHistogram ComputeDegreeHistogram(const Graph& graph, DegreeKind kind);
 
-/// Empirical complementary CDF P(D >= d) evaluated at each distinct
-/// degree in the histogram.
-std::vector<double> ComputeCcdf(const DegreeHistogram& histogram);
-
 /// Result of a power-law tail fit P(d) ~ d^-alpha for d >= d_min.
 struct PowerLawFit {
   double alpha = 0;        ///< Fitted exponent (typically 2-3 for web graphs).
@@ -55,8 +51,8 @@ StatusOr<PowerLawFit> FitPowerLaw(const DegreeHistogram& histogram,
                                   uint64_t min_tail_nodes = 50);
 
 /// Gini coefficient of the degree sequence — a scale-free measure of
-/// degree skew (0 = regular graph, -> 1 = single dominant hub). Used in
-/// Table 4 reporting alongside the power-law fit.
+/// degree skew (0 = regular graph, -> 1 = single dominant hub). The
+/// CLI's `stats` command prints it alongside the power-law fit.
 double DegreeGini(const DegreeHistogram& histogram);
 
 }  // namespace simpush

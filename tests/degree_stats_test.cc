@@ -1,4 +1,4 @@
-// Unit tests for degree histograms, CCDF, power-law fitting, and Gini.
+// Unit tests for degree histograms, power-law fitting, and Gini.
 
 #include "graph/degree_stats.h"
 
@@ -32,29 +32,6 @@ TEST(DegreeHistogramTest, CycleIsRegular) {
     EXPECT_EQ(histogram.degrees[0], 1u);
     EXPECT_EQ(histogram.counts[0], 25u);
   }
-}
-
-TEST(CcdfTest, MonotoneNonIncreasingAndStartsAtOne) {
-  auto graph = GenerateChungLu(2000, 12000, 2.5, /*seed=*/5);
-  ASSERT_TRUE(graph.ok());
-  auto histogram = ComputeDegreeHistogram(*graph, DegreeKind::kIn);
-  auto ccdf = ComputeCcdf(histogram);
-  ASSERT_EQ(ccdf.size(), histogram.degrees.size());
-  EXPECT_DOUBLE_EQ(ccdf.front(), 1.0);  // every node has degree >= min
-  for (size_t i = 1; i < ccdf.size(); ++i) {
-    EXPECT_LE(ccdf[i], ccdf[i - 1]);
-    EXPECT_GT(ccdf[i], 0.0);
-  }
-}
-
-TEST(CcdfTest, ValuesMatchManualSuffixSums) {
-  auto star = GenerateStar(10);
-  ASSERT_TRUE(star.ok());
-  auto histogram = ComputeDegreeHistogram(*star, DegreeKind::kIn);
-  auto ccdf = ComputeCcdf(histogram);
-  ASSERT_EQ(ccdf.size(), 2u);
-  EXPECT_DOUBLE_EQ(ccdf[0], 1.0);
-  EXPECT_DOUBLE_EQ(ccdf[1], 0.1);  // only the hub has degree >= 9
 }
 
 TEST(PowerLawFitTest, RecoversChungLuExponent) {

@@ -7,7 +7,6 @@
 #include "baselines/prsim.h"
 #include "baselines/reads.h"
 #include "baselines/sling.h"
-#include "baselines/tsf.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 
@@ -189,49 +188,6 @@ TEST_F(IndexPersistenceTest, PRSimSaveBeforePrepareFails) {
   PRSim prsim(graph_, PRSimOptions{});
   EXPECT_EQ(prsim.SaveIndex(TempPath("prsim_noprep.idx")).code(),
             StatusCode::kFailedPrecondition);
-}
-
-TEST_F(IndexPersistenceTest, TsfRoundTripQueryParity) {
-  const std::string path = TempPath("tsf_roundtrip.idx");
-  TsfOptions options;
-  options.num_one_way_graphs = 30;
-  options.reuse_per_graph = 4;
-  options.max_depth = 5;
-
-  Tsf original(graph_, options);
-  ASSERT_TRUE(original.Prepare().ok());
-  ASSERT_TRUE(original.SaveIndex(path).ok());
-
-  Tsf loaded(graph_, options);
-  ASSERT_TRUE(loaded.LoadIndex(path).ok());
-
-  // TSF's query itself samples walks; with equal seeds and identical
-  // one-way graphs the replay is identical.
-  for (NodeId u : {4u, 150u}) {
-    auto a = original.Query(u);
-    auto b = loaded.Query(u);
-    ASSERT_TRUE(a.ok() && b.ok());
-    for (size_t v = 0; v < a->size(); ++v) {
-      ASSERT_DOUBLE_EQ((*a)[v], (*b)[v]) << "u=" << u << " v=" << v;
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST_F(IndexPersistenceTest, TsfRejectsWrongDepth) {
-  const std::string path = TempPath("tsf_wrongdepth.idx");
-  TsfOptions options;
-  options.num_one_way_graphs = 10;
-  options.max_depth = 5;
-  Tsf original(graph_, options);
-  ASSERT_TRUE(original.Prepare().ok());
-  ASSERT_TRUE(original.SaveIndex(path).ok());
-
-  TsfOptions different = options;
-  different.max_depth = 6;
-  Tsf loaded(graph_, different);
-  EXPECT_EQ(loaded.LoadIndex(path).code(), StatusCode::kInvalidArgument);
-  std::filesystem::remove(path);
 }
 
 }  // namespace
