@@ -219,14 +219,13 @@ void BM_LoadEdgeList(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadEdgeList)->Unit(benchmark::kMillisecond);
 
-void BM_SourcePushStage(benchmark::State& state) {
-  const Graph& g = BenchGraph();
-  SimPushOptions o;
-  o.epsilon = 0.02;
-  o.walk_budget_cap = 20000;
+// Source-Push alone (Algorithm 2: level detection, then the level-wise
+// propagation), on a warm workspace and G_u as a long-lived engine
+// holds them, every iteration from the next source in steps of 37.
+void RunSourcePushStage(benchmark::State& state, const Graph& g,
+                        const SimPushOptions& o) {
   const DerivedParams params = ComputeDerivedParams(o);
   Rng rng(3);
-  // Warm workspace + G_u, as a long-lived engine holds them.
   QueryWorkspace workspace;
   SourceGraph gu;
   NodeId u = 0;
@@ -238,7 +237,25 @@ void BM_SourcePushStage(benchmark::State& state) {
     u = (u + 37) % g.num_nodes();
   }
 }
+
+// The bench graph at eps=0.02 with the walk count capped at 20 000.
+void BM_SourcePushStage(benchmark::State& state) {
+  SimPushOptions o;
+  o.epsilon = 0.02;
+  o.walk_budget_cap = 20000;
+  RunSourcePushStage(state, BenchGraph(), o);
+}
 BENCHMARK(BM_SourcePushStage);
+
+// `graph` at eps=0.05 with the derived walk count (26 441), as the e2e
+// benchmark's web reads run it.
+void BM_SourcePushStage(benchmark::State& state, const Graph& (*graph)()) {
+  SimPushOptions o;
+  o.epsilon = 0.05;
+  RunSourcePushStage(state, graph(), o);
+}
+BENCHMARK_CAPTURE(BM_SourcePushStage, web, &WebGraph)
+    ->Unit(benchmark::kMillisecond);
 
 // Cycles 8 precomputed G_u: one source's levels would pin each level's
 // pull/push choice, hiding the other direction's cost.

@@ -2,12 +2,14 @@
 // T{} before every use", physically a pair of flat vectors whose reset
 // is a single generation-counter bump instead of an O(n) clear.
 //
-// The query hot path needs several n-sized accumulators (residue values,
-// membership marks, index maps) that each query uses sparsely. Zeroing
-// them per query costs O(n) — on web-scale graphs that dwarfs the push
-// work itself. An EpochArray stamps every written slot with the current
-// epoch; a slot whose stamp is stale reads as T{}. Starting a new epoch
-// is O(1), with one O(n) stamp wipe every 2^32 - 1 epochs at wraparound.
+// The query hot path needs n-sized scratch (per-level visit counts, the
+// hitting table's span maps) that each use touches sparsely. Zeroing it
+// per use costs O(n) — on web-scale graphs that dwarfs the work itself.
+// An EpochArray stamps every written slot with the current epoch; a slot
+// whose stamp is stale reads as T{}. Starting a new epoch is O(1), with
+// one O(n) stamp wipe every 2^32 - 1 epochs at wraparound. (Accumulators
+// whose consumers visit every slot they wrote are zero-restored instead;
+// see simpush/workspace.h.)
 
 #ifndef SIMPUSH_COMMON_EPOCH_ARRAY_H_
 #define SIMPUSH_COMMON_EPOCH_ARRAY_H_

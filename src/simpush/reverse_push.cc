@@ -1,6 +1,7 @@
 #include "simpush/reverse_push.h"
 
-#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "simpush/workspace.h"
 
@@ -12,14 +13,19 @@ Status ReversePush(const Graph& graph, const SourceGraph& gu,
                    std::vector<double>* scores, ReversePushStats* stats,
                    const CancelToken* cancel) {
   workspace->Prepare(graph.num_nodes());
-  EpochArray<double>& current = workspace->dense_a;
-  EpochArray<double>& next = workspace->dense_b;
+  // Residues of the level being pushed and of the level below, in
+  // zero-restored accumulators with their touched lists. With ε_h > 0
+  // every share is strictly positive, so a slot holding +0.0 is
+  // untouched on this level and its first touch 0.0 + x is exactly x.
+  std::vector<double>& current = workspace->accum_a;
+  std::vector<double>& next = workspace->accum_b;
   std::vector<NodeId>& current_touched = workspace->frontier_a;
   std::vector<NodeId>& next_touched = workspace->frontier_b;
-  current.BeginEpoch();
-  next.BeginEpoch();
-  current_touched.clear();
-  next_touched.clear();
+  // Zeroes every slot still holding a residue, for a cancelled return.
+  const auto restore = [&] {
+    for (const NodeId v : current_touched) current[v] = 0.0;
+    for (const NodeId v : next_touched) next[v] = 0.0;
+  };
 
   ReversePushStats local_stats;
   const uint32_t max_level = gu.max_level();
@@ -33,12 +39,8 @@ Status ReversePush(const Graph& graph, const SourceGraph& gu,
       const AttentionNode& w = gu.attention_nodes()[id];
       const double residue = w.hitting_prob * gamma[id];
       if (residue == 0.0) continue;
-      if (!current.IsSet(w.node)) {
-        current.Set(w.node, residue);
-        current_touched.push_back(w.node);
-      } else {
-        current.RawRef(w.node) += residue;
-      }
+      if (current[w.node] == 0.0) current_touched.push_back(w.node);
+      current[w.node] += residue;
     }
 
     for (NodeId vp : current_touched) {
@@ -47,9 +49,13 @@ Status ReversePush(const Graph& graph, const SourceGraph& gu,
       // (fully deterministic) push order or the scores.
       if (++since_poll >= kCancelCheckStride) {
         since_poll = 0;
-        SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
+        if (Status status = CheckCancel(cancel); !status.ok()) {
+          restore();
+          return status;
+        }
       }
-      const double residue = current.RawRef(vp);
+      const double residue = current[vp];
+      current[vp] = 0.0;
       // Push threshold: √c·r^(ℓ')(v') >= ε_h (Algorithm 5 line 4);
       // below-threshold residue is dropped — that is the approximation
       // ĥ introduces.
@@ -59,20 +65,15 @@ Status ReversePush(const Graph& graph, const SourceGraph& gu,
         ++local_stats.edges_traversed;
         const double share = sqrt_c * residue / graph.InDegree(v);
         if (level > 1) {
-          if (!next.IsSet(v)) {
-            next.Set(v, share);
-            next_touched.push_back(v);
-          } else {
-            next.RawRef(v) += share;
-          }
+          if (next[v] == 0.0) next_touched.push_back(v);
+          next[v] += share;
         } else {
           (*scores)[v] += share;
         }
       }
     }
-    // The consumed level's residues are invalidated in O(1); the array
-    // then serves as the next level's accumulator after the swap.
-    current.BeginEpoch();
+    // Every consumed residue was zeroed as it was read; the array then
+    // serves as the next level's accumulator after the swap.
     current_touched.clear();
     std::swap(current, next);
     std::swap(current_touched, next_touched);

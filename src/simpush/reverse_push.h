@@ -28,13 +28,14 @@ struct ReversePushStats {
 /// Runs Algorithm 5. `gamma` is indexed by AttentionId; `scores` must be
 /// a zeroed vector of size n and receives s̃(u, ·) with s̃(u,u) = 1 set
 /// by the caller (the driver), matching Algorithm 5 line 10. The
-/// workspace provides the dense residue scratch (shared with
-/// Source-Push — the stages run sequentially); the call is
+/// workspace provides the zero-restored residue accumulators (shared
+/// with Source-Push — the stages run sequentially); the call is
 /// allocation-free once the workspace is warm.
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride pushed
-/// nodes; a fired token aborts with kCancelled/kDeadlineExceeded and
-/// `scores` holds a partial accumulation the caller must discard. The
+/// nodes; a fired token aborts with kCancelled/kDeadlineExceeded,
+/// `scores` holds a partial accumulation the caller must discard, and
+/// the accumulators are all +0.0 again for the next query. The
 /// push is otherwise deterministic and the poll reads state only, so
 /// an unfired token leaves the result bit-identical.
 Status ReversePush(const Graph& graph, const SourceGraph& gu,

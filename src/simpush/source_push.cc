@@ -1,8 +1,8 @@
 #include "simpush/source_push.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,6 +122,12 @@ void CollectDemandNodes(const Graph& graph, uint32_t max_level,
   bits.Drain([&](size_t v) { prev.push_back(static_cast<NodeId>(v)); });
 }
 
+// True iff some node of `row` is marked in `bits`.
+bool AnyMarked(const TouchedBits& bits, std::span<const NodeId> row) {
+  return std::any_of(row.begin(), row.end(),
+                     [&bits](NodeId v) { return bits.Test(v); });
+}
+
 }  // namespace
 
 Status SourcePushInto(const Graph& graph, NodeId u,
@@ -162,56 +168,49 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   gu->Reset(max_level);
   gu->AddEntry(0, u, 1.0);
 
-  // Lines 9-19: level-wise propagation h^(ℓ+1)(u, v') += √c·h^(ℓ)(u,v)/d_I(v)
-  // for every in-neighbor v' of every frontier node v. The inner loop
-  // runs on the workspace's epoch-stamped dense arrays with a touched
-  // list (hash maps per level would dominate query time on dense
-  // graphs); each finished level is then compacted into G_u's flat
-  // per-level entries in one pass.
+  // Lines 9-21: level-wise propagation h^(ℓ+1)(u, v') += √c·h^(ℓ)(u,v)/d_I(v)
+  // for every in-neighbor v' of every level-ℓ node v, picking the
+  // attention nodes (h >= ε_h) as each level is written. G_u's level ℓ,
+  // ascending by node, is itself the frontier of level ℓ+1; the one
+  // per-node buffer is the zero-restored accumulator workspace->accum_a
+  // (hash maps per level would dominate query time on dense graphs),
+  // which every level leaves all +0.0 again, cancelled returns included.
   //
   // A level whose frontier has more than m/kPullEdgeFraction in-edges
   // is computed by pulling instead (direction-optimizing traversal,
   // Beamer et al., SC 2012): every node v' sums the shares of its
   // out-neighbors, next[v'] = Σ_{v ∈ O(v')} share[v], with share[v] =
-  // √c·h(v)/d_I(v) on the frontier and 0 elsewhere. The two directions
-  // are bit-identical. The push adds v's share to v' once per edge
-  // v'→v, in ascending v (the frontier is sorted); the out-CSR row of
-  // v' is sorted, so the pull adds the same shares in the same order,
-  // and adding +0.0 for a non-frontier v leaves a sum unchanged. Both
-  // emit the next level ascending by node.
-  EpochArray<double>& current = workspace->dense_a;
-  EpochArray<double>& next = workspace->dense_b;
-  std::vector<NodeId>& frontier = workspace->frontier_a;
-  std::vector<NodeId>& frontier_next = workspace->frontier_b;
-  // Touched-node bitmask (TouchedBits): the scatter marks next-level
-  // members with an unconditional OR, and the per-level Drain walks set
-  // bits in node order — the next frontier comes out ascending by
-  // construction, with no per-level sort. The accumulation order over
-  // in-edges is unchanged (sorted frontier × in-CSR order), so the
-  // float sums are bit-for-bit the same as with the sorted-push scheme.
-  // A pull level uses the mask for the frontier instead: v' joins the
-  // next level iff one of its out-neighbors is marked, even should
-  // every share it sums underflow.
+  // √c·h(v)/d_I(v) on the frontier and +0.0 elsewhere. The two
+  // directions are bit-identical. The push adds v's share to v' once per
+  // edge v'→v, in ascending v (the frontier is sorted), starting from
+  // +0.0; the out-CSR row of v' is sorted, so the pull adds the same
+  // shares in the same order, and adding +0.0 for a non-frontier v
+  // leaves a sum unchanged. Both emit the next level ascending by node.
+  //
+  // Membership is by edges in both directions: v' joins level ℓ+1 iff
+  // some out-neighbor is on the frontier, even should every share it
+  // receives underflow to +0.0. The push marks each receiver in
+  // scratch_bits. The pull reads membership off the sum (shares are
+  // >= 0, so a sum is +0.0 only if all its addends are); only when a
+  // frontier share is itself +0.0 does a row summing to +0.0 fall back
+  // to testing its out-neighbors against scratch_bits, in which the
+  // pull marks exactly the frontier nodes with a +0.0 share.
   //
   // A demand level is pulled at its demand nodes only (ascending), so
   // each evaluated entry keeps the bits of the whole level's entry:
   // the pull over a node's out-row is the same sum either way, and a
   // level-L node's out-neighbors all lie in the evaluated level L-1.
   const NodeId n = graph.num_nodes();
+  std::vector<double>& acc = workspace->accum_a;
   TouchedBits& bits = workspace->scratch_bits;
   bits.Reset(n);  // Clean even after a cancelled predecessor.
   if (demand) CollectDemandNodes(graph, max_level, workspace);
   const EdgeId pull_edges = graph.num_edges() / kPullEdgeFraction;
-  current.BeginEpoch();
-  next.BeginEpoch();
-  frontier.clear();
-  frontier.push_back(u);
-  current.Set(u, 1.0);
   EdgeId frontier_edges = graph.InDegree(u);  // In-edges of the frontier.
   uint32_t since_poll = 0;
   for (uint32_t level = 0; level < max_level; ++level) {
+    const SourceGraph::LevelEntries& frontier = gu->Level(level);
     if (frontier.empty()) break;
-    frontier_next.clear();
     const std::vector<NodeId>* targets = nullptr;  // Null: whole level.
     if (demand && level + 1 == max_level) {
       targets = &workspace->demand_last;
@@ -220,96 +219,89 @@ Status SourcePushInto(const Graph& graph, NodeId u,
     }
     const bool pull = targets != nullptr || frontier_edges > pull_edges;
     frontier_edges = 0;  // Re-summed below for the next frontier.
+    // Appends v' to level ℓ+1 (ascending calls), and to A_u^(ℓ+1) if
+    // h >= ε_h: levels are written in order, so attention ids come out
+    // level by level, ascending by node within a level.
+    const auto emit = [&](NodeId vp, double h) {
+      gu->AddEntry(level + 1, vp, h);
+      frontier_edges += graph.InDegree(vp);
+      if (h >= params.eps_h) gu->AddAttentionNode(vp, level + 1, h);
+    };
     if (pull) {
-      // Each frontier value becomes its node's share √c·h/d_I in place
-      // (G_u already holds h) and the frontier is marked in the bitmask.
-      // The sum masks every value to +0.0 unless its bit is set: stale
-      // slots of non-frontier nodes are read but never added. A frontier
-      // node with d_I = 0 is nobody's out-neighbor, so it is skipped.
-      for (const NodeId v : frontier) {
+      // The frontier's shares go into the accumulator. A frontier node
+      // with d_I = 0 is nobody's out-neighbor, so it is skipped.
+      bool zero_share = false;
+      for (const auto& [v, h] : frontier) {
         const uint32_t deg = graph.InDegree(v);
         if (deg == 0) continue;
-        double& value = current.RawRef(v);
-        value = params.sqrt_c * value / deg;
-        bits.Mark(v);
+        const double share = params.sqrt_c * h / deg;
+        acc[v] = share;
+        if (share == 0.0) {
+          bits.Mark(v);
+          zero_share = true;
+        }
       }
+      const auto unshare = [&] {
+        for (const auto& [v, h] : frontier) acc[v] = 0.0;
+      };
       const size_t count = targets != nullptr ? targets->size() : n;
       for (size_t i = 0; i < count; ++i) {
-        // A cancelled return leaves set bits behind, as in the push.
+        // A cancelled return may leave set bits behind; every consumer
+        // Resets the mask on entry.
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
-          SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
+          if (Status status = CheckCancel(cancel); !status.ok()) {
+            unshare();
+            return status;
+          }
         }
         const NodeId vp =
             targets != nullptr ? (*targets)[i] : static_cast<NodeId>(i);
+        const std::span<const NodeId> row = graph.OutNeighbors(vp);
         double h = 0.0;
-        uint64_t member = 0;
-        for (const NodeId v : graph.OutNeighbors(vp)) {
-          const uint64_t marked = bits.Test(v);
-          member |= marked;
-          h += std::bit_cast<double>(
-              std::bit_cast<uint64_t>(current.RawRef(v)) & (0 - marked));
-        }
-        if (member == 0) continue;
-        next.Set(vp, h);
-        frontier_next.push_back(vp);
-        frontier_edges += graph.InDegree(vp);
-        gu->AddEntry(level + 1, vp, h);
+        for (const NodeId v : row) h += acc[v];
+        if (h == 0.0 && !(zero_share && AnyMarked(bits, row))) continue;
+        emit(vp, h);
       }
-      bits.Reset(n);  // Unmarks the frontier.
+      unshare();
+      if (zero_share) bits.Reset(n);
     } else {
       for (size_t i = 0; i < frontier.size(); ++i) {
         // Per-occurrence cancellation stride (same contract as the walk
         // loop above: a poll reads state only). A cancelled return
-        // leaves set bits behind; every consumer Resets the mask on
-        // entry.
+        // zeroes the slots pushed so far.
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
-          SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
+          if (Status status = CheckCancel(cancel); !status.ok()) {
+            bits.Drain([&](size_t v) { acc[v] = 0.0; });
+            return status;
+          }
         }
-        // The frontier is sorted ascending (see below), so the in-CSR
-        // rows stream near-sequentially; hint the next rows' offsets so
-        // their misses overlap with this row's pushes.
+        // The frontier is sorted ascending, so the in-CSR rows stream
+        // near-sequentially; hint the next rows' offsets so their misses
+        // overlap with this row's pushes.
         if (i + 4 < frontier.size()) {
-          graph.PrefetchInOffsets(frontier[i + 4]);
+          graph.PrefetchInOffsets(frontier[i + 4].first);
         }
-        const NodeId v = frontier[i];
-        const double h = current.RawRef(v);
+        const auto [v, h] = frontier[i];
         const uint32_t deg = graph.InDegree(v);
         if (deg == 0) continue;
         const double share = params.sqrt_c * h / deg;
-        for (NodeId vp : graph.InNeighbors(v)) {
-          next.Accumulate(vp, share);
+        for (const NodeId vp : graph.InNeighbors(v)) {
+          acc[vp] += share;
           bits.Mark(vp);
         }
       }
-      // Canonical (ascending) frontier order: makes the next level's
-      // traversal sequential over the in-CSR, makes the accumulation
-      // order — and hence the float sums — a function of the graph
-      // alone (never of discovery order), and appends the level's
-      // entries in the ascending node order SourceGraph requires.
+      // The ascending drain makes the next level's traversal sequential
+      // over the in-CSR, makes the accumulation order — and hence the
+      // float sums — a function of the graph alone (never of discovery
+      // order), and appends the level's entries in the ascending node
+      // order SourceGraph requires.
       bits.Drain([&](size_t i) {
-        const NodeId vp = static_cast<NodeId>(i);
-        frontier_next.push_back(vp);
-        frontier_edges += graph.InDegree(vp);
-        gu->AddEntry(level + 1, vp, next.RawRef(vp));
+        const double h = acc[i];
+        acc[i] = 0.0;
+        emit(static_cast<NodeId>(i), h);
       });
-    }
-    // The consumed level's stamps are wiped in O(1) so the array can be
-    // reused as the next level's accumulator after the swap.
-    current.BeginEpoch();
-    std::swap(current, next);
-    std::swap(frontier, frontier_next);
-  }
-
-  // Lines 20-21: attention nodes are those with h^(ℓ)(u, w) >= ε_h.
-  // Levels are sorted by node, so per-level attention ids are appended
-  // in the node order SourceGraph requires.
-  for (uint32_t level = 1; level <= max_level; ++level) {
-    for (const auto& [node, h] : gu->Level(level)) {
-      if (h >= params.eps_h) {
-        gu->AddAttentionNode(node, level, h);
-      }
     }
   }
 

@@ -22,9 +22,17 @@ class QueryWorkspace;
 /// Source-Push computes a level by pulling (each node sums its
 /// out-neighbors' shares) instead of pushing (each frontier node
 /// scatters to its in-neighbors) once the frontier's in-edges exceed
-/// m / kPullEdgeFraction. Both give bit-identical levels. Fractions of
-/// 1/10, 1/4 and 1/2 measured the same on a 200k-node Chung-Lu web
-/// graph, whose frontiers from level 3 on hold 79-98% of the in-edges.
+/// m / kPullEdgeFraction. Both give bit-identical levels. A pull costs
+/// about the same at any frontier size; a push grows with the frontier.
+/// Re-checked with the zero-restored accumulator by timing every whole
+/// level both ways on a 200k-node Chung-Lu web graph (m = 1.6M, ε = 0.05
+/// and 0.02): a frontier with 1/4-1/2 of the in-edges pushed in
+/// 2.5-3.8 ms against a 5.4-6.8 ms pull, and the pull won only above
+/// about 7/8 of m. A fraction of 1/2 would save about 0.9 ms of a 25 ms
+/// query there (17 of 258 whole levels lie between 1/4 and 1/2), but
+/// SourcePushTest.PullLevelsEqualNaivePushBitForBit needs every graph
+/// it checks to take a pull level, and its star and grid never do at
+/// 1/2.
 constexpr EdgeId kPullEdgeFraction = 4;
 
 /// Statistics reported by one Source-Push invocation.
@@ -60,9 +68,10 @@ uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride walks
 /// (level detection), pushed occurrences (push levels) and nodes (pull
-/// levels); a fired token aborts with kCancelled/kDeadlineExceeded. The
-/// poll only reads state — a run whose token never fires is
-/// bit-identical to a run with cancel == nullptr (see
+/// levels); a fired token aborts with kCancelled/kDeadlineExceeded and
+/// leaves the workspace's accumulator all +0.0, so the next query on it
+/// is unaffected. The poll only reads state — a run whose token never
+/// fires is bit-identical to a run with cancel == nullptr (see
 /// common/deadline.h).
 Status SourcePushInto(const Graph& graph, NodeId u,
                       const SimPushOptions& options,

@@ -7,21 +7,24 @@
 //                            holder_span as the per-node counts (walk
 //                            level detection), demand_last/demand_prev
 //                            (the nodes levels L and L-1 are evaluated
-//                            at), dense_a/dense_b + frontier_a/frontier_b
-//                            + scratch_bits (level-wise residue
-//                            propagation), source_graph (the G_u being
-//                            built).
+//                            at), accum_a + scratch_bits (level-wise
+//                            propagation; each level's frontier is G_u's
+//                            previous level), source_graph (the G_u
+//                            being built).
 //   Hitting (Alg. 3)       — holder_span again, member_bits/receiver_bits,
 //                            frontier_a (push-level buckets),
 //                            attention_accum + scratch_bits (merge
 //                            targets), hitting_table.
 //   Last-meeting (Alg. 4)  — gamma_scratch, gamma.
-//   Reverse-Push (Alg. 5)  — dense_a/dense_b + frontier_a/frontier_b
-//                            again (the stages are sequential).
+//   Reverse-Push (Alg. 5)  — accum_a/accum_b + frontier_a/frontier_b
+//                            (the stages are sequential).
 //
 // All buffers grow to a high-water mark and are logically cleared per
 // query by epoch bumps or O(touched) clears; the one exception is a
-// TouchedBits Reset, an n/64-word sweep.
+// TouchedBits Reset, an n/64-word sweep. The per-node accumulators are
+// zero-restored: every slot is +0.0 between uses, and a stage that
+// writes slots (cancelled returns included) zeroes them before it
+// returns.
 
 #ifndef SIMPUSH_SIMPUSH_WORKSPACE_H_
 #define SIMPUSH_SIMPUSH_WORKSPACE_H_
@@ -61,14 +64,15 @@ struct GammaScratch {
 class QueryWorkspace {
  public:
   /// Readies the workspace for one query on an n-node graph: grows the
-  /// dense arrays to n (no-op after the first query) and starts fresh
-  /// epochs. O(1) once warm.
+  /// dense arrays to n (no-op after the first query; new slots of the
+  /// accumulators are +0.0). O(1) once warm.
   void Prepare(NodeId num_nodes);
 
-  // --- Dense per-node value scratch, shared by Source-Push (levels) and
-  // Reverse-Push (residues); both consume it level by level.
-  EpochArray<double> dense_a;
-  EpochArray<double> dense_b;
+  // --- Zero-restored per-node accumulators (all +0.0 between uses):
+  // Source-Push's levels in accum_a, Reverse-Push's residues in both,
+  // with frontier_a/frontier_b as its touched lists.
+  std::vector<double> accum_a;
+  std::vector<double> accum_b;
   std::vector<NodeId> frontier_a;
   std::vector<NodeId> frontier_b;
 

@@ -1,8 +1,13 @@
 // Tests for Reverse-Push (Algorithm 5): mass conservation, threshold
-// behaviour, combined-residue semantics, workspace reuse.
+// behaviour, combined-residue semantics, workspace reuse, cancellation.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "common/deadline.h"
 #include "gtest/gtest.h"
 #include "simpush/hitting.h"
 #include "simpush/last_meeting.h"
@@ -157,6 +162,62 @@ TEST(ReversePushTest, GammaScalesContributions) {
 
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_NEAR(half[v], full[v] * 0.5, 1e-12);
+  }
+}
+
+TEST(ReversePushTest, CancelLeavesWorkspaceClean) {
+  // 300 attention nodes 1..300 on level 2, each with out-edges to its
+  // own level-1 node 300 + i and to node 0; every level-1 node points
+  // to node 0. The first poll of a cancelled token lands on the 256th
+  // pushed node of level 2, with level 2's residues half consumed and
+  // level 1's half accumulated.
+  constexpr NodeId kWide = 300;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 1; i <= kWide; ++i) {
+    edges.emplace_back(i, kWide + i);
+    edges.emplace_back(i, 0);
+    edges.emplace_back(kWide + i, 0);
+  }
+  Graph g = testing_util::MakeGraph(2 * kWide + 1, edges);
+  SourceGraph gu;
+  gu.set_max_level(2);
+  gu.AddEntry(0, 0, 1.0);
+  std::vector<double> gamma;
+  for (NodeId i = 1; i <= kWide; ++i) {
+    const double h = 0.5 + 1e-3 * i;
+    gu.AddEntry(2, i, h);
+    gu.AddAttentionNode(i, 2, h);
+    gamma.push_back(1.0 - 1e-3 * i);
+  }
+  const double sqrt_c = std::sqrt(0.6);
+  const double eps_h = 1e-4;
+  QueryWorkspace workspace;
+  std::vector<double> partial(g.num_nodes(), 0.0);
+  CancelToken token;
+  token.Cancel();
+  EXPECT_EQ(ReversePush(g, gu, gamma, sqrt_c, eps_h, &workspace, &partial,
+                        nullptr, &token)
+                .code(),
+            StatusCode::kCancelled);
+
+  // The same push again, on the reused and on a fresh workspace.
+  std::vector<double> after(g.num_nodes(), 0.0);
+  std::vector<double> fresh(g.num_nodes(), 0.0);
+  QueryWorkspace fresh_workspace;
+  ReversePushStats after_stats, fresh_stats;
+  ASSERT_TRUE(ReversePush(g, gu, gamma, sqrt_c, eps_h, &workspace, &after,
+                          &after_stats)
+                  .ok());
+  ASSERT_TRUE(ReversePush(g, gu, gamma, sqrt_c, eps_h, &fresh_workspace,
+                          &fresh, &fresh_stats)
+                  .ok());
+  EXPECT_EQ(fresh_stats.pushes, 2 * kWide + 1);  // Node 0 as well.
+  EXPECT_EQ(after_stats.pushes, fresh_stats.pushes);
+  EXPECT_EQ(after_stats.edges_traversed, fresh_stats.edges_traversed);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(after[v]),
+              std::bit_cast<uint64_t>(fresh[v]))
+        << "node " << v;
   }
 }
 

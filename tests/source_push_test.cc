@@ -1,6 +1,7 @@
 // Tests for Source-Push (Algorithm 2): derived parameters, propagated
-// hitting probabilities vs. the exact DP reference, pull levels against
-// a naive push, G_u structure, and attention-node identification.
+// hitting probabilities vs. the exact DP reference, pull levels and
+// underflowing shares against a naive push, cancellation, G_u
+// structure, and attention-node identification.
 
 #include <algorithm>
 #include <bit>
@@ -280,14 +281,15 @@ struct Crossings {
   bool pull_to_push = false;
 };
 
-// Runs SourcePushInto from every source in `sources` with one reused
-// workspace and checks every level's (node, h bits) against NaivePush.
+// Runs SourcePushInto with `params` and detection off (all L* levels)
+// from every source in `sources` with one reused workspace and checks
+// every level's (node, h bits) against NaivePush.
 void ExpectPushEqualsNaive(const Graph& graph,
                            const std::vector<NodeId>& sources,
+                           const DerivedParams& params,
                            Crossings* crossings) {
   SimPushOptions options = FastOptions();
-  options.use_level_detection = false;  // Explore all L* levels.
-  const DerivedParams params = ComputeDerivedParams(options);
+  options.use_level_detection = false;
   QueryWorkspace workspace;
   SourceGraph gu;
   for (const NodeId u : sources) {
@@ -349,6 +351,9 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
   auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
   ASSERT_TRUE(complete.ok() && star.ok() && grid.ok() && chung_lu.ok());
 
+  SimPushOptions options = FastOptions();
+  options.use_level_detection = false;
+  const DerivedParams params = ComputeDerivedParams(options);
   Crossings all;
   const std::pair<const char*, const Graph*> kZoo[] = {
       {"funnel", &*funnel_graph}, {"complete", &*complete},
@@ -359,13 +364,54 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
     std::vector<NodeId> sources = AllNodes(*graph);
     if (sources.size() > 24) sources.resize(24);
     Crossings crossings;
-    ExpectPushEqualsNaive(*graph, sources, &crossings);
+    ExpectPushEqualsNaive(*graph, sources, params, &crossings);
     EXPECT_TRUE(crossings.pull);
     all.push_to_pull |= crossings.push_to_pull;
     all.pull_to_push |= crossings.pull_to_push;
   }
   EXPECT_TRUE(all.push_to_pull);
   EXPECT_TRUE(all.pull_to_push);
+}
+
+// With a tiny √c the shares round to +0.0 after a level or two, yet a
+// node still joins a level by its edges. Every level, pulled or pushed,
+// keeps exactly NaivePush's nodes with equal bits. √c = 1e-160 leaves
+// level 2 a mix of subnormal and +0.0 shares; 1e-200 zeroes level 2.
+TEST(SourcePushTest, UnderflowedSharesKeepMembership) {
+  auto complete = GenerateComplete(40);
+  auto grid = GenerateGrid(4, 4);
+  auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(complete.ok() && grid.ok() && chung_lu.ok());
+  const std::pair<const char*, const Graph*> kZoo[] = {
+      {"complete", &*complete}, {"grid", &*grid}, {"chung_lu", &*chung_lu}};
+  bool pulled_zero = false;  // A pulled level gained a +0.0 entry.
+  bool pushed_zero = false;  // A pushed level gained a +0.0 entry.
+  for (const double sqrt_c : {1e-160, 1e-200}) {
+    DerivedParams params;
+    params.sqrt_c = sqrt_c;
+    params.eps_h = 1e-3;
+    params.l_star = 5;
+    for (const auto& [name, graph] : kZoo) {
+      SCOPED_TRACE(name);
+      std::vector<NodeId> sources = AllNodes(*graph);
+      if (sources.size() > 24) sources.resize(24);
+      Crossings crossings;
+      ExpectPushEqualsNaive(*graph, sources, params, &crossings);
+      for (const NodeId u : sources) {
+        const LevelList levels = NaivePush(*graph, u, params.l_star, sqrt_c);
+        for (size_t level = 0; level + 1 < levels.size(); ++level) {
+          const bool zero = std::any_of(
+              levels[level + 1].begin(), levels[level + 1].end(),
+              [](const auto& entry) { return entry.second == 0.0; });
+          if (!zero) continue;
+          (PullsFrom(*graph, levels[level]) ? pulled_zero : pushed_zero) =
+              true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(pulled_zero);
+  EXPECT_TRUE(pushed_zero);
 }
 
 // Level detection stops Source-Push at the detected L instead of L*.
@@ -657,6 +703,33 @@ TEST(SourcePushTest, DetectionWithFiredTokenRunsNoWalk) {
   EXPECT_TRUE(workspace.level_candidates.empty());
 }
 
+// Every level and attention occurrence of `got` equals `want`'s, bit
+// for bit.
+void ExpectSameSourceGraph(const SourceGraph& got, const SourceGraph& want) {
+  ASSERT_EQ(got.max_level(), want.max_level());
+  for (uint32_t level = 0; level <= want.max_level(); ++level) {
+    const auto& a = got.Level(level);
+    const auto& b = want.Level(level);
+    ASSERT_EQ(a.size(), b.size()) << "level " << level;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].first, b[i].first) << "level " << level;
+      EXPECT_EQ(std::bit_cast<uint64_t>(a[i].second),
+                std::bit_cast<uint64_t>(b[i].second))
+          << "level " << level << " node " << b[i].first;
+    }
+  }
+  ASSERT_EQ(got.num_attention(), want.num_attention());
+  for (size_t id = 0; id < want.num_attention(); ++id) {
+    const AttentionNode& a = got.attention_nodes()[id];
+    const AttentionNode& b = want.attention_nodes()[id];
+    EXPECT_EQ(a.node, b.node) << "id " << id;
+    EXPECT_EQ(a.level, b.level) << "id " << id;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.hitting_prob),
+              std::bit_cast<uint64_t>(b.hitting_prob))
+        << "id " << id;
+  }
+}
+
 TEST(SourcePushTest, CancelDuringPullLevel) {
   // On K_300 level 0 (one node, 299 in-edges) pushes and level 1 (299
   // nodes, ~m in-edges) pulls. With detection off nothing polls before
@@ -691,17 +764,58 @@ TEST(SourcePushTest, CancelDuringPullLevel) {
   ASSERT_TRUE(SourcePushInto(*graph, 1, options, params, &rng_fresh,
                              &fresh_workspace, &fresh, nullptr)
                   .ok());
-  ASSERT_EQ(after.max_level(), fresh.max_level());
-  for (uint32_t level = 0; level <= fresh.max_level(); ++level) {
-    const auto a = after.Level(level);
-    const auto b = fresh.Level(level);
-    ASSERT_EQ(a.size(), b.size()) << "level " << level;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first);
-      EXPECT_EQ(std::bit_cast<uint64_t>(a[i].second),
-                std::bit_cast<uint64_t>(b[i].second));
-    }
+  ExpectSameSourceGraph(after, fresh);
+}
+
+TEST(SourcePushTest, CancelDuringPushLevel) {
+  // Node 0 has 300 in-neighbors 1..300 (level 1), and each i of those
+  // one in-neighbor 300 + i (level 2); a separate 700-edge cycle pads m
+  // so that level 1's 300 in-edges stay <= m/4 and level 2 is pushed.
+  // With detection off the first poll of a cancelled token lands on the
+  // 255th pushed occurrence of level 1, with level 2 half accumulated.
+  constexpr NodeId kLeaves = 300;
+  constexpr NodeId kCycle = 700;
+  GraphBuilder builder(2 * kLeaves + 1 + kCycle);
+  for (NodeId i = 1; i <= kLeaves; ++i) {
+    builder.AddEdge(i, 0);
+    builder.AddEdge(kLeaves + i, i);
   }
+  for (NodeId i = 0; i < kCycle; ++i) {
+    builder.AddEdge(2 * kLeaves + 1 + i, 2 * kLeaves + 1 + (i + 1) % kCycle);
+  }
+  auto graph = std::move(builder).Build();
+  ASSERT_TRUE(graph.ok());
+  SimPushOptions options = FastOptions();
+  options.use_level_detection = false;
+  const DerivedParams params = ComputeDerivedParams(options);
+  const LevelList naive = NaivePush(*graph, 0, 2, params.sqrt_c);
+  ASSERT_EQ(naive[1].size(), kLeaves);
+  ASSERT_EQ(naive[2].size(), kLeaves);
+  ASSERT_FALSE(PullsFrom(*graph, naive[0]));
+  ASSERT_FALSE(PullsFrom(*graph, naive[1]));
+
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  CancelToken token;
+  token.Cancel();
+  Rng rng(1);
+  EXPECT_EQ(SourcePushInto(*graph, 0, options, params, &rng, &workspace, &gu,
+                           nullptr, &token)
+                .code(),
+            StatusCode::kCancelled);
+
+  // The same query again reads the slots the aborted push had filled.
+  SourceGraph after, fresh;
+  QueryWorkspace fresh_workspace;
+  Rng rng_after(2), rng_fresh(2);
+  ASSERT_TRUE(SourcePushInto(*graph, 0, options, params, &rng_after,
+                             &workspace, &after, nullptr)
+                  .ok());
+  ASSERT_TRUE(SourcePushInto(*graph, 0, options, params, &rng_fresh,
+                             &fresh_workspace, &fresh, nullptr)
+                  .ok());
+  ASSERT_EQ(fresh.Level(2).size(), kLeaves);
+  ExpectSameSourceGraph(after, fresh);
 }
 
 TEST(SourceGraphTest, CountEdgesMatchesManualCount) {
