@@ -375,8 +375,9 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
 
 // With a tiny √c the shares round to +0.0 after a level or two, yet a
 // node still joins a level by its edges. Every level, pulled or pushed,
-// keeps exactly NaivePush's nodes with equal bits. √c = 1e-160 leaves
-// level 2 a mix of subnormal and +0.0 shares; 1e-200 zeroes level 2.
+// keeps exactly NaivePush's nodes with equal bits. √c = 1e-160 makes
+// level 1's shares a mix of subnormals and +0.0; 1e-200 rounds them all
+// to +0.0.
 TEST(SourcePushTest, UnderflowedSharesKeepMembership) {
   auto complete = GenerateComplete(40);
   auto grid = GenerateGrid(4, 4);
