@@ -385,11 +385,12 @@ void BM_QueryColdEngine(benchmark::State& state) {
 BENCHMARK(BM_QueryColdEngine);
 
 // A cached answer from a warm 64 MiB cache, by request shape: arg 0 is
-// a full-vector read (ResultCache::Get rebuilds all n scores), arg k > 0
-// a top-k read (ResultCache::GetTopK into a warm buffer). The graph and
-// options are the e2e small workload's (Chung-Lu n=20 000, m=160 000,
-// gamma=2.2, seed 7; eps=0.05, walk cap 100 000). 64 sources are
-// computed and cached up front; the loop cycles through them.
+// a full-vector read (ResultCache::Get rebuilds all n scores) of full
+// entries, arg k > 0 a top-k read (ResultCache::GetTopK into a warm
+// buffer) of the ranked-only entries a top-k miss inserts. The graph
+// and options are the e2e small workload's (Chung-Lu n=20 000,
+// m=160 000, gamma=2.2, seed 7; eps=0.05, walk cap 100 000). 64 sources
+// are computed and cached up front; the loop cycles through them.
 // "allocs/hit" counts operator new calls per hit; "stored_frac" is the
 // fraction of scores the entries store.
 void BM_ResultCacheHit(benchmark::State& state) {
@@ -408,18 +409,28 @@ void BM_ResultCacheHit(benchmark::State& state) {
   const uint64_t fp = serve::OptionsFingerprint(o);
   constexpr NodeId kSources = 64;
   constexpr NodeId kStride = 311;
+  const size_t k = static_cast<size_t>(state.range(0));
   SimPushResult result;
+  std::vector<TopKEntry> top;
   size_t stored = 0;
   for (NodeId i = 0; i < kSources; ++i) {
     const NodeId u = i * kStride % graph.num_nodes();
-    if (!engine.QueryInto(u, &result).ok() ||
-        !cache.Insert(u, fp, result) || !cache.Get(u, fp, &result)) {
-      std::abort();
+    if (!engine.QueryInto(u, &result).ok()) std::abort();
+    if (k == 0) {
+      if (!cache.Insert(u, fp, result) || !cache.Get(u, fp, &result)) {
+        std::abort();
+      }
+      for (double score : result.scores) stored += score != 0.0;
+    } else {
+      SelectTopK(result.scores, serve::ResultCache::kRankedPrefix + 1, u,
+                 &top);
+      stored += std::min(top.size(), serve::ResultCache::kRankedPrefix);
+      if (!cache.InsertRanked(u, fp, top, result.stats) ||
+          !cache.GetTopK(u, fp, k, &top, &result.stats)) {
+        std::abort();
+      }
     }
-    for (double score : result.scores) stored += score != 0.0;
   }
-  const size_t k = static_cast<size_t>(state.range(0));
-  std::vector<TopKEntry> top;
   top.reserve(k);  // Warm, as the service's per-thread buffer is.
   const AllocationStats before = GetAllocationStats();
   NodeId i = 0;

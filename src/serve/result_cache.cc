@@ -72,14 +72,18 @@ uint64_t ResultCache::KeyHash(NodeId source, uint64_t fingerprint) {
 }
 
 size_t ResultCache::EntryBytes(size_t stored_scores) {
-  // Stored (id, score) pairs dominate; kOverhead approximates the LRU
-  // list node, the index slot and the two vectors' malloc headers. The
-  // budget is enforced against this estimate, not malloc's exact
-  // accounting — what matters is that it is a hard monotone bound
-  // proportional to what is stored.
-  constexpr size_t kOverhead = 160;
   return stored_scores * (sizeof(NodeId) + sizeof(double)) +
-         kRankedPrefix * sizeof(uint32_t) + sizeof(Entry) + kOverhead;
+         RankedEntryBytes(kRankedPrefix);
+}
+
+size_t ResultCache::RankedEntryBytes(size_t pairs) {
+  // Stored pairs dominate; kOverhead approximates the LRU list node,
+  // the index slot and the vectors' malloc headers. The budget is
+  // enforced against this estimate, not malloc's exact accounting —
+  // what matters is that it is a hard monotone bound proportional to
+  // what is stored.
+  constexpr size_t kOverhead = 160;
+  return pairs * sizeof(TopKEntry) + sizeof(Entry) + kOverhead;
 }
 
 bool ResultCache::VictimOutranks(const Shard& shard,
@@ -105,12 +109,13 @@ ResultCache::ResultCache(const ResultCacheConfig& config)
 
 const ResultCache::Entry* ResultCache::Lookup(Shard& shard, uint64_t hash,
                                               NodeId source,
-                                              uint64_t fingerprint) {
+                                              uint64_t fingerprint,
+                                              std::optional<size_t> k) {
   // Sketch sees every access, so a source that keeps missing accrues
   // the frequency it needs to win a later admission duel.
   shard.sketch.Touch(hash);
   const auto it = shard.index.find(Key{source, fingerprint});
-  if (it == shard.index.end()) {
+  if (it == shard.index.end() || !it->second->Answers(k)) {
     metrics_->misses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -125,7 +130,8 @@ bool ResultCache::Get(NodeId source, uint64_t fingerprint,
   const uint64_t hash = KeyHash(source, fingerprint);
   Shard& shard = ShardFor(hash);
   MutexLock lock(&shard.mu);
-  const Entry* entry = Lookup(shard, hash, source, fingerprint);
+  const Entry* entry =
+      Lookup(shard, hash, source, fingerprint, std::nullopt);
   if (entry == nullptr) return false;
   // assign() reuses out->scores' capacity; a warm caller buffer makes
   // the whole hit path allocation-free.
@@ -143,15 +149,12 @@ bool ResultCache::GetTopK(NodeId source, uint64_t fingerprint, size_t k,
   const uint64_t hash = KeyHash(source, fingerprint);
   Shard& shard = ShardFor(hash);
   MutexLock lock(&shard.mu);
-  const Entry* entry = Lookup(shard, hash, source, fingerprint);
+  const Entry* entry = Lookup(shard, hash, source, fingerprint, k);
   if (entry == nullptr) return false;
-  if (k <= kRankedPrefix || entry->ranked_all) {
+  if (k <= entry->prefix.size() || entry->prefix_all) {
     // The top k are the prefix's first k: a copy.
-    top->resize(std::min(k, entry->ranked.size()));
-    for (size_t i = 0; i < top->size(); ++i) {
-      const uint32_t at = entry->ranked[i];
-      (*top)[i] = {entry->ids[at], entry->values[at]};
-    }
+    const std::vector<TopKEntry>& prefix = entry->prefix;
+    top->assign(prefix.begin(), prefix.begin() + std::min(k, prefix.size()));
   } else {
     SelectTopK(entry->ids, entry->values, k, source, top);
   }
@@ -159,42 +162,81 @@ bool ResultCache::GetTopK(NodeId source, uint64_t fingerprint, size_t k,
   return true;
 }
 
-bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
-                         const SimPushResult& result) {
-  if (budget_ == 0) return false;
-  // Failure injection: a failed insert must degrade to "computed
-  // answer served, nothing cached" — the macro's early error return
-  // does not fit a bool API, so the modes are handled inline.
+bool ResultCache::InjectedInsertFailure() {
+  // A failed insert must degrade to "computed answer served, nothing
+  // cached" — the macro's early error return does not fit a bool API,
+  // so the modes are handled inline.
   static Failpoint* insert_fp =
       FailpointRegistry::Get().Register("result_cache.insert");
-  if (insert_fp->active()) {
-    const Failpoint::Mode mode = insert_fp->mode();
-    const Status fired = insert_fp->Fire();
-    if (!fired.ok() || mode == Failpoint::Mode::kAllocFail) {
-      metrics_->insert_failures.fetch_add(1, std::memory_order_relaxed);
+  if (!insert_fp->active()) return false;
+  const Failpoint::Mode mode = insert_fp->mode();
+  const Status fired = insert_fp->Fire();
+  if (fired.ok() && mode != Failpoint::Mode::kAllocFail) return false;
+  metrics_->insert_failures.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool ResultCache::MakeRoom(Shard& shard, size_t entry_bytes, size_t reclaim,
+                           uint32_t candidate_freq) {
+  if (entry_bytes > shard.budget) {
+    metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  // Evict until the entry fits — but only past victims it outranks.
+  // A cold one-shot source must not displace a hot entry: if the LRU
+  // victim is accessed at least as often as the candidate, the insert
+  // loses the duel and the cache keeps what it has. The replaced entry
+  // sits at the LRU front, so the loop ends before it is the victim.
+  while (shard.bytes - reclaim + entry_bytes > shard.budget) {
+    if (VictimOutranks(shard, candidate_freq)) {
+      metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
+    const Entry& victim = shard.lru.back();
+    shard.bytes -= victim.bytes;
+    shard.index.erase(victim.key);
+    shard.lru.pop_back();
+    metrics_->evictions.fetch_add(1, std::memory_order_relaxed);
   }
+  return true;
+}
 
+void ResultCache::Admit(Shard& shard, Entry entry) {
+  const Key key = entry.key;
+  shard.bytes += entry.bytes;
+  shard.lru.push_front(std::move(entry));
+  shard.index.emplace(key, shard.lru.begin());
+  metrics_->inserts.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
+                         const SimPushResult& result) {
+  if (budget_ == 0 || InjectedInsertFailure()) return false;
   const uint64_t hash = KeyHash(source, fingerprint);
   const std::vector<double>& scores = result.scores;
   Shard& shard = ShardFor(hash);
   MutexLock lock(&shard.mu);
   const Key key{source, fingerprint};
-  if (shard.index.find(key) != shard.index.end()) {
-    // A concurrent request computed and inserted the same key; by the
-    // determinism contract its bits equal ours, so keep it.
-    return true;
+  // A full entry already present stays: a concurrent request computed
+  // and inserted the same key, and by the determinism contract its
+  // bits equal ours. A ranked-only one is what this insert replaces:
+  // it moves to the LRU front, out of eviction's reach, and its bytes
+  // count as free room.
+  const auto found = shard.index.find(key);
+  const bool replacing = found != shard.index.end();
+  if (replacing && found->second->full) return true;
+  size_t reclaim = 0;
+  if (replacing) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
+    reclaim = found->second->bytes;
   }
-  // Evict until the entry fits — but only past victims it outranks.
-  // A cold one-shot source must not displace a hot entry: if the LRU
-  // victim is accessed at least as often as the candidate, the insert
-  // loses the duel and the cache keeps what it has. The duel runs
-  // before the O(n) nonzero count whenever even a dense entry would
-  // need an eviction, so a losing insert never pays for the scan.
+  // The duel runs before the O(n) nonzero count whenever even a dense
+  // entry would need an eviction, so a losing insert never pays for
+  // the scan.
   const uint32_t candidate_freq = shard.sketch.Estimate(hash);
-  if (shard.bytes + EntryBytes(scores.size()) > shard.budget &&
-      !shard.lru.empty() && VictimOutranks(shard, candidate_freq)) {
+  if (shard.bytes - reclaim + EntryBytes(scores.size()) > shard.budget &&
+      shard.lru.size() > (replacing ? 1u : 0u) &&
+      VictimOutranks(shard, candidate_freq)) {
     metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -207,23 +249,18 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
   size_t num_stored = 0;
   for (size_t v = 0; v < scores.size(); ++v) num_stored += stored(v);
   const size_t entry_bytes = EntryBytes(num_stored);
-  if (entry_bytes > shard.budget) {
-    metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  if (!MakeRoom(shard, entry_bytes, reclaim, candidate_freq)) return false;
+  if (replacing) {
+    shard.bytes -= reclaim;
+    shard.lru.erase(found->second);
+    shard.index.erase(found);
   }
-  while (shard.bytes + entry_bytes > shard.budget) {
-    if (VictimOutranks(shard, candidate_freq)) {
-      metrics_->admission_rejects.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    metrics_->evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-  Entry entry{key, entry_bytes, scores.size(), {}, {}, {}, false,
-              result.stats};
+  Entry entry;
+  entry.key = key;
+  entry.bytes = entry_bytes;
+  entry.full = true;
+  entry.num_scores = scores.size();
+  entry.stats = result.stats;
   entry.ids.resize(num_stored);
   entry.values.resize(num_stored);
   // Branch-free gather: every score is written to slot k, which only
@@ -235,19 +272,36 @@ bool ResultCache::Insert(NodeId source, uint64_t fingerprint,
     k += stored(v);
   }
   // Rank one past the prefix: a shorter result is every positive score.
-  std::vector<TopKEntry> ranked;
-  SelectTopK(entry.ids, entry.values, kRankedPrefix + 1, source, &ranked);
-  entry.ranked_all = ranked.size() <= kRankedPrefix;
-  entry.ranked.resize(std::min(ranked.size(), kRankedPrefix));
-  for (size_t i = 0; i < entry.ranked.size(); ++i) {
-    entry.ranked[i] = static_cast<uint32_t>(
-        std::lower_bound(entry.ids.begin(), entry.ids.end(), ranked[i].node) -
-        entry.ids.begin());
+  SelectTopK(entry.ids, entry.values, kRankedPrefix + 1, source,
+             &entry.prefix);
+  entry.prefix_all = entry.prefix.size() <= kRankedPrefix;
+  if (!entry.prefix_all) entry.prefix.pop_back();
+  Admit(shard, std::move(entry));
+  return true;
+}
+
+bool ResultCache::InsertRanked(NodeId source, uint64_t fingerprint,
+                               std::span<const TopKEntry> ranked,
+                               const SimPushQueryStats& stats) {
+  if (budget_ == 0 || InjectedInsertFailure()) return false;
+  const uint64_t hash = KeyHash(source, fingerprint);
+  Shard& shard = ShardFor(hash);
+  MutexLock lock(&shard.mu);
+  const Key key{source, fingerprint};
+  // Whatever is present answers at least what this entry would.
+  if (shard.index.contains(key)) return true;
+  const size_t pairs = std::min(ranked.size(), kRankedPrefix);
+  const size_t entry_bytes = RankedEntryBytes(pairs);
+  if (!MakeRoom(shard, entry_bytes, 0, shard.sketch.Estimate(hash))) {
+    return false;
   }
-  shard.lru.push_front(std::move(entry));
-  shard.index.emplace(key, shard.lru.begin());
-  shard.bytes += entry_bytes;
-  metrics_->inserts.fetch_add(1, std::memory_order_relaxed);
+  Entry entry;
+  entry.key = key;
+  entry.bytes = entry_bytes;
+  entry.prefix_all = ranked.size() <= kRankedPrefix;
+  entry.prefix.assign(ranked.begin(), ranked.begin() + pairs);
+  entry.stats = stats;
+  Admit(shard, std::move(entry));
   return true;
 }
 

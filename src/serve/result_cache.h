@@ -30,26 +30,32 @@
 // otherwise the insert is rejected (admission_rejects). This is what
 // keeps a scan of one-shot sources from flushing the hot set.
 //
-// Storage. A SimPush score vector is mostly zeros (the push phases only
-// touch nodes near the source), so an entry keeps just the scores whose
-// bit pattern is nonzero, as ascending (node id, score) pairs, and Get()
-// scatters them back into a zeroed vector of the original length. -0.0
-// is a nonzero bit pattern and is stored, so a hit is bit-identical to
-// the computed vector.
+// Storage. Two kinds of entry share one LRU and one budget. A full
+// entry holds a score vector: SimPush scores are mostly zeros (the push
+// phases only touch nodes near the source), so it keeps just the
+// scores whose bit pattern is nonzero, as ascending (node id, score)
+// pairs, and Get() scatters them back into a zeroed vector of the
+// original length. -0.0 is a nonzero bit pattern and is stored, so a
+// hit is bit-identical to the computed vector. A ranked-only entry
+// holds no vector at all, just the ranked prefix below and the stats:
+// it is what a top-k miss inserts, since almost every read is a top-k
+// and a whole vector costs 20-60 times more.
 //
-// Ranked prefix. Most reads want a top-k, not n scores, so an admitted
-// entry also keeps the positions (into ids/values) of its first
-// min(kRankedPrefix, P) entries in SelectTopK order, where P counts the
-// positive scores other than the source's. GetTopK answers k up to
-// kRankedPrefix, or any k when the prefix holds all P, by copying k
-// entries; a larger k ranks the stored pairs, still never touching
-// the n zeros. The prefix costs 4 bytes a slot and one ranking pass
-// per admitted insert.
+// Ranked prefix. Every entry keeps the first min(kRankedPrefix, P)
+// (node id, score) pairs of SelectTopK(scores, ·, source), where P
+// counts the positive scores other than the source's, and whether they
+// are all P. GetTopK answers k up to the prefix's length, or any k
+// when the prefix holds all P, by copying k pairs. Past that a full
+// entry ranks its stored pairs, still never touching the n zeros, and
+// a ranked-only entry misses, as it does for Get. A miss on a
+// ranked-only entry leaves it where it is in the LRU; the full Insert
+// that follows replaces it, the one insert that replaces a key.
 //
 // Budget. A hard per-tenant byte budget, split evenly across shards and
-// charged for what an entry actually stores (EntryBytes of its stored
-// score count, which includes the ranked prefix's 4·kRankedPrefix).
-// Entries larger than a shard's budget are never admitted.
+// charged for what an entry actually stores: EntryBytes of a full
+// entry's stored score count, which includes a whole prefix of
+// kRankedPrefix pairs, and RankedEntryBytes of a ranked-only entry's
+// pair count. Entries larger than a shard's budget are never admitted.
 //
 // Counting an entry's nonzeros is an O(n) scan, so it is only paid for
 // an insert that can still be admitted: when even a dense entry
@@ -74,6 +80,8 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -117,9 +125,9 @@ struct ResultCacheConfig {
   std::shared_ptr<ResultCacheMetrics> metrics;
 };
 
-/// Sharded LRU of SimPushResult score vectors, stored sparse, with
-/// TinyLFU-style admission and a hard byte budget. See file comment for
-/// the model.
+/// Sharded LRU of SimPushResult score vectors, stored sparse or as
+/// just their ranked top, with TinyLFU-style admission and a hard byte
+/// budget. See file comment for the model.
 class ResultCache {
  public:
   explicit ResultCache(const ResultCacheConfig& config);
@@ -127,32 +135,47 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Looks up (source, fingerprint). On a hit, rebuilds the full score
-  /// vector + stats in `*out` (no allocation when out->scores is
-  /// already at capacity) and refreshes LRU position. Records the
-  /// access in the frequency sketch either way, so repeated misses
-  /// build up the admission credit that lets the source displace a
-  /// colder entry later.
+  /// Looks up (source, fingerprint). On a hit on a full entry,
+  /// rebuilds the full score vector + stats in `*out` (no allocation
+  /// when out->scores is already at capacity) and refreshes LRU
+  /// position. A ranked-only entry is a miss that leaves the LRU order
+  /// alone. Records the access in the frequency sketch either way, so
+  /// repeated misses build up the admission credit that lets the
+  /// source displace a colder entry later.
   bool Get(NodeId source, uint64_t fingerprint, SimPushResult* out);
 
-  /// The top-k read of the same entry: on a hit writes
+  /// The top-k read of the same key: on a hit writes
   /// SelectTopK(scores, k, source) of the cached scores into `*top` and
-  /// the stats into `*stats`. For k <= kRankedPrefix, or when the
-  /// entry's prefix holds all its positive scores, that is a copy of
-  /// min(k, prefix) entries; otherwise the stored pairs are ranked,
-  /// O(stored) and never O(n). Allocates nothing when `top` is warm.
-  /// The sketch touch, LRU refresh and hit/miss counts are Get's.
+  /// the stats into `*stats`. For k up to the entry's prefix length,
+  /// or when its prefix holds all its positive scores, that is a copy
+  /// of min(k, prefix) pairs; otherwise a full entry ranks its stored
+  /// pairs, O(stored) and never O(n), and a ranked-only entry misses
+  /// as it does for Get. Allocates nothing when `top` is warm. The
+  /// sketch touch, LRU refresh and hit/miss counts are Get's.
   bool GetTopK(NodeId source, uint64_t fingerprint, size_t k,
                std::vector<TopKEntry>* top, SimPushQueryStats* stats);
 
-  /// Inserts a computed result. Best-effort: returns false (and the
-  /// computed answer is simply served uncached) when the entry is
-  /// over budget, loses the admission duel against the LRU victim, or
-  /// the `result_cache.insert` failpoint injects a failure. A result
-  /// already present is left in place — by the determinism contract a
-  /// concurrent computation of the same key produced the same bits.
+  /// Inserts a computed result as a full entry. Best-effort: returns
+  /// false (and the computed answer is simply served uncached) when
+  /// the entry is over budget, loses the admission duel against the
+  /// LRU victim, or the `result_cache.insert` failpoint injects a
+  /// failure. A full entry already present is left in place — by the
+  /// determinism contract a concurrent computation of the same key
+  /// produced the same bits. A ranked-only entry of the key is
+  /// replaced once the full one is admitted, its bytes counting as
+  /// free room; a rejected insert leaves it cached.
   bool Insert(NodeId source, uint64_t fingerprint,
               const SimPushResult& result);
+
+  /// Inserts a ranked-only entry: `ranked` must be
+  /// SelectTopK(scores, kRankedPrefix + 1, source) of the computed
+  /// scores, `stats` their stats. Its first kRankedPrefix pairs are
+  /// stored, and a ranking no longer than that holds every positive
+  /// score. Best-effort and admitted like Insert, but it never
+  /// replaces an entry already present, full or ranked-only.
+  bool InsertRanked(NodeId source, uint64_t fingerprint,
+                    std::span<const TopKEntry> ranked,
+                    const SimPushQueryStats& stats);
 
   /// Point-in-time occupancy across shards.
   size_t entries() const;
@@ -163,12 +186,16 @@ class ResultCache {
     return metrics_;
   }
 
-  /// Bytes one cached entry holding `stored_scores` nonzero scores
-  /// accounts for (12 bytes per score + the ranked prefix's 4 bytes per
-  /// slot + bookkeeping overhead). A dense n-node vector costs
+  /// Bytes one full entry holding `stored_scores` nonzero scores
+  /// accounts for: 12 bytes per score + a whole ranked prefix,
+  /// RankedEntryBytes(kRankedPrefix). A dense n-node vector costs
   /// EntryBytes(n). Exposed for budget math in tests and capacity
   /// planning.
   static size_t EntryBytes(size_t stored_scores);
+
+  /// Bytes one ranked-only entry holding `pairs` prefix pairs accounts
+  /// for: sizeof(TopKEntry) per pair + bookkeeping overhead.
+  static size_t RankedEntryBytes(size_t pairs);
 
   /// Length of an entry's ranked prefix: its top positive scores in
   /// rank order, so a top-k hit with k up to this is a copy.
@@ -191,17 +218,27 @@ class ResultCache {
   struct Entry {
     Key key;
     size_t bytes = 0;
+    // False for a ranked-only entry: no score vector, just the prefix
+    // and the stats.
+    bool full = false;
+    bool prefix_all = false;  // prefix holds all P positive scores.
     // Length of the cached score vector; every node not in `ids`
-    // scores +0.0.
+    // scores +0.0. Full entries only.
     size_t num_scores = 0;
     std::vector<NodeId> ids;  // Ascending.
     std::vector<double> values;
-    // Positions into ids/values of the first min(kRankedPrefix, P)
-    // entries of SelectTopK(scores, ·, source), where P counts the
-    // positive scores other than the source's, in rank order.
-    std::vector<uint32_t> ranked;
-    bool ranked_all = false;  // ranked holds all P positive scores.
+    // The first min(kRankedPrefix, P) pairs of SelectTopK(scores, ·,
+    // source), where P counts the positive scores other than the
+    // source's.
+    std::vector<TopKEntry> prefix;
     SimPushQueryStats stats;
+
+    // Whether the entry answers a read: a full one every read, a
+    // ranked-only one a top-k (`k` set) its prefix holds.
+    bool Answers(std::optional<size_t> k) const {
+      return full ||
+             (k.has_value() && (*k <= prefix.size() || prefix_all));
+    }
   };
   using LruList = std::list<Entry>;
 
@@ -234,16 +271,30 @@ class ResultCache {
   };
 
   static uint64_t KeyHash(NodeId source, uint64_t fingerprint);
-  // The lookup Get and GetTopK share: touches the sketch, counts the
-  // hit or miss, and on a hit moves the entry to the LRU front.
-  // Returns the entry, or null on a miss.
+  // The lookup Get (`k` empty) and GetTopK share: touches the sketch,
+  // counts the hit or miss, and on a hit moves the entry to the LRU
+  // front. Returns the entry, or null on a miss, which is also what an
+  // entry that does not answer the read (Entry::Answers) is.
   const Entry* Lookup(Shard& shard, uint64_t hash, NodeId source,
-                      uint64_t fingerprint) SIMPUSH_REQUIRES(shard.mu);
+                      uint64_t fingerprint, std::optional<size_t> k)
+      SIMPUSH_REQUIRES(shard.mu);
   // True when the shard's LRU victim is accessed at least as often as
   // a candidate of sketch frequency `candidate_freq`, i.e. the
   // candidate loses the admission duel. The shard must be non-empty.
   static bool VictimOutranks(const Shard& shard, uint32_t candidate_freq)
       SIMPUSH_REQUIRES(shard.mu);
+  // Makes room for an entry of `entry_bytes`: evicts LRU victims the
+  // candidate (sketch frequency `candidate_freq`) outranks until it
+  // fits, counting `reclaim` bytes held by the LRU front entry it
+  // replaces as free. False, counted as an admission reject, when the
+  // entry exceeds the shard's budget or loses a duel.
+  bool MakeRoom(Shard& shard, size_t entry_bytes, size_t reclaim,
+                uint32_t candidate_freq) SIMPUSH_REQUIRES(shard.mu);
+  // Links an admitted entry at the LRU front and charges its bytes.
+  void Admit(Shard& shard, Entry entry) SIMPUSH_REQUIRES(shard.mu);
+  // The `result_cache.insert` failpoint: true, counted as an insert
+  // failure, when it injects a failed insert.
+  bool InjectedInsertFailure();
   Shard& ShardFor(uint64_t key_hash) {
     return *shards_[key_hash % shards_.size()];
   }

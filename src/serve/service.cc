@@ -909,7 +909,18 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
       static_cast<uint64_t>(result->stats.total_seconds * 1e9));
   engine_walks_.fetch_add(result->stats.walks_sampled);
   // Best-effort: a rejected insert (budget, admission duel, injected
-  // failure) just means this computed answer is served uncached.
+  // failure) just means this computed answer is served uncached. A
+  // top-k read the ranked prefix can hold ranks once, one past the
+  // prefix so the entry knows whether it holds every positive score,
+  // and caches that ranking alone; its first k answer the read.
+  if (top != nullptr && k <= ResultCache::kRankedPrefix) {
+    SelectTopK(result->scores, ResultCache::kRankedPrefix + 1, u, top);
+    if (cache != nullptr) {
+      cache->InsertRanked(u, fingerprint, *top, result->stats);
+    }
+    if (top->size() > k) top->resize(k);
+    return Status::OK();
+  }
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
   if (top != nullptr) SelectTopK(result->scores, k, u, top);
   return Status::OK();

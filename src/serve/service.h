@@ -183,8 +183,10 @@ class SimPushService {
   /// adds its stats to the /v1/stats engine counters, then inserts the
   /// result best-effort. With a non-null `top` the read is ranked: a
   /// hit copies the cached top `k` into `*top` and only the stats into
-  /// `*result`, and a miss ranks the computed scores into `*top`; with
-  /// a null `top` `*result` gets the full score vector. `*cached`
+  /// `*result`, and a miss ranks the computed scores into `*top`; for
+  /// k <= ResultCache::kRankedPrefix the miss caches only that ranking
+  /// (ResultCache::InsertRanked), otherwise the full vector. With a
+  /// null `top` `*result` gets the full score vector. `*cached`
   /// reports whether the answer came from the cache. `cancel`
   /// (nullable) is polled in the pool wait and cooperatively inside
   /// the engine.

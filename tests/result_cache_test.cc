@@ -1,7 +1,8 @@
 // ResultCache tests: the generation-keyed result cache must be
 // provably safe to serve from — LRU eviction order, hard byte-budget
 // enforcement, TinyLFU admission (one-shot sources cannot flush hot
-// entries), zero steady-state allocations on the hit path (this binary
+// entries), ranked-only entries that answer just the top-k their prefix
+// holds, zero steady-state allocations on the hit path (this binary
 // links simpush_alloc_hook), and an 8-thread hammer where every hit is
 // bitwise-identical to a fresh serial engine run. Runs under the
 // `concurrency` ctest label so the TSan CI job covers the shard races.
@@ -66,6 +67,16 @@ SimPushResult MakeSparseResult(size_t num_scores, size_t stride,
 size_t NonzeroCount(const SimPushResult& result) {
   size_t count = 0;
   for (double score : result.scores) count += score != 0.0;
+  return count;
+}
+
+// The scores a full entry stores: every nonzero bit pattern, -0.0
+// included.
+size_t StoredCount(const SimPushResult& result) {
+  size_t count = 0;
+  for (double score : result.scores) {
+    count += score != 0.0 || std::signbit(score);
+  }
   return count;
 }
 
@@ -398,6 +409,158 @@ TEST(ResultCacheTest, GetTopKMovesCountersAndLruLikeGet) {
   EXPECT_EQ(metrics[1]->admission_rejects.load(), 10u);
 }
 
+// What a top-k miss inserts: SelectTopK of the scores one past the
+// ranked prefix.
+std::vector<TopKEntry> RankOnePastPrefix(const SimPushResult& result,
+                                         NodeId source) {
+  std::vector<TopKEntry> ranked;
+  SelectTopK(result.scores, ResultCache::kRankedPrefix + 1, source, &ranked);
+  return ranked;
+}
+
+// A ranked-only entry answers a top-k its prefix holds with exactly
+// what ranking the full vector would, and misses the rest: k past a
+// prefix that was cut at kRankedPrefix.
+TEST(ResultCacheTest, RankedOnlyEntryMatchesSelectTopKOfTheScores) {
+  constexpr size_t R = ResultCache::kRankedPrefix;
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  for (const size_t positives :
+       {size_t{0}, size_t{5}, R, R + 1, size_t{150}}) {
+    const NodeId source = 6;
+    const SimPushResult computed = MakeRankedResult(source, positives);
+    ResultCache cache(SmallConfig(1, computed.scores.size()));
+    ASSERT_TRUE(cache.InsertRanked(source, fp,
+                                   RankOnePastPrefix(computed, source),
+                                   computed.stats));
+    EXPECT_EQ(cache.bytes(),
+              ResultCache::RankedEntryBytes(std::min(positives, R)));
+    for (const size_t k : {size_t{0}, size_t{1}, R, R + 1}) {
+      std::vector<TopKEntry> top(3, TopKEntry{1, 9.0});  // Stale contents.
+      SimPushQueryStats stats;
+      const bool hit = cache.GetTopK(source, fp, k, &top, &stats);
+      EXPECT_EQ(hit, k <= R || positives <= R)
+          << "positives " << positives << " k " << k;
+      if (!hit) continue;
+      std::vector<TopKEntry> expected;
+      SelectTopK(computed.scores, k, source, &expected);
+      EXPECT_TRUE(testing_util::SameRanking(top, expected))
+          << "positives " << positives << " k " << k;
+      EXPECT_EQ(stats.walks_sampled, positives);
+    }
+    SimPushResult full;
+    EXPECT_FALSE(cache.Get(source, fp, &full)) << "positives " << positives;
+  }
+}
+
+// Get, and a k past a cut prefix, miss a ranked-only entry like an
+// absent key: the miss is counted and the entry stays the LRU victim.
+TEST(ResultCacheTest, RankedOnlyMissCountsAndKeepsLruOrder) {
+  constexpr size_t R = ResultCache::kRankedPrefix;
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  ResultCacheConfig config;
+  config.byte_budget =
+      ResultCache::RankedEntryBytes(R) + 2 * ResultCache::EntryBytes(16);
+  config.shards = 1;
+  ResultCache cache(config);
+  const SimPushResult ranked = MakeRankedResult(1, 150);
+  ASSERT_TRUE(
+      cache.InsertRanked(1, fp, RankOnePastPrefix(ranked, 1), ranked.stats));
+  ASSERT_TRUE(cache.Insert(0, fp, MakeResult(16, 0.5)));
+  ASSERT_TRUE(cache.Insert(2, fp, MakeResult(16, 0.25)));
+  ASSERT_EQ(cache.bytes(), cache.budget_bytes());
+
+  const ResultCacheMetrics& metrics = *cache.metrics();
+  SimPushResult out;
+  std::vector<TopKEntry> top;
+  EXPECT_FALSE(cache.Get(1, fp, &out));
+  EXPECT_FALSE(cache.GetTopK(1, fp, R + 1, &top, &out.stats));
+  EXPECT_EQ(metrics.misses.load(), 2u);
+  EXPECT_EQ(metrics.hits.load(), 0u);
+
+  // A hot ranked-only entry of the same size needs one eviction: the
+  // victim is still node 1, the first inserted.
+  const SimPushResult hot = MakeRankedResult(3, 150);
+  for (int i = 0; i < 8; ++i) cache.GetTopK(3, fp, 10, &top, &out.stats);
+  ASSERT_TRUE(cache.InsertRanked(3, fp, RankOnePastPrefix(hot, 3), hot.stats));
+  EXPECT_EQ(metrics.evictions.load(), 1u);
+  EXPECT_FALSE(cache.GetTopK(1, fp, 10, &top, &out.stats));
+  EXPECT_TRUE(cache.Get(0, fp, &out));
+  EXPECT_TRUE(cache.Get(2, fp, &out));
+  EXPECT_TRUE(cache.GetTopK(3, fp, 10, &top, &out.stats));
+}
+
+// The full insert that follows a ranked-only entry's miss replaces it
+// and charges the full entry's bytes in its place; one the budget
+// rejects leaves it cached.
+TEST(ResultCacheTest, FullInsertReplacesRankedOnlyEntry) {
+  constexpr size_t R = ResultCache::kRankedPrefix;
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  const NodeId source = 6;
+  const SimPushResult computed = MakeRankedResult(source, 150);
+  const SimPushResult other = MakeResult(16, 0.5);
+  ResultCache cache(SmallConfig(2, computed.scores.size()));
+  ASSERT_TRUE(cache.Insert(0, fp, other));
+  ASSERT_TRUE(cache.InsertRanked(source, fp,
+                                 RankOnePastPrefix(computed, source),
+                                 computed.stats));
+  EXPECT_EQ(cache.bytes(), ResultCache::EntryBytes(NonzeroCount(other)) +
+                               ResultCache::RankedEntryBytes(R));
+
+  SimPushResult full;
+  ASSERT_FALSE(cache.Get(source, fp, &full));
+  ASSERT_TRUE(cache.Insert(source, fp, computed));
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.bytes(), ResultCache::EntryBytes(NonzeroCount(other)) +
+                               ResultCache::EntryBytes(StoredCount(computed)));
+  EXPECT_EQ(cache.metrics()->inserts.load(), 3u);
+  EXPECT_EQ(cache.metrics()->evictions.load(), 0u);
+  ASSERT_TRUE(cache.Get(source, fp, &full));
+  EXPECT_TRUE(SameBits(full.scores, computed.scores));
+  std::vector<TopKEntry> top, expected;
+  SimPushQueryStats stats;
+  ASSERT_TRUE(cache.GetTopK(source, fp, R + 1, &top, &stats));
+  SelectTopK(computed.scores, R + 1, source, &expected);
+  EXPECT_TRUE(testing_util::SameRanking(top, expected));
+
+  // Too large for the budget: the full insert is rejected and the
+  // ranked-only entry keeps answering.
+  ResultCacheConfig tight;
+  tight.byte_budget = ResultCache::RankedEntryBytes(R);
+  tight.shards = 1;
+  ResultCache small(tight);
+  ASSERT_TRUE(small.InsertRanked(source, fp,
+                                 RankOnePastPrefix(computed, source),
+                                 computed.stats));
+  EXPECT_FALSE(small.Insert(source, fp, computed));
+  EXPECT_EQ(small.bytes(), ResultCache::RankedEntryBytes(R));
+  EXPECT_TRUE(small.GetTopK(source, fp, 10, &top, &stats));
+}
+
+// InsertRanked never replaces: a full entry, or an earlier ranked-only
+// one, stays as it is.
+TEST(ResultCacheTest, InsertRankedLeavesPresentEntryInPlace) {
+  constexpr size_t R = ResultCache::kRankedPrefix;
+  const uint64_t fp = OptionsFingerprint(FastOptions());
+  const NodeId source = 6;
+  const SimPushResult computed = MakeRankedResult(source, 150);
+  const std::vector<TopKEntry> ranked = RankOnePastPrefix(computed, source);
+  ResultCache cache(SmallConfig(2, computed.scores.size()));
+  ASSERT_TRUE(cache.Insert(source, fp, computed));
+  const size_t full_bytes = ResultCache::EntryBytes(StoredCount(computed));
+  ASSERT_EQ(cache.bytes(), full_bytes);
+  EXPECT_TRUE(cache.InsertRanked(source, fp, ranked, computed.stats));
+  EXPECT_EQ(cache.bytes(), full_bytes);
+  EXPECT_EQ(cache.entries(), 1u);
+  SimPushResult full;
+  ASSERT_TRUE(cache.Get(source, fp, &full));
+  EXPECT_TRUE(SameBits(full.scores, computed.scores));
+
+  ASSERT_TRUE(cache.InsertRanked(7, fp, ranked, computed.stats));
+  EXPECT_TRUE(cache.InsertRanked(7, fp, ranked, computed.stats));
+  EXPECT_EQ(cache.bytes(), full_bytes + ResultCache::RankedEntryBytes(R));
+  EXPECT_EQ(cache.metrics()->inserts.load(), 2u);
+}
+
 TEST(ResultCacheTest, ZeroBudgetDisablesInserts) {
   ResultCacheConfig config;
   config.byte_budget = 0;
@@ -470,11 +633,31 @@ TEST(ResultCacheZeroAlloc, HitPathSteadyState) {
     EXPECT_EQ(top_after.allocations - top_before.allocations, 0u)
         << "top-" << k << " cache hits must not allocate in steady state";
   }
+
+  // A top-10 hit on a ranked-only entry, the entry a top-k miss
+  // inserts.
+  const SimPushResult ranked = MakeRankedResult(8, 150);
+  ASSERT_TRUE(
+      cache.InsertRanked(8, fp, RankOnePastPrefix(ranked, 8), ranked.stats));
+  std::vector<TopKEntry> top;
+  ASSERT_TRUE(cache.GetTopK(8, fp, 10, &top, &out.stats));
+  ASSERT_EQ(top.size(), 10u);
+  const AllocationStats ranked_before = GetAllocationStats();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(cache.GetTopK(8, fp, 10, &top, &out.stats));
+  }
+  const AllocationStats ranked_after = GetAllocationStats();
+  EXPECT_EQ(ranked_after.allocations - ranked_before.allocations, 0u)
+      << "ranked-only cache hits must not allocate in steady state";
 }
 
 // The headline concurrency test: 8 threads hammer a shared cache over
-// a hot node set with the real engine computing misses. Afterwards —
-// and on every hit in flight — the scores must be bitwise-identical
+// a hot node set with the real engine computing misses, mixing the
+// service's three read shapes on the same keys: full-vector reads
+// (Get, then Insert), top-k reads the ranked prefix holds (GetTopK,
+// then InsertRanked of the ranking one past the prefix) and top-k
+// reads past it (GetTopK, then Insert, which replaces a ranked-only
+// entry). On every hit in flight the answer must be bitwise-identical
 // to a fresh serial engine run at the same options. TSan-clean.
 TEST(ResultCacheConcurrency, EightThreadHammerHitsAreBitIdentical) {
   const Graph graph = testing_util::RandomGraph(200, 1200, /*seed=*/9);
@@ -482,23 +665,40 @@ TEST(ResultCacheConcurrency, EightThreadHammerHitsAreBitIdentical) {
   const EngineCore core(graph, options);
   ASSERT_TRUE(core.options_status().ok());
   const uint64_t fp = OptionsFingerprint(options);
+  constexpr size_t kReadK[] = {0, 10, ResultCache::kRankedPrefix + 1};
 
-  // Serial reference, computed up front on a private runner.
+  // Serial reference, computed up front on a private runner: each hot
+  // node's scores and their top k for each ranked read.
   constexpr NodeId kHotNodes = 10;
   std::vector<std::vector<double>> reference(kHotNodes);
+  std::vector<std::vector<TopKEntry>> reference_top[3];
   {
     QueryWorkspace workspace;
     QueryRunner runner(core, &workspace);
     SimPushResult result;
+    for (size_t shape = 0; shape < 3; ++shape) {
+      reference_top[shape].resize(kHotNodes);
+    }
     for (NodeId u = 0; u < kHotNodes; ++u) {
       ASSERT_TRUE(runner.QueryInto(u, &result).ok());
       reference[u] = result.scores;
+      for (size_t shape = 1; shape < 3; ++shape) {
+        SelectTopK(result.scores, kReadK[shape], u,
+                   &reference_top[shape][u]);
+      }
     }
   }
 
   ResultCacheConfig config;
   config.byte_budget = 4u << 20;
   ResultCache cache(config);
+  // Even nodes start ranked-only, so full reads replace entries while
+  // other threads read them.
+  for (NodeId u = 0; u < kHotNodes; u += 2) {
+    std::vector<TopKEntry> ranked;
+    SelectTopK(reference[u], ResultCache::kRankedPrefix + 1, u, &ranked);
+    ASSERT_TRUE(cache.InsertRanked(u, fp, ranked, SimPushQueryStats()));
+  }
 
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 400;
@@ -511,24 +711,41 @@ TEST(ResultCacheConcurrency, EightThreadHammerHitsAreBitIdentical) {
       QueryWorkspace workspace;
       QueryRunner runner(core, &workspace);
       SimPushResult result;
+      std::vector<TopKEntry> top;
       uint64_t state = 0x9E3779B97F4A7C15ull ^ (t * 0x100000001B3ull);
       for (int i = 0; i < kItersPerThread; ++i) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         const NodeId u = static_cast<NodeId>((state >> 33) % kHotNodes);
-        const bool hit = cache.Get(u, fp, &result);
-        if (!hit) {
+        const size_t shape = (state >> 20) % 3;
+        const size_t k = kReadK[shape];
+        const bool hit = shape == 0
+                             ? cache.Get(u, fp, &result)
+                             : cache.GetTopK(u, fp, k, &top, &result.stats);
+        if (hit) {
+          observed_hits.fetch_add(1);
+        } else {
           if (!runner.QueryInto(u, &result).ok()) {
             mismatches.fetch_add(1);
             continue;
           }
-          cache.Insert(u, fp, result);
-        } else {
-          observed_hits.fetch_add(1);
+          if (k > 0 && k <= ResultCache::kRankedPrefix) {
+            SelectTopK(result.scores, ResultCache::kRankedPrefix + 1, u,
+                       &top);
+            cache.InsertRanked(u, fp, top, result.stats);
+            if (top.size() > k) top.resize(k);
+          } else {
+            cache.Insert(u, fp, result);
+            if (k > 0) SelectTopK(result.scores, k, u, &top);
+          }
         }
         // Bitwise comparison against the serial reference — a cache
-        // that ever served stale, torn, or wrong-key scores fails
+        // that ever served stale, torn, or wrong-key answers fails
         // here.
-        if (!SameBits(result.scores, reference[u])) mismatches.fetch_add(1);
+        const bool same =
+            shape == 0
+                ? SameBits(result.scores, reference[u])
+                : testing_util::SameRanking(top, reference_top[shape][u]);
+        if (!same) mismatches.fetch_add(1);
       }
     });
   }
@@ -538,6 +755,10 @@ TEST(ResultCacheConcurrency, EightThreadHammerHitsAreBitIdentical) {
   EXPECT_GT(observed_hits.load(), 0u);
   EXPECT_EQ(cache.metrics()->hits.load(), observed_hits.load());
   EXPECT_LE(cache.entries(), static_cast<size_t>(kHotNodes));
+  // Nothing was evicted, so every insert past one per entry replaced a
+  // ranked-only entry.
+  EXPECT_EQ(cache.metrics()->evictions.load(), 0u);
+  EXPECT_GT(cache.metrics()->inserts.load(), cache.entries());
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -1923,7 +1924,9 @@ TEST(ServeCache, SparseEntriesStretchTheBudget) {
 // (and the per-run total_ms zeroed). The k values straddle the cache's
 // ranked-prefix length (64) and exceed every source's positive count;
 // the sources tie at the 10th or the 64th place, so tie order is
-// pinned too. The first request per source is the computed miss.
+// pinned too. The first request per source is the computed miss, which
+// caches only the ranked prefix, so the first k > 64 after it computes
+// again and caches the full vector.
 TEST(ServeCache, TopKHitsMatchComputedBytes) {
   auto graph = GenerateChungLu(2000, 16000, 2.2, /*seed=*/7);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
@@ -1950,22 +1953,25 @@ TEST(ServeCache, TopKHitsMatchComputedBytes) {
   }
   EXPECT_TRUE(tie_at_10 && tie_at_64) << "no tie at the k-th place";
 
-  std::vector<std::pair<std::string, std::string>> shapes;
+  std::vector<std::tuple<std::string, std::string, size_t>> shapes;
   for (const char* stats : {"", ", \"with_stats\": true"}) {
-    for (const int k : {1, 10, 64, 65, 5000}) {
-      shapes.emplace_back("/v1/query", ", \"top_k\": " + std::to_string(k) +
-                                           stats);
+    for (const size_t k : {1, 10, 64, 65, 5000}) {
+      shapes.emplace_back(
+          "/v1/query", ", \"top_k\": " + std::to_string(k) + stats, k);
     }
-    for (const int k : {0, 10}) {
-      shapes.emplace_back("/v1/topk", ", \"k\": " + std::to_string(k) + stats);
+    for (const size_t k : {0, 10}) {
+      shapes.emplace_back("/v1/topk",
+                          ", \"k\": " + std::to_string(k) + stats, k);
     }
   }
   const std::string stamp = ",\"cached\":true";
   const std::regex timing("\"total_ms\":[-+0-9.eE]+");
   for (const NodeId source : kSources) {
     bool first = true;
+    bool full_cached = false;
     for (int round = 0; round < 2; ++round) {
-      for (const auto& [target, fields] : shapes) {
+      for (const auto& [target, fields, k] : shapes) {
+        const bool past_prefix = k > ResultCache::kRankedPrefix;
         HttpRequest request;
         request.method = "POST";
         request.target = target;
@@ -1980,14 +1986,66 @@ TEST(ServeCache, TopKHitsMatchComputedBytes) {
         ASSERT_EQ(response.status, 200) << response.body;
         std::string body = response.body;
         const size_t at = body.find(stamp);
-        EXPECT_EQ(at == std::string::npos, first) << request.body;
+        EXPECT_EQ(at == std::string::npos,
+                  first || (past_prefix && !full_cached))
+            << request.body;
         if (at != std::string::npos) body.erase(at, stamp.size());
         EXPECT_EQ(std::regex_replace(body, timing, "\"total_ms\":0"),
                   std::regex_replace(computed.body, timing, "\"total_ms\":0"))
             << target << " " << request.body;
         first = false;
+        full_cached |= past_prefix;
       }
     }
+  }
+}
+
+// A top-k miss caches only the ranked prefix, so a full-vector read of
+// the same source computes once more, with an uncached service's
+// bytes; that full entry then answers every read of the source.
+TEST(ServeCache, FullVectorAfterTopKComputesOnceThenHits) {
+  auto graph = GenerateChungLu(2000, 16000, 2.2, /*seed=*/7);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ServiceOptions options;
+  options.query.epsilon = 0.05;
+  options.num_threads = 2;
+  SimPushService service(options);
+  ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
+  ServiceOptions uncached_options = options;
+  uncached_options.cache_bytes = 0;
+  SimPushService uncached(uncached_options);
+  ASSERT_TRUE(uncached.AddGraph("default", *graph, options.query).ok());
+
+  const std::string stamp = ",\"cached\":true";
+  const auto query = [](const std::string& body) {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/v1/query";
+    request.body = body;
+    return request;
+  };
+  const HttpResponse top10 =
+      service.HandleQuery(query("{\"node\": 4, \"top_k\": 10}"));
+  ASSERT_EQ(top10.status, 200) << top10.body;
+  EXPECT_EQ(top10.body.find(stamp), std::string::npos) << top10.body;
+
+  const HttpRequest full = query("{\"node\": 4}");
+  const HttpResponse computed = uncached.HandleQuery(full);
+  ASSERT_EQ(computed.status, 200) << computed.body;
+  const HttpResponse first_full = service.HandleQuery(full);
+  EXPECT_EQ(first_full.body, computed.body)
+      << "the first full read computes, unstamped";
+
+  for (const char* body :
+       {"{\"node\": 4}", "{\"node\": 4, \"top_k\": 10}",
+        "{\"node\": 4, \"top_k\": 65}", "{\"node\": 4, \"top_k\": 5000}"}) {
+    const HttpResponse response = service.HandleQuery(query(body));
+    ASSERT_EQ(response.status, 200) << response.body;
+    std::string stripped = response.body;
+    const size_t at = stripped.find(stamp);
+    ASSERT_NE(at, std::string::npos) << body << " was not cached";
+    stripped.erase(at, stamp.size());
+    EXPECT_EQ(stripped, uncached.HandleQuery(query(body)).body) << body;
   }
 }
 
