@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "baselines/eta_estimator.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 
 namespace simpush {
@@ -144,87 +143,6 @@ StatusOr<std::vector<double>> PRSim::Query(NodeId u) {
   }
   scores[u] = 1.0;
   return scores;
-}
-
-
-namespace {
-constexpr char kPRSimMagic[4] = {'P', 'R', 'S', '1'};
-}
-
-Status PRSim::SaveIndex(const std::string& path) const {
-  if (!prepared_) {
-    return Status::FailedPrecondition("SaveIndex before Prepare");
-  }
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  writer.WriteMagic(kPRSimMagic);
-  writer.Write<uint32_t>(graph_.num_nodes());
-  writer.Write<uint64_t>(graph_.num_edges());
-  writer.Write<double>(options_.decay);
-  writer.Write<double>(options_.epsilon);
-  writer.WriteVector(eta_);
-  // Hub map as parallel (node, slot) vectors.
-  std::vector<NodeId> hub_nodes;
-  std::vector<uint32_t> hub_slots;
-  hub_nodes.reserve(hub_of_node_.size());
-  hub_slots.reserve(hub_of_node_.size());
-  for (const auto& [node, slot] : hub_of_node_) {
-    hub_nodes.push_back(node);
-    hub_slots.push_back(slot);
-  }
-  writer.WriteVector(hub_nodes);
-  writer.WriteVector(hub_slots);
-  writer.Write<uint64_t>(hub_index_.size());
-  for (const auto& list : hub_index_) {
-    writer.WriteVector(list);
-  }
-  return writer.Finish();
-}
-
-Status PRSim::LoadIndex(const std::string& path) {
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryReader reader, BinaryReader::Open(path));
-  SIMPUSH_RETURN_NOT_OK(reader.ExpectMagic(kPRSimMagic));
-  uint32_t n = 0;
-  uint64_t m = 0;
-  double decay = 0, epsilon = 0;
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&n));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&m));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&decay));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&epsilon));
-  if (n != graph_.num_nodes() || m != graph_.num_edges()) {
-    return Status::InvalidArgument("index was built for a different graph");
-  }
-  if (decay != options_.decay || epsilon != options_.epsilon) {
-    return Status::InvalidArgument("index was built with different options");
-  }
-  SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&eta_));
-  if (eta_.size() != n) return Status::IOError("eta table has wrong size");
-  std::vector<NodeId> hub_nodes;
-  std::vector<uint32_t> hub_slots;
-  SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&hub_nodes));
-  SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&hub_slots));
-  if (hub_nodes.size() != hub_slots.size()) {
-    return Status::IOError("hub map arrays disagree");
-  }
-  uint64_t num_hub_lists = 0;
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&num_hub_lists));
-  if (num_hub_lists > n) return Status::IOError("too many hub lists");
-  hub_of_node_.clear();
-  for (size_t i = 0; i < hub_nodes.size(); ++i) {
-    if (hub_nodes[i] >= n || hub_slots[i] >= num_hub_lists) {
-      return Status::IOError("hub map entry out of range");
-    }
-    hub_of_node_[hub_nodes[i]] = hub_slots[i];
-  }
-  hub_index_.assign(num_hub_lists, {});
-  for (auto& list : hub_index_) {
-    SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&list));
-    for (const IndexEntry& entry : list) {
-      if (entry.v >= n) return Status::IOError("index entry out of range");
-    }
-  }
-  prepare_seconds_ = 0.0;
-  prepared_ = true;
-  return Status::OK();
 }
 
 }  // namespace simpush

@@ -52,14 +52,6 @@ class PRSim : public SingleSourceAlgorithm {
   /// Number of hub nodes actually selected.
   size_t NumHubs() const { return hub_of_node_.size(); }
 
-  /// Persists the built index (η, hub map, per-hub reverse lists).
-  /// FailedPrecondition before Prepare().
-  Status SaveIndex(const std::string& path) const;
-
-  /// Loads an index written by SaveIndex for the *same* graph and ε;
-  /// replaces built state and marks the instance prepared.
-  Status LoadIndex(const std::string& path);
-
  private:
   struct IndexEntry {
     uint32_t level;

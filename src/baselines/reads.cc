@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 #include "walk/walker.h"
 
@@ -234,76 +233,6 @@ Status Reads::ValidateIndex(const Graph& current) const {
       return Status::Internal("inverted map has stale entries");
     }
   }
-  return Status::OK();
-}
-
-namespace {
-constexpr char kReadsMagic[4] = {'R', 'D', 'S', '1'};
-}
-
-Status Reads::SaveIndex(const std::string& path) const {
-  if (!prepared_) {
-    return Status::FailedPrecondition("SaveIndex before Prepare");
-  }
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  writer.WriteMagic(kReadsMagic);
-  // Fingerprint: the index is only valid for this exact graph + knobs.
-  writer.Write<uint32_t>(graph_.num_nodes());
-  writer.Write<uint64_t>(graph_.num_edges());
-  writer.Write<uint32_t>(options_.num_walks);
-  writer.Write<uint32_t>(options_.max_depth);
-  writer.Write<double>(options_.decay);
-  // Only the walk tables are stored; the inverted maps are derived.
-  for (const auto& steps : walk_steps_) {
-    writer.WriteVector(steps);
-  }
-  return writer.Finish();
-}
-
-Status Reads::LoadIndex(const std::string& path) {
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryReader reader, BinaryReader::Open(path));
-  SIMPUSH_RETURN_NOT_OK(reader.ExpectMagic(kReadsMagic));
-  uint32_t n = 0, r = 0, t = 0;
-  uint64_t m = 0;
-  double decay = 0;
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&n));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&m));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&r));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&t));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&decay));
-  if (n != graph_.num_nodes() || m != graph_.num_edges()) {
-    return Status::InvalidArgument("index was built for a different graph");
-  }
-  if (r != options_.num_walks || t != options_.max_depth ||
-      decay != options_.decay) {
-    return Status::InvalidArgument("index was built with different options");
-  }
-
-  Timer timer;
-  walk_steps_.assign(r, {});
-  const uint64_t expected = static_cast<uint64_t>(n) * t;
-  for (uint32_t i = 0; i < r; ++i) {
-    SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&walk_steps_[i]));
-    if (walk_steps_[i].size() != expected) {
-      return Status::IOError("walk table has wrong size");
-    }
-  }
-  // Rebuild the inverted (step, node) -> sources maps.
-  inverted_.assign(r, {});
-  for (uint32_t i = 0; i < r; ++i) {
-    const auto& steps = walk_steps_[i];
-    auto& inv = inverted_[i];
-    for (NodeId v = 0; v < n; ++v) {
-      for (uint32_t s = 1; s <= t; ++s) {
-        const NodeId at = steps[size_t(v) * t + (s - 1)];
-        if (at == kInvalidNode) break;
-        if (at >= n) return Status::IOError("walk table node out of range");
-        inv[StepNodeKey(s, at)].push_back(v);
-      }
-    }
-  }
-  prepare_seconds_ = timer.ElapsedSeconds();
-  prepared_ = true;
   return Status::OK();
 }
 

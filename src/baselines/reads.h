@@ -45,15 +45,6 @@ class Reads : public SingleSourceAlgorithm {
   double PrepareSeconds() const override { return prepare_seconds_; }
   bool index_free() const override { return false; }
 
-  /// Persists the built index (walk tables + inverted maps are rebuilt
-  /// from the walk tables on load). FailedPrecondition before Prepare().
-  Status SaveIndex(const std::string& path) const;
-
-  /// Loads an index written by SaveIndex for the *same* graph and
-  /// (r, t) options; replaces any built state and marks the instance
-  /// prepared. The graph/option fingerprint in the file is checked.
-  Status LoadIndex(const std::string& path);
-
   /// Incrementally repairs the index after the in-neighborhood of
   /// `node` changed in `current` (the post-update graph snapshot): every
   /// stored walk that visits `node` is resampled from that visit onward

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "baselines/eta_estimator.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 
 namespace simpush {
@@ -108,57 +107,6 @@ StatusOr<std::vector<double>> Sling::Query(NodeId u) {
   }
   scores[u] = 1.0;
   return scores;
-}
-
-namespace {
-constexpr char kSlingMagic[4] = {'S', 'L', 'G', '1'};
-}
-
-Status Sling::SaveIndex(const std::string& path) const {
-  if (!prepared_) {
-    return Status::FailedPrecondition("SaveIndex before Prepare");
-  }
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryWriter writer, BinaryWriter::Open(path));
-  writer.WriteMagic(kSlingMagic);
-  writer.Write<uint32_t>(graph_.num_nodes());
-  writer.Write<uint64_t>(graph_.num_edges());
-  writer.Write<double>(options_.decay);
-  writer.Write<double>(options_.epsilon);
-  writer.WriteVector(eta_);
-  for (const auto& list : reverse_index_) {
-    writer.WriteVector(list);
-  }
-  return writer.Finish();
-}
-
-Status Sling::LoadIndex(const std::string& path) {
-  SIMPUSH_ASSIGN_OR_RETURN(BinaryReader reader, BinaryReader::Open(path));
-  SIMPUSH_RETURN_NOT_OK(reader.ExpectMagic(kSlingMagic));
-  uint32_t n = 0;
-  uint64_t m = 0;
-  double decay = 0, epsilon = 0;
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&n));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&m));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&decay));
-  SIMPUSH_RETURN_NOT_OK(reader.Read(&epsilon));
-  if (n != graph_.num_nodes() || m != graph_.num_edges()) {
-    return Status::InvalidArgument("index was built for a different graph");
-  }
-  if (decay != options_.decay || epsilon != options_.epsilon) {
-    return Status::InvalidArgument("index was built with different options");
-  }
-  SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&eta_));
-  if (eta_.size() != n) return Status::IOError("eta table has wrong size");
-  reverse_index_.assign(n, {});
-  for (NodeId w = 0; w < n; ++w) {
-    SIMPUSH_RETURN_NOT_OK(reader.ReadVector(&reverse_index_[w]));
-    for (const IndexEntry& entry : reverse_index_[w]) {
-      if (entry.v >= n) return Status::IOError("index entry out of range");
-    }
-  }
-  prepare_seconds_ = 0.0;  // loading is not preprocessing
-  prepared_ = true;
-  return Status::OK();
 }
 
 }  // namespace simpush

@@ -50,15 +50,6 @@ class Sling : public SingleSourceAlgorithm {
   /// reference implementation's default split).
   double PushThreshold() const;
 
-  /// Persists the built index (η plus per-node reverse lists).
-  /// FailedPrecondition before Prepare().
-  Status SaveIndex(const std::string& path) const;
-
-  /// Loads an index written by SaveIndex for the *same* graph and ε;
-  /// replaces built state and marks the instance prepared. The
-  /// graph/option fingerprint in the file is checked.
-  Status LoadIndex(const std::string& path);
-
  private:
   struct IndexEntry {
     uint32_t level;

@@ -181,6 +181,11 @@ struct FileCloser {
   void operator()(FILE* f) const { std::fclose(f); }
 };
 
+// The one extension rule of the *AnyFormat pair: ".spg" means SPG1.
+bool IsBinaryGraphPath(const std::string& path) {
+  return path.size() > 4 && path.compare(path.size() - 4, 4, ".spg") == 0;
+}
+
 }  // namespace
 
 StatusOr<Graph> LoadEdgeList(const std::string& path,
@@ -233,10 +238,13 @@ StatusOr<Graph> LoadGraphAnyFormat(const std::string& path,
   // Chaos hook: lets the suite fail a graph load without corrupting a
   // real file (covers every serve-layer path that loads from disk).
   SIMPUSH_FAILPOINT("graph_io.load");
-  if (path.size() > 4 && path.compare(path.size() - 4, 4, ".spg") == 0) {
-    return LoadBinaryGraph(path);
-  }
+  if (IsBinaryGraphPath(path)) return LoadBinaryGraph(path);
   return LoadEdgeList(path, options);
+}
+
+Status SaveGraphAnyFormat(const Graph& graph, const std::string& path) {
+  if (IsBinaryGraphPath(path)) return SaveBinaryGraph(graph, path);
+  return SaveEdgeList(graph, path);
 }
 
 Status SaveEdgeList(const Graph& graph, const std::string& path) {

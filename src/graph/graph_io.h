@@ -58,6 +58,10 @@ StatusOr<Graph> ParseEdgeList(const std::string& text,
 StatusOr<Graph> LoadGraphAnyFormat(const std::string& path,
                                    const EdgeListOptions& options = {});
 
+/// Writes the graph in the format LoadGraphAnyFormat reads back from
+/// `path`: SaveBinaryGraph for ".spg", SaveEdgeList otherwise.
+Status SaveGraphAnyFormat(const Graph& graph, const std::string& path);
+
 /// Writes the graph as a directed edge list ("src dst" per line).
 Status SaveEdgeList(const Graph& graph, const std::string& path);
 

@@ -64,15 +64,19 @@ TEST(GraphIoTest, MissingFileFails) {
 }
 
 TEST(GraphIoTest, SaveLoadRoundTrip) {
+  // Ids already appear in first-appearance order, so a reload keeps them
+  // and the whole CSR must come back unchanged in either format.
   auto original = ParseEdgeList("0 1\n0 2\n1 2\n2 3\n3 0\n");
   ASSERT_TRUE(original.ok());
-  const std::string path = ::testing::TempDir() + "/simpush_io_test.txt";
-  ASSERT_TRUE(SaveEdgeList(*original, path).ok());
-  auto reloaded = LoadEdgeList(path);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded->num_nodes(), original->num_nodes());
-  EXPECT_EQ(reloaded->num_edges(), original->num_edges());
-  std::remove(path.c_str());
+  for (const char* name : {"simpush_io_test.txt", "simpush_io_test.spg"}) {
+    SCOPED_TRACE(name);
+    const std::string path = ::testing::TempDir() + "/" + name;
+    ASSERT_TRUE(SaveGraphAnyFormat(*original, path).ok());
+    auto reloaded = LoadGraphAnyFormat(path);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_TRUE(CsrOf(*reloaded) == CsrOf(*original));
+    std::remove(path.c_str());
+  }
 }
 
 TEST(GraphIoTest, DedupeOption) {

@@ -30,7 +30,21 @@ trap cleanup EXIT
 echo "== generate a tiny synthetic web-like graph (Chung-Lu, power law)"
 "$CLI" generate --kind chunglu --nodes 2000 --edges 16000 --seed 1 \
     --out "$WORK/web.txt"
-"$CLI" stats --graph "$WORK/web.txt"
+"$CLI" stats --graph "$WORK/web.txt" | tee "$WORK/stats.txt.out"
+
+echo "== convert to SPG1 binary: stats agree with the edge list"
+# Not a byte compare of txt -> spg -> txt: loading renumbers nodes in
+# first-appearance order, so the rewritten edge list legitimately differs.
+"$CLI" convert --in "$WORK/web.txt" --out "$WORK/web.spg"
+"$CLI" stats --graph "$WORK/web.spg" > "$WORK/stats.spg.out"
+diff "$WORK/stats.txt.out" "$WORK/stats.spg.out" || {
+  echo "simpush_cli stats differs between web.txt and web.spg" >&2; exit 1; }
+
+echo "== an unknown subcommand exits 2 with the usage text"
+status=0
+"$CLI" index --graph "$WORK/web.txt" 2> "$WORK/usage.err" || status=$?
+[[ $status -eq 2 ]] && grep -q "^usage: simpush_cli" "$WORK/usage.err" || {
+  echo "simpush_cli index: exit $status, want 2 with usage" >&2; exit 1; }
 
 echo "== single-source SimRank query (CLI)"
 "$CLI" query --graph "$WORK/web.txt" --node 42 --epsilon 0.05 --limit 5

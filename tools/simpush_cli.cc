@@ -5,7 +5,6 @@
 //   topk     answer top-k queries (fixed-ε or --adaptive)
 //   pair     estimate s(u, v) for explicit pairs
 //   join     similarity join (pairs with s >= threshold) / top pairs
-//   index    build, persist, and reuse a baseline index (reads|sling|prsim)
 //   stats    print graph statistics (degree histogram + power-law fit)
 //   convert  edge-list <-> SPG1 binary conversion
 //   generate write a synthetic graph (er | ba | chunglu | rmat | ws | sbm)
@@ -16,7 +15,6 @@
 //   simpush_cli topk --graph web.txt --node 42 --k 20 --method probesim
 
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -26,11 +24,9 @@
 #include "baselines/probesim.h"
 #include "baselines/prsim.h"
 #include "baselines/sling.h"
-#include "graph/binary_io.h"
 #include "graph/degree_stats.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
-#include "baselines/reads.h"
 #include "simpush/adaptive.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
@@ -49,7 +45,7 @@ constexpr uint64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: simpush_cli <query|topk|pair|join|index|stats|convert|generate> "
+      "usage: simpush_cli <query|topk|pair|join|stats|convert|generate> "
       "[--flag value]...\n"
       "  query    --graph F --node U [--epsilon E] [--decay C] "
       "[--undirected 1] [--limit N]\n"
@@ -59,8 +55,6 @@ int Usage() {
       "[--walks W]\n"
       "  join     --graph F [--threshold T | --top N] [--epsilon E] "
       "[--threads P]\n"
-      "  index    --graph F --method reads|sling|prsim --file IDX "
-      "(--build 1 to create; then --node U queries via the index)\n"
       "  stats    --graph F [--undirected 1] (degree stats + power-law "
       "fit)\n"
       "  convert  --in F --out F (format by extension: .spg = binary)\n"
@@ -271,81 +265,6 @@ int RunJoin(const Args& args) {
   return 0;
 }
 
-int RunIndex(const Args& args) {
-  auto graph = LoadGraphArg(args, "graph");
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  const std::string method = args.Get("method", "reads");
-  const std::string file = args.Get("file", "");
-  if (file.empty()) return Usage();
-  const bool build = args.GetInt("build", 0) != 0;
-
-  // A small polymorphic shim over the three persistable index methods.
-  std::unique_ptr<SingleSourceAlgorithm> algo;
-  std::function<Status(const std::string&)> save, load;
-  if (method == "reads") {
-    ReadsOptions o;
-    o.num_walks =
-        static_cast<uint32_t>(args.GetInt("walks", 100, kMaxUint32));
-    o.max_depth =
-        static_cast<uint32_t>(args.GetInt("depth", 10, kMaxUint32));
-    auto reads = std::make_unique<Reads>(*graph, o);
-    save = [r = reads.get()](const std::string& p) { return r->SaveIndex(p); };
-    load = [r = reads.get()](const std::string& p) { return r->LoadIndex(p); };
-    algo = std::move(reads);
-  } else if (method == "sling") {
-    SlingOptions o;
-    o.epsilon = args.GetDouble("epsilon", 0.05);
-    auto sling = std::make_unique<Sling>(*graph, o);
-    save = [x = sling.get()](const std::string& p) { return x->SaveIndex(p); };
-    load = [x = sling.get()](const std::string& p) { return x->LoadIndex(p); };
-    algo = std::move(sling);
-  } else if (method == "prsim") {
-    PRSimOptions o;
-    o.epsilon = args.GetDouble("epsilon", 0.05);
-    auto prsim = std::make_unique<PRSim>(*graph, o);
-    save = [x = prsim.get()](const std::string& p) { return x->SaveIndex(p); };
-    load = [x = prsim.get()](const std::string& p) { return x->LoadIndex(p); };
-    algo = std::move(prsim);
-  } else {
-    std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
-    return 2;
-  }
-
-  if (build) {
-    Status prep = algo->Prepare();
-    if (!prep.ok()) {
-      std::fprintf(stderr, "%s\n", prep.ToString().c_str());
-      return 1;
-    }
-    Status saved = save(file);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("built %s index in %.2fs, wrote %s (%zu bytes in memory)\n",
-                algo->name().c_str(), algo->PrepareSeconds(), file.c_str(),
-                algo->IndexBytes());
-    return 0;
-  }
-
-  Status loaded = load(file);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
-    return 1;
-  }
-  const NodeId u = static_cast<NodeId>(args.GetInt("node", 0, kMaxUint32));
-  auto scores = algo->Query(u);
-  if (!scores.ok()) {
-    std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
-    return 1;
-  }
-  PrintTopK(*scores, args.GetInt("k", 10), u);
-  return 0;
-}
-
 int RunStats(const Args& args) {
   auto graph = LoadGraphArg(args, "graph");
   if (!graph.ok()) {
@@ -380,17 +299,14 @@ int RunStats(const Args& args) {
 }
 
 int RunConvert(const Args& args) {
+  const std::string out = args.Get("out", "");
+  if (out.empty()) return Usage();
   auto graph = LoadGraphArg(args, "in");
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const std::string out = args.Get("out", "");
-  if (out.empty()) return Usage();
-  Status status =
-      (out.size() > 4 && out.substr(out.size() - 4) == ".spg")
-          ? SaveBinaryGraph(*graph, out)
-          : SaveEdgeList(*graph, out);
+  Status status = SaveGraphAnyFormat(*graph, out);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
@@ -401,6 +317,8 @@ int RunConvert(const Args& args) {
 }
 
 int RunGenerate(const Args& args) {
+  const std::string out = args.Get("out", "");
+  if (out.empty()) return Usage();
   const std::string kind = args.Get("kind", "chunglu");
   const NodeId n =
       static_cast<NodeId>(args.GetInt("nodes", 10000, kMaxUint32));
@@ -437,12 +355,7 @@ int RunGenerate(const Args& args) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const std::string out = args.Get("out", "");
-  if (out.empty()) return Usage();
-  Status status =
-      (out.size() > 4 && out.substr(out.size() - 4) == ".spg")
-          ? SaveBinaryGraph(*graph, out)
-          : SaveEdgeList(*graph, out);
+  Status status = SaveGraphAnyFormat(*graph, out);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
@@ -462,7 +375,6 @@ int main(int argc, char** argv) {
   if (command == "topk") return RunTopK(args);
   if (command == "pair") return RunPair(args);
   if (command == "join") return RunJoin(args);
-  if (command == "index") return RunIndex(args);
   if (command == "stats") return RunStats(args);
   if (command == "convert") return RunConvert(args);
   if (command == "generate") return RunGenerate(args);
