@@ -42,7 +42,11 @@ StatusOr<std::vector<double>> ProbeSim::Query(NodeId u) {
   std::vector<NodeId> touched_next;
 
   const double inv_walks = 1.0 / static_cast<double>(num_walks);
-  const double trim = options_.trim_ratio * options_.epsilon;
+  // Probe pruning: mass below kTrimRatio·ε is dropped during the reverse
+  // expansion (the reference implementation prunes equivalently; total
+  // induced error <= kTrimRatio·ε per level).
+  constexpr double kTrimRatio = 0.02;
+  const double trim = kTrimRatio * options_.epsilon;
   for (uint64_t i = 0; i < num_walks; ++i) {
     const Walk walk = walker.SampleWalk(u, &rng);
     const size_t length = walk.length();

@@ -37,11 +37,6 @@ struct ProbeSimOptions {
   /// ⌈ln(2n/δ)/(2ε²)⌉; the formula is what the guarantee needs but is
   /// expensive for tiny ε, mirroring the paper's reported slow queries).
   uint64_t max_walks = 0;
-  /// Probe pruning: probability mass below trim_ratio·ε is dropped
-  /// during the reverse expansion (the reference implementation prunes
-  /// equivalently; total induced error <= trim_ratio·ε per level).
-  /// 0 disables pruning.
-  double trim_ratio = 0.02;
 };
 
 /// Index-free ProbeSim implementation.

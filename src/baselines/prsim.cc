@@ -58,11 +58,8 @@ Status PRSim::Prepare() {
 
   // Hub selection: top-j0 nodes by in-degree (the meeting-probability
   // mass concentrates on high in-degree nodes in power-law graphs).
-  uint32_t j0 = options_.num_hubs;
-  if (j0 == 0) {
-    j0 = static_cast<uint32_t>(std::ceil(std::sqrt(double(n))));
-  }
-  j0 = std::min<uint32_t>(j0, n);
+  const uint32_t j0 = std::min<uint32_t>(
+      static_cast<uint32_t>(std::ceil(std::sqrt(double(n)))), n);
   std::vector<NodeId> order(n);
   for (NodeId v = 0; v < n; ++v) order[v] = v;
   std::partial_sort(order.begin(), order.begin() + j0, order.end(),

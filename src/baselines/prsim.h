@@ -26,13 +26,12 @@
 namespace simpush {
 
 /// PRSim tuning knobs (paper sweep: ε_a in {0.5, 0.1, 0.05, 0.01,
-/// 0.005}, j0 = √n hubs).
+/// 0.005}). The index always keeps j0 = ⌈√n⌉ hubs, the paper default.
 struct PRSimOptions {
   double decay = 0.6;
   double epsilon = 0.05;  ///< Absolute error budget ε_a.
   double delta = 1e-4;
   uint64_t seed = 13;
-  uint32_t num_hubs = 0;        ///< j0; 0 means ⌈√n⌉ (paper default).
   uint32_t eta_samples = 500;   ///< Paired walks per node for η(w).
 };
 

@@ -17,18 +17,19 @@ StatusOr<std::vector<double>> TopSim::Query(NodeId u) {
 
   // Phase 1: reverse expansion from u — truncated/pruned hitting
   // probabilities ĥ^(ℓ)(u, ·) for ℓ = 1..T.
+  constexpr size_t kExpansionBudget = 100;  // H
   std::vector<std::unordered_map<NodeId, double>> reverse(options_.depth + 1);
   reverse[0].emplace(u, 1.0);
   for (uint32_t level = 0; level < options_.depth; ++level) {
     // Expansion budget: keep only the H most probable frontier nodes.
     std::vector<std::pair<NodeId, double>> frontier(reverse[level].begin(),
                                                     reverse[level].end());
-    if (frontier.size() > options_.expansion_budget) {
+    if (frontier.size() > kExpansionBudget) {
       std::partial_sort(
-          frontier.begin(), frontier.begin() + options_.expansion_budget,
+          frontier.begin(), frontier.begin() + kExpansionBudget,
           frontier.end(),
           [](const auto& a, const auto& b) { return a.second > b.second; });
-      frontier.resize(options_.expansion_budget);
+      frontier.resize(kExpansionBudget);
     }
     for (const auto& [v, p] : frontier) {
       if (p < options_.trim_threshold) continue;

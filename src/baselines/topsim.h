@@ -32,7 +32,6 @@ struct TopSimOptions {
   double decay = 0.6;
   uint32_t depth = 3;                ///< T.
   uint32_t degree_threshold = 1000;  ///< 1/h: skip reverse expansion above.
-  uint32_t expansion_budget = 100;   ///< H: frontier nodes expanded/level.
   double trim_threshold = 0.001;     ///< η: drop probabilities below.
 };
 

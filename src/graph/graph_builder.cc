@@ -5,9 +5,9 @@
 
 namespace simpush {
 
-StatusOr<Graph> GraphBuilder::Build(bool dedupe, bool drop_self_loops) && {
+StatusOr<Graph> GraphBuilder::Build(bool dedupe) && {
   // Counting sort by source. The counting pass also range-checks every
-  // edge, before any is dropped, so a bad self-loop is still rejected.
+  // edge.
   std::vector<EdgeId> offsets(static_cast<size_t>(num_nodes_) + 1, 0);
   for (const auto& [src, dst] : edges_) {
     if (src >= num_nodes_ || dst >= num_nodes_) {
@@ -15,15 +15,13 @@ StatusOr<Graph> GraphBuilder::Build(bool dedupe, bool drop_self_loops) && {
           "edge endpoint out of range: " + std::to_string(src) + "->" +
           std::to_string(dst) + " with n=" + std::to_string(num_nodes_));
     }
-    if (!drop_self_loops || src != dst) ++offsets[src + 1];
+    ++offsets[src + 1];
   }
   for (NodeId v = 0; v < num_nodes_; ++v) offsets[v + 1] += offsets[v];
   std::vector<NodeId> targets(offsets[num_nodes_]);
   {
     std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-    for (const auto& [src, dst] : edges_) {
-      if (!drop_self_loops || src != dst) targets[cursor[src]++] = dst;
-    }
+    for (const auto& [src, dst] : edges_) targets[cursor[src]++] = dst;
   }
   // Free the edge list before FromSortedCsr allocates the in-CSR.
   std::vector<std::pair<NodeId, NodeId>>().swap(edges_);

@@ -39,13 +39,13 @@ class GraphBuilder {
   /// edge (the edge-list loader compacts ids as it reads them).
   void SetNumNodes(NodeId num_nodes) { num_nodes_ = num_nodes; }
 
-  /// Sorts adjacency, optionally removes duplicate edges and self-loops,
-  /// and produces the immutable graph. The builder is consumed.
+  /// Sorts adjacency, optionally removes duplicate edges, and produces
+  /// the immutable graph. Self-loops are kept. The builder is consumed.
   ///
   /// A counting sort by source places each edge in its row, then each
   /// row is sorted (and deduped) in place and the rows are compacted:
   /// O(n + m log d_max), the same (src, dst) order a global sort gives.
-  StatusOr<Graph> Build(bool dedupe = true, bool drop_self_loops = false) &&;
+  StatusOr<Graph> Build(bool dedupe = true) &&;
 
  private:
   NodeId num_nodes_;

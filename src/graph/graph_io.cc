@@ -84,11 +84,7 @@ class IdInterner {
 // the NodeId pair straight into a GraphBuilder.
 class EdgeListParser {
  public:
-  explicit EdgeListParser(const EdgeListOptions& options) : options_(options) {
-    for (const char c : options.comment_chars) {
-      comment_[static_cast<unsigned char>(c)] = true;
-    }
-  }
+  explicit EdgeListParser(bool undirected) : undirected_(undirected) {}
 
   // Parses every line in [begin, end). A line ends at '\n' or at `end`,
   // so callers pass whole lines; only the input's last may lack '\n'.
@@ -98,7 +94,7 @@ class EdgeListParser {
       ++line_no_;
       const char* const line = p;
       while (p < end && IsBlank(*p)) ++p;
-      if (p == end || *p == '\n' || comment_[static_cast<unsigned char>(*p)]) {
+      if (p == end || *p == '\n' || *p == '#' || *p == '%') {
         p = LineEnd(p, end);
         if (p < end) ++p;
         continue;
@@ -119,7 +115,7 @@ class EdgeListParser {
       // first-appearance id assignment.
       const NodeId src = ids_.Intern(a);
       const NodeId dst = ids_.Intern(b);
-      if (options_.undirected) {
+      if (undirected_) {
         builder_.AddUndirectedEdge(src, dst);
       } else {
         builder_.AddEdge(src, dst);
@@ -134,9 +130,8 @@ class EdgeListParser {
   StatusOr<Graph> Finish() && {
     builder_.SetNumNodes(ids_.size());
     ids_ = IdInterner();  // free the table before Build allocates the CSR
-    if (options_.undirected) builder_.MarkSymmetric();
-    return std::move(builder_).Build(options_.dedupe,
-                                     options_.drop_self_loops);
+    if (undirected_) builder_.MarkSymmetric();
+    return std::move(builder_).Build();
   }
 
  private:
@@ -170,8 +165,7 @@ class EdgeListParser {
         (text.size() > kEchoBytes ? "...'" : "'"));
   }
 
-  const EdgeListOptions& options_;
-  bool comment_[256] = {};
+  const bool undirected_;
   size_t line_no_ = 0;
   IdInterner ids_;
   GraphBuilder builder_{0};
@@ -192,7 +186,7 @@ StatusOr<Graph> LoadEdgeList(const std::string& path,
                              const EdgeListOptions& options) {
   std::unique_ptr<FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
   if (!file) return Status::IOError("cannot open '" + path + "'");
-  EdgeListParser parser(options);
+  EdgeListParser parser(options.undirected);
   // `buffer` holds the carried partial line at its front and the next
   // block behind it; it grows only for a line longer than a block.
   std::vector<char> buffer(kBlockBytes);
@@ -227,7 +221,7 @@ StatusOr<Graph> LoadEdgeList(const std::string& path,
 
 StatusOr<Graph> ParseEdgeList(const std::string& text,
                               const EdgeListOptions& options) {
-  EdgeListParser parser(options);
+  EdgeListParser parser(options.undirected);
   SIMPUSH_RETURN_NOT_OK(
       parser.ParseLines(text.data(), text.data() + text.size()));
   return std::move(parser).Finish();

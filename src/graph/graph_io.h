@@ -15,12 +15,6 @@ struct EdgeListOptions {
   /// Treat each line "a b" as an undirected edge (adds both directions),
   /// matching the paper's handling of undirected datasets (§2.1).
   bool undirected = false;
-  /// Lines starting with any of these characters are skipped.
-  std::string comment_chars = "#%";
-  /// Remove duplicate edges after parsing.
-  bool dedupe = true;
-  /// Drop self-loops (u, u).
-  bool drop_self_loops = false;
 };
 
 /// Loads a graph from a whitespace-separated edge-list file.
@@ -28,8 +22,8 @@ struct EdgeListOptions {
 /// Grammar, one line at a time (lines end at '\n'; whitespace is space,
 /// tab, '\r', '\v' or '\f'):
 ///   - a line that is empty or all whitespace is skipped;
-///   - a line whose first non-whitespace byte is in `comment_chars` is
-///     skipped;
+///   - a line whose first non-whitespace byte is '#' or '%' is a
+///     comment and is skipped;
 ///   - any other line is `id ws+ id`, optionally followed by whitespace
 ///     and anything at all (extra columns such as SNAP weights are
 ///     ignored). An id is an unsigned decimal integer in [0, 2^64)
@@ -37,7 +31,8 @@ struct EdgeListOptions {
 ///     "2.5", "0x1f" and "2," are rejected.
 /// A line breaking the grammar is an IOError naming its line number and
 /// echoing at most 80 bytes of it. Ids are compacted to [0, n) in
-/// first-appearance order.
+/// first-appearance order. Parallel edges collapse to one; self-loops
+/// are kept.
 ///
 /// The file is read in 1 MiB blocks, so memory beyond the graph itself
 /// stays bounded by the block and the longest line. A read error (for

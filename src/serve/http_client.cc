@@ -61,9 +61,11 @@ Status HttpClient::Connect() {
 int HttpClient::BackoffMs(int retry) {
   // base * 2^retry, capped, then jittered to [ms/2, ms*3/2) so a fleet
   // of clients hammering a restarted server spreads out.
-  int64_t ms = retry_.base_backoff_ms;
-  for (int i = 0; i < retry && ms < retry_.max_backoff_ms; ++i) ms *= 2;
-  ms = std::clamp<int64_t>(ms, 1, retry_.max_backoff_ms);
+  constexpr int64_t kBaseBackoffMs = 10;
+  constexpr int64_t kMaxBackoffMs = 250;
+  int64_t ms = kBaseBackoffMs;
+  for (int i = 0; i < retry && ms < kMaxBackoffMs; ++i) ms *= 2;
+  ms = std::min(ms, kMaxBackoffMs);
   std::uniform_int_distribution<int64_t> spread(ms / 2, ms + ms / 2);
   return static_cast<int>(spread(jitter_));
 }

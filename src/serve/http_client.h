@@ -28,14 +28,10 @@ namespace serve {
 /// so it is surfaced to the caller instead (except the classic
 /// keep-alive case: a REUSED connection that fails gets one reconnect
 /// and resend, since the server provably closed it before reading).
+/// Retries back off 10 ms, doubling per retry up to 250 ms, ±50% jitter.
 struct HttpRetryOptions {
   /// Total attempts (first try included). 1 = no retries.
   int max_attempts = 3;
-  /// First backoff; doubles per retry (exponential), jittered ±50% so
-  /// a fleet of clients retrying a restarted server doesn't stampede.
-  int base_backoff_ms = 10;
-  /// Backoff ceiling.
-  int max_backoff_ms = 250;
 };
 
 /// One keep-alive connection to a server. Reconnects transparently if

@@ -893,7 +893,7 @@ Status SimPushService::ServeOne(const GraphGeneration& generation, NodeId u,
 
   // An override only changes which core runs: a throwaway core for the
   // request's ε over the leased generation's graph (derived parameters
-  // are cheap to recompute — the AdaptiveTopK per-round-core pattern).
+  // are cheap to recompute).
   // Either core leases one pooled workspace; construction blocks while
   // all `pool_capacity` workspaces are in flight, which is the
   // backpressure that bounds query-scratch memory under load (a fired

@@ -10,10 +10,12 @@
 // (u < v). Per-query cost is SimPush's; the join is embarrassingly
 // parallel across sources and runs on the ThreadPool.
 //
-// Soundness: a pair is emitted when s̃ >= threshold - ε. SimPush's
-// estimate is one-sided (s̃ <= s), so with margin ε the join misses no
-// pair with s >= threshold w.p. 1-δ per source; pairs within ε below
-// the threshold may appear (the caller can post-filter with a finer ε).
+// Soundness: a pair is emitted when s̃ >= threshold - ε. Definition 1
+// bounds SimPush's error on both sides, |s̃ - s| <= ε for every v with
+// probability at least 1-δ per source, so s >= threshold implies
+// s̃ >= threshold - ε and the join misses no such pair w.p. 1-δ per
+// source. Pairs with s down to threshold - 2ε may appear (the caller
+// can post-filter with a finer ε).
 
 #ifndef SIMPUSH_SIMPUSH_JOIN_H_
 #define SIMPUSH_SIMPUSH_JOIN_H_

@@ -121,21 +121,10 @@ TEST(EdgeListParseTest, IdCompactionIsFirstAppearanceOrder) {
   EXPECT_EQ(out2[0], 0u);
 }
 
-TEST(EdgeListParseTest, DedupeAndSelfLoopOptions) {
-  const std::string text = "1 2\n1 2\n3 3\n2 1\n";
-  EdgeListOptions keep_all;
-  keep_all.dedupe = false;
-  keep_all.drop_self_loops = false;
-  auto graph = ParseEdgeList(text, keep_all);
+TEST(EdgeListParseTest, DedupesAndKeepsSelfLoops) {
+  auto graph = ParseEdgeList("1 2\n1 2\n3 3\n2 1\n");
   ASSERT_TRUE(graph.ok());
-  EXPECT_EQ(graph->num_edges(), 4u);
-
-  EdgeListOptions strict;
-  strict.dedupe = true;
-  strict.drop_self_loops = true;
-  graph = ParseEdgeList(text, strict);
-  ASSERT_TRUE(graph.ok());
-  EXPECT_EQ(graph->num_edges(), 2u);  // (1,2) deduped, (3,3) dropped
+  EXPECT_EQ(graph->num_edges(), 3u);  // (1,2) deduped, (3,3) kept
 }
 
 TEST(EdgeListParseTest, UndirectedDoublesEdges) {

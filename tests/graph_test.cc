@@ -68,15 +68,6 @@ TEST(GraphBuilderTest, KeepsDuplicatesWhenAsked) {
   EXPECT_EQ(result->num_edges(), 2u);
 }
 
-TEST(GraphBuilderTest, DropsSelfLoopsWhenAsked) {
-  GraphBuilder builder(3);
-  builder.AddEdge(0, 0);
-  builder.AddEdge(0, 1);
-  auto result = std::move(builder).Build(true, /*drop_self_loops=*/true);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_edges(), 1u);
-}
-
 TEST(GraphBuilderTest, UndirectedAddsBothDirections) {
   GraphBuilder builder(2);
   builder.AddUndirectedEdge(0, 1);
@@ -91,7 +82,7 @@ TEST(GraphBuilderTest, UndirectedAddsBothDirections) {
 
 // Build's CSR equals a global std::sort + std::unique over the same
 // edges, on shuffled multigraphs with duplicates, self-loops and
-// isolated nodes, under every dedupe x drop_self_loops combination.
+// isolated nodes, with and without dedupe.
 TEST(GraphBuilderTest, BuildMatchesSortUniqueReference) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     std::mt19937_64 rng(seed);
@@ -111,37 +102,31 @@ TEST(GraphBuilderTest, BuildMatchesSortUniqueReference) {
     std::shuffle(edges.begin(), edges.end(), rng);
     const bool symmetric = seed % 2 == 0;
     for (const bool dedupe : {false, true}) {
-      for (const bool drop_self_loops : {false, true}) {
-        GraphBuilder builder(n);
-        for (const auto& [src, dst] : edges) builder.AddEdge(src, dst);
-        if (symmetric) builder.MarkSymmetric();
-        auto graph = std::move(builder).Build(dedupe, drop_self_loops);
-        ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-        EXPECT_TRUE(testing_util::CsrOf(*graph) ==
-                    testing_util::ReferenceCsr(n, edges, symmetric, dedupe,
-                                               drop_self_loops))
-            << "seed " << seed << " dedupe " << dedupe << " drop "
-            << drop_self_loops;
-      }
+      GraphBuilder builder(n);
+      for (const auto& [src, dst] : edges) builder.AddEdge(src, dst);
+      if (symmetric) builder.MarkSymmetric();
+      auto graph = std::move(builder).Build(dedupe);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      EXPECT_TRUE(testing_util::CsrOf(*graph) ==
+                  testing_util::ReferenceCsr(n, edges, symmetric, dedupe))
+          << "seed " << seed << " dedupe " << dedupe;
     }
   }
 }
 
 TEST(GraphBuilderTest, RejectsOutOfRangeEndpointUnderEveryFlag) {
-  // A bad source, a bad target, and a bad self-loop that
-  // drop_self_loops would otherwise remove: all are InvalidArgument.
+  // A bad source, a bad target and a bad self-loop: all are
+  // InvalidArgument.
   const std::vector<std::pair<NodeId, NodeId>> bad = {{7, 1}, {1, 3}, {4, 4}};
   for (const auto& [src, dst] : bad) {
     for (const bool dedupe : {false, true}) {
-      for (const bool drop_self_loops : {false, true}) {
-        GraphBuilder builder(3);
-        builder.AddEdge(0, 1);
-        builder.AddEdge(src, dst);
-        builder.AddEdge(2, 0);
-        auto result = std::move(builder).Build(dedupe, drop_self_loops);
-        ASSERT_FALSE(result.ok()) << src << "->" << dst;
-        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-      }
+      GraphBuilder builder(3);
+      builder.AddEdge(0, 1);
+      builder.AddEdge(src, dst);
+      builder.AddEdge(2, 0);
+      auto result = std::move(builder).Build(dedupe);
+      ASSERT_FALSE(result.ok()) << src << "->" << dst;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     }
   }
 }

@@ -66,8 +66,9 @@ TEST(JoinTest, BlockStructureDominatesJoin) {
 }
 
 TEST(JoinTest, CompleteAgainstExactGroundTruth) {
-  // Every pair with exact s >= threshold must be found (one-sided
-  // estimates + ε margin guarantee recall w.h.p.).
+  // Every pair with exact s >= threshold must be found: |s̃ - s| <= ε
+  // (Definition 1) puts its s̃ at or above the threshold - ε margin
+  // w.p. 1-δ per source.
   auto graph = GenerateErdosRenyi(50, 400, 13);
   ASSERT_TRUE(graph.ok());
   PowerMethodOptions pm;

@@ -120,16 +120,12 @@ inline CsrArrays CsrOf(const Graph& graph) {
 }
 
 /// The CSR a builder must produce from `edges`, computed the plain way:
-/// drop self-loops if asked, one global std::sort (plus std::unique when
-/// deduping) for the out side, and a second sort by (dst, src) for the
-/// in side. Endpoints must be < n.
+/// one global std::sort (plus std::unique when deduping) for the out
+/// side, and a second sort by (dst, src) for the in side. Self-loops are
+/// kept. Endpoints must be < n.
 inline CsrArrays ReferenceCsr(NodeId n,
                               std::vector<std::pair<NodeId, NodeId>> edges,
-                              bool symmetric, bool dedupe,
-                              bool drop_self_loops) {
-  if (drop_self_loops) {
-    std::erase_if(edges, [](const auto& e) { return e.first == e.second; });
-  }
+                              bool symmetric, bool dedupe) {
   std::sort(edges.begin(), edges.end());
   if (dedupe) edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   CsrArrays csr;

@@ -127,7 +127,6 @@ HOT_PATH_STEMS = [
     "src/simpush/query_runner",
     "src/simpush/engine_core",
     "src/simpush/topk",
-    "src/simpush/adaptive",
 ]
 HOT_BANNED = re.compile(r"std::unordered_map|std::function")
 

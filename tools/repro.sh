@@ -81,6 +81,18 @@ for bad in -1 64MiB; do
     echo "simpush_cli --node $bad: exit $status, want 2" >&2; exit 1; }
 done
 
+echo "== topk rejects an epsilon outside (0,1) for every method: exit 1"
+for method in simpush probesim sling prsim; do
+  for eps in 0 -1 nan; do
+    status=0
+    "$CLI" topk --graph "$WORK/web.txt" --node 42 --k 3 --epsilon "$eps" \
+        --method "$method" > /dev/null 2> "$WORK/eps.err" || status=$?
+    [[ $status -eq 1 ]] && grep -q "epsilon must be in (0,1)" "$WORK/eps.err" || {
+      echo "simpush_cli topk --method $method --epsilon $eps: exit $status," \
+           "want 1 naming epsilon" >&2; exit 1; }
+  done
+done
+
 echo "== boot simpush_serve on an ephemeral port (second tenant with its own epsilon)"
 "$SERVE" --graph "$WORK/web.txt" --graph "tuned=$WORK/web.txt:eps=0.08" \
     --port 0 --default-epsilon 0.05 --port-file "$WORK/port" &

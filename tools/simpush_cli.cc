@@ -2,7 +2,7 @@
 //
 // Subcommands:
 //   query    answer single-source SimRank queries on an edge-list graph
-//   topk     answer top-k queries (fixed-ε or --adaptive)
+//   topk     answer top-k queries (SimPush or a baseline)
 //   pair     estimate s(u, v) for explicit pairs
 //   join     similarity join (pairs with s >= threshold) / top pairs
 //   stats    print graph statistics (degree histogram + power-law fit)
@@ -27,7 +27,6 @@
 #include "graph/degree_stats.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
-#include "simpush/adaptive.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
 #include "simpush/single_pair.h"
@@ -50,7 +49,7 @@ int Usage() {
       "  query    --graph F --node U [--epsilon E] [--decay C] "
       "[--undirected 1] [--limit N]\n"
       "  topk     --graph F --node U [--k K] [--epsilon E] [--method "
-      "simpush|probesim|sling|prsim] [--adaptive 1 [--rho R]]\n"
+      "simpush|probesim|sling|prsim]\n"
       "  pair     --graph F --node U --targets V1,V2,... [--epsilon E] "
       "[--walks W]\n"
       "  join     --graph F [--threshold T | --top N] [--epsilon E] "
@@ -114,6 +113,15 @@ int RunQuery(const Args& args) {
 }
 
 int RunTopK(const Args& args) {
+  // Every method shares SimPush's ε range check, so a bad --epsilon
+  // fails the same way whichever method would have run.
+  SimPushOptions options;
+  options.epsilon = args.GetDouble("epsilon", 0.01);
+  const Status valid = options.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 1;
+  }
   auto graph = LoadGraphArg(args, "graph");
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
@@ -122,28 +130,8 @@ int RunTopK(const Args& args) {
   const NodeId u = static_cast<NodeId>(args.GetInt("node", 0, kMaxUint32));
   const size_t k = args.GetInt("k", 10);
   const std::string method = args.Get("method", "simpush");
-  const double epsilon = args.GetDouble("epsilon", 0.01);
 
-  if (method == "simpush" && args.GetInt("adaptive", 0) != 0) {
-    AdaptiveOptions options;
-    options.base.epsilon = epsilon > 0.1 ? epsilon : 0.1;  // coarse start
-    options.rho = args.GetDouble("rho", 0.5);
-    options.epsilon_min = args.GetDouble("epsilon-min", 1e-3);
-    auto result = AdaptiveTopK(*graph, u, k, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("# %u rounds, final epsilon %.4g\n", result->rounds,
-                result->final_epsilon);
-    for (const TopKEntry& entry : result->topk.entries) {
-      std::printf("%u %.6f\n", entry.node, entry.score);
-    }
-    return 0;
-  }
   if (method == "simpush") {
-    SimPushOptions options;
-    options.epsilon = epsilon;
     EngineCore core(*graph, options);
     WorkspacePool pool(1);
     QueryRunner runner(core, pool);
@@ -161,16 +149,16 @@ int RunTopK(const Args& args) {
   std::unique_ptr<SingleSourceAlgorithm> algo;
   if (method == "probesim") {
     ProbeSimOptions o;
-    o.epsilon = epsilon;
+    o.epsilon = options.epsilon;
     o.max_walks = 50000;
     algo = std::make_unique<ProbeSim>(*graph, o);
   } else if (method == "sling") {
     SlingOptions o;
-    o.epsilon = epsilon;
+    o.epsilon = options.epsilon;
     algo = std::make_unique<Sling>(*graph, o);
   } else if (method == "prsim") {
     PRSimOptions o;
-    o.epsilon = epsilon;
+    o.epsilon = options.epsilon;
     algo = std::make_unique<PRSim>(*graph, o);
   } else {
     std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
