@@ -33,7 +33,7 @@ const char* StatusText(int status) {
     case 409: return "Conflict";
     case 413: return "Payload Too Large";
     // Nginx's code for "client went away before the response": used
-    // when a disconnect watcher cancels an in-flight query. The
+    // when a query's CancelToken sees its client hang up. The
     // response is usually unsendable — the status mainly feeds logs
     // and counters — but a half-closed client can still receive it.
     case 499: return "Client Closed Request";
@@ -222,7 +222,7 @@ void HttpServer::ServeConnection(int fd) {
     HttpRequest request;
     const int got = ReadRequest(fd, &buffer, &request);
     if (got <= 0) break;
-    request.client_fd = fd;  // For handler-side disconnect watching.
+    request.client_fd = fd;  // Lets a query's CancelToken probe it.
 
     HttpResponse response;
     bool path_known = false;

@@ -48,10 +48,10 @@ struct HttpRequest {
   std::string target;  ///< Request target, e.g. "/v1/query".
   std::string body;    ///< Content-Length bytes (empty when absent).
   std::vector<std::pair<std::string, std::string>> headers;
-  /// The connection's socket, valid for the handler's duration. Lets a
-  /// handler watch for client disconnect (poll for POLLRDHUP) while it
-  /// computes; handlers must never read, write, or close it — the
-  /// server owns the connection framing.
+  /// The connection's socket, valid for the handler's duration. A
+  /// handler hands it to its query's CancelToken, whose poll probes it
+  /// for a client hang-up while the query computes; handlers must never
+  /// read, write, or close it — the server owns the connection framing.
   int client_fd = -1;
 
   /// First header named `name` (lower-case), or nullptr.

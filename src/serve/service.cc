@@ -290,10 +290,10 @@ struct SimPushService::Route {
         ReadDeadlineMs(call->doc, service.options_.request_timeout_ms,
                        service.options_.max_deadline_ms));
 
-    // Token before guard: the guard must die first (it unregisters the
-    // raw token pointer from the watcher's poll set).
-    CancelToken token(Deadline::After(call->deadline_ms));
-    const auto watch = service.watcher_.Watch(call->request.client_fd, &token);
+    // The token probes the connection, so a client that hangs up
+    // mid-query cancels it (499).
+    const CancelToken token(Deadline::After(call->deadline_ms),
+                            call->request.client_fd);
     SIMPUSH_RETURN_NOT_OK(call->node_list == nullptr
                               ? ScoreOne(service, call, &token)
                               : ScoreBatch(service, call, &token));

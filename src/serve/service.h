@@ -59,7 +59,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "graph/graph.h"
-#include "serve/disconnect_watcher.h"
 #include "serve/http_server.h"
 #include "serve/json.h"
 #include "serve/registry.h"
@@ -222,11 +221,6 @@ class SimPushService {
   // level-detection walks, all endpoints.
   std::atomic<uint64_t> engine_query_nanos_{0};
   std::atomic<uint64_t> engine_walks_{0};
-
-  // Cancels in-flight queries whose HTTP client disconnected; request
-  // handlers register their connection fd + CancelToken for the
-  // duration of the query.
-  DisconnectWatcher watcher_;
 
   // All requests, all graphs; each tenant's own ring is on its
   // TenantCounters.

@@ -11,7 +11,7 @@ Status SimPushOptions::Validate() const {
   // Each range check is written as !(in range) so that NaN — for which
   // every comparison is false — is rejected rather than slipping
   // through a `x <= 0.0 || x >= 1.0` pair and poisoning the derived
-  // parameters. NaN reaches here from untrusted inputs (atof("nan") on
+  // parameters. NaN reaches here from untrusted inputs ("nan" parses on
   // the CLI; defensive for any future JSON number path).
   if (!(decay > 0.0 && decay < 1.0)) {
     return Status::InvalidArgument("decay must be in (0,1)");

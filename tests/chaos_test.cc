@@ -396,7 +396,7 @@ TEST(ChaosTest, DisconnectedClientCancelsInFlightQuery) {
   {
     ChaosFixture fixture(testing_util::MakeFixtureGraph());
 
-    // Stretch the query past the watcher's poll interval, send a
+    // Stretch the query past the token's probe interval, send a
     // request, and half-close: the client has abandoned the request
     // even though the socket can still carry a response.
     ASSERT_TRUE(FailpointRegistry::Get()
@@ -409,8 +409,9 @@ TEST(ChaosTest, DisconnectedClientCancelsInFlightQuery) {
               static_cast<ssize_t>(request.size()));
     ::shutdown(fd, SHUT_WR);
 
-    // The watcher fires the token mid-acquire; the engine aborts and
-    // the server answers 499 (best-effort — we can still read it).
+    // The token's first poll after the stretched acquire sees the
+    // hang-up; the engine aborts and the server answers 499
+    // (best-effort — we can still read it).
     const std::string response = ReadAll(fd);
     ::close(fd);
     EXPECT_NE(response.find("499"), std::string::npos) << response;
@@ -430,7 +431,7 @@ TEST(ChaosTest, DisconnectedClientCancelsInFlightQuery) {
     EXPECT_EQ(tenant_stats->pool_outstanding, 0u);
     fixture.server().Shutdown();
   }
-  // Server, watcher, and sockets all torn down: no fd leaked.
+  // Server and sockets all torn down: no fd leaked.
   EXPECT_EQ(CountOpenFds(), fds_before);
 }
 

@@ -5,12 +5,14 @@
 #include <set>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/memory.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "common/touched_bits.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simpush {
 namespace {
@@ -262,6 +264,74 @@ TEST(TouchedBitsTest, ResetCleansAMaskLeftDirty) {
   EXPECT_TRUE(Drained(&bits).empty());
   bits.Reset(kBitsN);
   for (size_t i = 0; i < kBitsN; ++i) EXPECT_FALSE(bits.Test(i)) << i;
+}
+
+// The peer-probe half of the CancelToken contract (common/deadline.h),
+// on a socket pair standing in for a served connection.
+TEST(CancelTokenTest, PeerShutdownFiresByTheFirstDueProbe) {
+  testing_util::SocketPair sockets;
+  const CancelToken token(Deadline::Infinite(), sockets.ours);
+  ASSERT_TRUE(token.Check().ok());  // The first poll probes an open peer.
+  const Deadline::Clock::time_point probed = Deadline::Clock::now();
+  ASSERT_EQ(::shutdown(sockets.peer, SHUT_WR), 0);
+  while (true) {
+    const Deadline::Clock::time_point polled = Deadline::Clock::now();
+    const Status status = token.Check();
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kCancelled);
+      break;
+    }
+    // A poll that starts a whole interval after the last probe probes.
+    ASSERT_LT(polled, probed + kPeerProbeInterval);
+  }
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_TRUE(token.ShouldStop());
+}
+
+TEST(CancelTokenTest, PipelinedBytesNeverFire) {
+  testing_util::SocketPair sockets;
+  const CancelToken token(Deadline::Infinite(), sockets.ours);
+  const char request[] = "GET /healthz HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(sockets.peer, request, sizeof(request) - 1, 0),
+            static_cast<ssize_t>(sizeof(request) - 1));
+  const Timer timer;
+  while (timer.ElapsedMillis() < 50.0) {
+    ASSERT_TRUE(token.Check().ok());
+    ASSERT_FALSE(token.ShouldStop());
+  }
+  EXPECT_FALSE(token.cancelled());
+}
+
+TEST(CancelTokenTest, PeerCloseFiresOnTheFirstPoll) {
+  testing_util::SocketPair sockets;
+  const CancelToken token(Deadline::Infinite(), sockets.ours);
+  sockets.ClosePeer();
+  EXPECT_TRUE(token.ShouldStop());
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(token.Check().code(), StatusCode::kCancelled);
+}
+
+TEST(CancelTokenTest, HungUpPeerBeatsAnExpiredDeadline) {
+  testing_util::SocketPair sockets;
+  const CancelToken open_peer(Deadline::Expired(), sockets.ours);
+  EXPECT_EQ(open_peer.Check().code(), StatusCode::kDeadlineExceeded);
+  sockets.ClosePeer();
+  const CancelToken hung_up(Deadline::Expired(), sockets.ours);
+  EXPECT_EQ(hung_up.Check().code(), StatusCode::kCancelled);
+}
+
+TEST(CancelTokenTest, NoPeerMeansADeadlineOnlyToken) {
+  // peer_fd = -1 is the default: nothing to probe, so only Cancel() and
+  // the deadline stop it.
+  const CancelToken unbounded(Deadline::Infinite(), -1);
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(unbounded.Check().ok());
+  EXPECT_FALSE(unbounded.cancelled());
+  const CancelToken expired(Deadline::Expired(), -1);
+  EXPECT_EQ(expired.Check().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(expired.cancelled());
+  CancelToken cancelled(Deadline::Infinite(), -1);
+  cancelled.Cancel();
+  EXPECT_EQ(cancelled.Check().code(), StatusCode::kCancelled);
 }
 
 }  // namespace

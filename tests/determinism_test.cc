@@ -170,16 +170,24 @@ TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
   const CancelToken token(Deadline::After(60000));  // Never fires here.
   QueryWorkspace watched_scratch;
   QueryRunner watched(core, &watched_scratch, &token);
+  // A served query's token also probes its connection; this client
+  // stays open, so the probes never fire.
+  testing_util::SocketPair sockets;
+  const CancelToken peer_token(Deadline::Infinite(), sockets.ours);
+  QueryWorkspace peer_scratch;
+  QueryRunner peer_watched(core, &peer_scratch, &peer_token);
 
   SimPushResult expected, observed;
   size_t pull_levels = 0;
   for (const NodeId u : {0u, 7u, 42u, 123u, 299u}) {
     ASSERT_TRUE(plain.QueryInto(u, &expected).ok());
-    ASSERT_TRUE(watched.QueryInto(u, &observed).ok());
-    ASSERT_EQ(expected.scores.size(), observed.scores.size());
-    for (size_t v = 0; v < expected.scores.size(); ++v) {
-      ASSERT_EQ(expected.scores[v], observed.scores[v])
-          << "query " << u << " node " << v;
+    for (QueryRunner* runner : {&watched, &peer_watched}) {
+      ASSERT_TRUE(runner->QueryInto(u, &observed).ok());
+      ASSERT_EQ(expected.scores.size(), observed.scores.size());
+      for (size_t v = 0; v < expected.scores.size(); ++v) {
+        ASSERT_EQ(expected.scores[v], observed.scores[v])
+            << "query " << u << " node " << v;
+      }
     }
     // The dense levels take Source-Push's pull path, whose poll
     // stride counts nodes rather than pushed occurrences.
@@ -194,6 +202,7 @@ TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
   }
   EXPECT_GT(pull_levels, 0u);
   EXPECT_FALSE(token.cancelled());
+  EXPECT_FALSE(peer_token.cancelled());
 }
 
 TEST(DeterminismTest, ExpiredDeadlineAbortsWithin50ms) {
@@ -210,15 +219,23 @@ TEST(DeterminismTest, ExpiredDeadlineAbortsWithin50ms) {
 
   QueryWorkspace scratch;
   const CancelToken token(Deadline::Expired());
-  QueryRunner runner(core, &scratch, &token);
+  // A client that hung up before the query started aborts it the same
+  // way, as a cancellation.
+  testing_util::SocketPair sockets;
+  sockets.ClosePeer();
+  const CancelToken hung_up(Deadline::Infinite(), sockets.ours);
 
-  Timer timer;
   SimPushResult result;
-  const Status status = runner.QueryInto(0, &result);
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
-      << status.ToString();
-  EXPECT_LT(elapsed_ms, 50.0);
+  for (const auto& [fired, code] :
+       {std::pair{&token, StatusCode::kDeadlineExceeded},
+        std::pair{&hung_up, StatusCode::kCancelled}}) {
+    QueryRunner runner(core, &scratch, fired);
+    Timer timer;
+    const Status status = runner.QueryInto(0, &result);
+    const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
+    EXPECT_EQ(status.code(), code) << status.ToString();
+    EXPECT_LT(elapsed_ms, 50.0);
+  }
 
   // The aborted query leaves the workspace fully reusable: a new runner
   // without a token completes on the same scratch.

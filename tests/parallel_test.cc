@@ -3,6 +3,7 @@
 #include "simpush/parallel.h"
 
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -97,27 +98,35 @@ TEST(ParallelBatchTest, ResultsIndependentOfThreadCount) {
 
 TEST(ParallelBatchTest, FiredTokenStopsTheFanOut) {
   // A token that fired before the batch starts: no chunk leases a
-  // workspace, no query runs, and the pool is left untouched.
+  // workspace, no query runs, and the pool is left untouched. The
+  // token fires either by Cancel() or on the pool threads' first polls,
+  // which all probe a client that hung up before the batch.
   auto graph = GenerateErdosRenyi(60, 300, 5);
   ASSERT_TRUE(graph.ok());
-  FanOut fan_out(*graph, TestOptions(), 2);
-  CancelToken token;
-  token.Cancel();
-  size_t callbacks = 0;
-  auto stats = ParallelQueryBatch(
-      fan_out.core, fan_out.thread_pool, fan_out.workspaces, FirstNodes(10),
-      [&](size_t, const SimPushResult&) {
-        ++callbacks;
-        return true;
-      },
-      &token);
-  EXPECT_EQ(callbacks, 0u);
-  EXPECT_EQ(stats.queries_ok, 0u);
-  EXPECT_EQ(fan_out.workspaces.created(), 0u);
-  auto topk = ParallelQueryBatchTopK(fan_out.core, fan_out.thread_pool,
-                                     fan_out.workspaces, FirstNodes(10), 3,
-                                     nullptr, &token);
-  EXPECT_EQ(topk.status().code(), StatusCode::kCancelled);
+  CancelToken cancelled;
+  cancelled.Cancel();
+  testing_util::SocketPair sockets;
+  sockets.ClosePeer();
+  const CancelToken hung_up(Deadline::Infinite(), sockets.ours);
+  for (const CancelToken* token : {&std::as_const(cancelled), &hung_up}) {
+    FanOut fan_out(*graph, TestOptions(), 2);
+    size_t callbacks = 0;
+    auto stats = ParallelQueryBatch(
+        fan_out.core, fan_out.thread_pool, fan_out.workspaces,
+        FirstNodes(10),
+        [&](size_t, const SimPushResult&) {
+          ++callbacks;
+          return true;
+        },
+        token);
+    EXPECT_EQ(callbacks, 0u);
+    EXPECT_EQ(stats.queries_ok, 0u);
+    EXPECT_EQ(fan_out.workspaces.created(), 0u);
+    auto topk = ParallelQueryBatchTopK(fan_out.core, fan_out.thread_pool,
+                                       fan_out.workspaces, FirstNodes(10), 3,
+                                       nullptr, token);
+    EXPECT_EQ(topk.status().code(), StatusCode::kCancelled);
+  }
 }
 
 TEST(ParallelBatchTopKTest, OrderedAndComplete) {

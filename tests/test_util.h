@@ -3,6 +3,9 @@
 #ifndef SIMPUSH_TESTS_TEST_UTIL_H_
 #define SIMPUSH_TESTS_TEST_UTIL_H_
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -34,6 +37,33 @@ inline bool SameRanking(const std::vector<TopKEntry>& a,
   }
   return true;
 }
+
+/// A connected AF_UNIX stream socket pair standing in for a served
+/// connection: `ours` is the server's end a CancelToken probes, `peer`
+/// the client's. Closes whichever ends are still open.
+struct SocketPair {
+  SocketPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ours = fds[0];
+    peer = fds[1];
+  }
+  ~SocketPair() {
+    ClosePeer();
+    if (ours >= 0) ::close(ours);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+
+  /// The client hangs up.
+  void ClosePeer() {
+    if (peer >= 0) ::close(peer);
+    peer = -1;
+  }
+
+  int ours = -1;
+  int peer = -1;
+};
 
 /// Builds a directed graph from an explicit edge list; aborts the test
 /// on failure.

@@ -2,10 +2,13 @@
 // Flags come as "--name value" pairs and may repeat: GetAll returns
 // every value in order, and the last value wins for the scalar getters.
 //
-// Integer flags are strict: an unsigned decimal number with no sign,
-// suffix or surrounding text, no larger than the flag's maximum. So
-// `--cache-bytes -1` or `--cache-bytes 64MiB` is an error naming the
-// flag (exit status 2), not SIZE_MAX or 64 bytes.
+// Numeric flags are strict. An integer flag is an unsigned decimal
+// number with no sign, suffix or surrounding text, no larger than the
+// flag's maximum, so `--cache-bytes -1` or `--cache-bytes 64MiB` is an
+// error naming the flag (exit status 2), not SIZE_MAX or 64 bytes. A
+// double flag is one whole strtod number, so `--epsilon 0.05x` or
+// `--epsilon ""` exits 2 the same way instead of running at 0.05 or at
+// the default.
 
 #ifndef SIMPUSH_TOOLS_ARGS_H_
 #define SIMPUSH_TOOLS_ARGS_H_
@@ -63,10 +66,20 @@ class Args {
     return all;
   }
 
+  /// The flag as a number in strtod's syntax, or `fallback` when it is
+  /// absent. An empty value or trailing text prints an error naming the
+  /// flag and exits with status 2; range checks are the caller's.
   double GetDouble(const std::string& key, double fallback) const {
     const std::string* value = Find(key);
-    return value == nullptr || value->empty() ? fallback
-                                              : std::atof(value->c_str());
+    if (value == nullptr) return fallback;
+    char* end = nullptr;
+    const double parsed = std::strtod(value->c_str(), &end);
+    if (value->empty() || *end != '\0') {
+      std::fprintf(stderr, "bad --%s \"%s\": need a number\n", key.c_str(),
+                   value->c_str());
+      std::exit(2);
+    }
+    return parsed;
   }
 
   /// The flag as an unsigned decimal no larger than `max`, or

@@ -87,6 +87,15 @@ R11 one-publish-path
     `.swap(...)`), so a second publish path cannot come back with its
     own copy of the record. Remove() retiring a generation with a bare
     `current.reset()` publishes nothing and is allowed.
+
+R12 two-thread-owners
+    Every thread the library starts is counted by an option: the HTTP
+    server's accept thread plus its num_workers, and each ThreadPool's
+    num_threads. So under src/ only serve/http_server.* and
+    common/thread_pool.* may construct or hold a std::thread or
+    std::jthread or call std::async; a background thread elsewhere
+    would be one no option bounds. std::thread::hardware_concurrency
+    and std::this_thread stay allowed everywhere.
 """
 
 from __future__ import annotations
@@ -183,6 +192,15 @@ CURRENT_ASSIGN = re.compile(
     r"(?:->|\.)\s*current\s*"
     r"(?:=(?!=)|\.\s*(?:reset\s*\(\s*[^)\s]|swap\s*\())"
 )
+
+# R12: the two owners of library threads.
+THREAD_OWNERS = {
+    "src/serve/http_server.h",
+    "src/serve/http_server.cc",
+    "src/common/thread_pool.h",
+    "src/common/thread_pool.cc",
+}
+THREAD_USE = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -434,6 +452,17 @@ class Linter:
                     "`current` assigned outside GraphRegistry::Publish; "
                     "publish through it",
                 )
+
+        # R12 — threads only where an option counts them.
+        if rel not in THREAD_OWNERS:
+            for lineno, line in enumerate(code_lines, 1):
+                if THREAD_USE.search(line):
+                    self.report(
+                        path, lineno, "two-thread-owners",
+                        "std::thread/jthread/async outside "
+                        "serve/http_server.* and common/thread_pool.*; run "
+                        "the work on a ThreadPool or the server's workers",
+                    )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
         if not CHAOS_TEST.exists():

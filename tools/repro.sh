@@ -81,6 +81,21 @@ for bad in -1 64MiB; do
     echo "simpush_cli --node $bad: exit $status, want 2" >&2; exit 1; }
 done
 
+echo "== double flags are whole numbers: trailing text or an empty value exits 2 naming the flag"
+for bad in 0.05x ""; do
+  status=0
+  "$CLI" topk --graph "$WORK/web.txt" --node 42 --k 3 --epsilon "$bad" \
+      > /dev/null 2> "$WORK/flag.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q -- "--epsilon" "$WORK/flag.err" || {
+    echo "simpush_cli topk --epsilon '$bad': exit $status, want 2" >&2; exit 1; }
+  status=0
+  timeout 10 "$SERVE" --graph "$WORK/web.txt" --port 0 --default-epsilon "$bad" \
+      2> "$WORK/flag.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q -- "--default-epsilon" "$WORK/flag.err" || {
+    echo "simpush_serve --default-epsilon '$bad': exit $status, want 2" >&2
+    exit 1; }
+done
+
 echo "== topk rejects an epsilon outside (0,1) for every method: exit 1"
 for method in simpush probesim sling prsim; do
   for eps in 0 -1 nan; do

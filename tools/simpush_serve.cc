@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Fail fast on bad process-default options — atof("nan") and
+  // Fail fast on bad process-default options — a parsed "nan" and
   // friends must die here, not as an error on every query. Per-tenant
   // ε values are validated by AddGraph below.
   if (const Status valid = service_options.query.Validate(); !valid.ok()) {
