@@ -172,12 +172,46 @@ void RunDataset(const DatasetSpec& spec) {
   }
 }
 
-// Full-vs-delta publish cost across a dirty-fraction sweep: the swap
-// cost the registry actually pays. A ≥1M-edge Chung-Lu graph is the
-// base generation; for each dirty fraction we damage that share of the
-// master's vertices with an update stream, then time SnapshotDelta
-// against the base (the registry's delta publish) vs a full canonical
-// Snapshot(). Bit-identity of the two outputs is verified per fraction.
+// True when `a` and `b` hold the same CSR rows in both directions.
+bool SameCsr(const Graph& a, const Graph& b) {
+  if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges()) {
+    return false;
+  }
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto out_a = a.OutNeighbors(v);
+    const auto out_b = b.OutNeighbors(v);
+    const auto in_a = a.InNeighbors(v);
+    const auto in_b = b.InNeighbors(v);
+    if (!std::equal(out_a.begin(), out_a.end(), out_b.begin(), out_b.end()) ||
+        !std::equal(in_a.begin(), in_a.end(), in_b.begin(), in_b.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Wall times of `reps` runs of `build`, after one untimed warm-up run.
+// The built graph is freed after the clock is read, so its
+// deallocation is not timed.
+template <typename BuildFn>
+BenchSamples TimeBuild(int reps, BuildFn build) {
+  BenchSamples samples;
+  for (int rep = -1; rep < reps; ++rep) {
+    Timer timer;
+    const auto built = build();
+    if (!built.ok()) std::exit(1);
+    if (rep >= 0) samples.per_iter_ms.push_back(timer.ElapsedSeconds() * 1e3);
+  }
+  return samples;
+}
+
+// Full-vs-patched publish cost across a dirty-fraction sweep. A
+// ≥1M-edge Chung-Lu graph is the base generation; for each dirty
+// fraction we damage that share of its vertices with an update stream,
+// then time PendingEdits::Merge against the base (the swap cost the
+// registry actually pays), DynamicGraph::SnapshotDelta of the same
+// stream, and a full canonical Snapshot(). Both patched outputs are
+// verified bit-identical to the full one per fraction.
 void RunDeltaSweep(const std::string& json_path) {
   const NodeId n = 200000;
   const EdgeId m = 1600000;
@@ -191,8 +225,8 @@ void RunDeltaSweep(const std::string& json_path) {
 
   std::printf("\n== delta publish sweep: Chung-Lu n=%u m=%llu ==\n", n,
               static_cast<unsigned long long>(base.num_edges()));
-  std::printf("%-12s %12s %14s %14s %10s\n", "dirty_frac", "dirty_verts",
-              "full(ms)", "delta(ms)", "speedup");
+  std::printf("%-12s %12s %14s %14s %14s %10s\n", "dirty_frac",
+              "dirty_verts", "full(ms)", "delta(ms)", "merge(ms)", "speedup");
 
   std::map<std::string, BenchSamples> trajectory;
   for (const double fraction : {0.0001, 0.001, 0.01, 0.05, 0.2}) {
@@ -205,38 +239,27 @@ void RunDeltaSweep(const std::string& json_path) {
     auto stream = GenerateUpdateStream(base, updates,
                                        /*delete_fraction=*/0.2,
                                        /*seed=*/1000 + updates);
-    if (!dynamic.Apply(stream).ok()) {
+    PendingEdits edits;
+    if (!dynamic.Apply(stream).ok() || !edits.Apply(base, stream).ok()) {
       std::fprintf(stderr, "FATAL: sweep stream failed to apply\n");
       std::exit(1);
     }
     const double dirty_fraction =
         static_cast<double>(dynamic.dirty_vertices()) / n;
 
-    // Bit-identity first (untimed): the delta output must equal the
-    // full canonical snapshot, which also warms both code paths before
-    // the measured reps.
+    // Bit-identity first (untimed): both patched outputs must equal the
+    // full canonical snapshot.
     {
       auto full = dynamic.Snapshot();
       auto delta = dynamic.SnapshotDelta(base);
-      if (!full.ok() || !delta.ok()) {
+      auto merged = edits.Merge(base);
+      if (!full.ok() || !delta.ok() || !merged.ok()) {
         std::fprintf(stderr, "FATAL: sweep snapshot failed\n");
         std::exit(1);
       }
-      bool identical = full->num_nodes() == delta->num_nodes() &&
-                       full->num_edges() == delta->num_edges();
-      for (NodeId v = 0; identical && v < full->num_nodes(); ++v) {
-        const auto out_a = full->OutNeighbors(v);
-        const auto out_b = delta->OutNeighbors(v);
-        const auto in_a = full->InNeighbors(v);
-        const auto in_b = delta->InNeighbors(v);
-        identical = std::equal(out_a.begin(), out_a.end(), out_b.begin(),
-                               out_b.end()) &&
-                    std::equal(in_a.begin(), in_a.end(), in_b.begin(),
-                               in_b.end());
-      }
-      if (!identical) {
+      if (!SameCsr(*full, *delta) || !SameCsr(*full, *merged)) {
         std::fprintf(stderr,
-                     "FATAL: delta snapshot diverged from full at "
+                     "FATAL: patched snapshot diverged from full at "
                      "fraction %g\n",
                      fraction);
         std::exit(1);
@@ -245,29 +268,20 @@ void RunDeltaSweep(const std::string& json_path) {
 
     // Time each path in its own loop: interleaving them makes the full
     // rebuild's ~5x larger working set (counting-sort scatter included)
-    // bleed cache/TLB pressure into the delta measurement.
-    BenchSamples full_samples, delta_samples;
-    for (int rep = -1; rep < reps; ++rep) {  // rep -1 warms, untimed.
-      Timer timer;
-      auto full = dynamic.Snapshot();
-      if (!full.ok()) std::exit(1);
-      if (rep >= 0) {
-        full_samples.per_iter_ms.push_back(timer.ElapsedSeconds() * 1e3);
-      }
-    }
-    for (int rep = -1; rep < reps; ++rep) {
-      Timer timer;
-      auto delta = dynamic.SnapshotDelta(base);
-      if (!delta.ok()) std::exit(1);
-      if (rep >= 0) {
-        delta_samples.per_iter_ms.push_back(timer.ElapsedSeconds() * 1e3);
-      }
-    }
+    // bleed cache/TLB pressure into the patched measurements.
+    BenchSamples full_samples =
+        TimeBuild(reps, [&] { return dynamic.Snapshot(); });
+    BenchSamples delta_samples =
+        TimeBuild(reps, [&] { return dynamic.SnapshotDelta(base); });
+    BenchSamples merge_samples =
+        TimeBuild(reps, [&] { return edits.Merge(base); });
 
     const double full_med = QuantileMs(full_samples.per_iter_ms, 0.5);
     const double delta_med = QuantileMs(delta_samples.per_iter_ms, 0.5);
+    const double merge_med = QuantileMs(merge_samples.per_iter_ms, 0.5);
     const double speedup = delta_med > 0 ? full_med / delta_med : 0;
-    for (BenchSamples* samples : {&full_samples, &delta_samples}) {
+    for (BenchSamples* samples :
+         {&full_samples, &delta_samples, &merge_samples}) {
       samples->counters["nodes"] = n;
       samples->counters["edges"] = static_cast<double>(dynamic.num_edges());
       samples->counters["dirty_vertices"] =
@@ -275,13 +289,17 @@ void RunDeltaSweep(const std::string& json_path) {
       samples->counters["dirty_fraction"] = dirty_fraction;
     }
     delta_samples.counters["speedup_vs_full"] = speedup;
+    merge_samples.counters["speedup_vs_full"] =
+        merge_med > 0 ? full_med / merge_med : 0;
 
     char label[32];
     std::snprintf(label, sizeof(label), "%.4f", fraction);
     trajectory["full_dirty_" + std::string(label)] = full_samples;
     trajectory["delta_dirty_" + std::string(label)] = delta_samples;
-    std::printf("%-12.4f %12zu %14.2f %14.2f %9.1fx\n", dirty_fraction,
-                dynamic.dirty_vertices(), full_med, delta_med, speedup);
+    trajectory["merge_dirty_" + std::string(label)] = merge_samples;
+    std::printf("%-12.4f %12zu %14.2f %14.2f %14.2f %9.1fx\n",
+                dirty_fraction, dynamic.dirty_vertices(), full_med, delta_med,
+                merge_med, speedup);
     std::fflush(stdout);
   }
 

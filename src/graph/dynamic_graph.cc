@@ -1,6 +1,7 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <compare>
 #include <cstddef>
 #include <string>
 #include <unordered_map>
@@ -21,10 +22,117 @@ bool SwapRemove(std::vector<NodeId>& vec, NodeId value) {
   return true;
 }
 
-// (src, dst) packed into one word for the batch-validation map.
+// (src, dst) packed into one word for the edge-count maps.
 uint64_t EdgeKey(NodeId src, NodeId dst) {
   return (static_cast<uint64_t>(src) << 32) | dst;
 }
+
+// Copies of src -> dst in `graph`, whose out-rows are sorted.
+// O(log d_O(src)).
+EdgeId CountCsrEdges(const Graph& graph, NodeId src, NodeId dst) {
+  const auto row = graph.OutNeighbors(src);
+  const auto [lo, hi] = std::equal_range(row.begin(), row.end(), dst);
+  return static_cast<EdgeId>(hi - lo);
+}
+
+// Batch-wide validation for Apply: simulates the batch against an edge
+// multiset without mutating anything. `count(src, dst)` reports the
+// copies of an in-range edge before the batch; per (src, dst) key the
+// map tracks how many copies would be available at each step. Counts
+// are loaded lazily on first touch, so validation costs one count per
+// distinct edge, not O(m).
+template <typename CountFn>
+Status ValidateBatch(NodeId num_nodes, const std::vector<EdgeUpdate>& updates,
+                     CountFn count) {
+  std::unordered_map<uint64_t, EdgeId> available;
+  available.reserve(updates.size());
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const EdgeUpdate& update = updates[i];
+    Status status = Status::OK();
+    if (update.src >= num_nodes || update.dst >= num_nodes) {
+      status = Status::InvalidArgument("edge endpoint out of range");
+    } else {
+      auto [it, first_touch] =
+          available.try_emplace(EdgeKey(update.src, update.dst), 0);
+      if (first_touch) it->second = count(update.src, update.dst);
+      if (update.kind == EdgeUpdate::Kind::kInsert) {
+        ++it->second;
+      } else if (it->second == 0) {
+        status = Status::NotFound("edge not present");
+      } else {
+        --it->second;
+      }
+    }
+    if (!status.ok()) {
+      return Status(status.code(), "update " + std::to_string(i) +
+                                       " rejected (no updates applied): " +
+                                       std::string(status.message()));
+    }
+  }
+  return Status::OK();
+}
+
+// Row v of one CSR direction of `graph` (out-rows when `out`), and the
+// flat index where it starts (v in [0, n], so RowBegin(n) == m).
+std::span<const NodeId> Row(const Graph& graph, bool out, NodeId v) {
+  return out ? graph.OutNeighbors(v) : graph.InNeighbors(v);
+}
+EdgeId RowBegin(const Graph& graph, bool out, NodeId v) {
+  return out ? graph.OutRowBegin(v) : graph.InRowBegin(v);
+}
+
+// Builds one CSR direction of an n-node snapshot patched onto `base`.
+// Rows the dirty-row source does not name are bulk-copied as maximal
+// runs straight out of the base's flat array: their content is already
+// canonical and their degrees are unchanged, so run lengths line up
+// exactly. The source is two callables: `next_dirty(v)` is the first
+// row >= v to rebuild (called with ascending v; every row at or past
+// the base's node count must be named), and `append_row(v)` appends
+// row v's canonical (sorted) contents to `flat`.
+template <typename NextDirtyFn, typename AppendRowFn>
+void BuildDeltaSide(const Graph& base, bool out, NodeId n,
+                    EdgeId total_edges, NextDirtyFn next_dirty,
+                    AppendRowFn append_row, std::vector<EdgeId>& offsets,
+                    std::vector<NodeId>& flat) {
+  offsets.resize(static_cast<size_t>(n) + 1);
+  offsets[0] = 0;
+  // Append into reserved capacity instead of resize-then-overwrite:
+  // the flat array is written exactly once (no zero-fill pass), which
+  // matters when the whole point is to be bandwidth-bound on ~m words.
+  flat.clear();
+  flat.reserve(total_edges);
+  for (NodeId v = 0; v < n;) {
+    const NodeId w = std::min(next_dirty(v), n);
+    if (w == v) {
+      append_row(v);
+      offsets[v + 1] = flat.size();
+      ++v;
+      continue;
+    }
+    // Rows are contiguous in the base's flat array, so the whole clean
+    // run [v, w) is one copy; its offsets are the base's, shifted by
+    // however much the dirty rows before it grew or shrank.
+    const EdgeId begin = RowBegin(base, out, v);
+    const NodeId* row = Row(base, out, v).data();
+    flat.insert(flat.end(), row, row + (RowBegin(base, out, w) - begin));
+    const EdgeId shift = offsets[v] - begin;
+    for (NodeId u = v; u < w; ++u) {
+      offsets[u + 1] = RowBegin(base, out, u + 1) + shift;
+    }
+    v = w;
+  }
+}
+
+// One row's net edit in a PendingEdits merge: `delta` copies of `col`
+// added to (or, when negative, removed from) row `row`. Sorts by
+// (row, col), which is unique per direction.
+struct RowEdit {
+  NodeId row;
+  NodeId col;
+  int64_t delta;
+
+  auto operator<=>(const RowEdit&) const = default;
+};
 
 }  // namespace
 
@@ -102,51 +210,15 @@ bool DynamicGraph::HasEdge(NodeId src, NodeId dst) const {
          neighbors.end();
 }
 
-EdgeId DynamicGraph::CountEdges(NodeId src, NodeId dst) const {
-  return static_cast<EdgeId>(
-      std::count(out_[src].begin(), out_[src].end(), dst));
-}
-
-Status DynamicGraph::ValidateBatch(
-    const std::vector<EdgeUpdate>& updates) const {
-  // Simulate the batch against the live edge multiset: per (src, dst)
-  // key, track how many copies would be available at each step. The
-  // live count is loaded lazily on first touch, so validation costs
-  // O(sum of touched out-degrees), not O(m).
-  std::unordered_map<uint64_t, EdgeId> available;
-  available.reserve(updates.size());
-  for (size_t i = 0; i < updates.size(); ++i) {
-    const EdgeUpdate& update = updates[i];
-    Status status = Status::OK();
-    if (update.src >= num_nodes() || update.dst >= num_nodes()) {
-      status = Status::InvalidArgument("edge endpoint out of range");
-    } else {
-      auto [it, first_touch] =
-          available.try_emplace(EdgeKey(update.src, update.dst), 0);
-      if (first_touch) it->second = CountEdges(update.src, update.dst);
-      if (update.kind == EdgeUpdate::Kind::kInsert) {
-        ++it->second;
-      } else if (it->second == 0) {
-        status = Status::NotFound("edge not present");
-      } else {
-        --it->second;
-      }
-    }
-    if (!status.ok()) {
-      return Status(status.code(), "update " + std::to_string(i) +
-                                       " rejected (no updates applied): " +
-                                       std::string(status.message()));
-    }
-  }
-  return Status::OK();
-}
-
 Status DynamicGraph::Apply(const std::vector<EdgeUpdate>& updates) {
   // Validate-then-mutate: a rejected batch must leave the graph (and
-  // its dirty tracking) byte-identical to before the call, so the
-  // serving layer can 4xx a bad batch without the next hot swap
-  // publishing a half-applied prefix.
-  SIMPUSH_RETURN_NOT_OK(ValidateBatch(updates));
+  // its dirty tracking) byte-identical to before the call, so a caller
+  // can reject a bad batch without a half-applied prefix surviving it.
+  SIMPUSH_RETURN_NOT_OK(
+      ValidateBatch(num_nodes(), updates, [this](NodeId src, NodeId dst) {
+        return static_cast<EdgeId>(
+            std::count(out_[src].begin(), out_[src].end(), dst));
+      }));
   for (const EdgeUpdate& update : updates) {
     const Status status = update.kind == EdgeUpdate::Kind::kInsert
                               ? AddEdge(update.src, update.dst)
@@ -182,66 +254,12 @@ StatusOr<Graph> DynamicGraph::Snapshot() const {
   return Graph::FromSortedCsr(n, std::move(offsets), std::move(targets));
 }
 
-namespace {
-
-// Builds one CSR side of a delta snapshot. Clean rows (not dirty and
-// present in the base) are bulk-copied as maximal runs straight out of
-// the base's flat array — their content is already canonical and their
-// degrees are unchanged, so run lengths line up exactly. Dirty rows and
-// rows past the base's node count are copied from the live adjacency
-// and sorted locally, restoring the canonical order that swap-with-back
-// deletions scrambled.
-// `base_row_begin(v)` is the flat index of v's base row (valid for
-// v in [0, base_n], so run lengths come from adjacent differences);
-// `base_row_data(v)` is the pointer to its first element.
-template <typename RowBeginFn, typename RowDataFn>
-void BuildDeltaSide(NodeId n, NodeId base_n, EdgeId total_edges,
-                    const std::vector<std::vector<NodeId>>& adj,
-                    const std::vector<uint8_t>& dirty,
-                    RowBeginFn base_row_begin, RowDataFn base_row_data,
-                    std::vector<EdgeId>& offsets,
-                    std::vector<NodeId>& flat) {
-  offsets.resize(static_cast<size_t>(n) + 1);
-  offsets[0] = 0;
-  // Append into reserved capacity instead of resize-then-overwrite:
-  // the flat array is written exactly once (no zero-fill pass), which
-  // matters when the whole point is to be bandwidth-bound on ~m words.
-  flat.clear();
-  flat.reserve(total_edges);
-  NodeId v = 0;
-  while (v < n) {
-    if (v < base_n && dirty[v] == 0) {
-      NodeId w = v + 1;
-      while (w < base_n && dirty[w] == 0) ++w;
-      // Rows are contiguous in the base's flat array, so the whole
-      // clean run [v, w) is one copy; its offsets are the base's,
-      // shifted by however much the dirty rows before it grew/shrank.
-      const NodeId* row = base_row_data(v);
-      flat.insert(flat.end(), row, row + (base_row_begin(w) - base_row_begin(v)));
-      const EdgeId shift = offsets[v] - base_row_begin(v);
-      for (NodeId u = v; u < w; ++u) {
-        offsets[u + 1] = base_row_begin(u + 1) + shift;
-      }
-      v = w;
-    } else {
-      flat.insert(flat.end(), adj[v].begin(), adj[v].end());
-      std::sort(flat.end() - static_cast<ptrdiff_t>(adj[v].size()),
-                flat.end());
-      offsets[v + 1] = offsets[v] + adj[v].size();
-      ++v;
-    }
-  }
-}
-
-}  // namespace
-
 StatusOr<Graph> DynamicGraph::SnapshotDelta(const Graph& base) const {
   // Cheap base check: `base` must be the canonical snapshot of this
   // graph at the last MarkClean() point. Node/edge counts recorded then
-  // catch every registry-level misuse (stale generation, wrong tenant's
-  // graph after a resize); byte-level agreement of clean rows is the
-  // documented contract, enforced end-to-end by the randomized
-  // delta-vs-full property suite.
+  // catch a stale base or another graph's snapshot; byte-level
+  // agreement of clean rows is the documented contract, enforced
+  // end-to-end by the randomized delta-vs-full property suite.
   if (base.num_nodes() != clean_nodes_ || base.num_edges() != clean_edges_) {
     return Status::FailedPrecondition(
         "delta base does not match the last marked-clean snapshot");
@@ -251,19 +269,29 @@ StatusOr<Graph> DynamicGraph::SnapshotDelta(const Graph& base) const {
 
   std::vector<EdgeId> out_offsets, in_offsets;
   std::vector<NodeId> out_targets, in_sources;
-  // The base's rows are contiguous per direction, so OutRowBegin /
-  // InRowBegin plus the first row's data pointer address the whole flat
-  // array; clean-run copies never cross a dirty row's boundary.
-  BuildDeltaSide(
-      n, base_n, num_edges_, out_, dirty_out_,
-      [&base](NodeId v) { return base.OutRowBegin(v); },
-      [&base](NodeId v) { return base.OutNeighbors(v).data(); },
-      out_offsets, out_targets);
-  BuildDeltaSide(
-      n, base_n, num_edges_, in_, dirty_in_,
-      [&base](NodeId v) { return base.InRowBegin(v); },
-      [&base](NodeId v) { return base.InNeighbors(v).data(); },
-      in_offsets, in_sources);
+  // Dirty rows, and rows past the base's node count, are copied from the
+  // live adjacency and sorted locally, restoring the canonical order
+  // that swap-with-back deletions scrambled.
+  const auto build_side = [&](bool out,
+                              const std::vector<std::vector<NodeId>>& adj,
+                              const std::vector<uint8_t>& dirty,
+                              std::vector<EdgeId>& offsets,
+                              std::vector<NodeId>& flat) {
+    BuildDeltaSide(
+        base, out, n, num_edges_,
+        [&](NodeId v) {
+          while (v < base_n && dirty[v] == 0) ++v;
+          return v;
+        },
+        [&](NodeId v) {
+          flat.insert(flat.end(), adj[v].begin(), adj[v].end());
+          std::sort(flat.end() - static_cast<ptrdiff_t>(adj[v].size()),
+                    flat.end());
+        },
+        offsets, flat);
+  };
+  build_side(/*out=*/true, out_, dirty_out_, out_offsets, out_targets);
+  build_side(/*out=*/false, in_, dirty_in_, in_offsets, in_sources);
   return Graph::FromSortedCsrPair(n, std::move(out_offsets),
                                   std::move(out_targets),
                                   std::move(in_offsets),
@@ -285,6 +313,88 @@ size_t DynamicGraph::MemoryBytes() const {
   bytes += (out_.capacity() + in_.capacity()) * sizeof(std::vector<NodeId>);
   bytes += dirty_out_.capacity() + dirty_in_.capacity();
   return bytes;
+}
+
+Status PendingEdits::Apply(const Graph& base,
+                           const std::vector<EdgeUpdate>& updates) {
+  SIMPUSH_RETURN_NOT_OK(ValidateBatch(
+      base.num_nodes(), updates, [&](NodeId src, NodeId dst) {
+        const auto it = net_.find(EdgeKey(src, dst));
+        const int64_t net = it == net_.end() ? 0 : it->second;
+        return static_cast<EdgeId>(
+            static_cast<int64_t>(CountCsrEdges(base, src, dst)) + net);
+      }));
+  for (const EdgeUpdate& update : updates) {
+    const int64_t delta = update.kind == EdgeUpdate::Kind::kInsert ? 1 : -1;
+    net_[EdgeKey(update.src, update.dst)] += delta;
+    net_edges_ += delta;
+    touched_.insert(update.src);
+    touched_.insert(update.dst);
+  }
+  return Status::OK();
+}
+
+StatusOr<Graph> PendingEdits::Merge(const Graph& base) const {
+  // An edit (src, dst) patches src's out-row at dst and dst's in-row at
+  // src; pairs whose edits cancelled out leave both rows clean.
+  std::vector<RowEdit> out_edits, in_edits;
+  for (const auto& [key, delta] : net_) {
+    if (delta == 0) continue;
+    const auto src = static_cast<NodeId>(key >> 32);
+    const auto dst = static_cast<NodeId>(key);
+    if (src >= base.num_nodes() || dst >= base.num_nodes() ||
+        static_cast<int64_t>(CountCsrEdges(base, src, dst)) + delta < 0) {
+      return Status::FailedPrecondition(
+          "merge base does not hold the edges the pending edits delete");
+    }
+    out_edits.push_back({src, dst, delta});
+    in_edits.push_back({dst, src, delta});
+  }
+  const auto total_edges =
+      static_cast<EdgeId>(static_cast<int64_t>(base.num_edges()) + net_edges_);
+  // Each edited row is merged from its sorted base row: copy up to the
+  // edit's column, then add or skip |delta| copies of it.
+  const auto merge_side = [&](bool out, std::vector<RowEdit>& edits,
+                              std::vector<EdgeId>& offsets,
+                              std::vector<NodeId>& flat) {
+    std::sort(edits.begin(), edits.end());
+    size_t next = 0;  // First edit not merged yet.
+    BuildDeltaSide(
+        base, out, base.num_nodes(), total_edges,
+        [&](NodeId) {
+          return next < edits.size() ? edits[next].row : kInvalidNode;
+        },
+        [&](NodeId v) {
+          const auto row = Row(base, out, v);
+          auto it = row.begin();
+          for (; next < edits.size() && edits[next].row == v; ++next) {
+            const RowEdit& edit = edits[next];
+            const auto at = std::lower_bound(it, row.end(), edit.col);
+            flat.insert(flat.end(), it, at);
+            if (edit.delta > 0) {
+              flat.insert(flat.end(), static_cast<size_t>(edit.delta),
+                          edit.col);
+            }
+            it = edit.delta < 0 ? at - edit.delta : at;
+          }
+          flat.insert(flat.end(), it, row.end());
+        },
+        offsets, flat);
+  };
+  std::vector<EdgeId> out_offsets, in_offsets;
+  std::vector<NodeId> out_targets, in_sources;
+  merge_side(/*out=*/true, out_edits, out_offsets, out_targets);
+  merge_side(/*out=*/false, in_edits, in_offsets, in_sources);
+  return Graph::FromSortedCsrPair(base.num_nodes(), std::move(out_offsets),
+                                  std::move(out_targets),
+                                  std::move(in_offsets),
+                                  std::move(in_sources));
+}
+
+void PendingEdits::Clear() {
+  net_.clear();
+  touched_.clear();
+  net_edges_ = 0;
 }
 
 std::vector<EdgeUpdate> GenerateUpdateStream(const Graph& graph,

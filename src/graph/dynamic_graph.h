@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -28,6 +30,43 @@ struct EdgeUpdate {
   Kind kind = Kind::kInsert;
   NodeId src = 0;
   NodeId dst = 0;
+};
+
+/// The edge updates accepted against an immutable base graph and not yet
+/// folded into it: a net copy count per (src, dst) pair plus the
+/// vertices the accepted updates touched. The serving registry keeps one
+/// per tenant in place of a mutable copy of the graph, and builds each
+/// hot swap by merging the edits into the live generation's CSR pair.
+class PendingEdits {
+ public:
+  /// Applies a batch ATOMICALLY against `base` plus the edits already
+  /// pending, with DynamicGraph::Apply's contract and error texts: both
+  /// endpoints are range-checked before any row of `base` is read, an
+  /// insert earlier in the batch can satisfy a later delete, and a
+  /// rejected batch changes nothing.
+  Status Apply(const Graph& base, const std::vector<EdgeUpdate>& updates);
+
+  /// The canonical snapshot of `base` with the pending edits applied:
+  /// byte-identical to DynamicGraph::Snapshot() of the same edge
+  /// multiset. Runs of rows with no net edit are copied straight out of
+  /// `base`'s arrays; each row with one is merged from its base row.
+  /// `base` must hold the edges the edits were validated against;
+  /// FailedPrecondition when it lacks an edge a pending delete removes.
+  StatusOr<Graph> Merge(const Graph& base) const;
+
+  /// Drops every pending edit.
+  void Clear();
+
+  /// Edges the pending edits add, net (negative when they remove more).
+  int64_t net_edges() const { return net_edges_; }
+  /// Distinct vertices an accepted update touched, counted exactly as
+  /// DynamicGraph::dirty_vertices() counts them.
+  size_t dirty_vertices() const { return touched_.size(); }
+
+ private:
+  std::unordered_map<uint64_t, int64_t> net_;  // (src << 32 | dst) -> copies.
+  std::unordered_set<NodeId> touched_;
+  int64_t net_edges_ = 0;
 };
 
 /// Mutable directed graph with per-node out/in adjacency vectors.
@@ -105,8 +144,8 @@ class DynamicGraph {
   /// two DynamicGraphs holding the same edge multiset produce
   /// byte-identical snapshots regardless of the insert/delete history
   /// that built them — RemoveEdge's swap-with-back reordering never
-  /// leaks into a snapshot. Registry hot swaps depend on this for
-  /// reproducibility.
+  /// leaks into a snapshot. It is the reference the registry's merged
+  /// publishes (PendingEdits::Merge) must equal byte for byte.
   StatusOr<Graph> Snapshot() const;
 
   /// Incremental canonical snapshot: produces a Graph byte-identical to
@@ -124,24 +163,20 @@ class DynamicGraph {
 
   /// Declares the current state clean: a snapshot taken now becomes the
   /// valid `base` for future SnapshotDelta calls, and the dirty set
-  /// resets. The registry calls this after (and only after) a
-  /// successful publish, so a failed publish keeps the dirty set intact
-  /// and the next rebuild still patches against the live generation.
+  /// resets. A caller that publishes snapshots calls this only after a
+  /// publish succeeds, so a failed one keeps the dirty set intact and
+  /// the next delta still patches against the snapshot left live.
   void MarkClean();
 
   /// Distinct vertices whose out- or in-adjacency changed since the
-  /// last MarkClean() (or construction). O(1); mirrored into /v1/stats.
+  /// last MarkClean() (or construction). O(1). PendingEdits counts the
+  /// same set for the registry's /v1/stats.
   size_t dirty_vertices() const { return dirty_count_; }
 
   /// Approximate heap footprint in bytes.
   size_t MemoryBytes() const;
 
  private:
-  // Batch-wide validation for Apply: simulates the batch against the
-  // live edge multiset without mutating anything.
-  Status ValidateBatch(const std::vector<EdgeUpdate>& updates) const;
-  // Occurrences of src->dst in the live out-adjacency. O(d_O(src)).
-  EdgeId CountEdges(NodeId src, NodeId dst) const;
   void MarkOutDirty(NodeId v);
   void MarkInDirty(NodeId v);
 

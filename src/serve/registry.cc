@@ -114,17 +114,18 @@ GraphRegistry::GraphRegistry(const RegistryOptions& options)
 
 Status GraphRegistry::Publish(Tenant* tenant, const GraphGeneration* base,
                               Graph graph, const SimPushOptions* options,
-                              bool delta, double build_ms) {
+                              double build_ms) {
   const uint64_t id = next_generation_id_.fetch_add(1);
   PublishRecord record;
   if (base != nullptr) record = base->publish();
   ++record.swap_count;
-  if (delta) ++record.delta_swaps;
   record.last_swap_ms = build_ms;
   if (options != nullptr) {
     record.options_generation = id;
   } else {
+    // A rebuild: the pending edits merged under `base`'s options.
     options = &base->core().options();
+    ++record.delta_swaps;
   }
   const size_t capacity = options_.pool_capacity != 0
                               ? options_.pool_capacity
@@ -161,11 +162,9 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
     // The counters exist before the first generation so every
     // generation (including this one) shares them.
     t->counters = std::make_shared<TenantCounters>();
+    t->master_edges.store(graph.num_edges());
     SIMPUSH_RETURN_NOT_OK(Publish(t, /*base=*/nullptr, std::move(graph),
-                                  &options, /*delta=*/false,
-                                  /*build_ms=*/0));
-    t->master = DynamicGraph::FromGraph(t->Current()->graph());
-    t->master_edges.store(t->master.num_edges());
+                                  &options, /*build_ms=*/0));
   }
 
   // Rejections return with `tenant` still owned locally: it was
@@ -222,29 +221,21 @@ StatusOr<GenerationLease> GraphRegistry::Lease(std::string_view name) const {
 }
 
 Status GraphRegistry::RebuildLocked(std::string_view name, Tenant* tenant) {
-  // Chaos hook: a rebuild that fails (snapshot OOM, bad state) must
+  // Chaos hook: a rebuild that fails (merge OOM, bad state) must
   // leave the tenant serving its old generation with nothing leaked.
   SIMPUSH_FAILPOINT("registry.rebuild");
   Timer timer;
   SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease base,
                            tenant->Published(name));
-  // Delta fast path: patch only the rows dirtied since the last publish
-  // into a copy of the live generation's CSR arrays. SnapshotDelta
-  // rejects a mismatched base (e.g. a failed publish left the dirty set
-  // spanning two generations), in which case we fall back to the full
-  // O(n+m) snapshot — the result is byte-identical either way, only the
-  // build cost differs.
-  StatusOr<Graph> snapshot = tenant->master.SnapshotDelta(base->graph());
-  const bool delta = snapshot.ok();
-  if (!delta) snapshot = tenant->master.Snapshot();
-  if (!snapshot.ok()) return snapshot.status();
+  // Merge the pending edits into a copy of the live generation's CSR
+  // arrays: rows no edit touched are copied as runs.
+  SIMPUSH_ASSIGN_OR_RETURN(Graph graph, tenant->edits.Merge(base->graph()));
   // No options: a hot swap keeps the tenant's ε/c/δ/seed from `base`.
-  SIMPUSH_RETURN_NOT_OK(Publish(tenant, base.get(), *std::move(snapshot),
-                                /*options=*/nullptr, delta,
-                                timer.ElapsedMillis()));
-  // Only after a successful publish: a failed one keeps the dirty set,
-  // so the next rebuild still deltas against the still-live `base`.
-  tenant->master.MarkClean();
+  SIMPUSH_RETURN_NOT_OK(Publish(tenant, base.get(), std::move(graph),
+                                /*options=*/nullptr, timer.ElapsedMillis()));
+  // Only after a successful publish: a failed one keeps the edits, so
+  // the next rebuild merges them again against the still-live `base`.
+  tenant->edits.Clear();
   tenant->pending.store(0);
   tenant->dirty_vertices.store(0);
   return Status::OK();
@@ -259,12 +250,15 @@ StatusOr<UpdateOutcome> GraphRegistry::ApplyUpdates(
   // matches RebuildLocked's REQUIRES(tenant->update_mu).
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
-  const Status apply_status = t->master.Apply(updates);
+  // The edits are relative to the live generation; under update_mu no
+  // rebuild can replace it, and a removed tenant answers NotFound.
+  SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease live, t->Published(name));
+  const Status apply_status = t->edits.Apply(live->graph(), updates);
   if (!apply_status.ok()) {
-    // Atomic batch semantics (DynamicGraph::Apply): nothing was
-    // applied, the master is byte-identical to before the call, and no
-    // swap happens — the next publish serves exactly the pre-batch
-    // graph. Rewrap as InvalidArgument so an edge-level failure (e.g.
+    // Atomic batch semantics (PendingEdits::Apply): nothing was
+    // applied, the pending edits are as before the call, and no swap
+    // happens — the next publish serves exactly the pre-batch graph.
+    // Rewrap as InvalidArgument so an edge-level failure (e.g.
     // removing an absent edge) cannot be confused with the tenant
     // itself being missing.
     return Status::InvalidArgument("batch rejected: " +
@@ -272,8 +266,9 @@ StatusOr<UpdateOutcome> GraphRegistry::ApplyUpdates(
   }
   t->pending.fetch_add(updates.size());
   t->updates_applied.fetch_add(updates.size());
-  t->master_edges.store(t->master.num_edges());
-  t->dirty_vertices.store(t->master.dirty_vertices());
+  t->master_edges.store(static_cast<uint64_t>(
+      static_cast<int64_t>(live->graph().num_edges()) + t->edits.net_edges()));
+  t->dirty_vertices.store(t->edits.dirty_vertices());
   const bool threshold_hit = options_.swap_threshold != 0 &&
                              t->pending.load() >= options_.swap_threshold;
   const bool swap = (force_swap || threshold_hit) && t->pending.load() > 0;
@@ -302,11 +297,12 @@ StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
   Timer timer;
   SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease current,
                            t->Published(name));
-  // Re-publish the CURRENT generation's graph, not a master snapshot:
-  // an options change must not smuggle in pending edge updates.
+  // Re-publish the CURRENT generation's graph, without the pending
+  // edits: an options change must not smuggle in edge updates. The
+  // copy holds the same edges, so the edits still merge against it.
   Graph graph(current->graph());
   SIMPUSH_RETURN_NOT_OK(Publish(t, current.get(), std::move(graph), &options,
-                                /*delta=*/false, timer.ElapsedMillis()));
+                                timer.ElapsedMillis()));
   return t->Outcome(0, /*swapped=*/true);
 }
 
@@ -316,7 +312,7 @@ StatusOr<TenantStats> GraphRegistry::Stats(std::string_view name) const {
   // One lease for every per-generation value, so they all describe the
   // same generation; atomic gauges, not update_mu, for the rest: a stats
   // scrape must never wait out a rebuild holding the lock across its
-  // O(m) snapshot.
+  // O(n+m) merge.
   SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease current,
                            tenant->Published(name));
   TenantStats stats;

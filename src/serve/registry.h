@@ -6,20 +6,20 @@
 // that changed a moment ago. The registry turns that into a serving
 // capability. Each named tenant owns
 //
-//   - a DynamicGraph *master* copy that absorbs AddEdge/RemoveEdge
-//     updates, and
 //   - a published *generation*: an immutable bundle of
 //     Graph snapshot + EngineCore + WorkspacePool, held through
-//     std::shared_ptr<const GraphGeneration>, and
+//     std::shared_ptr<const GraphGeneration>,
+//   - the PendingEdits accepted since that generation: a net count per
+//     edited (src, dst) pair, not a second copy of the graph, and
 //   - one TenantCounters record (cache, request and latency counters)
 //     that every generation of the tenant shares.
 //
 // Queries take a lease (a shared_ptr copy) on the current generation
-// and run entirely against that bundle; a swap builds the next
-// generation in the background — DynamicGraph::SnapshotDelta patches
-// the rows dirtied since the last publish into a copy of the live
-// generation's CSR arrays, falling back to a full Snapshot() when no
-// valid base exists — and then publishes it with one pointer store. In-flight queries keep serving
+// and run entirely against that bundle. A swap builds the next
+// generation in the background by merging the pending edits into a
+// copy of the live generation's CSR arrays (PendingEdits::Merge: runs
+// of untouched rows are copied, edited rows are patched), and then
+// publishes it with one pointer store. In-flight queries keep serving
 // from the generation they leased — they never block on a swap, never
 // observe a half-updated graph, and the old generation is freed
 // automatically when the last lease drops (classic RCU via shared_ptr
@@ -35,7 +35,7 @@
 // Thread-safety contract: every public method is safe from any thread.
 // Lease() is the hot path — a map lookup plus a shared_ptr copy under
 // short mutexes, no allocation. ApplyUpdates/Swap serialize per tenant
-// (updates to different tenants proceed in parallel); the O(m) snapshot
+// (updates to different tenants proceed in parallel); the O(n+m) merge
 // and rebuild happen outside any lock a query path takes.
 
 #ifndef SIMPUSH_SERVE_REGISTRY_H_
@@ -129,9 +129,9 @@ struct TenantCounters {
 struct PublishRecord {
   uint64_t options_generation = 0;  ///< Where its options took effect.
   uint64_t swap_count = 0;   ///< Generations published, this one included.
-  uint64_t delta_swaps = 0;  ///< Rebuilds that took the delta fast path.
-  /// Wall time of the snapshot (or graph copy) this generation was
-  /// built from, ms; 0 for the tenant's first generation.
+  uint64_t delta_swaps = 0;  ///< Rebuilds: generations merged from edits.
+  /// Wall time of the merge (or graph copy) this generation was built
+  /// from, ms; 0 for the tenant's first generation.
   double last_swap_ms = 0;
 };
 
@@ -209,14 +209,12 @@ struct TenantStats {
   uint64_t swap_count = 0;
   uint64_t delta_swaps = 0;
   double last_swap_ms = 0;
-  uint64_t pending_updates = 0;   ///< Master edits not yet snapshotted.
+  uint64_t pending_updates = 0;   ///< Accepted updates not yet published.
   uint64_t updates_applied = 0;   ///< Lifetime accepted edge updates.
-  /// Master vertices dirtied since the last publish — the delta cost
-  /// the next swap will pay.
-  size_t dirty_vertices = 0;
+  size_t dirty_vertices = 0;      ///< Vertices pending updates touched.
   NodeId num_nodes = 0;           ///< Nodes in the current generation.
   EdgeId num_edges = 0;           ///< Edges in the current generation.
-  EdgeId master_edges = 0;        ///< Edges in the master (incl. pending).
+  EdgeId master_edges = 0;        ///< num_edges + pending net edges.
   size_t pool_capacity = 0;       ///< Generation workspace pool cap.
   size_t pool_created = 0;
   size_t pool_outstanding = 0;
@@ -241,7 +239,7 @@ struct TenantStats {
 
 /// Result of an ApplyUpdates/Swap call.
 struct UpdateOutcome {
-  size_t applied = 0;        ///< Updates accepted by the master.
+  size_t applied = 0;        ///< Updates accepted.
   uint64_t pending = 0;      ///< Updates awaiting a swap afterwards.
   bool swapped = false;      ///< A new generation was published.
   uint64_t generation = 0;   ///< Current generation id afterwards.
@@ -275,23 +273,23 @@ class GraphRegistry {
   /// contention with rebuilds — swaps publish with one pointer store.
   StatusOr<GenerationLease> Lease(std::string_view name) const;
 
-  /// Applies `updates` to the tenant's master ATOMICALLY: the whole
-  /// batch is validated first (DynamicGraph::Apply), so a non-OK return
-  /// means the master — and therefore anything a later swap publishes —
-  /// is byte-identical to before the call. Triggers a swap when the
+  /// Adds `updates` to the tenant's pending edits ATOMICALLY: the whole
+  /// batch is validated first (PendingEdits::Apply against the live
+  /// generation), so a non-OK return leaves the edits — and anything a
+  /// later swap publishes — as they were. Triggers a swap when the
   /// pending count reaches options.swap_threshold (if nonzero) or
   /// `force_swap` is set. Serialized per tenant; never blocks queries.
   StatusOr<UpdateOutcome> ApplyUpdates(std::string_view name,
                                        const std::vector<EdgeUpdate>& updates,
                                        bool force_swap = false);
 
-  /// Rebuilds and publishes a new generation from the master now.
+  /// Merges the pending edits and publishes the result now.
   StatusOr<UpdateOutcome> Swap(std::string_view name);
 
   /// Replaces the tenant's engine options and re-publishes the CURRENT
   /// generation's graph under them (a new generation id; in-flight
   /// queries keep their leased generation, exactly like a hot swap).
-  /// Pending master updates are deliberately NOT consumed: an options
+  /// Pending updates are deliberately NOT consumed: an options
   /// change must not smuggle in edges that were awaiting an explicit
   /// swap — they stay pending and apply at the next Swap/threshold.
   /// The new options govern every later generation the tenant
@@ -323,13 +321,13 @@ class GraphRegistry {
   // Everything about a tenant that is not a fact of one generation. A
   // generation carries its own options and PublishRecord.
   struct Tenant {
-    // Serializes master mutation + snapshot + publish for this tenant.
-    // Never held while executing queries; Lease() does not take it.
+    // Serializes edit + merge + publish for this tenant. Never held
+    // while executing queries; Lease() does not take it.
     Mutex update_mu;
-    DynamicGraph master SIMPUSH_GUARDED_BY(update_mu);
+    PendingEdits edits SIMPUSH_GUARDED_BY(update_mu);  // Since `current`.
     // Between-publish gauges mirrored as atomics (written under
     // update_mu, read anywhere) so Stats() never waits out a rebuild,
-    // which holds update_mu across the whole O(m) snapshot.
+    // which holds update_mu across the whole O(n+m) merge.
     std::atomic<uint64_t> pending{0};
     std::atomic<uint64_t> updates_applied{0};
     std::atomic<uint64_t> master_edges{0};
@@ -354,17 +352,17 @@ class GraphRegistry {
   };
 
   // The one path that builds and publishes a generation: `graph` under
-  // `options` (null keeps `base`'s), with a PublishRecord continuing
-  // `base`'s, the tenant's current generation (null for its first).
-  // `delta` (a delta snapshot) and `build_ms` (the time spent producing
-  // `graph`; 0 for a create) go into the record.
+  // `options`, with a PublishRecord continuing `base`'s, the tenant's
+  // current generation (null for its first), and `build_ms` (the time
+  // spent producing `graph`; 0 for a create). Null `options` is a
+  // rebuild: it keeps `base`'s options and counts in delta_swaps.
   Status Publish(Tenant* tenant, const GraphGeneration* base, Graph graph,
-                 const SimPushOptions* options, bool delta, double build_ms)
+                 const SimPushOptions* options, double build_ms)
       SIMPUSH_REQUIRES(tenant->update_mu);
-  // Snapshots tenant->master and publishes the result. The REQUIRES
-  // annotation is the compiler-checked form of "caller holds
-  // tenant->update_mu" — call sites must lock through a raw Tenant*
-  // so the capability expression matches.
+  // Merges tenant->edits into the live generation's graph and publishes
+  // the result. The REQUIRES annotation is the compiler-checked form of
+  // "caller holds tenant->update_mu" — call sites must lock through a
+  // raw Tenant* so the capability expression matches.
   Status RebuildLocked(std::string_view name, Tenant* tenant)
       SIMPUSH_REQUIRES(tenant->update_mu);
   StatusOr<std::shared_ptr<Tenant>> FindTenant(std::string_view name) const

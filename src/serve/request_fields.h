@@ -70,7 +70,7 @@ Status ReadTenantOptions(const JsonValue& doc, double min_epsilon,
 
 /// Reads [[src,dst],...] into `updates` as `kind` entries. Pair entries
 /// must be two-element arrays of valid node indices (range-checked
-/// against the registry master later, where n is known).
+/// against the tenant's live graph later, where n is known).
 Status ReadEdgePairs(const JsonValue& field, EdgeUpdate::Kind kind,
                      std::vector<EdgeUpdate>* updates);
 

@@ -380,6 +380,88 @@ TEST(DynamicGraphTest, SnapshotDeltaBitIdenticalAcrossRandomHistories) {
   }
 }
 
+// PendingEdits against a DynamicGraph mirror: every batch is accepted or
+// rejected alike with the same message, the gauges agree, and each
+// Merge is bit-identical to the mirror's full Snapshot(). The next
+// round merges against the previous merge's output, so drift would
+// compound and be caught.
+TEST(PendingEditsTest, MergeBitIdenticalAcrossRandomHistories) {
+  for (const uint64_t seed : {3u, 8u, 99u}) {
+    Rng rng(seed);
+    auto seeded = GenerateErdosRenyi(30, 150, /*seed=*/seed * 17 + 5);
+    ASSERT_TRUE(seeded.ok());
+    Graph base = *std::move(seeded);
+    DynamicGraph mirror = DynamicGraph::FromGraph(base);
+    const NodeId n = base.num_nodes();
+    for (int publish = 0; publish < 6; ++publish) {
+      PendingEdits edits;
+      for (int batch_index = 0; batch_index < 4; ++batch_index) {
+        auto snapshot = mirror.Snapshot();
+        ASSERT_TRUE(snapshot.ok());
+        std::vector<EdgeUpdate> batch = GenerateUpdateStream(
+            *snapshot, 1 + rng.NextBounded(12), 0.4, rng.Next());
+        // A parallel copy, an insert-then-delete of one edge, and now
+        // and then an update that sinks the whole batch.
+        const auto src = static_cast<NodeId>(rng.NextBounded(n));
+        const auto dst = static_cast<NodeId>(rng.NextBounded(n));
+        batch.push_back({EdgeUpdate::Kind::kInsert, src, dst});
+        batch.push_back({EdgeUpdate::Kind::kInsert, src, dst});
+        batch.push_back({EdgeUpdate::Kind::kDelete, src, dst});
+        if (rng.NextBounded(4) == 0) {
+          batch.push_back({EdgeUpdate::Kind::kDelete, src, dst});
+          batch.push_back({EdgeUpdate::Kind::kDelete, src, dst});
+        }
+        if (rng.NextBounded(6) == 0) {
+          batch.push_back({EdgeUpdate::Kind::kInsert, n, 0});
+        }
+        const Status mirrored = mirror.Apply(batch);
+        const Status status = edits.Apply(base, batch);
+        EXPECT_EQ(status.code(), mirrored.code());
+        EXPECT_EQ(status.message(), mirrored.message());
+        EXPECT_EQ(static_cast<int64_t>(base.num_edges()) + edits.net_edges(),
+                  static_cast<int64_t>(mirror.num_edges()));
+        EXPECT_EQ(edits.dirty_vertices(), mirror.dirty_vertices());
+      }
+      auto merged = edits.Merge(base);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      ASSERT_TRUE(merged->Validate().ok());
+      auto full = mirror.Snapshot();
+      ASSERT_TRUE(full.ok());
+      {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " publish " +
+                     std::to_string(publish));
+        ExpectBitIdentical(*full, *merged);
+      }
+      base = *std::move(merged);
+      mirror.MarkClean();
+    }
+  }
+}
+
+// Merge refuses a base that lacks an edge a pending delete removes, and
+// after Clear() a merge copies the base.
+TEST(PendingEditsTest, MergeRejectsBaseWithoutDeletedEdgeAndClearResets) {
+  DynamicGraph dynamic(4);
+  ASSERT_TRUE(dynamic.AddEdge(0, 1).ok());
+  ASSERT_TRUE(dynamic.AddEdge(1, 2).ok());
+  auto base = dynamic.Snapshot();
+  auto edgeless = DynamicGraph(4).Snapshot();
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(edgeless.ok());
+
+  PendingEdits edits;
+  ASSERT_TRUE(edits.Apply(*base, {{EdgeUpdate::Kind::kDelete, 0, 1}}).ok());
+  EXPECT_EQ(edits.Merge(*edgeless).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  edits.Clear();
+  EXPECT_EQ(edits.net_edges(), 0);
+  EXPECT_EQ(edits.dirty_vertices(), 0u);
+  auto copy = edits.Merge(*base);
+  ASSERT_TRUE(copy.ok());
+  ExpectBitIdentical(*base, *copy);
+}
+
 TEST(DynamicGraphTest, MemoryBytesGrowsWithEdges) {
   DynamicGraph small(100);
   DynamicGraph big(100);

@@ -19,7 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/memory.h"
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "simpush/query_runner.h"
 #include "simpush/workspace.h"
@@ -451,6 +453,160 @@ TEST(RegistryTest, StatsTrackEachPublish) {
                                 /*force_swap=*/true)
                   .ok());
   check({4, &second, 3, 4, 2, true});
+}
+
+// The publish path against a DynamicGraph mirror over a seeded random
+// history: parallel edges, deletes of base edges, an insert and a
+// delete of the same edge in one batch, rejected batches, failed
+// publishes and options changes while edits are pending. After every
+// publish the generation's CSR must equal the mirror's full Snapshot(),
+// and between publishes the pending gauges must match the mirror.
+TEST(RegistryTest, PublishMatchesMirrorOverRandomHistory) {
+  using Kind = EdgeUpdate::Kind;
+  GraphRegistry registry(FastRegistryOptions());
+  const Graph initial = testing_util::RandomGraph(40, 160, 17);
+  ASSERT_TRUE(registry.Add("g", Graph(initial), FastOptions()).ok());
+  DynamicGraph mirror = DynamicGraph::FromGraph(initial);
+  const NodeId n = initial.num_nodes();
+  Graph published = initial;
+  uint64_t pending = 0;
+
+  const auto expect_gauges = [&](int round) {
+    const auto stats = registry.Stats("g");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->pending_updates, pending) << "round " << round;
+    EXPECT_EQ(stats->master_edges, mirror.num_edges()) << "round " << round;
+    EXPECT_EQ(stats->dirty_vertices, mirror.dirty_vertices())
+        << "round " << round;
+  };
+  const auto expect_published = [&](int round) {
+    const auto lease = registry.Lease("g");
+    ASSERT_TRUE(lease.ok());
+    EXPECT_TRUE(testing_util::CsrOf((*lease)->graph()) ==
+                testing_util::CsrOf(published))
+        << "round " << round;
+  };
+  // Both sides must accept or reject `batch` alike, with the registry's
+  // error being the mirror's behind its "batch rejected: " prefix.
+  const auto apply_both = [&](const std::vector<EdgeUpdate>& batch) {
+    const auto outcome = registry.ApplyUpdates("g", batch);
+    const Status mirrored = mirror.Apply(batch);
+    EXPECT_EQ(outcome.ok(), mirrored.ok()) << mirrored.ToString();
+    if (mirrored.ok()) {
+      pending += batch.size();
+    } else if (!outcome.ok()) {
+      EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(outcome.status().message(),
+                "batch rejected: " + mirrored.message());
+    }
+    return mirrored.ok();
+  };
+
+  Rng rng(20261019);
+  int rejected = 0;
+  int failed_publishes = 0;
+  int options_changes = 0;
+  for (int round = 0; round < 80; ++round) {
+    // Deletes and parallel copies pick from the edges live at the start
+    // of the round, base edges included; two deletes of a single copy
+    // make the batch fail, as does the absent-edge delete appended to
+    // every eighth batch.
+    std::vector<std::pair<NodeId, NodeId>> live;
+    const auto snapshot = mirror.Snapshot();
+    ASSERT_TRUE(snapshot.ok());
+    for (NodeId v = 0; v < n; ++v) {
+      for (const NodeId w : snapshot->OutNeighbors(v)) live.emplace_back(v, w);
+    }
+    std::vector<EdgeUpdate> batch;
+    const uint64_t size = 1 + rng.NextBounded(6);
+    for (uint64_t i = 0; i < size; ++i) {
+      const auto src = static_cast<NodeId>(rng.NextBounded(n));
+      const auto dst = static_cast<NodeId>(rng.NextBounded(n));
+      const auto [live_src, live_dst] = live[rng.NextBounded(live.size())];
+      switch (rng.NextBounded(4)) {
+        case 0:
+          batch.push_back({Kind::kDelete, live_src, live_dst});
+          break;
+        case 1:
+          batch.push_back({Kind::kInsert, live_src, live_dst});
+          break;
+        case 2:
+          batch.push_back({Kind::kInsert, src, dst});
+          batch.push_back({Kind::kDelete, src, dst});
+          break;
+        default:
+          batch.push_back({Kind::kInsert, src, dst});
+      }
+    }
+    if (round % 8 == 7) {
+      NodeId src = 0;
+      NodeId dst = 0;
+      while (mirror.HasEdge(src, dst)) ++dst;
+      batch.push_back({Kind::kDelete, src, dst});
+    }
+    if (!apply_both(batch)) ++rejected;
+    expect_gauges(round);
+
+    switch (rng.NextBounded(5)) {
+      case 0: {
+        ASSERT_TRUE(registry.Swap("g").ok());
+        auto next = mirror.Snapshot();
+        ASSERT_TRUE(next.ok());
+        published = *std::move(next);
+        mirror.MarkClean();
+        pending = 0;
+        break;
+      }
+      case 1:
+        // The merged generation is built, then the publish fails: the
+        // edits stay pending against the still-live generation.
+        ASSERT_TRUE(FailpointRegistry::Get()
+                        .Activate("registry.publish", "error")
+                        .ok());
+        EXPECT_FALSE(registry.Swap("g").ok());
+        FailpointRegistry::Get().Deactivate("registry.publish");
+        ++failed_publishes;
+        break;
+      case 2: {
+        // Re-publishes the live graph under new options; the edits stay
+        // pending and must still merge against the re-published copy.
+        SimPushOptions options = FastOptions();
+        options.epsilon = round % 2 == 0 ? 0.2 : 0.1;
+        ASSERT_TRUE(registry.UpdateOptions("g", options).ok());
+        ++options_changes;
+        break;
+      }
+      default:
+        break;
+    }
+    expect_published(round);
+    expect_gauges(round);
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(failed_publishes, 0);
+  EXPECT_GT(options_changes, 0);
+
+  // Out-of-range endpoints, including the 2^32-1 sentinel edge-list
+  // parsing admits, reject the whole batch before any CSR row is read
+  // and leave nothing pending.
+  for (const NodeId bad : {n, NodeId{4294967295u}}) {
+    for (const EdgeUpdate& update :
+         {EdgeUpdate{Kind::kInsert, bad, 0}, EdgeUpdate{Kind::kInsert, 0, bad},
+          EdgeUpdate{Kind::kDelete, bad, 0},
+          EdgeUpdate{Kind::kDelete, 0, bad}}) {
+      EXPECT_FALSE(apply_both({{Kind::kInsert, 1, 2}, update}));
+      const auto outcome = registry.ApplyUpdates("g", {update});
+      ASSERT_FALSE(outcome.ok());
+      EXPECT_NE(outcome.status().message().find("edge endpoint out of range"),
+                std::string::npos);
+      expect_gauges(-1);
+    }
+  }
+  ASSERT_TRUE(registry.Swap("g").ok());
+  auto last = mirror.Snapshot();
+  ASSERT_TRUE(last.ok());
+  published = *std::move(last);
+  expect_published(-1);
 }
 
 // The headline stress: four threads hammer one tenant while the main

@@ -1,6 +1,9 @@
 // Minimal --flag value parser shared by simpush_cli and simpush_serve.
 // Flags come as "--name value" pairs and may repeat: GetAll returns
 // every value in order, and the last value wins for the scalar getters.
+// Every argument must fit that shape: a word in flag position that does
+// not start with "--", or a last flag with no value, is an error naming
+// it (exit status 2), so no flag is silently dropped.
 //
 // Numeric flags are strict. An integer flag is an unsigned decimal
 // number with no sign, suffix or surrounding text, no larger than the
@@ -42,12 +45,20 @@ inline bool ParseUnsignedDecimal(const std::string& text, uint64_t max,
 
 class Args {
  public:
-  /// Reads the pairs in argv[first..argc).
+  /// Reads the pairs in argv[first..argc). An argument that does not
+  /// fit a pair prints an error naming it and exits with status 2.
   Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_.emplace_back(argv[i] + 2, argv[i + 1]);
+    for (int i = first; i < argc; i += 2) {
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        std::fprintf(stderr, "unexpected argument \"%s\": need --flag value\n",
+                     argv[i]);
+        std::exit(2);
       }
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "flag %s has no value\n", argv[i]);
+        std::exit(2);
+      }
+      values_.emplace_back(argv[i] + 2, argv[i + 1]);
     }
   }
 

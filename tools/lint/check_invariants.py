@@ -96,6 +96,14 @@ R12 two-thread-owners
     std::jthread or call std::async; a background thread elsewhere
     would be one no option bounds. std::thread::hardware_concurrency
     and std::this_thread stay allowed everywhere.
+
+R14 no-serving-master
+    A tenant keeps the edits accepted since its live generation
+    (PendingEdits), and every rebuild merges them into that
+    generation's CSR pair. A mutable DynamicGraph beside it would store
+    the graph a second time and bring back a second build path, so the
+    DynamicGraph identifier may not appear in code under src/serve/.
+    (R13 is reserved.)
 """
 
 from __future__ import annotations
@@ -201,6 +209,10 @@ THREAD_OWNERS = {
     "src/common/thread_pool.cc",
 }
 THREAD_USE = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
+
+# R14: no mutable master copy of a tenant's graph.
+NO_MASTER_DIR = "src/serve/"
+MASTER_USE = re.compile(r"\bDynamicGraph\b")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -462,6 +474,16 @@ class Linter:
                         "std::thread/jthread/async outside "
                         "serve/http_server.* and common/thread_pool.*; run "
                         "the work on a ThreadPool or the server's workers",
+                    )
+
+        # R14 — no mutable master copy of a tenant's graph.
+        if rel.startswith(NO_MASTER_DIR):
+            for lineno, line in enumerate(code_lines, 1):
+                if MASTER_USE.search(line):
+                    self.report(
+                        path, lineno, "no-serving-master",
+                        "DynamicGraph in the serving layer; keep the "
+                        "tenant's PendingEdits and merge them at rebuild",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:

@@ -96,6 +96,28 @@ for bad in 0.05x ""; do
     exit 1; }
 done
 
+echo "== a flag with no value, or a stray word in flag position, exits 2 naming it"
+for tail in "--epsilon" "stray --epsilon 0.3 --k 3"; do
+  named="${tail%% *}"
+  status=0
+  # shellcheck disable=SC2086  # $tail is split into words on purpose.
+  "$CLI" topk --graph "$WORK/web.txt" --node 3 $tail \
+      > /dev/null 2> "$WORK/flag.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q -- "$named" "$WORK/flag.err" || {
+    echo "simpush_cli topk ... $tail: exit $status, want 2 naming $named" >&2
+    exit 1; }
+done
+for tail in "--default-epsilon" "stray --default-epsilon 0.05"; do
+  named="${tail%% *}"
+  status=0
+  # shellcheck disable=SC2086
+  timeout 10 "$SERVE" --graph "$WORK/web.txt" --port 0 $tail \
+      2> "$WORK/flag.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q -- "$named" "$WORK/flag.err" || {
+    echo "simpush_serve ... $tail: exit $status, want 2 naming $named" >&2
+    exit 1; }
+done
+
 echo "== topk rejects an epsilon outside (0,1) for every method: exit 1"
 for method in simpush probesim sling prsim; do
   for eps in 0 -1 nan; do
@@ -213,27 +235,30 @@ import json, sys
 with open("BENCH_dynamic.json") as f:
     doc = json.load(f)
 rows = {r["name"]: r for r in doc["results"]}
-pairs = []
-for name, row in rows.items():
-    if not name.startswith("delta_dirty_"):
-        continue
-    full = rows.get("full_" + name[len("delta_"):])
-    assert full, f"missing full row for {name}"
-    assert row["counters"]["edges"] >= 1_000_000, "sweep graph below 1M edges"
-    pairs.append((row["counters"]["dirty_fraction"],
-                  full["median_ms"] / row["median_ms"]))
-assert pairs, "no delta rows in BENCH_dynamic.json"
-at_most_1pct = [(f, s) for f, s in pairs if f <= 0.01]
-assert at_most_1pct, "no sweep rows at <=1% dirty"
-for frac, speedup in at_most_1pct:
-    if speedup <= 1.0:
-        sys.exit(f"delta publish slower than full at {frac:.2%} dirty: "
-                 f"{speedup:.1f}x")
-best = max(s for _, s in at_most_1pct)
-if best < 10.0:
-    sys.exit(f"delta publish under 10x at <=1% dirty (best {best:.1f}x)")
-print("   delta-vs-full speedups at <=1% dirty: " +
-      ", ".join(f"{s:.1f}x@{f:.2%}" for f, s in sorted(at_most_1pct)))
+# delta_dirty_* rows time DynamicGraph::SnapshotDelta; merge_dirty_* rows
+# time PendingEdits::Merge, the path a registry swap runs.
+for kind in ("delta", "merge"):
+    pairs = []
+    for name, row in rows.items():
+        if not name.startswith(kind + "_dirty_"):
+            continue
+        full = rows.get("full_" + name[len(kind) + 1:])
+        assert full, f"missing full row for {name}"
+        assert row["counters"]["edges"] >= 1_000_000, "sweep graph below 1M edges"
+        pairs.append((row["counters"]["dirty_fraction"],
+                      full["median_ms"] / row["median_ms"]))
+    assert pairs, f"no {kind} rows in BENCH_dynamic.json"
+    at_most_1pct = [(f, s) for f, s in pairs if f <= 0.01]
+    assert at_most_1pct, f"no {kind} sweep rows at <=1% dirty"
+    for frac, speedup in at_most_1pct:
+        if speedup <= 1.0:
+            sys.exit(f"{kind} publish slower than full at {frac:.2%} dirty: "
+                     f"{speedup:.1f}x")
+    best = max(s for _, s in at_most_1pct)
+    if best < 10.0:
+        sys.exit(f"{kind} publish under 10x at <=1% dirty (best {best:.1f}x)")
+    print(f"   {kind}-vs-full speedups at <=1% dirty: " +
+          ", ".join(f"{s:.1f}x@{f:.2%}" for f, s in sorted(at_most_1pct)))
 EOF
 fi
 
