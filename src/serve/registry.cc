@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/timer.h"
 
 namespace simpush {
 namespace serve {
@@ -58,15 +57,15 @@ LatencySnapshot LatencyRing::Snapshot() const {
 }
 
 GraphGeneration::GraphGeneration(
-    uint64_t id, Graph graph, const SimPushOptions& options,
-    size_t pool_capacity, std::shared_ptr<std::atomic<int64_t>> live_counter,
-    size_t cache_bytes, std::shared_ptr<TenantCounters> counters,
-    const PublishRecord& publish)
+    uint64_t id, std::shared_ptr<const Graph> graph, EngineCore core,
+    std::shared_ptr<WorkspacePool> workspaces,
+    std::shared_ptr<std::atomic<int64_t>> live_counter, size_t cache_bytes,
+    std::shared_ptr<TenantCounters> counters, const PublishRecord& publish)
     : id_(id),
       graph_(std::move(graph)),
-      core_(graph_, options),
-      workspaces_(pool_capacity),
-      options_fingerprint_(OptionsFingerprint(options)),
+      core_(std::move(core)),
+      workspaces_(std::move(workspaces)),
+      options_fingerprint_(OptionsFingerprint(core_.options())),
       counters_(std::move(counters)),
       cache_(MakeCache(cache_bytes, counters_)),
       publish_(publish),
@@ -110,16 +109,18 @@ UpdateOutcome GraphRegistry::Tenant::Outcome(size_t applied,
 GraphRegistry::GraphRegistry(const RegistryOptions& options)
     : options_(options),
       thread_pool_(options.num_threads),
+      workspaces_(std::make_shared<WorkspacePool>(
+          options.pool_capacity != 0 ? options.pool_capacity : num_threads())),
       live_generations_(std::make_shared<std::atomic<int64_t>>(0)) {}
 
 Status GraphRegistry::Publish(Tenant* tenant, const GraphGeneration* base,
-                              Graph graph, const SimPushOptions* options,
-                              double build_ms) {
+                              std::shared_ptr<const Graph> graph,
+                              const SimPushOptions* options,
+                              const Timer* build) {
   const uint64_t id = next_generation_id_.fetch_add(1);
   PublishRecord record;
   if (base != nullptr) record = base->publish();
   ++record.swap_count;
-  record.last_swap_ms = build_ms;
   if (options != nullptr) {
     record.options_generation = id;
   } else {
@@ -127,11 +128,10 @@ Status GraphRegistry::Publish(Tenant* tenant, const GraphGeneration* base,
     options = &base->core().options();
     ++record.delta_swaps;
   }
-  const size_t capacity = options_.pool_capacity != 0
-                              ? options_.pool_capacity
-                              : thread_pool_.num_threads();
+  EngineCore core(*graph, *options);
+  record.last_swap_ms = build != nullptr ? build->ElapsedMillis() : 0;
   GenerationLease next = std::make_shared<const GraphGeneration>(
-      id, std::move(graph), *options, capacity, live_generations_,
+      id, std::move(graph), std::move(core), workspaces_, live_generations_,
       options_.cache_bytes, tenant->counters, record);
   // Chaos hook: failure after the build but before the publish — the
   // fully-built `next` must unwind cleanly through the live_generations
@@ -150,8 +150,8 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
   }
   // Reject bad options before the O(n+m) bundle build.
   SIMPUSH_RETURN_NOT_OK(options.Validate());
-  // Publish the first generation before touching the map, so a long CSR
-  // copy never holds map_mu_.
+  // Publish the first generation before touching the map, so building
+  // it never holds map_mu_.
   auto tenant = std::make_shared<Tenant>();
   {
     // The tenant is not yet reachable from the map, so this lock is
@@ -163,13 +163,14 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
     // generation (including this one) shares them.
     t->counters = std::make_shared<TenantCounters>();
     t->master_edges.store(graph.num_edges());
-    SIMPUSH_RETURN_NOT_OK(Publish(t, /*base=*/nullptr, std::move(graph),
-                                  &options, /*build_ms=*/0));
+    SIMPUSH_RETURN_NOT_OK(Publish(
+        t, /*base=*/nullptr, std::make_shared<const Graph>(std::move(graph)),
+        &options, /*build=*/nullptr));
   }
 
   // Rejections return with `tenant` still owned locally: it was
   // constructed before the MutexLock, so the guard unlocks first and
-  // the O(n+m) bundle (graph + core + pool) is freed OUTSIDE map_mu_ —
+  // the O(n+m) bundle (graph + core + cache) is freed OUTSIDE map_mu_ —
   // a losing duplicate create must not stall every tenant's Lease()
   // for the duration of a large deallocation.
   MutexLock lock(&map_mu_);
@@ -231,8 +232,9 @@ Status GraphRegistry::RebuildLocked(std::string_view name, Tenant* tenant) {
   // arrays: rows no edit touched are copied as runs.
   SIMPUSH_ASSIGN_OR_RETURN(Graph graph, tenant->edits.Merge(base->graph()));
   // No options: a hot swap keeps the tenant's ε/c/δ/seed from `base`.
-  SIMPUSH_RETURN_NOT_OK(Publish(tenant, base.get(), std::move(graph),
-                                /*options=*/nullptr, timer.ElapsedMillis()));
+  SIMPUSH_RETURN_NOT_OK(Publish(tenant, base.get(),
+                                std::make_shared<const Graph>(std::move(graph)),
+                                /*options=*/nullptr, &timer));
   // Only after a successful publish: a failed one keeps the edits, so
   // the next rebuild merges them again against the still-live `base`.
   tenant->edits.Clear();
@@ -294,15 +296,14 @@ StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
   // cannot be swapped out from under us mid-build.
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
-  Timer timer;
   SIMPUSH_ASSIGN_OR_RETURN(const GenerationLease current,
                            t->Published(name));
-  // Re-publish the CURRENT generation's graph, without the pending
-  // edits: an options change must not smuggle in edge updates. The
-  // copy holds the same edges, so the edits still merge against it.
-  Graph graph(current->graph());
-  SIMPUSH_RETURN_NOT_OK(Publish(t, current.get(), std::move(graph), &options,
-                                timer.ElapsedMillis()));
+  // Re-publish the CURRENT generation's Graph itself, without the
+  // pending edits (an options change must not smuggle in edge updates),
+  // so the edits still merge against it; the build is the new core alone.
+  const Timer timer;
+  SIMPUSH_RETURN_NOT_OK(Publish(t, current.get(), current->shared_graph(),
+                                &options, &timer));
   return t->Outcome(0, /*swapped=*/true);
 }
 
@@ -325,9 +326,8 @@ StatusOr<TenantStats> GraphRegistry::Stats(std::string_view name) const {
   stats.last_swap_ms = publish.last_swap_ms;
   stats.num_nodes = current->graph().num_nodes();
   stats.num_edges = current->graph().num_edges();
-  stats.pool_capacity = current->workspaces().capacity();
-  stats.pool_created = current->workspaces().created();
-  stats.pool_outstanding = current->workspaces().outstanding();
+  stats.pool_created = workspaces_->created();
+  stats.pool_outstanding = workspaces_->outstanding();
   if (const ResultCache* cache = current->cache()) {
     stats.cache_budget_bytes = cache->budget_bytes();
     stats.cache_entries = cache->entries();

@@ -7,7 +7,7 @@
 // capability. Each named tenant owns
 //
 //   - a published *generation*: an immutable bundle of
-//     Graph snapshot + EngineCore + WorkspacePool, held through
+//     Graph snapshot + EngineCore + result cache, held through
 //     std::shared_ptr<const GraphGeneration>,
 //   - the PendingEdits accepted since that generation: a net count per
 //     edited (src, dst) pair, not a second copy of the graph, and
@@ -19,18 +19,17 @@
 // generation in the background by merging the pending edits into a
 // copy of the live generation's CSR arrays (PendingEdits::Merge: runs
 // of untouched rows are copied, edited rows are patched), and then
-// publishes it with one pointer store. In-flight queries keep serving
-// from the generation they leased — they never block on a swap, never
-// observe a half-updated graph, and the old generation is freed
-// automatically when the last lease drops (classic RCU via shared_ptr
-// reference counts).
+// publishes it with one pointer store; an options change re-publishes
+// the live Graph itself. In-flight queries keep serving from the
+// generation they leased — they never block on a swap, never observe a
+// half-updated graph, and the old generation is freed automatically
+// when the last lease drops (classic RCU via shared_ptr reference
+// counts).
 //
-// One ThreadPool is shared across every tenant (batch fan-outs from all
-// graphs multiplex onto it), so the thread count is a process-level
-// knob independent of how many tenants exist or how often they swap.
-// Workspace pools are per-generation: workspaces size themselves to the
-// graph they serve, and tying their lifetime to the generation means a
-// swap also retires scratch sized for the old graph.
+// One ThreadPool (batch fan-outs) and one WorkspacePool (query scratch)
+// serve every tenant. A workspace is tied to no graph —
+// QueryWorkspace::Prepare grows it to any n, and a swap keeps a
+// tenant's n — so a new generation starts on warm scratch.
 //
 // Thread-safety contract: every public method is safe from any thread.
 // Lease() is the hot path — a map lookup plus a shared_ptr copy under
@@ -52,6 +51,7 @@
 #include "common/annotations.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "serve/result_cache.h"
@@ -67,8 +67,8 @@ struct RegistryOptions {
   /// Worker threads in the shared /v1/batch fan-out pool, shared
   /// across all graphs (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Workspace pool cap per generation (0 = match num_threads). See
-  /// docs/serving.md for tuning pool_capacity vs threads.
+  /// Workspaces in the one pool all queries share (0 = match
+  /// num_threads). See docs/serving.md for tuning pool_capacity vs threads.
   size_t pool_capacity = 0;
   /// Pending updates that trigger an automatic swap from ApplyUpdates
   /// (0 = swaps only happen through an explicit Swap() call, i.e.
@@ -130,25 +130,25 @@ struct PublishRecord {
   uint64_t options_generation = 0;  ///< Where its options took effect.
   uint64_t swap_count = 0;   ///< Generations published, this one included.
   uint64_t delta_swaps = 0;  ///< Rebuilds: generations merged from edits.
-  /// Wall time of the merge (or graph copy) this generation was built
-  /// from, ms; 0 for the tenant's first generation.
+  /// Wall time of the merge and core build (an options change: the core
+  /// alone) this generation took, ms; 0 for the tenant's first one.
   double last_swap_ms = 0;
 };
 
-/// One immutable, published graph generation: snapshot + core + scratch
-/// pool + publish record. Deeply const except the workspace pool, the
+/// One immutable, published graph generation: snapshot + core + cache
+/// + publish record. Deeply const except the shared workspace pool, the
 /// cache and the tenant counters, which are internally synchronized.
 /// Generations are shared via shared_ptr and never mutated after
 /// publication; they die when the registry has swapped past them AND the
 /// last in-flight lease has dropped.
 class GraphGeneration {
  public:
-  /// `live_counter` (may be null) is decremented on destruction — the
-  /// registry's generation-leak gauge. `cache_bytes` bounds this
-  /// generation's result cache (0 = no cache); `counters` (non-null) is
-  /// the owning tenant's record, which the cache counts into.
-  GraphGeneration(uint64_t id, Graph graph, const SimPushOptions& options,
-                  size_t pool_capacity,
+  /// `core` must be bound to `*graph`. `live_counter` (may be null) is
+  /// decremented on destruction (the registry's generation-leak gauge);
+  /// `cache_bytes` bounds the result cache (0 = none); `counters`
+  /// (non-null) is the tenant's record, which the cache counts into.
+  GraphGeneration(uint64_t id, std::shared_ptr<const Graph> graph,
+                  EngineCore core, std::shared_ptr<WorkspacePool> workspaces,
                   std::shared_ptr<std::atomic<int64_t>> live_counter,
                   size_t cache_bytes, std::shared_ptr<TenantCounters> counters,
                   const PublishRecord& publish);
@@ -161,13 +161,15 @@ class GraphGeneration {
   /// tagged with this id is reproducible from the generation's graph.
   uint64_t id() const { return id_; }
   /// The immutable snapshot this generation serves.
-  const Graph& graph() const { return graph_; }
+  const Graph& graph() const { return *graph_; }
+  /// The snapshot's shared handle, which an options change re-publishes.
+  const std::shared_ptr<const Graph>& shared_graph() const { return graph_; }
   /// The shared engine core bound to graph(); its options() are the
   /// tenant's engine options for this generation.
   const EngineCore& core() const { return core_; }
-  /// Per-generation scratch pool (internally synchronized; const
-  /// because leasing scratch does not mutate the published graph).
-  WorkspacePool& workspaces() const { return workspaces_; }
+  /// The registry's scratch pool, shared by every generation (internally
+  /// synchronized; leasing scratch does not mutate the generation).
+  WorkspacePool& workspaces() const { return *workspaces_; }
   /// This generation's result cache, or nullptr when caching is off.
   /// Internally synchronized, like the workspace pool; dying with the
   /// generation is what makes cache invalidation unnecessary.
@@ -183,9 +185,9 @@ class GraphGeneration {
 
  private:
   const uint64_t id_;
-  const Graph graph_;
-  const EngineCore core_;          // References graph_.
-  mutable WorkspacePool workspaces_;
+  const std::shared_ptr<const Graph> graph_;
+  const EngineCore core_;  // References *graph_.
+  const std::shared_ptr<WorkspacePool> workspaces_;
   const uint64_t options_fingerprint_;
   const std::shared_ptr<TenantCounters> counters_;
   const std::unique_ptr<ResultCache> cache_;
@@ -215,9 +217,8 @@ struct TenantStats {
   NodeId num_nodes = 0;           ///< Nodes in the current generation.
   EdgeId num_edges = 0;           ///< Edges in the current generation.
   EdgeId master_edges = 0;        ///< num_edges + pending net edges.
-  size_t pool_capacity = 0;       ///< Generation workspace pool cap.
-  size_t pool_created = 0;
-  size_t pool_outstanding = 0;
+  size_t pool_created = 0;        ///< Of the registry's shared pool.
+  size_t pool_outstanding = 0;    ///< Of the registry's shared pool.
   // Result-cache stats. Counters are tenant-lifetime (they survive
   // swaps); occupancy is the current generation's cache.
   size_t cache_budget_bytes = 0;  ///< 0 when caching is disabled.
@@ -309,6 +310,8 @@ class GraphRegistry {
   /// The fan-out pool shared by every tenant's batch requests.
   ThreadPool& thread_pool() { return thread_pool_; }
   size_t num_threads() const { return thread_pool_.num_threads(); }
+  /// The scratch pool shared by every tenant's queries.
+  const WorkspacePool& workspaces() const { return *workspaces_; }
 
   /// GraphGenerations currently alive anywhere (published or held by a
   /// lease). With no queries in flight this equals size() — the
@@ -352,12 +355,12 @@ class GraphRegistry {
   };
 
   // The one path that builds and publishes a generation: `graph` under
-  // `options`, with a PublishRecord continuing `base`'s, the tenant's
-  // current generation (null for its first), and `build_ms` (the time
-  // spent producing `graph`; 0 for a create). Null `options` is a
-  // rebuild: it keeps `base`'s options and counts in delta_swaps.
-  Status Publish(Tenant* tenant, const GraphGeneration* base, Graph graph,
-                 const SimPushOptions* options, double build_ms)
+  // `options` (null: a rebuild, which keeps `base`'s and counts in
+  // delta_swaps), with a PublishRecord continuing `base`'s, the tenant's
+  // current generation (null for its first), timed by `build` (null: 0).
+  Status Publish(Tenant* tenant, const GraphGeneration* base,
+                 std::shared_ptr<const Graph> graph,
+                 const SimPushOptions* options, const Timer* build)
       SIMPUSH_REQUIRES(tenant->update_mu);
   // Merges tenant->edits into the live generation's graph and publishes
   // the result. The REQUIRES annotation is the compiler-checked form of
@@ -370,6 +373,7 @@ class GraphRegistry {
 
   const RegistryOptions options_;
   ThreadPool thread_pool_;
+  const std::shared_ptr<WorkspacePool> workspaces_;
   std::shared_ptr<std::atomic<int64_t>> live_generations_;
   std::atomic<uint64_t> next_generation_id_{1};
 

@@ -348,7 +348,7 @@ struct SimPushService::Route {
     }
 
     // Fan out across the registry's shared thread pool, one workspace
-    // from this generation's pool per chunk, results in input order. The
+    // from its shared workspace pool per chunk, results in input order. The
     // lease pins the generation for the whole fan-out, so every chunk
     // scores the same graph even if a swap lands mid-batch. A fired
     // token stops chunks between queries and inside each query's push
@@ -1014,15 +1014,6 @@ void SimPushService::WriteTenantSection(JsonWriter* writer,
     writer->Uint(stats->num_edges);
     writer->Key("master_edges");
     writer->Uint(stats->master_edges);
-    writer->Key("pool");
-    writer->BeginObject();
-    writer->Key("capacity");
-    writer->Uint(stats->pool_capacity);
-    writer->Key("created");
-    writer->Uint(stats->pool_created);
-    writer->Key("outstanding");
-    writer->Uint(stats->pool_outstanding);
-    writer->EndObject();
     // Result-cache stats: counters are tenant-lifetime (they survive
     // swaps), occupancy is the current generation's cache.
     writer->Key("cache");
@@ -1127,6 +1118,15 @@ void SimPushService::WriteStats(JsonWriter* writer) {
   writer->EndObject();
   writer->Key("threads");
   writer->Uint(registry_.num_threads());
+  writer->Key("pool");  // The one workspace pool of every tenant.
+  writer->BeginObject();
+  writer->Key("capacity");
+  writer->Uint(registry_.workspaces().capacity());
+  writer->Key("created");
+  writer->Uint(registry_.workspaces().created());
+  writer->Key("outstanding");
+  writer->Uint(registry_.workspaces().outstanding());
+  writer->EndObject();
   if (server_ != nullptr) {
     const HttpServerCounters counters = server_->counters();
     writer->Key("http");

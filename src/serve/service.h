@@ -1,7 +1,7 @@
 // SimPushService: the serving front end's request layer.
 //
-// Binds the multi-tenant GraphRegistry (shared ThreadPool + per-tenant
-// generations of Graph/EngineCore/WorkspacePool) to HTTP routes:
+// Binds the multi-tenant GraphRegistry (per-tenant generations, one
+// ThreadPool and one WorkspacePool for every tenant) to HTTP routes:
 //
 //   POST /v1/query           single-source scores (optional top-k)
 //   POST /v1/topk            top-k most similar nodes
@@ -28,7 +28,7 @@
 // worker thread that parsed them — each leases the tenant's current
 // generation (a shared_ptr copy; queries never block on a hot swap and
 // keep the generation alive until they finish) and one workspace from
-// that generation's pool. /v1/batch fans its nodes out across the
+// the registry's shared pool. /v1/batch fans its nodes out across the
 // registry's shared thread pool. Admin endpoints mutate only the
 // registry, whose rebuilds happen outside every query-path lock.
 //
@@ -141,7 +141,7 @@ class SimPushService {
   /// named graph's current generation, into caller-owned reused result
   /// buffers. Consults the generation's result cache first (a hit is
   /// bit-identical to a fresh run by the determinism contract). Blocks
-  /// only while that generation's workspace pool is exhausted — never
+  /// only while the registry's workspace pool is exhausted — never
   /// on a hot swap. Zero heap allocations in steady state (warm
   /// workspace + warm result; cache hits copy into the warm result),
   /// verified by serve_test and registry_test.
@@ -177,7 +177,7 @@ class SimPushService {
   /// The one cache-then-run path for a single query (RunQuery and the
   /// query/topk endpoints): consults the generation's result cache under
   /// the caller's lease and on a miss runs the query on a workspace
-  /// leased from the generation's pool — with the tenant's core, or,
+  /// leased from the registry's pool — with the tenant's core, or,
   /// for a per-request ε `epsilon`, with a throwaway core for that ε —
   /// adds its stats to the /v1/stats engine counters, then inserts the
   /// result best-effort. With a non-null `top` the read is ranked: a

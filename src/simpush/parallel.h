@@ -8,10 +8,10 @@
 //
 // The caller composes the substrate: ONE EngineCore (immutable, shared
 // by every worker), ONE ThreadPool, ONE WorkspacePool. The multi-tenant
-// GraphRegistry shares one ThreadPool across every tenant while each
-// graph generation owns its core + workspace pool, so the three arrive
-// from different owners. Peak query-scratch memory is bounded by the
-// workspace pool's capacity, not by how many requests or workers exist.
+// GraphRegistry shares its ThreadPool and WorkspacePool across every
+// tenant, while each graph generation owns its core. Peak query-scratch
+// memory is bounded by the workspace pool's capacity, not by how many
+// requests or workers exist.
 //
 // Single-query latency is untouched — the paper's realtime claim is a
 // one-thread number and stays that way in the benches. This module

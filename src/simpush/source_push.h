@@ -29,10 +29,9 @@ class QueryWorkspace;
 /// and 0.02): a frontier with 1/4-1/2 of the in-edges pushed in
 /// 2.5-3.8 ms against a 5.4-6.8 ms pull, and the pull won only above
 /// about 7/8 of m. A fraction of 1/2 would save about 0.9 ms of a 25 ms
-/// query there (17 of 258 whole levels lie between 1/4 and 1/2), but
-/// SourcePushTest.PullLevelsEqualNaivePushBitForBit needs every graph
-/// it checks to take a pull level, and its star and grid never do at
-/// 1/2.
+/// query there (17 of 258 whole levels lie between 1/4 and 1/2).
+/// SourcePushTest.PullLevelsEqualNaivePushBitForBit, which needs every
+/// graph it checks to take a pull level, passes at 1/4 and at 1/2.
 constexpr EdgeId kPullEdgeFraction = 4;
 
 /// Statistics reported by one Source-Push invocation.

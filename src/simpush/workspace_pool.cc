@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/failpoint.h"
 
@@ -26,9 +25,7 @@ void WorkspaceLease::Release() {
 }
 
 WorkspacePool::WorkspacePool(size_t capacity)
-    : capacity_(capacity != 0
-                    ? capacity
-                    : std::max(1u, std::thread::hardware_concurrency())) {
+    : capacity_(std::max<size_t>(1, capacity)) {
   all_.reserve(capacity_);
   idle_.reserve(capacity_);
 }

@@ -69,10 +69,9 @@ class WorkspaceLease {
 /// Bounded pool of lazily-created QueryWorkspaces.
 class WorkspacePool {
  public:
-  /// At most `capacity` workspaces will ever exist (0 = hardware
-  /// concurrency, min 1). Workspaces are created on first demand, so an
-  /// over-provisioned pool costs nothing until the concurrency is real.
-  explicit WorkspacePool(size_t capacity = 0);
+  /// At most `capacity` (min 1) workspaces ever exist, each created on
+  /// first demand: an over-provisioned pool costs nothing until used.
+  explicit WorkspacePool(size_t capacity);
 
   /// Checks out a workspace, blocking while `capacity` leases are
   /// already outstanding. With a non-null `cancel` the wait wakes

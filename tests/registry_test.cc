@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "common/memory.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "simpush/parallel.h"
 #include "simpush/query_runner.h"
 #include "simpush/workspace.h"
 #include "test_util.h"
@@ -453,6 +455,84 @@ TEST(RegistryTest, StatsTrackEachPublish) {
                                 /*force_swap=*/true)
                   .ok());
   check({4, &second, 3, 4, 2, true});
+}
+
+// One CSR per edit state: an options publish serves its base's Graph
+// object itself, while a rebuild merges into a new one. The edits
+// pending across the options publish still merge against that shared
+// graph.
+TEST(RegistryTest, OptionsPublishSharesTheGraphRebuildDoesNot) {
+  GraphRegistry registry(FastRegistryOptions());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
+  const auto base = registry.Lease("g");
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(
+      registry.ApplyUpdates("g", {{EdgeUpdate::Kind::kInsert, 0, 5}}).ok());
+
+  SimPushOptions coarse = FastOptions();
+  coarse.epsilon = 0.3;
+  ASSERT_TRUE(registry.UpdateOptions("g", coarse).ok());
+  const auto reoptioned = registry.Lease("g");
+  ASSERT_TRUE(reoptioned.ok());
+  EXPECT_GT((*reoptioned)->id(), (*base)->id());
+  EXPECT_EQ(&(*reoptioned)->graph(), &(*base)->graph())
+      << "an options publish copied the graph";
+  EXPECT_EQ(PooledScores(*reoptioned, 3),
+            SerialScoresWith((*base)->graph(), coarse, 3));
+
+  ASSERT_TRUE(registry.Swap("g").ok());
+  const auto rebuilt = registry.Lease("g");
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_NE(&(*rebuilt)->graph(), &(*reoptioned)->graph());
+  EXPECT_EQ((*rebuilt)->graph().num_edges(),
+            (*base)->graph().num_edges() + 1);
+  EXPECT_EQ((*rebuilt)->core().options().epsilon, coarse.epsilon);
+}
+
+// Every generation leases from the registry's one workspace pool. Once
+// it is warm, swaps and an options publish create no workspaces — a
+// new generation starts warm — and every lease comes back.
+TEST(RegistryTest, SwapsReuseTheWarmSharedPool) {
+  GraphRegistry registry(FastRegistryOptions());
+  ASSERT_TRUE(AddFixture(&registry, "g").ok());
+  const size_t capacity = registry.workspaces().capacity();
+  ASSERT_EQ(capacity, registry.num_threads());
+  // Runs `capacity` queries at once on the current generation, so the
+  // pool must hand out every workspace it may hold.
+  const auto hold_all = [&registry, capacity] {
+    const auto lease = registry.Lease("g");
+    ASSERT_TRUE(lease.ok());
+    std::vector<std::unique_ptr<QueryRunner>> runners;
+    for (size_t i = 0; i < capacity; ++i) {
+      runners.push_back(std::make_unique<QueryRunner>(
+          (*lease)->core(), (*lease)->workspaces()));
+      ASSERT_TRUE(runners.back()->Query(static_cast<NodeId>(i % 10)).ok());
+    }
+  };
+  hold_all();
+  ASSERT_EQ(registry.Stats("g")->pool_created, capacity);
+
+  constexpr int kSwaps = 5;
+  for (int i = 0; i < kSwaps; ++i) {
+    const NodeId dst = static_cast<NodeId>(i + 1);
+    ASSERT_TRUE(registry
+                    .ApplyUpdates("g", {{EdgeUpdate::Kind::kInsert, 0, dst}},
+                                  /*force_swap=*/true)
+                    .ok());
+    EXPECT_EQ(registry.Stats("g")->pool_created, capacity) << "swap " << i;
+    hold_all();
+  }
+  SimPushOptions coarse = FastOptions();
+  coarse.epsilon = 0.3;
+  ASSERT_TRUE(registry.UpdateOptions("g", coarse).ok());
+  hold_all();
+
+  const auto stats = registry.Stats("g");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->swap_count, static_cast<uint64_t>(kSwaps) + 2);
+  EXPECT_EQ(stats->pool_created, capacity);
+  EXPECT_EQ(stats->pool_outstanding, 0u);
+  EXPECT_EQ(registry.live_generations(), 1);
 }
 
 // The publish path against a DynamicGraph mirror over a seeded random
@@ -936,6 +1016,57 @@ TEST(RegistryStress, StatsRacingUpdateOptionsDescribeOneGeneration) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->generation, static_cast<uint64_t>(kFlips) + 1);
   EXPECT_EQ(stats->options_generation, stats->generation);
+}
+
+// One workspace for the whole process: two tenants' single queries and
+// a batch fan-out contend for it, take turns, and all finish, with every
+// answer bit-identical to a fresh serial engine.
+TEST(RegistryStress, TwoTenantsShareOneWorkspaceWithoutDeadlock) {
+  RegistryOptions options = FastRegistryOptions();
+  options.pool_capacity = 1;
+  GraphRegistry registry(options);
+  ASSERT_TRUE(AddFixture(&registry, "a").ok());
+  ASSERT_TRUE(registry
+                  .Add("b", testing_util::RandomGraph(60, 400, 9),
+                       FastOptions())
+                  .ok());
+
+  constexpr int kQueriesPerWorker = 10;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&registry, &mismatches, w] {
+      const char* const name = w % 2 == 0 ? "a" : "b";
+      for (int i = 0; i < kQueriesPerWorker; ++i) {
+        const auto lease = registry.Lease(name);
+        if (!lease.ok()) {
+          ++mismatches;
+          continue;
+        }
+        const Graph& graph = (*lease)->graph();
+        const NodeId u = static_cast<NodeId>((w + 3 * i) % graph.num_nodes());
+        if (PooledScores(*lease, u) != SerialScores(graph, u)) ++mismatches;
+      }
+    });
+  }
+  const auto lease = registry.Lease("b");
+  ASSERT_TRUE(lease.ok());
+  std::vector<NodeId> nodes(16);
+  for (NodeId u = 0; u < nodes.size(); ++u) nodes[u] = u;
+  const auto batch =
+      ParallelQueryBatchTopK((*lease)->core(), registry.thread_pool(),
+                             (*lease)->workspaces(), nodes, /*k=*/5);
+  for (std::thread& worker : workers) worker.join();
+
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->size(), nodes.size());
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const char* name : {"a", "b"}) {
+    const auto stats = registry.Stats(name);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->pool_created, 1u);
+    EXPECT_EQ(stats->pool_outstanding, 0u);
+  }
 }
 
 // The registry hot path (lease + pooled workspace + QueryInto into a

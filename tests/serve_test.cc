@@ -170,7 +170,8 @@ TEST(ServeSmoke, HealthAndStats) {
   ASSERT_TRUE(doc.ok()) << stats->body;
   const JsonValue* tenant = doc->Find("graphs")->Find("default");
   EXPECT_EQ(tenant->Find("nodes")->AsIndex().value(), 10u);
-  EXPECT_NE(tenant->Find("pool"), nullptr);
+  EXPECT_EQ(tenant->Find("pool"), nullptr) << "one pool per process";
+  EXPECT_NE(doc->Find("pool"), nullptr);
   EXPECT_NE(doc->Find("latency_ms"), nullptr);
   EXPECT_NE(doc->Find("http"), nullptr);
   EXPECT_GT(doc->Find("memory")->Find("peak_rss_bytes")->number_value(), 0);
@@ -1496,7 +1497,7 @@ constexpr GoldenExchange kGoldenExchanges[] = {
     {"GET", "/v1/graphs", "", 200,
      R"g({"graphs":[{"name":"default","generation":1,"nodes":10,"edges":16,"pending_updates":0,"swap_count":1},{"name":"ring","generation":2,"nodes":4,"edges":4,"pending_updates":0,"swap_count":1},{"name":"tiny","generation":3,"nodes":3,"edges":2,"pending_updates":0,"swap_count":1}],"default_graph":"default"})g"},
     {"GET", "/v1/graphs/ring", "", 200,
-     R"g({"graph":"ring","stats":{"generation":2,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":1,"delta_swaps":0,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":0,"nodes":4,"edges":4,"master_edges":4,"pool":{"capacity":2,"created":0,"outstanding":0},"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
+     R"g({"graph":"ring","stats":{"generation":2,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":1,"delta_swaps":0,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":0,"nodes":4,"edges":4,"master_edges":4,"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
     {"GET", "/v1/graphs/nope", "", 404,
      R"g({"error":"no graph named \"nope\""})g"},
     {"GET", "/v1/graphs/bad!name", "", 400,
@@ -1573,10 +1574,10 @@ constexpr GoldenExchange kGoldenExchanges[] = {
     {"POST", "/v1/graphs/ring/edges", R"g({"add": [[0, 1]], "swap": "true"})g", 400,
      R"g({"error":"\"swap\": expected a boolean"})g"},
     {"GET", "/v1/graphs/ring", "", 200,
-     R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"pool":{"capacity":2,"created":0,"outstanding":0},"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
+     R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
     // A trailing slash names the same tenant.
     {"GET", "/v1/graphs/ring/", "", 200,
-     R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"pool":{"capacity":2,"created":0,"outstanding":0},"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
+     R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
 };
 
 // Routes a request to the public handler the server's route table

@@ -330,10 +330,41 @@ std::vector<NodeId> AllNodes(const Graph& graph) {
   return nodes;
 }
 
+// A hub-heavy graph: hub 0 linked both ways to every rim node 1..rim,
+// which also form a two-way cycle. The triangles break the bipartition
+// a star has, so from the rim the levels grow past half of m.
+StatusOr<Graph> Wheel(NodeId rim) {
+  GraphBuilder builder(rim + 1);
+  for (NodeId i = 1; i <= rim; ++i) {
+    builder.AddUndirectedEdge(0, i);
+    builder.AddUndirectedEdge(i, i % rim + 1);
+  }
+  return std::move(builder).Build();
+}
+
+// A lattice-like graph: a side x side grid with two-way right, down and
+// down-right links. Unlike a plain grid it is not bipartite, so a deep
+// level covers the whole lattice rather than one color class.
+StatusOr<Graph> TriangularLattice(NodeId side) {
+  GraphBuilder builder(side * side);
+  for (NodeId r = 0; r < side; ++r) {
+    for (NodeId c = 0; c < side; ++c) {
+      const NodeId v = r * side + c;
+      if (c + 1 < side) builder.AddUndirectedEdge(v, v + 1);
+      if (r + 1 < side) builder.AddUndirectedEdge(v, v + side);
+      if (c + 1 < side && r + 1 < side) {
+        builder.AddUndirectedEdge(v, v + side + 1);
+      }
+    }
+  }
+  return std::move(builder).Build();
+}
+
 TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
   // A funnel with duplicate edges, a self-loop and nodes without in- or
-  // out-edges: level 1 (nodes 1-8) has 40 in-edges, > m/4, and pulls;
-  // level 2 is node 9 alone and pushes.
+  // out-edges: level 1 (nodes 1-8) has 40 of m = 50 in-edges and pulls;
+  // level 2 is node 9 alone and pushes. Every graph here takes a pull
+  // level at kPullEdgeFraction 4 and at 2 alike.
   GraphBuilder funnel(12);
   for (NodeId i = 1; i <= 8; ++i) {
     funnel.AddEdge(i, 0);
@@ -346,10 +377,10 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
   ASSERT_EQ(funnel_graph->InDegree(1), 5u);
 
   auto complete = GenerateComplete(40);
-  auto star = GenerateStar(300, /*bidirectional=*/true);
-  auto grid = GenerateGrid(3, 3);
+  auto wheel = Wheel(300);
+  auto lattice = TriangularLattice(8);
   auto chung_lu = GenerateChungLu(2000, 16000, 2.2, 5);
-  ASSERT_TRUE(complete.ok() && star.ok() && grid.ok() && chung_lu.ok());
+  ASSERT_TRUE(complete.ok() && wheel.ok() && lattice.ok() && chung_lu.ok());
 
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
@@ -357,7 +388,7 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
   Crossings all;
   const std::pair<const char*, const Graph*> kZoo[] = {
       {"funnel", &*funnel_graph}, {"complete", &*complete},
-      {"star", &*star},           {"grid", &*grid},
+      {"wheel", &*wheel},         {"lattice", &*lattice},
       {"chung_lu", &*chung_lu}};
   for (const auto& [name, graph] : kZoo) {
     SCOPED_TRACE(name);

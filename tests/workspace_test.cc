@@ -1,8 +1,12 @@
 // Tests for the QueryWorkspace subsystem: epoch-array semantics,
 // workspace reuse correctness across many queries on
-// one engine, and the zero-allocation steady state (this binary links
+// one engine and across graphs of different sizes, and the
+// zero-allocation steady state (this binary links
 // the counting operator new/delete from common/alloc_hook.cc).
 
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/epoch_array.h"
@@ -128,6 +132,51 @@ TEST(WorkspaceReuseTest, SteadyStateQueriesAllocateNothing) {
   const AllocationStats after = GetAllocationStats();
   EXPECT_EQ(after.allocations - before.allocations, 0u)
       << "steady-state queries must perform zero heap allocations";
+}
+
+// A workspace serving graphs of different sizes in turn (the shape a
+// registry-wide workspace pool gives every tenant) must answer each
+// query bit for bit like a fresh workspace: scratch grown or dirtied by
+// the large graph never leaks into a small graph's query, nor the
+// reverse. Each ε starts on a workspace the previous ε already grew.
+TEST(WorkspaceReuseTest, AlternatingGraphSizesMatchFreshWorkspace) {
+  auto large = GenerateChungLu(2000, 16000, 2.2, 5);
+  ASSERT_TRUE(large.ok());
+  const Graph small = testing_util::RandomGraph(50, 300, 71);
+  QueryWorkspace shared;
+  SimPushResult reused;
+  for (const double epsilon : {0.05, 0.02}) {
+    SCOPED_TRACE(epsilon);
+    SimPushOptions options;
+    options.epsilon = epsilon;
+    const EngineCore large_core(*large, options);
+    const EngineCore small_core(small, options);
+    // Large, small, large.
+    const std::pair<const EngineCore*, std::vector<NodeId>> kRounds[] = {
+        {&large_core, {1, 1500}},
+        {&small_core, {0, 49}},
+        {&large_core, {7, 1500}}};
+    for (const auto& [core, sources] : kRounds) {
+      for (const NodeId u : sources) {
+        QueryRunner runner(*core, &shared);
+        ASSERT_TRUE(runner.QueryInto(u, &reused).ok());
+        QueryWorkspace fresh_workspace;
+        QueryRunner fresh(*core, &fresh_workspace);
+        const auto expected = fresh.Query(u);
+        ASSERT_TRUE(expected.ok());
+        const NodeId n = core->graph().num_nodes();
+        ASSERT_EQ(reused.scores.size(), n);
+        ASSERT_EQ(expected->scores.size(), n);
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(reused.scores[v]),
+                    std::bit_cast<uint64_t>(expected->scores[v]))
+              << "n " << n << " query " << u << " node " << v;
+        }
+        EXPECT_EQ(reused.stats.max_level, expected->stats.max_level);
+        EXPECT_EQ(reused.stats.num_attention, expected->stats.num_attention);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -51,11 +51,14 @@ R6 one-error-path
     back an inline status code or a second bad-request counter site.
 
 R7 pooled-scratch-only
-    Every served query leases its scratch from its generation's
-    WorkspacePool, so pool_capacity bounds the server's query memory.
-    Nothing under src/serve/ may construct a QueryWorkspace (a local,
-    a member, new / make_unique, a container of them); pointers and
-    references to a leased workspace are fine.
+    Every served query leases its scratch from the registry's one
+    WorkspacePool, shared by every tenant and generation, so
+    pool_capacity bounds the whole process's query scratch. Nothing
+    under src/serve/ may construct a QueryWorkspace (a local, a member,
+    new / make_unique, a container of them), and only serve/registry.cc
+    may construct a WorkspacePool, so a per-tenant or per-generation
+    pool cannot come back. Pointers, references and shared_ptr handles
+    to either are fine.
 
 R8 one-bitmask
     Source-Push and the hitting table both need "the indices this pass
@@ -167,10 +170,16 @@ BAD_REQUEST_BUMP = re.compile(
     r"\bbad_requests_\s*(\.\s*fetch_add|\+\+|\+=)|\+\+\s*bad_requests_\b"
 )
 
-# R7: the request layer owns no query scratch of its own.
+# R7: the request layer owns no query scratch of its own, and the
+# registry builds the one pool.
 POOLED_SCRATCH_DIR = "src/serve/"
 WORKSPACE_CONSTRUCTION = re.compile(
     r"(?<!class )(?<!struct )\bQueryWorkspace\b(?!\s*[*&])"
+)
+POOL_OWNER = "src/serve/registry.cc"
+POOL_CONSTRUCTION = re.compile(
+    r"(?<!class )(?<!struct )(?<!shared_ptr<)(?<!shared_ptr<const )"
+    r"\bWorkspacePool\b(?!\s*(?:[*&]|::))"
 )
 
 # R8: the one word-packed bitmask implementation.
@@ -398,14 +407,21 @@ class Linter:
                         "a failed Status instead",
                     )
 
-        # R7 — served queries lease pooled scratch only.
+        # R7 — served queries lease pooled scratch only, from one pool.
         if rel.startswith(POOLED_SCRATCH_DIR):
             for lineno, line in enumerate(code_lines, 1):
                 if WORKSPACE_CONSTRUCTION.search(line):
                     self.report(
                         path, lineno, "pooled-scratch-only",
                         "QueryWorkspace constructed in the request layer; "
-                        "lease one from the generation's WorkspacePool",
+                        "lease one from the registry's WorkspacePool",
+                    )
+                if rel != POOL_OWNER and POOL_CONSTRUCTION.search(line):
+                    self.report(
+                        path, lineno, "pooled-scratch-only",
+                        "WorkspacePool constructed outside "
+                        "serve/registry.cc; lease from the registry's one "
+                        "pool",
                     )
 
         # R8 — one bitmask type.

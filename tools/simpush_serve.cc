@@ -1,7 +1,7 @@
 // simpush_serve — realtime single-source SimRank over HTTP.
 //
-// Loads one or more graphs into a GraphRegistry (shared thread pool,
-// per-graph generations of snapshot+core+workspace pool) and serves
+// Loads one or more graphs into a GraphRegistry (per-graph generations
+// of snapshot+core, one shared thread pool and workspace pool) and serves
 // concurrent queries. Because SimPush is index-free, graphs can be
 // edited and hot-swapped while serving: POST edge updates, swap in a
 // new generation, and in-flight queries finish on the generation they
