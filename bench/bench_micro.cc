@@ -265,14 +265,17 @@ void BM_GammaStage(benchmark::State& state) {
   o.epsilon = 0.02;
   o.walk_budget_cap = 20000;
   const DerivedParams params = ComputeDerivedParams(o);
-  std::vector<SourceGraph> gus;
-  for (NodeId u = 11; gus.size() < 8; u += 37) {
-    Rng rng(4);
-    auto gu = SourcePush(g, u, o, params, &rng, nullptr);
-    if (!gu.ok()) std::abort();
-    gus.push_back(std::move(gu).value());
-  }
   QueryWorkspace workspace;
+  std::vector<SourceGraph> gus(8);
+  NodeId u = 11;
+  for (SourceGraph& gu : gus) {
+    Rng rng(4);
+    if (!SourcePushInto(g, u, o, params, &rng, &workspace, &gu, nullptr)
+             .ok()) {
+      std::abort();
+    }
+    u += 37;
+  }
   HittingTable table;
   std::vector<double> gamma;
   size_t next = 0;
@@ -296,15 +299,19 @@ void BM_ReversePushStage(benchmark::State& state) {
   o.walk_budget_cap = 20000;
   const DerivedParams params = ComputeDerivedParams(o);
   Rng rng(5);
-  auto gu = SourcePush(g, 11, o, params, &rng, nullptr);
-  if (!gu.ok()) std::abort();
-  HittingTable table = ComputeHittingTable(g, *gu, params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(*gu, table);
   QueryWorkspace workspace;
+  SourceGraph gu;
+  HittingTable table;
+  std::vector<double> gamma;
+  if (!SourcePushInto(g, 11, o, params, &rng, &workspace, &gu, nullptr).ok() ||
+      !ComputeHittingTable(g, gu, params.sqrt_c, &workspace, &table).ok() ||
+      !ComputeLastMeetingProbabilities(gu, table, &workspace, &gamma).ok()) {
+    std::abort();
+  }
   std::vector<double> scores(g.num_nodes(), 0.0);
   for (auto _ : state) {
     std::fill(scores.begin(), scores.end(), 0.0);
-    (void)ReversePush(g, *gu, gamma, params.sqrt_c, params.eps_h, &workspace,
+    (void)ReversePush(g, gu, gamma, params.sqrt_c, params.eps_h, &workspace,
                       &scores, nullptr);
     benchmark::DoNotOptimize(scores);
   }

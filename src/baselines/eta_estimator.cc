@@ -1,8 +1,11 @@
 #include "baselines/eta_estimator.h"
 
+#include "common/rng.h"
 #include "walk/walker.h"
 
 namespace simpush {
+
+namespace {
 
 double EstimateEta(const Graph& graph, double sqrt_c, NodeId w,
                    uint32_t samples, Rng* rng) {
@@ -13,6 +16,8 @@ double EstimateEta(const Graph& graph, double sqrt_c, NodeId w,
   }
   return static_cast<double>(never_met) / static_cast<double>(samples);
 }
+
+}  // namespace
 
 std::vector<double> EstimateEtaAllNodes(const Graph& graph, double sqrt_c,
                                         uint32_t samples_per_node,

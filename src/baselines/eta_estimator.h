@@ -11,21 +11,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "graph/graph.h"
 
 namespace simpush {
 
 /// Estimates η(w) for every node by `samples_per_node` paired-walk
-/// trials each. O(n·samples/(1-√c)) total expected steps.
+/// trials each, nodes in id order on one stream seeded by `seed`.
+/// O(n·samples/(1-√c)) total expected steps. SLING and PRSim both call
+/// it once, when they build their index.
 std::vector<double> EstimateEtaAllNodes(const Graph& graph, double sqrt_c,
                                         uint32_t samples_per_node,
                                         uint64_t seed);
-
-/// Estimates η(w) for a single node (used online by PRSim for non-hub
-/// meeting nodes and by tests).
-double EstimateEta(const Graph& graph, double sqrt_c, NodeId w,
-                   uint32_t samples, Rng* rng);
 
 }  // namespace simpush
 

@@ -29,20 +29,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates elapsed time across several start/stop intervals; used by
-/// the benchmark harness to attribute time to algorithm stages.
-class StageTimer {
- public:
-  void Start() { running_.Restart(); }
-  void Stop() { total_ += running_.ElapsedSeconds(); }
-  void Reset() { total_ = 0.0; }
-  double TotalSeconds() const { return total_; }
-
- private:
-  Timer running_;
-  double total_ = 0.0;
-};
-
 }  // namespace simpush
 
 #endif  // SIMPUSH_COMMON_TIMER_H_

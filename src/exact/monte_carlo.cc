@@ -28,9 +28,4 @@ double EstimateSimRankPair(const Walker& walker, NodeId u, NodeId v,
   return static_cast<double>(meets) / static_cast<double>(num_samples);
 }
 
-uint64_t MonteCarloSamplesFor(double eps, double delta) {
-  const double n = std::log(2.0 / delta) / (2.0 * eps * eps);
-  return static_cast<uint64_t>(std::ceil(n));
-}
-
 }  // namespace simpush

@@ -31,10 +31,6 @@ StatusOr<double> EstimateSimRankPair(const Graph& graph, NodeId u, NodeId v,
 double EstimateSimRankPair(const Walker& walker, NodeId u, NodeId v,
                            uint64_t num_samples, Rng* rng);
 
-/// Samples needed so the Hoeffding bound gives |error| <= eps w.p.
-/// >= 1 - delta.
-uint64_t MonteCarloSamplesFor(double eps, double delta);
-
 }  // namespace simpush
 
 #endif  // SIMPUSH_EXACT_MONTE_CARLO_H_

@@ -31,20 +31,6 @@ StatusOr<Graph> GenerateChungLu(NodeId num_nodes, EdgeId num_edges,
                                 double gamma, uint64_t seed,
                                 bool undirected = false);
 
-/// Directed cycle 0 -> 1 -> ... -> n-1 -> 0. Hand-analyzable SimRank.
-StatusOr<Graph> GenerateCycle(NodeId num_nodes);
-
-/// Star: spokes 1..n-1 each point to hub 0 (and hub to spokes when
-/// `bidirectional`). SimRank between spokes is analytic: c.
-StatusOr<Graph> GenerateStar(NodeId num_nodes, bool bidirectional = false);
-
-/// Complete directed graph without self-loops; analytic SimRank.
-StatusOr<Graph> GenerateComplete(NodeId num_nodes);
-
-/// 2-D grid with edges pointing right and down; used in tests for a
-/// sparse deterministic topology with varied in-degrees.
-StatusOr<Graph> GenerateGrid(NodeId rows, NodeId cols);
-
 /// R-MAT / Kronecker recursive-matrix generator (Chakrabarti et al.):
 /// 2^scale nodes, `num_edges` directed edges placed by recursively
 /// descending the adjacency matrix with quadrant probabilities

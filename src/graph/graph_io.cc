@@ -219,14 +219,6 @@ StatusOr<Graph> LoadEdgeList(const std::string& path,
   return std::move(parser).Finish();
 }
 
-StatusOr<Graph> ParseEdgeList(const std::string& text,
-                              const EdgeListOptions& options) {
-  EdgeListParser parser(options.undirected);
-  SIMPUSH_RETURN_NOT_OK(
-      parser.ParseLines(text.data(), text.data() + text.size()));
-  return std::move(parser).Finish();
-}
-
 StatusOr<Graph> LoadGraphAnyFormat(const std::string& path,
                                    const EdgeListOptions& options) {
   // Chaos hook: lets the suite fail a graph load without corrupting a

@@ -41,11 +41,6 @@ struct EdgeListOptions {
 StatusOr<Graph> LoadEdgeList(const std::string& path,
                              const EdgeListOptions& options = {});
 
-/// Parses an edge list from an in-memory string (same rules as
-/// LoadEdgeList); used heavily by tests.
-StatusOr<Graph> ParseEdgeList(const std::string& text,
-                              const EdgeListOptions& options = {});
-
 /// Loads a graph dispatching on the file name: ".spg" files go through
 /// LoadBinaryGraph, anything else through LoadEdgeList with `options`.
 /// The single format-detection point shared by the CLI tools and the

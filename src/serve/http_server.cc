@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <string_view>
 
 #include "common/deadline.h"
 #include "common/failpoint.h"
@@ -38,6 +40,7 @@ const char* StatusText(int status) {
     // and counters — but a half-closed client can still receive it.
     case 499: return "Client Closed Request";
     case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
     case 504: return "Gateway Timeout";
     default: return "Unknown";
@@ -70,6 +73,37 @@ void HttpServer::RoutePrefix(std::string method, std::string prefix,
                              HttpHandler handler) {
   prefix_routes_.emplace_back(std::move(method), std::move(prefix),
                               std::move(handler));
+}
+
+HttpResponse HttpServer::Dispatch(const HttpRequest& request) const {
+  bool path_known = false;
+  const HttpHandler* handler = nullptr;
+  for (const auto& [method, path, route_handler] : routes_) {
+    if (path != request.target) continue;
+    path_known = true;
+    if (method == request.method) {
+      handler = &route_handler;
+      break;
+    }
+  }
+  if (handler == nullptr) {
+    // No exact route: longest matching prefix route wins (405 when a
+    // prefix covers the path but not the method).
+    size_t best_len = 0;
+    for (const auto& [method, prefix, route_handler] : prefix_routes_) {
+      if (request.target.compare(0, prefix.size(), prefix) != 0) continue;
+      path_known = true;
+      if (method != request.method || prefix.size() < best_len) continue;
+      best_len = prefix.size();
+      handler = &route_handler;
+    }
+  }
+  if (handler != nullptr) return (*handler)(request);
+  HttpResponse response;
+  response.status = path_known ? 405 : 404;
+  response.body = path_known ? "{\"error\":\"method not allowed\"}\n"
+                             : "{\"error\":\"not found\"}\n";
+  return response;
 }
 
 Status HttpServer::Start() {
@@ -224,36 +258,7 @@ void HttpServer::ServeConnection(int fd) {
     if (got <= 0) break;
     request.client_fd = fd;  // Lets a query's CancelToken probe it.
 
-    HttpResponse response;
-    bool path_known = false;
-    const HttpHandler* handler = nullptr;
-    for (const auto& [method, path, route_handler] : routes_) {
-      if (path != request.target) continue;
-      path_known = true;
-      if (method == request.method) {
-        handler = &route_handler;
-        break;
-      }
-    }
-    if (handler == nullptr) {
-      // No exact route: longest matching prefix route wins (405 when a
-      // prefix covers the path but not the method).
-      size_t best_len = 0;
-      for (const auto& [method, prefix, route_handler] : prefix_routes_) {
-        if (request.target.compare(0, prefix.size(), prefix) != 0) continue;
-        path_known = true;
-        if (method != request.method || prefix.size() < best_len) continue;
-        best_len = prefix.size();
-        handler = &route_handler;
-      }
-    }
-    if (handler != nullptr) {
-      response = (*handler)(request);
-    } else {
-      response.status = path_known ? 405 : 404;
-      response.body = path_known ? "{\"error\":\"method not allowed\"}\n"
-                                 : "{\"error\":\"not found\"}\n";
-    }
+    const HttpResponse response = Dispatch(request);
 
     // Drain mode and explicit client requests both end the connection
     // after this response.
@@ -272,56 +277,71 @@ void HttpServer::ServeConnection(int fd) {
 
 int HttpServer::ReadRequest(int fd, std::string* buffer,
                             HttpRequest* request) {
-  // Each recv timeout (read_timeout_ms) burns one tick of the relevant
-  // budget; receiving bytes refills it. An idle or trickling
-  // connection therefore holds a worker for at most idle_timeout_ms —
-  // the anti-slowloris bound — and once draining, for at most ~2s.
+  // Answers a request that cannot be served and closes the connection.
+  auto reject = [&](int status, std::string_view error) {
+    WriteResponse(fd,
+                  HttpResponse{status, "application/json",
+                               "{\"error\":\"" + std::string(error) + "\"}\n",
+                               {}},
+                  /*close=*/true);
+    return -1;
+  };
+  // Between requests each recv timeout (read_timeout_ms) burns one tick
+  // of the idle budget, so an idle keep-alive connection closes after
+  // idle_timeout_ms of silence. Once a request has begun, all of the
+  // rest of it must arrive within idle_timeout_ms of the first of its
+  // bytes this worker holds, or it is answered 408: a budget refilled
+  // per chunk would let a client trickling one byte per read timeout
+  // hold the worker for as long as it likes. The deadline is armed when
+  // the request first needs another recv(), so a request that arrives
+  // whole reads no clock. Once draining, a connection holds its worker
+  // for at most ~2s of timeouts.
   const int read_ms = std::max(1, options_.read_timeout_ms);
-  const int idle_budget_full =
-      std::max(1, options_.idle_timeout_ms / read_ms);
-  int idle_budget = idle_budget_full;
+  int idle_ticks_left = std::max(1, options_.idle_timeout_ms / read_ms);
   int drain_timeouts_left = std::max(1, 2000 / read_ms);
-
-  // Phase 1: accumulate bytes until the header terminator.
-  size_t header_end = std::string::npos;
-  while (true) {
-    header_end = buffer->find("\r\n\r\n");
-    if (header_end != std::string::npos) break;
-    if (buffer->size() > kMaxHeaderBytes) {
-      WriteResponse(fd, HttpResponse{400, "application/json",
-                                     "{\"error\":\"headers too large\"}\n",
-                                     {}},
-                    /*close=*/true);
-      return -1;
+  std::optional<Deadline> request_deadline;
+  // Appends the next bytes of the request to `buffer`. 1 = bytes read,
+  // 0 = clean close before any byte of a request, -1 = the connection
+  // must close (a stalled request has been answered 408).
+  auto receive = [&]() -> int {
+    if (!buffer->empty()) {
+      if (!request_deadline) {
+        request_deadline = Deadline::After(options_.idle_timeout_ms);
+      } else if (request_deadline->expired()) {
+        return reject(408, "request timeout");
+      }
     }
-    char chunk[8192];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer->append(chunk, static_cast<size_t>(n));
-      idle_budget = idle_budget_full;
-      continue;
-    }
-    if (n == 0) {
+    while (true) {
+      char chunk[8192];
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        buffer->append(chunk, static_cast<size_t>(n));
+        return 1;
+      }
       // Peer closed. Clean only between requests.
-      return buffer->empty() ? 0 : -1;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (n == 0) return buffer->empty() ? 0 : -1;
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) return -1;
       if (stopping_.load()) {
         if (buffer->empty() || --drain_timeouts_left <= 0) return -1;
         continue;
       }
-      if (--idle_budget > 0) continue;
-      // Idle between requests: close silently. Mid-request: 408.
-      if (!buffer->empty()) {
-        WriteResponse(fd, HttpResponse{408, "application/json",
-                                       "{\"error\":\"request timeout\"}\n",
-                                       {}},
-                      /*close=*/true);
+      if (buffer->empty()) {
+        if (--idle_ticks_left > 0) continue;
+        return -1;  // Idle between requests: close silently.
       }
-      return -1;
+      if (request_deadline->expired()) return reject(408, "request timeout");
     }
-    return -1;
+  };
+
+  // Phase 1: accumulate bytes until the header terminator.
+  size_t header_end = std::string::npos;
+  while ((header_end = buffer->find("\r\n\r\n")) == std::string::npos) {
+    if (buffer->size() > kMaxHeaderBytes) {
+      return reject(400, "headers too large");
+    }
+    const int got = receive();
+    if (got <= 0) return got;
   }
 
   // Phase 2: parse request line + headers.
@@ -332,11 +352,7 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
   const size_t sp2 =
       sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
   if (sp2 == std::string_view::npos) {
-    WriteResponse(fd, HttpResponse{400, "application/json",
-                                   "{\"error\":\"malformed request line\"}\n",
-                                   {}},
-                  /*close=*/true);
-    return -1;
+    return reject(400, "malformed request line");
   }
   request->method = std::string(request_line.substr(0, sp1));
   request->target =
@@ -367,7 +383,14 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
                                   std::string(line.substr(value_begin)));
   }
 
-  // Phase 3: read the Content-Length body.
+  // Phase 3: read the Content-Length body. Bodies are framed by
+  // Content-Length only. A Transfer-Encoding request is refused whole,
+  // Content-Length or not: its chunk bytes would otherwise be read as
+  // the next request, and a request carrying both headers is the
+  // request-smuggling shape of RFC 9112 §6.3.
+  if (request->FindHeader("transfer-encoding") != nullptr) {
+    return reject(501, "transfer-encoding not supported");
+  }
   size_t content_length = 0;
   if (const std::string* header = request->FindHeader("content-length")) {
     // The whole value must be digits: accepting a "12abc" prefix would
@@ -376,24 +399,13 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
     const bool all_digits =
         !header->empty() &&
         header->find_first_not_of("0123456789") == std::string::npos;
-    if (!all_digits) {
-      WriteResponse(fd,
-                    HttpResponse{400, "application/json",
-                                 "{\"error\":\"malformed content-length\"}\n",
-                                 {}},
-                    /*close=*/true);
-      return -1;
-    }
+    if (!all_digits) return reject(400, "malformed content-length");
     errno = 0;
     content_length = std::strtoull(header->c_str(), nullptr, 10);
     // A value that overflows uint64 reads back as ULLONG_MAX, which the
     // size cap below rejects with 413 like any other oversized body.
     if (errno == ERANGE || content_length > options_.max_body_bytes) {
-      WriteResponse(fd, HttpResponse{413, "application/json",
-                                     "{\"error\":\"body too large\"}\n",
-                                     {}},
-                    /*close=*/true);
-      return -1;
+      return reject(413, "body too large");
     }
   }
   if (const std::string* expect = request->FindHeader("expect")) {
@@ -404,28 +416,7 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
   }
   const size_t body_begin = header_end + 4;
   while (buffer->size() < body_begin + content_length) {
-    char chunk[8192];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer->append(chunk, static_cast<size_t>(n));
-      idle_budget = idle_budget_full;
-      continue;
-    }
-    if (n == 0) return -1;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (stopping_.load()) {
-        if (--drain_timeouts_left <= 0) return -1;
-        continue;
-      }
-      if (--idle_budget > 0) continue;
-      WriteResponse(fd, HttpResponse{408, "application/json",
-                                     "{\"error\":\"request timeout\"}\n",
-                                     {}},
-                    /*close=*/true);
-      return -1;
-    }
-    return -1;
+    if (receive() <= 0) return -1;
   }
   request->body.assign(*buffer, body_begin, content_length);
   buffer->erase(0, body_begin + content_length);

@@ -4,7 +4,8 @@
 // bounded queue of accepted connections, and a fixed pool of worker
 // threads that each own one connection at a time (keep-alive supported).
 // This is not a general web server — it implements exactly what a
-// same-datacenter RPC front end needs: Content-Length framed requests,
+// same-datacenter RPC front end needs: Content-Length framed requests
+// (a request carrying Transfer-Encoding is refused with 501),
 // a method+path router, admission control, and graceful drain.
 //
 // Admission control: the accept thread never blocks on workers. When
@@ -88,9 +89,12 @@ struct HttpServerOptions {
   /// read_timeout_ms. Without it a client that stops reading while a
   /// large response is mid-flight holds its worker hostage forever.
   int write_timeout_ms = 200;
-  /// A connection that sends no bytes for this long is closed (idle
-  /// keep-alive connections silently, mid-request stalls with 408), so
-  /// idle or trickling clients cannot pin workers indefinitely.
+  /// A keep-alive connection that sends no bytes for this long between
+  /// requests is closed silently. Once a request has begun, the rest of
+  /// it must arrive within this long of its first byte, however slowly
+  /// it trickles, or it is answered 408 and the connection closed. An
+  /// idle keep-alive connection still holds its worker for up to this
+  /// long.
   int idle_timeout_ms = 30000;
 };
 
@@ -124,6 +128,13 @@ class HttpServer {
   /// called before Start().
   void RoutePrefix(std::string method, std::string prefix,
                    HttpHandler handler);
+
+  /// Routes `request` the way a served connection does and returns the
+  /// response: an exact (method, path) route first, then the longest
+  /// matching prefix route for the method; 405 when some route covers
+  /// the path but none the method, 404 when none covers the path. Runs
+  /// the handler on the calling thread and needs no Start().
+  HttpResponse Dispatch(const HttpRequest& request) const;
 
   /// Binds, listens, and spawns the accept + worker threads. Fails with
   /// IOError when the port cannot be bound.

@@ -930,28 +930,8 @@ HttpResponse SimPushService::HandleQuery(const HttpRequest& request) {
   return Serve(Route::Find("POST", "/v1/query"), request);
 }
 
-HttpResponse SimPushService::HandleTopK(const HttpRequest& request) {
-  return Serve(Route::Find("POST", "/v1/topk"), request);
-}
-
 HttpResponse SimPushService::HandleBatch(const HttpRequest& request) {
   return Serve(Route::Find("POST", "/v1/batch"), request);
-}
-
-HttpResponse SimPushService::HandleStats(const HttpRequest& request) {
-  return Serve(Route::Find("GET", "/v1/stats"), request);
-}
-
-HttpResponse SimPushService::HandleHealth(const HttpRequest& request) {
-  return Serve(Route::Find("GET", "/healthz"), request);
-}
-
-HttpResponse SimPushService::HandleGraphList(const HttpRequest& request) {
-  return Serve(Route::Find("GET", "/v1/graphs"), request);
-}
-
-HttpResponse SimPushService::HandleGraphCreate(const HttpRequest& request) {
-  return Serve(Route::Find("POST", "/v1/graphs"), request);
 }
 
 HttpResponse SimPushService::HandleGraphOp(const HttpRequest& request) {

@@ -148,16 +148,11 @@ class SimPushService {
   Status RunQuery(std::string_view graph_name, NodeId u,
                   SimPushResult* result);
 
-  /// Endpoint handlers (exposed for tests and bench/e2e; the
-  /// HTTP router calls the same rows). Each is concurrency-safe and a
-  /// thin entry into the one route shell.
+  /// The /v1/query and /v1/batch rows, for bench/e2e's timing wrappers;
+  /// tests and simpush_serve reach every row through RegisterRoutes.
+  /// Each is concurrency-safe and a thin entry into the one route shell.
   HttpResponse HandleQuery(const HttpRequest& request);
-  HttpResponse HandleTopK(const HttpRequest& request);
   HttpResponse HandleBatch(const HttpRequest& request);
-  HttpResponse HandleStats(const HttpRequest& request);
-  HttpResponse HandleHealth(const HttpRequest& request);
-  HttpResponse HandleGraphList(const HttpRequest& request);
-  HttpResponse HandleGraphCreate(const HttpRequest& request);
   /// Dispatcher for /v1/graphs/{name}[/edges|/swap|/options] (prefix
   /// route): picks the route-table row by (operation, method).
   HttpResponse HandleGraphOp(const HttpRequest& request);

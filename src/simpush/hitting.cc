@@ -318,14 +318,4 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   return Status::OK();
 }
 
-HittingTable ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                                 double sqrt_c) {
-  QueryWorkspace workspace;
-  HittingTable table;
-  // Only a fired token fails the build, and a null one never fires.
-  (void)ComputeHittingTable(graph, gu, sqrt_c, &workspace, &table,
-                            /*cancel=*/nullptr);
-  return table;
-}
-
 }  // namespace simpush

@@ -108,11 +108,6 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
                            HittingTable* table,
                            const CancelToken* cancel = nullptr);
 
-/// Convenience overload for tests and one-shot callers: allocates its
-/// own scratch and returns the table by value.
-HittingTable ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                                 double sqrt_c);
-
 }  // namespace simpush
 
 #endif  // SIMPUSH_SIMPUSH_HITTING_H_

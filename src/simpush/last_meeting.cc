@@ -59,12 +59,6 @@ double GammaFor(const SourceGraph& gu, const HittingTable& hitting,
 
 }  // namespace
 
-double ComputeGammaFor(const SourceGraph& gu, const HittingTable& hitting,
-                       AttentionId id) {
-  GammaScratch scratch;
-  return GammaFor(gu, hitting, id, &scratch);
-}
-
 Status ComputeLastMeetingProbabilities(const SourceGraph& gu,
                                        const HittingTable& hitting,
                                        QueryWorkspace* workspace,
@@ -80,16 +74,6 @@ Status ComputeLastMeetingProbabilities(const SourceGraph& gu,
     (*gamma)[id] = GammaFor(gu, hitting, id, &workspace->gamma_scratch);
   }
   return Status::OK();
-}
-
-std::vector<double> ComputeLastMeetingProbabilities(
-    const SourceGraph& gu, const HittingTable& hitting) {
-  QueryWorkspace workspace;
-  std::vector<double> gamma;
-  // Only a fired token fails the stage, and a null one never fires.
-  (void)ComputeLastMeetingProbabilities(gu, hitting, &workspace, &gamma,
-                                        /*cancel=*/nullptr);
-  return gamma;
 }
 
 }  // namespace simpush

@@ -33,15 +33,6 @@ Status ComputeLastMeetingProbabilities(const SourceGraph& gu,
                                        std::vector<double>* gamma,
                                        const CancelToken* cancel = nullptr);
 
-/// Convenience overload for tests and one-shot callers.
-std::vector<double> ComputeLastMeetingProbabilities(
-    const SourceGraph& gu, const HittingTable& hitting);
-
-/// Computes γ for a single attention occurrence (Algorithm 4 verbatim);
-/// used by tests to cross-check the batch version.
-double ComputeGammaFor(const SourceGraph& gu, const HittingTable& hitting,
-                       AttentionId id);
-
 }  // namespace simpush
 
 #endif  // SIMPUSH_SIMPUSH_LAST_MEETING_H_

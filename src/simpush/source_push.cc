@@ -314,15 +314,4 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   return Status::OK();
 }
 
-StatusOr<SourceGraph> SourcePush(const Graph& graph, NodeId u,
-                                 const SimPushOptions& options,
-                                 const DerivedParams& params, Rng* rng,
-                                 SourcePushStats* stats) {
-  QueryWorkspace workspace;
-  SourceGraph gu;
-  SIMPUSH_RETURN_NOT_OK(SourcePushInto(graph, u, options, params, rng,
-                                       &workspace, &gu, stats));
-  return gu;
-}
-
 }  // namespace simpush

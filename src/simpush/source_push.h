@@ -79,13 +79,6 @@ Status SourcePushInto(const Graph& graph, NodeId u,
                       SourcePushStats* stats,
                       const CancelToken* cancel = nullptr);
 
-/// Convenience overload for tests and one-shot callers: allocates its
-/// own workspace and returns G_u by value.
-StatusOr<SourceGraph> SourcePush(const Graph& graph, NodeId u,
-                                 const SimPushOptions& options,
-                                 const DerivedParams& params, Rng* rng,
-                                 SourcePushStats* stats);
-
 }  // namespace simpush
 
 #endif  // SIMPUSH_SIMPUSH_SOURCE_PUSH_H_

@@ -14,6 +14,7 @@
 #include "baselines/topsim.h"
 #include "baselines/tsf.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "test_util.h"
 #include "walk/walker.h"
 
@@ -49,16 +50,14 @@ TEST(EtaEstimatorTest, MatchesPairMeetingComplement) {
   for (uint64_t i = 0; i < trials; ++i) {
     if (walker.PairWalkMeets(0, 0, &rng)) ++meets;
   }
-  Rng rng2(2);
-  const double eta = EstimateEta(g, kSqrtC, 0, 200000, &rng2);
+  const double eta = EstimateEtaAllNodes(g, kSqrtC, 200000, 2)[0];
   EXPECT_NEAR(eta, 1.0 - double(meets) / trials, 0.01);
 }
 
 TEST(EtaEstimatorTest, DanglingNodeEtaIsOne) {
   Graph g = testing_util::MakeGraph(2, {{0, 1}});
-  Rng rng(3);
   // Node 0 has no in-neighbors: walks stop at step 0, never meet again.
-  EXPECT_DOUBLE_EQ(EstimateEta(g, kSqrtC, 0, 1000, &rng), 1.0);
+  EXPECT_DOUBLE_EQ(EstimateEtaAllNodes(g, kSqrtC, 1000, 3)[0], 1.0);
 }
 
 TEST(EtaEstimatorTest, SingleInNeighborLowEta) {
@@ -66,8 +65,7 @@ TEST(EtaEstimatorTest, SingleInNeighborLowEta) {
   // probability c = √c·√c, so η <= 1 - c.
   auto g = GenerateCycle(8);
   ASSERT_TRUE(g.ok());
-  Rng rng(4);
-  const double eta = EstimateEta(*g, kSqrtC, 0, 100000, &rng);
+  const double eta = EstimateEtaAllNodes(*g, kSqrtC, 100000, 4)[0];
   EXPECT_NEAR(eta, 1.0 - 0.6, 0.01);
 }
 

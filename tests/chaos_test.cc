@@ -35,6 +35,7 @@
 #include "serve/http_server.h"
 #include "serve/json.h"
 #include "serve/service.h"
+#include "serve_routes.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
 #include "simpush/workspace.h"
@@ -319,6 +320,7 @@ TEST(ChaosTest, WorkspaceAllocFailureTimesOutAs504) {
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service
                   .AddGraph("default", testing_util::MakeFixtureGraph(),
                             options.query)
@@ -330,7 +332,7 @@ TEST(ChaosTest, WorkspaceAllocFailureTimesOutAs504) {
   ASSERT_TRUE(FailpointRegistry::Get()
                   .Activate("workspace_pool.alloc", "alloc_fail")
                   .ok());
-  const HttpResponse response = service.HandleQuery(
+  const HttpResponse response = routes->Dispatch(
       MakeRequest("POST", "/v1/query", R"({"node":1,"deadline_ms":30})"));
   EXPECT_EQ(response.status, 504);
   const JsonValue doc = ParseBody(response);
@@ -340,7 +342,7 @@ TEST(ChaosTest, WorkspaceAllocFailureTimesOutAs504) {
 
   // Recovery: deactivate, and the same request succeeds.
   FailpointRegistry::Get().DeactivateAll();
-  const HttpResponse ok = service.HandleQuery(
+  const HttpResponse ok = routes->Dispatch(
       MakeRequest("POST", "/v1/query", R"({"node":1,"deadline_ms":30})"));
   EXPECT_EQ(ok.status, 200);
 
@@ -356,6 +358,7 @@ TEST(ChaosTest, DeadlineExpiryIsCountedPerTenant) {
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service
                   .AddGraph("default", testing_util::MakeFixtureGraph(),
                             options.query)
@@ -367,18 +370,18 @@ TEST(ChaosTest, DeadlineExpiryIsCountedPerTenant) {
   ASSERT_TRUE(FailpointRegistry::Get()
                   .Activate("workspace_pool.acquire", "sleep:60")
                   .ok());
-  const HttpResponse late = service.HandleQuery(
+  const HttpResponse late = routes->Dispatch(
       MakeRequest("POST", "/v1/query", R"({"node":1,"deadline_ms":20})"));
   EXPECT_EQ(late.status, 504);
   FailpointRegistry::Get().DeactivateAll();
 
   // Out-of-range deadlines are a 400, not a clamp.
-  const HttpResponse too_big = service.HandleQuery(MakeRequest(
+  const HttpResponse too_big = routes->Dispatch(MakeRequest(
       "POST", "/v1/query", R"({"node":1,"deadline_ms":99999999})"));
   EXPECT_EQ(too_big.status, 400);
 
   const HttpResponse stats_response =
-      service.HandleStats(MakeRequest("GET", "/v1/stats", ""));
+      routes->Dispatch(MakeRequest("GET", "/v1/stats", ""));
   const JsonValue stats = ParseBody(stats_response);
   const JsonValue* requests = stats.Find("requests");
   ASSERT_NE(requests, nullptr);
@@ -419,7 +422,7 @@ TEST(ChaosTest, DisconnectedClientCancelsInFlightQuery) {
     FailpointRegistry::Get().DeactivateAll();
 
     const HttpResponse stats_response =
-        fixture.service().HandleStats(MakeRequest("GET", "/v1/stats", ""));
+        fixture.server().Dispatch(MakeRequest("GET", "/v1/stats", ""));
     const JsonValue stats = ParseBody(stats_response);
     const JsonValue* requests = stats.Find("requests");
     ASSERT_NE(requests, nullptr);
@@ -546,6 +549,7 @@ TEST(ChaosTest, PatchOptionsRepublishesWithoutConsumingPending) {
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service
                   .AddGraph("default", testing_util::MakeFixtureGraph(),
                             options.query)
@@ -561,7 +565,7 @@ TEST(ChaosTest, PatchOptionsRepublishesWithoutConsumingPending) {
   const auto before = registry.Stats("default");
   ASSERT_TRUE(before.ok());
 
-  const HttpResponse patched = service.HandleGraphOp(
+  const HttpResponse patched = routes->Dispatch(
       MakeRequest("PATCH", "/v1/graphs/default/options",
                   R"({"options":{"epsilon":0.2,"seed":9}})"));
   EXPECT_EQ(patched.status, 200) << patched.body;
@@ -582,26 +586,26 @@ TEST(ChaosTest, PatchOptionsRepublishesWithoutConsumingPending) {
 
   // Contract violations: wrong method, missing body, unknown tenant,
   // network-bounds violation (ε below the server floor).
-  EXPECT_EQ(service
-                .HandleGraphOp(MakeRequest("POST",
+  EXPECT_EQ(routes
+                ->Dispatch(MakeRequest("POST",
                                            "/v1/graphs/default/options",
                                            R"({"options":{}})"))
                 .status,
             405);
-  EXPECT_EQ(service
-                .HandleGraphOp(MakeRequest("PATCH",
+  EXPECT_EQ(routes
+                ->Dispatch(MakeRequest("PATCH",
                                            "/v1/graphs/default/options",
                                            R"({})"))
                 .status,
             400);
-  EXPECT_EQ(service
-                .HandleGraphOp(MakeRequest("PATCH",
+  EXPECT_EQ(routes
+                ->Dispatch(MakeRequest("PATCH",
                                            "/v1/graphs/nosuch/options",
                                            R"({"options":{}})"))
                 .status,
             404);
-  EXPECT_EQ(service
-                .HandleGraphOp(
+  EXPECT_EQ(routes
+                ->Dispatch(
                     MakeRequest("PATCH", "/v1/graphs/default/options",
                                 R"({"options":{"epsilon":1e-9}})"))
                 .status,
@@ -620,6 +624,7 @@ TEST(ChaosTest, CancellationSoakSurvivorsBitIdentical) {
   options.query = soak_options;
   options.num_threads = 4;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   const int64_t live_baseline = service.registry().live_generations();
 
@@ -652,7 +657,7 @@ TEST(ChaosTest, CancellationSoakSurvivorsBitIdentical) {
         }
         body += "}";
         const HttpResponse response =
-            service.HandleQuery(MakeRequest("POST", "/v1/query", body));
+            routes->Dispatch(MakeRequest("POST", "/v1/query", body));
         if (response.status == 504) {
           expired.fetch_add(1);
           continue;
@@ -719,6 +724,7 @@ TEST(ChaosTest, ResultCacheInsertFailureDegradesToComputed) {
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
   const HttpRequest query = MakeRequest("POST", "/v1/query", "{\"node\": 3}");
 
@@ -727,7 +733,7 @@ TEST(ChaosTest, ResultCacheInsertFailureDegradesToComputed) {
     ASSERT_TRUE(
         FailpointRegistry::Get().Activate("result_cache.insert", spec).ok());
     for (int i = 0; i < 3; ++i) {
-      const HttpResponse response = service.HandleQuery(query);
+      const HttpResponse response = routes->Dispatch(query);
       ASSERT_EQ(response.status, 200) << spec << ": " << response.body;
       EXPECT_EQ(response.body.find("\"cached\""), std::string::npos)
           << spec << " must suppress caching: " << response.body;
@@ -749,8 +755,8 @@ TEST(ChaosTest, ResultCacheInsertFailureDegradesToComputed) {
   // Lift the failpoint: the next miss inserts, the one after hits, and
   // the cached response is byte-identical to the degraded ones.
   FailpointRegistry::Get().DeactivateAll();
-  EXPECT_EQ(service.HandleQuery(query).body, healthy_body);
-  const HttpResponse cached = service.HandleQuery(query);
+  EXPECT_EQ(routes->Dispatch(query).body, healthy_body);
+  const HttpResponse cached = routes->Dispatch(query);
   ASSERT_EQ(cached.status, 200);
   std::string body = cached.body;
   const std::string stamp = ",\"cached\":true";

@@ -172,22 +172,6 @@ TEST(TimerTest, RestartResets) {
   EXPECT_LT(timer.ElapsedSeconds(), before + 1.0);
 }
 
-TEST(StageTimerTest, AccumulatesAcrossIntervals) {
-  StageTimer stage;
-  stage.Start();
-  volatile double sink = 0;
-  for (int i = 0; i < 10000; ++i) sink = sink + std::sqrt(double(i));
-  stage.Stop();
-  const double first = stage.TotalSeconds();
-  EXPECT_GT(first, 0.0);
-  stage.Start();
-  for (int i = 0; i < 10000; ++i) sink = sink + std::sqrt(double(i));
-  stage.Stop();
-  EXPECT_GT(stage.TotalSeconds(), first);
-  stage.Reset();
-  EXPECT_EQ(stage.TotalSeconds(), 0.0);
-}
-
 TEST(MemoryTest, PeakRssNonZero) { EXPECT_GT(PeakRssBytes(), 0u); }
 
 TEST(MemoryTest, CurrentRssNonZero) { EXPECT_GT(CurrentRssBytes(), 0u); }

@@ -6,6 +6,7 @@
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 
 namespace simpush {
 namespace {

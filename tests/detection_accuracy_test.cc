@@ -18,10 +18,11 @@
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/exact_hitting.h"
+#include "reference/graphs.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
 #include "simpush/workspace.h"
-#include "walk/walk_stats.h"
 
 namespace simpush {
 namespace {

@@ -7,6 +7,7 @@
 #include "exact/power_method.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "test_util.h"
 
 namespace simpush {
@@ -158,14 +159,6 @@ TEST(MonteCarloTest, RejectsBadInput) {
   MonteCarloOptions zero;
   zero.num_samples = 0;
   EXPECT_FALSE(EstimateSimRankPair(g, 0, 1, zero).ok());
-}
-
-TEST(MonteCarloTest, SampleCountFormula) {
-  // Hoeffding: n = ln(2/δ)/(2ε²).
-  const uint64_t samples = MonteCarloSamplesFor(0.01, 1e-4);
-  EXPECT_NEAR(double(samples), std::log(2.0 / 1e-4) / (2 * 1e-4), 1.0);
-  EXPECT_GT(MonteCarloSamplesFor(0.001, 1e-4),
-            MonteCarloSamplesFor(0.01, 1e-4));
 }
 
 }  // namespace

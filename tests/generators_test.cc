@@ -4,6 +4,7 @@
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 
 namespace simpush {
 namespace {

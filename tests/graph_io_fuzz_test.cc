@@ -7,14 +7,17 @@
 
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace simpush {
 namespace {
 
+using testing_util::LoadEdgeListText;
+
 class MalformedLineTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(MalformedLineTest, RejectedWithCleanStatus) {
-  auto graph = ParseEdgeList(GetParam());
+  auto graph = LoadEdgeListText(GetParam());
   // Must not crash; any Status is acceptable as long as a malformed
   // payload never silently parses to a non-empty edge set with
   // corrupted endpoints.
@@ -48,7 +51,7 @@ TEST(EdgeListGrammarTest, RejectsNonDecimalIdsNamingTheLine) {
        {"-1 2", "+1 2", "1 2.5", "1 -2", "1 +2", "1.5 2", "0x10 1", "1,2",
         "1 2,", "1 2abc", "1", "1 ", "1 # 2", "18446744073709551616 1",
         "1 99999999999999999999"}) {
-    auto graph = ParseEdgeList("0 1\n# comment\n" + bad + "\n4 5\n");
+    auto graph = LoadEdgeListText("0 1\n# comment\n" + bad + "\n4 5\n");
     ASSERT_FALSE(graph.ok()) << "accepted: '" << bad << "'";
     EXPECT_EQ(graph.status().code(), StatusCode::kIOError);
     EXPECT_NE(graph.status().message().find("line 3:"), std::string::npos)
@@ -61,7 +64,7 @@ TEST(EdgeListGrammarTest, RejectsNonDecimalIdsNamingTheLine) {
 
 TEST(EdgeListGrammarTest, MalformedLineEchoIsCappedAt80Bytes) {
   const std::string bad = "1 x" + std::string(500, 'y');
-  auto graph = ParseEdgeList(bad);
+  auto graph = LoadEdgeListText(bad);
   ASSERT_FALSE(graph.ok());
   const std::string& message = graph.status().message();
   EXPECT_NE(message.find("line 1:"), std::string::npos) << message;
@@ -72,7 +75,7 @@ TEST(EdgeListGrammarTest, MalformedLineEchoIsCappedAt80Bytes) {
 TEST(EdgeListGrammarTest, ExtremeIdsAndExtraColumnsAccepted) {
   // Leading zeros, both ends of the id range, and extra columns after
   // whitespace (SNAP weights, free text) are all valid.
-  auto graph = ParseEdgeList(
+  auto graph = LoadEdgeListText(
       "18446744073709551615 0 1.5\n"
       "007\t18446744073709551615\tweight=2 x\n"
       "0 7 \r\n");
@@ -88,7 +91,7 @@ TEST(EdgeListParseTest, WhitespaceVariantsAllParse) {
   for (const std::string text :
        {"1 2\n3 4\n", "1\t2\n3\t4\n", "  1   2  \n\t3\t4\t\n",
         "1 2\r\n3 4\r\n", "1 2\n3 4"}) {
-    auto graph = ParseEdgeList(text);
+    auto graph = LoadEdgeListText(text);
     ASSERT_TRUE(graph.ok()) << "text: " << text;
     EXPECT_EQ(graph->num_edges(), 2u) << "text: " << text;
   }
@@ -102,14 +105,14 @@ TEST(EdgeListParseTest, CommentsAndBlankLinesSkipped) {
       "10 20\n"
       "# trailing comment\n"
       "20 30\n";
-  auto graph = ParseEdgeList(text);
+  auto graph = LoadEdgeListText(text);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_edges(), 2u);
   EXPECT_EQ(graph->num_nodes(), 3u) << "ids compacted to [0, 3)";
 }
 
 TEST(EdgeListParseTest, IdCompactionIsFirstAppearanceOrder) {
-  auto graph = ParseEdgeList("100 7\n7 100\n42 100\n");
+  auto graph = LoadEdgeListText("100 7\n7 100\n42 100\n");
   ASSERT_TRUE(graph.ok());
   // 100 -> 0, 7 -> 1, 42 -> 2.
   ASSERT_EQ(graph->num_nodes(), 3u);
@@ -122,7 +125,7 @@ TEST(EdgeListParseTest, IdCompactionIsFirstAppearanceOrder) {
 }
 
 TEST(EdgeListParseTest, DedupesAndKeepsSelfLoops) {
-  auto graph = ParseEdgeList("1 2\n1 2\n3 3\n2 1\n");
+  auto graph = LoadEdgeListText("1 2\n1 2\n3 3\n2 1\n");
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_edges(), 3u);  // (1,2) deduped, (3,3) kept
 }
@@ -130,7 +133,7 @@ TEST(EdgeListParseTest, DedupesAndKeepsSelfLoops) {
 TEST(EdgeListParseTest, UndirectedDoublesEdges) {
   EdgeListOptions options;
   options.undirected = true;
-  auto graph = ParseEdgeList("1 2\n2 3\n", options);
+  auto graph = LoadEdgeListText("1 2\n2 3\n", options);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_edges(), 4u);
   EXPECT_TRUE(graph->is_symmetric());
@@ -141,7 +144,7 @@ TEST(EdgeListParseTest, UndirectedDoublesEdges) {
 
 TEST(EdgeListParseTest, EmptyInputsYieldEmptyGraphOrError) {
   for (const std::string text : {"", "\n\n", "# only comments\n"}) {
-    auto graph = ParseEdgeList(text);
+    auto graph = LoadEdgeListText(text);
     if (graph.ok()) {
       EXPECT_EQ(graph->num_edges(), 0u);
     }

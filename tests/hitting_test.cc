@@ -11,6 +11,7 @@
 
 #include "common/deadline.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "simpush/hitting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
@@ -24,20 +25,25 @@ struct Fixture {
   Graph graph;
   SourceGraph gu;
   DerivedParams params;
+  HittingTable table;  ///< Algorithm 3 over gu on a fresh workspace.
 };
 
 Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
                     uint64_t seed = 1) {
-  Fixture f{graph, {}, {}};
+  Fixture f{graph, {}, {}, {}};
   SimPushOptions options;
   options.epsilon = eps;
   options.walk_budget_cap = 20000;
   options.use_level_detection = false;
   f.params = ComputeDerivedParams(options);
   Rng rng(seed);
-  auto gu = SourcePush(f.graph, u, options, f.params, &rng, nullptr);
-  EXPECT_TRUE(gu.ok());
-  f.gu = std::move(gu).value();
+  QueryWorkspace workspace;
+  EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
+                             &f.gu, nullptr)
+                  .ok());
+  EXPECT_TRUE(ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c, &workspace,
+                                  &f.table)
+                  .ok());
   return f;
 }
 
@@ -78,7 +84,7 @@ double BruteForceHitting(const Graph& graph, const SourceGraph& gu,
 TEST(HittingTest, MatchesBruteForceOnFixtureGraph) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   for (AttentionId source = 0; source < f.gu.num_attention(); ++source) {
     const AttentionNode& w = f.gu.attention_nodes()[source];
     for (AttentionId target = 0; target < f.gu.num_attention(); ++target) {
@@ -97,7 +103,7 @@ TEST(HittingTest, MatchesBruteForceOnRandomGraphs) {
   for (uint64_t seed : {51u, 52u, 53u}) {
     Graph g = testing_util::RandomGraph(80, 500, seed);
     Fixture f = MakeFixture(g, static_cast<NodeId>(seed % 80), 0.05, seed);
-    HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+    const HittingTable& table = f.table;
     for (AttentionId source = 0; source < f.gu.num_attention(); ++source) {
       const AttentionNode& w = f.gu.attention_nodes()[source];
       for (AttentionId target = 0; target < f.gu.num_attention(); ++target) {
@@ -115,7 +121,7 @@ TEST(HittingTest, MatchesBruteForceOnRandomGraphs) {
 TEST(HittingTest, SelfEntriesPresentForDeepAttention) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
     const AttentionNode& w = f.gu.attention_nodes()[id];
     if (w.level >= 2) {
@@ -127,7 +133,7 @@ TEST(HittingTest, SelfEntriesPresentForDeepAttention) {
 TEST(HittingTest, VectorsSortedById) {
   Graph g = testing_util::RandomGraph(60, 400, 61);
   Fixture f = MakeFixture(g, 3, 0.05, 61);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   for (uint32_t level = 1; level <= f.gu.max_level(); ++level) {
     for (const auto& [node, h] : f.gu.Level(level)) {
       (void)h;
@@ -153,10 +159,16 @@ TEST(HittingTest, EmptyWhenMaxLevelBelowTwo) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(1);
-  auto gu = SourcePush(*star, 0, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  if (gu->max_level() < 2) {
-    HittingTable table = ComputeHittingTable(*star, *gu, params.sqrt_c);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(*star, 0, options, params, &rng, &workspace,
+                             &gu, nullptr)
+                  .ok());
+  if (gu.max_level() < 2) {
+    HittingTable table;
+    ASSERT_TRUE(
+        ComputeHittingTable(*star, gu, params.sqrt_c, &workspace, &table)
+            .ok());
     EXPECT_EQ(table.NumVectors(), 0u);
     EXPECT_EQ(table.NumEntries(), 0u);
   }
@@ -172,7 +184,7 @@ TEST(HittingTest, DanglingAttentionNodeStillExportsSelfEntry) {
       5, {{4, 3}, {3, 2}, {2, 1}, {1, 0}});
   Fixture f = MakeFixture(g, 0, 0.05);
   ASSERT_GE(f.gu.max_level(), 4u);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   AttentionId deep_id;
   ASSERT_TRUE(f.gu.LookupAttention(4, 4, &deep_id));
   // Node 3 at level 3 must see node 4's self entry one step away.
@@ -430,7 +442,7 @@ TEST(HittingTest, CancelDuringPushLevelLeavesWorkspaceClean) {
 TEST(HittingTest, ProbabilityLookupMissingReturnsZero) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   EXPECT_EQ(table.Probability(99, 0, 0), 0.0);
 }
 

@@ -1,17 +1,20 @@
 // Adversarial coverage for the hand-rolled HTTP/1.1 request parser in
 // http_server.cc: truncated request lines, oversized headers, bad and
-// overflowing Content-Length values, pipelined keep-alive requests, and
-// torn (byte-at-a-time) reads. Every case must produce a correct
-// 400/413/408 response (or a served request) — never a hang, a
+// overflowing Content-Length values, Transfer-Encoding, pipelined
+// keep-alive requests, and torn (byte-at-a-time) or trickled reads.
+// Every case must produce a correct 400/413/408/501 response (or a
+// served request) — never a hang, a
 // desynced keep-alive stream, or UB. Every socket read in the test
 // client carries a deadline, so a server hang fails fast instead of
 // wedging the suite.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -56,6 +59,16 @@ class RawClient {
   void SendTorn(std::string_view bytes) {
     for (const char c : bytes) {
       ASSERT_EQ(::send(fd_, &c, 1, MSG_NOSIGNAL), 1);
+    }
+  }
+
+  // Sends one byte per `interval_ms`, stopping early once the server
+  // has answered or closed, so no byte lands on a closed socket.
+  void Trickle(std::string_view bytes, int interval_ms) {
+    for (const char c : bytes) {
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, interval_ms) != 0) return;
+      if (::send(fd_, &c, 1, MSG_NOSIGNAL) != 1) return;
     }
   }
 
@@ -231,6 +244,47 @@ TEST(HttpParse, ContentLengthMalformedAndOverflowing) {
     EXPECT_EQ(response.status, test_case.expected_status)
         << "Content-Length: " << test_case.value << " -> " << response.raw;
   }
+}
+
+// Bodies are framed by Content-Length only. A chunked request is
+// answered 501 and its connection closed, so its chunk bytes are never
+// read as a next request. Beside a Content-Length (the request-smuggling
+// shape of RFC 9112 §6.3), in either order, it is refused the same way.
+TEST(HttpParse, TransferEncodingRefused501) {
+  ParseFixture fixture;
+  for (const std::string headers :
+       {"Transfer-Encoding: chunked\r\n",
+        "Content-Length: 10\r\nTransfer-Encoding: chunked\r\n",
+        "Transfer-Encoding: chunked\r\nContent-Length: 10\r\n"}) {
+    RawClient client(fixture.port());
+    client.Send("POST /echo HTTP/1.1\r\n" + headers +
+                "\r\n5\r\nhello\r\n0\r\n\r\n");
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok) << headers;
+    EXPECT_EQ(response.status, 501) << headers << response.raw;
+    EXPECT_EQ(response.body,
+              "{\"error\":\"transfer-encoding not supported\"}\n");
+    EXPECT_NE(response.raw.find("Connection: close"), std::string::npos)
+        << response.raw;
+    // Nothing else comes back: no chunk line was served as a request.
+    EXPECT_EQ(client.ReadUntilClose(), "") << headers;
+  }
+}
+
+// A client that sends one byte per 30 ms never leaves the socket quiet
+// for a whole read timeout (20 ms). It must still be answered 408 once
+// idle_timeout_ms (200 ms) has passed since the request's first byte,
+// long before its ~4 s request would have completed.
+TEST(HttpParse, TrickledRequestAnswered408) {
+  ParseFixture fixture;
+  RawClient client(fixture.port());
+  const auto start = std::chrono::steady_clock::now();
+  client.Trickle(EchoRequest(std::string(80, 'x')), /*interval_ms=*/30);
+  const auto response = client.ReadResponse();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(response.ok) << "no response to a trickled request";
+  EXPECT_EQ(response.status, 408) << response.raw;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(HttpParse, PipelinedKeepAliveRequestsAllServedInOrder) {

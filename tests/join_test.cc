@@ -1,5 +1,6 @@
 // Tests for the SimRank similarity join and global top-pairs scan.
 
+#include "reference/graphs.h"
 #include "simpush/join.h"
 
 #include <set>

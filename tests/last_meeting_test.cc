@@ -7,10 +7,12 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "reference/gamma.h"
 #include "simpush/hitting.h"
 #include "simpush/last_meeting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "test_util.h"
 
 namespace simpush {
@@ -20,19 +22,28 @@ struct Fixture {
   Graph graph;
   SourceGraph gu;
   DerivedParams params;
+  HittingTable table;         ///< Algorithm 3 over gu.
+  std::vector<double> gamma;  ///< Algorithm 4 over gu and table.
 };
 
 Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
                     uint64_t seed = 1) {
-  Fixture f{graph, {}, {}};
+  Fixture f{graph, {}, {}, {}, {}};
   SimPushOptions options;
   options.epsilon = eps;
   options.use_level_detection = false;
   f.params = ComputeDerivedParams(options);
   Rng rng(seed);
-  auto gu = SourcePush(f.graph, u, options, f.params, &rng, nullptr);
-  EXPECT_TRUE(gu.ok());
-  f.gu = std::move(gu).value();
+  QueryWorkspace workspace;
+  EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
+                             &f.gu, nullptr)
+                  .ok());
+  EXPECT_TRUE(ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c, &workspace,
+                                  &f.table)
+                  .ok());
+  EXPECT_TRUE(
+      ComputeLastMeetingProbabilities(f.gu, f.table, &workspace, &f.gamma)
+          .ok());
   return f;
 }
 
@@ -80,8 +91,7 @@ double McGamma(const Graph& graph, const SourceGraph& gu, uint32_t level,
 TEST(LastMeetingTest, GammaInUnitInterval) {
   Graph g = testing_util::RandomGraph(150, 1000, 71);
   Fixture f = MakeFixture(g, 5, 0.02, 71);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   ASSERT_EQ(gamma.size(), f.gu.num_attention());
   for (double value : gamma) {
     EXPECT_GE(value, 0.0);
@@ -94,8 +104,7 @@ TEST(LastMeetingTest, DeepestLevelGammaIsOne) {
   // γ^(L)(w) = 1 by Definition 4.
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
     if (f.gu.attention_nodes()[id].level == f.gu.max_level()) {
       EXPECT_DOUBLE_EQ(gamma[id], 1.0);
@@ -106,8 +115,7 @@ TEST(LastMeetingTest, DeepestLevelGammaIsOne) {
 TEST(LastMeetingTest, MatchesMonteCarloOnFixture) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   Rng rng(99);
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
     const AttentionNode& w = f.gu.attention_nodes()[id];
@@ -122,8 +130,7 @@ TEST(LastMeetingTest, MatchesMonteCarloOnRandomGraphs) {
   for (uint64_t seed : {81u, 82u}) {
     Graph g = testing_util::RandomGraph(60, 420, seed);
     Fixture f = MakeFixture(g, static_cast<NodeId>(seed % 60), 0.05, seed);
-    HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-    auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+    const std::vector<double>& gamma = f.gamma;
     Rng rng(seed * 7);
     // Spot-check the first few attention occurrences to keep runtime low.
     const size_t check = std::min<size_t>(f.gu.num_attention(), 6);
@@ -138,21 +145,32 @@ TEST(LastMeetingTest, MatchesMonteCarloOnRandomGraphs) {
   }
 }
 
-TEST(LastMeetingTest, SingleGammaMatchesBatch) {
-  Graph g = testing_util::RandomGraph(100, 700, 91);
-  Fixture f = MakeFixture(g, 9, 0.05, 91);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto batch = ComputeLastMeetingProbabilities(f.gu, table);
-  for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
-    EXPECT_DOUBLE_EQ(batch[id], ComputeGammaFor(f.gu, table, id));
+// Algorithm 4's one-sweep-per-occurrence γ equals the paper's
+// recursion (Eqs. 9-11) evaluated term by term over the same hitting
+// table (reference/gamma.h), on graphs deep enough that the Eq. 11
+// subtraction is non-zero.
+TEST(LastMeetingTest, MatchesEquationOracle) {
+  size_t two_deep = 0;  // Occurrences two or more levels above L.
+  for (uint64_t seed : {91u, 92u, 93u}) {
+    Graph g = testing_util::RandomGraph(100, 700, seed);
+    Fixture f = MakeFixture(g, static_cast<NodeId>(seed % 100), 0.02, seed);
+    ASSERT_GT(f.gu.num_attention(), 0u);
+    for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
+      const double oracle = ReferenceGamma(f.gu, f.table, id);
+      EXPECT_NEAR(f.gamma[id], oracle, 1e-12)
+          << "seed " << seed << " attention " << id;
+      if (f.gu.attention_nodes()[id].level + 2 <= f.gu.max_level()) {
+        ++two_deep;
+      }
+    }
   }
+  EXPECT_GT(two_deep, 0u);
 }
 
 TEST(LastMeetingTest, NoAttentionNodesYieldsEmpty) {
   Graph g = testing_util::MakeGraph(3, {{0, 1}, {1, 2}});
   Fixture f = MakeFixture(g, 0, 0.05);  // Query node 0 has no in-edges.
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   EXPECT_TRUE(gamma.empty());
 }
 

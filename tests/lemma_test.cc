@@ -8,10 +8,12 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "simpush/hitting.h"
 #include "simpush/last_meeting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 
 namespace simpush {
 namespace {
@@ -28,11 +30,27 @@ SourceRun RunSourcePush(const Graph& graph, NodeId u, double epsilon) {
   options.walk_budget_cap = 5000;
   options.seed = 77;
   DerivedParams params = ComputeDerivedParams(options);
-  SourcePushStats stats;
   Rng rng(options.seed);
-  auto gu = SourcePush(graph, u, options, params, &rng, &stats);
-  EXPECT_TRUE(gu.ok());
-  return {std::move(*gu), params, options};
+  QueryWorkspace workspace;
+  SourceRun run{{}, params, options};
+  EXPECT_TRUE(SourcePushInto(graph, u, options, params, &rng, &workspace,
+                             &run.gu, /*stats=*/nullptr)
+                  .ok());
+  return run;
+}
+
+// Algorithms 3 and 4 over the run's G_u: γ per attention occurrence.
+std::vector<double> RunGamma(const Graph& graph, const SourceRun& run) {
+  QueryWorkspace workspace;
+  HittingTable hitting;
+  std::vector<double> gamma;
+  EXPECT_TRUE(ComputeHittingTable(graph, run.gu, run.params.sqrt_c,
+                                  &workspace, &hitting)
+                  .ok());
+  EXPECT_TRUE(ComputeLastMeetingProbabilities(run.gu, hitting, &workspace,
+                                              &gamma)
+                  .ok());
+  return gamma;
 }
 
 TEST(Lemma2Test, AttentionCountAndDepthBounds) {
@@ -131,10 +149,7 @@ TEST(Definition4Test, GammaMatchesMonteCarloSemantics) {
   SourceRun run = RunSourcePush(*graph, 3, 0.02);
   if (run.gu.num_attention() == 0) GTEST_SKIP() << "no attention nodes";
 
-  HittingTable hitting =
-      ComputeHittingTable(*graph, run.gu, run.params.sqrt_c);
-  const std::vector<double> gamma =
-      ComputeLastMeetingProbabilities(run.gu, hitting);
+  const std::vector<double> gamma = RunGamma(*graph, run);
 
   Rng rng(4242);
   const uint64_t kTrials = 40000;
@@ -161,10 +176,7 @@ TEST(Definition4Test, TerminalLevelGammaIsOne) {
   ASSERT_TRUE(graph.ok());
   SourceRun run = RunSourcePush(*graph, 5, 0.05);
   if (run.gu.num_attention() == 0) GTEST_SKIP();
-  HittingTable hitting =
-      ComputeHittingTable(*graph, run.gu, run.params.sqrt_c);
-  const std::vector<double> gamma =
-      ComputeLastMeetingProbabilities(run.gu, hitting);
+  const std::vector<double> gamma = RunGamma(*graph, run);
   for (AttentionId id = 0; id < run.gu.num_attention(); ++id) {
     const AttentionNode& w = run.gu.attention_nodes()[id];
     if (w.level == run.gu.max_level()) {

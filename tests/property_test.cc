@@ -7,6 +7,7 @@
 #include "exact/power_method.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "simpush/simpush.h"
 
 namespace simpush {

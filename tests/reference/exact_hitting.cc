@@ -1,4 +1,4 @@
-#include "walk/walk_stats.h"
+#include "reference/exact_hitting.h"
 
 namespace simpush {
 

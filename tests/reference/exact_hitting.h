@@ -1,9 +1,9 @@
 // Exact hitting probabilities h^(l)(u, w): the probability a √c-walk
 // from u is at node w at step l. The reference the Monte-Carlo walk
-// tests check the walk kernel (walk/walk_batch.h) against.
+// tests and the Source-Push tests check the engine against.
 
-#ifndef SIMPUSH_WALK_WALK_STATS_H_
-#define SIMPUSH_WALK_WALK_STATS_H_
+#ifndef SIMPUSH_TESTS_REFERENCE_EXACT_HITTING_H_
+#define SIMPUSH_TESTS_REFERENCE_EXACT_HITTING_H_
 
 #include <cstdint>
 #include <vector>
@@ -14,10 +14,9 @@ namespace simpush {
 
 /// Exact hitting probabilities h^(l)(u, ·) for l = 0..max_level computed
 /// by dense dynamic programming over the in-adjacency (O(m) per level).
-/// Used as the reference implementation in tests.
 std::vector<std::vector<double>> ExactHittingProbabilities(
     const Graph& graph, NodeId source, uint32_t max_level, double sqrt_c);
 
 }  // namespace simpush
 
-#endif  // SIMPUSH_WALK_WALK_STATS_H_
+#endif  // SIMPUSH_TESTS_REFERENCE_EXACT_HITTING_H_

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "simpush/simpush.h"
 #include "test_util.h"
 

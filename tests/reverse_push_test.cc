@@ -35,11 +35,17 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   options.use_level_detection = false;
   f.params = ComputeDerivedParams(options);
   Rng rng(seed);
-  auto gu = SourcePush(f.graph, u, options, f.params, &rng, nullptr);
-  EXPECT_TRUE(gu.ok());
-  f.gu = std::move(gu).value();
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  f.gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  QueryWorkspace workspace;
+  HittingTable table;
+  EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
+                             &f.gu, nullptr)
+                  .ok());
+  EXPECT_TRUE(ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c, &workspace,
+                                  &table)
+                  .ok());
+  EXPECT_TRUE(
+      ComputeLastMeetingProbabilities(f.gu, table, &workspace, &f.gamma)
+          .ok());
   return f;
 }
 

@@ -38,6 +38,7 @@
 #include "serve/json.h"
 #include "serve/result_cache.h"
 #include "serve/service.h"
+#include "serve_routes.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
 #include "simpush/topk.h"
@@ -853,7 +854,7 @@ TEST(ServeMultiGraph, AdminErrorResponses) {
 }
 
 // Auto-swap at the configured pending-update threshold, exercised
-// through the handlers directly (no sockets needed).
+// through the route table (no sockets needed).
 TEST(ServeMultiGraph, AutoSwapAtThreshold) {
   Graph graph = testing_util::MakeFixtureGraph();
   ServiceOptions options;
@@ -861,13 +862,14 @@ TEST(ServeMultiGraph, AutoSwapAtThreshold) {
   options.num_threads = 2;
   options.swap_threshold = 3;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   HttpRequest request;
   request.method = "POST";
   request.target = "/v1/graphs/default/edges";
   request.body = "{\"add\":[[0,5],[1,6]]}";
-  HttpResponse response = service.HandleGraphOp(request);
+  HttpResponse response = routes->Dispatch(request);
   ASSERT_EQ(response.status, 200) << response.body;
   auto doc = ParseJson(response.body);
   ASSERT_TRUE(doc.ok());
@@ -875,7 +877,7 @@ TEST(ServeMultiGraph, AutoSwapAtThreshold) {
   EXPECT_EQ(doc->Find("pending")->AsIndex().value(), 2u);
 
   request.body = "{\"add\":[[2,7]]}";  // Third pending update: swap.
-  response = service.HandleGraphOp(request);
+  response = routes->Dispatch(request);
   ASSERT_EQ(response.status, 200) << response.body;
   doc = ParseJson(response.body);
   ASSERT_TRUE(doc.ok());
@@ -890,7 +892,7 @@ TEST(ServeMultiGraph, AutoSwapAtThreshold) {
 
   // An explicit "swap":true forces publication below the threshold.
   request.body = "{\"add\":[[3,8]],\"swap\":true}";
-  response = service.HandleGraphOp(request);
+  response = routes->Dispatch(request);
   ASSERT_EQ(response.status, 200) << response.body;
   doc = ParseJson(response.body);
   ASSERT_TRUE(doc.ok());
@@ -905,15 +907,16 @@ TEST(ServeMultiGraph, OversizedUpdateRejected413) {
   options.num_threads = 2;
   options.max_update_edges = 4;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   HttpRequest request;
   request.method = "POST";
   request.target = "/v1/graphs/default/edges";
   request.body = "{\"add\":[[0,1],[0,2],[0,3],[0,4],[0,5]]}";
-  EXPECT_EQ(service.HandleGraphOp(request).status, 413);
+  EXPECT_EQ(routes->Dispatch(request).status, 413);
   request.body = "{\"add\":[[0,1],[0,2],[0,3],[0,4]]}";
-  EXPECT_EQ(service.HandleGraphOp(request).status, 200);
+  EXPECT_EQ(routes->Dispatch(request).status, 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -1021,6 +1024,7 @@ TEST(ServeSmoke, EpsilonOverrideLeasesFromBoundedPool) {
   options.pool_capacity = 2;
   options.cache_bytes = 0;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   SimPushOptions override_options = FastOptions();
   override_options.epsilon = 0.05;
@@ -1041,7 +1045,7 @@ TEST(ServeSmoke, EpsilonOverrideLeasesFromBoundedPool) {
     clients.emplace_back([&, t] {
       for (NodeId i = 0; i < 3; ++i) {
         const HttpResponse response =
-            service.HandleQuery(override_request(t * 5 + i));
+            routes->Dispatch(override_request(t * 5 + i));
         if (response.status == 200) ok.fetch_add(1);
       }
     });
@@ -1057,12 +1061,12 @@ TEST(ServeSmoke, EpsilonOverrideLeasesFromBoundedPool) {
   // Warm override requests allocate request/response bytes only.
   const HttpRequest request = override_request(17);
   for (int warm = 0; warm < 3; ++warm) {
-    ASSERT_EQ(service.HandleQuery(request).status, 200);
+    ASSERT_EQ(routes->Dispatch(request).status, 200);
   }
   constexpr int kMeasured = 5;
   const AllocationStats before = GetAllocationStats();
   for (int i = 0; i < kMeasured; ++i) {
-    ASSERT_EQ(service.HandleQuery(request).status, 200);
+    ASSERT_EQ(routes->Dispatch(request).status, 200);
   }
   const AllocationStats after = GetAllocationStats();
   EXPECT_LT((after.bytes_allocated - before.bytes_allocated) / kMeasured,
@@ -1072,7 +1076,7 @@ TEST(ServeSmoke, EpsilonOverrideLeasesFromBoundedPool) {
   // The pooled override scores equal a direct runner built with its ε.
   HttpRequest full = request;
   full.body = "{\"node\": 17, \"epsilon\": 0.05}";
-  const HttpResponse response = service.HandleQuery(full);
+  const HttpResponse response = routes->Dispatch(full);
   ASSERT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(ScoresFromBody(response.body),
             DirectScoresWith(*graph, override_options, 17));
@@ -1258,13 +1262,14 @@ TEST(ServeMultiGraph, InvalidOptionsRejected400) {
 
 // A rejected AddGraph returns its error to the caller and registers
 // nothing: queries on the name 404 while the liveness probe stays 200,
-// and a later valid AddGraph serves. Exercised through the handlers
-// directly.
+// and a later valid AddGraph serves. Exercised through the route
+// table.
 TEST(ServeStartup, RejectedAddGraphRegistersNothing) {
   ServiceOptions options;
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
 
   SimPushOptions bad = FastOptions();
   bad.epsilon = std::nan("");  // NaN must not pass validation.
@@ -1278,14 +1283,17 @@ TEST(ServeStartup, RejectedAddGraphRegistersNothing) {
   query.method = "POST";
   query.target = "/v1/query";
   query.body = "{\"node\": 3}";
-  EXPECT_EQ(service.HandleQuery(query).status, 404);
-  EXPECT_EQ(service.HandleHealth(HttpRequest()).status, 200);
+  EXPECT_EQ(routes->Dispatch(query).status, 404);
+  HttpRequest health;
+  health.method = "GET";
+  health.target = "/healthz";
+  EXPECT_EQ(routes->Dispatch(health).status, 200);
 
   ASSERT_TRUE(service
                   .AddGraph("default", testing_util::MakeFixtureGraph(),
                             FastOptions())
                   .ok());
-  const HttpResponse served = service.HandleQuery(query);
+  const HttpResponse served = routes->Dispatch(query);
   EXPECT_EQ(served.status, 200) << served.body;
 }
 
@@ -1299,6 +1307,7 @@ TEST(ServeZeroAlloc, QueryPathSteadyState) {
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   SimPushResult result;
@@ -1580,22 +1589,6 @@ constexpr GoldenExchange kGoldenExchanges[] = {
      R"g({"graph":"ring","stats":{"generation":8,"options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,"walk_budget_cap":20000},"options_generation":2,"swap_count":4,"delta_swaps":3,"last_swap_ms":0,"dirty_vertices":0,"pending_updates":0,"updates_applied":4,"nodes":4,"edges":6,"master_edges":6,"cache":{"enabled":true,"budget_bytes":67108864,"bytes":0,"entries":0,"hits":0,"misses":0,"inserts":0,"evictions":0,"admission_rejects":0,"insert_failures":0},"requests":0,"nodes_scored":0,"deadline_expired":0,"client_abandoned":0,"latency_ms":{"samples":0,"p50":0,"p90":0,"p99":0,"max":0}}})g"},
 };
 
-// Routes a request to the public handler the server's route table
-// sends it to (RegisterRoutes).
-HttpResponse Dispatch(SimPushService& service, const HttpRequest& request) {
-  const std::string_view target = request.target;
-  if (target == "/v1/query") return service.HandleQuery(request);
-  if (target == "/v1/topk") return service.HandleTopK(request);
-  if (target == "/v1/batch") return service.HandleBatch(request);
-  if (target == "/v1/stats") return service.HandleStats(request);
-  if (target == "/healthz") return service.HandleHealth(request);
-  if (target == "/v1/graphs") {
-    return request.method == "GET" ? service.HandleGraphList(request)
-                                   : service.HandleGraphCreate(request);
-  }
-  return service.HandleGraphOp(request);
-}
-
 TEST(ServeGolden, ResponseBytesArePinned) {
   Graph graph = testing_util::MakeFixtureGraph();
   ServiceOptions options;
@@ -1605,6 +1598,7 @@ TEST(ServeGolden, ResponseBytesArePinned) {
   options.max_update_edges = 4;
   options.max_graphs = 3;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
   const std::regex timing(
       "\"(total_ms|wall_ms|elapsed_ms|last_swap_ms)\":[-+0-9.eE]+");
@@ -1613,7 +1607,7 @@ TEST(ServeGolden, ResponseBytesArePinned) {
     request.method = exchange.method;
     request.target = exchange.target;
     request.body = exchange.request;
-    const HttpResponse response = Dispatch(service, request);
+    const HttpResponse response = routes->Dispatch(request);
     EXPECT_EQ(response.status, exchange.status)
         << exchange.method << " " << exchange.target << " "
         << exchange.request;
@@ -1626,6 +1620,52 @@ TEST(ServeGolden, ResponseBytesArePinned) {
               std::string(exchange.body) + "\n")
         << exchange.method << " " << exchange.target << " "
         << exchange.request;
+  }
+}
+
+// What the server's router answers before any row runs: a wrong method
+// on an exact route and on a {name} operation is a 405, an unknown path
+// or operation a 404. A wrong method on an exact route never reaches
+// its row; PUT has no prefix route, so the router answers it too, while
+// GET reaches the row-picking prefix handler, which answers the same.
+TEST(ServeRouting, WrongMethodsAndUnknownPaths) {
+  ServiceOptions options;
+  options.query = FastOptions();
+  options.num_threads = 2;
+  SimPushService service(options);
+  const auto routes = RoutesOf(&service);
+  ASSERT_TRUE(service
+                  .AddGraph("default", testing_util::MakeFixtureGraph(),
+                            options.query)
+                  .ok());
+  const std::string kMethodNotAllowed =
+      "{\"error\":\"method not allowed\"}\n";
+  const struct {
+    const char* method;
+    const char* target;
+    int status;
+    std::string body;
+  } kCases[] = {
+      {"GET", "/v1/query", 405, kMethodNotAllowed},
+      {"POST", "/v1/stats", 405, kMethodNotAllowed},
+      {"DELETE", "/v1/graphs", 405, kMethodNotAllowed},
+      {"GET", "/v2/query", 404, "{\"error\":\"not found\"}\n"},
+      {"POST", "/v1/graphs/default/frob", 404,
+       "{\"error\":\"unknown graph operation \\\"frob\\\" "
+       "(expected edges|swap|options)\"}\n"},
+      {"GET", "/v1/graphs/default/swap", 405, kMethodNotAllowed},
+      {"PUT", "/v1/graphs/default/swap", 405, kMethodNotAllowed},
+  };
+  for (const auto& test_case : kCases) {
+    HttpRequest request;
+    request.method = test_case.method;
+    request.target = test_case.target;
+    request.body = "{}";
+    const HttpResponse response = routes->Dispatch(request);
+    EXPECT_EQ(response.status, test_case.status)
+        << test_case.method << " " << test_case.target;
+    EXPECT_EQ(response.body, test_case.body)
+        << test_case.method << " " << test_case.target;
   }
 }
 
@@ -1774,15 +1814,16 @@ TEST(ServeCache, DisabledCacheNeverStamps) {
   options.num_threads = 2;
   options.cache_bytes = 0;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   HttpRequest request;
   request.method = "POST";
   request.target = "/v1/query";
   request.body = "{\"node\": 3}";
-  const HttpResponse first = service.HandleQuery(request);
+  const HttpResponse first = routes->Dispatch(request);
   ASSERT_EQ(first.status, 200) << first.body;
-  const HttpResponse second = service.HandleQuery(request);
+  const HttpResponse second = routes->Dispatch(request);
   ASSERT_EQ(second.status, 200) << second.body;
   EXPECT_EQ(second.body.find("\"cached\""), std::string::npos) << second.body;
   EXPECT_EQ(second.body, first.body);  // Still deterministic.
@@ -1807,6 +1848,7 @@ TEST(ServeCache, ZipfStreamHitsEveryRepeat) {
   options.query.epsilon = 0.05;
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(
       service.AddGraph("default", *std::move(graph), options.query).ok());
 
@@ -1817,8 +1859,11 @@ TEST(ServeCache, ZipfStreamHitsEveryRepeat) {
     total += std::pow(r + 1.0, -1.1);
     cdf[r] = total;
   }
-  const auto walks_sampled = [&service] {
-    auto doc = ParseJson(service.HandleStats(HttpRequest()).body);
+  HttpRequest stats_request;
+  stats_request.method = "GET";
+  stats_request.target = "/v1/stats";
+  const auto walks_sampled = [&] {
+    auto doc = ParseJson(routes->Dispatch(stats_request).body);
     return doc->Find("engine")->Find("walks_sampled")->AsIndex().value();
   };
 
@@ -1838,7 +1883,7 @@ TEST(ServeCache, ZipfStreamHitsEveryRepeat) {
     sources.insert(source);
     request.body =
         "{\"node\": " + std::to_string(source) + ", \"top_k\": 10}";
-    const HttpResponse response = service.HandleQuery(request);
+    const HttpResponse response = routes->Dispatch(request);
     ASSERT_EQ(response.status, 200) << response.body;
     const uint64_t walks_before = walks;
     walks = walks_sampled();
@@ -1868,10 +1913,12 @@ TEST(ServeCache, SparseEntriesStretchTheBudget) {
   options.num_threads = 2;
   options.cache_bytes = 8 * 4 * ResultCache::EntryBytes(n);
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   ServiceOptions uncached_options = options;
   uncached_options.cache_bytes = 0;
   SimPushService uncached(uncached_options);
+  const auto uncached_routes = RoutesOf(&uncached);
   ASSERT_TRUE(
       uncached.AddGraph("default", *std::move(graph), options.query).ok());
 
@@ -1896,14 +1943,14 @@ TEST(ServeCache, SparseEntriesStretchTheBudget) {
         std::min<NodeId>(n - 1, static_cast<NodeId>(rank - cdf.begin()));
     request.body =
         "{\"node\": " + std::to_string(source) + ", \"top_k\": 10}";
-    const HttpResponse response = service.HandleQuery(request);
+    const HttpResponse response = routes->Dispatch(request);
     ASSERT_EQ(response.status, 200) << response.body;
     const size_t at = response.body.find(stamp);
     if (at == std::string::npos) continue;
     ++cached;
     auto [it, fresh] = uncached_bodies.try_emplace(source);
     if (fresh) {
-      const HttpResponse computed = uncached.HandleQuery(request);
+      const HttpResponse computed = uncached_routes->Dispatch(request);
       ASSERT_EQ(computed.status, 200) << computed.body;
       it->second = computed.body;
     }
@@ -1935,10 +1982,12 @@ TEST(ServeCache, TopKHitsMatchComputedBytes) {
   options.query.epsilon = 0.05;
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   ServiceOptions uncached_options = options;
   uncached_options.cache_bytes = 0;
   SimPushService uncached(uncached_options);
+  const auto uncached_routes = RoutesOf(&uncached);
   ASSERT_TRUE(uncached.AddGraph("default", *graph, options.query).ok());
 
   constexpr NodeId kSources[] = {1, 4, 33};
@@ -1977,12 +2026,8 @@ TEST(ServeCache, TopKHitsMatchComputedBytes) {
         request.method = "POST";
         request.target = target;
         request.body = "{\"node\": " + std::to_string(source) + fields + "}";
-        const HttpResponse computed = target == "/v1/query"
-                                          ? uncached.HandleQuery(request)
-                                          : uncached.HandleTopK(request);
-        const HttpResponse response = target == "/v1/query"
-                                          ? service.HandleQuery(request)
-                                          : service.HandleTopK(request);
+        const HttpResponse computed = uncached_routes->Dispatch(request);
+        const HttpResponse response = routes->Dispatch(request);
         ASSERT_EQ(computed.status, 200) << computed.body;
         ASSERT_EQ(response.status, 200) << response.body;
         std::string body = response.body;
@@ -2011,10 +2056,12 @@ TEST(ServeCache, FullVectorAfterTopKComputesOnceThenHits) {
   options.query.epsilon = 0.05;
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", *graph, options.query).ok());
   ServiceOptions uncached_options = options;
   uncached_options.cache_bytes = 0;
   SimPushService uncached(uncached_options);
+  const auto uncached_routes = RoutesOf(&uncached);
   ASSERT_TRUE(uncached.AddGraph("default", *graph, options.query).ok());
 
   const std::string stamp = ",\"cached\":true";
@@ -2026,27 +2073,27 @@ TEST(ServeCache, FullVectorAfterTopKComputesOnceThenHits) {
     return request;
   };
   const HttpResponse top10 =
-      service.HandleQuery(query("{\"node\": 4, \"top_k\": 10}"));
+      routes->Dispatch(query("{\"node\": 4, \"top_k\": 10}"));
   ASSERT_EQ(top10.status, 200) << top10.body;
   EXPECT_EQ(top10.body.find(stamp), std::string::npos) << top10.body;
 
   const HttpRequest full = query("{\"node\": 4}");
-  const HttpResponse computed = uncached.HandleQuery(full);
+  const HttpResponse computed = uncached_routes->Dispatch(full);
   ASSERT_EQ(computed.status, 200) << computed.body;
-  const HttpResponse first_full = service.HandleQuery(full);
+  const HttpResponse first_full = routes->Dispatch(full);
   EXPECT_EQ(first_full.body, computed.body)
       << "the first full read computes, unstamped";
 
   for (const char* body :
        {"{\"node\": 4}", "{\"node\": 4, \"top_k\": 10}",
         "{\"node\": 4, \"top_k\": 65}", "{\"node\": 4, \"top_k\": 5000}"}) {
-    const HttpResponse response = service.HandleQuery(query(body));
+    const HttpResponse response = routes->Dispatch(query(body));
     ASSERT_EQ(response.status, 200) << response.body;
     std::string stripped = response.body;
     const size_t at = stripped.find(stamp);
     ASSERT_NE(at, std::string::npos) << body << " was not cached";
     stripped.erase(at, stamp.size());
-    EXPECT_EQ(stripped, uncached.HandleQuery(query(body)).body) << body;
+    EXPECT_EQ(stripped, uncached_routes->Dispatch(query(body)).body) << body;
   }
 }
 
@@ -2070,6 +2117,7 @@ TEST(ServeCache, CacheUnderHotSwapServesOnlyItsGeneration) {
   options.query = FastOptions();
   options.num_threads = 2;
   SimPushService service(options);
+  const auto routes = RoutesOf(&service);
   ASSERT_TRUE(service.AddGraph("default", graph, options.query).ok());
 
   constexpr int kSwaps = 6;
@@ -2104,7 +2152,7 @@ TEST(ServeCache, CacheUnderHotSwapServesOnlyItsGeneration) {
       request.target = "/v1/query";
       request.body = "{\"node\": 3}";
       for (int i = 0; i < kItersPerThread || swapping.load(); ++i) {
-        const HttpResponse response = service.HandleQuery(request);
+        const HttpResponse response = routes->Dispatch(request);
         if (response.status != 200) {
           mismatches.fetch_add(1);
           continue;

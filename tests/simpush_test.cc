@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "reference/graphs.h"
 #include "simpush/simpush.h"
 #include "test_util.h"
 

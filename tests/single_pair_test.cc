@@ -1,6 +1,7 @@
 // Tests for the single-pair SimRank session (s(u,v) via source-side
 // attention machinery + Monte-Carlo target walks).
 
+#include "reference/graphs.h"
 #include "simpush/single_pair.h"
 
 #include <cmath>

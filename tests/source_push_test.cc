@@ -13,6 +13,8 @@
 
 #include "common/deadline.h"
 #include "gtest/gtest.h"
+#include "reference/exact_hitting.h"
+#include "reference/graphs.h"
 #include "simpush/engine_core.h"
 #include "simpush/options.h"
 #include "simpush/query_runner.h"
@@ -20,7 +22,6 @@
 #include "simpush/workspace.h"
 #include "test_util.h"
 #include "walk/walk_batch.h"
-#include "walk/walk_stats.h"
 #include "walk/walker.h"
 
 namespace simpush {
@@ -122,12 +123,15 @@ TEST(SourcePushTest, HittingProbsMatchExactDP) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(1);
   SourcePushStats stats;
-  auto gu = SourcePush(g, 0, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  auto exact = ExactHittingProbabilities(g, 0, gu->max_level(), params.sqrt_c);
-  for (uint32_t level = 0; level <= gu->max_level(); ++level) {
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
+                             &stats)
+                  .ok());
+  auto exact = ExactHittingProbabilities(g, 0, gu.max_level(), params.sqrt_c);
+  for (uint32_t level = 0; level <= gu.max_level(); ++level) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_NEAR(gu->HittingProb(level, v), exact[level][v], 1e-12)
+      EXPECT_NEAR(gu.HittingProb(level, v), exact[level][v], 1e-12)
           << "level " << level << " node " << v;
     }
   }
@@ -139,16 +143,19 @@ TEST(SourcePushTest, AttentionNodesAreExactlyThoseAboveThreshold) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(2);
-  auto gu = SourcePush(g, 2, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  for (uint32_t level = 1; level <= gu->max_level(); ++level) {
-    for (const auto& [node, h] : gu->Level(level)) {
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 2, options, params, &rng, &workspace, &gu,
+                             nullptr)
+                  .ok());
+  for (uint32_t level = 1; level <= gu.max_level(); ++level) {
+    for (const auto& [node, h] : gu.Level(level)) {
       AttentionId id;
-      const bool is_attention = gu->LookupAttention(level, node, &id);
+      const bool is_attention = gu.LookupAttention(level, node, &id);
       EXPECT_EQ(is_attention, h >= params.eps_h)
           << "level " << level << " node " << node << " h=" << h;
       if (is_attention) {
-        const AttentionNode& a = gu->attention_nodes()[id];
+        const AttentionNode& a = gu.attention_nodes()[id];
         EXPECT_EQ(a.node, node);
         EXPECT_EQ(a.level, level);
         EXPECT_DOUBLE_EQ(a.hitting_prob, h);
@@ -163,10 +170,13 @@ TEST(SourcePushTest, AttentionCountWithinLemma2Bound) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(3);
   SourcePushStats stats;
-  auto gu = SourcePush(g, 7, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  EXPECT_LE(gu->num_attention(), params.max_attention);
-  EXPECT_LE(gu->max_level(), params.l_star);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 7, options, params, &rng, &workspace, &gu,
+                             &stats)
+                  .ok());
+  EXPECT_LE(gu.num_attention(), params.max_attention);
+  EXPECT_LE(gu.max_level(), params.l_star);
 }
 
 TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
@@ -175,11 +185,14 @@ TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(4);
-  auto gu = SourcePush(g, 11, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  for (uint32_t level = 0; level <= gu->max_level(); ++level) {
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 11, options, params, &rng, &workspace, &gu,
+                             nullptr)
+                  .ok());
+  for (uint32_t level = 0; level <= gu.max_level(); ++level) {
     double mass = 0;
-    for (const auto& [node, h] : gu->Level(level)) {
+    for (const auto& [node, h] : gu.Level(level)) {
       (void)node;
       mass += h;
     }
@@ -194,10 +207,13 @@ TEST(SourcePushTest, DanglingQueryNodeYieldsRootOnly) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(5);
   SourcePushStats stats;
-  auto gu = SourcePush(g, 0, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  EXPECT_EQ(gu->num_attention(), 0u);
-  EXPECT_TRUE(gu->Level(1).empty());
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
+                             &stats)
+                  .ok());
+  EXPECT_EQ(gu.num_attention(), 0u);
+  EXPECT_TRUE(gu.Level(1).empty());
 }
 
 TEST(SourcePushTest, RejectsOutOfRangeQuery) {
@@ -205,7 +221,11 @@ TEST(SourcePushTest, RejectsOutOfRangeQuery) {
   SimPushOptions options = FastOptions();
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(6);
-  EXPECT_FALSE(SourcePush(g, 100, options, params, &rng, nullptr).ok());
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  EXPECT_FALSE(SourcePushInto(g, 100, options, params, &rng, &workspace, &gu,
+                              nullptr)
+                   .ok());
 }
 
 TEST(SourcePushTest, LevelDetectionNeverExceedsLStar) {
@@ -215,11 +235,14 @@ TEST(SourcePushTest, LevelDetectionNeverExceedsLStar) {
   for (NodeId u = 0; u < 10; ++u) {
     Rng rng(100 + u);
     SourcePushStats stats;
-    auto gu = SourcePush(g, u, options, params, &rng, &stats);
-    ASSERT_TRUE(gu.ok());
+    QueryWorkspace workspace;
+    SourceGraph gu;
+    ASSERT_TRUE(SourcePushInto(g, u, options, params, &rng, &workspace, &gu,
+                               &stats)
+                    .ok());
     EXPECT_LE(stats.detected_level, params.l_star);
     EXPECT_GE(stats.detected_level, 1u);
-    EXPECT_EQ(stats.num_attention, gu->num_attention());
+    EXPECT_EQ(stats.num_attention, gu.num_attention());
   }
 }
 
@@ -232,12 +255,15 @@ TEST(SourcePushTest, CycleGraphKeepsFullMass) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(7);
-  auto gu = SourcePush(*g, 0, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  for (uint32_t level = 1; level <= gu->max_level(); ++level) {
-    ASSERT_EQ(gu->Level(level).size(), 1u);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(*g, 0, options, params, &rng, &workspace, &gu,
+                             nullptr)
+                  .ok());
+  for (uint32_t level = 1; level <= gu.max_level(); ++level) {
+    ASSERT_EQ(gu.Level(level).size(), 1u);
     const NodeId expected = (0 + 12 - (level % 12)) % 12;
-    EXPECT_NEAR(gu->HittingProb(level, expected),
+    EXPECT_NEAR(gu.HittingProb(level, expected),
                 std::pow(params.sqrt_c, level), 1e-12);
   }
 }
@@ -856,21 +882,24 @@ TEST(SourceGraphTest, CountEdgesMatchesManualCount) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(8);
-  auto gu = SourcePush(g, 0, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
+                             nullptr)
+                  .ok());
   size_t manual = 0;
-  for (uint32_t level = 0; level + 1 <= gu->max_level(); ++level) {
-    for (const auto& [node, h] : gu->Level(level)) {
+  for (uint32_t level = 0; level + 1 <= gu.max_level(); ++level) {
+    for (const auto& [node, h] : gu.Level(level)) {
       (void)h;
       manual += g.InDegree(node);
     }
   }
-  EXPECT_EQ(gu->CountEdges(g), manual);
-  EXPECT_EQ(gu->TotalNodeOccurrences(),
+  EXPECT_EQ(gu.CountEdges(g), manual);
+  EXPECT_EQ(gu.TotalNodeOccurrences(),
             [&] {
               size_t total = 0;
-              for (uint32_t l = 1; l <= gu->max_level(); ++l) {
-                total += gu->Level(l).size();
+              for (uint32_t l = 1; l <= gu.max_level(); ++l) {
+                total += gu.Level(l).size();
               }
               return total;
             }());

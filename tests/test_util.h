@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
+#include "graph/graph_io.h"
 #include "gtest/gtest.h"
 #include "simpush/parallel.h"
 #include "simpush/topk.h"
@@ -113,6 +117,23 @@ inline double MaxError(const std::vector<double>& estimate,
     max_err = std::max(max_err, std::fabs(estimate[v] - exact(u, v)));
   }
   return max_err;
+}
+
+/// Writes `text` to a fresh temporary file, reads it back with
+/// LoadEdgeList (the shipped block reader) and removes the file.
+inline StatusOr<Graph> LoadEdgeListText(const std::string& text,
+                                        const EdgeListOptions& options = {}) {
+  std::string path = ::testing::TempDir() + "/simpush_edges_XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  if (fd < 0) return Status::IOError("mkstemp: " + path);
+  const bool written =
+      ::write(fd, text.data(), text.size()) ==
+      static_cast<ssize_t>(text.size());
+  ::close(fd);
+  auto graph = written ? LoadEdgeList(path, options)
+                       : StatusOr<Graph>(Status::IOError("write: " + path));
+  std::remove(path.c_str());
+  return graph;
 }
 
 /// Random small directed graph for property sweeps (deterministic).

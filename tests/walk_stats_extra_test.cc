@@ -9,8 +9,9 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "reference/exact_hitting.h"
+#include "reference/graphs.h"
 #include "walk/walk_batch.h"
-#include "walk/walk_stats.h"
 #include "walk/walker.h"
 
 namespace simpush {

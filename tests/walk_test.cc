@@ -11,9 +11,10 @@
 #include "common/deadline.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "reference/exact_hitting.h"
+#include "reference/graphs.h"
 #include "test_util.h"
 #include "walk/walk_batch.h"
-#include "walk/walk_stats.h"
 #include "walk/walker.h"
 
 namespace simpush {

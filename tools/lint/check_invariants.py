@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Project-invariant linter: repo-specific rules the compiler can't check.
 
-Run from anywhere: paths are resolved relative to the repository root
-(two levels above this file). Exit 0 = clean, 1 = violations (each
-printed as path:line: [rule] message), 2 = usage/internal error.
+Usage: check_invariants.py [ROOT]
+
+Checks the tree at ROOT, by default the repository this file lives in
+(two levels above it). Exit 0 = clean, 1 = violations (each printed as
+path:line: [rule] message), 2 = usage/internal error.
 
 Rules
 -----
@@ -100,13 +102,23 @@ R12 two-thread-owners
     would be one no option bounds. std::thread::hardware_concurrency
     and std::this_thread stay allowed everywhere.
 
+R13 no-test-only-surface
+    Generality with no caller gets deleted. Every function a src/
+    header declares at namespace scope must be called from a file
+    outside tests/ (under src/, tools/, bench/ or examples/). A call in
+    the function's own header or .cc counts; its declarations and its
+    definition do not. Names are matched as identifiers, so one called
+    overload keeps its siblings, and methods are out of reach. A
+    test-only oracle or fixture lives under tests/ instead. The
+    failpoint and annotation APIs (common/failpoint.h,
+    common/annotations.h) are allowlisted: tests drive them by design.
+
 R14 no-serving-master
     A tenant keeps the edits accepted since its live generation
     (PendingEdits), and every rebuild merges them into that
     generation's CSR pair. A mutable DynamicGraph beside it would store
     the graph a second time and bring back a second build path, so the
     DynamicGraph identifier may not appear in code under src/serve/.
-    (R13 is reserved.)
 """
 
 from __future__ import annotations
@@ -116,8 +128,6 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-SRC = REPO_ROOT / "src"
-CHAOS_TEST = REPO_ROOT / "tests" / "chaos_test.cc"
 
 # R1: files allowed to use ambient (non-engine) randomness.
 RNG_ALLOWLIST = {
@@ -219,6 +229,25 @@ THREAD_OWNERS = {
 }
 THREAD_USE = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
 
+# R13: every namespace-scope function of a src/ header has a caller
+# outside tests/.
+CALLER_DIRS = ("src", "tools", "bench", "examples")
+SURFACE_ALLOWLIST = {"src/common/failpoint.h", "src/common/annotations.h"}
+# Words that, before `name(`, make it an expression rather than a
+# declarator.
+NOT_A_TYPE = {
+    "return", "else", "do", "case", "default", "throw", "new", "delete",
+    "goto", "co_return", "co_await", "co_yield", "typedef", "using",
+}
+# Names followed by `(` at namespace scope that are not functions.
+NOT_A_FUNCTION = {
+    "decltype", "alignas", "alignof", "sizeof", "static_assert",
+    "noexcept", "requires", "__attribute__", "main",
+}
+DECLARATOR_PREFIX = re.compile(r"^[\w\s:<>,*&\[\]]*$")
+CALLED_NAME = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+NAMESPACE_HEAD = re.compile(r"\bnamespace\b[\s\w:]*$")
+
 # R14: no mutable master copy of a tenant's graph.
 NO_MASTER_DIR = "src/serve/"
 MASTER_USE = re.compile(r"\bDynamicGraph\b")
@@ -302,6 +331,69 @@ def class_body_lines(code: str) -> set[int]:
     return lines
 
 
+def blank_preprocessor_lines(code: str) -> str:
+    return "\n".join("" if line.lstrip().startswith("#") else line
+                     for line in code.split("\n"))
+
+
+def strip_template_head(prefix: str) -> str:
+    """`prefix` without leading `template <...>` clauses."""
+    match = re.match(r"\s*template\s*<", prefix)
+    if not match:
+        return prefix
+    depth = 1
+    for i in range(match.end(), len(prefix)):
+        if prefix[i] == "<":
+            depth += 1
+        elif prefix[i] == ">":
+            depth -= 1
+            if depth == 0:
+                return strip_template_head(prefix[i + 1:])
+    return prefix
+
+
+def is_declarator(prefix: str) -> bool:
+    """True when `prefix`, the statement text before `name(`, makes that
+    a declaration or definition: a return type (plus specifiers and an
+    optional `ns::` qualifier) and nothing an expression would hold."""
+    prefix = strip_template_head(prefix)
+    if not DECLARATOR_PREFIX.match(prefix):
+        return False
+    type_part = re.sub(r"(?:\s*\w+\s*::)*\s*(?:::)?\s*$", "", prefix)
+    words = re.findall(r"\w+", type_part)
+    return bool(words) and not NOT_A_TYPE.intersection(words)
+
+
+def namespace_scope_functions(code: str) -> list[tuple[str, int]]:
+    """(name, line) of each function declared or defined at namespace
+    scope (not inside a class, function or initializer body) in `code`,
+    whose comments, strings and preprocessor lines are blanked."""
+    visible = []
+    scopes: list[bool] = []  # One entry per open brace: is it a namespace?
+    start = 0
+    found = []
+    for c in code:
+        if c in "{};":
+            if all(scopes):
+                statement = "".join(visible[start:])
+                match = CALLED_NAME.search(statement)
+                if (match and match.group(1) not in NOT_A_FUNCTION
+                        and not match.group(1).isupper()
+                        and is_declarator(statement[:match.start()])):
+                    line = code.count("\n", 0, start + match.start()) + 1
+                    found.append((match.group(1), line))
+            if c == "{":
+                scopes.append(all(scopes) and bool(
+                    NAMESPACE_HEAD.search("".join(visible[start:]))))
+            elif c == "}" and scopes:
+                scopes.pop()
+            visible.append(c)
+            start = len(visible)
+            continue
+        visible.append(c if c == "\n" or all(scopes) else " ")
+    return found
+
+
 def iter_source_files(root: Path):
     for path in sorted(root.rglob("*")):
         if path.suffix in (".h", ".cc", ".hpp", ".cpp"):
@@ -309,15 +401,18 @@ def iter_source_files(root: Path):
 
 
 class Linter:
-    def __init__(self) -> None:
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.src = root / "src"
+        self.chaos_test = root / "tests" / "chaos_test.cc"
         self.violations: list[str] = []
 
     def report(self, path: Path, line: int, rule: str, message: str) -> None:
-        rel = path.relative_to(REPO_ROOT)
+        rel = path.relative_to(self.root)
         self.violations.append(f"{rel}:{line}: [{rule}] {message}")
 
     def check_file(self, path: Path, failpoints: dict[str, set[str]]) -> None:
-        rel = str(path.relative_to(REPO_ROOT))
+        rel = str(path.relative_to(self.root))
         raw = path.read_text(encoding="utf-8")
         code = strip_comments_and_strings(raw)
         code_lines = code.splitlines()
@@ -502,16 +597,57 @@ class Linter:
                         "tenant's PendingEdits and merge them at rebuild",
                     )
 
+    def check_test_only_surface(self) -> None:
+        """R13: each namespace-scope function of a src/ header needs a
+        call outside tests/."""
+        code: dict[Path, str] = {}
+        for directory in CALLER_DIRS:
+            if (self.root / directory).is_dir():
+                for path in iter_source_files(self.root / directory):
+                    code[path] = blank_preprocessor_lines(
+                        strip_comments_and_strings(
+                            path.read_text(encoding="utf-8")))
+        declared: dict[str, tuple[Path, int]] = {}
+        for path in sorted(self.src.rglob("*.h")):
+            if str(path.relative_to(self.root)) in SURFACE_ALLOWLIST:
+                continue
+            for name, line in namespace_scope_functions(code[path]):
+                declared.setdefault(name, (path, line))
+        if not declared:
+            return
+        mention = re.compile(
+            r"\b(" + "|".join(map(re.escape, declared)) + r")\b(\s*\()?")
+        called: set[str] = set()
+        for text in code.values():
+            for match in mention.finditer(text):
+                name = match.group(1)
+                if name in called:
+                    continue
+                if match.group(2):  # `name(`: a call unless it declares.
+                    start = max(text.rfind(c, 0, match.start())
+                                for c in ";{})") + 1
+                    if is_declarator(text[start:match.start()]):
+                        continue
+                called.add(name)
+        for name, (path, line) in sorted(declared.items(),
+                                         key=lambda item: item[1]):
+            if name not in called:
+                self.report(
+                    path, line, "no-test-only-surface",
+                    f"{name}() has no caller outside tests/; delete it or "
+                    "move it under tests/",
+                )
+
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
-        if not CHAOS_TEST.exists():
-            self.report(CHAOS_TEST, 1, "failpoint-coverage",
+        if not self.chaos_test.exists():
+            self.report(self.chaos_test, 1, "failpoint-coverage",
                         "tests/chaos_test.cc not found")
             return
-        chaos = CHAOS_TEST.read_text(encoding="utf-8")
+        chaos = self.chaos_test.read_text(encoding="utf-8")
         anchor = "AllInstrumentedFailpointsFired"
         at = chaos.find(anchor)
         if at < 0:
-            self.report(CHAOS_TEST, 1, "failpoint-coverage",
+            self.report(self.chaos_test, 1, "failpoint-coverage",
                         f"{anchor} test not found in chaos_test.cc")
             return
         block = chaos[at:chaos.find("}", chaos.find("{", at))]
@@ -519,32 +655,37 @@ class Linter:
         for name, files in sorted(failpoints.items()):
             if name not in covered:
                 self.report(
-                    SRC / sorted(files)[0], 1, "failpoint-coverage",
+                    self.root / sorted(files)[0], 1, "failpoint-coverage",
                     f'failpoint "{name}" is not asserted by chaos_test\'s '
                     f"{anchor} (add it there or remove the seam)",
                 )
             if len(files) > 1:
                 self.report(
-                    SRC / sorted(files)[0], 1, "failpoint-coverage",
+                    self.root / sorted(files)[0], 1, "failpoint-coverage",
                     f'failpoint "{name}" is registered from multiple files '
                     f"({', '.join(sorted(files))}); one seam, one owner",
                 )
         for name in sorted(covered - set(failpoints)):
             self.report(
-                CHAOS_TEST, 1, "failpoint-coverage",
+                self.chaos_test, 1, "failpoint-coverage",
                 f'chaos_test asserts failpoint "{name}" which no src/ file '
                 "instruments",
             )
 
 
-def main() -> int:
-    if not SRC.is_dir():
-        print(f"error: {SRC} not found", file=sys.stderr)
+def main(argv: list[str]) -> int:
+    if len(argv) > 2:
+        print(f"usage: {argv[0]} [ROOT]", file=sys.stderr)
         return 2
-    linter = Linter()
+    root = Path(argv[1]).resolve() if len(argv) == 2 else REPO_ROOT
+    linter = Linter(root)
+    if not linter.src.is_dir():
+        print(f"error: {linter.src} not found", file=sys.stderr)
+        return 2
     failpoints: dict[str, set[str]] = {}
-    for path in iter_source_files(SRC):
+    for path in iter_source_files(linter.src):
         linter.check_file(path, failpoints)
+    linter.check_test_only_surface()
     linter.check_failpoints(failpoints)
     if linter.violations:
         for violation in linter.violations:
@@ -557,4 +698,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
