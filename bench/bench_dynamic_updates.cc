@@ -205,13 +205,13 @@ BenchSamples TimeBuild(int reps, BuildFn build) {
   return samples;
 }
 
-// Full-vs-patched publish cost across a dirty-fraction sweep. A
+// Full-vs-merged publish cost across a dirty-fraction sweep. A
 // ≥1M-edge Chung-Lu graph is the base generation; for each dirty
 // fraction we damage that share of its vertices with an update stream,
 // then time PendingEdits::Merge against the base (the swap cost the
-// registry actually pays), DynamicGraph::SnapshotDelta of the same
-// stream, and a full canonical Snapshot(). Both patched outputs are
-// verified bit-identical to the full one per fraction.
+// registry actually pays) and a full canonical DynamicGraph::Snapshot()
+// of the same stream. The merged output is verified bit-identical to
+// the full one per fraction.
 void RunDeltaSweep(const std::string& json_path) {
   const NodeId n = 200000;
   const EdgeId m = 1600000;
@@ -225,8 +225,8 @@ void RunDeltaSweep(const std::string& json_path) {
 
   std::printf("\n== delta publish sweep: Chung-Lu n=%u m=%llu ==\n", n,
               static_cast<unsigned long long>(base.num_edges()));
-  std::printf("%-12s %12s %14s %14s %14s %10s\n", "dirty_frac",
-              "dirty_verts", "full(ms)", "delta(ms)", "merge(ms)", "speedup");
+  std::printf("%-12s %12s %14s %14s %10s\n", "dirty_frac", "dirty_verts",
+              "full(ms)", "merge(ms)", "speedup");
 
   std::map<std::string, BenchSamples> trajectory;
   for (const double fraction : {0.0001, 0.001, 0.01, 0.05, 0.2}) {
@@ -245,19 +245,18 @@ void RunDeltaSweep(const std::string& json_path) {
       std::exit(1);
     }
     const double dirty_fraction =
-        static_cast<double>(dynamic.dirty_vertices()) / n;
+        static_cast<double>(edits.dirty_vertices()) / n;
 
-    // Bit-identity first (untimed): both patched outputs must equal the
+    // Bit-identity first (untimed): the merged output must equal the
     // full canonical snapshot.
     {
       auto full = dynamic.Snapshot();
-      auto delta = dynamic.SnapshotDelta(base);
       auto merged = edits.Merge(base);
-      if (!full.ok() || !delta.ok() || !merged.ok()) {
+      if (!full.ok() || !merged.ok()) {
         std::fprintf(stderr, "FATAL: sweep snapshot failed\n");
         std::exit(1);
       }
-      if (!SameCsr(*full, *delta) || !SameCsr(*full, *merged)) {
+      if (!SameCsr(*full, *merged)) {
         std::fprintf(stderr,
                      "FATAL: patched snapshot diverged from full at "
                      "fraction %g\n",
@@ -268,38 +267,30 @@ void RunDeltaSweep(const std::string& json_path) {
 
     // Time each path in its own loop: interleaving them makes the full
     // rebuild's ~5x larger working set (counting-sort scatter included)
-    // bleed cache/TLB pressure into the patched measurements.
+    // bleed cache/TLB pressure into the merge measurements.
     BenchSamples full_samples =
         TimeBuild(reps, [&] { return dynamic.Snapshot(); });
-    BenchSamples delta_samples =
-        TimeBuild(reps, [&] { return dynamic.SnapshotDelta(base); });
     BenchSamples merge_samples =
         TimeBuild(reps, [&] { return edits.Merge(base); });
 
     const double full_med = QuantileMs(full_samples.per_iter_ms, 0.5);
-    const double delta_med = QuantileMs(delta_samples.per_iter_ms, 0.5);
     const double merge_med = QuantileMs(merge_samples.per_iter_ms, 0.5);
-    const double speedup = delta_med > 0 ? full_med / delta_med : 0;
-    for (BenchSamples* samples :
-         {&full_samples, &delta_samples, &merge_samples}) {
+    const double speedup = merge_med > 0 ? full_med / merge_med : 0;
+    for (BenchSamples* samples : {&full_samples, &merge_samples}) {
       samples->counters["nodes"] = n;
       samples->counters["edges"] = static_cast<double>(dynamic.num_edges());
       samples->counters["dirty_vertices"] =
-          static_cast<double>(dynamic.dirty_vertices());
+          static_cast<double>(edits.dirty_vertices());
       samples->counters["dirty_fraction"] = dirty_fraction;
     }
-    delta_samples.counters["speedup_vs_full"] = speedup;
-    merge_samples.counters["speedup_vs_full"] =
-        merge_med > 0 ? full_med / merge_med : 0;
+    merge_samples.counters["speedup_vs_full"] = speedup;
 
     char label[32];
     std::snprintf(label, sizeof(label), "%.4f", fraction);
     trajectory["full_dirty_" + std::string(label)] = full_samples;
-    trajectory["delta_dirty_" + std::string(label)] = delta_samples;
     trajectory["merge_dirty_" + std::string(label)] = merge_samples;
-    std::printf("%-12.4f %12zu %14.2f %14.2f %14.2f %9.1fx\n",
-                dirty_fraction, dynamic.dirty_vertices(), full_med, delta_med,
-                merge_med, speedup);
+    std::printf("%-12.4f %12zu %14.2f %14.2f %9.1fx\n", dirty_fraction,
+                edits.dirty_vertices(), full_med, merge_med, speedup);
     std::fflush(stdout);
   }
 

@@ -14,7 +14,6 @@
 #include "bench_json.h"
 #include "common/memory.h"
 #include "common/rng.h"
-#include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "serve/result_cache.h"
@@ -490,30 +489,6 @@ void BM_SinglePairEstimate(benchmark::State& state) {
   state.counters["walks"] = double(walks);
 }
 BENCHMARK(BM_SinglePairEstimate)->Arg(1000)->Arg(10000);
-
-void BM_DynamicGraphUpdate(benchmark::State& state) {
-  DynamicGraph dynamic = DynamicGraph::FromGraph(BenchGraph());
-  Rng rng(11);
-  const NodeId n = dynamic.num_nodes();
-  for (auto _ : state) {
-    const NodeId src = static_cast<NodeId>(rng.NextBounded(n));
-    const NodeId dst = static_cast<NodeId>(rng.NextBounded(n));
-    if (dynamic.AddEdge(src, dst).ok()) {
-      benchmark::DoNotOptimize(dynamic.RemoveEdge(src, dst));
-    }
-  }
-}
-BENCHMARK(BM_DynamicGraphUpdate);
-
-void BM_DynamicGraphSnapshot(benchmark::State& state) {
-  DynamicGraph dynamic = DynamicGraph::FromGraph(BenchGraph());
-  for (auto _ : state) {
-    auto snapshot = dynamic.Snapshot();
-    benchmark::DoNotOptimize(snapshot);
-  }
-  state.counters["edges"] = double(dynamic.num_edges());
-}
-BENCHMARK(BM_DynamicGraphSnapshot);
 
 // Console reporter that additionally captures every per-repetition run
 // so --json can persist the trajectory (bench_json.h).

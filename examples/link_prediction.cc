@@ -12,11 +12,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "simpush/single_pair.h"
 
 int main() {
@@ -36,20 +37,27 @@ int main() {
   }
   auto block_of = [kBlockSize](NodeId v) { return v / kBlockSize; };
 
-  // Hide 5% of within-community edges (the "future" links).
+  // Hide 5% of within-community edges (the "future" links); the rest
+  // form the observed graph.
   Rng rng(99);
-  DynamicGraph graph = DynamicGraph::FromGraph(*full);
+  GraphBuilder builder(full->num_nodes());
   std::vector<std::pair<NodeId, NodeId>> hidden;
   for (NodeId v = 0; v < full->num_nodes(); ++v) {
     for (NodeId w : full->OutNeighbors(v)) {
       if (block_of(v) == block_of(w) && rng.NextDouble() < 0.05) {
         hidden.emplace_back(v, w);
+      } else {
+        builder.AddEdge(v, w);
       }
     }
   }
-  for (const auto& [v, w] : hidden) (void)graph.RemoveEdge(v, w);
-  auto observed = graph.Snapshot();
+  auto observed = std::move(builder).Build(/*dedupe=*/false);
   if (!observed.ok()) return 1;
+  // Out-rows are sorted, so an observed link is one binary search away.
+  const auto observed_link = [&](NodeId u, NodeId w) {
+    const auto row = observed->OutNeighbors(u);
+    return std::binary_search(row.begin(), row.end(), w);
+  };
   std::printf("  hid %zu in-community links; observed graph m=%llu\n",
               hidden.size(),
               static_cast<unsigned long long>(observed->num_edges()));
@@ -75,7 +83,7 @@ int main() {
     NodeId w;
     do {
       w = static_cast<NodeId>(rng.NextBounded(observed->num_nodes()));
-    } while (block_of(w) == block_of(u) || graph.HasEdge(u, w));
+    } while (block_of(w) == block_of(u) || observed_link(u, w));
     auto negative = session->Estimate(w, kWalks);
     if (!negative.ok()) continue;
 

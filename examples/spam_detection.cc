@@ -11,10 +11,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
-#include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
 #include "simpush/topk.h"
@@ -31,23 +32,26 @@ int main() {
     return 1;
   }
 
-  // 2. Plant a link farm: 60 spam pages, each linking to every other
-  // spam page and to the boosted target (a formerly obscure page).
-  DynamicGraph web = DynamicGraph::FromGraph(*base);
+  // 2. Plant a link farm: 60 new spam pages, each linking to every
+  // other spam page and to the boosted target (a formerly obscure page).
   const NodeId kFarmSize = 60;
   const NodeId target = 19999;
+  GraphBuilder web(base->num_nodes() + kFarmSize);
+  for (NodeId v = 0; v < base->num_nodes(); ++v) {
+    for (NodeId w : base->OutNeighbors(v)) web.AddEdge(v, w);
+  }
   std::vector<NodeId> farm;
   farm.reserve(kFarmSize);
   for (NodeId i = 0; i < kFarmSize; ++i) {
-    farm.push_back(web.AddNode());
+    farm.push_back(base->num_nodes() + i);
   }
   for (NodeId a : farm) {
     for (NodeId b : farm) {
-      if (a != b) (void)web.AddEdge(a, b);
+      if (a != b) web.AddEdge(a, b);
     }
-    (void)web.AddEdge(a, target);
+    web.AddEdge(a, target);
   }
-  auto graph = web.Snapshot();
+  auto graph = std::move(web).Build(/*dedupe=*/false);
   if (!graph.ok()) return 1;
   std::printf("  planted a %u-page farm boosting page %u (n=%u, m=%llu)\n",
               kFarmSize, target, graph->num_nodes(),

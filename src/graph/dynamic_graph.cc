@@ -81,48 +81,6 @@ EdgeId RowBegin(const Graph& graph, bool out, NodeId v) {
   return out ? graph.OutRowBegin(v) : graph.InRowBegin(v);
 }
 
-// Builds one CSR direction of an n-node snapshot patched onto `base`.
-// Rows the dirty-row source does not name are bulk-copied as maximal
-// runs straight out of the base's flat array: their content is already
-// canonical and their degrees are unchanged, so run lengths line up
-// exactly. The source is two callables: `next_dirty(v)` is the first
-// row >= v to rebuild (called with ascending v; every row at or past
-// the base's node count must be named), and `append_row(v)` appends
-// row v's canonical (sorted) contents to `flat`.
-template <typename NextDirtyFn, typename AppendRowFn>
-void BuildDeltaSide(const Graph& base, bool out, NodeId n,
-                    EdgeId total_edges, NextDirtyFn next_dirty,
-                    AppendRowFn append_row, std::vector<EdgeId>& offsets,
-                    std::vector<NodeId>& flat) {
-  offsets.resize(static_cast<size_t>(n) + 1);
-  offsets[0] = 0;
-  // Append into reserved capacity instead of resize-then-overwrite:
-  // the flat array is written exactly once (no zero-fill pass), which
-  // matters when the whole point is to be bandwidth-bound on ~m words.
-  flat.clear();
-  flat.reserve(total_edges);
-  for (NodeId v = 0; v < n;) {
-    const NodeId w = std::min(next_dirty(v), n);
-    if (w == v) {
-      append_row(v);
-      offsets[v + 1] = flat.size();
-      ++v;
-      continue;
-    }
-    // Rows are contiguous in the base's flat array, so the whole clean
-    // run [v, w) is one copy; its offsets are the base's, shifted by
-    // however much the dirty rows before it grew or shrank.
-    const EdgeId begin = RowBegin(base, out, v);
-    const NodeId* row = Row(base, out, v).data();
-    flat.insert(flat.end(), row, row + (RowBegin(base, out, w) - begin));
-    const EdgeId shift = offsets[v] - begin;
-    for (NodeId u = v; u < w; ++u) {
-      offsets[u + 1] = RowBegin(base, out, u + 1) + shift;
-    }
-    v = w;
-  }
-}
-
 // One row's net edit in a PendingEdits merge: `delta` copies of `col`
 // added to (or, when negative, removed from) row `row`. Sorts by
 // (row, col), which is unique per direction.
@@ -141,39 +99,11 @@ DynamicGraph DynamicGraph::FromGraph(const Graph& graph) {
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     auto out = graph.OutNeighbors(v);
     dynamic.out_[v].assign(out.begin(), out.end());
-    auto in = graph.InNeighbors(v);
-    dynamic.in_[v].assign(in.begin(), in.end());
   }
   dynamic.num_edges_ = graph.num_edges();
   // Clean relative to `graph`: when it is a canonical snapshot (the
-  // registry's case), SnapshotDelta can immediately patch against it.
-  dynamic.MarkClean();
+  // registry's case), SnapshotDelta can immediately merge against it.
   return dynamic;
-}
-
-void DynamicGraph::MarkOutDirty(NodeId v) {
-  if (dirty_out_[v] == 0) {
-    if (dirty_in_[v] == 0) ++dirty_count_;
-    dirty_out_[v] = 1;
-  }
-}
-
-void DynamicGraph::MarkInDirty(NodeId v) {
-  if (dirty_in_[v] == 0) {
-    if (dirty_out_[v] == 0) ++dirty_count_;
-    dirty_in_[v] = 1;
-  }
-}
-
-NodeId DynamicGraph::AddNode() {
-  out_.emplace_back();
-  in_.emplace_back();
-  // A node appended past the clean point has no base row to copy; it is
-  // dirty in both directions until the next MarkClean().
-  dirty_out_.push_back(1);
-  dirty_in_.push_back(1);
-  ++dirty_count_;
-  return static_cast<NodeId>(out_.size() - 1);
 }
 
 Status DynamicGraph::AddEdge(NodeId src, NodeId dst) {
@@ -181,10 +111,8 @@ Status DynamicGraph::AddEdge(NodeId src, NodeId dst) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
   out_[src].push_back(dst);
-  in_[dst].push_back(src);
   ++num_edges_;
-  MarkOutDirty(src);
-  MarkInDirty(dst);
+  edits_.Record({EdgeUpdate::Kind::kInsert, src, dst});
   return Status::OK();
 }
 
@@ -195,11 +123,8 @@ Status DynamicGraph::RemoveEdge(NodeId src, NodeId dst) {
   if (!SwapRemove(out_[src], dst)) {
     return Status::NotFound("edge not present");
   }
-  // The in-list must hold a matching entry; CSR invariants guarantee it.
-  SwapRemove(in_[dst], src);
   --num_edges_;
-  MarkOutDirty(src);
-  MarkInDirty(dst);
+  edits_.Record({EdgeUpdate::Kind::kDelete, src, dst});
   return Status::OK();
 }
 
@@ -212,7 +137,7 @@ bool DynamicGraph::HasEdge(NodeId src, NodeId dst) const {
 
 Status DynamicGraph::Apply(const std::vector<EdgeUpdate>& updates) {
   // Validate-then-mutate: a rejected batch must leave the graph (and
-  // its dirty tracking) byte-identical to before the call, so a caller
+  // its recorded edits) byte-identical to before the call, so a caller
   // can reject a bad batch without a half-applied prefix surviving it.
   SIMPUSH_RETURN_NOT_OK(
       ValidateBatch(num_nodes(), updates, [this](NodeId src, NodeId dst) {
@@ -256,63 +181,16 @@ StatusOr<Graph> DynamicGraph::Snapshot() const {
 
 StatusOr<Graph> DynamicGraph::SnapshotDelta(const Graph& base) const {
   // Cheap base check: `base` must be the canonical snapshot of this
-  // graph at the last MarkClean() point. Node/edge counts recorded then
-  // catch a stale base or another graph's snapshot; byte-level
-  // agreement of clean rows is the documented contract, enforced
-  // end-to-end by the randomized delta-vs-full property suite.
-  if (base.num_nodes() != clean_nodes_ || base.num_edges() != clean_edges_) {
+  // graph at the last MarkClean() point. Its node and edge counts catch
+  // a stale base or another graph's snapshot; Merge itself refuses a
+  // base that lacks an edge a recorded delete removes.
+  if (base.num_nodes() != num_nodes() ||
+      static_cast<int64_t>(base.num_edges()) + edits_.net_edges() !=
+          static_cast<int64_t>(num_edges_)) {
     return Status::FailedPrecondition(
         "delta base does not match the last marked-clean snapshot");
   }
-  const NodeId n = num_nodes();
-  const NodeId base_n = clean_nodes_;
-
-  std::vector<EdgeId> out_offsets, in_offsets;
-  std::vector<NodeId> out_targets, in_sources;
-  // Dirty rows, and rows past the base's node count, are copied from the
-  // live adjacency and sorted locally, restoring the canonical order
-  // that swap-with-back deletions scrambled.
-  const auto build_side = [&](bool out,
-                              const std::vector<std::vector<NodeId>>& adj,
-                              const std::vector<uint8_t>& dirty,
-                              std::vector<EdgeId>& offsets,
-                              std::vector<NodeId>& flat) {
-    BuildDeltaSide(
-        base, out, n, num_edges_,
-        [&](NodeId v) {
-          while (v < base_n && dirty[v] == 0) ++v;
-          return v;
-        },
-        [&](NodeId v) {
-          flat.insert(flat.end(), adj[v].begin(), adj[v].end());
-          std::sort(flat.end() - static_cast<ptrdiff_t>(adj[v].size()),
-                    flat.end());
-        },
-        offsets, flat);
-  };
-  build_side(/*out=*/true, out_, dirty_out_, out_offsets, out_targets);
-  build_side(/*out=*/false, in_, dirty_in_, in_offsets, in_sources);
-  return Graph::FromSortedCsrPair(n, std::move(out_offsets),
-                                  std::move(out_targets),
-                                  std::move(in_offsets),
-                                  std::move(in_sources));
-}
-
-void DynamicGraph::MarkClean() {
-  std::fill(dirty_out_.begin(), dirty_out_.end(), 0);
-  std::fill(dirty_in_.begin(), dirty_in_.end(), 0);
-  dirty_count_ = 0;
-  clean_nodes_ = num_nodes();
-  clean_edges_ = num_edges_;
-}
-
-size_t DynamicGraph::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& adj : out_) bytes += adj.capacity() * sizeof(NodeId);
-  for (const auto& adj : in_) bytes += adj.capacity() * sizeof(NodeId);
-  bytes += (out_.capacity() + in_.capacity()) * sizeof(std::vector<NodeId>);
-  bytes += dirty_out_.capacity() + dirty_in_.capacity();
-  return bytes;
+  return edits_.Merge(base);
 }
 
 Status PendingEdits::Apply(const Graph& base,
@@ -324,25 +202,28 @@ Status PendingEdits::Apply(const Graph& base,
         return static_cast<EdgeId>(
             static_cast<int64_t>(CountCsrEdges(base, src, dst)) + net);
       }));
-  for (const EdgeUpdate& update : updates) {
-    const int64_t delta = update.kind == EdgeUpdate::Kind::kInsert ? 1 : -1;
-    net_[EdgeKey(update.src, update.dst)] += delta;
-    net_edges_ += delta;
-    touched_.insert(update.src);
-    touched_.insert(update.dst);
-  }
+  for (const EdgeUpdate& update : updates) Record(update);
   return Status::OK();
+}
+
+void PendingEdits::Record(const EdgeUpdate& update) {
+  const int64_t delta = update.kind == EdgeUpdate::Kind::kInsert ? 1 : -1;
+  net_[EdgeKey(update.src, update.dst)] += delta;
+  net_edges_ += delta;
+  touched_.insert(update.src);
+  touched_.insert(update.dst);
 }
 
 StatusOr<Graph> PendingEdits::Merge(const Graph& base) const {
   // An edit (src, dst) patches src's out-row at dst and dst's in-row at
   // src; pairs whose edits cancelled out leave both rows clean.
+  const NodeId n = base.num_nodes();
   std::vector<RowEdit> out_edits, in_edits;
   for (const auto& [key, delta] : net_) {
     if (delta == 0) continue;
     const auto src = static_cast<NodeId>(key >> 32);
     const auto dst = static_cast<NodeId>(key);
-    if (src >= base.num_nodes() || dst >= base.num_nodes() ||
+    if (src >= n || dst >= n ||
         static_cast<int64_t>(CountCsrEdges(base, src, dst)) + delta < 0) {
       return Status::FailedPrecondition(
           "merge base does not hold the edges the pending edits delete");
@@ -352,40 +233,55 @@ StatusOr<Graph> PendingEdits::Merge(const Graph& base) const {
   }
   const auto total_edges =
       static_cast<EdgeId>(static_cast<int64_t>(base.num_edges()) + net_edges_);
+  // Builds one CSR direction. Each maximal run of rows with no edit is
+  // copied straight out of the base's flat array: its content is already
+  // canonical and its degrees are unchanged, so only its offsets shift.
   // Each edited row is merged from its sorted base row: copy up to the
   // edit's column, then add or skip |delta| copies of it.
   const auto merge_side = [&](bool out, std::vector<RowEdit>& edits,
                               std::vector<EdgeId>& offsets,
                               std::vector<NodeId>& flat) {
     std::sort(edits.begin(), edits.end());
+    offsets.resize(static_cast<size_t>(n) + 1);
+    // Append into reserved capacity instead of resize-then-overwrite:
+    // the flat array is written exactly once (no zero-fill pass), which
+    // matters when the whole point is to be bandwidth-bound on ~m words.
+    flat.reserve(total_edges);
     size_t next = 0;  // First edit not merged yet.
-    BuildDeltaSide(
-        base, out, base.num_nodes(), total_edges,
-        [&](NodeId) {
-          return next < edits.size() ? edits[next].row : kInvalidNode;
-        },
-        [&](NodeId v) {
-          const auto row = Row(base, out, v);
-          auto it = row.begin();
-          for (; next < edits.size() && edits[next].row == v; ++next) {
-            const RowEdit& edit = edits[next];
-            const auto at = std::lower_bound(it, row.end(), edit.col);
-            flat.insert(flat.end(), it, at);
-            if (edit.delta > 0) {
-              flat.insert(flat.end(), static_cast<size_t>(edit.delta),
-                          edit.col);
-            }
-            it = edit.delta < 0 ? at - edit.delta : at;
-          }
-          flat.insert(flat.end(), it, row.end());
-        },
-        offsets, flat);
+    for (NodeId v = 0; v < n;) {
+      const NodeId w = next < edits.size() ? edits[next].row : n;
+      if (w > v) {
+        const EdgeId begin = RowBegin(base, out, v);
+        const NodeId* row = Row(base, out, v).data();
+        flat.insert(flat.end(), row, row + (RowBegin(base, out, w) - begin));
+        const EdgeId shift = offsets[v] - begin;
+        for (NodeId u = v; u < w; ++u) {
+          offsets[u + 1] = RowBegin(base, out, u + 1) + shift;
+        }
+        v = w;
+        continue;
+      }
+      const auto row = Row(base, out, v);
+      auto it = row.begin();
+      for (; next < edits.size() && edits[next].row == v; ++next) {
+        const RowEdit& edit = edits[next];
+        const auto at = std::lower_bound(it, row.end(), edit.col);
+        flat.insert(flat.end(), it, at);
+        if (edit.delta > 0) {
+          flat.insert(flat.end(), static_cast<size_t>(edit.delta), edit.col);
+        }
+        it = edit.delta < 0 ? at - edit.delta : at;
+      }
+      flat.insert(flat.end(), it, row.end());
+      offsets[v + 1] = flat.size();
+      ++v;
+    }
   };
   std::vector<EdgeId> out_offsets, in_offsets;
   std::vector<NodeId> out_targets, in_sources;
   merge_side(/*out=*/true, out_edits, out_offsets, out_targets);
   merge_side(/*out=*/false, in_edits, in_offsets, in_sources);
-  return Graph::FromSortedCsrPair(base.num_nodes(), std::move(out_offsets),
+  return Graph::FromSortedCsrPair(n, std::move(out_offsets),
                                   std::move(out_targets),
                                   std::move(in_offsets),
                                   std::move(in_sources));

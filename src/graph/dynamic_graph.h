@@ -1,6 +1,7 @@
 // Mutable adjacency-list graph supporting online edge insertion and
 // deletion, with O(m) snapshotting into the immutable CSR Graph that the
-// query algorithms consume.
+// query algorithms consume, and PendingEdits, the edits a serving tenant
+// holds between hot swaps.
 //
 // This is the substrate for the paper's motivating scenario (§1): the
 // underlying graph "can change frequently and unpredictably", so query
@@ -8,13 +9,14 @@
 // updates. Index-free methods (SimPush, ProbeSim, TopSim) query a fresh
 // snapshot directly; index-based methods (SLING, PRSim, READS, TSF) must
 // re-run Prepare() after updates. bench_dynamic_updates measures exactly
-// this asymmetry.
+// this asymmetry. The registry publishes through PendingEdits::Merge
+// alone; DynamicGraph's full Snapshot() is the independent mirror that
+// the registry suites and bench/e2e's churn check compare it against.
 
 #ifndef SIMPUSH_GRAPH_DYNAMIC_GRAPH_H_
 #define SIMPUSH_GRAPH_DYNAMIC_GRAPH_H_
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -59,64 +61,40 @@ class PendingEdits {
 
   /// Edges the pending edits add, net (negative when they remove more).
   int64_t net_edges() const { return net_edges_; }
-  /// Distinct vertices an accepted update touched, counted exactly as
-  /// DynamicGraph::dirty_vertices() counts them.
+  /// Distinct vertices an accepted update touched (either endpoint).
   size_t dirty_vertices() const { return touched_.size(); }
 
  private:
+  friend class DynamicGraph;
+
+  // Records one update already validated against the edges it applies
+  // to: Apply's loop, and DynamicGraph's own mutators.
+  void Record(const EdgeUpdate& update);
+
   std::unordered_map<uint64_t, int64_t> net_;  // (src << 32 | dst) -> copies.
   std::unordered_set<NodeId> touched_;
   int64_t net_edges_ = 0;
 };
 
-/// Mutable directed graph with per-node out/in adjacency vectors.
+/// Mutable directed graph with per-node out-adjacency vectors over a
+/// fixed node set, plus the edits recorded since the last MarkClean().
 ///
-/// Complexity: AddEdge amortized O(1); RemoveEdge O(d_O(src) + d_I(dst))
+/// Complexity: AddEdge amortized O(1); RemoveEdge O(d_O(src))
 /// (swap-with-back removal, order not preserved); Snapshot O(n + m);
-/// SnapshotDelta patches only the rows dirtied since the last
-/// MarkClean() into a copy of a previous snapshot's arrays.
+/// SnapshotDelta is PendingEdits::Merge of the recorded edits.
 /// Duplicate (parallel) edges are permitted, matching multigraph edge
 /// lists; HasEdge reports any occurrence.
 class DynamicGraph {
  public:
-  DynamicGraph() = default;
-
   /// Creates an empty graph with `num_nodes` nodes. The new graph is
   /// marked clean: its implicit base snapshot is the empty n-node graph.
-  explicit DynamicGraph(NodeId num_nodes)
-      : out_(num_nodes),
-        in_(num_nodes),
-        dirty_out_(num_nodes, 0),
-        dirty_in_(num_nodes, 0),
-        clean_nodes_(num_nodes) {}
+  explicit DynamicGraph(NodeId num_nodes) : out_(num_nodes) {}
 
   /// Copies an immutable snapshot into mutable form.
   static DynamicGraph FromGraph(const Graph& graph);
 
   NodeId num_nodes() const { return static_cast<NodeId>(out_.size()); }
   EdgeId num_edges() const { return num_edges_; }
-
-  uint32_t OutDegree(NodeId v) const {
-    return static_cast<uint32_t>(out_[v].size());
-  }
-  uint32_t InDegree(NodeId v) const {
-    return static_cast<uint32_t>(in_[v].size());
-  }
-
-  /// Out-neighbors O(v), as a span so templated walk/push code compiles
-  /// against Graph and DynamicGraph interchangeably (same return type as
-  /// Graph::OutNeighbors; no copies). Invalidated by any mutation of v's
-  /// adjacency.
-  std::span<const NodeId> OutNeighbors(NodeId v) const { return out_[v]; }
-  /// In-neighbors I(v); same contract as OutNeighbors.
-  std::span<const NodeId> InNeighbors(NodeId v) const { return in_[v]; }
-
-  /// k-th in-neighbor of v, 0 <= k < InDegree(v) — mirrors
-  /// Graph::InNeighborAt for walk code written against either type.
-  NodeId InNeighborAt(NodeId v, uint32_t k) const { return in_[v][k]; }
-
-  /// Appends a node with no edges; returns its id.
-  NodeId AddNode();
 
   /// Inserts the directed edge src -> dst. InvalidArgument when an
   /// endpoint is out of range.
@@ -133,10 +111,10 @@ class DynamicGraph {
   /// effects, so an insert earlier in the batch can satisfy a later
   /// delete of the same edge — and only then applied. On failure the
   /// graph is left byte-identical to before the call (no update is
-  /// applied, no dirty state is recorded) and the status names the
-  /// offending update's index. This is what lets the serving layer
-  /// reject a bad network batch with a 4xx without the next hot swap
-  /// silently publishing half of it.
+  /// applied or recorded) and the status names the offending update's
+  /// index. This is what lets the serving layer reject a bad network
+  /// batch with a 4xx without the next hot swap silently publishing
+  /// half of it.
   Status Apply(const std::vector<EdgeUpdate>& updates);
 
   /// Materializes an immutable CSR snapshot for querying. Adjacency is
@@ -148,51 +126,24 @@ class DynamicGraph {
   /// publishes (PendingEdits::Merge) must equal byte for byte.
   StatusOr<Graph> Snapshot() const;
 
-  /// Incremental canonical snapshot: produces a Graph byte-identical to
-  /// Snapshot(), but built by patching only the dirty rows into a copy
-  /// of `base`'s CSR arrays — clean per-node runs are bulk-copied
-  /// (memcpy-speed, no per-row sort/validate/scatter), dirty rows are
-  /// re-sorted locally. `base` must be the canonical snapshot of this
-  /// graph's state at the last MarkClean() point (checked cheaply via
-  /// the node/edge counts recorded then; FailedPrecondition on
-  /// mismatch, letting callers fall back to a full Snapshot()).
-  /// Cost: O(n) offset arithmetic + bandwidth-bound copy of clean runs
-  /// + O(d log d) per dirty row, vs Snapshot()'s per-row copy+sort plus
-  /// FromSortedCsr's O(m) validation and counting-sort scatter.
+  /// Snapshot() built by merging the edits recorded since the last
+  /// MarkClean() into `base` (PendingEdits::Merge). `base` must be the
+  /// canonical snapshot of this graph's state at that point; a base
+  /// with another node or edge count is FailedPrecondition, letting
+  /// callers fall back to a full Snapshot().
   StatusOr<Graph> SnapshotDelta(const Graph& base) const;
 
   /// Declares the current state clean: a snapshot taken now becomes the
-  /// valid `base` for future SnapshotDelta calls, and the dirty set
-  /// resets. A caller that publishes snapshots calls this only after a
-  /// publish succeeds, so a failed one keeps the dirty set intact and
-  /// the next delta still patches against the snapshot left live.
-  void MarkClean();
-
-  /// Distinct vertices whose out- or in-adjacency changed since the
-  /// last MarkClean() (or construction). O(1). PendingEdits counts the
-  /// same set for the registry's /v1/stats.
-  size_t dirty_vertices() const { return dirty_count_; }
-
-  /// Approximate heap footprint in bytes.
-  size_t MemoryBytes() const;
+  /// valid `base` for future SnapshotDelta calls, and the recorded edits
+  /// reset. A caller that publishes snapshots calls this only after a
+  /// publish succeeds, so a failed one keeps the edits and the next
+  /// delta still merges against the snapshot left live.
+  void MarkClean() { edits_.Clear(); }
 
  private:
-  void MarkOutDirty(NodeId v);
-  void MarkInDirty(NodeId v);
-
   std::vector<std::vector<NodeId>> out_;
-  std::vector<std::vector<NodeId>> in_;
   EdgeId num_edges_ = 0;
-
-  // Dirty tracking for SnapshotDelta: one flag per adjacency direction
-  // (an edge dirties only its src's out-row and its dst's in-row), plus
-  // the node/edge counts recorded at the last MarkClean() so a
-  // mismatched base is rejected instead of silently miscopied.
-  std::vector<uint8_t> dirty_out_;
-  std::vector<uint8_t> dirty_in_;
-  size_t dirty_count_ = 0;
-  NodeId clean_nodes_ = 0;
-  EdgeId clean_edges_ = 0;
+  PendingEdits edits_;  // Since the last MarkClean().
 };
 
 /// Deterministically generates a mixed insert/delete stream against

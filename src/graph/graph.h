@@ -66,9 +66,8 @@ class Graph {
   EdgeId InRowBegin(NodeId v) const { return in_offsets_[v]; }
 
   /// Out-CSR analogue of InRowBegin, same [0, n] domain. Used by
-  /// PendingEdits::Merge and DynamicGraph::SnapshotDelta to bulk-copy
-  /// runs of untouched rows straight out of a previous generation's
-  /// arrays.
+  /// PendingEdits::Merge to bulk-copy runs of untouched rows straight
+  /// out of a previous generation's arrays.
   EdgeId OutRowBegin(NodeId v) const { return out_offsets_[v]; }
 
   /// In-CSR entry at flat index e (the source of in-edge e).
@@ -129,11 +128,10 @@ class Graph {
   /// row contents — per-node sortedness, targets in range, and out/in
   /// consistency — are the caller's proof obligation. This is the
   /// publish fast path: PendingEdits::Merge (every registry rebuild)
-  /// and DynamicGraph::SnapshotDelta guarantee those properties by
-  /// construction (clean rows are copied from an already-canonical
-  /// base; edited rows are merged from a sorted base row or re-sorted
-  /// locally), and randomized property suites pin both results to be
-  /// byte-identical to a full DynamicGraph::Snapshot().
+  /// guarantees those properties by construction (clean rows are copied
+  /// from an already-canonical base; edited rows are merged from a
+  /// sorted base row), and randomized property suites pin its result to
+  /// be byte-identical to a full DynamicGraph::Snapshot().
   static StatusOr<Graph> FromSortedCsrPair(NodeId num_nodes,
                                            std::vector<EdgeId> out_offsets,
                                            std::vector<NodeId> out_targets,

@@ -371,6 +371,13 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
     cursor = eol + 2;
     const size_t colon = line.find(':');
     if (colon == std::string_view::npos) continue;
+    // RFC 9112 §5.1 allows no whitespace between a field name and its
+    // colon. A lenient proxy may strip it and frame the body by
+    // "Content-Length : 5" where a strict one would not, so the request
+    // is refused whole.
+    if (colon > 0 && (line[colon - 1] == ' ' || line[colon - 1] == '\t')) {
+      return reject(400, "whitespace before header colon");
+    }
     std::string name = AsciiLowerCase(std::string(line.substr(0, colon)));
     size_t value_begin = colon + 1;
     // Strip optional whitespace after the colon — RFC 9110 OWS is
@@ -391,8 +398,16 @@ int HttpServer::ReadRequest(int fd, std::string* buffer,
   if (request->FindHeader("transfer-encoding") != nullptr) {
     return reject(501, "transfer-encoding not supported");
   }
+  // Differing Content-Length values leave the body's end ambiguous
+  // (RFC 9110 §8.6, RFC 9112 §6.3); identical repeats are harmless.
+  const std::string* header = request->FindHeader("content-length");
+  for (const auto& [name, value] : request->headers) {
+    if (name == "content-length" && value != *header) {
+      return reject(400, "conflicting content-length");
+    }
+  }
   size_t content_length = 0;
-  if (const std::string* header = request->FindHeader("content-length")) {
+  if (header != nullptr) {
     // The whole value must be digits: accepting a "12abc" prefix would
     // misframe the body and desync the keep-alive byte stream, and
     // strtoull would silently wrap a "-5" into a huge positive.

@@ -271,6 +271,58 @@ TEST(HttpParse, TransferEncodingRefused501) {
   }
 }
 
+// Two Content-Length headers that disagree, in either order, leave the
+// body's end ambiguous (RFC 9110 §8.6): the request is answered 400 and
+// its connection closed, so no leftover body byte is read as a next
+// request. Identical repeats frame the body as one header would.
+TEST(HttpParse, ConflictingContentLengthRefused400) {
+  ParseFixture fixture;
+  const std::string body(20, 'x');
+  for (const std::string headers :
+       {"Content-Length: 20\r\nContent-Length: 5\r\n",
+        "Content-Length: 5\r\nContent-Length: 20\r\n",
+        "Content-Length: 20\r\nHost: x\r\ncontent-length: 21\r\n"}) {
+    RawClient client(fixture.port());
+    client.Send("POST /echo HTTP/1.1\r\n" + headers + "\r\n" + body);
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok) << headers;
+    EXPECT_EQ(response.status, 400) << headers << response.raw;
+    EXPECT_EQ(response.body, "{\"error\":\"conflicting content-length\"}\n");
+    EXPECT_NE(response.raw.find("Connection: close"), std::string::npos)
+        << response.raw;
+    EXPECT_EQ(client.ReadUntilClose(), "") << headers;
+  }
+
+  RawClient client(fixture.port());
+  client.Send("POST /echo HTTP/1.1\r\nContent-Length: 20\r\n"
+              "Content-Length: 20\r\n\r\n" + body);
+  const auto repeated = client.ReadResponse();
+  ASSERT_TRUE(repeated.ok);
+  EXPECT_EQ(repeated.status, 200) << repeated.raw;
+  EXPECT_EQ(repeated.body, body);
+}
+
+// Whitespace between a header name and its colon (RFC 9112 §5.1) gets
+// 400 and a closed connection: "Content-Length : 20" must neither be
+// ignored, leaving its body to be read as the next request, nor honoured.
+TEST(HttpParse, WhitespaceBeforeHeaderColonRefused400) {
+  ParseFixture fixture;
+  for (const std::string header :
+       {"Content-Length : 20", "Content-Length\t: 20", "Host : x"}) {
+    RawClient client(fixture.port());
+    client.Send("POST /echo HTTP/1.1\r\n" + header + "\r\n\r\n" +
+                std::string(20, 'x'));
+    const auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok) << header;
+    EXPECT_EQ(response.status, 400) << header << response.raw;
+    EXPECT_EQ(response.body,
+              "{\"error\":\"whitespace before header colon\"}\n");
+    EXPECT_NE(response.raw.find("Connection: close"), std::string::npos)
+        << response.raw;
+    EXPECT_EQ(client.ReadUntilClose(), "") << header;
+  }
+}
+
 // A client that sends one byte per 30 ms never leaves the socket quiet
 // for a whole read timeout (20 ms). It must still be answered 408 once
 // idle_timeout_ms (200 ms) has passed since the request's first byte,

@@ -223,9 +223,9 @@ if [[ -x "$BUILD_DIR/bench_parallel" ]]; then
   echo "   wrote BENCH_parallel.json"
 fi
 if [[ -x "$BUILD_DIR/bench_dynamic_updates" ]]; then
-  # Full-vs-delta publish cost across a dirty-fraction sweep on a
+  # Full-vs-merged publish cost across a dirty-fraction sweep on a
   # 1.6M-edge Chung-Lu graph. The asserts pin the delta-generations
-  # contract: at <=1% dirty vertices a delta publish always beats a full
+  # contract: at <=1% dirty vertices a merged publish always beats a full
   # rebuild, and at the low-dirty end it is >=10x cheaper.
   SIMPUSH_BENCH_SCALE=quick "$BUILD_DIR/bench_dynamic_updates" \
       --sweep-only --json BENCH_dynamic.json > /dev/null
@@ -235,30 +235,29 @@ import json, sys
 with open("BENCH_dynamic.json") as f:
     doc = json.load(f)
 rows = {r["name"]: r for r in doc["results"]}
-# delta_dirty_* rows time DynamicGraph::SnapshotDelta; merge_dirty_* rows
-# time PendingEdits::Merge, the path a registry swap runs.
-for kind in ("delta", "merge"):
-    pairs = []
-    for name, row in rows.items():
-        if not name.startswith(kind + "_dirty_"):
-            continue
-        full = rows.get("full_" + name[len(kind) + 1:])
-        assert full, f"missing full row for {name}"
-        assert row["counters"]["edges"] >= 1_000_000, "sweep graph below 1M edges"
-        pairs.append((row["counters"]["dirty_fraction"],
-                      full["median_ms"] / row["median_ms"]))
-    assert pairs, f"no {kind} rows in BENCH_dynamic.json"
-    at_most_1pct = [(f, s) for f, s in pairs if f <= 0.01]
-    assert at_most_1pct, f"no {kind} sweep rows at <=1% dirty"
-    for frac, speedup in at_most_1pct:
-        if speedup <= 1.0:
-            sys.exit(f"{kind} publish slower than full at {frac:.2%} dirty: "
-                     f"{speedup:.1f}x")
-    best = max(s for _, s in at_most_1pct)
-    if best < 10.0:
-        sys.exit(f"{kind} publish under 10x at <=1% dirty (best {best:.1f}x)")
-    print(f"   {kind}-vs-full speedups at <=1% dirty: " +
-          ", ".join(f"{s:.1f}x@{f:.2%}" for f, s in sorted(at_most_1pct)))
+# merge_dirty_* rows time PendingEdits::Merge, the path a registry swap
+# runs; full_dirty_* rows a full canonical rebuild.
+pairs = []
+for name, row in rows.items():
+    if not name.startswith("merge_dirty_"):
+        continue
+    full = rows.get("full_" + name[len("merge_"):])
+    assert full, f"missing full row for {name}"
+    assert row["counters"]["edges"] >= 1_000_000, "sweep graph below 1M edges"
+    pairs.append((row["counters"]["dirty_fraction"],
+                  full["median_ms"] / row["median_ms"]))
+assert pairs, "no merge rows in BENCH_dynamic.json"
+at_most_1pct = [(f, s) for f, s in pairs if f <= 0.01]
+assert at_most_1pct, "no merge sweep rows at <=1% dirty"
+for frac, speedup in at_most_1pct:
+    if speedup <= 1.0:
+        sys.exit(f"merge publish slower than full at {frac:.2%} dirty: "
+                 f"{speedup:.1f}x")
+best = max(s for _, s in at_most_1pct)
+if best < 10.0:
+    sys.exit(f"merge publish under 10x at <=1% dirty (best {best:.1f}x)")
+print("   merge-vs-full speedups at <=1% dirty: " +
+      ", ".join(f"{s:.1f}x@{f:.2%}" for f, s in sorted(at_most_1pct)))
 EOF
 fi
 
