@@ -4,6 +4,7 @@
 // complexities.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cmath>
 #include <filesystem>
@@ -31,6 +32,15 @@
 namespace {
 
 using namespace simpush;
+
+// MiB the glibc heap holds for the program: in-use arena chunks plus
+// mmap'd blocks (mallinfo2's uordblks + hblkhd). A bench reads it before
+// building its workspace or engine and after its timed loop; the
+// difference, "held_mb", is the scratch the loop left allocated.
+double HeapHeldMb() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd) / (1024.0 * 1024.0);
+}
 
 const Graph& BenchGraph() {
   static const Graph graph = [] {
@@ -221,9 +231,11 @@ BENCHMARK(BM_LoadEdgeList)->Unit(benchmark::kMillisecond);
 // Source-Push alone (Algorithm 2: level detection, then the level-wise
 // propagation), on a warm workspace and G_u as a long-lived engine
 // holds them, every iteration from the next source in steps of 37.
+// Reports held_mb: the heap the workspace and G_u hold after the loop.
 void RunSourcePushStage(benchmark::State& state, const Graph& g,
                         const SimPushOptions& o) {
   const DerivedParams params = ComputeDerivedParams(o);
+  const double held_before = HeapHeldMb();
   Rng rng(3);
   QueryWorkspace workspace;
   SourceGraph gu;
@@ -235,6 +247,7 @@ void RunSourcePushStage(benchmark::State& state, const Graph& g,
     benchmark::DoNotOptimize(gu);
     u = (u + 37) % g.num_nodes();
   }
+  state.counters["held_mb"] = HeapHeldMb() - held_before;
 }
 
 // The bench graph at eps=0.02 with the walk count capped at 20 000.
@@ -340,13 +353,15 @@ BENCHMARK(BM_FullQuery)->Arg(10)->Arg(20)->Arg(50)->Arg(100);
 // "allocs/query" counter (counting operator new, linked into this
 // binary only) proves it. BM_QueryColdEngine constructs the engine per
 // query for contrast — the setup cost SimPush's realtime claim cannot
-// afford.
+// afford. "held_mb" is the heap the engine and result hold after the
+// timed loop.
 
 void BM_QuerySteadyState(benchmark::State& state) {
   const Graph& g = BenchGraph();
   SimPushOptions o;
   o.epsilon = 0.02;
   o.walk_budget_cap = 20000;
+  const double held_before = HeapHeldMb();
   SimPushEngine engine(g, o);
   SimPushResult result;
   // Warm-up: touch every query in the rotation once so all pooled
@@ -368,6 +383,7 @@ void BM_QuerySteadyState(benchmark::State& state) {
   const AllocationStats after = GetAllocationStats();
   state.counters["allocs/query"] = benchmark::Counter(
       double(after.allocations - before.allocations) / state.iterations());
+  state.counters["held_mb"] = HeapHeldMb() - held_before;
 }
 BENCHMARK(BM_QuerySteadyState);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <vector>
 
 #include "common/touched_bits.h"
 #include "simpush/workspace.h"
@@ -100,7 +101,7 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   // The direction rule (see hitting.h): pull iff the members' in-edges
   // are at most kHittingPushEdgeCost times the holders' out-edges. The
   // member sum stops as soon as it exceeds that budget.
-  const auto pulls = [&](const SourceGraph::LevelEntries& members,
+  const auto pulls = [&](const std::vector<NodeId>& members,
                          const HittingTable::LevelVectors& above) {
     uint64_t budget = 0;
     for (const HittingTable::NodeSpan& holder : above.nodes) {
@@ -108,8 +109,7 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
     }
     budget *= kHittingPushEdgeCost;
     uint64_t member_edges = 0;
-    for (const auto& [v, h] : members) {
-      (void)h;
+    for (const NodeId v : members) {
       member_edges += graph.InDegree(v);
       if (member_edges > budget) return false;
     }
@@ -164,7 +164,7 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   for (uint32_t level = max_level - 1; level >= 1; --level) {
     const HittingTable::LevelVectors& above = table->per_level_[level + 1];
     HittingTable::LevelVectors* here = &table->per_level_[level];
-    const SourceGraph::LevelEntries& members = gu.Level(level);
+    const std::vector<NodeId>& members = gu.Level(level);
     if (above.nodes.empty()) {
       // Nothing to merge: only attention occurrences get a vector.
       if (level >= 2) emit_self_entries(level, here);
@@ -180,8 +180,7 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
                         (static_cast<uint64_t>(holder.begin) << 32) |
                             holder.end);
       }
-      for (const auto& [v, h] : members) {
-        (void)h;
+      for (const NodeId v : members) {
         // Cancellation stride over pulls; on a fired token the table is
         // left partial and the caller discards it.
         if (++since_poll >= kCancelCheckStride) {
@@ -243,10 +242,7 @@ Status ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
       // left dirty is never read.
       member_bits.Reset(graph.num_nodes());
       receiver_bits.Reset(graph.num_nodes());
-      for (const auto& [v, h] : members) {
-        (void)h;
-        member_bits.Mark(v);
-      }
+      for (const NodeId v : members) member_bits.Mark(v);
       holder_span.BeginEpoch();
       if (level >= 2) {
         for (AttentionId id : gu.AttentionOnLevel(level)) {

@@ -5,7 +5,7 @@
 namespace simpush {
 
 namespace {
-const SourceGraph::LevelEntries kEmptyLevel;
+const std::vector<NodeId> kEmptyLevel;
 const std::vector<AttentionId> kEmptyAttention;
 }  // namespace
 
@@ -19,26 +19,9 @@ void SourceGraph::Reset(uint32_t max_level) {
   set_max_level(max_level);
 }
 
-const SourceGraph::LevelEntries& SourceGraph::Level(uint32_t level) const {
+const std::vector<NodeId>& SourceGraph::Level(uint32_t level) const {
   if (level >= levels_.size()) return kEmptyLevel;
   return levels_[level];
-}
-
-double SourceGraph::HittingProb(uint32_t level, NodeId v) const {
-  // Levels are small relative to the graph and this is not on the query
-  // hot path (which iterates levels instead), so a linear scan suffices.
-  for (const auto& [node, h] : Level(level)) {
-    if (node == v) return h;
-  }
-  return 0.0;
-}
-
-bool SourceGraph::Contains(uint32_t level, NodeId v) const {
-  for (const auto& [node, h] : Level(level)) {
-    (void)h;
-    if (node == v) return true;
-  }
-  return false;
 }
 
 AttentionId SourceGraph::AddAttentionNode(NodeId node, uint32_t level,
@@ -78,19 +61,6 @@ size_t SourceGraph::TotalNodeOccurrences() const {
   for (uint32_t level = 1; level <= max_level_ && level < levels_.size();
        ++level) {
     total += levels_[level].size();
-  }
-  return total;
-}
-
-size_t SourceGraph::CountEdges(const Graph& graph) const {
-  size_t total = 0;
-  // Nodes on the last level have no G_u in-neighbors (Source-Push never
-  // pushed beyond level L), so only levels 0..L-1 contribute.
-  for (uint32_t level = 0; level + 1 <= max_level_; ++level) {
-    for (const auto& [node, h] : Level(level)) {
-      (void)h;
-      total += graph.InDegree(node);
-    }
   }
   return total;
 }

@@ -10,25 +10,28 @@
 // partial: level L holds only the nodes in C_L, and (when L >= 3)
 // level L-1 only those in C_{L-1} ∪ O(C_L), where C_ℓ is the set of
 // nodes whose level-ℓ walk count reached the detection threshold (see
-// source_push.cc). Every entry present carries the exact h of the
-// whole level, and every attention node and every node the hitting
+// source_push.cc). Every attention node and every node the hitting
 // table reads is present whenever Lemma 5's event holds.
+//
+// A level stores membership only. After Source-Push no stage reads the
+// h of a node that is not an attention occurrence: Algorithm 3 reads
+// level membership, Algorithms 4-5 the attention set, which keeps each
+// occurrence's exact h.
 //
 // G_u therefore does not store explicit edge lists: the adjacency of G
 // restricted to consecutive level sets *is* the G_u adjacency, which is
 // how Algorithms 3–4 traverse it.
 //
-// Storage is flat: each level is a vector of (node, h) pairs and the
-// attention sets are id vectors, all of which keep their capacity across
-// Reset() so a long-lived engine rebuilds G_u every query without
-// touching the heap.
+// Storage is flat: each level is a node-id vector and the attention
+// sets are id vectors, all of which keep their capacity across Reset()
+// so a long-lived engine rebuilds G_u every query without touching the
+// heap.
 
 #ifndef SIMPUSH_SIMPUSH_SOURCE_GRAPH_H_
 #define SIMPUSH_SIMPUSH_SOURCE_GRAPH_H_
 
 #include <cassert>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -50,9 +53,6 @@ struct AttentionNode {
 /// Level-structured source graph G_u plus the attention sets A_u^(ℓ).
 class SourceGraph {
  public:
-  /// (node, h^(ℓ)(u, node)) pairs of one level.
-  using LevelEntries = std::vector<std::pair<NodeId, double>>;
-
   /// Max level L (levels are 0..L; level 0 is the query node).
   uint32_t max_level() const { return max_level_; }
   void set_max_level(uint32_t level) {
@@ -64,25 +64,19 @@ class SourceGraph {
   /// buffer's capacity, then sets the new max level. O(L) — not O(n).
   void Reset(uint32_t max_level);
 
-  /// Appends one (node, h) entry to a level. Contract: a level's
-  /// entries are appended in strictly ascending node order (Source-Push
-  /// builds each level from an ascending bitmask scan or pull), so
-  /// readers may rely on node order.
-  void AddEntry(uint32_t level, NodeId node, double h) {
-    assert(levels_[level].empty() || levels_[level].back().first < node);
-    levels_[level].emplace_back(node, h);
+  /// Appends one member to a level. Contract: a level's members are
+  /// appended in strictly ascending node order (Source-Push builds each
+  /// level from an ascending bitmask scan or pull), so readers may rely
+  /// on node order.
+  void AddEntry(uint32_t level, NodeId node) {
+    assert(levels_[level].empty() || levels_[level].back() < node);
+    levels_[level].push_back(node);
   }
 
-  /// Entries of one level; empty for levels beyond max_level(). Under
-  /// level detection, levels L-1 and L hold only the nodes Source-Push
-  /// evaluated there (see the file comment), each with its exact h.
-  const LevelEntries& Level(uint32_t level) const;
-
-  /// h^(ℓ)(u, v); 0 when v is not on level ℓ of G_u.
-  double HittingProb(uint32_t level, NodeId v) const;
-
-  /// True iff v appears on level ℓ of G_u.
-  bool Contains(uint32_t level, NodeId v) const;
+  /// Members of one level, ascending; empty for levels beyond
+  /// max_level(). Under level detection, levels L-1 and L hold only the
+  /// nodes Source-Push evaluated there (see the file comment).
+  const std::vector<NodeId>& Level(uint32_t level) const;
 
   /// Registers an attention-node occurrence; returns its dense id.
   /// Contract: a level's occurrences are registered in strictly
@@ -105,15 +99,11 @@ class SourceGraph {
   /// Total node occurrences across levels 1..L (|G_u| minus the root).
   size_t TotalNodeOccurrences() const;
 
-  /// Σ d_I(v) over the nodes v on levels [0, L-1]: the number of G_u
-  /// edges when every level is whole (level detection off).
-  size_t CountEdges(const Graph& graph) const;
-
  private:
   uint32_t max_level_ = 0;
-  // levels_[ℓ]: (node, h^(ℓ)(u, node)). levels_[0] = { (u, 1.0) }.
+  // levels_[ℓ]: the members of level ℓ, ascending. levels_[0] = { u }.
   // Sized to the largest max level ever seen; inner vectors pooled.
-  std::vector<LevelEntries> levels_;
+  std::vector<std::vector<NodeId>> levels_;
   std::vector<AttentionNode> attention_;
   // attention_on_level_[ℓ]: ids of attention occurrences at level ℓ,
   // ascending by node (AddAttentionNode's contract).

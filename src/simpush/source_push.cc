@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/touched_bits.h"
@@ -166,26 +167,30 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   max_level = std::max<uint32_t>(max_level, 1);
 
   gu->Reset(max_level);
-  gu->AddEntry(0, u, 1.0);
+  gu->AddEntry(0, u);
 
   // Lines 9-21: level-wise propagation h^(ℓ+1)(u, v') += √c·h^(ℓ)(u,v)/d_I(v)
   // for every in-neighbor v' of every level-ℓ node v, picking the
   // attention nodes (h >= ε_h) as each level is written. G_u's level ℓ,
-  // ascending by node, is itself the frontier of level ℓ+1; the one
-  // per-node buffer is the zero-restored accumulator workspace->accum_a
-  // (hash maps per level would dominate query time on dense graphs),
-  // which every level leaves all +0.0 again, cancelled returns included.
+  // ascending by node, is itself the frontier of level ℓ+1. The per-node
+  // buffers are the workspace's two zero-restored accumulators (hash
+  // maps per level would dominate query time on dense graphs): `share`
+  // holds the frontier's shares √c·h/d_I, `next` receives the next
+  // level, and each member's share is written into `next` as the member
+  // is emitted, so no level keeps its h beyond the attention set. The
+  // two swap after every level, and both are all +0.0 again on every
+  // return, cancelled ones included.
   //
   // A level whose frontier has more than m/kPullEdgeFraction in-edges
   // is computed by pulling instead (direction-optimizing traversal,
   // Beamer et al., SC 2012): every node v' sums the shares of its
-  // out-neighbors, next[v'] = Σ_{v ∈ O(v')} share[v], with share[v] =
-  // √c·h(v)/d_I(v) on the frontier and +0.0 elsewhere. The two
-  // directions are bit-identical. The push adds v's share to v' once per
-  // edge v'→v, in ascending v (the frontier is sorted), starting from
-  // +0.0; the out-CSR row of v' is sorted, so the pull adds the same
-  // shares in the same order, and adding +0.0 for a non-frontier v
-  // leaves a sum unchanged. Both emit the next level ascending by node.
+  // out-neighbors, h(v') = Σ_{v ∈ O(v')} share[v], where share is +0.0
+  // off the frontier. The two directions are bit-identical. The push adds v's
+  // share to v' once per edge v'→v, in ascending v (the frontier is
+  // sorted), starting from +0.0; the out-CSR row of v' is sorted, so the
+  // pull adds the same shares in the same order, and adding +0.0 for a
+  // non-frontier v leaves a sum unchanged. Both emit the next level
+  // ascending by node.
   //
   // Membership is by edges in both directions: v' joins level ℓ+1 iff
   // some out-neighbor is on the frontier, even should every share it
@@ -197,19 +202,34 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   // pull marks exactly the frontier nodes with a +0.0 share.
   //
   // A demand level is pulled at its demand nodes only (ascending), so
-  // each evaluated entry keeps the bits of the whole level's entry:
-  // the pull over a node's out-row is the same sum either way, and a
+  // each evaluated member gets the h of the whole level's member: the
+  // pull over a node's out-row is the same sum either way, and a
   // level-L node's out-neighbors all lie in the evaluated level L-1.
   const NodeId n = graph.num_nodes();
-  std::vector<double>& acc = workspace->accum_a;
+  double* share = workspace->accum_a.data();
+  double* next = workspace->accum_b.data();
   TouchedBits& bits = workspace->scratch_bits;
   bits.Reset(n);  // Clean even after a cancelled predecessor.
   if (demand) CollectDemandNodes(graph, max_level, workspace);
   const EdgeId pull_edges = graph.num_edges() / kPullEdgeFraction;
   EdgeId frontier_edges = graph.InDegree(u);  // In-edges of the frontier.
+  // Whether some frontier node with in-edges has a +0.0 share; the same
+  // for the level being emitted.
+  bool zero_share = false;
+  bool next_zero_share = false;
+  // Writes v's share √c·h/d_I(v) into `slots`; a node without in-edges
+  // is nobody's out-neighbor, so its slot stays +0.0.
+  const auto set_share = [&](double* slots, NodeId v, double h) {
+    const uint32_t deg = graph.InDegree(v);
+    if (deg == 0) return;
+    slots[v] = params.sqrt_c * h / deg;
+    if (slots[v] == 0.0) next_zero_share = true;
+  };
+  set_share(share, u, 1.0);
+  zero_share = next_zero_share;
   uint32_t since_poll = 0;
   for (uint32_t level = 0; level < max_level; ++level) {
-    const SourceGraph::LevelEntries& frontier = gu->Level(level);
+    const std::vector<NodeId>& frontier = gu->Level(level);
     if (frontier.empty()) break;
     const std::vector<NodeId>* targets = nullptr;  // Null: whole level.
     if (demand && level + 1 == max_level) {
@@ -219,90 +239,88 @@ Status SourcePushInto(const Graph& graph, NodeId u,
     }
     const bool pull = targets != nullptr || frontier_edges > pull_edges;
     frontier_edges = 0;  // Re-summed below for the next frontier.
+    next_zero_share = false;
     // Appends v' to level ℓ+1 (ascending calls), and to A_u^(ℓ+1) if
     // h >= ε_h: levels are written in order, so attention ids come out
-    // level by level, ascending by node within a level.
+    // level by level, ascending by node within a level. The deepest
+    // level propagates nowhere, so it writes no shares.
     const auto emit = [&](NodeId vp, double h) {
-      gu->AddEntry(level + 1, vp, h);
+      gu->AddEntry(level + 1, vp);
       frontier_edges += graph.InDegree(vp);
       if (h >= params.eps_h) gu->AddAttentionNode(vp, level + 1, h);
+      if (level + 1 < max_level) set_share(next, vp, h);
+    };
+    // A fired token: zeroes the frontier's shares, the shares of the
+    // members emitted so far and a push's partial sums (marked in
+    // bits), then returns its status.
+    const auto cancelled = [&](Status status) {
+      for (const NodeId v : frontier) share[v] = 0.0;
+      for (const NodeId v : gu->Level(level + 1)) next[v] = 0.0;
+      bits.Drain([&](size_t v) { next[v] = 0.0; });
+      return status;
     };
     if (pull) {
-      // The frontier's shares go into the accumulator. A frontier node
-      // with d_I = 0 is nobody's out-neighbor, so it is skipped.
-      bool zero_share = false;
-      for (const auto& [v, h] : frontier) {
-        const uint32_t deg = graph.InDegree(v);
-        if (deg == 0) continue;
-        const double share = params.sqrt_c * h / deg;
-        acc[v] = share;
-        if (share == 0.0) {
-          bits.Mark(v);
-          zero_share = true;
+      if (zero_share) {
+        for (const NodeId v : frontier) {
+          if (share[v] == 0.0 && graph.InDegree(v) > 0) bits.Mark(v);
         }
       }
-      const auto unshare = [&] {
-        for (const auto& [v, h] : frontier) acc[v] = 0.0;
-      };
       const size_t count = targets != nullptr ? targets->size() : n;
       for (size_t i = 0; i < count; ++i) {
-        // A cancelled return may leave set bits behind; every consumer
-        // Resets the mask on entry.
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
           if (Status status = CheckCancel(cancel); !status.ok()) {
-            unshare();
-            return status;
+            return cancelled(std::move(status));
           }
         }
         const NodeId vp =
             targets != nullptr ? (*targets)[i] : static_cast<NodeId>(i);
         const std::span<const NodeId> row = graph.OutNeighbors(vp);
         double h = 0.0;
-        for (const NodeId v : row) h += acc[v];
+        for (const NodeId v : row) h += share[v];
         if (h == 0.0 && !(zero_share && AnyMarked(bits, row))) continue;
         emit(vp, h);
       }
-      unshare();
+      for (const NodeId v : frontier) share[v] = 0.0;
       if (zero_share) bits.Reset(n);
     } else {
       for (size_t i = 0; i < frontier.size(); ++i) {
         // Per-occurrence cancellation stride (same contract as the walk
-        // loop above: a poll reads state only). A cancelled return
-        // zeroes the slots pushed so far.
+        // loop above: a poll reads state only).
         if (++since_poll >= kCancelCheckStride) {
           since_poll = 0;
           if (Status status = CheckCancel(cancel); !status.ok()) {
-            bits.Drain([&](size_t v) { acc[v] = 0.0; });
-            return status;
+            return cancelled(std::move(status));
           }
         }
         // The frontier is sorted ascending, so the in-CSR rows stream
         // near-sequentially; hint the next rows' offsets so their misses
         // overlap with this row's pushes.
         if (i + 4 < frontier.size()) {
-          graph.PrefetchInOffsets(frontier[i + 4].first);
+          graph.PrefetchInOffsets(frontier[i + 4]);
         }
-        const auto [v, h] = frontier[i];
-        const uint32_t deg = graph.InDegree(v);
-        if (deg == 0) continue;
-        const double share = params.sqrt_c * h / deg;
+        const NodeId v = frontier[i];
+        const double s = share[v];
+        share[v] = 0.0;
         for (const NodeId vp : graph.InNeighbors(v)) {
-          acc[vp] += share;
+          next[vp] += s;
           bits.Mark(vp);
         }
       }
       // The ascending drain makes the next level's traversal sequential
       // over the in-CSR, makes the accumulation order — and hence the
       // float sums — a function of the graph alone (never of discovery
-      // order), and appends the level's entries in the ascending node
-      // order SourceGraph requires.
+      // order), and appends the level's members in the ascending node
+      // order SourceGraph requires. Each sum's slot then takes the
+      // member's share, or +0.0.
       bits.Drain([&](size_t i) {
-        const double h = acc[i];
-        acc[i] = 0.0;
+        const double h = next[i];
+        next[i] = 0.0;
         emit(static_cast<NodeId>(i), h);
       });
     }
+    std::swap(share, next);
+    zero_share = next_zero_share;
   }
 
   if (stats != nullptr) {

@@ -68,9 +68,10 @@ uint32_t DetectMaxLevel(const Graph& graph, NodeId u,
 /// `cancel`, when non-null, is polled every kCancelCheckStride walks
 /// (level detection), pushed occurrences (push levels) and nodes (pull
 /// levels); a fired token aborts with kCancelled/kDeadlineExceeded and
-/// leaves the workspace's accumulator all +0.0, so the next query on it
-/// is unaffected. The poll only reads state — a run whose token never
-/// fires is bit-identical to a run with cancel == nullptr (see
+/// leaves both of the workspace's accumulators (accum_a, accum_b) all
+/// +0.0, as every return does, so the next query on it is unaffected.
+/// The poll only reads state — a run whose token never fires is
+/// bit-identical to a run with cancel == nullptr (see
 /// common/deadline.h).
 Status SourcePushInto(const Graph& graph, NodeId u,
                       const SimPushOptions& options,

@@ -7,10 +7,13 @@
 //                            holder_span as the per-node counts (walk
 //                            level detection), demand_last/demand_prev
 //                            (the nodes levels L and L-1 are evaluated
-//                            at), accum_a + scratch_bits (level-wise
-//                            propagation; each level's frontier is G_u's
-//                            previous level), source_graph (the G_u
-//                            being built).
+//                            at), accum_a/accum_b + scratch_bits
+//                            (level-wise propagation: one accumulator
+//                            holds the frontier's shares, the other the
+//                            next level's, swapped per level; the
+//                            frontier's members are G_u's previous
+//                            level), source_graph (the G_u being built:
+//                            level members, attention occurrences).
 //   Hitting (Alg. 3)       — holder_span again, member_bits/receiver_bits,
 //                            frontier_a (push-level buckets),
 //                            attention_accum + scratch_bits (merge
@@ -69,8 +72,9 @@ class QueryWorkspace {
   void Prepare(NodeId num_nodes);
 
   // --- Zero-restored per-node accumulators (all +0.0 between uses):
-  // Source-Push's levels in accum_a, Reverse-Push's residues in both,
-  // with frontier_a/frontier_b as its touched lists.
+  // Source-Push's level shares and Reverse-Push's residues, each stage
+  // in both, Reverse-Push with frontier_a/frontier_b as its touched
+  // lists.
   std::vector<double> accum_a;
   std::vector<double> accum_b;
   std::vector<NodeId> frontier_a;

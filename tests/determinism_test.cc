@@ -194,7 +194,7 @@ TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
     const SourceGraph& gu = plain_scratch.source_graph;
     for (uint32_t level = 0; level < gu.max_level(); ++level) {
       EdgeId in_edges = 0;
-      for (const auto& [node, h] : gu.Level(level)) {
+      for (const NodeId node : gu.Level(level)) {
         in_edges += graph->InDegree(node);
       }
       if (in_edges > graph->num_edges() / kPullEdgeFraction) ++pull_levels;

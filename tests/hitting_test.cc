@@ -1,6 +1,7 @@
 // Tests for Algorithm 3 (hitting probabilities between attention nodes
 // within G_u), cross-checked against a brute-force DP over G_u.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -62,14 +63,16 @@ double BruteForceHitting(const Graph& graph, const SourceGraph& gu,
   values.emplace(t.node, 1.0);
   for (uint32_t l = t.level; l > from_level; --l) {
     std::unordered_map<NodeId, double> next;
-    for (const auto& [node, h] : gu.Level(l - 1)) {
-      (void)h;
+    const std::vector<NodeId>& members = gu.Level(l);
+    for (const NodeId node : gu.Level(l - 1)) {
       const uint32_t deg = graph.InDegree(node);
       if (deg == 0) continue;
       double acc = 0;
       for (NodeId vp : graph.InNeighbors(node)) {
         // vp is at level l of G_u iff it carries probability mass there.
-        if (!gu.Contains(l, vp)) continue;
+        if (!std::binary_search(members.begin(), members.end(), vp)) {
+          continue;
+        }
         auto it = values.find(vp);
         if (it != values.end()) acc += it->second;
       }
@@ -135,8 +138,7 @@ TEST(HittingTest, VectorsSortedById) {
   Fixture f = MakeFixture(g, 3, 0.05, 61);
   const HittingTable& table = f.table;
   for (uint32_t level = 1; level <= f.gu.max_level(); ++level) {
-    for (const auto& [node, h] : f.gu.Level(level)) {
-      (void)h;
+    for (const NodeId node : f.gu.Level(level)) {
       const HittingVector& vec = table.VectorAt(level, node);
       for (size_t i = 1; i < vec.size(); ++i) {
         EXPECT_LT(vec[i - 1].first, vec[i].first);
@@ -210,8 +212,7 @@ std::vector<NaiveLevel> NaiveHittingTable(const Graph& graph,
   }
   for (uint32_t level = max_level - 1; level >= 1; --level) {
     const NaiveLevel& above = table[level + 1];
-    for (const auto& [v, h] : gu.Level(level)) {
-      (void)h;
+    for (const NodeId v : gu.Level(level)) {
       std::map<AttentionId, double> sums;
       const uint32_t deg = graph.InDegree(v);
       for (const NodeId w : graph.InNeighbors(v)) {
@@ -285,10 +286,7 @@ void ExpectHittingEqualsNaive(const Graph& graph,
     for (uint32_t level = 1; level < gu.max_level(); ++level) {
       if (want[level + 1].empty()) continue;
       uint64_t member_edges = 0, holder_edges = 0;
-      for (const auto& [v, h] : gu.Level(level)) {
-        (void)h;
-        member_edges += graph.InDegree(v);
-      }
+      for (const NodeId v : gu.Level(level)) member_edges += graph.InDegree(v);
       for (const auto& [w, vec] : want[level + 1]) {
         (void)vec;
         holder_edges += graph.OutDegree(w);
@@ -368,8 +366,7 @@ void ExpectTablesEqual(const SourceGraph& gu, const HittingTable& a,
   ASSERT_EQ(a.NumVectors(), b.NumVectors());
   ASSERT_EQ(a.NumEntries(), b.NumEntries());
   for (uint32_t level = 1; level <= gu.max_level(); ++level) {
-    for (const auto& [v, h] : gu.Level(level)) {
-      (void)h;
+    for (const NodeId v : gu.Level(level)) {
       const HittingVector x = a.VectorAt(level, v);
       const HittingVector y = b.VectorAt(level, v);
       ASSERT_EQ(x.size(), y.size()) << "level " << level << " node " << v;
@@ -403,7 +400,8 @@ TEST(HittingTest, CancelDuringPushLevelLeavesWorkspaceClean) {
   auto graph = std::move(builder).Build();
   ASSERT_TRUE(graph.ok());
   Fixture f = MakeFixture(*graph, 0, 0.05);
-  ASSERT_TRUE(f.gu.Contains(2, hub));
+  ASSERT_TRUE(std::binary_search(f.gu.Level(2).begin(), f.gu.Level(2).end(),
+                                 hub));
   ASSERT_GT(5 * kMembers, kHittingPushEdgeCost * graph->OutDegree(hub));
   ASSERT_GT(5 * kMembers / 2, kHittingPushEdgeCost * graph->OutDegree(hub));
 

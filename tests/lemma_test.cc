@@ -14,6 +14,7 @@
 #include "simpush/options.h"
 #include "simpush/source_push.h"
 #include "simpush/workspace.h"
+#include "test_util.h"
 
 namespace simpush {
 namespace {
@@ -24,12 +25,17 @@ struct SourceRun {
   SimPushOptions options;
 };
 
-SourceRun RunSourcePush(const Graph& graph, NodeId u, double epsilon) {
+// `every_member`: detection off and kEveryMemberAttention, so every
+// member's h is an attention occurrence's (testing_util::LevelEntries).
+SourceRun RunSourcePush(const Graph& graph, NodeId u, double epsilon,
+                        bool every_member = false) {
   SimPushOptions options;
   options.epsilon = epsilon;
   options.walk_budget_cap = 5000;
   options.seed = 77;
+  options.use_level_detection = !every_member;
   DerivedParams params = ComputeDerivedParams(options);
+  if (every_member) params.eps_h = testing_util::kEveryMemberAttention;
   Rng rng(options.seed);
   QueryWorkspace workspace;
   SourceRun run{{}, params, options};
@@ -76,11 +82,13 @@ TEST(Lemma2Test, LevelMassIsAtMostSqrtCPowEll) {
   // (dangling in-neighborhoods absorb mass).
   auto graph = GenerateChungLu(1000, 8000, 2.4, 9);
   ASSERT_TRUE(graph.ok());
-  SourceRun run = RunSourcePush(*graph, 11, 0.02);
+  SourceRun run = RunSourcePush(*graph, 11, 0.02, /*every_member=*/true);
   const double sqrt_c = run.params.sqrt_c;
   for (uint32_t level = 1; level <= run.gu.max_level(); ++level) {
     double mass = 0;
-    for (const auto& [node, h] : run.gu.Level(level)) mass += h;
+    for (const auto& [node, h] : testing_util::LevelEntries(run.gu, level)) {
+      mass += h;
+    }
     EXPECT_LE(mass, std::pow(sqrt_c, level) + 1e-9) << "level " << level;
   }
 }
@@ -90,12 +98,13 @@ TEST(Lemma2Test, LevelMassExactOnCycle) {
   // so the level mass is exactly √c^ℓ (all of it on one node).
   auto cycle = GenerateCycle(64);
   ASSERT_TRUE(cycle.ok());
-  SourceRun run = RunSourcePush(*cycle, 0, 0.02);
+  SourceRun run = RunSourcePush(*cycle, 0, 0.02, /*every_member=*/true);
   const double sqrt_c = run.params.sqrt_c;
   ASSERT_GE(run.gu.max_level(), 1u);
   for (uint32_t level = 1; level <= run.gu.max_level(); ++level) {
-    ASSERT_EQ(run.gu.Level(level).size(), 1u);
-    const double h = run.gu.Level(level).begin()->second;
+    const auto entries = testing_util::LevelEntries(run.gu, level);
+    ASSERT_EQ(entries.size(), 1u);
+    const double h = entries[0].second;
     EXPECT_NEAR(h, std::pow(sqrt_c, level), 1e-12) << "level " << level;
   }
 }

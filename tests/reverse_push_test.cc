@@ -74,9 +74,9 @@ TEST(ReversePushTest, ZeroEpsHThresholdConservesResidueMass) {
   Graph g = testing_util::MakeFixtureGraph();
   SourceGraph gu;
   gu.set_max_level(1);
-  gu.AddEntry(0, 0, 1.0);
+  gu.AddEntry(0, 0);
   // Node 9 has out-neighbors {5, 6} in the fixture graph.
-  gu.AddEntry(1, 9, 1.0);
+  gu.AddEntry(1, 9);
   gu.AddAttentionNode(9, 1, 1.0);
   std::vector<double> gamma{1.0};
   QueryWorkspace workspace;
@@ -112,9 +112,9 @@ TEST(ReversePushTest, TwoLevelResidueCombination) {
   Graph g = testing_util::MakeGraph(3, {{2, 1}, {1, 0}, {2, 0}});
   SourceGraph gu;
   gu.set_max_level(2);
-  gu.AddEntry(0, 0, 1.0);
-  gu.AddEntry(1, 1, 0.5);
-  gu.AddEntry(2, 2, 0.4);
+  gu.AddEntry(0, 0);
+  gu.AddEntry(1, 1);
+  gu.AddEntry(2, 2);
   gu.AddAttentionNode(1, 1, 0.5);
   gu.AddAttentionNode(2, 2, 0.4);
   std::vector<double> gamma{1.0, 1.0};
@@ -152,8 +152,8 @@ TEST(ReversePushTest, GammaScalesContributions) {
   Graph g = testing_util::MakeGraph(3, {{2, 1}, {1, 0}, {2, 0}});
   SourceGraph gu;
   gu.set_max_level(1);
-  gu.AddEntry(0, 0, 1.0);
-  gu.AddEntry(1, 1, 0.8);
+  gu.AddEntry(0, 0);
+  gu.AddEntry(1, 1);
   gu.AddAttentionNode(1, 1, 0.8);
   const double sqrt_c = std::sqrt(0.6);
   QueryWorkspace workspace;
@@ -187,11 +187,11 @@ TEST(ReversePushTest, CancelLeavesWorkspaceClean) {
   Graph g = testing_util::MakeGraph(2 * kWide + 1, edges);
   SourceGraph gu;
   gu.set_max_level(2);
-  gu.AddEntry(0, 0, 1.0);
+  gu.AddEntry(0, 0);
   std::vector<double> gamma;
   for (NodeId i = 1; i <= kWide; ++i) {
     const double h = 0.5 + 1e-3 * i;
-    gu.AddEntry(2, i, h);
+    gu.AddEntry(2, i);
     gu.AddAttentionNode(i, 2, h);
     gamma.push_back(1.0 - 1e-3 * i);
   }

@@ -120,7 +120,8 @@ TEST(SourcePushTest, HittingProbsMatchExactDP) {
   Graph g = testing_util::MakeFixtureGraph();
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;  // Explore all L* levels.
-  const DerivedParams params = ComputeDerivedParams(options);
+  DerivedParams params = ComputeDerivedParams(options);
+  params.eps_h = testing_util::kEveryMemberAttention;
   Rng rng(1);
   SourcePushStats stats;
   QueryWorkspace workspace;
@@ -130,8 +131,12 @@ TEST(SourcePushTest, HittingProbsMatchExactDP) {
                   .ok());
   auto exact = ExactHittingProbabilities(g, 0, gu.max_level(), params.sqrt_c);
   for (uint32_t level = 0; level <= gu.max_level(); ++level) {
+    std::vector<double> got(g.num_nodes(), 0.0);
+    for (const auto& [v, h] : testing_util::LevelEntries(gu, level)) {
+      got[v] = h;
+    }
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_NEAR(gu.HittingProb(level, v), exact[level][v], 1e-12)
+      EXPECT_NEAR(got[v], exact[level][v], 1e-12)
           << "level " << level << " node " << v;
     }
   }
@@ -142,14 +147,22 @@ TEST(SourcePushTest, AttentionNodesAreExactlyThoseAboveThreshold) {
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
-  Rng rng(2);
+  // Every member's h, from a run where every member is attention.
+  DerivedParams all_params = params;
+  all_params.eps_h = testing_util::kEveryMemberAttention;
   QueryWorkspace workspace;
-  SourceGraph gu;
+  SourceGraph gu, all;
+  Rng rng(2), all_rng(2);
   ASSERT_TRUE(SourcePushInto(g, 2, options, params, &rng, &workspace, &gu,
                              nullptr)
                   .ok());
+  ASSERT_TRUE(SourcePushInto(g, 2, options, all_params, &all_rng, &workspace,
+                             &all, nullptr)
+                  .ok());
+  ASSERT_EQ(gu.max_level(), all.max_level());
   for (uint32_t level = 1; level <= gu.max_level(); ++level) {
-    for (const auto& [node, h] : gu.Level(level)) {
+    EXPECT_EQ(gu.Level(level), all.Level(level)) << "level " << level;
+    for (const auto& [node, h] : testing_util::LevelEntries(all, level)) {
       AttentionId id;
       const bool is_attention = gu.LookupAttention(level, node, &id);
       EXPECT_EQ(is_attention, h >= params.eps_h)
@@ -183,7 +196,8 @@ TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
   Graph g = testing_util::RandomGraph(200, 1500, 43);
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
-  const DerivedParams params = ComputeDerivedParams(options);
+  DerivedParams params = ComputeDerivedParams(options);
+  params.eps_h = testing_util::kEveryMemberAttention;
   Rng rng(4);
   QueryWorkspace workspace;
   SourceGraph gu;
@@ -192,7 +206,7 @@ TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
                   .ok());
   for (uint32_t level = 0; level <= gu.max_level(); ++level) {
     double mass = 0;
-    for (const auto& [node, h] : gu.Level(level)) {
+    for (const auto& [node, h] : testing_util::LevelEntries(gu, level)) {
       (void)node;
       mass += h;
     }
@@ -253,7 +267,8 @@ TEST(SourcePushTest, CycleGraphKeepsFullMass) {
   ASSERT_TRUE(g.ok());
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
-  const DerivedParams params = ComputeDerivedParams(options);
+  DerivedParams params = ComputeDerivedParams(options);
+  params.eps_h = testing_util::kEveryMemberAttention;
   Rng rng(7);
   QueryWorkspace workspace;
   SourceGraph gu;
@@ -261,10 +276,11 @@ TEST(SourcePushTest, CycleGraphKeepsFullMass) {
                              nullptr)
                   .ok());
   for (uint32_t level = 1; level <= gu.max_level(); ++level) {
-    ASSERT_EQ(gu.Level(level).size(), 1u);
+    const auto entries = testing_util::LevelEntries(gu, level);
+    ASSERT_EQ(entries.size(), 1u);
     const NodeId expected = (0 + 12 - (level % 12)) % 12;
-    EXPECT_NEAR(gu.HittingProb(level, expected),
-                std::pow(params.sqrt_c, level), 1e-12);
+    EXPECT_EQ(entries[0].first, expected);
+    EXPECT_NEAR(entries[0].second, std::pow(params.sqrt_c, level), 1e-12);
   }
 }
 
@@ -309,7 +325,9 @@ struct Crossings {
 
 // Runs SourcePushInto with `params` and detection off (all L* levels)
 // from every source in `sources` with one reused workspace and checks
-// every level's (node, h bits) against NaivePush.
+// every level's members against NaivePush's, and that the attention
+// occurrences are exactly NaivePush's entries >= ε_h, with equal h bits.
+// With kEveryMemberAttention that compares every entry's h.
 void ExpectPushEqualsNaive(const Graph& graph,
                            const std::vector<NodeId>& sources,
                            const DerivedParams& params,
@@ -329,15 +347,24 @@ void ExpectPushEqualsNaive(const Graph& graph,
       const auto& want = level < expected.size()
                              ? expected[level]
                              : std::vector<std::pair<NodeId, double>>{};
-      const auto got = gu.Level(level);
+      const std::vector<NodeId>& got = gu.Level(level);
       ASSERT_EQ(got.size(), want.size()) << "u " << u << " level " << level;
+      size_t attention = 0;
       for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].first, want[i].first)
-            << "u " << u << " level " << level;
-        ASSERT_EQ(std::bit_cast<uint64_t>(got[i].second),
-                  std::bit_cast<uint64_t>(want[i].second))
-            << "u " << u << " level " << level << " node " << want[i].first;
+        const auto& [node, h] = want[i];
+        ASSERT_EQ(got[i], node) << "u " << u << " level " << level;
+        AttentionId id;
+        const bool is_attention = gu.LookupAttention(level, node, &id);
+        ASSERT_EQ(is_attention, level > 0 && h >= params.eps_h)
+            << "u " << u << " level " << level << " node " << node;
+        if (!is_attention) continue;
+        ++attention;
+        const double got_h = gu.attention_nodes()[id].hitting_prob;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got_h), std::bit_cast<uint64_t>(h))
+            << "u " << u << " level " << level << " node " << node;
       }
+      ASSERT_EQ(gu.AttentionOnLevel(level).size(), attention)
+          << "u " << u << " level " << level;
     }
     for (size_t level = 0; level + 1 < expected.size(); ++level) {
       if (expected[level + 1].empty()) break;
@@ -410,7 +437,8 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
 
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
-  const DerivedParams params = ComputeDerivedParams(options);
+  DerivedParams params = ComputeDerivedParams(options);
+  params.eps_h = testing_util::kEveryMemberAttention;
   Crossings all;
   const std::pair<const char*, const Graph*> kZoo[] = {
       {"funnel", &*funnel_graph}, {"complete", &*complete},
@@ -432,7 +460,8 @@ TEST(SourcePushTest, PullLevelsEqualNaivePushBitForBit) {
 
 // With a tiny √c the shares round to +0.0 after a level or two, yet a
 // node still joins a level by its edges. Every level, pulled or pushed,
-// keeps exactly NaivePush's nodes with equal bits. √c = 1e-160 makes
+// keeps exactly NaivePush's nodes (ε_h = 1e-3 leaves no attention
+// occurrence to compare h bits with). √c = 1e-160 makes
 // level 1's shares a mix of subnormals and +0.0; 1e-200 rounds them all
 // to +0.0.
 TEST(SourcePushTest, UnderflowedSharesKeepMembership) {
@@ -475,8 +504,10 @@ TEST(SourcePushTest, UnderflowedSharesKeepMembership) {
 // Level detection stops Source-Push at the detected L instead of L*.
 // For every source in `sources` at ε = `eps` (derived walk count, no
 // cap): the scores equal those of a query with detection off bit for
-// bit; levels <= L-2 of G_u equal NaivePush's; and levels L-1 and L are
-// bit-equal subsets of NaivePush's that hold every entry >= ε_h.
+// bit; levels <= L-2 of G_u hold NaivePush's nodes; levels L-1 and L
+// hold subsets of them that include every entry >= ε_h; and the
+// attention occurrences are exactly the entries >= ε_h, with equal h
+// bits.
 // Returns how many queries (L >= 3) evaluated level L-1 on demand, i.e.
 // kept fewer entries there than NaivePush.
 int ExpectDetectionKeepsScoreBits(const Graph& graph,
@@ -511,7 +542,7 @@ int ExpectDetectionKeepsScoreBits(const Graph& graph,
       const auto& full = level < naive.size()
                              ? naive[level]
                              : std::vector<std::pair<NodeId, double>>{};
-      const auto& kept = gu.Level(level);
+      const std::vector<NodeId>& kept = gu.Level(level);
       if (level + 2 <= max_level) {
         EXPECT_EQ(kept.size(), full.size()) << "u " << u << " level " << level;
       }
@@ -519,14 +550,21 @@ int ExpectDetectionKeepsScoreBits(const Graph& graph,
           kept.size() < full.size()) {
         ++demand_queries;
       }
-      // Both lists ascend by node: one merge finds every kept entry in
+      // Both lists ascend by node: one merge finds every kept node in
       // the full level, and every full entry >= ε_h among the kept.
       size_t k = 0;
       for (const auto& [node, h] : full) {
-        if (k < kept.size() && kept[k].first == node) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(kept[k].second),
-                    std::bit_cast<uint64_t>(h))
+        if (k < kept.size() && kept[k] == node) {
+          AttentionId id;
+          const bool is_attention = gu.LookupAttention(level, node, &id);
+          EXPECT_EQ(is_attention, level > 0 && h >= params.eps_h)
               << "u " << u << " level " << level << " node " << node;
+          if (is_attention) {
+            EXPECT_EQ(
+                std::bit_cast<uint64_t>(gu.attention_nodes()[id].hitting_prob),
+                std::bit_cast<uint64_t>(h))
+                << "u " << u << " level " << level << " node " << node;
+          }
           ++k;
         } else {
           EXPECT_LT(h, params.eps_h)
@@ -761,20 +799,13 @@ TEST(SourcePushTest, DetectionWithFiredTokenRunsNoWalk) {
   EXPECT_TRUE(workspace.level_candidates.empty());
 }
 
-// Every level and attention occurrence of `got` equals `want`'s, bit
-// for bit.
+// Every level's members and every attention occurrence of `got` equal
+// `want`'s, bit for bit. Built with kEveryMemberAttention, the two hold
+// every member's h in their attention occurrences.
 void ExpectSameSourceGraph(const SourceGraph& got, const SourceGraph& want) {
   ASSERT_EQ(got.max_level(), want.max_level());
   for (uint32_t level = 0; level <= want.max_level(); ++level) {
-    const auto& a = got.Level(level);
-    const auto& b = want.Level(level);
-    ASSERT_EQ(a.size(), b.size()) << "level " << level;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first) << "level " << level;
-      EXPECT_EQ(std::bit_cast<uint64_t>(a[i].second),
-                std::bit_cast<uint64_t>(b[i].second))
-          << "level " << level << " node " << b[i].first;
-    }
+    EXPECT_EQ(got.Level(level), want.Level(level)) << "level " << level;
   }
   ASSERT_EQ(got.num_attention(), want.num_attention());
   for (size_t id = 0; id < want.num_attention(); ++id) {
@@ -788,6 +819,18 @@ void ExpectSameSourceGraph(const SourceGraph& got, const SourceGraph& want) {
   }
 }
 
+// Both zero-restored accumulators read all +0.0 (bit pattern 0, so a
+// -0.0 or a leftover share below ε_h fails too).
+void ExpectAccumulatorsClean(const QueryWorkspace& workspace) {
+  for (const auto& [name, slots] :
+       {std::pair{"accum_a", &workspace.accum_a},
+        std::pair{"accum_b", &workspace.accum_b}}) {
+    size_t dirty = 0;
+    for (const double x : *slots) dirty += std::bit_cast<uint64_t>(x) != 0;
+    EXPECT_EQ(dirty, 0u) << name << " slots are not +0.0";
+  }
+}
+
 TEST(SourcePushTest, CancelDuringPullLevel) {
   // On K_300 level 0 (one node, 299 in-edges) pushes and level 1 (299
   // nodes, ~m in-edges) pulls. With detection off nothing polls before
@@ -797,7 +840,8 @@ TEST(SourcePushTest, CancelDuringPullLevel) {
   ASSERT_TRUE(graph.ok());
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
-  const DerivedParams params = ComputeDerivedParams(options);
+  DerivedParams params = ComputeDerivedParams(options);
+  params.eps_h = testing_util::kEveryMemberAttention;
   const NodeId u = 0;
   ASSERT_FALSE(PullsFrom(*graph, {{u, 1.0}}));
   ASSERT_TRUE(PullsFrom(*graph, NaivePush(*graph, u, 1, params.sqrt_c)[1]));
@@ -810,6 +854,7 @@ TEST(SourcePushTest, CancelDuringPullLevel) {
   const Status status = SourcePushInto(*graph, u, options, params, &rng,
                                        &workspace, &gu, nullptr, &token);
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  ExpectAccumulatorsClean(workspace);
 
   // The aborted pull leaves no residue in the reused workspace: a query
   // from node 1, whose level 1 lacks node 1, matches a fresh workspace.
@@ -822,6 +867,8 @@ TEST(SourcePushTest, CancelDuringPullLevel) {
   ASSERT_TRUE(SourcePushInto(*graph, 1, options, params, &rng_fresh,
                              &fresh_workspace, &fresh, nullptr)
                   .ok());
+  ExpectAccumulatorsClean(workspace);
+  ASSERT_EQ(fresh.num_attention(), fresh.TotalNodeOccurrences());
   ExpectSameSourceGraph(after, fresh);
 }
 
@@ -845,7 +892,8 @@ TEST(SourcePushTest, CancelDuringPushLevel) {
   ASSERT_TRUE(graph.ok());
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
-  const DerivedParams params = ComputeDerivedParams(options);
+  DerivedParams params = ComputeDerivedParams(options);
+  params.eps_h = testing_util::kEveryMemberAttention;
   const LevelList naive = NaivePush(*graph, 0, 2, params.sqrt_c);
   ASSERT_EQ(naive[1].size(), kLeaves);
   ASSERT_EQ(naive[2].size(), kLeaves);
@@ -861,6 +909,7 @@ TEST(SourcePushTest, CancelDuringPushLevel) {
                            nullptr, &token)
                 .code(),
             StatusCode::kCancelled);
+  ExpectAccumulatorsClean(workspace);
 
   // The same query again reads the slots the aborted push had filled.
   SourceGraph after, fresh;
@@ -872,37 +921,10 @@ TEST(SourcePushTest, CancelDuringPushLevel) {
   ASSERT_TRUE(SourcePushInto(*graph, 0, options, params, &rng_fresh,
                              &fresh_workspace, &fresh, nullptr)
                   .ok());
+  ExpectAccumulatorsClean(workspace);
   ASSERT_EQ(fresh.Level(2).size(), kLeaves);
+  ASSERT_EQ(fresh.num_attention(), fresh.TotalNodeOccurrences());
   ExpectSameSourceGraph(after, fresh);
-}
-
-TEST(SourceGraphTest, CountEdgesMatchesManualCount) {
-  Graph g = testing_util::MakeFixtureGraph();
-  SimPushOptions options = FastOptions();
-  options.use_level_detection = false;
-  const DerivedParams params = ComputeDerivedParams(options);
-  Rng rng(8);
-  QueryWorkspace workspace;
-  SourceGraph gu;
-  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
-                             nullptr)
-                  .ok());
-  size_t manual = 0;
-  for (uint32_t level = 0; level + 1 <= gu.max_level(); ++level) {
-    for (const auto& [node, h] : gu.Level(level)) {
-      (void)h;
-      manual += g.InDegree(node);
-    }
-  }
-  EXPECT_EQ(gu.CountEdges(g), manual);
-  EXPECT_EQ(gu.TotalNodeOccurrences(),
-            [&] {
-              size_t total = 0;
-              for (uint32_t l = 1; l <= gu.max_level(); ++l) {
-                total += gu.Level(l).size();
-              }
-              return total;
-            }());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
 #include "simpush/parallel.h"
+#include "simpush/source_graph.h"
 #include "simpush/topk.h"
 
 namespace simpush {
@@ -68,6 +70,34 @@ struct SocketPair {
   int ours = -1;
   int peer = -1;
 };
+
+/// An ε_h below every nonzero hitting probability: Source-Push run
+/// with it (and detection off, so every level is whole) makes every
+/// member of G_u with a nonzero h an attention occurrence, which keeps
+/// its exact h.
+inline constexpr double kEveryMemberAttention =
+    std::numeric_limits<double>::denorm_min();
+
+/// (node, h) of every member of G_u's level ℓ, ascending by node: level
+/// 0 is (u, 1.0), a deeper member's h is that of its attention
+/// occurrence. Fails the test on a member that is not one; run
+/// Source-Push with kEveryMemberAttention.
+inline std::vector<std::pair<NodeId, double>> LevelEntries(
+    const SourceGraph& gu, uint32_t level) {
+  std::vector<std::pair<NodeId, double>> entries;
+  for (const NodeId v : gu.Level(level)) {
+    AttentionId id = 0;
+    if (level == 0) {
+      entries.emplace_back(v, 1.0);
+    } else if (gu.LookupAttention(level, v, &id)) {
+      entries.emplace_back(v, gu.attention_nodes()[id].hitting_prob);
+    } else {
+      ADD_FAILURE() << "level " << level << " node " << v
+                    << " is not an attention occurrence";
+    }
+  }
+  return entries;
+}
 
 /// Builds a directed graph from an explicit edge list; aborts the test
 /// on failure.
